@@ -627,7 +627,8 @@ const CANARY_F64_QUICK: (f64, f64) = (0.49031103179286195, 0.7775601629068307);
 const CANARY_F32_QUICK: (f64, f64) = (0.49031103179286195, 0.7775601875591515);
 
 /// `precision-canary [--quick]` target: runs the fixed-seed trajectory
-/// and forecast evaluation at both precisions and fails the process
+/// and forecast evaluation at both precisions (F64 one thread wide and
+/// four wide) and fails the process
 /// when any observable diverges from its committed canary by a single
 /// bit.
 fn precision_canary(ctx: &Ctx) -> PrecisionCanaryResult {
@@ -649,17 +650,33 @@ fn precision_canary(ctx: &Ctx) -> PrecisionCanaryResult {
     } else {
         (CANARY_F64_FULL, CANARY_F32_FULL)
     };
-    let mut observe = |precision: Precision| -> (f64, f64) {
+    // `width` threads run every parallel call; 0 is the default width.
+    let mut observe = |precision: Precision, width: usize| -> (f64, f64) {
         cfg.precision = precision;
-        let saved = pfdrl_core::run_method(&cfg, EmsMethod::Pfdrl).converged_saved_fraction();
-        let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
-        let accuracy = pfdrl_core::evaluate_forecast(&cfg, &forecast).mean;
-        (saved, accuracy)
+        let cfg = &cfg;
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("a thread width always builds")
+            .install(|| {
+                let saved =
+                    pfdrl_core::run_method(cfg, EmsMethod::Pfdrl).converged_saved_fraction();
+                let forecast = train_forecasters(cfg, EmsMethod::Pfdrl);
+                let accuracy = pfdrl_core::evaluate_forecast(cfg, &forecast).mean;
+                (saved, accuracy)
+            })
     };
-    let got_f64 = observe(Precision::F64);
-    let got_f32 = observe(Precision::F32Fast);
+    // The default path is pinned one thread wide and four wide: the
+    // canary must not depend on how many threads ran it.
+    let got_f64 = observe(Precision::F64, 1);
+    let got_f64_wide = observe(Precision::F64, 4);
+    let got_f32 = observe(Precision::F32Fast, 0);
     let mut failed = false;
-    for (mode, got, want) in [("F64", got_f64, want_f64), ("F32Fast", got_f32, want_f32)] {
+    for (mode, got, want) in [
+        ("F64 (1 thread)", got_f64, want_f64),
+        ("F64 (4 threads)", got_f64_wide, want_f64),
+        ("F32Fast", got_f32, want_f32),
+    ] {
         for (what, got, want) in [
             ("saved fraction", got.0, want.0),
             ("forecast accuracy", got.1, want.1),

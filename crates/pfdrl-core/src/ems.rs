@@ -1275,33 +1275,30 @@ fn federate(
     match federation {
         DrlFederation::CloudFull => {
             for device in 0..d {
-                // Snapshot exports are independent per home; build them
-                // in parallel, then upload sequentially in home order so
-                // the pending queue (and with it the average order and
-                // the fault plan's per-arrival decisions) matches the
-                // sequential reference exactly.
-                let updates: Vec<_> = agents
-                    .par_iter()
-                    .enumerate()
-                    .map(|(home, home_agents)| {
-                        aggregate::snapshot_update(&home_agents[device], home, round, device as u64)
-                    })
-                    .collect();
-                // Quarantined homes upload nothing; they still receive
-                // the aggregate below (downloads carry healthy data).
-                for (home, update) in updates.into_iter().enumerate() {
+                // Uploads go in home order, so the pending queue (and with
+                // it the average order and the fault plan's per-arrival
+                // decisions) is fixed. Quarantined homes upload nothing;
+                // they still receive the aggregate below (downloads carry
+                // healthy data). Export and import are one model copy per
+                // home, too little work to pay for a thread.
+                for (home, home_agents) in agents.iter().enumerate() {
                     if participants.is_none_or(|m| m[home]) {
-                        cloud.upload(update);
+                        cloud.upload(aggregate::snapshot_update(
+                            &home_agents[device],
+                            home,
+                            round,
+                            device as u64,
+                        ));
                     }
                 }
                 cloud.aggregate_with_quorum(policy.min_quorum);
-                agents.par_iter_mut().enumerate().for_each(|(home, row)| {
+                for (home, row) in agents.iter_mut().enumerate() {
                     // An offline home (or a round with nothing
                     // aggregated yet) keeps its local agent.
                     if let Some(global) = cloud.download_for(home, round) {
                         row[device].import_all(&global);
                     }
-                });
+                }
             }
         }
         DrlFederation::None => {}

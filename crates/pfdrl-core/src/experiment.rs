@@ -451,11 +451,11 @@ pub struct DegradationResult {
 /// in fault intensity, not fault pattern.
 ///
 /// Rows are independent simulations (each gets its own `SimConfig`
-/// clone and RNG chain), so they run on the rayon pool via `par_iter`.
+/// clone and RNG chain), so they run in parallel via `par_iter`; the
+/// parallel calls inside each row then run inline on the row's thread.
 /// Because each row is internally deterministic and `collect` preserves
 /// input order, the result — down to the serialized JSON bytes — is
-/// identical whether the pool is parallel or the vendored sequential
-/// shim (a property pinned by a test below).
+/// identical at every thread width (a property pinned by a test below).
 pub fn degradation_sweep(base: &SimConfig, rates: &[(f64, f64)]) -> DegradationResult {
     use rayon::prelude::*;
 
@@ -528,9 +528,9 @@ pub struct SensorFaultResult {
 /// and stays fixed, so rows differ only in fault intensity, not fault
 /// pattern; health thresholds come from `base.health` unchanged.
 ///
-/// Like [`degradation_sweep`], rows are independent simulations on the
-/// rayon pool and the result is byte-identical across runs and pool
-/// shapes. A severity-0.0 storm has every rate at zero, so that row
+/// Like [`degradation_sweep`], rows are independent simulations run in
+/// parallel and the result is byte-identical across runs and thread
+/// widths. A severity-0.0 storm has every rate at zero, so that row
 /// collapses to the fault-free configuration and must land on the
 /// baseline numbers exactly — the regression canary the CI sweep pins.
 pub fn sensor_fault_sweep(base: &SimConfig, severities: &[f64]) -> SensorFaultResult {
@@ -683,13 +683,23 @@ mod tests {
 
     #[test]
     fn degradation_sweep_is_byte_identical_across_runs() {
-        // The sweep runs rows on the rayon pool; determinism must not
-        // depend on scheduling. Two full runs must serialize to the
-        // same JSON bytes.
+        // The baseline runs its days in parallel and the rows run side
+        // by side; determinism must depend on neither scheduling nor
+        // width. A one-thread run and a four-thread run must serialize
+        // to the same JSON bytes.
         let rates = [(0.0, 0.0), (0.3, 0.3)];
-        let a = serde_json::to_string(&degradation_sweep(&tiny(), &rates)).unwrap();
-        let b = serde_json::to_string(&degradation_sweep(&tiny(), &rates)).unwrap();
-        assert_eq!(a, b, "degradation sweep JSON differs between runs");
+        let sweep = |width: usize| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap()
+                .install(|| serde_json::to_string(&degradation_sweep(&tiny(), &rates)).unwrap())
+        };
+        assert_eq!(
+            sweep(1),
+            sweep(4),
+            "degradation sweep JSON differs between widths 1 and 4"
+        );
     }
 
     #[test]

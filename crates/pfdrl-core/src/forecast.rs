@@ -325,19 +325,15 @@ fn train_fedavg_cloud(
         }
         for (device, cloud) in clouds.iter().enumerate() {
             cloud.aggregate_with_quorum(quorum);
-            // Downloads touch only commutative integer counters and
-            // share the global model by `Arc`, so homes can pull and
-            // import concurrently.
-            models
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(home_id, home_models)| {
-                    // A home that cannot download (offline, or nothing
-                    // aggregated yet) keeps its local model for this round.
-                    if let Some(global) = cloud.download_for(home_id, round as u64) {
-                        home_models[device].import_all(&global);
-                    }
-                });
+            // One model copy per home: too little work to pay for a
+            // thread.
+            for (home_id, home_models) in models.iter_mut().enumerate() {
+                // A home that cannot download (offline, or nothing
+                // aggregated yet) keeps its local model for this round.
+                if let Some(global) = cloud.download_for(home_id, round as u64) {
+                    home_models[device].import_all(&global);
+                }
+            }
         }
     }
     let secs: f64 = clouds.iter().map(|c| c.simulated_seconds()).sum();
@@ -392,11 +388,11 @@ fn train_dfl_lan(
                     refit(m.as_mut(), s, &round_cfg);
                 }
             });
-        // One engine round per device bus: pooled parallel exports,
-        // broadcasts in home order (so each bus sees the exact event
-        // sequence of the sequential reference), then per-home parallel
-        // merges — or the O(N) shared reduction when the round is
-        // fault-free and `SharedSum` is selected. Corrupted or stale
+        // One engine round per device bus: pooled exports, broadcasts
+        // in home order (so each bus sees the exact event sequence of
+        // the sequential reference), then per-home merges — or the
+        // O(N) shared reduction when the round is fault-free and
+        // `SharedSum` is selected. Corrupted or stale
         // updates are rejected inside the validated merge; a layer that
         // misses the quorum keeps the local parameters this round.
         for device in 0..cfg.devices_per_home() {

@@ -76,6 +76,74 @@ fn exercise_resume_matrix(cfg: &SimConfig, method: EmsMethod, tag: &str) {
     fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Runs `f` with every parallel call it makes limited to `width`
+/// threads.
+fn at_width<R: Send>(width: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
+/// The resume matrix with the thread width varied: the reference runs
+/// one thread wide, the checkpointed run four wide, and every resume
+/// both ways. All outcomes must be bit-identical.
+fn exercise_resume_matrix_across_widths(cfg: &SimConfig, method: EmsMethod, tag: &str) {
+    let reference = at_width(1, || run_method(cfg, method).result());
+
+    let dir = tmp_dir(tag);
+    let ckpt_cfg = checkpointed(cfg, &dir);
+    let full = at_width(4, || {
+        run_method_resumable(&ckpt_cfg, method)
+            .unwrap()
+            .run
+            .result()
+    });
+    assert_bit_identical(&reference, &full, &format!("{tag}: width 4"));
+
+    let snaps = CheckpointStore::open(&dir, 0).unwrap().list().unwrap();
+    assert_eq!(snaps.len(), cfg.eval_days as usize);
+    for snap in &snaps {
+        for width in [1, 4] {
+            let resumed = at_width(width, || {
+                let resumed = run_method_resume_from(cfg, method, snap).unwrap();
+                assert!(resumed.resumed_from_day.is_some());
+                resumed.run.result()
+            });
+            assert_bit_identical(
+                &reference,
+                &resumed,
+                &format!("{tag}: width {width} resume from {}", snap.display()),
+            );
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_is_bit_identical_across_thread_widths() {
+    let mut cfg = SimConfig::tiny(11);
+    cfg.eval_days = 3;
+    exercise_resume_matrix_across_widths(&cfg, EmsMethod::Pfdrl, "widths");
+
+    // Shards in parallel, chaos with parked stragglers, compressed
+    // uplinks: every parallel site of a round at once.
+    let mut cfg = SimConfig::tiny(53);
+    cfg.n_residences = 7;
+    cfg.eval_days = 3;
+    cfg.aggregation = pfdrl_fl::AggregationMode::Hierarchical {
+        shards: 3,
+        assignment: pfdrl_fl::ShardAssignment::RoundRobin,
+    };
+    cfg.compression = pfdrl_fl::PayloadCodec::QuantizedI8 {
+        per_layer_scale: true,
+    };
+    cfg.fault = FaultConfig::chaos(53, 0.5);
+    cfg.fault.straggler_rate = 0.8;
+    exercise_resume_matrix_across_widths(&cfg, EmsMethod::Pfdrl, "widths-hier-chaos");
+}
+
 #[test]
 fn resume_from_every_snapshot_is_bit_identical() {
     let mut cfg = SimConfig::tiny(11);

@@ -21,8 +21,8 @@ pub enum AggregationMode {
     /// the seed behavior, bit-for-bit.
     #[default]
     PerHome,
-    /// Compute the round's update sum S once per device with a parallel
-    /// tree-reduce, then derive each home's merged model as
+    /// Compute the round's update sum S once per device with a
+    /// fixed-shape tree-reduce, then derive each home's merged model as
     /// `(local_i + S − update_i) / N` — O(N·params) per round. Falls
     /// back to [`AggregationMode::PerHome`] for any home whose received
     /// set differs from the full fault-free broadcast (churn, loss,

@@ -2,7 +2,7 @@
 //!
 //! Replaces the paper's LAN broadcast between smart-home hubs: each
 //! residence gets a mailbox (a mutex-guarded queue, so residences can
-//! run on rayon worker threads concurrently), and every broadcast is
+//! run on worker threads concurrently), and every broadcast is
 //! delivered to all other residences. The bus keeps byte/message
 //! statistics and converts them into simulated communication time via a
 //! [`LatencyModel`], which is how the time-overhead comparison of

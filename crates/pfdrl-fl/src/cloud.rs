@@ -18,7 +18,6 @@ use crate::bus::LatencyModel;
 use crate::codec::{ModelUpdate, PayloadCodec};
 use crate::fault::{Delivery, DropReason, FaultConfig, FaultPlan};
 use parking_lot::Mutex;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -299,13 +298,12 @@ impl CloudAggregator {
             return 0;
         }
         let layer_count = valid[0].layers.len();
-        // Clone-free FedAvg, parallel across layers. Summing the first
+        // Clone-free FedAvg, layer by layer. Summing the first
         // snapshot then the rest in upload order is bit-identical to
         // `pfdrl_nn::average_params` over per-layer clones (zero + s0 is
         // exact), which is what this loop replaced.
         let scale = 1.0 / valid.len() as f64;
         let global: Vec<Vec<f64>> = (0..layer_count)
-            .into_par_iter()
             .map(|layer_idx| {
                 let mut acc = valid[0].layers[layer_idx].params.clone();
                 for u in &valid[1..] {

@@ -5,9 +5,9 @@
 //! * [`BroadcastBus`] — the decentralized LAN broadcast between
 //!   residences (lock-light `Arc`-shared mailboxes with byte and
 //!   simulated-latency accounting);
-//! * [`DflRound`] — the parallel federation round engine: pooled
-//!   zero-copy update exchange, per-home parallel merges bit-identical
-//!   to the sequential reference, and the O(N) [`AggregationMode`]
+//! * [`DflRound`] — the federation round engine: pooled zero-copy
+//!   update exchange, per-home merges (parallel on large columns)
+//!   bit-identical to the sequential reference, and the O(N) [`AggregationMode`]
 //!   shared-reduction fast path;
 //! * [`CloudAggregator`] — the centralized parameter server used by the
 //!   Cloud/FL baselines;
@@ -86,6 +86,6 @@ pub use round::{dfl_round_reference, DflRound, RoundOutcome, RoundParams, Update
 pub use scheduler::{MinuteSchedule, PeriodicSchedule};
 pub use shard::{
     HierParams, HierShardState, HierState, HierarchicalRound, ShardAssignment, ShardCounters,
-    ShardPlan, ShardPool,
+    ShardPlan,
 };
 pub use topology::Topology;

@@ -1,6 +1,7 @@
 //! The decentralized-FedAvg round engine: one broadcast-merge round over
-//! a column of homogeneous models, parallel across homes, with pooled
-//! update buffers and an optional O(N) shared-reduction fast path.
+//! a column of homogeneous models, with pooled update buffers, a merge
+//! that runs in parallel across homes on large columns, and an optional
+//! O(N) shared-reduction fast path.
 //!
 //! The seed implementation of a DFL round was O(N²·params) and fully
 //! sequential: every home exported a fresh `ModelUpdate`, broadcast it,
@@ -9,15 +10,22 @@
 //! bit-for-bit on the default [`AggregationMode::PerHome`] path (pinned
 //! against [`dfl_round_reference`], the retained sequential oracle) while
 //!
-//! * filling export buffers from a reusing [`UpdatePool`] in parallel,
-//! * broadcasting `Arc`-shared payloads (sequentially, in home order —
-//!   mailbox arrival order feeds the merge float-sum order, so it must
-//!   stay fixed),
-//! * draining and merging every home in parallel (each home's merge is
-//!   independent once the bus has delivered).
+//! * filling export buffers from a reusing [`UpdatePool`],
+//! * broadcasting `Arc`-shared payloads (in home order — mailbox arrival
+//!   order feeds the merge float-sum order, so it must stay fixed),
+//! * merging every home in parallel once the column holds at least
+//!   `2 × MERGE_MIN_HOMES` homes (each home's merge is independent once
+//!   the bus has delivered).
+//!
+//! Export, drain, payload validation, eligibility and the tree sum stay
+//! sequential: measured one thread wide against two on a 2-vCPU host
+//! (paper-shape DQN columns of 16 to 669 homes), none of them came out
+//! faster in parallel, because a thread spawn costs about 40 µs there and
+//! each is a short memory-bound pass. The merge paid from 64 homes on
+//! (`PerHome` 0.54×, `SharedSum` 0.90× at 669 homes).
 //!
 //! Under [`AggregationMode::SharedSum`] the engine additionally computes
-//! the round's update sum `S = Σ_j u_j` once with a fixed-shape parallel
+//! the round's update sum `S = Σ_j u_j` once with a fixed-shape
 //! tree-reduce and derives each home's merged model as
 //! `(local_i + (S − u_i)) / N` — O(N·params) total instead of
 //! O(N²·params). A home is only eligible when its mailbox provably saw
@@ -152,8 +160,13 @@ pub(crate) struct ExchangeOutcome {
 /// float rounding — is identical run to run on any machine.
 pub(crate) const TREE_LEAF: usize = 16;
 
-/// Fixed-midpoint parallel tree sum of layers `0..layers` across
-/// `updates`: deterministic shape regardless of worker count.
+/// Fewest homes a merge thread is given: a column under twice this
+/// merges on the calling thread, where the spawn would cost more than
+/// the merge it saves.
+const MERGE_MIN_HOMES: usize = 32;
+
+/// Fixed-midpoint tree sum of layers `0..layers` across `updates`: the
+/// shape depends only on the update count.
 pub(crate) fn tree_sum(updates: &[Arc<ModelUpdate>], layers: usize) -> Vec<Vec<f64>> {
     if updates.len() <= TREE_LEAF {
         let mut acc: Vec<Vec<f64>> = (0..layers)
@@ -169,10 +182,8 @@ pub(crate) fn tree_sum(updates: &[Arc<ModelUpdate>], layers: usize) -> Vec<Vec<f
         acc
     } else {
         let mid = updates.len() / 2;
-        let (mut left, right) = rayon::join(
-            || tree_sum(&updates[..mid], layers),
-            || tree_sum(&updates[mid..], layers),
-        );
+        let mut left = tree_sum(&updates[..mid], layers);
+        let right = tree_sum(&updates[mid..], layers);
         for (a, b) in left.iter_mut().zip(right.iter()) {
             for (x, y) in a.iter_mut().zip(b.iter()) {
                 *x += y;
@@ -286,7 +297,7 @@ impl DflRound {
             None => total_layers,
         };
 
-        // Export: fill pooled buffers in parallel (reads only).
+        // Export: fill pooled buffers.
         while self.bufs.len() < n {
             self.bufs.push(self.pool.take());
         }
@@ -298,8 +309,8 @@ impl DflRound {
         let codec = p.bus.codec();
         let participants = p.participants;
         self.bufs
-            .par_iter_mut()
-            .zip(models.par_iter())
+            .iter_mut()
+            .zip(models.iter())
             .enumerate()
             .for_each(|(home, (buf, model))| {
                 buf.sender = home;
@@ -331,17 +342,13 @@ impl DflRound {
         }
         p.bus.broadcast_all(&self.sent);
 
-        // Drain: per-home keyed drains, independent, parallel.
+        // Drain: per-home keyed drains.
         self.received.truncate(n);
         while self.received.len() < n {
             self.received.push(Vec::new());
         }
-        {
-            let bus = p.bus;
-            self.received
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(home, buf)| bus.drain_model_into(home, model_id, buf));
+        for (home, buf) in self.received.iter_mut().enumerate() {
+            p.bus.drain_model_into(home, model_id, buf);
         }
 
         // Payload bytes staged for this round (one copy per sender),
@@ -374,7 +381,7 @@ impl DflRound {
             // quantization) make the O(N·params) finiteness scan
             // redundant — shape validation suffices.
             let check_finite = !codec.guarantees_finite();
-            payloads_ok = sent.par_iter().all(|u| {
+            payloads_ok = sent.iter().all(|u| {
                 u.layers.len() == sent[0].layers.len()
                     && u.layers.iter().zip(sent[0].layers.iter()).all(|(a, b)| {
                         a.params.len() == b.params.len()
@@ -383,16 +390,13 @@ impl DflRound {
             });
             if payloads_ok {
                 let received = &self.received;
-                self.eligible
-                    .par_iter_mut()
-                    .enumerate()
-                    .for_each(|(home, ok)| {
-                        let r = &received[home];
-                        *ok = r.len() == n - 1
-                            && r.iter()
-                                .zip((0..n).filter(|&j| j != home))
-                                .all(|(u, j)| Arc::ptr_eq(u, &sent[j]));
-                    });
+                self.eligible.iter_mut().enumerate().for_each(|(home, ok)| {
+                    let r = &received[home];
+                    *ok = r.len() == n - 1
+                        && r.iter()
+                            .zip((0..n).filter(|&j| j != home))
+                            .all(|(u, j)| Arc::ptr_eq(u, &sent[j]));
+                });
             }
         }
         ExchangeOutcome {
@@ -402,7 +406,8 @@ impl DflRound {
         }
     }
 
-    /// Phase 2 of a round: merge every home in parallel, then release
+    /// Phase 2 of a round: merge every home (in parallel on a column of
+    /// at least `2 × MERGE_MIN_HOMES`), then release
     /// the round's payload handles back to the pool. Eligible homes
     /// apply `(local + (shared − u_i)) / count`; everything else
     /// replays the exact per-home merge on its received set. Flat
@@ -430,6 +435,7 @@ impl DflRound {
                 .par_iter_mut()
                 .zip(self.fast_scratch.par_iter_mut())
                 .enumerate()
+                .with_min_len(MERGE_MIN_HOMES)
                 .for_each(|(home, (model, scratch))| {
                     let model: &mut M = model;
                     if eligible[home] {

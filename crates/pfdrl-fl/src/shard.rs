@@ -30,8 +30,9 @@ use crate::aggregate::{AggregationMode, MergePolicy};
 use crate::bus::{BroadcastBus, BusState, BusStats, LatencyModel};
 use crate::codec::PayloadCodec;
 use crate::fault::FaultConfig;
-use crate::round::{tree_sum, DflRound, RoundOutcome, RoundParams, TREE_LEAF};
+use crate::round::{tree_sum, DflRound, RoundOutcome, RoundParams};
 use pfdrl_nn::Layered;
+use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// How homes are assigned to neighborhood shards. Both modes are pure
@@ -187,42 +188,6 @@ impl ShardPlan {
     }
 }
 
-/// A bounded worker pool owned by one shard aggregator.
-///
-/// The vendored rayon is a single-threaded shim, so `install` runs the
-/// closure inline; under real rayon this would wrap a
-/// `ThreadPoolBuilder::num_threads(workers)` pool. The bound is still
-/// load-bearing either way: it is sized from the shard population so K
-/// concurrent shard aggregators never fan out more than
-/// `K · workers` tasks on the host.
-#[derive(Debug, Clone)]
-pub struct ShardPool {
-    workers: usize,
-}
-
-impl ShardPool {
-    /// Maximum workers any single shard pool will request.
-    pub const MAX_WORKERS: usize = 8;
-
-    /// Sizes a pool for a shard of `len` homes: one worker per
-    /// tree-reduce leaf, clamped to `1..=MAX_WORKERS`.
-    pub fn for_shard(len: usize) -> Self {
-        Self {
-            workers: len.div_ceil(TREE_LEAF).clamp(1, Self::MAX_WORKERS),
-        }
-    }
-
-    /// The pool's worker bound.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Runs `op` on this shard's pool.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        op()
-    }
-}
-
 /// Monotonic per-shard telemetry, snapshot-visible so a resumed run
 /// reports identical totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -282,14 +247,13 @@ pub struct HierParams<'a> {
     pub participants: Option<&'a [bool]>,
 }
 
-/// The two-level round engine: one [`DflRound`] + [`BroadcastBus`] +
-/// [`ShardPool`] per shard, plus the top-level combine. Reusable
+/// The two-level round engine: one [`DflRound`] + [`BroadcastBus`] per
+/// shard, plus the top-level combine. Reusable
 /// across rounds and model columns (drains are keyed by model id).
 pub struct HierarchicalRound {
     plan: ShardPlan,
     buses: Vec<BroadcastBus>,
     engines: Vec<DflRound>,
-    pools: Vec<ShardPool>,
     counters: Vec<ShardCounters>,
     /// Synthetic aggregator-link traffic: each fast round ships S_k up
     /// and the combined S back down to every shard aggregator.
@@ -329,18 +293,12 @@ impl HierarchicalRound {
             .map(|m| BroadcastBus::with_codec(m.len(), latency, faults, codec))
             .collect();
         let engines = plan.members().iter().map(|_| DflRound::new()).collect();
-        let pools = plan
-            .members()
-            .iter()
-            .map(|m| ShardPool::for_shard(m.len()))
-            .collect();
         let counters = vec![ShardCounters::default(); plan.shard_count()];
         let masks = vec![Vec::new(); plan.shard_count()];
         Self {
             plan,
             buses,
             engines,
-            pools,
             counters,
             agg_bytes: 0,
             agg_logical_bytes: 0,
@@ -359,11 +317,6 @@ impl HierarchicalRound {
     /// Per-shard counters, in shard order.
     pub fn counters(&self) -> &[ShardCounters] {
         &self.counters
-    }
-
-    /// Per-shard worker pools, in shard order.
-    pub fn pools(&self) -> &[ShardPool] {
-        &self.pools
     }
 
     /// Fleet-wide high-water mark of per-shard payload-resident bytes
@@ -431,7 +384,6 @@ impl HierarchicalRound {
             plan,
             buses,
             engines,
-            pools,
             counters,
             agg_bytes,
             agg_logical_bytes,
@@ -463,30 +415,34 @@ impl HierarchicalRound {
             }
         }
 
-        // Phase 1 per shard: export → broadcast → drain → eligibility,
-        // each neighborhood on its own bounded pool.
-        let mut layer_end = 0;
+        // One shard's round inputs; its bus and mask are its own.
+        let (buses, masks) = (&*buses, &*masks);
+        let params = |k: usize| RoundParams {
+            bus: &buses[k],
+            round: p.round,
+            model_id: p.model_id,
+            alpha: p.alpha,
+            policy: p.policy,
+            mode: AggregationMode::SharedSum,
+            participants: p.participants.is_some().then(|| &masks[k][..]),
+        };
+
+        // Phase 1, shards in parallel: export → broadcast → drain →
+        // eligibility. A shard touches only its own engine, bus and
+        // column, and the outcomes fold below in shard order.
+        let exchanges: Vec<_> = engines
+            .par_iter_mut()
+            .zip(cols.par_iter_mut())
+            .enumerate()
+            .map(|(k, (engine, col))| engine.exchange(col, &params(k), probe))
+            .collect();
+        let layer_end = exchanges[0].layer_end;
         let mut all_ok = probe;
         let mut round_peak = 0u64;
-        for k in 0..shards {
-            let params = RoundParams {
-                bus: &buses[k],
-                round: p.round,
-                model_id: p.model_id,
-                alpha: p.alpha,
-                policy: p.policy,
-                mode: AggregationMode::SharedSum,
-                participants: p.participants.is_some().then(|| &masks[k][..]),
-            };
-            let engine = &mut engines[k];
-            let col = &mut cols[k];
-            let ex = pools[k].install(|| engine.exchange(col, &params, probe));
-            if k == 0 {
-                layer_end = ex.layer_end;
-            }
+        for (c, ex) in counters.iter_mut().zip(&exchanges) {
             all_ok &= ex.payloads_ok;
             round_peak = round_peak.max(ex.payload_bytes);
-            counters[k].peak_payload_bytes = counters[k].peak_payload_bytes.max(ex.payload_bytes);
+            c.peak_payload_bytes = c.peak_payload_bytes.max(ex.payload_bytes);
         }
         *peak_shard_bytes = (*peak_shard_bytes).max(round_peak);
 
@@ -500,17 +456,17 @@ impl HierarchicalRound {
         }
         let fast_total: usize = engines.iter().map(DflRound::eligible_count).sum();
 
-        // Top level: per-shard partial sums, then the fixed-midpoint
-        // tree over shard order. With one shard this is a move of S_0 —
-        // no re-association — which is what keeps the single-shard
-        // oracle bitwise.
+        // Top level: per-shard partial sums (shards in parallel, each
+        // with the data-sized leaf tree), then the fixed-midpoint tree
+        // over shard order. With one shard this is a move of S_0 — no
+        // re-association — which is what keeps the single-shard oracle
+        // bitwise.
         let mut global: Vec<Vec<f64>> = Vec::new();
         if fast_total > 0 {
-            let mut partials: Vec<Vec<Vec<f64>>> = Vec::with_capacity(shards);
-            for k in 0..shards {
-                let engine = &engines[k];
-                partials.push(pools[k].install(|| tree_sum(engine.sent_payloads(), layer_end)));
-            }
+            let mut partials: Vec<Vec<Vec<f64>>> = engines
+                .par_iter()
+                .map(|engine| tree_sum(engine.sent_payloads(), layer_end))
+                .collect();
             global = combine_partials(&mut partials);
             // Each aggregator ships S_k up and the root ships S back
             // down. With one shard the aggregator is the root, so the
@@ -527,28 +483,23 @@ impl HierarchicalRound {
             }
         }
 
-        // Phase 2 per shard: merge with the fleet-global sum and fleet
-        // size; fallback homes merge their neighborhood's deliveries.
-        let mut outcome = RoundOutcome::default();
+        // Phase 2, shards in parallel: merge with the fleet-global sum
+        // and fleet size; fallback homes merge their neighborhood's
+        // deliveries.
         let count = n as f64;
-        for k in 0..shards {
-            let params = RoundParams {
-                bus: &buses[k],
-                round: p.round,
-                model_id: p.model_id,
-                alpha: p.alpha,
-                policy: p.policy,
-                mode: AggregationMode::SharedSum,
-                participants: p.participants.is_some().then(|| &masks[k][..]),
-            };
-            let engine = &mut engines[k];
-            let col = &mut cols[k];
-            let global = &global;
-            let out =
-                pools[k].install(|| engine.merge_with_sum(col, &params, layer_end, global, count));
-            counters[k].rounds += 1;
-            counters[k].fast_path_homes += out.fast_path_homes as u64;
-            counters[k].fallback_homes += out.fallback_homes as u64;
+        let merges: Vec<RoundOutcome> = engines
+            .par_iter_mut()
+            .zip(cols.par_iter_mut())
+            .enumerate()
+            .map(|(k, (engine, col))| {
+                engine.merge_with_sum(col, &params(k), layer_end, &global, count)
+            })
+            .collect();
+        let mut outcome = RoundOutcome::default();
+        for (c, out) in counters.iter_mut().zip(merges) {
+            c.rounds += 1;
+            c.fast_path_homes += out.fast_path_homes as u64;
+            c.fallback_homes += out.fallback_homes as u64;
             outcome.fast_path_homes += out.fast_path_homes;
             outcome.fallback_homes += out.fallback_homes;
         }
@@ -615,7 +566,8 @@ fn combine_partials(parts: &mut [Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
     }
     let mid = parts.len() / 2;
     let (l, r) = parts.split_at_mut(mid);
-    let (mut left, right) = rayon::join(|| combine_partials(l), || combine_partials(r));
+    let mut left = combine_partials(l);
+    let right = combine_partials(r);
     for (a, b) in left.iter_mut().zip(right.iter()) {
         for (x, y) in a.iter_mut().zip(b.iter()) {
             *x += y;
@@ -888,16 +840,5 @@ mod tests {
         );
         assert_eq!(out.fast_path_homes, 0);
         assert_eq!(out.fallback_homes, n);
-    }
-
-    #[test]
-    fn shard_pools_are_bounded_by_population() {
-        assert_eq!(ShardPool::for_shard(1).workers(), 1);
-        assert_eq!(ShardPool::for_shard(16).workers(), 1);
-        assert_eq!(ShardPool::for_shard(17).workers(), 2);
-        assert_eq!(
-            ShardPool::for_shard(10_000).workers(),
-            ShardPool::MAX_WORKERS
-        );
     }
 }

@@ -64,6 +64,16 @@ fn run_engine(
     );
 }
 
+/// Runs `f` with every parallel call it makes limited to `width`
+/// threads.
+fn at_width<R: Send>(width: usize, f: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .unwrap()
+        .install(f)
+}
+
 fn run_hier(
     models: &mut [Mlp],
     engine: &mut HierarchicalRound,
@@ -293,6 +303,72 @@ proptest! {
         if stats.logical_bytes > 0 {
             prop_assert!(stats.bytes < stats.logical_bytes);
         }
+    }
+
+    /// Thread width never changes a flat round: under chaos, both
+    /// flat modes give the same model bits and bus statistics one
+    /// thread wide and four wide. Columns of 64 homes and more split
+    /// their merge across threads.
+    #[test]
+    fn flat_rounds_are_bit_identical_at_widths_one_and_four_under_chaos(
+        seed in 0u64..10_000,
+        n in 2usize..150,
+        chaos in 0.0f64..0.6,
+        alpha_pick in 0usize..2,
+        shared in 0usize..2,
+    ) {
+        let fault = FaultConfig::chaos(seed, chaos);
+        let alpha = if alpha_pick == 1 { Some(2) } else { None };
+        let policy = fault.merge_policy();
+        let mode = if shared == 1 { AggregationMode::SharedSum } else { AggregationMode::PerHome };
+        let run = |width: usize| {
+            at_width(width, || {
+                let mut models = fleet(n, seed ^ 0x71D7);
+                let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
+                let mut engine = DflRound::new();
+                for round in 1..=4u64 {
+                    run_engine(&mut models, &mut engine, &bus, round, alpha, &policy, mode);
+                }
+                (bits(&models), bus.stats())
+            })
+        };
+        let (one, four) = (run(1), run(4));
+        prop_assert!(
+            one == four,
+            "widths 1 and 4 diverged (seed {}, n {}, chaos {:.2}, alpha {:?}, {:?})",
+            seed, n, chaos, alpha, mode
+        );
+    }
+
+    /// Thread width never changes a hierarchical round: under chaos,
+    /// with shards run in parallel, the model bits and the whole
+    /// exported engine state match one thread wide and four wide.
+    #[test]
+    fn hierarchical_rounds_are_bit_identical_at_widths_one_and_four_under_chaos(
+        seed in 0u64..10_000,
+        n in 2usize..40,
+        shards in 1usize..6,
+        chaos in 0.0f64..0.6,
+    ) {
+        let fault = FaultConfig::chaos(seed, chaos);
+        let policy = fault.merge_policy();
+        let run = |width: usize| {
+            at_width(width, || {
+                let mut models = fleet(n, seed ^ 0x41E2);
+                let mut engine = HierarchicalRound::new(
+                    ShardPlan::round_robin(n, shards), LatencyModel::lan(), &fault);
+                for round in 1..=4u64 {
+                    run_hier(&mut models, &mut engine, round, None, &policy);
+                }
+                (bits(&models), engine.export_state())
+            })
+        };
+        let (one, four) = (run(1), run(4));
+        prop_assert!(
+            one == four,
+            "widths 1 and 4 diverged (seed {}, n {}, shards {}, chaos {:.2})",
+            seed, n, shards, chaos
+        );
     }
 
     /// A corrupted *compressed* payload demotes the receiver to the
