@@ -1,13 +1,15 @@
-//! Counting global allocator for the `repro bench` harness.
+//! Counting global allocator for the allocation-count tests.
 //!
-//! The allocator itself is installed by the *binary* (`repro.rs` declares
-//! `#[global_allocator]`); the counters live here so library code can read
-//! them regardless of which binary is running. When the counting allocator
-//! is not installed (unit tests, other binaries) the counters simply stay
-//! at zero and allocation columns read 0.
+//! Each test binary that counts allocations (`tests/*_alloc.rs`) installs
+//! [`CountingAlloc`] as its own `#[global_allocator]`; the counters live
+//! here so the tests can read them. Where the allocator is not installed
+//! the counters simply stay at zero.
 //!
-//! Counting uses relaxed atomics: the bench sections are single-threaded,
-//! so a snapshot-before/snapshot-after delta is exact.
+//! Counting uses relaxed atomics: every increment lands, and the worker
+//! threads of a measured window are joined before its closing snapshot,
+//! so a snapshot-before/snapshot-after delta is exact as long as nothing
+//! else in the process allocates meanwhile — which is why each counting
+//! test binary holds a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

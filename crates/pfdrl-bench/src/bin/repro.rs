@@ -9,9 +9,9 @@
 //! Results are printed as aligned tables and also written as JSON under
 //! `repro_results/` so EXPERIMENTS.md can cite exact numbers.
 
-use pfdrl_bench::bench::{bench_ems_config, run_bench_with, BenchFile, BenchReport};
 use pfdrl_bench::{
-    clients_config, forecast_config, format_series, format_series_table, quick_config, repro_config,
+    bench_ems_config, clients_config, forecast_config, format_series, format_series_table,
+    quick_config, repro_config,
 };
 use pfdrl_core::experiment::{
     self, compare_methods, fig10_monetary, fig12_personalization, fig13_forecast_overhead,
@@ -34,21 +34,12 @@ use std::time::Instant;
 
 const SEED: u64 = 42;
 
-/// Counts every heap allocation so `repro bench` can report
-/// allocations/step; pass-through to the system allocator otherwise.
-#[global_allocator]
-static ALLOC: pfdrl_bench::alloc::CountingAlloc = pfdrl_bench::alloc::CountingAlloc;
-
 struct Ctx {
     quick: bool,
     out_dir: String,
     checkpoint_dir: Option<String>,
     resume_from: Option<String>,
     crash_after_day: Option<u64>,
-    baseline: Option<String>,
-    max_regression: Option<f64>,
-    /// `bench --phases`: include the per-phase day breakdown rows.
-    phases: bool,
     /// `serve --stream <path|->`: NDJSON telemetry replay (`-` =
     /// stdin). Absent: a synthetic stream is generated in memory.
     stream: Option<String>,
@@ -59,10 +50,6 @@ struct Ctx {
     shards: Option<usize>,
     chunk_minutes: Option<usize>,
     queue_cap: Option<usize>,
-    /// `scale-smoke --flat-only`: run only the 669-home SharedSum leg.
-    flat_only: bool,
-    /// `scale-smoke --hier-only`: run only the 10k-home Hierarchical leg.
-    hier_only: bool,
     /// `--precision <f64|f32fast>`: forecast inference precision of the
     /// base configuration (run/serve/headline/figures). Part of the run
     /// identity, so `f32fast` selects its own canary trajectory.
@@ -607,35 +594,107 @@ fn run_headline(ctx: &Ctx) {
     ctx.save_json("headline", &h);
 }
 
-/// Committed canary trajectories for the `precision-canary` target:
-/// per precision mode, the converged saved-standby fraction of the
-/// fixed-seed EMS run *and* the mean forecast accuracy of the trained
-/// fleet over the evaluation span. The saved fraction is
-/// action-quantized (sub-µW forecast deltas rarely flip a discrete EMS
-/// action — at these scales the two modes land on the same value, which
-/// is itself pinned), so the forecast accuracy is the row with teeth:
-/// it moves whenever a single prediction bit changes, making the two
-/// modes' canaries observably distinct. The full-scale f64 saved
-/// fraction is the same `bench_ems_config()` canary BENCH_*.json has
-/// always pinned; the quick rows use `tiny(42)` with the forecast
-/// method switched to LSTM, since the tiny config's LR forecaster has
-/// no f32 path. Any drift in any literal is a correctness regression,
-/// not noise — every run here is bit-deterministic.
-const CANARY_F64_FULL: (f64, f64) = (0.39476153139803727, 0.8000332742645503);
-const CANARY_F32_FULL: (f64, f64) = (0.39476153139803727, 0.8000332827694779);
-const CANARY_F64_QUICK: (f64, f64) = (0.49031103179286195, 0.7775601629068307);
-const CANARY_F32_QUICK: (f64, f64) = (0.49031103179286195, 0.7775601875591515);
+/// Committed canary literals, `[saved fraction, forecast accuracy]`: the
+/// converged saved-standby fraction of the fixed-seed PFDRL run and the
+/// mean forecast accuracy of the trained fleet over the evaluation span.
+/// Full scale is `bench_ems_config()`; quick is `tiny(42)` with the
+/// forecast method switched to LSTM, since the tiny config's LR
+/// forecaster has no f32 path. The saved fraction is action-quantized
+/// (sub-µW forecast deltas rarely flip a discrete EMS action, so F64 and
+/// F32Fast land on the same value, which is itself pinned); the forecast
+/// accuracy moves whenever a single prediction bit changes, which keeps
+/// the two precisions' canaries distinct. Every run here is
+/// bit-deterministic, so any drift is a correctness regression, not
+/// noise.
+const F64_FULL: [f64; 2] = [0.39476153139803727, 0.8000332742645503];
+const F64_QUICK: [f64; 2] = [0.49031103179286195, 0.7775601629068307];
+const F32_FULL: [f64; 2] = [0.39476153139803727, 0.8000332827694779];
+const F32_QUICK: [f64; 2] = [0.49031103179286195, 0.7775601875591515];
 
-/// `precision-canary [--quick]` target: runs the fixed-seed trajectory
-/// and forecast evaluation at both precisions (F64 one thread wide and
-/// four wide) and fails the process
-/// when any observable diverges from its committed canary by a single
-/// bit.
-fn precision_canary(ctx: &Ctx) -> PrecisionCanaryResult {
-    banner(
-        "precision-canary",
-        "fixed-seed F64 + F32Fast trajectories vs committed canaries",
-    );
+/// The two observables every canary row measures, in literal order.
+const OBSERVABLES: [&str; 2] = ["saved fraction", "forecast accuracy"];
+
+/// What a canary row must reproduce.
+enum Expect {
+    /// Bit for bit: the full-scale literal, then the quick one.
+    Pinned([f64; 2], [f64; 2]),
+    /// Each observable within this `|Δ|` of the first (F64) row.
+    Within([f64; 2]),
+}
+
+/// One `canary` row: a configuration override and what it must give.
+struct Canary {
+    label: &'static str,
+    precision: Precision,
+    codec: PayloadCodec,
+    /// Width of every parallel call; 0 is the default width.
+    threads: usize,
+    expect: Expect,
+}
+
+/// The `canary` table. The default F64 path is pinned one thread wide
+/// and four wide, because the canary must not depend on how many threads
+/// ran it. The compressed-codec envelopes carry ~2× headroom over the
+/// measured deltas (DESIGN.md §16): int8 quantization is nearly free
+/// (|Δsaved| ≤ 1.2e-2 quick / 7.6e-6 full, |Δaccuracy| ≤ 7.7e-3), while
+/// `TopK{0.1}` keeps the EMS saved fraction (≤ 1.2e-1 quick / 3.2e-3
+/// full) but costs the *forecaster* federation up to 0.24 accuracy —
+/// 90% sparsification breaks supervised model averaging long before it
+/// breaks the DRL.
+const CANARIES: [Canary; 5] = [
+    Canary {
+        label: "f64 (1 thread)",
+        precision: Precision::F64,
+        codec: PayloadCodec::Raw,
+        threads: 1,
+        expect: Expect::Pinned(F64_FULL, F64_QUICK),
+    },
+    Canary {
+        label: "f64 (4 threads)",
+        precision: Precision::F64,
+        codec: PayloadCodec::Raw,
+        threads: 4,
+        expect: Expect::Pinned(F64_FULL, F64_QUICK),
+    },
+    Canary {
+        label: "f32fast",
+        precision: Precision::F32Fast,
+        codec: PayloadCodec::Raw,
+        threads: 0,
+        expect: Expect::Pinned(F32_FULL, F32_QUICK),
+    },
+    Canary {
+        label: "q8",
+        precision: Precision::F64,
+        codec: PayloadCodec::QuantizedI8 {
+            per_layer_scale: true,
+        },
+        threads: 0,
+        expect: Expect::Within([0.05, 0.03]),
+    },
+    Canary {
+        label: "topk:0.1",
+        precision: Precision::F64,
+        codec: PayloadCodec::TopK { fraction: 0.1 },
+        threads: 0,
+        expect: Expect::Within([0.25, 0.35]),
+    },
+];
+
+/// One `canary` observation row.
+#[derive(Debug, Clone, Serialize)]
+struct CanaryRow {
+    row: String,
+    saved_fraction: f64,
+    forecast_accuracy: f64,
+}
+
+/// `canary [--quick]` target: runs the fixed-seed trajectory and
+/// forecast evaluation of every [`CANARIES`] row and exits 1 unless each
+/// pinned row matches its committed literals bit for bit and each
+/// enveloped row stays inside its bounds.
+fn canary(ctx: &Ctx) {
+    banner("canary", "fixed-seed trajectories vs committed canaries");
     let mut cfg = if ctx.quick {
         let mut c = quick_config(SEED);
         // tiny() uses the LR forecaster; the canary must exercise the
@@ -645,579 +704,56 @@ fn precision_canary(ctx: &Ctx) -> PrecisionCanaryResult {
     } else {
         bench_ems_config()
     };
-    let (want_f64, want_f32) = if ctx.quick {
-        (CANARY_F64_QUICK, CANARY_F32_QUICK)
-    } else {
-        (CANARY_F64_FULL, CANARY_F32_FULL)
-    };
-    // `width` threads run every parallel call; 0 is the default width.
-    let mut observe = |precision: Precision, width: usize| -> (f64, f64) {
-        cfg.precision = precision;
+    let mut failed = false;
+    let mut reference = [0.0; 2];
+    let mut rows = Vec::new();
+    for (r, row) in CANARIES.iter().enumerate() {
+        cfg.precision = row.precision;
+        cfg.compression = row.codec;
         let cfg = &cfg;
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(width)
+        let got = rayon::ThreadPoolBuilder::new()
+            .num_threads(row.threads)
             .build()
             .expect("a thread width always builds")
             .install(|| {
                 let saved =
                     pfdrl_core::run_method(cfg, EmsMethod::Pfdrl).converged_saved_fraction();
                 let forecast = train_forecasters(cfg, EmsMethod::Pfdrl);
-                let accuracy = pfdrl_core::evaluate_forecast(cfg, &forecast).mean;
-                (saved, accuracy)
-            })
-    };
-    // The default path is pinned one thread wide and four wide: the
-    // canary must not depend on how many threads ran it.
-    let got_f64 = observe(Precision::F64, 1);
-    let got_f64_wide = observe(Precision::F64, 4);
-    let got_f32 = observe(Precision::F32Fast, 0);
-    let mut failed = false;
-    for (mode, got, want) in [
-        ("F64 (1 thread)", got_f64, want_f64),
-        ("F64 (4 threads)", got_f64_wide, want_f64),
-        ("F32Fast", got_f32, want_f32),
-    ] {
-        for (what, got, want) in [
-            ("saved fraction", got.0, want.0),
-            ("forecast accuracy", got.1, want.1),
-        ] {
-            if got.to_bits() == want.to_bits() {
-                println!("{mode}: {what} {got} matches the committed canary bit for bit");
+                [saved, pfdrl_core::evaluate_forecast(cfg, &forecast).mean]
+            });
+        if r == 0 {
+            reference = got;
+        }
+        let label = row.label;
+        for (i, what) in OBSERVABLES.iter().enumerate() {
+            let (ok, verdict) = match row.expect {
+                Expect::Pinned(full, quick) => {
+                    let want = if ctx.quick { quick[i] } else { full[i] };
+                    let verdict = format!("{:?} vs committed canary {want:?}", got[i]);
+                    (got[i].to_bits() == want.to_bits(), verdict)
+                }
+                Expect::Within(bound) => {
+                    let delta = got[i] - reference[i];
+                    let verdict = format!("delta {delta:+.2e} vs committed envelope {}", bound[i]);
+                    (delta.abs() <= bound[i], verdict)
+                }
+            };
+            if ok {
+                println!("ok   {label}: {what} {verdict}");
             } else {
-                eprintln!("FAIL: {mode} {what} {got:?} != committed canary {want:?}");
+                eprintln!("FAIL {label}: {what} {verdict}");
                 failed = true;
             }
         }
-    }
-    let result = PrecisionCanaryResult {
-        quick: ctx.quick,
-        f64_saved_fraction: got_f64.0,
-        f64_forecast_accuracy: got_f64.1,
-        f32_saved_fraction: got_f32.0,
-        f32_forecast_accuracy: got_f32.1,
-    };
-    ctx.save_json("precision_canary", &result);
-    if failed {
-        std::process::exit(1);
-    }
-    result
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct PrecisionCanaryResult {
-    quick: bool,
-    f64_saved_fraction: f64,
-    f64_forecast_accuracy: f64,
-    f32_saved_fraction: f64,
-    f32_forecast_accuracy: f64,
-}
-
-/// Per-codec accuracy envelopes for the `compression-canary` target:
-/// how far each compressed codec may move the fixed-seed saved-standby
-/// fraction and forecast accuracy from the `Raw` reference — the same
-/// codec shapes the `federation_comp` bench rows measure. The bounds
-/// carry ~2× headroom over the measured deltas (DESIGN.md §16): int8
-/// quantization is nearly free (|Δsaved| ≤ 1.2e-2 quick / 7.6e-6 full,
-/// |Δaccuracy| ≤ 7.7e-3), while `TopK{0.1}` keeps the EMS saved
-/// fraction (≤ 1.2e-1 quick / 3.2e-3 full) but costs the *forecaster*
-/// federation up to 0.24 accuracy — 90% sparsification breaks
-/// supervised model averaging long before it breaks the DRL. `Raw`
-/// itself is pinned bit-for-bit against the same committed literals
-/// the `precision-canary` target has always used.
-const CANARY_CODECS: [(PayloadCodec, f64, f64); 2] = [
-    (
-        PayloadCodec::QuantizedI8 {
-            per_layer_scale: true,
-        },
-        0.05,
-        0.03,
-    ),
-    (PayloadCodec::TopK { fraction: 0.1 }, 0.25, 0.35),
-];
-
-/// One `compression-canary` observation row.
-#[derive(Debug, Clone, Serialize)]
-struct CompressionCanaryRow {
-    codec: String,
-    saved_fraction: f64,
-    forecast_accuracy: f64,
-    /// `saved_fraction - raw.saved_fraction`.
-    saved_delta: f64,
-    /// `forecast_accuracy - raw.forecast_accuracy`.
-    accuracy_delta: f64,
-}
-
-#[derive(Debug, Clone, Serialize)]
-struct CompressionCanaryResult {
-    quick: bool,
-    rows: Vec<CompressionCanaryRow>,
-}
-
-/// `compression-canary [--quick]` target: runs the fixed-seed
-/// trajectory and forecast evaluation under every payload codec. The
-/// default `Raw` codec must reproduce the committed f64 canary bit for
-/// bit (compression off is bit-identical, not merely close); the
-/// compressed codecs must stay inside the committed accuracy
-/// envelopes.
-fn compression_canary(ctx: &Ctx) -> CompressionCanaryResult {
-    banner(
-        "compression-canary",
-        "fixed-seed trajectories per payload codec vs committed envelopes",
-    );
-    let mut cfg = if ctx.quick {
-        let mut c = quick_config(SEED);
-        // Same workload as `precision-canary --quick` (LSTM, not the
-        // tiny LR default) so the Raw rows share its committed literal.
-        c.forecast_method = pfdrl_forecast::ForecastMethod::Lstm;
-        c
-    } else {
-        bench_ems_config()
-    };
-    let want_raw = if ctx.quick {
-        CANARY_F64_QUICK
-    } else {
-        CANARY_F64_FULL
-    };
-    let mut observe = |codec: PayloadCodec| -> (f64, f64) {
-        cfg.compression = codec;
-        let saved = pfdrl_core::run_method(&cfg, EmsMethod::Pfdrl).converged_saved_fraction();
-        let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
-        let accuracy = pfdrl_core::evaluate_forecast(&cfg, &forecast).mean;
-        (saved, accuracy)
-    };
-    let mut failed = false;
-    let raw = observe(PayloadCodec::Raw);
-    for (what, got, want) in [
-        ("saved fraction", raw.0, want_raw.0),
-        ("forecast accuracy", raw.1, want_raw.1),
-    ] {
-        if got.to_bits() == want.to_bits() {
-            println!("raw: {what} {got} matches the committed canary bit for bit");
-        } else {
-            eprintln!("FAIL: raw {what} {got:?} != committed canary {want:?}");
-            failed = true;
-        }
-    }
-    let mut rows = vec![CompressionCanaryRow {
-        codec: "raw".into(),
-        saved_fraction: raw.0,
-        forecast_accuracy: raw.1,
-        saved_delta: 0.0,
-        accuracy_delta: 0.0,
-    }];
-    for (codec, saved_tol, accuracy_tol) in CANARY_CODECS {
-        let (saved, accuracy) = observe(codec);
-        let (saved_delta, accuracy_delta) = (saved - raw.0, accuracy - raw.1);
-        for (what, delta, tol) in [
-            ("saved fraction", saved_delta, saved_tol),
-            ("forecast accuracy", accuracy_delta, accuracy_tol),
-        ] {
-            if delta.abs() <= tol {
-                println!(
-                    "{}: {what} delta {delta:+.2e} within the committed envelope {tol:.0e}",
-                    codec.label()
-                );
-            } else {
-                eprintln!(
-                    "FAIL: {} {what} delta {delta:+.2e} exceeds the committed envelope {tol:.0e}",
-                    codec.label()
-                );
-                failed = true;
-            }
-        }
-        rows.push(CompressionCanaryRow {
-            codec: codec.label().into(),
-            saved_fraction: saved,
-            forecast_accuracy: accuracy,
-            saved_delta,
-            accuracy_delta,
+        rows.push(CanaryRow {
+            row: label.into(),
+            saved_fraction: got[0],
+            forecast_accuracy: got[1],
         });
     }
-    let result = CompressionCanaryResult {
-        quick: ctx.quick,
-        rows,
-    };
-    ctx.save_json("compression_canary", &result);
+    ctx.save_json("canary", &rows);
     if failed {
         std::process::exit(1);
-    }
-    result
-}
-
-/// `bench` target: the fixed-workload perf harness. Emits
-/// `BENCH_10.json` embedding the current measurement, the committed
-/// pre-PR baseline (when `--baseline <file>` points at one), and the
-/// headline speedups. `--phases` adds the per-phase day breakdown.
-fn bench(ctx: &Ctx) {
-    banner(
-        "bench",
-        "kernel micro-benchmarks + fixed-seed EMS day + federation scaling + serve throughput",
-    );
-    let current = run_bench_with(ctx.quick, ctx.phases);
-    let baseline: Option<BenchReport> = ctx.baseline.as_ref().map(|path| {
-        let text =
-            fs::read_to_string(path).unwrap_or_else(|e| panic!("reading baseline {path}: {e}"));
-        let file: BenchFile =
-            serde_json::from_str(&text).unwrap_or_else(|e| panic!("parsing baseline {path}: {e}"));
-        file.current
-    });
-    let file = BenchFile::from_parts(current, baseline);
-    if let (Some(ems), Some(ts)) = (file.speedup_ems_day, file.speedup_train_step) {
-        let steady = file
-            .speedup_ems_steady_day
-            .map(|s| format!(", steady day {s:.2}x"))
-            .unwrap_or_default();
-        println!("speedup vs baseline: ems_day {ems:.2}x, train_step {ts:.2}x{steady}");
-    }
-    ctx.save_json("BENCH_10", &file);
-    if let (Some(factor), Some(base)) = (ctx.max_regression, file.baseline.as_ref()) {
-        gate_regression(&file.current, base, factor);
-    }
-}
-
-/// CI regression gate: fails the process when any workload rate is more
-/// than `factor`x slower than the committed baseline. Rate-based rows
-/// (kernel ns/iter, train_step steps/sec) compare across `--quick` and
-/// full sessions; the end-to-end EMS day is only compared when both
-/// sides ran the same workload, since `--quick` swaps the config.
-fn gate_regression(current: &BenchReport, base: &BenchReport, factor: f64) {
-    let mut failures = Vec::new();
-    for row in &current.kernels {
-        if let Some(b) = base.kernels.iter().find(|b| b.name == row.name) {
-            if row.ns_per_iter > b.ns_per_iter * factor {
-                failures.push(format!(
-                    "kernel {}: {:.0} ns/iter vs baseline {:.0} (limit {:.0})",
-                    row.name,
-                    row.ns_per_iter,
-                    b.ns_per_iter,
-                    b.ns_per_iter * factor
-                ));
-            }
-        }
-    }
-    if current.train_step.steps_per_sec * factor < base.train_step.steps_per_sec {
-        failures.push(format!(
-            "train_step: {:.0} steps/s vs baseline {:.0} (limit {:.0})",
-            current.train_step.steps_per_sec,
-            base.train_step.steps_per_sec,
-            base.train_step.steps_per_sec / factor
-        ));
-    }
-    if current.quick == base.quick && current.ems_day.seconds > base.ems_day.seconds * factor {
-        failures.push(format!(
-            "ems_day: {:.2}s vs baseline {:.2}s (limit {:.2}s)",
-            current.ems_day.seconds,
-            base.ems_day.seconds,
-            base.ems_day.seconds * factor
-        ));
-    }
-    // Steady-state day wall-clock (median of three days; zero in
-    // baselines recorded before the field existed).
-    if current.quick == base.quick
-        && base.ems_day.steady_seconds > 0.0
-        && current.ems_day.steady_seconds > base.ems_day.steady_seconds * factor
-    {
-        failures.push(format!(
-            "ems_day steady day: {:.2}s vs baseline {:.2}s (limit {:.2}s)",
-            current.ems_day.steady_seconds,
-            base.ems_day.steady_seconds,
-            base.ems_day.steady_seconds * factor
-        ));
-    }
-    // Imputation-active steady day (sensor-fault storm) wall-clock.
-    if current.quick == base.quick
-        && base.ems_day.imputed_steady_seconds > 0.0
-        && current.ems_day.imputed_steady_seconds > base.ems_day.imputed_steady_seconds * factor
-    {
-        failures.push(format!(
-            "ems_day imputation-active steady day: {:.2}s vs baseline {:.2}s (limit {:.2}s)",
-            current.ems_day.imputed_steady_seconds,
-            base.ems_day.imputed_steady_seconds,
-            base.ems_day.imputed_steady_seconds * factor
-        ));
-    }
-    // F32Fast rows: the reduced-precision end-to-end day and steady day
-    // are gated exactly like their f64 twins (zeros in baselines
-    // recorded before the mode existed are skipped).
-    if current.quick == base.quick
-        && base.ems_day.f32_seconds > 0.0
-        && current.ems_day.f32_seconds > base.ems_day.f32_seconds * factor
-    {
-        failures.push(format!(
-            "ems_day F32Fast: {:.2}s vs baseline {:.2}s (limit {:.2}s)",
-            current.ems_day.f32_seconds,
-            base.ems_day.f32_seconds,
-            base.ems_day.f32_seconds * factor
-        ));
-    }
-    if current.quick == base.quick
-        && base.ems_day.steady_day_f32_seconds > 0.0
-        && current.ems_day.steady_day_f32_seconds > base.ems_day.steady_day_f32_seconds * factor
-    {
-        failures.push(format!(
-            "ems_day F32Fast steady day: {:.2}s vs baseline {:.2}s (limit {:.2}s)",
-            current.ems_day.steady_day_f32_seconds,
-            base.ems_day.steady_day_f32_seconds,
-            base.ems_day.steady_day_f32_seconds * factor
-        ));
-    }
-    // Steady-state day allocation budgets: counts are workload-determined
-    // (not wall-clock), so they compare whenever both sides ran the same
-    // config. Baselines recorded before the fields existed carry zeros
-    // and are skipped.
-    if current.quick == base.quick {
-        for (path, cur, bas) in [
-            (
-                "steady_allocations",
-                current.ems_day.steady_allocations,
-                base.ems_day.steady_allocations,
-            ),
-            (
-                "steady_allocated_bytes",
-                current.ems_day.steady_allocated_bytes,
-                base.ems_day.steady_allocated_bytes,
-            ),
-            (
-                "imputed_steady_allocations",
-                current.ems_day.imputed_steady_allocations,
-                base.ems_day.imputed_steady_allocations,
-            ),
-            (
-                "imputed_steady_allocated_bytes",
-                current.ems_day.imputed_steady_allocated_bytes,
-                base.ems_day.imputed_steady_allocated_bytes,
-            ),
-        ] {
-            if bas > 0 && cur as f64 > bas as f64 * factor {
-                failures.push(format!(
-                    "ems_day {path}: {cur} vs baseline {bas} (limit {:.0})",
-                    bas as f64 * factor
-                ));
-            }
-        }
-    }
-    // Federation rows are per-round rates over a fixed workload at each
-    // N, so they also compare across --quick and full sessions; sizes
-    // missing on either side (quick sweeps a subset) are skipped.
-    for row in &current.federation {
-        if let Some(b) = base.federation.iter().find(|b| b.n == row.n) {
-            for (path, cur, bas) in [
-                ("per_home", row.per_home_ns, b.per_home_ns),
-                ("shared", row.shared_ns, b.shared_ns),
-            ] {
-                if cur > bas * factor {
-                    failures.push(format!(
-                        "federation n={} {path}: {cur:.0} ns/round vs baseline {bas:.0} (limit {:.0})",
-                        row.n,
-                        bas * factor
-                    ));
-                }
-            }
-        }
-    }
-    // Hierarchical federation rows: per-round rates over a fixed
-    // workload at each (N, shard count); points missing on either side
-    // (quick sweeps different sizes) are skipped. The flat reference
-    // column is already gated through the federation rows above.
-    for row in &current.federation_hier {
-        if let Some(b) = base
-            .federation_hier
-            .iter()
-            .find(|b| b.n == row.n && b.shards == row.shards)
-        {
-            if row.hier_ns > b.hier_ns * factor {
-                failures.push(format!(
-                    "federation_hier n={} shards={}: {:.0} ns/round vs baseline {:.0} (limit {:.0})",
-                    row.n,
-                    row.shards,
-                    row.hier_ns,
-                    b.hier_ns,
-                    b.hier_ns * factor
-                ));
-            }
-        }
-    }
-    // Compressed-federation rows: per-round rates at each (codec, n,
-    // shards) point; points missing on either side (quick sweeps
-    // smaller fleets) are skipped. The byte columns are workload-
-    // determined, not wall-clock — on a matched point the wire bytes
-    // must be *identical*, so any drift is a codec correctness
-    // regression, not noise.
-    for row in &current.federation_comp {
-        if let Some(b) = base
-            .federation_comp
-            .iter()
-            .find(|b| b.codec == row.codec && b.n == row.n && b.shards == row.shards)
-        {
-            if row.round_ns > b.round_ns * factor {
-                failures.push(format!(
-                    "federation_comp {} n={} shards={}: {:.0} ns/round vs baseline {:.0} (limit {:.0})",
-                    row.codec,
-                    row.n,
-                    row.shards,
-                    row.round_ns,
-                    b.round_ns,
-                    b.round_ns * factor
-                ));
-            }
-            if row.comm_bytes_per_round != b.comm_bytes_per_round
-                || row.logical_bytes_per_round != b.logical_bytes_per_round
-            {
-                failures.push(format!(
-                    "federation_comp {} n={} shards={}: wire/logical bytes {}/{} per round \
-                     vs baseline {}/{} — byte accounting must be bit-deterministic",
-                    row.codec,
-                    row.n,
-                    row.shards,
-                    row.comm_bytes_per_round,
-                    row.logical_bytes_per_round,
-                    b.comm_bytes_per_round,
-                    b.logical_bytes_per_round
-                ));
-            }
-        }
-    }
-    // Serve throughput: rate-based, but over a fleet-size-dependent
-    // workload — compare only when both sides served the same fleet.
-    // Baselines recorded before the row existed are skipped.
-    if let (Some(cur), Some(bas)) = (current.serve.as_ref(), base.serve.as_ref()) {
-        if cur.homes == bas.homes && cur.decisions_per_sec * factor < bas.decisions_per_sec {
-            failures.push(format!(
-                "serve ({} homes): {:.0} decisions/s vs baseline {:.0} (limit {:.0})",
-                cur.homes,
-                cur.decisions_per_sec,
-                bas.decisions_per_sec,
-                bas.decisions_per_sec / factor
-            ));
-        }
-    }
-    // Per-phase day rows (`--phases`): wall-clock over a fixed per-day
-    // workload; matching phase names compare when both sides ran the
-    // same config. Absent rows (either side skipped --phases) skip.
-    if current.quick == base.quick {
-        for row in &current.phases {
-            if let Some(b) = base.phases.iter().find(|b| b.phase == row.phase) {
-                if b.seconds > 0.0 && row.seconds > b.seconds * factor {
-                    failures.push(format!(
-                        "phase {}: {:.3}s vs baseline {:.3}s (limit {:.3}s)",
-                        row.phase,
-                        row.seconds,
-                        b.seconds,
-                        b.seconds * factor
-                    ));
-                }
-            }
-        }
-    }
-    if failures.is_empty() {
-        println!("regression gate: all workloads within {factor:.1}x of baseline");
-    } else {
-        for f in &failures {
-            eprintln!("regression gate FAILED: {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-/// `scale-smoke` target: fleet-scale end-to-end proof, two legs. The
-/// flat leg is a 669-residence, single-device, one-evaluation-day PFDRL
-/// run under the O(N) `SharedSum` fast path — the fleet size the
-/// paper's dataset covers (669 households), trimmed to one day and one
-/// device so CI can afford to prove the scale-out path end to end. The
-/// hierarchical leg is the same workload widened to 10 000 homes under
-/// `Hierarchical { shards: 32 }`, with a per-shard resident-payload
-/// budget (`max_shard_bytes`) that `validate()` enforces *before* any
-/// allocation happens. `--flat-only` / `--hier-only` select one leg, so
-/// CI can time them as separate steps.
-fn scale_smoke(ctx: &Ctx) {
-    #[derive(Debug, Serialize)]
-    struct ScaleSmoke {
-        n_residences: usize,
-        eval_days: u64,
-        seconds: f64,
-        saved_fraction: f64,
-        comm_bytes: u64,
-    }
-    if !ctx.hier_only {
-        banner("scale-smoke", "669-home single-day EMS under SharedSum");
-        let mut cfg = SimConfig::tiny(SEED);
-        cfg.n_residences = 669;
-        cfg.devices = vec![pfdrl_data::DeviceType::Tv];
-        cfg.eval_days = 1;
-        cfg.aggregation = pfdrl_core::AggregationMode::SharedSum;
-        cfg.validate();
-        let t0 = Instant::now();
-        let run = pfdrl_core::run_method(&cfg, EmsMethod::Pfdrl);
-        let seconds = t0.elapsed().as_secs_f64();
-        let saved_fraction = run.converged_saved_fraction();
-        println!(
-            "669 homes, 1 day: {seconds:.1}s wall, saved fraction {saved_fraction:.3}, {} comm bytes",
-            run.ems.comm_bytes
-        );
-        ctx.save_json(
-            "scale_smoke",
-            &ScaleSmoke {
-                n_residences: cfg.n_residences,
-                eval_days: cfg.eval_days,
-                seconds,
-                saved_fraction,
-                comm_bytes: run.ems.comm_bytes,
-            },
-        );
-    }
-    if !ctx.flat_only {
-        #[derive(Debug, Serialize)]
-        struct HierScaleSmoke {
-            n_residences: usize,
-            eval_days: u64,
-            shards: usize,
-            max_shard_bytes: u64,
-            estimated_update_bytes: u64,
-            seconds: f64,
-            saved_fraction: f64,
-            comm_bytes: u64,
-        }
-        banner(
-            "scale-smoke",
-            "10k-home single-day EMS under Hierarchical (32 shards)",
-        );
-        let shards = 32;
-        let mut cfg = SimConfig::tiny(SEED);
-        cfg.n_residences = 10_000;
-        cfg.devices = vec![pfdrl_data::DeviceType::Tv];
-        cfg.eval_days = 1;
-        cfg.aggregation = pfdrl_core::AggregationMode::Hierarchical {
-            shards,
-            assignment: pfdrl_fl::ShardAssignment::RoundRobin,
-        };
-        // ~313 homes/shard x ~2.4 KiB/update ≈ 0.75 MiB resident per
-        // shard; a 4 MiB budget passes with headroom while still
-        // rejecting (at validate() time, before any allocation) a
-        // mis-sized plan that would concentrate the fleet.
-        cfg.max_shard_bytes = 4 * 1024 * 1024;
-        cfg.validate();
-        let t0 = Instant::now();
-        let run = pfdrl_core::run_method(&cfg, EmsMethod::Pfdrl);
-        let seconds = t0.elapsed().as_secs_f64();
-        let saved_fraction = run.converged_saved_fraction();
-        println!(
-            "10000 homes, 1 day, {shards} shards: {seconds:.1}s wall, \
-             saved fraction {saved_fraction:.3}, {} comm bytes",
-            run.ems.comm_bytes
-        );
-        ctx.save_json(
-            "scale_smoke_hier",
-            &HierScaleSmoke {
-                n_residences: cfg.n_residences,
-                eval_days: cfg.eval_days,
-                shards,
-                max_shard_bytes: cfg.max_shard_bytes,
-                estimated_update_bytes: cfg.estimated_update_bytes(),
-                seconds,
-                saved_fraction,
-                comm_bytes: run.ems.comm_bytes,
-            },
-        );
     }
 }
 
@@ -1270,9 +806,6 @@ fn main() {
     let mut checkpoint_dir: Option<String> = None;
     let mut resume_from: Option<String> = None;
     let mut crash_after_day: Option<u64> = None;
-    let mut baseline: Option<String> = None;
-    let mut max_regression: Option<f64> = None;
-    let mut phases = false;
     let mut stream: Option<String> = None;
     let mut serve_out: Option<String> = None;
     let mut snapshot_every_minutes: Option<u64> = None;
@@ -1280,8 +813,6 @@ fn main() {
     let mut shards: Option<usize> = None;
     let mut chunk_minutes: Option<usize> = None;
     let mut queue_cap: Option<usize> = None;
-    let mut flat_only = false;
-    let mut hier_only = false;
     let mut precision = Precision::F64;
     let mut compression = PayloadCodec::Raw;
     let mut targets: Vec<String> = Vec::new();
@@ -1297,16 +828,11 @@ fn main() {
         match a.as_str() {
             "--quick" => quick = true,
             "--json" => json = true,
-            "--phases" => phases = true,
-            "--flat-only" => flat_only = true,
-            "--hier-only" => hier_only = true,
             "--out-dir" => out_dir = flag_value(&mut it, a),
             "--checkpoint-dir" => checkpoint_dir = Some(flag_value(&mut it, a)),
             "--resume-from" => resume_from = Some(flag_value(&mut it, a)),
-            "--baseline" => baseline = Some(flag_value(&mut it, a)),
             "--stream" => stream = Some(flag_value(&mut it, a)),
             "--serve-out" => serve_out = Some(flag_value(&mut it, a)),
-            "--max-regression" => max_regression = Some(parsed(&mut it, a)),
             "--crash-after-day" => crash_after_day = Some(parsed(&mut it, a)),
             "--snapshot-every-minutes" => snapshot_every_minutes = Some(parsed(&mut it, a)),
             "--crash-after-minute" => crash_after_minute = Some(parsed(&mut it, a)),
@@ -1349,11 +875,10 @@ fn main() {
             }
             other if other.starts_with("--") => {
                 eprintln!(
-                    "unknown flag {other:?}; known: --quick --json --phases --out-dir \
-                     --checkpoint-dir --resume-from --crash-after-day --baseline \
-                     --max-regression --stream --serve-out --snapshot-every-minutes \
-                     --crash-after-minute --shards --chunk-minutes --queue-cap --precision \
-                     --compression --flat-only --hier-only"
+                    "unknown flag {other:?}; known: --quick --json --out-dir \
+                     --checkpoint-dir --resume-from --crash-after-day --stream --serve-out \
+                     --snapshot-every-minutes --crash-after-minute --shards --chunk-minutes \
+                     --queue-cap --precision --compression"
                 );
                 std::process::exit(2);
             }
@@ -1389,9 +914,6 @@ fn main() {
         checkpoint_dir,
         resume_from,
         crash_after_day,
-        baseline,
-        max_regression,
-        phases,
         stream,
         serve_out,
         snapshot_every_minutes,
@@ -1399,8 +921,6 @@ fn main() {
         shards,
         chunk_minutes,
         queue_cap,
-        flat_only,
-        hier_only,
         precision,
         compression,
     };
@@ -1438,17 +958,10 @@ fn main() {
             "headline" => run_headline(&ctx),
             "run" => run_summary = Some(run_checkpointed(&ctx)),
             "serve" => serve_report = Some(serve(&ctx)),
-            "bench" => bench(&ctx),
-            "precision-canary" => {
-                precision_canary(&ctx);
-            }
-            "compression-canary" => {
-                compression_canary(&ctx);
-            }
-            "scale-smoke" => scale_smoke(&ctx),
+            "canary" => canary(&ctx),
             other => {
                 eprintln!(
-                    "unknown target {other:?}; known: table1 table2 fig2..fig14 degradation sensor-degradation headline run serve bench precision-canary compression-canary scale-smoke"
+                    "unknown target {other:?}; known: table1 table2 fig2..fig14 degradation sensor-degradation headline run serve canary"
                 );
                 std::process::exit(2);
             }

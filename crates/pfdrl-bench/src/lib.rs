@@ -7,10 +7,9 @@
 //! Scales are sized for a single-core CI box: the shapes of the paper's
 //! figures (orderings, peaks, crossovers) are preserved while absolute
 //! wall-clock stays in minutes. The `--quick` flag drops to smoke-test
-//! scale.
+//! scale. Timing lives in the repository benchmark (`benchmark/`).
 
 pub mod alloc;
-pub mod bench;
 
 use pfdrl_core::experiment::Series;
 use pfdrl_core::SimConfig;
@@ -66,6 +65,17 @@ pub fn repro_config(seed: u64) -> SimConfig {
     }
 }
 
+/// The end-to-end EMS-day configuration of the full-scale canary:
+/// repro scale trimmed to one evaluated day so a run stays in tens of
+/// seconds.
+pub fn bench_ems_config() -> SimConfig {
+    let mut cfg = repro_config(42);
+    cfg.train_days = 2;
+    cfg.eval_start_day = 2;
+    cfg.eval_days = 1;
+    cfg
+}
+
 /// Forecast-only experiments (Figures 3, 5–8) skip the EMS phase, so a
 /// lighter eval span keeps sweeps fast.
 pub fn forecast_config(seed: u64) -> SimConfig {
@@ -86,8 +96,7 @@ pub fn clients_config(seed: u64) -> SimConfig {
     cfg
 }
 
-/// Smoke-test scale used by `repro --quick` and the criterion figure
-/// benches.
+/// Smoke-test scale used by `repro --quick`.
 pub fn quick_config(seed: u64) -> SimConfig {
     SimConfig::tiny(seed)
 }
@@ -130,6 +139,7 @@ mod tests {
     #[test]
     fn configs_validate() {
         repro_config(0).validate();
+        bench_ems_config().validate();
         forecast_config(1).validate();
         clients_config(2).validate();
         quick_config(3).validate();

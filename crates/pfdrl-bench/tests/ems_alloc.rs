@@ -7,9 +7,8 @@
 //! federation `Arc` control blocks, not per-minute feature rows.
 //!
 //! Before the streaming pipeline a steady day allocated ~180k times /
-//! ~1.27 GB at the full bench config (committed in
-//! `repro_results/BENCH_5_baseline.json`); the release-mode regression
-//! gate holds the full-config figure. This debug-mode test guards the
+//! ~1.27 GB at the full-scale canary config (`bench_ems_config()`, as
+//! measured when the pipeline landed). This debug-mode test guards the
 //! same property at a small config so it runs in the tier-1 suite.
 //!
 //! This test binary installs the counting allocator as its own global

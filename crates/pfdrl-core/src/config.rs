@@ -577,16 +577,30 @@ mod tests {
     #[test]
     fn shard_budget_guard_passes_when_sharded() {
         use pfdrl_fl::ShardAssignment;
-        let mut cfg = SimConfig::tiny(5);
-        cfg.n_residences = 64;
+        let mut small = SimConfig::tiny(5);
+        small.n_residences = 64;
         // One update is a few KiB; 16 shards of 4 homes fit easily.
-        cfg.max_shard_bytes = 64 * 1024;
-        cfg.aggregation = AggregationMode::Hierarchical {
+        small.max_shard_bytes = 64 * 1024;
+        small.aggregation = AggregationMode::Hierarchical {
             shards: 16,
             assignment: ShardAssignment::RoundRobin,
         };
-        cfg.validate();
-        assert!(cfg.estimated_update_bytes() > 0);
+        // A one-device, one-day 10,000-home fleet in 32 shards: ~313
+        // homes x ~2.4 KiB ≈ 0.75 MiB resident per shard fits a 4 MiB
+        // budget with headroom.
+        let mut city = SimConfig::tiny(42);
+        city.n_residences = 10_000;
+        city.devices = vec![pfdrl_data::DeviceType::Tv];
+        city.eval_days = 1;
+        city.max_shard_bytes = 4 * 1024 * 1024;
+        city.aggregation = AggregationMode::Hierarchical {
+            shards: 32,
+            assignment: ShardAssignment::RoundRobin,
+        };
+        for cfg in [small, city] {
+            cfg.validate();
+            assert!(cfg.estimated_update_bytes() > 0);
+        }
     }
 
     #[test]

@@ -783,7 +783,7 @@ mod tests {
 
     #[test]
     fn raw_wire_size_is_byte_size_and_compressed_sizes_hit_the_target_ratio() {
-        // The repro bench MLP is [12, 24, 24, 3]: layers of 312, 600
+        // A small federated MLP, [12, 24, 24, 3]: layers of 312, 600
         // and 75 parameters. The acceptance bar is >= 6x smaller
         // federation payloads under QuantizedI8 at this exact shape.
         let u = update(&[312, 600, 75]);

@@ -820,6 +820,70 @@ mod tests {
     }
 
     #[test]
+    fn aggregator_links_charge_two_payloads_per_shard_per_fast_round() {
+        // One fault-free round: the shard buses carry whole updates, and
+        // with K > 1 every shard aggregator ships S_k up and receives S
+        // back (layer payloads, no headers). With one shard the
+        // aggregator is the root, so nothing is added.
+        use crate::codec::{LayerUpdate, ModelUpdate};
+        let n = 8;
+        let lens: Vec<usize> = fleet(1, 0)[0].export_all().iter().map(Vec::len).collect();
+        let update = ModelUpdate {
+            layers: lens
+                .iter()
+                .enumerate()
+                .map(|(index, &len)| LayerUpdate {
+                    index,
+                    params: vec![0.0; len],
+                })
+                .collect(),
+            ..ModelUpdate::default()
+        };
+        for codec in [
+            PayloadCodec::Raw,
+            PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            },
+            PayloadCodec::TopK { fraction: 0.1 },
+        ] {
+            for shards in [1, 4] {
+                let plan = ShardPlan::round_robin(n, shards);
+                let peers: usize = plan.members().iter().map(|m| m.len() * (m.len() - 1)).sum();
+                let mut models = fleet(n, 3);
+                let mut engine = HierarchicalRound::with_codec(
+                    plan,
+                    LatencyModel::lan(),
+                    &FaultConfig::default(),
+                    codec,
+                );
+                let out = run_hier(&mut models, &mut engine, 1, None, &MergePolicy::default());
+                assert_eq!(out.fast_path_homes, n, "{codec:?} K={shards}");
+
+                let bus_messages: u64 = engine.buses.iter().map(|b| b.stats().messages).sum();
+                assert_eq!(bus_messages, peers as u64, "{codec:?} K={shards}");
+                let links = if shards > 1 { 2 * shards as u64 } else { 0 };
+                // Raw's sizes are the logical (8 B per parameter) ones.
+                let expected = |c: PayloadCodec| {
+                    bus_messages * c.wire_update_bytes(&update) as u64
+                        + links
+                            * lens
+                                .iter()
+                                .map(|&len| c.payload_layer_bytes(len) as u64)
+                                .sum::<u64>()
+                };
+                let stats = engine.total_stats();
+                assert_eq!(stats.messages, bus_messages + links, "{codec:?} K={shards}");
+                assert_eq!(stats.bytes, expected(codec), "{codec:?} K={shards}");
+                assert_eq!(
+                    stats.logical_bytes,
+                    expected(PayloadCodec::Raw),
+                    "{codec:?} K={shards}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn withheld_home_disables_the_global_fast_path() {
         let n = 6;
         let mut mask = vec![true; n];

@@ -20,9 +20,9 @@
 //! NaN payloads and signed zeros survive the round trip. Each section
 //! payload is independently checksummed; the decoder verifies every
 //! CRC before parsing a single payload byte, rejects unknown versions,
-//! duplicate sections and missing mandatory sections, and never
-//! panics on hostile input (lengths are validated against the bytes
-//! present before any allocation).
+//! unknown section kinds, duplicate sections and missing mandatory
+//! sections, and never panics on hostile input (lengths are validated
+//! against the bytes present before any allocation).
 //!
 //! ## Tensor dedup
 //!
@@ -686,9 +686,9 @@ impl RunSnapshot {
     /// Parse and validate a `PFDS` byte stream.
     ///
     /// Rejects: wrong magic, unknown version, truncation anywhere,
-    /// CRC mismatches, duplicate or missing sections, dangling tensor
-    /// references and structurally malformed payloads — each as a
-    /// distinct [`StoreError`]. Never panics on arbitrary input.
+    /// CRC mismatches, unknown, duplicate or missing sections, dangling
+    /// tensor references and structurally malformed payloads — each as
+    /// a distinct [`StoreError`]. Never panics on arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = Reader::new(bytes, "file header");
         if r.take(4)? != MAGIC {
@@ -708,6 +708,14 @@ impl RunSnapshot {
             let payload = r.take(len)?;
             if crc32(payload) != stored_crc {
                 return Err(StoreError::SectionCrc { kind });
+            }
+            // An unknown kind is corruption, not an absent optional
+            // section: a flipped kind bit (SHARD 9 -> 11) must not decode
+            // as a snapshot that silently lacks the section.
+            if !(section::META..=section::SHARD).contains(&kind) {
+                return Err(StoreError::Malformed {
+                    context: "section kind",
+                });
             }
             if payloads.iter().any(|&(k, _)| k == kind) {
                 return Err(StoreError::DuplicateSection { kind });
@@ -1359,6 +1367,25 @@ mod tests {
             RunSnapshot::decode(&corrupt),
             Err(StoreError::SectionCrc {
                 kind: section::META
+            })
+        );
+    }
+
+    #[test]
+    fn unknown_section_kind_is_malformed() {
+        // Rewrite the optional SHARD section's kind to one no build
+        // writes; the CRC covers only the payload, so it still passes.
+        let bytes = super::test_fixtures::sample_hier_snapshot().encode();
+        let (header, mut sections) = split_sections(&bytes);
+        let shard = sections
+            .iter_mut()
+            .find(|(k, _)| *k == section::SHARD)
+            .unwrap();
+        shard.0 = 11;
+        assert_eq!(
+            RunSnapshot::decode(&join_sections(&header, &sections)),
+            Err(StoreError::Malformed {
+                context: "section kind"
             })
         );
     }
