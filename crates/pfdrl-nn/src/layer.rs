@@ -158,9 +158,10 @@ impl Dense {
     /// Allocation-free backward pass paired with [`Dense::forward_into`]:
     /// `input` and `output` must be the same matrices that forward pass
     /// consumed and produced, `dout` is dL/d(output), and dL/d(input) is
-    /// written into `d_in`. The activation derivative is evaluated from
-    /// the already-activated `output`
-    /// ([`Activation::derivative_from_output`]), halving the backward
+    /// written into `d_in` — or skipped, weight transpose included, when
+    /// `d_in` is `None` (a first layer's, which nothing reads). The
+    /// activation derivative is evaluated from the already-activated
+    /// `output` ([`Activation::derivative_from_output`]), halving the backward
     /// transcendental work while keeping every bit: `output` holds
     /// exactly the values `act(pre)` produced. Gradients accumulate into
     /// `gw`/`gb` exactly as in [`Dense::backward`] (temporaries first,
@@ -171,7 +172,7 @@ impl Dense {
         input: &Matrix,
         output: &Matrix,
         dout: &Matrix,
-        d_in: &mut Matrix,
+        d_in: Option<&mut Matrix>,
     ) {
         let Dense {
             w, act, gw, gb, ws, ..
@@ -206,6 +207,9 @@ impl Dense {
             *g += d;
         }
         // dX = dPre Wᵀ, through the cached transpose.
+        let Some(d_in) = d_in else {
+            return;
+        };
         if !ws.w_t_valid {
             w.transpose_into(&mut ws.w_t);
             ws.w_t_valid = true;

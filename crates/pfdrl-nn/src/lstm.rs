@@ -531,7 +531,7 @@ impl Lstm {
         // Head backward gives dL/d(h_T); `h` still holds the final
         // hidden state the head consumed, `out` the activation it
         // produced (for the output-based derivative).
-        head.backward_into(&*h, &*out, dout, dh_a);
+        head.backward_into(&*h, &*out, dout, Some(&mut *dh_a));
         let mut dh = &mut *dh_a;
         let mut dh_next = &mut *dh_b;
         dc_a.resize(batch, *hidden);

@@ -4,171 +4,204 @@
 //! but their forward/backward kernels run millions of times per simulated
 //! day, so the hot products come in two flavors: allocating wrappers
 //! (`matmul`, `t_matmul`, `matmul_t`) and non-allocating `_into` variants
-//! that write into a caller-owned buffer. For the layer widths the
-//! workspace actually uses, the `_into` kernels hold each output row in a
-//! const-width register accumulator across the whole reduction, but keep
-//! the per-element `k`-accumulation order (and the `a == 0.0` skip) of the
-//! original scalar `ikj` loops, so results are **bit-identical** to the
-//! retained `*_reference` oracles — a hard requirement, since checkpoint
-//! resume is verified bit-for-bit.
+//! that write into a caller-owned buffer. At every output width the
+//! `_into` kernels hold output rows in const-width register accumulators
+//! across the whole reduction, but keep the per-element `k`-accumulation
+//! order (and the `a == 0.0` skip) of the original scalar `ikj` loops, so
+//! results are **bit-identical** to the retained `*_reference` oracles — a
+//! hard requirement, since checkpoint resume is verified bit-for-bit.
 
 use serde::{Deserialize, Serialize};
 
-/// Monomorphizes a kernel call over the output widths this workspace
-/// actually produces — LSTM hidden/concat widths (24, 27), MLP hidden
-/// widths (16, 48, 100), action/head widths (1..4) and a few small
-/// sizes the property tests exercise — falling back to the generic
-/// SAXPY loop for anything else. The bracketed const argument forwards
-/// the kernel's zero-skip flag.
-macro_rules! dispatch_acc {
-    ($n:expr, [$($skip:tt)*], $run:ident($($a:expr),*), $fallback:block) => {
-        match $n {
-            1 => $run::<1, $($skip)*>($($a),*),
-            2 => $run::<2, $($skip)*>($($a),*),
-            3 => $run::<3, $($skip)*>($($a),*),
-            4 => $run::<4, $($skip)*>($($a),*),
-            6 => $run::<6, $($skip)*>($($a),*),
-            8 => $run::<8, $($skip)*>($($a),*),
-            16 => $run::<16, $($skip)*>($($a),*),
-            24 => $run::<24, $($skip)*>($($a),*),
-            27 => $run::<27, $($skip)*>($($a),*),
-            32 => $run::<32, $($skip)*>($($a),*),
-            48 => $run::<48, $($skip)*>($($a),*),
-            100 => $run::<100, $($skip)*>($($a),*),
-            _ => $fallback,
-        }
-    };
+/// Column-tile width for output widths without a dedicated kernel (see
+/// [`run_acc_kernel`]): two 24-wide accumulators still fit the vector
+/// register file, so tiles keep the row-pairing of narrow widths.
+const TILE: usize = 24;
+
+/// A register-accumulator product over `N`-wide row views: `b_rows` are
+/// the rows of the right operand's column tile (re-streamed per output
+/// row or row pair), `out_rows` the output rows of the same tile.
+trait AccKernel {
+    fn run<'b, 'o, const N: usize>(
+        &self,
+        b_rows: impl Iterator<Item = &'b [f64; N]> + Clone,
+        out_rows: impl Iterator<Item = &'o mut [f64; N]>,
+    );
 }
 
-/// `A(m x k) * B(k x N)` with each output row kept in an `[f64; N]`
-/// accumulator: the compiler maps the accumulator to vector registers,
-/// so the row is stored exactly once instead of being reloaded per `k`.
-/// Per output column the sum runs in ascending `k` from `0.0`, skipping
-/// `a == 0.0` terms iff `SKIP` — the reference `ikj` order, bit for bit.
-///
-/// Narrow widths (`N <= 27`, where two accumulators still fit the
-/// vector register file) process output rows in pairs sharing one
-/// stream of `B` rows, halving the `B` load traffic. Each row's
-/// accumulation chain is exactly the single-row chain — pairing only
-/// reorders *independent* per-row sums, so bits are unchanged.
-fn matmul_acc_rows<const N: usize, const SKIP: bool>(
-    a: &[f64],
+/// Sums `av * b_row` over `terms` into a fresh `[f64; N]` accumulator:
+/// per column, in ascending term order from `0.0`, skipping `av == 0.0`
+/// iff `SKIP` — the reference `ikj` order, bit for bit. The compiler maps
+/// the accumulator to vector registers, so the row is stored once
+/// instead of being reloaded per term.
+#[inline(always)]
+fn acc_row<'b, const N: usize, const SKIP: bool>(
+    terms: impl Iterator<Item = (f64, &'b [f64; N])>,
+) -> [f64; N] {
+    let mut acc = [0.0f64; N];
+    for (av, b_row) in terms {
+        if SKIP && av == 0.0 {
+            continue;
+        }
+        for (o, &bv) in acc.iter_mut().zip(b_row) {
+            *o += av * bv;
+        }
+    }
+    acc
+}
+
+/// [`acc_row`] for two output rows sharing one stream of `B` rows, which
+/// halves the `B` load traffic; the kernels pair rows at `N <= 27`, where
+/// two accumulators still fit the vector register file. Each row's chain
+/// is exactly its single-row chain: pairing only interleaves
+/// *independent* sums.
+#[inline(always)]
+fn acc_pair<'b, const N: usize, const SKIP: bool>(
+    terms: impl Iterator<Item = ((f64, f64), &'b [f64; N])>,
+) -> ([f64; N], [f64; N]) {
+    let mut acc0 = [0.0f64; N];
+    let mut acc1 = [0.0f64; N];
+    for ((av0, av1), b_row) in terms {
+        let skip0 = SKIP && av0 == 0.0;
+        let skip1 = SKIP && av1 == 0.0;
+        if !skip0 && !skip1 {
+            for ((o0, o1), &bv) in acc0.iter_mut().zip(acc1.iter_mut()).zip(b_row) {
+                *o0 += av0 * bv;
+                *o1 += av1 * bv;
+            }
+        } else if !skip0 {
+            for (o0, &bv) in acc0.iter_mut().zip(b_row) {
+                *o0 += av0 * bv;
+            }
+        } else if !skip1 {
+            for (o1, &bv) in acc1.iter_mut().zip(b_row) {
+                *o1 += av1 * bv;
+            }
+        }
+    }
+    (acc0, acc1)
+}
+
+/// `A(m x k) * B(k x N)`: output row `i` sums `a[i][kk] * b[kk]` over
+/// ascending `kk`, skipping `a == 0.0` iff `SKIP`.
+struct MatMul<'a, const SKIP: bool> {
+    a: &'a [f64],
     k: usize,
-    b: &[f64],
-    out: &mut [f64],
-) {
-    let mut a_tail = a;
-    let mut out_tail = out;
-    if N <= 27 {
-        let pairs = (a_tail.len() / k) / 2;
-        let (a2, ar) = a_tail.split_at(pairs * 2 * k);
-        let (o2, or) = out_tail.split_at_mut(pairs * 2 * N);
-        for (a_pair, o_pair) in a2.chunks_exact(2 * k).zip(o2.chunks_exact_mut(2 * N)) {
+}
+
+impl<const SKIP: bool> AccKernel for MatMul<'_, SKIP> {
+    fn run<'b, 'o, const N: usize>(
+        &self,
+        b_rows: impl Iterator<Item = &'b [f64; N]> + Clone,
+        mut out_rows: impl Iterator<Item = &'o mut [f64; N]>,
+    ) {
+        let k = self.k;
+        let pairs = if N <= 27 { self.a.len() / k / 2 } else { 0 };
+        let (a2, ar) = self.a.split_at(pairs * 2 * k);
+        for a_pair in a2.chunks_exact(2 * k) {
             let (a0, a1) = a_pair.split_at(k);
-            let mut acc0 = [0.0f64; N];
-            let mut acc1 = [0.0f64; N];
-            for ((&av0, &av1), b_row) in a0.iter().zip(a1.iter()).zip(b.chunks_exact(N)) {
-                let skip0 = SKIP && av0 == 0.0;
-                let skip1 = SKIP && av1 == 0.0;
-                if !skip0 && !skip1 {
-                    for ((o0, o1), &bv) in acc0.iter_mut().zip(acc1.iter_mut()).zip(b_row) {
-                        *o0 += av0 * bv;
-                        *o1 += av1 * bv;
-                    }
-                } else if !skip0 {
-                    for (o0, &bv) in acc0.iter_mut().zip(b_row) {
-                        *o0 += av0 * bv;
-                    }
-                } else if !skip1 {
-                    for (o1, &bv) in acc1.iter_mut().zip(b_row) {
-                        *o1 += av1 * bv;
-                    }
-                }
-            }
-            let (out0, out1) = o_pair.split_at_mut(N);
-            out0.copy_from_slice(&acc0);
-            out1.copy_from_slice(&acc1);
+            let terms = a0.iter().copied().zip(a1.iter().copied());
+            let (acc0, acc1) = acc_pair::<N, SKIP>(terms.zip(b_rows.clone()));
+            *out_rows.next().expect("output row") = acc0;
+            *out_rows.next().expect("output row") = acc1;
         }
-        a_tail = ar;
-        out_tail = or;
-    }
-    for (a_row, out_row) in a_tail.chunks_exact(k).zip(out_tail.chunks_exact_mut(N)) {
-        let mut acc = [0.0f64; N];
-        for (&av, b_row) in a_row.iter().zip(b.chunks_exact(N)) {
-            if SKIP && av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
+        for (a_row, out_row) in ar.chunks_exact(k).zip(out_rows) {
+            *out_row = acc_row::<N, SKIP>(a_row.iter().copied().zip(b_rows.clone()));
         }
-        out_row.copy_from_slice(&acc);
     }
 }
 
-/// `Aᵀ(k x m) * B(m x N)` with register-tile accumulation: output row
-/// `ck` sums `a[r][ck] * b[r]` over rows `r` in ascending order from
-/// `0.0`, skipping `a == 0.0` iff `SKIP` — the reference order exactly.
-/// `A` and `B` are re-streamed once per output row; at the layer sizes
-/// dispatched here both stay L1-resident.
-fn t_matmul_acc_rows<const N: usize, const SKIP: bool>(
-    a: &[f64],
+/// `Aᵀ(k x m) * B(m x N)`: output row `ck` sums `a[r][ck] * b[r]` over
+/// ascending rows `r`, skipping `a == 0.0`. `A` and `B` are re-streamed
+/// once per output row pair; at the layer sizes here both stay
+/// L1-resident.
+struct TMatMul<'a> {
+    a: &'a [f64],
     k: usize,
+}
+
+impl AccKernel for TMatMul<'_> {
+    fn run<'b, 'o, const N: usize>(
+        &self,
+        b_rows: impl Iterator<Item = &'b [f64; N]> + Clone,
+        mut out_rows: impl Iterator<Item = &'o mut [f64; N]>,
+    ) {
+        let a_rows = self.a.chunks_exact(self.k);
+        let pairs = if N <= 27 { self.k / 2 } else { 0 };
+        for ck in (0..2 * pairs).step_by(2) {
+            let terms = a_rows.clone().map(|r| (r[ck], r[ck + 1]));
+            let (acc0, acc1) = acc_pair::<N, true>(terms.zip(b_rows.clone()));
+            *out_rows.next().expect("output row") = acc0;
+            *out_rows.next().expect("output row") = acc1;
+        }
+        for (ck, out_row) in (2 * pairs..).zip(out_rows) {
+            let terms = a_rows.clone().map(|r| r[ck]);
+            *out_row = acc_row::<N, true>(terms.zip(b_rows.clone()));
+        }
+    }
+}
+
+/// Runs `kern` over an `n`-wide right operand `b` and output `out`, both
+/// non-empty, at any `n >= 1`. Every width up to 32, and the 48 and 100
+/// of the BP forecaster and the paper Q-network, has a kernel over the
+/// contiguous rows; any other width runs as strided column tiles of
+/// [`TILE`] plus one exact-width remainder tile. Tiling splits the
+/// *columns* only, and every output column is an independent sum, so
+/// bits never depend on which arm runs.
+fn run_acc_kernel(kern: &impl AccKernel, b: &[f64], n: usize, out: &mut [f64]) {
+    macro_rules! contiguous {
+        ($($w:literal)*) => {
+            match n {
+                $($w => return run_contiguous::<$w>(kern, b, out),)*
+                _ => {}
+            }
+        };
+    }
+    contiguous!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        48 100
+    );
+    let tiles = n / TILE;
+    for t in 0..tiles {
+        run_tile::<TILE>(kern, b, n, out, t * TILE);
+    }
+    let c0 = tiles * TILE;
+    macro_rules! remainder {
+        ($($w:literal)*) => {
+            match n - c0 {
+                0 => {}
+                $($w => run_tile::<$w>(kern, b, n, out, c0),)*
+                _ => unreachable!("remainder below TILE"),
+            }
+        };
+    }
+    remainder!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23);
+}
+
+/// Runs `kern` on `N`-wide operands with contiguous rows.
+fn run_contiguous<const N: usize>(kern: &impl AccKernel, b: &[f64], out: &mut [f64]) {
+    kern.run::<N>(
+        b.as_chunks::<N>().0.iter(),
+        out.as_chunks_mut::<N>().0.iter_mut(),
+    );
+}
+
+/// Runs `kern` on the `N`-wide column tile at column `c0` of the
+/// `n`-wide operands: row `r` of the tile is `b[r * n + c0..][..N]`.
+fn run_tile<const N: usize>(
+    kern: &impl AccKernel,
     b: &[f64],
+    n: usize,
     out: &mut [f64],
+    c0: usize,
 ) {
-    let n_rows = out.len() / N;
-    let mut ck = 0usize;
-    let mut out_rows = out.chunks_exact_mut(N);
-    // Narrow widths pair output rows (adjacent columns of `a`) so one
-    // pass over `A`/`B` feeds two register accumulators; each row's
-    // per-element sum order is untouched, so bits match the single-row
-    // loop below.
-    if N <= 27 {
-        while ck + 2 <= n_rows {
-            let out0 = out_rows.next().expect("paired output row");
-            let out1 = out_rows.next().expect("paired output row");
-            let mut acc0 = [0.0f64; N];
-            let mut acc1 = [0.0f64; N];
-            for (a_row, b_row) in a.chunks_exact(k).zip(b.chunks_exact(N)) {
-                let av0 = a_row[ck];
-                let av1 = a_row[ck + 1];
-                let skip0 = SKIP && av0 == 0.0;
-                let skip1 = SKIP && av1 == 0.0;
-                if !skip0 && !skip1 {
-                    for ((o0, o1), &bv) in acc0.iter_mut().zip(acc1.iter_mut()).zip(b_row) {
-                        *o0 += av0 * bv;
-                        *o1 += av1 * bv;
-                    }
-                } else if !skip0 {
-                    for (o0, &bv) in acc0.iter_mut().zip(b_row) {
-                        *o0 += av0 * bv;
-                    }
-                } else if !skip1 {
-                    for (o1, &bv) in acc1.iter_mut().zip(b_row) {
-                        *o1 += av1 * bv;
-                    }
-                }
-            }
-            out0.copy_from_slice(&acc0);
-            out1.copy_from_slice(&acc1);
-            ck += 2;
-        }
-    }
-    for out_row in out_rows {
-        let mut acc = [0.0f64; N];
-        for (a_row, b_row) in a.chunks_exact(k).zip(b.chunks_exact(N)) {
-            let av = a_row[ck];
-            if SKIP && av == 0.0 {
-                continue;
-            }
-            for (o, &bv) in acc.iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-        out_row.copy_from_slice(&acc);
-        ck += 1;
-    }
+    let b_rows = b[c0..]
+        .chunks(n)
+        .map(|r| r.first_chunk::<N>().expect("tile row"));
+    let out_rows = out[c0..]
+        .chunks_mut(n)
+        .map(|r| r.first_chunk_mut::<N>().expect("tile row"));
+    kern.run::<N>(b_rows, out_rows);
 }
 
 /// A dense, row-major `rows x cols` matrix of `f64`.
@@ -330,17 +363,17 @@ impl Matrix {
     /// Non-allocating `self * rhs` into `out` (resized to fit, reusing
     /// its buffer). Bit-identical to [`Matrix::matmul_reference`].
     ///
-    /// For the layer widths this workspace actually uses (see
-    /// [`dispatch_acc`]) the output row is held in a const-width stack
-    /// array across the whole `k` loop, so the compiler keeps it in
-    /// vector registers and the row is stored exactly once — roughly
-    /// halving the kernel's memory traffic versus the row-streaming
-    /// SAXPY fallback, which reloads and restores the output row for
-    /// every `a[i][k]`. Both forms visit each output column as an
-    /// independent `k`-sum in ascending `k` order with the reference
-    /// loop's `a == 0.0` skip, and an accumulator starting from `0.0`
-    /// is indistinguishable from a zero-filled output row, so every
-    /// output bit matches the reference.
+    /// At every width, each output row — or, at widths without a
+    /// contiguous kernel, each column tile of it (see `run_acc_kernel`)
+    /// — is held in a const-width stack array across the whole `k` loop,
+    /// so the compiler keeps it in vector registers and stores it
+    /// exactly once: roughly half the memory traffic of a row-streaming
+    /// SAXPY loop, which reloads and restores the output row for every
+    /// `a[i][k]`. Each output column is an independent `k`-sum in
+    /// ascending `k` order with the reference loop's `a == 0.0` skip, and
+    /// an accumulator starting from `0.0` is indistinguishable from a
+    /// zero-filled output row, so every output bit matches the
+    /// reference.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -349,41 +382,24 @@ impl Matrix {
         );
         out.resize(self.rows, rhs.cols);
         let (k, n) = (self.cols, rhs.cols);
-        if n == 0 {
+        if out.is_empty() {
             return;
         }
         if k == 0 {
             out.fill_zero();
             return;
         }
-        dispatch_acc!(
-            n,
-            [true],
-            matmul_acc_rows(&self.data, k, &rhs.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n))
-                {
-                    for (&a, b_row) in a_row.iter().zip(rhs.data.chunks_exact(n)) {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        );
+        let kern = MatMul::<true> { a: &self.data, k };
+        run_acc_kernel(&kern, &rhs.data, n, &mut out.data);
     }
 
     /// Non-allocating `selfᵀ * rhs` into `out`. Bit-identical to
-    /// [`Matrix::t_matmul`].
+    /// [`Matrix::t_matmul_reference`].
     ///
-    /// Dispatch-width shapes accumulate each output row (one per column
-    /// of `self`) in a const-width register tile over the shared row
-    /// dimension; the summation order per output element (ascending row
-    /// index, skipping `a == 0.0`) is exactly the reference loop's.
+    /// Each output row (one per column of `self`) accumulates in a
+    /// const-width register tile over the shared row dimension; the
+    /// summation order per output element (ascending row index, skipping
+    /// `a == 0.0`) is exactly the reference loop's.
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
@@ -391,33 +407,15 @@ impl Matrix {
             self.rows, self.cols, rhs.rows, rhs.cols
         );
         out.resize(self.cols, rhs.cols);
-        let n = rhs.cols;
-        if n == 0 {
+        let (k, n) = (self.cols, rhs.cols);
+        if out.is_empty() {
             return;
         }
-        dispatch_acc!(
-            n,
-            [true],
-            t_matmul_acc_rows(&self.data, self.cols, &rhs.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, b_row) in self
-                    .data
-                    .chunks_exact(self.cols.max(1))
-                    .zip(rhs.data.chunks_exact(n))
-                {
-                    for (k, &a) in a_row.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let out_row = &mut out.data[k * n..(k + 1) * n];
-                        for (o, &b) in out_row.iter_mut().zip(b_row.iter()) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        );
+        if self.rows == 0 {
+            out.fill_zero();
+            return;
+        }
+        run_acc_kernel(&TMatMul { a: &self.data, k }, &rhs.data, n, &mut out.data);
     }
 
     /// Non-allocating `self * rhsᵀ` into `out`. Bit-identical to
@@ -479,10 +477,11 @@ impl Matrix {
     /// right-hand side: `rhs_t` must equal `rhs.transpose()`. Bit-identical
     /// to `self.matmul_t(&rhs)` — each output element accumulates in the
     /// same ascending `k` order from 0.0 with no zero-skip (the direct
-    /// kernel has none) — but in row-streaming SAXPY form over `rhs_t`,
-    /// which vectorizes across output columns where the direct kernel's
-    /// per-element dot products cannot. Layers cache the transposed
-    /// weight and invalidate it whenever weights mutate.
+    /// kernel has none) — but on the register-accumulator kernel of
+    /// [`Matrix::matmul_into`] over `rhs_t`, which vectorizes across
+    /// output columns where the direct kernel's per-element dot products
+    /// cannot. Layers cache the transposed weight and invalidate it
+    /// whenever weights mutate.
     pub fn matmul_cached_t_into(&self, rhs_t: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs_t.rows,
@@ -491,29 +490,15 @@ impl Matrix {
         );
         out.resize(self.rows, rhs_t.cols);
         let (k, n) = (self.cols, rhs_t.cols);
-        if n == 0 {
+        if out.is_empty() {
             return;
         }
         if k == 0 {
             out.fill_zero();
             return;
         }
-        dispatch_acc!(
-            n,
-            [false],
-            matmul_acc_rows(&self.data, k, &rhs_t.data, &mut out.data),
-            {
-                out.fill_zero();
-                for (a_row, out_row) in self.data.chunks_exact(k).zip(out.data.chunks_exact_mut(n))
-                {
-                    for (&a, b_row) in a_row.iter().zip(rhs_t.data.chunks_exact(n)) {
-                        for (o, &b) in out_row.iter_mut().zip(b_row) {
-                            *o += a * b;
-                        }
-                    }
-                }
-            }
-        );
+        let kern = MatMul::<false> { a: &self.data, k };
+        run_acc_kernel(&kern, &rhs_t.data, n, &mut out.data);
     }
 
     /// The original scalar `ikj` matmul, kept verbatim as the

@@ -185,12 +185,16 @@ impl Mlp {
 
     /// Allocation-free backward pass paired with [`Mlp::forward_ws`]:
     /// `x` must be the same input that forward pass consumed. Gradients
-    /// accumulate exactly as in [`Mlp::backward`]; returns dL/d(input).
-    pub fn backward_ws(&mut self, x: &Matrix, dout: &Matrix) -> &Matrix {
+    /// accumulate exactly as in [`Mlp::backward`]. Unlike `backward` it
+    /// does not compute dL/d(input): no caller reads it, and it costs the
+    /// first layer a weight transpose and a `batch x in x out` product.
+    pub fn backward_ws(&mut self, x: &Matrix, dout: &Matrix) {
         let Mlp { layers, ws } = self;
         let MlpWs { acts, d_a, d_b, .. } = ws;
         let n = layers.len();
         assert_eq!(acts.len(), n, "Mlp::backward_ws before forward_ws");
+        // `cur` holds dL/d(output) of the layer being visited, `next`
+        // receives its dL/d(input).
         let mut cur = d_a;
         let mut next = d_b;
         for (i, layer) in layers.iter_mut().enumerate().rev() {
@@ -200,14 +204,11 @@ impl Mlp {
             // computed instead of re-running sigmoid/tanh on the
             // pre-activation (bit-identical, half the transcendentals).
             let output = &acts[i];
-            if i == n - 1 {
-                layer.backward_into(input, output, dout, cur);
-            } else {
-                layer.backward_into(input, output, cur, next);
-                std::mem::swap(&mut cur, &mut next);
-            }
+            let upstream = if i == n - 1 { dout } else { &*cur };
+            let d_in = if i == 0 { None } else { Some(&mut *next) };
+            layer.backward_into(input, output, upstream, d_in);
+            std::mem::swap(&mut cur, &mut next);
         }
-        &*cur
     }
 
     /// Visits every (parameter, gradient) slice pair in the stable

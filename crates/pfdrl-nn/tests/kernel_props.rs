@@ -64,6 +64,23 @@ impl Gen {
     fn matrix(&mut self, rows: usize, cols: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| self.value())
     }
+
+    /// [`Gen::value`] with NaN and infinities thinned to about one draw
+    /// in `4 * len` (zeros, -0.0 and subnormals keep their rate), so that
+    /// most `len`-term sums stay finite and their rounding is compared
+    /// bit for bit, not just their NaN placement.
+    fn summand(&mut self, len: usize) -> f64 {
+        loop {
+            let v = self.value();
+            if v.is_finite() || self.below(len as u64) == 0 {
+                return v;
+            }
+        }
+    }
+
+    fn summand_matrix(&mut self, rows: usize, cols: usize, len: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| self.summand(len))
+    }
 }
 
 /// Bitwise equality, except that two NaNs match regardless of payload
@@ -84,8 +101,103 @@ fn assert_bits_eq(a: &Matrix, b: &Matrix, what: &str) {
     }
 }
 
+/// Trains `dims` for `steps` minibatches of `batch` rows through the
+/// allocating path (`forward`/`backward`/`step`) and the workspace path
+/// (`forward_ws`/`backward_ws`/`step_fused`) on twin networks and asserts
+/// bit-identical weights. The two backward passes multiply by `Wᵀ`
+/// through different kernels (`matmul_t_into` against
+/// `matmul_cached_t_into` over the cached transpose).
+fn assert_training_paths_match(dims: &[usize], batch: usize, steps: usize, seed: u64) {
+    let g = &mut Gen(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (n_in, n_out) = (dims[0], dims[dims.len() - 1]);
+    let mut net_a = Mlp::new(dims, Activation::Relu, Activation::Identity, &mut rng);
+    let mut net_b = net_a.clone();
+    let mut opt_a = Adam::new(1e-2);
+    let mut opt_b = Adam::new(1e-2);
+    let mut grad_buf = Matrix::default();
+    for _ in 0..steps {
+        // Finite inputs/upstream grads: ReLU on NaN would make both
+        // paths NaN anyway, which proves nothing extra here.
+        let x = Matrix::from_fn(batch, n_in, |_, _| (g.below(2000) as f64 - 1000.0) / 250.0);
+        let dout = Matrix::from_fn(batch, n_out, |_, _| (g.below(2000) as f64 - 1000.0) / 250.0);
+
+        net_a.zero_grad();
+        let _ = net_a.forward(&x);
+        let _ = net_a.backward(&dout);
+        opt_a.step(&mut net_a.param_grad_pairs());
+
+        net_b.zero_grad();
+        let _ = net_b.forward_ws(&x);
+        grad_buf.resize(dout.rows(), dout.cols());
+        grad_buf.as_mut_slice().copy_from_slice(dout.as_slice());
+        net_b.backward_ws(&x, &grad_buf);
+        opt_b.step_fused(net_b.param_tensor_count(), |f| net_b.for_each_param_grad(f));
+    }
+    for (la, lb) in net_a.export_all().iter().zip(net_b.export_all().iter()) {
+        for (x, y) in la.iter().zip(lb) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{dims:?} at batch {batch}");
+        }
+    }
+}
+
+/// Every output width from 1 to 130 — each contiguous kernel, the
+/// strided column tiles and every remainder tile width — on all three
+/// register-accumulator kernels, against the reference oracles. The
+/// reduction lengths include the networks' own (12, 14, 27), the row
+/// counts odd ones, so the row-pairing tails run too, and both include
+/// the empty dimension. The three largest `m x k` pairs are left out to
+/// keep the debug-profile run short; every `m` and every `k` still
+/// meets every width.
+#[test]
+fn every_kernel_width_matches_reference_bitwise() {
+    let g = &mut Gen(0x5EED_1D75);
+    let mut out = Matrix::default();
+    for n in 1..=130 {
+        for m in [0, 1, 2, 3, 16, 17, 24, 33] {
+            for k in [0, 1, 2, 3, 12, 14, 27, 41] {
+                if m * k > 720 {
+                    continue;
+                }
+                let a = g.summand_matrix(m, k, k);
+                let b = g.summand_matrix(k, n, k);
+                a.matmul_into(&b, &mut out);
+                let what = format!("matmul_into {m}x{k} * {k}x{n}");
+                assert_bits_eq(&out, &a.matmul_reference(&b), &what);
+
+                let a = g.summand_matrix(m, k, m);
+                let b = g.summand_matrix(m, n, m);
+                a.t_matmul_into(&b, &mut out);
+                let what = format!("t_matmul_into ({m}x{k})ᵀ * {m}x{n}");
+                assert_bits_eq(&out, &a.t_matmul_reference(&b), &what);
+
+                let a = g.summand_matrix(m, k, k);
+                let b = g.summand_matrix(n, k, k);
+                a.matmul_cached_t_into(&b.transpose(), &mut out);
+                let what = format!("matmul_cached_t_into {m}x{k} * ({n}x{k})ᵀ");
+                assert_bits_eq(&out, &a.matmul_t_reference(&b), &what);
+            }
+        }
+    }
+}
+
+/// The shipped DQN shapes, through both training paths: the fleet and
+/// `SimConfig::tiny` Q-network (3 hidden layers of 12 over a 12-wide
+/// state, batch 16) and the paper_day / canary one (8 hidden layers of
+/// 16 over a 14-wide state, batch 24).
+#[test]
+fn shipped_dqn_shapes_train_bitwise_through_both_paths() {
+    for seed in [1, 2] {
+        assert_training_paths_match(&[12, 12, 12, 12, 3], 16, 4, seed);
+        let mut paper = vec![14];
+        paper.extend([16; 8]);
+        paper.push(3);
+        assert_training_paths_match(&paper, 24, 4, seed);
+    }
+}
+
 proptest! {
-    /// `matmul_into` (blocked, unroll-by-4) is bit-identical to the
+    /// `matmul_into` (register-accumulator kernel) is bit-identical to the
     /// naive `matmul_reference` for every shape, including dims not
     /// divisible by 4 and degenerate 1-wide cases.
     #[test]
@@ -199,36 +311,6 @@ proptest! {
         steps in 1usize..4,
         batch in 1usize..5,
     ) {
-        let g = &mut Gen(seed);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let dims = [3usize, 5, 2];
-        let mut net_a = Mlp::new(&dims, Activation::Relu, Activation::Identity, &mut rng);
-        let mut net_b = net_a.clone();
-        let mut opt_a = Adam::new(1e-2);
-        let mut opt_b = Adam::new(1e-2);
-        let mut grad_buf = Matrix::default();
-        for _ in 0..steps {
-            // Finite inputs/upstream grads: ReLU on NaN would make both
-            // paths NaN anyway, which proves nothing extra here.
-            let x = Matrix::from_fn(batch, 3, |_, _| (g.below(2000) as f64 - 1000.0) / 250.0);
-            let dout = Matrix::from_fn(batch, 2, |_, _| (g.below(2000) as f64 - 1000.0) / 250.0);
-
-            net_a.zero_grad();
-            let _ = net_a.forward(&x);
-            let _ = net_a.backward(&dout);
-            opt_a.step(&mut net_a.param_grad_pairs());
-
-            net_b.zero_grad();
-            let _ = net_b.forward_ws(&x);
-            grad_buf.resize(dout.rows(), dout.cols());
-            grad_buf.as_mut_slice().copy_from_slice(dout.as_slice());
-            net_b.backward_ws(&x, &grad_buf);
-            opt_b.step_fused(net_b.param_tensor_count(), |f| net_b.for_each_param_grad(f));
-        }
-        for (la, lb) in net_a.export_all().iter().zip(net_b.export_all().iter()) {
-            for (x, y) in la.iter().zip(lb) {
-                prop_assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
+        assert_training_paths_match(&[3, 5, 2], batch, steps, seed);
     }
 }
