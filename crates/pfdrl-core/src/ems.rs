@@ -19,7 +19,7 @@ use pfdrl_data::{
     impute_forward_fill, Archetype, DayTrace, HouseholdSpec, TraceGenerator, MINUTES_PER_DAY,
     WATT_CEILING,
 };
-use pfdrl_drl::{DqnAgent, DqnConfig, Transition};
+use pfdrl_drl::{DqnAgent, DqnConfig};
 use pfdrl_env::{DeviceEnv, EnergyAccount, EnvConfig};
 use pfdrl_fl::{
     aggregate, AggregationMode, BroadcastBus, CloudAggregator, DflRound, HierParams,
@@ -379,9 +379,6 @@ struct HomeWorkspace {
     /// of the generator config).
     hh: Option<HouseholdSpec>,
     devices: Vec<DeviceDay>,
-    /// Recycled state-vector heap buffers; refilled by replay-ring
-    /// evictions, drained to build transitions.
-    pool: Vec<Vec<f64>>,
     pws: PredictDayWorkspace,
     /// Per-segment hour-of-day accumulators written by [`run_segment`].
     saved: [f64; 24],
@@ -1066,7 +1063,7 @@ impl EmsState {
                     },
                 );
                 agent
-                    .restore_state(state.clone())
+                    .restore_state(state)
                     .map_err(|e| StoreError::State(format!("agent [{home}][{device}]: {e}")))?;
                 row.push(agent);
             }
@@ -1183,8 +1180,8 @@ pub fn run_ems(cfg: &SimConfig, method: EmsMethod, forecast: &ForecastPhase) -> 
 /// standby) kWh per hour-of-day into the workspace's own buckets
 /// (`hw.saved` / `hw.standby`, zeroed here). Steady state performs no
 /// heap allocation: episode states live in each device's double
-/// buffer, and transition vectors cycle through the home's pool via
-/// replay-ring evictions.
+/// buffer, and each step's `next` is the following step's `cur`, so
+/// the agent's flat replay ring stores it once, in place.
 fn run_segment(
     cfg: &SimConfig,
     hw: &mut HomeWorkspace,
@@ -1196,7 +1193,6 @@ fn run_segment(
     hw.standby = [0.0f64; 24];
     let HomeWorkspace {
         devices,
-        pool,
         saved,
         standby,
         loss_sum,
@@ -1219,28 +1215,7 @@ fn run_segment(
             let hour = minute / 60;
             saved[hour] += after.standby_saved_kwh - before.standby_saved_kwh;
             standby[hour] += after.standby_total_kwh - before.standby_total_kwh;
-            let mut state = pool.pop().unwrap_or_default();
-            state.clear();
-            state.extend_from_slice(&dd.cur);
-            let next_state = if done {
-                None
-            } else {
-                let mut s = pool.pop().unwrap_or_default();
-                s.clear();
-                s.extend_from_slice(&dd.next);
-                Some(s)
-            };
-            if let Some(evicted) = agent.remember_evict(Transition {
-                state,
-                action: action.index(),
-                reward,
-                next_state,
-            }) {
-                pool.push(evicted.state);
-                if let Some(s) = evicted.next_state {
-                    pool.push(s);
-                }
-            }
+            agent.remember_step(&dd.cur, action.index(), reward, (!done).then_some(&dd.next));
             steps_since_train += 1;
             if train && steps_since_train >= cfg.train_every && agent.ready() {
                 let loss = agent.train_step();

@@ -1,6 +1,6 @@
 //! Device catalog: the appliance types the Pecan Street dataset records,
 //! with on/standby power draws taken from published appliance-level
-//! measurements (Raj et al. [24] in the paper's references).
+//! measurements (Raj et al. \[24\] in the paper's references).
 
 use crate::mode::Mode;
 use crate::rng::mix_seed;

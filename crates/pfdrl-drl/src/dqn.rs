@@ -204,13 +204,31 @@ impl DqnAgent {
     /// Stores a transition without training (callers that train every
     /// k-th step use `remember` + [`DqnAgent::train_step`]).
     pub fn remember(&mut self, t: Transition) {
-        self.replay.push(t);
+        self.remember_step(&t.state, t.action, t.reward, t.next_state.as_deref());
     }
 
-    /// [`DqnAgent::remember`] returning the transition the replay ring
-    /// evicted (once full), so callers can recycle its heap buffers.
+    /// Stores `(state, action, reward, next_state)` by copying the
+    /// slices into the replay ring; `None` marks a terminal step. An
+    /// episode that passes each step's `next_state` as the following
+    /// step's `state` stores every state once and never allocates
+    /// after its first push (see [`crate::replay`]).
+    pub fn remember_step(
+        &mut self,
+        state: &[f64],
+        action: usize,
+        reward: f64,
+        next_state: Option<&[f64]>,
+    ) {
+        self.replay.push(state, action, reward, next_state);
+    }
+
+    /// Entry point for callers that build owned [`Transition`]s, such as
+    /// the benchmark's traced mirror of the day loop: stores `t` exactly
+    /// as [`DqnAgent::remember_step`] would and hands `t` itself back,
+    /// so the caller can reuse its heap buffers for the next step.
     pub fn remember_evict(&mut self, t: Transition) -> Option<Transition> {
-        self.replay.push_evict(t)
+        self.remember_step(&t.state, t.action, t.reward, t.next_state.as_deref());
+        Some(t)
     }
 
     /// Whether enough experience is buffered to start learning.
@@ -239,17 +257,16 @@ impl DqnAgent {
             ..
         } = self;
         replay.sample_indices_into(cfg.batch, rng, &mut scratch.indices);
-        let state_dim = replay.get(scratch.indices[0]).state.len();
         let n = scratch.indices.len();
-        scratch.states.resize(n, state_dim);
-        scratch.next_states.resize(n, state_dim);
+        scratch.states.resize(n, replay.dim());
+        scratch.next_states.resize(n, replay.dim());
         // Terminal rows must read all-zero, as with a freshly zeroed
         // matrix.
         scratch.next_states.fill_zero();
         for (r, &idx) in scratch.indices.iter().enumerate() {
             let t = replay.get(idx);
-            scratch.states.row_mut(r).copy_from_slice(&t.state);
-            if let Some(ns) = &t.next_state {
+            scratch.states.row_mut(r).copy_from_slice(t.state);
+            if let Some(ns) = t.next_state {
                 scratch.next_states.row_mut(r).copy_from_slice(ns);
             }
         }
@@ -267,7 +284,7 @@ impl DqnAgent {
         scratch.mask.fill_zero();
         for (r, &idx) in scratch.indices.iter().enumerate() {
             let t = replay.get(idx);
-            let y = match &t.next_state {
+            let y = match t.next_state {
                 Some(_) => {
                     let row = next_q.row(r);
                     let bootstrap = match &next_q_online {
@@ -355,7 +372,7 @@ impl DqnAgent {
     /// Rejects states whose network, optimizer, or replay shapes do not
     /// match this agent's architecture — a typed error, never a panic,
     /// so corrupt or mismatched checkpoints surface cleanly.
-    pub fn restore_state(&mut self, state: DqnState) -> Result<(), String> {
+    pub fn restore_state(&mut self, state: &DqnState) -> Result<(), String> {
         let check_net = |name: &str, layers: &[Vec<f64>]| -> Result<(), String> {
             if layers.len() != self.qnet.layer_count() {
                 return Err(format!(
@@ -384,11 +401,18 @@ impl DqnAgent {
             ));
         }
         let state_dim = self.qnet.in_dim();
+        let actions = self.qnet.out_dim();
         for (i, t) in state.replay.transitions.iter().enumerate() {
             let next_ok = t.next_state.as_ref().is_none_or(|s| s.len() == state_dim);
             if t.state.len() != state_dim || !next_ok {
                 return Err(format!(
                     "agent state: transition {i} has a state of the wrong dimension"
+                ));
+            }
+            if t.action >= actions {
+                return Err(format!(
+                    "agent state: transition {i} has action {}, network has {actions}",
+                    t.action
                 ));
             }
         }
@@ -415,8 +439,8 @@ impl DqnAgent {
                 }
             }
         }
-        let replay = ReplayBuffer::from_state(state.replay)?;
-        self.opt.import_state(state.opt)?;
+        let replay = ReplayBuffer::from_state(&state.replay).map_err(|e| e.to_string())?;
+        self.opt.import_state(state.opt.clone())?;
         for (i, l) in state.qnet.iter().enumerate() {
             self.qnet.import_layer(i, l);
         }
@@ -703,7 +727,7 @@ mod tests {
         let mut resumed = DqnAgent::new(2, tiny_cfg(12));
         // Desynchronize the clone first so the restore does real work.
         drive(&mut resumed, 10, 101);
-        resumed.restore_state(snapshot).expect("restore");
+        resumed.restore_state(&snapshot).expect("restore");
 
         // Same stimuli from here on must produce identical actions,
         // identical gradient trajectories and identical parameters.
@@ -717,11 +741,11 @@ mod tests {
     fn restore_rejects_mismatched_shapes() {
         let mut agent = DqnAgent::new(2, tiny_cfg(13));
         let other = DqnAgent::new(3, tiny_cfg(13));
-        assert!(agent.restore_state(other.export_state()).is_err());
+        assert!(agent.restore_state(&other.export_state()).is_err());
 
         let mut wrong_capacity = agent.export_state();
         wrong_capacity.replay.capacity += 1;
-        assert!(agent.restore_state(wrong_capacity).is_err());
+        assert!(agent.restore_state(&wrong_capacity).is_err());
 
         let mut bad_transition = agent.export_state();
         bad_transition.replay = ReplayState {
@@ -734,7 +758,22 @@ mod tests {
             }],
             write: 1,
         };
-        assert!(agent.restore_state(bad_transition).is_err());
+        assert!(agent.restore_state(&bad_transition).is_err());
+
+        // An action the network has no output for would index past its
+        // Q-value row in `train_step`.
+        let mut bad_action = agent.export_state();
+        bad_action.replay = ReplayState {
+            capacity: agent.config().replay_capacity,
+            transitions: vec![Transition {
+                state: vec![0.0; 2],
+                action: 3,
+                reward: 0.0,
+                next_state: None,
+            }],
+            write: 1,
+        };
+        assert!(agent.restore_state(&bad_action).is_err());
     }
 
     #[test]

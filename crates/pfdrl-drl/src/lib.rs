@@ -31,4 +31,4 @@ pub mod replay;
 
 pub use dqn::{DqnAgent, DqnConfig, DqnState};
 pub use policy::EpsilonSchedule;
-pub use replay::{ReplayBuffer, ReplayState, Transition};
+pub use replay::{ReplayBuffer, ReplayError, ReplayState, Transition, TransitionRef};

@@ -18,10 +18,10 @@
 //! update is a commutative add.
 //!
 //! A bus built with [`BroadcastBus::with_faults`] routes every delivery
-//! through a [`FaultInjector`](crate::fault::FaultInjector): churned-out
-//! or lossy deliveries are dropped (and counted per reason), straggling
-//! ones are parked until the next drain and pay a latency penalty, and
-//! corrupted ones arrive damaged for the aggregation layer to reject.
+//! through a [`FaultInjector`]: churned-out or lossy deliveries are
+//! dropped (and counted per reason), straggling ones are parked until
+//! the next drain and pay a latency penalty, and corrupted ones arrive
+//! damaged for the aggregation layer to reject.
 
 use crate::codec::{ModelUpdate, PayloadCodec};
 use crate::fault::{Delivery, DropReason, FaultConfig, FaultInjector};

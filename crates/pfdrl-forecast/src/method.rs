@@ -10,13 +10,13 @@ use serde::{Deserialize, Serialize};
 /// The paper's four load-forecasting methods (§4, "Compared Methods").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ForecastMethod {
-    /// Linear regression [32].
+    /// Linear regression \[32\].
     Lr,
-    /// Support vector machine [7].
+    /// Support vector machine \[7\].
     Svm,
-    /// Back-propagation network [28].
+    /// Back-propagation network \[28\].
     Bp,
-    /// Long short-term memory [26].
+    /// Long short-term memory \[26\].
     Lstm,
 }
 

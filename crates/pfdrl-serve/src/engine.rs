@@ -42,7 +42,7 @@ use pfdrl_core::{
     predict_span_into, EmsMethod, EmsState, ForecastPhase, PredictDayWorkspace, SimConfig,
 };
 use pfdrl_data::{DeviceSpec, HouseholdSpec, Mode, TraceGenerator, MINUTES_PER_DAY, WATT_CEILING};
-use pfdrl_drl::{DqnAgent, Transition};
+use pfdrl_drl::DqnAgent;
 use pfdrl_env::{classify, reward, EnergyAccount};
 use pfdrl_fl::MinuteSchedule;
 use pfdrl_store::{
@@ -228,8 +228,6 @@ struct HomeLive {
     standby: [f64; 24],
     /// Decisions produced by the current chunk, drained at emit.
     out: Vec<DecisionRecord>,
-    /// Recycled transition state buffers (replay-ring evictions).
-    pool: Vec<Vec<f64>>,
     pws: PredictDayWorkspace,
     cur: Vec<f64>,
     next: Vec<f64>,
@@ -253,7 +251,6 @@ impl HomeLive {
             saved: [0.0; 24],
             standby: [0.0; 24],
             out: Vec::new(),
-            pool: Vec::new(),
             pws: PredictDayWorkspace::default(),
             cur: Vec::new(),
             next: Vec::new(),
@@ -1009,7 +1006,6 @@ fn decide_chunk(
         saved,
         standby,
         out,
-        pool,
         pws,
         cur,
         next,
@@ -1059,29 +1055,11 @@ fn decide_chunk(
                 action: action.index(),
                 reward: r,
             });
-            let mut state = pool.pop().unwrap_or_default();
-            state.clear();
-            state.extend_from_slice(cur);
-            let next_state = if t + 1 >= MINUTES_PER_DAY {
-                None
-            } else {
+            let next_state = (t + 1 < MINUTES_PER_DAY).then(|| {
                 build_state(spec, &dl.pred, &dl.today, sw, t + 1, next);
-                let mut s = pool.pop().unwrap_or_default();
-                s.clear();
-                s.extend_from_slice(next);
-                Some(s)
-            };
-            if let Some(evicted) = agent.remember_evict(Transition {
-                state,
-                action: action.index(),
-                reward: r,
-                next_state,
-            }) {
-                pool.push(evicted.state);
-                if let Some(s) = evicted.next_state {
-                    pool.push(s);
-                }
-            }
+                &next[..]
+            });
+            agent.remember_step(cur, action.index(), r, next_state);
             dl.steps_since_train += 1;
             if train && dl.steps_since_train >= cfg.train_every as u64 && agent.ready() {
                 let loss = agent.train_step();

@@ -14,7 +14,7 @@
 //! | [`nn`] | matrices, dense/LSTM layers, backprop, losses, optimizers |
 //! | [`data`] | synthetic household traces, tariffs, Dataport CSV loader |
 //! | [`forecast`] | LR / SVR / BP / LSTM forecasters + accuracy metrics |
-//! | [`env`] | device-mode MDP, Table 1 reward, energy accounting |
+//! | [`env`](mod@env) | device-mode MDP, Table 1 reward, energy accounting |
 //! | [`drl`] | DQN agent with replay and target network |
 //! | [`fl`] | broadcast bus, FedAvg, α layer split, cloud baseline |
 //! | [`store`] | durable checkpoints: versioned `PFDS` snapshots, resume |
