@@ -21,7 +21,8 @@ use pfdrl_core::{
     run_method_resumable, run_method_resume_from, train_forecasters, EmsMethod, Precision,
     ResumableRun, RunResult, SimConfig,
 };
-use pfdrl_fl::PayloadCodec;
+use pfdrl_data::SensorFaultConfig;
+use pfdrl_fl::{AggregationMode, PayloadCodec, ShardAssignment};
 use pfdrl_serve::{
     generate_stream, NdjsonSink, NdjsonSource, ServeConfig, ServeEngine, ServeReport,
     TelemetrySource, VecSource,
@@ -34,6 +35,8 @@ use std::time::Instant;
 
 const SEED: u64 = 42;
 
+/// Every flag but `--json`, parsed straight into its field.
+#[derive(Default)]
 struct Ctx {
     quick: bool,
     out_dir: String,
@@ -54,10 +57,10 @@ struct Ctx {
     /// base configuration (run/serve/headline/figures). Part of the run
     /// identity, so `f32fast` selects its own canary trajectory.
     precision: Precision,
-    /// `--compression <raw|q8|q8-global|topk:FRAC>`: federation payload
-    /// codec of the base configuration. Part of the run identity —
-    /// compressed codecs change the merged bits, so each codec has its
-    /// own deterministic trajectory.
+    /// `--compression <raw|q8|q8-global>`: federation payload codec of
+    /// the base configuration. Part of the run identity — compressed
+    /// codecs change the merged bits, so each codec has its own
+    /// deterministic trajectory.
     compression: PayloadCodec,
 }
 
@@ -625,8 +628,8 @@ enum Expect {
 /// One `canary` row: a configuration override and what it must give.
 struct Canary {
     label: &'static str,
-    precision: Precision,
-    codec: PayloadCodec,
+    /// Applied to the canary's base configuration.
+    apply: fn(&mut SimConfig),
     /// Width of every parallel call; 0 is the default width.
     threads: usize,
     expect: Expect,
@@ -634,50 +637,76 @@ struct Canary {
 
 /// The `canary` table. The default F64 path is pinned one thread wide
 /// and four wide, because the canary must not depend on how many threads
-/// ran it. The compressed-codec envelopes carry ~2× headroom over the
-/// measured deltas (DESIGN.md §16): int8 quantization is nearly free
-/// (|Δsaved| ≤ 1.2e-2 quick / 7.6e-6 full, |Δaccuracy| ≤ 7.7e-3), while
-/// `TopK{0.1}` keeps the EMS saved fraction (≤ 1.2e-1 quick / 3.2e-3
-/// full) but costs the *forecaster* federation up to 0.24 accuracy —
-/// 90% sparsification breaks supervised model averaging long before it
-/// breaks the DRL.
-const CANARIES: [Canary; 5] = [
+/// ran it. The q8 envelope carries ~2× headroom over the measured deltas
+/// (DESIGN.md §16): int8 quantization is nearly free (|Δsaved| ≤ 1.2e-2
+/// quick / 7.6e-6 full, |Δaccuracy| ≤ 7.7e-3). The last three rows pin
+/// paths the default never takes: `hier:2` the shard reduction and the
+/// aggregate-of-aggregates merge (EMS and forecast federation alike),
+/// `churn:0.5` the per-home fallback under residence dropout and message
+/// loss, and `storm:0.5` sensor-fault imputation and quarantine.
+const CANARIES: [Canary; 7] = [
     Canary {
         label: "f64 (1 thread)",
-        precision: Precision::F64,
-        codec: PayloadCodec::Raw,
+        apply: |_| {},
         threads: 1,
         expect: Expect::Pinned(F64_FULL, F64_QUICK),
     },
     Canary {
         label: "f64 (4 threads)",
-        precision: Precision::F64,
-        codec: PayloadCodec::Raw,
+        apply: |_| {},
         threads: 4,
         expect: Expect::Pinned(F64_FULL, F64_QUICK),
     },
     Canary {
         label: "f32fast",
-        precision: Precision::F32Fast,
-        codec: PayloadCodec::Raw,
+        apply: |c| c.precision = Precision::F32Fast,
         threads: 0,
         expect: Expect::Pinned(F32_FULL, F32_QUICK),
     },
     Canary {
         label: "q8",
-        precision: Precision::F64,
-        codec: PayloadCodec::QuantizedI8 {
-            per_layer_scale: true,
+        apply: |c| {
+            c.compression = PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            }
         },
         threads: 0,
         expect: Expect::Within([0.05, 0.03]),
     },
     Canary {
-        label: "topk:0.1",
-        precision: Precision::F64,
-        codec: PayloadCodec::TopK { fraction: 0.1 },
+        label: "hier:2",
+        apply: |c| {
+            c.aggregation = AggregationMode::Hierarchical {
+                shards: 2,
+                assignment: ShardAssignment::RoundRobin,
+            }
+        },
         threads: 0,
-        expect: Expect::Within([0.25, 0.35]),
+        expect: Expect::Pinned(
+            [0.39476153139803727, 0.8000332742645434],
+            [0.49031103179286195, 0.7775601629068271],
+        ),
+    },
+    Canary {
+        label: "churn:0.5",
+        apply: |c| {
+            c.fault.dropout_rate = 0.5;
+            c.fault.loss_rate = 0.5;
+        },
+        threads: 0,
+        expect: Expect::Pinned(
+            [0.3957964849012673, 0.6632841709449094],
+            [0.4946141540418756, 0.8173723668605906],
+        ),
+    },
+    Canary {
+        label: "storm:0.5",
+        apply: |c| c.sensor_fault = SensorFaultConfig::storm(c.sensor_fault.seed, 0.5),
+        threads: 0,
+        expect: Expect::Pinned(
+            [0.39606929304969885, 0.8000332742645503],
+            [0.5095770501436676, 0.7775601629068307],
+        ),
     },
 ];
 
@@ -695,7 +724,7 @@ struct CanaryRow {
 /// enveloped row stays inside its bounds.
 fn canary(ctx: &Ctx) {
     banner("canary", "fixed-seed trajectories vs committed canaries");
-    let mut cfg = if ctx.quick {
+    let base = if ctx.quick {
         let mut c = quick_config(SEED);
         // tiny() uses the LR forecaster; the canary must exercise the
         // LSTM path, the one backend with a reduced-precision mirror.
@@ -708,8 +737,8 @@ fn canary(ctx: &Ctx) {
     let mut reference = [0.0; 2];
     let mut rows = Vec::new();
     for (r, row) in CANARIES.iter().enumerate() {
-        cfg.precision = row.precision;
-        cfg.compression = row.codec;
+        let mut cfg = base.clone();
+        (row.apply)(&mut cfg);
         let cfg = &cfg;
         let got = rayon::ThreadPoolBuilder::new()
             .num_threads(row.threads)
@@ -800,21 +829,11 @@ fn flag_value(it: &mut std::slice::Iter<'_, String>, flag: &str) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut quick = false;
     let mut json = false;
-    let mut out_dir = "repro_results".to_string();
-    let mut checkpoint_dir: Option<String> = None;
-    let mut resume_from: Option<String> = None;
-    let mut crash_after_day: Option<u64> = None;
-    let mut stream: Option<String> = None;
-    let mut serve_out: Option<String> = None;
-    let mut snapshot_every_minutes: Option<u64> = None;
-    let mut crash_after_minute: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut chunk_minutes: Option<usize> = None;
-    let mut queue_cap: Option<usize> = None;
-    let mut precision = Precision::F64;
-    let mut compression = PayloadCodec::Raw;
+    let mut ctx = Ctx {
+        out_dir: "repro_results".to_string(),
+        ..Ctx::default()
+    };
     let mut targets: Vec<String> = Vec::new();
     let mut it = args.iter();
     fn parsed<T: std::str::FromStr>(it: &mut std::slice::Iter<'_, String>, flag: &str) -> T {
@@ -826,21 +845,21 @@ fn main() {
     }
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--quick" => quick = true,
+            "--quick" => ctx.quick = true,
             "--json" => json = true,
-            "--out-dir" => out_dir = flag_value(&mut it, a),
-            "--checkpoint-dir" => checkpoint_dir = Some(flag_value(&mut it, a)),
-            "--resume-from" => resume_from = Some(flag_value(&mut it, a)),
-            "--stream" => stream = Some(flag_value(&mut it, a)),
-            "--serve-out" => serve_out = Some(flag_value(&mut it, a)),
-            "--crash-after-day" => crash_after_day = Some(parsed(&mut it, a)),
-            "--snapshot-every-minutes" => snapshot_every_minutes = Some(parsed(&mut it, a)),
-            "--crash-after-minute" => crash_after_minute = Some(parsed(&mut it, a)),
-            "--shards" => shards = Some(parsed(&mut it, a)),
-            "--chunk-minutes" => chunk_minutes = Some(parsed(&mut it, a)),
-            "--queue-cap" => queue_cap = Some(parsed(&mut it, a)),
+            "--out-dir" => ctx.out_dir = flag_value(&mut it, a),
+            "--checkpoint-dir" => ctx.checkpoint_dir = Some(flag_value(&mut it, a)),
+            "--resume-from" => ctx.resume_from = Some(flag_value(&mut it, a)),
+            "--stream" => ctx.stream = Some(flag_value(&mut it, a)),
+            "--serve-out" => ctx.serve_out = Some(flag_value(&mut it, a)),
+            "--crash-after-day" => ctx.crash_after_day = Some(parsed(&mut it, a)),
+            "--snapshot-every-minutes" => ctx.snapshot_every_minutes = Some(parsed(&mut it, a)),
+            "--crash-after-minute" => ctx.crash_after_minute = Some(parsed(&mut it, a)),
+            "--shards" => ctx.shards = Some(parsed(&mut it, a)),
+            "--chunk-minutes" => ctx.chunk_minutes = Some(parsed(&mut it, a)),
+            "--queue-cap" => ctx.queue_cap = Some(parsed(&mut it, a)),
             "--precision" => {
-                precision = match flag_value(&mut it, a).as_str() {
+                ctx.precision = match flag_value(&mut it, a).as_str() {
                     "f64" => Precision::F64,
                     "f32fast" => Precision::F32Fast,
                     other => {
@@ -850,8 +869,7 @@ fn main() {
                 }
             }
             "--compression" => {
-                let v = flag_value(&mut it, a);
-                compression = match v.as_str() {
+                ctx.compression = match flag_value(&mut it, a).as_str() {
                     "raw" => PayloadCodec::Raw,
                     "q8" => PayloadCodec::QuantizedI8 {
                         per_layer_scale: true,
@@ -859,18 +877,10 @@ fn main() {
                     "q8-global" => PayloadCodec::QuantizedI8 {
                         per_layer_scale: false,
                     },
-                    other => match other.strip_prefix("topk:").map(str::parse::<f64>) {
-                        Some(Ok(fraction)) if fraction > 0.0 && fraction <= 1.0 => {
-                            PayloadCodec::TopK { fraction }
-                        }
-                        _ => {
-                            eprintln!(
-                                "--compression must be raw, q8, q8-global or topk:FRAC \
-                                 (0 < FRAC <= 1), got {other:?}"
-                            );
-                            std::process::exit(2);
-                        }
-                    },
+                    other => {
+                        eprintln!("--compression must be raw, q8 or q8-global, got {other:?}");
+                        std::process::exit(2);
+                    }
                 }
             }
             other if other.starts_with("--") => {
@@ -907,23 +917,7 @@ fn main() {
         .map(String::from)
         .to_vec();
     }
-    fs::create_dir_all(&out_dir).expect("create the output directory");
-    let ctx = Ctx {
-        quick,
-        out_dir,
-        checkpoint_dir,
-        resume_from,
-        crash_after_day,
-        stream,
-        serve_out,
-        snapshot_every_minutes,
-        crash_after_minute,
-        shards,
-        chunk_minutes,
-        queue_cap,
-        precision,
-        compression,
-    };
+    fs::create_dir_all(&ctx.out_dir).expect("create the output directory");
 
     let started = Instant::now();
     let mut nine_eleven_fourteen_done = false;
@@ -977,7 +971,7 @@ fn main() {
     println!("\ntotal: {total_seconds:.1}s");
     if json {
         let summary = SessionSummary {
-            quick,
+            quick: ctx.quick,
             config_hash: format!("{:#018x}", ctx.base().run_hash()),
             compression: ctx.compression.label().to_string(),
             total_seconds,

@@ -13,8 +13,8 @@
 
 use pfdrl_bench::alloc::{count_allocations, CountingAlloc};
 use pfdrl_fl::{
-    AggregationMode, BroadcastBus, DflRound, FaultConfig, HierParams, HierarchicalRound,
-    LatencyModel, MergePolicy, RoundParams, ShardPlan,
+    BroadcastBus, DflRound, FaultConfig, HierarchicalRound, LatencyModel, MergePolicy, RoundParams,
+    ShardPlan,
 };
 use pfdrl_nn::{Activation, Mlp};
 use rand::rngs::StdRng;
@@ -23,91 +23,11 @@ use rand::SeedableRng;
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
-fn round(
-    fleet: &mut [Mlp],
-    engine: &mut DflRound,
-    bus: &BroadcastBus,
-    r: u64,
-    mode: AggregationMode,
-    policy: &MergePolicy,
-) {
-    let mut col: Vec<&mut Mlp> = fleet.iter_mut().collect();
-    let _ = engine.run(
-        &mut col,
-        &RoundParams {
-            bus,
-            round: r,
-            model_id: 0,
-            alpha: None,
-            policy,
-            mode,
-            participants: None,
-        },
-    );
-}
+const N: usize = 16;
+const ROUNDS: u64 = 8;
 
-#[test]
-fn steady_state_round_allocations_are_bounded() {
-    const N: usize = 16;
-    const ROUNDS: u64 = 8;
-    let policy = MergePolicy::default();
-    for mode in [AggregationMode::PerHome, AggregationMode::SharedSum] {
-        let mut fleet: Vec<Mlp> = (0..N)
-            .map(|home| {
-                let mut rng = StdRng::seed_from_u64(3 + home as u64);
-                Mlp::new(
-                    &[8, 16, 16, 3],
-                    Activation::Relu,
-                    Activation::Identity,
-                    &mut rng,
-                )
-            })
-            .collect();
-        let bus = BroadcastBus::new(N, LatencyModel::lan());
-        let mut engine = DflRound::new();
-        // Warmup: fills the update pool, sizes mailbox queues, drain and
-        // merge scratch, and (for SharedSum) the reduction accumulators.
-        for r in 1..=4u64 {
-            round(&mut fleet, &mut engine, &bus, r, mode, &policy);
-        }
-        let ((), allocs, _bytes) = count_allocations(|| {
-            for r in 5..=(4 + ROUNDS) {
-                round(&mut fleet, &mut engine, &bus, r, mode, &policy);
-            }
-        });
-        let per_round = allocs as f64 / ROUNDS as f64;
-        // What stays, by design:
-        //  - `PerHome` replays one validate+merge per (home, peer) pair
-        //    to preserve the historical float order, and each of those
-        //    keeps a small bookkeeping footprint (an accepted-layers
-        //    buffer per validated update plus per-layer contribution
-        //    buckets) — O(N²) tiny allocations, measured ~465/round at
-        //    N=16, but zero payload clones.
-        //  - `SharedSum` validates each update once for the shared
-        //    reduction, so it stays O(N): measured ~21/round at N=16.
-        // Both are far below the O(N²) *payload clones* (one full model
-        // copy per (sender, receiver) pair) of the pre-engine exchange.
-        let bound = match mode {
-            AggregationMode::PerHome => (2 * N * N + 16 * N) as f64,
-            AggregationMode::SharedSum => (4 * N) as f64,
-            AggregationMode::Hierarchical { .. } => {
-                unreachable!("the flat loop sweeps only the flat modes")
-            }
-        };
-        assert!(
-            per_round <= bound,
-            "{mode:?}: {per_round:.1} allocations/round exceeds bound {bound} \
-             ({allocs} over {ROUNDS} rounds)"
-        );
-    }
-
-    // Hierarchical: every shard runs the shard-local SharedSum
-    // reduction over its own n_k homes, so the steady-state ceiling is
-    // the sum of the per-shard SharedSum ceilings (4·n_k each, i.e. 4·N
-    // fleet-wide) plus the top-level aggregate-of-aggregates
-    // bookkeeping, which is O(shards) partial buffers per round.
-    const SHARDS: usize = 4;
-    let mut fleet: Vec<Mlp> = (0..N)
+fn fleet() -> Vec<Mlp> {
+    (0..N)
         .map(|home| {
             let mut rng = StdRng::seed_from_u64(3 + home as u64);
             Mlp::new(
@@ -117,38 +37,81 @@ fn steady_state_round_allocations_are_bounded() {
                 &mut rng,
             )
         })
-        .collect();
-    let mut engine = HierarchicalRound::new(
-        ShardPlan::round_robin(N, SHARDS),
-        LatencyModel::lan(),
-        &FaultConfig::default(),
-    );
-    let hier_round = |fleet: &mut Vec<Mlp>, engine: &mut HierarchicalRound, r: u64| {
-        let mut col: Vec<&mut Mlp> = fleet.iter_mut().collect();
-        let _ = engine.run(
-            &mut col,
-            &HierParams {
-                round: r,
-                model_id: 0,
-                alpha: None,
-                policy: &policy,
-                participants: None,
-            },
-        );
-    };
+        .collect()
+}
+
+/// Allocations per steady-state round: four warmup rounds fill the
+/// update pool, size mailbox queues, drain and merge scratch, and the
+/// fast path's reduction accumulators; the next `ROUNDS` are counted.
+fn steady_allocations_per_round(mut round: impl FnMut(&mut [Mlp], u64)) -> (f64, u64) {
+    let mut models = fleet();
     for r in 1..=4u64 {
-        hier_round(&mut fleet, &mut engine, r);
+        round(&mut models, r);
     }
     let ((), allocs, _bytes) = count_allocations(|| {
         for r in 5..=(4 + ROUNDS) {
-            hier_round(&mut fleet, &mut engine, r);
+            round(&mut models, r);
         }
     });
-    let per_round = allocs as f64 / ROUNDS as f64;
-    let bound = (4 * N + 16 * SHARDS) as f64;
+    (allocs as f64 / ROUNDS as f64, allocs)
+}
+
+#[test]
+fn steady_state_round_allocations_are_bounded() {
+    let policy = MergePolicy::default();
+    let params = |round| RoundParams {
+        round,
+        model_id: 0,
+        alpha: None,
+        policy: &policy,
+        participants: None,
+    };
+
+    // The per-home engine replays one validate+merge per (home, peer)
+    // pair to preserve the historical float order, and each of those
+    // keeps a small bookkeeping footprint (an accepted-layers buffer
+    // per validated update plus per-layer contribution buckets) —
+    // O(N²) tiny allocations, measured ~465/round at N=16, but zero
+    // payload clones. That is still far below the O(N²) *payload
+    // clones* (one full model copy per (sender, receiver) pair) of the
+    // pre-engine exchange.
+    let bus = BroadcastBus::new(N, LatencyModel::lan());
+    let mut engine = DflRound::new();
+    let (per_round, allocs) = steady_allocations_per_round(|models, r| {
+        let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+        engine.run(&mut col, &bus, &params(r));
+    });
+    let bound = (2 * N * N + 16 * N) as f64;
     assert!(
         per_round <= bound,
-        "Hierarchical({SHARDS} shards): {per_round:.1} allocations/round exceeds \
-         bound {bound} ({allocs} over {ROUNDS} rounds)"
+        "PerHome: {per_round:.1} allocations/round exceeds bound {bound} \
+         ({allocs} over {ROUNDS} rounds)"
     );
+
+    // The shared-sum fast path validates each update once for the
+    // reduction, so a shard of n_k homes stays O(n_k): one shard over
+    // the fleet (the flat topology) within 4·N, and K shards within
+    // 4·N plus the top-level aggregate-of-aggregates bookkeeping,
+    // O(K) partial buffers per round.
+    for shards in [1, 4] {
+        let mut engine = HierarchicalRound::new(
+            ShardPlan::round_robin(N, shards),
+            LatencyModel::lan(),
+            &FaultConfig::default(),
+        );
+        let (per_round, allocs) = steady_allocations_per_round(|models, r| {
+            let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+            let _ = engine.run(&mut col, &params(r));
+        });
+        let bound = if shards == 1 {
+            (4 * N) as f64
+        } else {
+            (4 * N + 16 * shards) as f64
+        };
+        assert!(
+            per_round <= bound,
+            "Hierarchical({shards} shards): {per_round:.1} allocations/round exceeds \
+             bound {bound} ({allocs} over {ROUNDS} rounds)"
+        );
+    }
 }

@@ -206,18 +206,18 @@ pub struct SimConfig {
     /// [`CheckpointPolicy`]).
     #[serde(default)]
     pub checkpoint: CheckpointPolicy,
-    /// How fault-free DFL rounds reduce peer updates. The default
-    /// `PerHome` replays the historical per-home merges bit-for-bit;
-    /// `SharedSum` switches to the O(N) shared-reduction fast path
+    /// How DFL rounds reduce peer updates. The default `PerHome`
+    /// replays the historical per-home merges bit-for-bit;
+    /// `Hierarchical` partitions the fleet into neighborhood shards and
+    /// merges fault-free rounds through the O(N) shared-sum fast path
     /// (numerically equivalent, but a different float summation order,
-    /// so it carries its own canary); `Hierarchical` partitions the
-    /// fleet into neighborhood shards that SharedSum locally and
-    /// federate aggregate-of-aggregates upward.
+    /// so it carries its own canary). `Hierarchical { shards: 1 }` is
+    /// the flat fast path over one fleet-wide bus.
     #[serde(default)]
     pub aggregation: AggregationMode,
     /// Federation memory budget, bytes, for the largest reduction
     /// domain (the biggest shard under `Hierarchical`, the whole fleet
-    /// under the flat modes). `0` = unlimited. When set, validation
+    /// under `PerHome`). `0` = unlimited. When set, validation
     /// fails early — at config time, with the offending numbers — if
     /// the domain's estimated resident payload exceeds the budget,
     /// instead of OOMing mid-run at fleet scale.
@@ -244,8 +244,8 @@ pub struct SimConfig {
     #[serde(default)]
     pub precision: Precision,
     /// Federation payload codec. The default `Raw` ships full f64
-    /// parameters and is the bitwise-pinned path; `QuantizedI8` and
-    /// `TopK` compress every uplink (LAN broadcast, hierarchical shard
+    /// parameters and is the bitwise-pinned path; `QuantizedI8`
+    /// compresses every uplink (LAN broadcast, hierarchical shard
     /// links, cloud uploads) — deterministic and resumable, but the
     /// merged values change, so the run hash changes with it.
     #[serde(default)]
@@ -410,12 +410,12 @@ impl SimConfig {
         if self.max_shard_bytes > 0 {
             // Largest reduction domain: the biggest shard under
             // Hierarchical (round-robin and archetype chunking are both
-            // balanced, so ceil(n/k)), the whole fleet under flat modes.
+            // balanced, so ceil(n/k)), the whole fleet under PerHome.
             let domain = match self.aggregation {
                 AggregationMode::Hierarchical { shards, .. } => self
                     .n_residences
                     .div_ceil(shards.clamp(1, self.n_residences)),
-                _ => self.n_residences,
+                AggregationMode::PerHome => self.n_residences,
             } as u64;
             let resident = domain * self.estimated_update_bytes();
             assert!(
@@ -429,7 +429,6 @@ impl SimConfig {
                 self.max_shard_bytes
             );
         }
-        self.compression.validate();
         self.fault.validate();
         self.sensor_fault.validate();
         self.health.validate();
@@ -543,9 +542,12 @@ mod tests {
         assert_eq!(base.aggregation, AggregationMode::PerHome);
         // The fast path changes float summation order, so it must be
         // part of the run identity.
-        let mut shared = base.clone();
-        shared.aggregation = AggregationMode::SharedSum;
-        assert_ne!(base.run_hash(), shared.run_hash());
+        let mut flat_fast = base.clone();
+        flat_fast.aggregation = AggregationMode::Hierarchical {
+            shards: 1,
+            assignment: pfdrl_fl::ShardAssignment::RoundRobin,
+        };
+        assert_ne!(base.run_hash(), flat_fast.run_hash());
     }
 
     #[test]
@@ -568,7 +570,7 @@ mod tests {
         };
         assert_ne!(hier.run_hash(), other_shards.run_hash());
 
-        // Flat modes still serialize as plain unit-variant strings, so
+        // PerHome still serializes as a plain unit-variant string, so
         // pre-hierarchical configs keep their exact JSON shape.
         let json = serde_json::to_string(&base).unwrap();
         assert!(json.contains("\"aggregation\":\"PerHome\""));
@@ -608,7 +610,10 @@ mod tests {
     fn shard_budget_guard_rejects_oversized_flat_fleet() {
         let mut cfg = SimConfig::tiny(5);
         cfg.n_residences = 100_000;
-        cfg.aggregation = AggregationMode::SharedSum;
+        cfg.aggregation = AggregationMode::Hierarchical {
+            shards: 1,
+            assignment: pfdrl_fl::ShardAssignment::RoundRobin,
+        };
         cfg.max_shard_bytes = 1024 * 1024; // ~100k homes never fit 1 MiB
         cfg.validate();
     }
@@ -618,7 +623,7 @@ mod tests {
         let base = SimConfig::tiny(5);
         assert_eq!(base.precision, Precision::F64);
         // Reduced-precision inference changes result bits, so it must
-        // be part of the run identity (same rule as `SharedSum`).
+        // be part of the run identity (same rule as `aggregation`).
         let mut fast = base.clone();
         fast.precision = Precision::F32Fast;
         assert_ne!(base.run_hash(), fast.run_hash());
@@ -630,37 +635,27 @@ mod tests {
         assert_eq!(base.compression, PayloadCodec::Raw);
         // Compressed uplinks change the merged parameter bits, so the
         // codec must be part of the run identity (same rule as
-        // `precision` and `SharedSum`).
+        // `precision` and `aggregation`).
         let mut q8 = base.clone();
         q8.compression = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,
         };
         assert_ne!(base.run_hash(), q8.run_hash());
-        let mut topk = base.clone();
-        topk.compression = PayloadCodec::TopK { fraction: 0.1 };
-        assert_ne!(base.run_hash(), topk.run_hash());
-        assert_ne!(q8.run_hash(), topk.run_hash());
+        let mut q8_global = base.clone();
+        q8_global.compression = PayloadCodec::QuantizedI8 {
+            per_layer_scale: false,
+        };
+        assert_ne!(q8.run_hash(), q8_global.run_hash());
     }
 
     #[test]
-    fn compressed_codecs_shrink_the_estimated_update_bytes() {
+    fn compressed_codec_shrinks_the_estimated_update_bytes() {
         let base = SimConfig::tiny(5);
         let mut q8 = base.clone();
         q8.compression = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,
         };
-        let mut topk = base.clone();
-        topk.compression = PayloadCodec::TopK { fraction: 0.1 };
         assert!(q8.estimated_update_bytes() < base.estimated_update_bytes());
-        assert!(topk.estimated_update_bytes() < base.estimated_update_bytes());
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn invalid_topk_fraction_fails_validation() {
-        let mut cfg = SimConfig::tiny(5);
-        cfg.compression = PayloadCodec::TopK { fraction: 0.0 };
-        cfg.validate();
     }
 
     #[test]

@@ -22,8 +22,8 @@ use pfdrl_data::{
 use pfdrl_drl::{DqnAgent, DqnConfig};
 use pfdrl_env::{DeviceEnv, EnergyAccount, EnvConfig};
 use pfdrl_fl::{
-    aggregate, AggregationMode, BroadcastBus, CloudAggregator, DflRound, HierParams,
-    HierarchicalRound, LatencyModel, MergePolicy, RoundParams, ShardAssignment, ShardPlan,
+    aggregate, AggregationMode, BroadcastBus, CloudAggregator, DflRound, HierarchicalRound,
+    LatencyModel, MergePolicy, RoundParams, ShardPlan,
 };
 use pfdrl_forecast::PredictWorkspace;
 use pfdrl_nn::{Layered, Matrix};
@@ -532,13 +532,8 @@ impl EmsState {
             return None;
         };
         let n = cfg.n_residences;
-        let plan = match assignment {
-            ShardAssignment::RoundRobin => ShardPlan::round_robin(n, shards),
-            ShardAssignment::ArchetypeMix => {
-                let keys: Vec<u64> = (0..n as u64).map(|h| Archetype::assign(h) as u64).collect();
-                ShardPlan::by_keys(n, shards, &keys)
-            }
-        };
+        let keys: Vec<u64> = (0..n as u64).map(|h| Archetype::assign(h) as u64).collect();
+        let plan = ShardPlan::build(n, shards, assignment, Some(&keys));
         Some(HierarchicalRound::with_codec(
             plan,
             LatencyModel::lan(),
@@ -759,7 +754,6 @@ impl EmsState {
                     &self.cloud,
                     self.fed_round,
                     &policy,
-                    cfg.aggregation,
                     &mut self.fed_engine,
                     self.hier.as_mut(),
                     participants,
@@ -964,7 +958,6 @@ impl EmsState {
             &self.cloud,
             self.fed_round,
             &policy,
-            cfg.aggregation,
             &mut self.fed_engine,
             self.hier.as_mut(),
             participants,
@@ -1241,7 +1234,6 @@ fn federate(
     cloud: &CloudAggregator,
     round: u64,
     policy: &MergePolicy,
-    mode: AggregationMode,
     engine: &mut DflRound,
     hier: Option<&mut HierarchicalRound>,
     participants: Option<&[bool]>,
@@ -1278,39 +1270,27 @@ fn federate(
         }
         DrlFederation::None => {}
         DrlFederation::LanAlpha(alpha) => {
-            // Under Hierarchical the flat bus is bypassed entirely: the
+            // Under Hierarchical the fleet bus is bypassed entirely: the
             // two-level engine owns per-shard buses and the top-level
-            // combine. Flat modes run the existing single-bus round.
+            // combine. PerHome runs the per-home engine on the fleet bus.
             let mut hier = hier;
             for device in 0..d {
                 let mut col: Vec<&mut DqnAgent> = agents
                     .iter_mut()
                     .map(|home_agents| &mut home_agents[device])
                     .collect();
-                if let Some(h) = hier.as_deref_mut() {
-                    let _ = h.run(
-                        &mut col,
-                        &HierParams {
-                            round,
-                            model_id: device as u64,
-                            alpha: Some(alpha),
-                            policy,
-                            participants,
-                        },
-                    );
-                } else {
-                    let _ = engine.run(
-                        &mut col,
-                        &RoundParams {
-                            bus,
-                            round,
-                            model_id: device as u64,
-                            alpha: Some(alpha),
-                            policy,
-                            mode,
-                            participants,
-                        },
-                    );
+                let p = RoundParams {
+                    round,
+                    model_id: device as u64,
+                    alpha: Some(alpha),
+                    policy,
+                    participants,
+                };
+                match hier.as_deref_mut() {
+                    Some(h) => {
+                        let _ = h.run(&mut col, &p);
+                    }
+                    None => engine.run(&mut col, bus, &p),
                 }
             }
         }

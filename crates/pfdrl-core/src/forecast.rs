@@ -12,9 +12,7 @@ use crate::config::SimConfig;
 use crate::method::EmsMethod;
 use pfdrl_data::dataset::build_windows_transformed;
 use pfdrl_data::{SupervisedSet, TraceGenerator, MINUTES_PER_DAY};
-use pfdrl_fl::{
-    aggregate, BroadcastBus, CloudAggregator, DflRound, HierParams, LatencyModel, RoundParams,
-};
+use pfdrl_fl::{aggregate, BroadcastBus, CloudAggregator, DflRound, LatencyModel, RoundParams};
 use pfdrl_forecast::{Forecaster, TrainConfig};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -388,45 +386,31 @@ fn train_dfl_lan(
                     refit(m.as_mut(), s, &round_cfg);
                 }
             });
-        // One engine round per device bus: pooled exports, broadcasts
-        // in home order (so each bus sees the exact event sequence of
-        // the sequential reference), then per-home merges — or the
-        // O(N) shared reduction when the round is fault-free and
-        // `SharedSum` is selected. Corrupted or stale
-        // updates are rejected inside the validated merge; a layer that
-        // misses the quorum keeps the local parameters this round.
+        // One engine round per device: pooled exports, broadcasts in
+        // home order (so each bus sees the exact event sequence of the
+        // sequential reference), then per-home merges on the device's
+        // bus — or, under Hierarchical, the shard buses and the O(N)
+        // shared sum for every home whose round was fault-free.
+        // Corrupted or stale updates are rejected inside the validated
+        // merge; a layer that misses the quorum keeps the local
+        // parameters this round.
         for device in 0..cfg.devices_per_home() {
             let mut col: Vec<&mut dyn Forecaster> = models
                 .iter_mut()
                 .map(|home_models| home_models[device].as_mut())
                 .collect();
-            if let Some(h) = hier.as_mut() {
-                // Two-level topology: each neighborhood shard runs a
-                // local reduction, then the fleet merges the
-                // population-weighted aggregate of aggregates.
-                let _ = h.run(
-                    &mut col,
-                    &HierParams {
-                        round: round as u64,
-                        model_id: device as u64,
-                        alpha: None,
-                        policy: &policy,
-                        participants: None,
-                    },
-                );
-            } else {
-                let _ = engine.run(
-                    &mut col,
-                    &RoundParams {
-                        bus: &buses[device],
-                        round: round as u64,
-                        model_id: device as u64,
-                        alpha: None,
-                        policy: &policy,
-                        mode: cfg.aggregation,
-                        participants: None,
-                    },
-                );
+            let p = RoundParams {
+                round: round as u64,
+                model_id: device as u64,
+                alpha: None,
+                policy: &policy,
+                participants: None,
+            };
+            match hier.as_mut() {
+                Some(h) => {
+                    let _ = h.run(&mut col, &p);
+                }
+                None => engine.run(&mut col, &buses[device], &p),
             }
         }
     }

@@ -163,15 +163,21 @@ fn resume_is_bit_identical_under_active_fault_plan() {
     exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "chaos");
 }
 
+/// The flat O(N) fast path: one shard covering every home.
+const FLAT_FAST_PATH: pfdrl_fl::AggregationMode = pfdrl_fl::AggregationMode::Hierarchical {
+    shards: 1,
+    assignment: pfdrl_fl::ShardAssignment::RoundRobin,
+};
+
 #[test]
 fn resume_is_bit_identical_under_shared_sum_fast_path() {
-    // The O(N) shared-reduction aggregation must be just as
-    // snapshot-stable as the per-home default: its tree reduction is
-    // deterministic in topology (never thread-count-derived), so a
-    // resumed run replays the exact same float summation order.
+    // The O(N) shared-sum aggregation must be just as snapshot-stable
+    // as the per-home default: its tree reduction is deterministic in
+    // topology (never thread-count-derived), so a resumed run replays
+    // the exact same float summation order.
     let mut cfg = SimConfig::tiny(31);
     cfg.eval_days = 3;
-    cfg.aggregation = pfdrl_fl::AggregationMode::SharedSum;
+    cfg.aggregation = FLAT_FAST_PATH;
     exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "shared-sum");
 }
 
@@ -216,7 +222,7 @@ fn resume_is_bit_identical_under_q8_compression() {
     // snapshot carries both the wire and logical byte counters.
     let mut cfg = SimConfig::tiny(47);
     cfg.eval_days = 3;
-    cfg.aggregation = pfdrl_fl::AggregationMode::SharedSum;
+    cfg.aggregation = FLAT_FAST_PATH;
     cfg.compression = pfdrl_fl::PayloadCodec::QuantizedI8 {
         per_layer_scale: true,
     };
@@ -224,8 +230,8 @@ fn resume_is_bit_identical_under_q8_compression() {
 }
 
 #[test]
-fn resume_is_bit_identical_under_topk_compression_with_chaos_and_shards() {
-    // The hardest combination: sparse top-k payloads, hierarchical
+fn resume_is_bit_identical_under_q8_compression_with_chaos_and_shards() {
+    // The hardest combination: update-global int8 payloads, hierarchical
     // sharding, and a chaos plan with stragglers parked mid-snapshot.
     // Corrupted compressed payloads must demote and replay exactly as
     // raw ones across the resume boundary.
@@ -236,11 +242,13 @@ fn resume_is_bit_identical_under_topk_compression_with_chaos_and_shards() {
         shards: 3,
         assignment: pfdrl_fl::ShardAssignment::RoundRobin,
     };
-    cfg.compression = pfdrl_fl::PayloadCodec::TopK { fraction: 0.25 };
+    cfg.compression = pfdrl_fl::PayloadCodec::QuantizedI8 {
+        per_layer_scale: false,
+    };
     cfg.fault = FaultConfig::chaos(53, 0.5);
     cfg.fault.straggler_rate = 0.8;
     assert!(cfg.fault.is_active());
-    exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "topk-chaos-hier");
+    exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "q8-chaos-hier");
 }
 
 #[test]

@@ -21,25 +21,19 @@ pub enum AggregationMode {
     /// the seed behavior, bit-for-bit.
     #[default]
     PerHome,
-    /// Compute the round's update sum S once per device with a
-    /// fixed-shape tree-reduce, then derive each home's merged model as
-    /// `(local_i + S − update_i) / N` — O(N·params) per round. Falls
-    /// back to [`AggregationMode::PerHome`] for any home whose received
-    /// set differs from the full fault-free broadcast (churn, loss,
-    /// stragglers, corruption, or an unmeetable quorum). Numerically
-    /// equivalent to the per-home path but not bit-identical: the sum
-    /// is re-associated, so this mode carries its own canary.
-    SharedSum,
     /// Two-level federation: homes are partitioned into `shards`
-    /// neighborhood shards (see [`ShardAssignment`]), each shard runs
-    /// the [`AggregationMode::SharedSum`] reduction locally over its
-    /// own broadcast bus, and a fixed-shape top-level tree combines the
-    /// per-shard partial sums into the fleet-global S (sum-of-sums, so
-    /// shards are weighted by population by construction). Message
-    /// complexity drops from O(N²) deliveries per round to O(Σ nₖ²).
-    /// A single shard covering all homes is bitwise identical to flat
-    /// [`AggregationMode::SharedSum`]; per-home fallbacks under faults
-    /// merge shard-locally (neighborhood averaging).
+    /// neighborhood shards (see [`ShardAssignment`]), each exchanging
+    /// over its own broadcast bus, and a fixed-shape top-level tree
+    /// combines the per-shard partial sums into the fleet-global update
+    /// sum S (sum-of-sums, so shards are weighted by population by
+    /// construction). Each home then merges `(local_i + S − update_i) /
+    /// N` — O(N·params) per round — and message complexity drops from
+    /// O(N²) deliveries per round to O(Σ nₖ²). A home whose shard round
+    /// was disturbed (churn, loss, stragglers, corruption, or an
+    /// unmeetable quorum) falls back to the per-home merge of what its
+    /// neighborhood delivered. `shards: 1` is the flat O(N) fast path:
+    /// numerically equivalent to `PerHome` but not bit-identical (the
+    /// sum is re-associated), so it carries its own canary.
     Hierarchical {
         /// Number of neighborhood shards (clamped to the fleet size;
         /// must be ≥ 1).

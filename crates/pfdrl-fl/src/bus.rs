@@ -11,8 +11,8 @@
 //! Updates travel as `Arc<ModelUpdate>` end-to-end: a broadcast to N−1
 //! peers shares one payload instead of cloning it, and
 //! [`BroadcastBus::broadcast_arc`] lets callers keep a handle to the
-//! exact payload they sent (the shared-reduction fast path uses pointer
-//! identity to prove a mailbox saw the full fault-free round).
+//! exact payload they sent (the hierarchical shared-sum fast path uses
+//! pointer identity to prove a mailbox saw the full fault-free round).
 //! Statistics live in relaxed atomics, so concurrent broadcasters never
 //! serialize on a stats lock; totals are exact because every counter
 //! update is a commutative add.
@@ -244,14 +244,13 @@ impl BroadcastBus {
     /// every byte counter bit-identical to [`BroadcastBus::new`].
     ///
     /// # Panics
-    /// Panics if `n == 0` or the fault/codec config is invalid.
+    /// Panics if `n == 0` or the fault config is invalid.
     pub fn with_codec(
         n: usize,
         latency: LatencyModel,
         faults: &FaultConfig,
         codec: PayloadCodec,
     ) -> Self {
-        codec.validate();
         let injector = faults
             .is_active()
             .then(|| FaultInjector::new(faults.plan(), n));

@@ -162,9 +162,8 @@ impl CloudAggregator {
     /// `logical_upload_bytes` keeps the raw-f64 size.
     ///
     /// # Panics
-    /// Panics if the fault config or codec is invalid.
+    /// Panics if the fault config is invalid.
     pub fn with_codec(latency: LatencyModel, faults: &FaultConfig, codec: PayloadCodec) -> Self {
-        codec.validate();
         Self::build(latency, faults.is_active().then(|| faults.plan()), codec)
     }
 

@@ -47,25 +47,21 @@ pub const CODEC_VERSION: u16 = 1;
 /// Wire version of the symmetric-int8 quantized layer encoding
 /// (`index:u64 | len:u64 | scale:f64 | len × i8`).
 pub const CODEC_VERSION_Q8: u16 = 2;
-/// Wire version of the top-k sparse layer encoding (`index:u64 |
-/// len:u64 | fill:f64 | k:u32 | k × u32 ascending indices | k × f64`).
-pub const CODEC_VERSION_TOPK: u16 = 3;
-/// Highest wire version this build decodes.
-pub const CODEC_VERSION_MAX: u16 = CODEC_VERSION_TOPK;
+/// Highest wire version this build decodes. (Version 3, a top-k
+/// sparse layer encoding, was retired; it decodes as unsupported.)
+pub const CODEC_VERSION_MAX: u16 = CODEC_VERSION_Q8;
 
-/// Densified length cap for sparse (v3) layers. A hostile `len` field
-/// in a sparse layer costs only bytes-on-the-wire for the *indices*,
-/// so without a cap a 28-byte payload could demand a multi-GiB dense
-/// allocation. Real PFDRL layers are a few thousand parameters; 2^20
-/// leaves three orders of magnitude of headroom.
-pub const MAX_SPARSE_LAYER_LEN: usize = 1 << 20;
+/// Largest int8 scale: `128 × Q8_MAX_SCALE` is exactly `f64::MAX`, so
+/// every quant, −128 included, dequantizes to a finite value. Only a
+/// layer whose largest |x| exceeds 127/128 of `f64::MAX` is capped.
+const Q8_MAX_SCALE: f64 = f64::MAX / 128.0;
 
 /// Lossy uplink compression applied to federation payloads.
 ///
 /// The codec is a run-identity knob (`SimConfig::compression`, hashed
-/// into `run_hash`): every mode is deterministic, but the non-`Raw`
-/// modes change the parameter bits peers receive, so they carry their
-/// own canaries. `Raw` is the retained bitwise oracle — wire bytes and
+/// into `run_hash`): both modes are deterministic, but `QuantizedI8`
+/// changes the parameter bits peers receive, so it carries its own
+/// canary. `Raw` is the retained bitwise oracle — wire bytes and
 /// merged models are identical to every build before compression
 /// existed.
 ///
@@ -81,19 +77,13 @@ pub enum PayloadCodec {
     Raw,
     /// Symmetric int8: `q = round_ties_even(x / scale)` clamped to
     /// ±127 with an f64 `scale = max|x| / 127` per layer (or one
-    /// update-global scale when `per_layer_scale` is false). Non-finite
-    /// parameters quantize to 0, so decoded payloads are always finite.
+    /// update-global scale when `per_layer_scale` is false), capped at
+    /// `f64::MAX / 128`. Non-finite parameters quantize to 0, so decoded
+    /// payloads are always finite.
     QuantizedI8 {
         /// One scale per layer (better accuracy) vs one per update
         /// (one fewer f64 per extra layer).
         per_layer_scale: bool,
-    },
-    /// Keep only the `ceil(fraction * len)` coordinates farthest from
-    /// the layer mean (ties broken by lower index); dropped coordinates
-    /// decode to the mean (`fill`), kept values travel bit-exactly.
-    TopK {
-        /// Fraction of coordinates kept, in `(0, 1]`.
-        fraction: f64,
     },
 }
 
@@ -108,7 +98,6 @@ impl PayloadCodec {
         match self {
             PayloadCodec::Raw => "raw",
             PayloadCodec::QuantizedI8 { .. } => "q8",
-            PayloadCodec::TopK { .. } => "topk",
         }
     }
 
@@ -117,38 +106,16 @@ impl PayloadCodec {
         match self {
             PayloadCodec::Raw => CODEC_VERSION,
             PayloadCodec::QuantizedI8 { .. } => CODEC_VERSION_Q8,
-            PayloadCodec::TopK { .. } => CODEC_VERSION_TOPK,
-        }
-    }
-
-    /// Validates knob sanity.
-    ///
-    /// # Panics
-    /// Panics with a descriptive message on an invalid codec.
-    pub fn validate(&self) {
-        if let PayloadCodec::TopK { fraction } = self {
-            assert!(
-                fraction.is_finite() && *fraction > 0.0 && *fraction <= 1.0,
-                "TopK fraction must be in (0, 1], got {fraction}"
-            );
         }
     }
 
     /// Whether every decoded parameter is guaranteed finite regardless
     /// of input. True for [`PayloadCodec::QuantizedI8`] (non-finite
-    /// inputs quantize to 0), letting the round engine skip its
-    /// O(N·params) payload finiteness scan.
+    /// inputs quantize to 0 and the capped scale keeps every quant
+    /// finite), letting the fast path skip its O(N·params) payload
+    /// finiteness scan.
     pub fn guarantees_finite(&self) -> bool {
         matches!(self, PayloadCodec::QuantizedI8 { .. })
-    }
-
-    /// Coordinates kept for a sparse layer of `len` parameters.
-    pub fn sparse_kept(fraction: f64, len: usize) -> usize {
-        if len == 0 {
-            0
-        } else {
-            ((fraction * len as f64).ceil() as usize).clamp(1, len)
-        }
     }
 
     /// Accounting bytes of one encoded layer of `len` parameters
@@ -157,9 +124,6 @@ impl PayloadCodec {
         match self {
             PayloadCodec::Raw => LAYER_HEADER_BYTES + 8 * len,
             PayloadCodec::QuantizedI8 { .. } => LAYER_HEADER_BYTES + 8 + len,
-            PayloadCodec::TopK { fraction } => {
-                LAYER_HEADER_BYTES + 8 + 4 + 12 * Self::sparse_kept(*fraction, len)
-            }
         }
     }
 
@@ -201,32 +165,16 @@ impl PayloadCodec {
                     }
                 }
             }
-            PayloadCodec::TopK { fraction } => {
-                for layer in update.layers.iter_mut() {
-                    let k = Self::sparse_kept(*fraction, layer.params.len());
-                    if k == layer.params.len() {
-                        continue;
-                    }
-                    let fill = topk_fill(&layer.params);
-                    let kept = topk_select(&layer.params, k, fill);
-                    let mut next = kept.iter().copied().peekable();
-                    for (i, p) in layer.params.iter_mut().enumerate() {
-                        if next.peek() == Some(&(i as u32)) {
-                            next.next();
-                        } else {
-                            *p = fill;
-                        }
-                    }
-                }
-            }
         }
     }
 }
 
-/// Per-layer (or replicated update-global) int8 scales. Non-finite
-/// parameters are excluded from the max, so a single NaN cannot zero
-/// out (scale = NaN → everything quantizes to 0) an otherwise healthy
-/// layer... it simply quantizes to 0 itself.
+/// Per-layer (or replicated update-global) int8 scales, capped at
+/// [`Q8_MAX_SCALE`] (`f64::MAX / 127` rounds up, so an uncapped
+/// `127 × scale` would overflow to infinity). Non-finite parameters are
+/// excluded from the max, so a single NaN cannot zero out (scale = NaN
+/// → everything quantizes to 0) an otherwise healthy layer... it simply
+/// quantizes to 0 itself.
 fn q8_scales(update: &ModelUpdate, per_layer: bool) -> Vec<f64> {
     let max_abs = |params: &[f64]| {
         params
@@ -239,7 +187,7 @@ fn q8_scales(update: &ModelUpdate, per_layer: bool) -> Vec<f64> {
         update
             .layers
             .iter()
-            .map(|l| max_abs(&l.params) / 127.0)
+            .map(|l| (max_abs(&l.params) / 127.0).min(Q8_MAX_SCALE))
             .collect()
     } else {
         let global = update
@@ -248,7 +196,7 @@ fn q8_scales(update: &ModelUpdate, per_layer: bool) -> Vec<f64> {
             .map(|l| max_abs(&l.params))
             .fold(0.0f64, f64::max)
             / 127.0;
-        vec![global; update.layers.len()]
+        vec![global.min(Q8_MAX_SCALE); update.layers.len()]
     }
 }
 
@@ -260,45 +208,6 @@ fn q8_quantize(x: f64, scale: f64) -> i8 {
         return 0;
     }
     (x / scale).round_ties_even().clamp(-127.0, 127.0) as i8
-}
-
-/// Sparse fill value: the sequential mean of the finite parameters
-/// (0.0 when none are finite). Sequential summation keeps the value
-/// independent of thread count.
-fn topk_fill(params: &[f64]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u64;
-    for &p in params {
-        if p.is_finite() {
-            sum += p;
-            n += 1;
-        }
-    }
-    if n == 0 {
-        0.0
-    } else {
-        sum / n as f64
-    }
-}
-
-/// Ascending indices of the `k` coordinates farthest from `fill`.
-/// Non-finite coordinates rank first (they must stay visible to the
-/// receiver's divergence checks); ties break toward the lower index,
-/// so selection is a total order and fully deterministic.
-fn topk_select(params: &[f64], k: usize, fill: f64) -> Vec<u32> {
-    let key = |i: u32| {
-        let p = params[i as usize];
-        if p.is_finite() {
-            (p - fill).abs()
-        } else {
-            f64::INFINITY
-        }
-    };
-    let mut idx: Vec<u32> = (0..params.len() as u32).collect();
-    idx.sort_unstable_by(|&a, &b| key(b).total_cmp(&key(a)).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx.sort_unstable();
-    idx
 }
 
 /// Typed decode failure for the binary wire format.
@@ -370,8 +279,8 @@ impl ModelUpdate {
         out
     }
 
-    /// Serializes under the given codec: version 1 (`Raw`), 2
-    /// (`QuantizedI8`) or 3 (`TopK`). The encoded length is always
+    /// Serializes under the given codec: version 1 (`Raw`) or 2
+    /// (`QuantizedI8`). The encoded length is always
     /// `codec.wire_update_bytes(self) - 2` (the accounting header
     /// charges 32 B where the physical header is 30), and decoding the
     /// result reproduces `codec.transform(self)` bit-for-bit.
@@ -403,37 +312,21 @@ impl ModelUpdate {
                     }
                 }
             }
-            PayloadCodec::TopK { fraction } => {
-                for layer in &self.layers {
-                    let k = PayloadCodec::sparse_kept(fraction, layer.params.len());
-                    let fill = topk_fill(&layer.params);
-                    let kept = topk_select(&layer.params, k, fill);
-                    out.extend_from_slice(&(layer.index as u64).to_le_bytes());
-                    out.extend_from_slice(&(layer.params.len() as u64).to_le_bytes());
-                    out.extend_from_slice(&fill.to_le_bytes());
-                    out.extend_from_slice(&(k as u32).to_le_bytes());
-                    for &i in &kept {
-                        out.extend_from_slice(&i.to_le_bytes());
-                    }
-                    for &i in &kept {
-                        out.extend_from_slice(&layer.params[i as usize].to_le_bytes());
-                    }
-                }
-            }
         }
         out
     }
 
     /// Decodes a payload produced by [`ModelUpdate::encode`] or
     /// [`ModelUpdate::encode_with`]. Quantized (v2) layers are
-    /// dequantized and sparse (v3) layers densified, so the result is
-    /// always a dense f64 update ready for [`crate::merge_updates`].
+    /// dequantized, so the result is always a dense f64 update ready for
+    /// [`crate::merge_updates`].
     ///
     /// # Errors
     /// [`CodecError::UnsupportedVersion`] on a version this build does
     /// not know, [`CodecError::Truncated`]/[`CodecError::Malformed`] on
-    /// damaged payloads — never a panic, and allocations stay bounded
-    /// by the payload (plus [`MAX_SPARSE_LAYER_LEN`] per sparse layer).
+    /// damaged payloads (a quantization scale that is negative,
+    /// non-finite or above the encoder's cap included) — never a panic,
+    /// and allocations stay bounded by the payload.
     pub fn decode(bytes: &[u8]) -> Result<ModelUpdate, CodecError> {
         let mut r = ByteReader::new(bytes);
         let version = r.u16()?;
@@ -452,45 +345,16 @@ impl ModelUpdate {
             let index = r.u64()? as usize;
             let len = r.u64()?;
             let len = usize::try_from(len).map_err(|_| CodecError::Malformed("layer length"))?;
-            let params = match version {
-                CODEC_VERSION => r.f64s(len)?,
-                CODEC_VERSION_Q8 => {
-                    let scale = r.f64()?;
-                    if !scale.is_finite() || scale < 0.0 {
-                        return Err(CodecError::Malformed("quantization scale"));
-                    }
-                    let quants = r.bytes(len)?;
-                    quants.iter().map(|&q| (q as i8) as f64 * scale).collect()
+            let params = if version == CODEC_VERSION {
+                r.f64s(len)?
+            } else {
+                let scale = r.f64()?;
+                // NaN fails the range check too.
+                if !(0.0..=Q8_MAX_SCALE).contains(&scale) {
+                    return Err(CodecError::Malformed("quantization scale"));
                 }
-                _ => {
-                    if len > MAX_SPARSE_LAYER_LEN {
-                        return Err(CodecError::Malformed("sparse layer length"));
-                    }
-                    let fill = r.f64()?;
-                    let k = r.u32()? as usize;
-                    let valid_k = if len == 0 {
-                        k == 0
-                    } else {
-                        (1..=len).contains(&k)
-                    };
-                    if !valid_k {
-                        return Err(CodecError::Malformed("sparse kept count"));
-                    }
-                    let indices = r.u32s(k)?;
-                    let ascending_in_range = indices
-                        .iter()
-                        .enumerate()
-                        .all(|(j, &i)| (i as usize) < len && (j == 0 || indices[j - 1] < i));
-                    if !ascending_in_range {
-                        return Err(CodecError::Malformed("sparse indices"));
-                    }
-                    let values = r.f64s(k)?;
-                    let mut params = vec![fill; len];
-                    for (&i, &v) in indices.iter().zip(&values) {
-                        params[i as usize] = v;
-                    }
-                    params
-                }
+                let quants = r.bytes(len)?;
+                quants.iter().map(|&q| (q as i8) as f64 * scale).collect()
             };
             layers.push(LayerUpdate { index, params });
         }
@@ -551,20 +415,6 @@ impl<'a> ByteReader<'a> {
 
     fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         self.take(n)
-    }
-
-    fn u32s(&mut self, n: usize) -> Result<Vec<u32>, CodecError> {
-        if self.remaining() / 4 < n {
-            return Err(CodecError::Truncated {
-                needed: n.saturating_mul(4),
-                have: self.remaining(),
-            });
-        }
-        let raw = self.take(n * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
     }
 
     fn f64s(&mut self, n: usize) -> Result<Vec<f64>, CodecError> {
@@ -767,18 +617,11 @@ mod tests {
             .label(),
             "q8"
         );
-        assert_eq!(PayloadCodec::TopK { fraction: 0.1 }.label(), "topk");
         assert!(PayloadCodec::QuantizedI8 {
             per_layer_scale: true
         }
         .guarantees_finite());
         assert!(!PayloadCodec::Raw.guarantees_finite());
-    }
-
-    #[test]
-    #[should_panic(expected = "fraction")]
-    fn topk_zero_fraction_rejected() {
-        PayloadCodec::TopK { fraction: 0.0 }.validate();
     }
 
     #[test]
@@ -793,14 +636,9 @@ mod tests {
             per_layer_scale: true,
         }
         .wire_update_bytes(&u);
-        let topk = PayloadCodec::TopK { fraction: 0.1 }.wire_update_bytes(&u);
         assert!(
             raw as f64 / q8 as f64 >= 6.0,
             "q8 ratio {raw}/{q8} below 6x"
-        );
-        assert!(
-            raw as f64 / topk as f64 >= 6.0,
-            "topk ratio {raw}/{topk} below 6x"
         );
         // payload_layer_bytes stays exactly 8*len under Raw, so every
         // pre-compression pinned byte counter is untouched.
@@ -818,8 +656,6 @@ mod tests {
             PayloadCodec::QuantizedI8 {
                 per_layer_scale: false,
             },
-            PayloadCodec::TopK { fraction: 0.4 },
-            PayloadCodec::TopK { fraction: 1.0 },
         ] {
             let encoded = u.encode_with(codec);
             // Accounting charges HEADER_BYTES = 32 where the physical
@@ -848,7 +684,6 @@ mod tests {
             PayloadCodec::QuantizedI8 {
                 per_layer_scale: false,
             },
-            PayloadCodec::TopK { fraction: 0.34 },
         ] {
             let decoded = ModelUpdate::decode(&u.encode_with(codec)).expect("decode");
             let mut transformed = u.clone();
@@ -887,26 +722,67 @@ mod tests {
     }
 
     #[test]
-    fn topk_keeps_extreme_coordinates_bit_exactly_and_fills_the_rest() {
-        // Mean is 1.0; the two farthest coordinates are 100.0 and -50.0.
-        let mut u = valued_update(&[vec![1.0, 100.0, 1.0, -50.0, 1.0, 1.0, 1.0, -45.0]]);
-        let codec = PayloadCodec::TopK { fraction: 0.25 };
-        codec.transform(&mut u);
-        let fill = topk_fill(&[1.0, 100.0, 1.0, -50.0, 1.0, 1.0, 1.0, -45.0]);
-        assert_eq!(u.layers[0].params[1].to_bits(), 100.0f64.to_bits());
-        assert_eq!(u.layers[0].params[3].to_bits(), (-50.0f64).to_bits());
-        for i in [0, 2, 4, 5, 6, 7] {
-            assert_eq!(u.layers[0].params[i].to_bits(), fill.to_bits(), "index {i}");
+    fn q8_stays_finite_at_the_f64_extremes() {
+        // `f64::MAX / 127` rounds up: without the scale cap, `127 × scale`
+        // dequantizes the extremes to ±inf.
+        for per_layer_scale in [true, false] {
+            let codec = PayloadCodec::QuantizedI8 { per_layer_scale };
+            let mut u = valued_update(&[vec![f64::MAX, 1.0, -f64::MAX]]);
+            let decoded = ModelUpdate::decode(&u.encode_with(codec)).expect("decode");
+            codec.transform(&mut u);
+            assert_eq!(bits(&decoded), bits(&u), "{codec:?}");
+            assert!(
+                u.layers[0].params.iter().all(|p| p.is_finite()),
+                "{codec:?} gave {:?}",
+                u.layers[0].params
+            );
         }
     }
 
     #[test]
-    fn topk_ties_break_toward_the_lower_index() {
-        // All coordinates equidistant from the mean: keep the lowest
-        // indices, deterministically.
-        let params = vec![2.0, 0.0, 2.0, 0.0, 2.0, 0.0];
-        let fill = topk_fill(&params);
-        assert_eq!(topk_select(&params, 3, fill), vec![0, 1, 2]);
+    fn q8_decode_rejects_a_scale_above_the_cap() {
+        // A hand-built v2 layer with quants [-128, 127].
+        let layer = |scale: f64| {
+            let mut bytes = CODEC_VERSION_Q8.to_le_bytes().to_vec();
+            bytes.extend_from_slice(&[0; 24]); // sender, round, model id
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.extend_from_slice(&0u64.to_le_bytes());
+            bytes.extend_from_slice(&2u64.to_le_bytes());
+            bytes.extend_from_slice(&scale.to_le_bytes());
+            bytes.extend_from_slice(&[0x80, 0x7f]);
+            ModelUpdate::decode(&bytes)
+        };
+        assert_eq!(
+            layer(1e307),
+            Err(CodecError::Malformed("quantization scale"))
+        );
+        // At the cap, even -128 decodes to a finite value.
+        let at_cap = layer(f64::MAX / 128.0).expect("the cap itself decodes");
+        assert_eq!(
+            at_cap.layers[0].params,
+            vec![-f64::MAX, 127.0 * (f64::MAX / 128.0)]
+        );
+    }
+
+    #[test]
+    fn retired_sparse_v3_payloads_are_an_unsupported_version() {
+        // v3 was the top-k layout: `index | len | fill | k | indices | values`.
+        let mut bytes = 3u16.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0; 24]);
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&0.5f64.to_le_bytes());
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&2u32.to_le_bytes());
+        bytes.extend_from_slice(&9.0f64.to_le_bytes());
+        assert_eq!(
+            ModelUpdate::decode(&bytes),
+            Err(CodecError::UnsupportedVersion {
+                found: 3,
+                supported: 2
+            })
+        );
     }
 
     #[test]
@@ -923,46 +799,6 @@ mod tests {
             ModelUpdate::decode(&q8),
             Err(CodecError::Malformed("quantization scale"))
         );
-
-        // v3 with out-of-order indices.
-        let topk = u.encode_with(PayloadCodec::TopK { fraction: 0.5 });
-        let idx_off = 30 + 16 + 8 + 4;
-        let mut swapped = topk.clone();
-        let (a, b) = (idx_off, idx_off + 4);
-        for i in 0..4 {
-            swapped.swap(a + i, b + i);
-        }
-        assert_eq!(
-            ModelUpdate::decode(&swapped),
-            Err(CodecError::Malformed("sparse indices"))
-        );
-
-        // v3 with an index past the layer length.
-        let mut oob = topk.clone();
-        oob[idx_off..idx_off + 4].copy_from_slice(&7u32.to_le_bytes());
-        assert_eq!(
-            ModelUpdate::decode(&oob),
-            Err(CodecError::Malformed("sparse indices"))
-        );
-
-        // v3 with k > len.
-        let mut big_k = topk.clone();
-        let k_off = 30 + 16 + 8;
-        big_k[k_off..k_off + 4].copy_from_slice(&100u32.to_le_bytes());
-        assert_eq!(
-            ModelUpdate::decode(&big_k),
-            Err(CodecError::Malformed("sparse kept count"))
-        );
-
-        // v3 with a dense length demanding a giant allocation.
-        let mut bomb = topk;
-        let len_off = 30 + 8;
-        bomb[len_off..len_off + 8]
-            .copy_from_slice(&((MAX_SPARSE_LAYER_LEN as u64 + 1).to_le_bytes()));
-        assert_eq!(
-            ModelUpdate::decode(&bomb),
-            Err(CodecError::Malformed("sparse layer length"))
-        );
     }
 
     #[test]
@@ -970,9 +806,11 @@ mod tests {
         let u = valued_update(&[vec![1.0, -2.0, 3.0, -4.0, 5.5], vec![0.25, -0.25]]);
         for codec in [
             PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            },
+            PayloadCodec::QuantizedI8 {
                 per_layer_scale: false,
             },
-            PayloadCodec::TopK { fraction: 0.5 },
         ] {
             let bytes = u.encode_with(codec);
             for cut in 0..bytes.len() {

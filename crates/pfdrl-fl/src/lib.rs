@@ -6,9 +6,10 @@
 //!   residences (lock-light `Arc`-shared mailboxes with byte and
 //!   simulated-latency accounting);
 //! * [`DflRound`] — the federation round engine: pooled zero-copy
-//!   update exchange, per-home merges (parallel on large columns)
-//!   bit-identical to the sequential reference, and the O(N) [`AggregationMode`]
-//!   shared-reduction fast path;
+//!   update exchange and per-home merges (parallel on large columns)
+//!   bit-identical to the sequential reference;
+//! * [`HierarchicalRound`] — neighborhood shards over that engine and
+//!   the O(N) shared-sum fast path (one shard is the flat topology);
 //! * [`CloudAggregator`] — the centralized parameter server used by the
 //!   Cloud/FL baselines;
 //! * [`aggregate`] — FedAvg (Algorithm 1's `W ← Σ W_n / N`), hardened
@@ -78,14 +79,14 @@ pub use bus::{BroadcastBus, BusState, BusStats, LatencyModel};
 pub use cloud::{CloudAggregator, CloudState, CloudStats};
 pub use codec::{
     CodecError, LayerUpdate, ModelUpdate, PayloadCodec, CODEC_VERSION, CODEC_VERSION_MAX,
-    CODEC_VERSION_Q8, CODEC_VERSION_TOPK, MAX_SPARSE_LAYER_LEN,
+    CODEC_VERSION_Q8,
 };
 pub use fault::{CorruptKind, Delivery, DropReason, FaultConfig, FaultInjector, FaultPlan};
 pub use personalization::LayerSplit;
-pub use round::{dfl_round_reference, DflRound, RoundOutcome, RoundParams, UpdatePool};
+pub use round::{dfl_round_reference, DflRound, RoundParams, UpdatePool};
 pub use scheduler::{MinuteSchedule, PeriodicSchedule};
 pub use shard::{
-    HierParams, HierShardState, HierState, HierarchicalRound, ShardAssignment, ShardCounters,
+    HierShardState, HierState, HierarchicalRound, RoundOutcome, ShardAssignment, ShardCounters,
     ShardPlan,
 };
 pub use topology::Topology;

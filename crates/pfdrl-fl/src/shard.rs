@@ -1,10 +1,26 @@
-//! Hierarchical (two-level) federation: neighborhood shards that run
-//! the SharedSum O(N) reduction locally, and a fixed-shape top-level
-//! tree that combines the per-shard partial sums into the fleet-global
-//! S. The flat path is the oracle: a [`ShardPlan`] with one shard
-//! covering all homes reproduces flat [`AggregationMode::SharedSum`]
-//! bit for bit (same bus size, same member order, same fault plan,
-//! same reduction shape).
+//! Hierarchical (two-level) federation and the O(N) shared-sum fast
+//! path. Homes are partitioned into neighborhood shards; each shard
+//! runs a [`DflRound`] exchange on its own bus, and a fixed-shape
+//! top-level tree combines the per-shard partial sums into the
+//! fleet-global S. One shard covering every home is the flat topology
+//! (`Hierarchical { shards: 1 }`): its oracle is
+//! [`dfl_round_reference`](crate::dfl_round_reference), whose traffic
+//! it reproduces message for message and whose merged values it
+//! matches within float-reassociation tolerance.
+//!
+//! **The shared sum.** A FedAvg home merges the mean of its local model
+//! and the N−1 updates it received. In a complete, fault-free round
+//! that mean is `(local_i + (S − u_i)) / N` with `S = Σ_j u_j`: one sum
+//! per round instead of one per home, O(N·params) instead of
+//! O(N²·params). A home is eligible only when its shard mailbox
+//! provably saw the complete round: exactly `n_k − 1` updates, each
+//! pointer-identical to this round's broadcast payloads, in sender
+//! order. Any deviation (loss, churn, straggling, corruption —
+//! stragglers surface old Arcs, corruption re-wraps new ones) falls that
+//! home back to the exact per-home merge of what its neighborhood
+//! delivered. An invalid broadcast payload anywhere, a withheld upload
+//! or a quorum no complete round can meet demotes the whole fleet to the
+//! fallback.
 //!
 //! Determinism rules for the two-level reduction tree:
 //!
@@ -14,26 +30,24 @@
 //!    partition are therefore *equal*, and every downstream float sum
 //!    sees the same operand order.
 //! 2. Within a shard, broadcast order is member order and the partial
-//!    sum S_k uses the same fixed-midpoint tree (leaf = 16) as the
-//!    flat path.
+//!    sum S_k uses a fixed-midpoint tree over `TREE_LEAF`-update leaves
+//!    whose shape depends only on the shard size.
 //! 3. The top level combines `[S_0 … S_{K−1}]` in shard-index order
 //!    with a fixed-midpoint binary tree — never a worker-count-derived
 //!    shape — so results are byte-identical run to run on any machine.
 //!
 //! S is a plain sum of sums, so shards are weighted by their population
-//! by construction (S_k = n_k · mean_k). An eligible home merges
-//! `(local + (S − u_i)) / N` with the fleet-global N; a home whose
-//! shard round was disturbed falls back to the exact per-home merge of
-//! what its neighborhood delivered.
+//! by construction (S_k = n_k · mean_k), and an eligible home merges
+//! `(local + (S − u_i)) / N` with the fleet-global N.
 
-use crate::aggregate::{AggregationMode, MergePolicy};
 use crate::bus::{BroadcastBus, BusState, BusStats, LatencyModel};
-use crate::codec::PayloadCodec;
+use crate::codec::{ModelUpdate, PayloadCodec};
 use crate::fault::FaultConfig;
-use crate::round::{tree_sum, DflRound, RoundOutcome, RoundParams};
+use crate::round::{merge_received, DflRound, RoundParams, MERGE_MIN_HOMES};
 use pfdrl_nn::Layered;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// How homes are assigned to neighborhood shards. Both modes are pure
 /// functions of (fleet size, shard count, per-home keys) — no RNG — so
@@ -230,39 +244,109 @@ pub struct HierState {
     pub shards: Vec<HierShardState>,
 }
 
-/// Inputs of one hierarchical federation round (the bus lives inside
-/// the engine — one per shard — unlike [`RoundParams`]).
-pub struct HierParams<'a> {
-    /// Federation round clock (staleness reference).
-    pub round: u64,
-    /// Model id stamped on broadcasts and used to key the drains.
-    pub model_id: u64,
-    /// `Some(alpha)`: exchange only the first `alpha` base layers.
-    pub alpha: Option<usize>,
-    /// Merge policy (quorum, staleness decay/bound).
-    pub policy: &'a MergePolicy,
-    /// Per-home upload participation mask (`None` = everyone). Any
-    /// withheld home disables the global fast path for the round, as
-    /// on the flat path.
-    pub participants: Option<&'a [bool]>,
+/// What one hierarchical round did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RoundOutcome {
+    /// Homes merged via the O(N) shared sum.
+    pub fast_path_homes: usize,
+    /// Homes merged via the per-home fallback.
+    pub fallback_homes: usize,
+}
+
+/// Number of updates summed per tree-reduce leaf. Fixed (never derived
+/// from thread count) so the reduction shape — and therefore the exact
+/// float rounding — is identical run to run on any machine.
+const TREE_LEAF: usize = 16;
+
+/// Fixed-midpoint tree sum of layers `0..layers` across `updates`: the
+/// shape depends only on the update count.
+fn tree_sum(updates: &[Arc<ModelUpdate>], layers: usize) -> Vec<Vec<f64>> {
+    if updates.len() <= TREE_LEAF {
+        let mut acc: Vec<Vec<f64>> = (0..layers)
+            .map(|l| updates[0].layers[l].params.clone())
+            .collect();
+        for u in &updates[1..] {
+            for (a, lu) in acc.iter_mut().zip(u.layers.iter()) {
+                for (x, p) in a.iter_mut().zip(lu.params.iter()) {
+                    *x += p;
+                }
+            }
+        }
+        acc
+    } else {
+        let mid = updates.len() / 2;
+        let mut left = tree_sum(&updates[..mid], layers);
+        let right = tree_sum(&updates[mid..], layers);
+        for (a, b) in left.iter_mut().zip(right.iter()) {
+            for (x, y) in a.iter_mut().zip(b.iter()) {
+                *x += y;
+            }
+        }
+        left
+    }
+}
+
+/// One neighborhood: its bus, its column engine, its counters, and
+/// this round's fast-path bookkeeping.
+struct Shard {
+    bus: BroadcastBus,
+    engine: DflRound,
+    counters: ShardCounters,
+    /// Shard-local participation mask (scratch).
+    mask: Vec<bool>,
+    /// Per-home fast-path eligibility for the current round.
+    eligible: Vec<bool>,
+    /// Per-home merge scratch for the fast path.
+    scratch: Vec<Vec<f64>>,
+}
+
+impl Shard {
+    /// Marks each home eligible whose mailbox saw exactly this round's
+    /// payloads in sender order. Returns false, marking nobody, when a
+    /// broadcast payload is malformed: shaped unlike the others or —
+    /// unless the codec guarantees finite values — non-finite.
+    fn mark_eligible(&mut self, codec: PayloadCodec) -> bool {
+        let (sent, received) = (self.engine.sent(), self.engine.received());
+        // Codecs that map every parameter to a finite value (int8
+        // quantization) make the O(N·params) finiteness scan
+        // redundant — shape validation suffices.
+        let check_finite = !codec.guarantees_finite();
+        let payloads_ok = sent.iter().all(|u| {
+            u.layers.len() == sent[0].layers.len()
+                && u.layers.iter().zip(sent[0].layers.iter()).all(|(a, b)| {
+                    a.params.len() == b.params.len()
+                        && (!check_finite || a.params.iter().all(|x| x.is_finite()))
+                })
+        });
+        if payloads_ok {
+            // A one-home shard is trivially complete — its mailbox
+            // correctly saw zero peers — so a singleton shard still
+            // joins the global sum.
+            let n = received.len();
+            for (home, ok) in self.eligible.iter_mut().enumerate() {
+                let r = &received[home];
+                *ok = r.len() == n - 1
+                    && r.iter()
+                        .zip((0..n).filter(|&j| j != home))
+                        .all(|(u, j)| Arc::ptr_eq(u, &sent[j]));
+            }
+        }
+        payloads_ok
+    }
 }
 
 /// The two-level round engine: one [`DflRound`] + [`BroadcastBus`] per
-/// shard, plus the top-level combine. Reusable
-/// across rounds and model columns (drains are keyed by model id).
+/// shard, plus the top-level combine. Reusable across rounds and model
+/// columns (drains are keyed by model id).
 pub struct HierarchicalRound {
     plan: ShardPlan,
-    buses: Vec<BroadcastBus>,
-    engines: Vec<DflRound>,
-    counters: Vec<ShardCounters>,
+    shards: Vec<Shard>,
     /// Synthetic aggregator-link traffic: each fast round ships S_k up
     /// and the combined S back down to every shard aggregator.
     agg_bytes: u64,
     agg_logical_bytes: u64,
     agg_messages: u64,
     peak_shard_bytes: u64,
-    /// Per-shard participation-mask scratch.
-    masks: Vec<Vec<bool>>,
     /// Uplink payload codec shared by every shard bus and the
     /// aggregator links.
     codec: PayloadCodec,
@@ -272,7 +356,7 @@ impl HierarchicalRound {
     /// Builds the engine for a plan: one bus per shard, sized to the
     /// shard population, all sharing the fleet's fault plan (fault
     /// decisions key on bus-local indices, so a single shard covering
-    /// all homes reproduces the flat bus decision-for-decision).
+    /// all homes reproduces a fleet bus decision-for-decision).
     pub fn new(plan: ShardPlan, latency: LatencyModel, faults: &FaultConfig) -> Self {
         Self::with_codec(plan, latency, faults, PayloadCodec::Raw)
     }
@@ -287,24 +371,25 @@ impl HierarchicalRound {
         faults: &FaultConfig,
         codec: PayloadCodec,
     ) -> Self {
-        let buses: Vec<BroadcastBus> = plan
+        let shards = plan
             .members()
             .iter()
-            .map(|m| BroadcastBus::with_codec(m.len(), latency, faults, codec))
+            .map(|m| Shard {
+                bus: BroadcastBus::with_codec(m.len(), latency, faults, codec),
+                engine: DflRound::new(),
+                counters: ShardCounters::default(),
+                mask: Vec::new(),
+                eligible: Vec::new(),
+                scratch: Vec::new(),
+            })
             .collect();
-        let engines = plan.members().iter().map(|_| DflRound::new()).collect();
-        let counters = vec![ShardCounters::default(); plan.shard_count()];
-        let masks = vec![Vec::new(); plan.shard_count()];
         Self {
             plan,
-            buses,
-            engines,
-            counters,
+            shards,
             agg_bytes: 0,
             agg_logical_bytes: 0,
             agg_messages: 0,
             peak_shard_bytes: 0,
-            masks,
             codec,
         }
     }
@@ -312,11 +397,6 @@ impl HierarchicalRound {
     /// The shard plan this engine executes.
     pub fn plan(&self) -> &ShardPlan {
         &self.plan
-    }
-
-    /// Per-shard counters, in shard order.
-    pub fn counters(&self) -> &[ShardCounters] {
-        &self.counters
     }
 
     /// Fleet-wide high-water mark of per-shard payload-resident bytes
@@ -329,8 +409,8 @@ impl HierarchicalRound {
     /// aggregator links.
     pub fn total_stats(&self) -> BusStats {
         let mut t = BusStats::default();
-        for bus in &self.buses {
-            let s = bus.stats();
+        for shard in &self.shards {
+            let s = shard.bus.stats();
             t.messages += s.messages;
             t.bytes += s.bytes;
             t.logical_bytes += s.logical_bytes;
@@ -351,9 +431,9 @@ impl HierarchicalRound {
     /// exchange concurrently, so the fleet round is gated by the
     /// slowest shard bus, not their sum.
     pub fn simulated_seconds(&self) -> f64 {
-        self.buses
+        self.shards
             .iter()
-            .map(BroadcastBus::simulated_seconds)
+            .map(|s| s.bus.simulated_seconds())
             .fold(0.0, f64::max)
     }
 
@@ -365,7 +445,7 @@ impl HierarchicalRound {
     pub fn run<M: Layered + Send + Sync + ?Sized>(
         &mut self,
         models: &mut [&mut M],
-        p: &HierParams<'_>,
+        p: &RoundParams<'_>,
     ) -> RoundOutcome {
         let n = models.len();
         assert!(n > 0, "hierarchical round over no models");
@@ -374,25 +454,22 @@ impl HierarchicalRound {
             assert_eq!(mask.len(), n, "participation mask does not match fleet");
         }
         let full_round = p.participants.is_none_or(|m| m.iter().all(|&b| b));
+        // S must hold every home's payload, and the quorum an eligible
+        // home effectively meets is the N−1 fleet-wide contributions
+        // inside S.
         let quorum = p.policy.min_quorum.max(1);
-        // Global fast-path preconditions mirror the flat path: the
-        // quorum an eligible home effectively meets is the N−1
-        // fleet-wide contributions inside S.
         let probe = n >= 2 && full_round && quorum < n;
 
         let Self {
             plan,
-            buses,
-            engines,
-            counters,
+            shards,
             agg_bytes,
             agg_logical_bytes,
             agg_messages,
             peak_shard_bytes,
-            masks,
             codec,
         } = self;
-        let shards = plan.shard_count();
+        let codec = *codec;
 
         // Split the global column into disjoint per-shard columns in
         // canonical member order.
@@ -409,99 +486,129 @@ impl HierarchicalRound {
 
         // Shard-local participation masks.
         if let Some(mask) = p.participants {
-            for (k, m) in plan.members().iter().enumerate() {
-                masks[k].clear();
-                masks[k].extend(m.iter().map(|&h| mask[h]));
+            for (shard, m) in shards.iter_mut().zip(plan.members()) {
+                shard.mask.clear();
+                shard.mask.extend(m.iter().map(|&h| mask[h]));
             }
         }
-
-        // One shard's round inputs; its bus and mask are its own.
-        let (buses, masks) = (&*buses, &*masks);
-        let params = |k: usize| RoundParams {
-            bus: &buses[k],
-            round: p.round,
-            model_id: p.model_id,
-            alpha: p.alpha,
-            policy: p.policy,
-            mode: AggregationMode::SharedSum,
-            participants: p.participants.is_some().then(|| &masks[k][..]),
-        };
 
         // Phase 1, shards in parallel: export → broadcast → drain →
         // eligibility. A shard touches only its own engine, bus and
         // column, and the outcomes fold below in shard order.
-        let exchanges: Vec<_> = engines
+        let exchanges: Vec<_> = shards
             .par_iter_mut()
             .zip(cols.par_iter_mut())
-            .enumerate()
-            .map(|(k, (engine, col))| engine.exchange(col, &params(k), probe))
+            .map(|(shard, col)| {
+                let shard_params = RoundParams {
+                    participants: p.participants.map(|_| &shard.mask[..]),
+                    ..*p
+                };
+                let ex = shard.engine.exchange(col, &shard.bus, &shard_params);
+                shard.eligible.clear();
+                shard.eligible.resize(col.len(), false);
+                (ex, probe && shard.mark_eligible(codec))
+            })
             .collect();
-        let layer_end = exchanges[0].layer_end;
-        let mut all_ok = probe;
+        let layer_end = exchanges[0].0.layer_end;
         let mut round_peak = 0u64;
-        for (c, ex) in counters.iter_mut().zip(&exchanges) {
-            all_ok &= ex.payloads_ok;
+        for (shard, (ex, _)) in shards.iter_mut().zip(&exchanges) {
             round_peak = round_peak.max(ex.payload_bytes);
-            c.peak_payload_bytes = c.peak_payload_bytes.max(ex.payload_bytes);
+            shard.counters.peak_payload_bytes =
+                shard.counters.peak_payload_bytes.max(ex.payload_bytes);
         }
         *peak_shard_bytes = (*peak_shard_bytes).max(round_peak);
 
         // S includes every shard's broadcast payloads, so one invalid
-        // payload anywhere demotes the whole fleet to the fallback —
-        // exactly the flat device_ok rule.
-        if !all_ok {
-            for engine in engines.iter_mut() {
-                engine.clear_eligibility();
+        // payload anywhere demotes the whole fleet to the fallback.
+        if !exchanges.iter().all(|&(_, ok)| ok) {
+            for shard in shards.iter_mut() {
+                shard.eligible.fill(false);
             }
         }
-        let fast_total: usize = engines.iter().map(DflRound::eligible_count).sum();
+        let fast_total: usize = shards
+            .iter()
+            .map(|s| s.eligible.iter().filter(|&&e| e).count())
+            .sum();
 
         // Top level: per-shard partial sums (shards in parallel, each
         // with the data-sized leaf tree), then the fixed-midpoint tree
         // over shard order. With one shard this is a move of S_0 — no
-        // re-association — which is what keeps the single-shard oracle
-        // bitwise.
+        // re-association — so the flat topology sums as one tree over
+        // the fleet.
         let mut global: Vec<Vec<f64>> = Vec::new();
         if fast_total > 0 {
-            let mut partials: Vec<Vec<Vec<f64>>> = engines
+            let mut partials: Vec<Vec<Vec<f64>>> = shards
                 .par_iter()
-                .map(|engine| tree_sum(engine.sent_payloads(), layer_end))
+                .map(|s| tree_sum(s.engine.sent(), layer_end))
                 .collect();
             global = combine_partials(&mut partials);
             // Each aggregator ships S_k up and the root ships S back
             // down. With one shard the aggregator is the root, so the
-            // flat-oracle round carries no synthetic traffic.
-            if shards > 1 {
+            // flat round carries no synthetic traffic.
+            let k = shards.len() as u64;
+            if k > 1 {
                 let sum_wire: u64 = global
                     .iter()
                     .map(|l| codec.payload_layer_bytes(l.len()) as u64)
                     .sum();
                 let sum_logical: u64 = global.iter().map(|l| (l.len() * 8) as u64).sum();
-                *agg_bytes += 2 * shards as u64 * sum_wire;
-                *agg_logical_bytes += 2 * shards as u64 * sum_logical;
-                *agg_messages += 2 * shards as u64;
+                *agg_bytes += 2 * k * sum_wire;
+                *agg_logical_bytes += 2 * k * sum_logical;
+                *agg_messages += 2 * k;
             }
         }
 
-        // Phase 2, shards in parallel: merge with the fleet-global sum
-        // and fleet size; fallback homes merge their neighborhood's
-        // deliveries.
+        // Phase 2, shards in parallel, homes in parallel on a column of
+        // at least `2 × MERGE_MIN_HOMES`: eligible homes merge with the
+        // fleet-global sum and fleet size; every other home merges its
+        // neighborhood's deliveries.
         let count = n as f64;
-        let merges: Vec<RoundOutcome> = engines
+        let global = &global;
+        shards
             .par_iter_mut()
             .zip(cols.par_iter_mut())
-            .enumerate()
-            .map(|(k, (engine, col))| {
-                engine.merge_with_sum(col, &params(k), layer_end, &global, count)
-            })
-            .collect();
+            .for_each(|(shard, col)| {
+                let Shard {
+                    engine,
+                    eligible,
+                    scratch,
+                    ..
+                } = shard;
+                scratch.resize_with(col.len(), Vec::new);
+                let (sent, received) = (engine.sent(), engine.received());
+                col.par_iter_mut()
+                    .zip(scratch.par_iter_mut())
+                    .enumerate()
+                    .with_min_len(MERGE_MIN_HOMES)
+                    .for_each(|(home, (model, scratch))| {
+                        let model: &mut M = model;
+                        if !eligible[home] {
+                            merge_received(model, &received[home], p);
+                            return;
+                        }
+                        let own = &sent[home];
+                        for (l, s) in global.iter().enumerate() {
+                            model.export_layer_into(l, scratch);
+                            let u = &own.layers[l].params;
+                            for ((a, sv), uv) in scratch.iter_mut().zip(s.iter()).zip(u.iter()) {
+                                *a = (*a + (*sv - *uv)) / count;
+                            }
+                            model.import_layer(l, scratch);
+                        }
+                    });
+                engine.release();
+            });
+
         let mut outcome = RoundOutcome::default();
-        for (c, out) in counters.iter_mut().zip(merges) {
+        for shard in shards.iter_mut() {
+            let fast = shard.eligible.iter().filter(|&&e| e).count();
+            let fallback = shard.eligible.len() - fast;
+            let c = &mut shard.counters;
             c.rounds += 1;
-            c.fast_path_homes += out.fast_path_homes as u64;
-            c.fallback_homes += out.fallback_homes as u64;
-            outcome.fast_path_homes += out.fast_path_homes;
-            outcome.fallback_homes += out.fallback_homes;
+            c.fast_path_homes += fast as u64;
+            c.fallback_homes += fallback as u64;
+            outcome.fast_path_homes += fast;
+            outcome.fallback_homes += fallback;
         }
         outcome
     }
@@ -517,12 +624,11 @@ impl HierarchicalRound {
             agg_messages: self.agg_messages,
             peak_shard_bytes: self.peak_shard_bytes,
             shards: self
-                .counters
+                .shards
                 .iter()
-                .zip(self.buses.iter())
-                .map(|(c, bus)| HierShardState {
-                    counters: *c,
-                    bus: bus.export_state(),
+                .map(|s| HierShardState {
+                    counters: s.counters,
+                    bus: s.bus.export_state(),
                 })
                 .collect(),
         }
@@ -543,11 +649,12 @@ impl HierarchicalRound {
                 self.plan.shard_count()
             ));
         }
-        for (k, s) in state.shards.iter().enumerate() {
-            self.buses[k]
+        for (k, (shard, s)) in self.shards.iter_mut().zip(&state.shards).enumerate() {
+            shard
+                .bus
                 .restore_state(&s.bus)
                 .map_err(|e| format!("shard {k}: {e}"))?;
-            self.counters[k] = s.counters;
+            shard.counters = s.counters;
         }
         self.agg_bytes = state.agg_bytes;
         self.agg_logical_bytes = state.agg_logical_bytes;
@@ -579,6 +686,7 @@ fn combine_partials(parts: &mut [Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::MergePolicy;
     use pfdrl_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -609,6 +717,21 @@ mod tests {
             .collect()
     }
 
+    fn params<'a>(
+        round: u64,
+        alpha: Option<usize>,
+        policy: &'a MergePolicy,
+        participants: Option<&'a [bool]>,
+    ) -> RoundParams<'a> {
+        RoundParams {
+            round,
+            model_id: 0,
+            alpha,
+            policy,
+            participants,
+        }
+    }
+
     fn run_hier(
         models: &mut [Mlp],
         engine: &mut HierarchicalRound,
@@ -619,45 +742,37 @@ mod tests {
         let mut last = RoundOutcome::default();
         for round in 0..rounds {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            last = engine.run(
-                &mut col,
-                &HierParams {
-                    round,
-                    model_id: 0,
-                    alpha,
-                    policy,
-                    participants: None,
-                },
-            );
+            last = engine.run(&mut col, &params(round, alpha, policy, None));
         }
         last
     }
 
-    fn run_flat(
+    /// The fast path's reference: the per-home engine on one fleet bus.
+    fn run_per_home(
         models: &mut [Mlp],
         bus: &BroadcastBus,
         rounds: u64,
         alpha: Option<usize>,
         policy: &MergePolicy,
-    ) -> RoundOutcome {
+    ) {
         let mut engine = DflRound::new();
-        let mut last = RoundOutcome::default();
         for round in 0..rounds {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            last = engine.run(
-                &mut col,
-                &RoundParams {
-                    bus,
-                    round,
-                    model_id: 0,
-                    alpha,
-                    policy,
-                    mode: AggregationMode::SharedSum,
-                    participants: None,
-                },
-            );
+            engine.run(&mut col, bus, &params(round, alpha, policy, None));
         }
-        last
+    }
+
+    fn assert_close(a: &[Mlp], b: &[Mlp], what: &str) {
+        for (ma, mb) in a.iter().zip(b) {
+            for (la, lb) in ma.export_all().iter().zip(mb.export_all().iter()) {
+                for (x, y) in la.iter().zip(lb) {
+                    assert!(
+                        (x - y).abs() <= 1e-12 * x.abs().max(1.0),
+                        "{what}: {x} vs {y}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -700,25 +815,53 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_is_bitwise_equal_to_flat_shared_sum() {
-        for alpha in [None, Some(2)] {
-            let mut flat = fleet(12, 7);
-            let mut hier = fleet(12, 7);
-            let policy = MergePolicy::default();
-            let bus = BroadcastBus::new(12, LatencyModel::lan());
-            let plan = ShardPlan::round_robin(12, 1);
-            let mut engine =
-                HierarchicalRound::new(plan, LatencyModel::lan(), &FaultConfig::default());
-            let a = run_flat(&mut flat, &bus, 3, alpha, &policy);
-            let b = run_hier(&mut hier, &mut engine, 3, alpha, &policy);
-            assert_eq!(a, b, "alpha={alpha:?}");
-            assert_eq!(bits(&flat), bits(&hier), "alpha={alpha:?}");
-            assert_eq!(bus.stats(), engine.total_stats(), "alpha={alpha:?}");
+    fn fast_path_matches_per_home_within_tolerance_and_is_deterministic() {
+        // One shard (the flat topology) and uneven shards down to a
+        // singleton: every fault-free round is all fast path, lands
+        // within float-reassociation tolerance of the per-home engine,
+        // and replays bit for bit.
+        let cases = [
+            (ShardPlan::round_robin(12, 1), Some(2), 2),
+            (ShardPlan::round_robin(20, 1), None, 3),
+            (
+                ShardPlan::from_members(vec![vec![0, 1, 2, 3], vec![4, 5], vec![6]]),
+                None,
+                1,
+            ),
+        ];
+        let policy = MergePolicy::default();
+        for (plan, alpha, rounds) in cases {
+            let n = plan.len();
+            let run = || {
+                let mut models = fleet(n, 31);
+                let mut engine = HierarchicalRound::new(
+                    plan.clone(),
+                    LatencyModel::lan(),
+                    &FaultConfig::default(),
+                );
+                let out = run_hier(&mut models, &mut engine, rounds, alpha, &policy);
+                assert_eq!(out.fast_path_homes, n, "fault-free round must be fast");
+                (models, engine)
+            };
+            let (fast, engine) = run();
+            let (again, _) = run();
+            assert_eq!(bits(&fast), bits(&again), "n={n}");
+
+            let mut slow = fleet(n, 31);
+            let bus = BroadcastBus::new(n, LatencyModel::lan());
+            run_per_home(&mut slow, &bus, rounds, alpha, &policy);
+            assert_close(&fast, &slow, &format!("n={n}"));
+            if engine.plan().shard_count() == 1 {
+                assert_eq!(engine.total_stats(), bus.stats(), "n={n}");
+            }
         }
     }
 
     #[test]
-    fn single_shard_matches_flat_under_chaos() {
+    fn single_shard_falls_back_to_per_home_under_faults() {
+        // Loss + corruption + stragglers: received sets differ from the
+        // clean round, so every affected home must produce exactly the
+        // per-home result, over exactly the per-home engine's traffic.
         let cfg = FaultConfig {
             seed: 99,
             loss_rate: 0.3,
@@ -727,15 +870,58 @@ mod tests {
             ..FaultConfig::default()
         };
         let policy = MergePolicy::default();
-        let mut flat = fleet(6, 21);
-        let mut hier = fleet(6, 21);
+        let mut fast = fleet(6, 21);
+        let mut slow = fleet(6, 21);
+        let mut engine =
+            HierarchicalRound::new(ShardPlan::round_robin(6, 1), LatencyModel::lan(), &cfg);
         let bus = BroadcastBus::with_faults(6, LatencyModel::lan(), &cfg);
-        let plan = ShardPlan::round_robin(6, 1);
-        let mut engine = HierarchicalRound::new(plan, LatencyModel::lan(), &cfg);
-        run_flat(&mut flat, &bus, 4, None, &policy);
-        run_hier(&mut hier, &mut engine, 4, None, &policy);
-        assert_eq!(bits(&flat), bits(&hier));
-        assert_eq!(bus.stats(), engine.total_stats());
+        let out = run_hier(&mut fast, &mut engine, 4, None, &policy);
+        run_per_home(&mut slow, &bus, 4, None, &policy);
+        assert!(
+            out.fallback_homes > 0,
+            "under 30% loss some home must fall back"
+        );
+        assert_eq!(bits(&fast), bits(&slow));
+        assert_eq!(engine.total_stats(), bus.stats());
+    }
+
+    #[test]
+    fn unmeetable_quorum_forces_whole_fleet_fallback() {
+        let policy = MergePolicy {
+            min_quorum: 10, // > n-1 = 3
+            ..MergePolicy::default()
+        };
+        let mut models = fleet(4, 5);
+        let before = bits(&models);
+        let mut engine = HierarchicalRound::new(
+            ShardPlan::round_robin(4, 1),
+            LatencyModel::lan(),
+            &FaultConfig::default(),
+        );
+        let out = run_hier(&mut models, &mut engine, 1, None, &policy);
+        assert_eq!(out.fast_path_homes, 0);
+        assert_eq!(out.fallback_homes, 4);
+        let mut slow = fleet(4, 5);
+        let bus = BroadcastBus::new(4, LatencyModel::lan());
+        run_per_home(&mut slow, &bus, 1, None, &policy);
+        assert_eq!(bits(&models), bits(&slow));
+        // The per-home merge under an unmet quorum keeps every local
+        // model.
+        assert_eq!(bits(&models), before);
+    }
+
+    #[test]
+    fn single_home_fleet_has_no_fast_path() {
+        let mut models = fleet(1, 9);
+        let before = bits(&models);
+        let mut engine = HierarchicalRound::new(
+            ShardPlan::round_robin(1, 1),
+            LatencyModel::lan(),
+            &FaultConfig::default(),
+        );
+        let out = run_hier(&mut models, &mut engine, 1, None, &MergePolicy::default());
+        assert_eq!((out.fast_path_homes, out.fallback_homes), (0, 1));
+        assert_eq!(bits(&models), before);
     }
 
     #[test]
@@ -767,30 +953,6 @@ mod tests {
             run(ShardPlan::from_members(members)),
             run(ShardPlan::from_members(reversed))
         );
-    }
-
-    #[test]
-    fn fast_path_merges_against_the_fleet_global_mean() {
-        // One round over uneven shards must match the flat SharedSum
-        // full-fleet average within float tolerance: the sum-of-sums
-        // weighting makes S identical up to re-association.
-        let n = 7;
-        let mut hier = fleet(n, 31);
-        let plan = ShardPlan::from_members(vec![vec![0, 1, 2, 3], vec![4, 5], vec![6]]);
-        let mut engine = HierarchicalRound::new(plan, LatencyModel::lan(), &FaultConfig::default());
-        let out = run_hier(&mut hier, &mut engine, 1, None, &MergePolicy::default());
-        assert_eq!(out.fast_path_homes, n, "singleton shard must stay eligible");
-
-        let mut flat = fleet(n, 31);
-        let bus = BroadcastBus::new(n, LatencyModel::lan());
-        run_flat(&mut flat, &bus, 1, None, &MergePolicy::default());
-        for (h, s) in hier.iter().zip(flat.iter()) {
-            for (lh, ls) in h.export_all().iter().zip(s.export_all().iter()) {
-                for (x, y) in lh.iter().zip(ls.iter()) {
-                    assert!((x - y).abs() <= 1e-12 * x.abs().max(1.0), "{x} vs {y}");
-                }
-            }
-        }
     }
 
     #[test]
@@ -844,7 +1006,6 @@ mod tests {
             PayloadCodec::QuantizedI8 {
                 per_layer_scale: true,
             },
-            PayloadCodec::TopK { fraction: 0.1 },
         ] {
             for shards in [1, 4] {
                 let plan = ShardPlan::round_robin(n, shards);
@@ -859,7 +1020,7 @@ mod tests {
                 let out = run_hier(&mut models, &mut engine, 1, None, &MergePolicy::default());
                 assert_eq!(out.fast_path_homes, n, "{codec:?} K={shards}");
 
-                let bus_messages: u64 = engine.buses.iter().map(|b| b.stats().messages).sum();
+                let bus_messages: u64 = engine.shards.iter().map(|s| s.bus.stats().messages).sum();
                 assert_eq!(bus_messages, peers as u64, "{codec:?} K={shards}");
                 let links = if shards > 1 { 2 * shards as u64 } else { 0 };
                 // Raw's sizes are the logical (8 B per parameter) ones.
@@ -886,23 +1047,29 @@ mod tests {
     #[test]
     fn withheld_home_disables_the_global_fast_path() {
         let n = 6;
+        let policy = MergePolicy::default();
         let mut mask = vec![true; n];
         mask[2] = false;
-        let mut models = fleet(n, 13);
-        let plan = ShardPlan::round_robin(n, 2);
-        let mut engine = HierarchicalRound::new(plan, LatencyModel::lan(), &FaultConfig::default());
-        let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-        let out = engine.run(
-            &mut col,
-            &HierParams {
-                round: 0,
-                model_id: 0,
-                alpha: None,
-                policy: &MergePolicy::default(),
-                participants: Some(&mask),
-            },
-        );
-        assert_eq!(out.fast_path_homes, 0);
-        assert_eq!(out.fallback_homes, n);
+        for shards in [1, 2] {
+            let mut models = fleet(n, 13);
+            let mut engine = HierarchicalRound::new(
+                ShardPlan::round_robin(n, shards),
+                LatencyModel::lan(),
+                &FaultConfig::default(),
+            );
+            let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+            let out = engine.run(&mut col, &params(0, None, &policy, Some(&mask)));
+            assert_eq!(out.fast_path_homes, 0, "K={shards}");
+            assert_eq!(out.fallback_homes, n, "K={shards}");
+            if shards == 1 {
+                // One neighborhood is the whole fleet: the fallback is
+                // exactly the per-home engine's masked round.
+                let mut slow = fleet(n, 13);
+                let bus = BroadcastBus::new(n, LatencyModel::lan());
+                let mut col: Vec<&mut Mlp> = slow.iter_mut().collect();
+                DflRound::new().run(&mut col, &bus, &params(0, None, &policy, Some(&mask)));
+                assert_eq!(bits(&models), bits(&slow));
+            }
+        }
     }
 }

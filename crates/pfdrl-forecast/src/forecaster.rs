@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// Training, snapshots and federation payloads are always f64 — this
 /// knob only selects what arithmetic `predict`/`predict_into` run.
 /// `F32Fast` is strictly opt-in: it changes result bits, so (like
-/// `SharedSum` aggregation) it is part of the run identity and carries
+/// hierarchical aggregation) it is part of the run identity and carries
 /// its own canary trajectory; the default stays bit-identical to every
 /// recorded f64 run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]

@@ -54,7 +54,7 @@ struct LstmWs {
     gates_t_valid: bool,
 }
 
-/// Reusable buffers for [`Lstm::infer_scratch`]: gate/state matrices,
+/// Reusable buffers for [`Lstm::infer_windows`]: gate/state matrices,
 /// the `[x, h]` concat buffer, and the head output. One scratch can be
 /// shared across any models whose shapes match (buffers resize in
 /// place), so repeated inference allocates nothing in steady state.
@@ -314,31 +314,15 @@ impl Lstm {
         self.head.infer(&h)
     }
 
-    /// Allocation-free [`Lstm::infer`] into caller-owned buffers. The
-    /// returned reference points at the head output held in `s`.
-    ///
-    /// Performs the exact per-element operation sequence of
-    /// [`Lstm::infer`]: each product (`f·c_prev`, `i·g`, `o·tanh(c)`)
-    /// is evaluated before its sum, matching the hadamard/add order of
-    /// the allocating path, so outputs are bit-identical.
-    pub fn infer_scratch<'s>(&self, seq: &[Matrix], s: &'s mut LstmScratch) -> &'s Matrix {
-        assert!(!seq.is_empty(), "Lstm::infer: empty sequence");
-        let batch = seq[0].rows();
-        let in_dim = self.in_dim;
-        self.infer_steps(batch, seq.len(), s, |t, z| {
-            let x = &seq[t];
-            debug_assert_eq!(x.cols(), in_dim, "Lstm::infer step width mismatch");
-            for r in 0..batch {
-                z.row_mut(r)[..in_dim].copy_from_slice(x.row(r));
-            }
-        })
-    }
-
-    /// Inference over the day-pipeline window layout, without
-    /// materializing the per-step sequence: row `r` of `inputs` is
-    /// `[w_0 .. w_{window-1}, s0, s1]` and step `t` feeds `[w_t, s0, s1]`
-    /// — exactly the unroll [`Lstm::infer_scratch`] would consume, so
-    /// outputs are bit-identical. The trailing features are written into
+    /// Allocation-free inference over the day-pipeline window layout,
+    /// without materializing the per-step sequence: row `r` of `inputs`
+    /// is `[w_0 .. w_{window-1}, s0, s1]` and step `t` feeds
+    /// `[w_t, s0, s1]`. It performs the exact per-element operation
+    /// sequence of [`Lstm::infer`] on that unroll (each product —
+    /// `f·c_prev`, `i·g`, `o·tanh(c)` — is evaluated before its sum,
+    /// matching the hadamard/add order of the allocating path), so
+    /// outputs are bit-identical. The returned reference points at the
+    /// head output held in `s`. The trailing features are written into
     /// `z` once; each step only refreshes the leading column. Requires
     /// `in_dim == window-invariant layout`, i.e. `inputs.cols() - window`
     /// trailing features plus the one windowed column.
@@ -380,7 +364,7 @@ impl Lstm {
         })
     }
 
-    /// Shared recurrence driver for the inference paths: `fill_x(t, z)`
+    /// Recurrence driver of [`Lstm::infer_windows`]: `fill_x(t, z)`
     /// must overwrite the leading `in_dim` columns of every `z` row with
     /// the step-`t` input (columns it knows to be unchanged may be left
     /// alone — `z` is persistent across steps).
@@ -460,13 +444,6 @@ impl Lstm {
         }
         self.head.infer_into(h, out);
         out
-    }
-
-    /// Convenience: inference over a single sequence of scalar-vector
-    /// steps.
-    pub fn infer_one(&self, seq: &[Vec<f64>]) -> Vec<f64> {
-        let mats: Vec<Matrix> = seq.iter().map(|s| Matrix::row_vector(s.clone())).collect();
-        self.infer(&mats).as_slice().to_vec()
     }
 
     /// Backpropagation through time. `dout` is dL/d(head output).
@@ -854,19 +831,26 @@ mod tests {
     }
 
     #[test]
-    fn infer_scratch_bitwise_matches_infer() {
+    fn infer_windows_bitwise_matches_infer() {
         let net = Lstm::new(3, 24, 1, &mut StdRng::seed_from_u64(5));
         let mut rng = StdRng::seed_from_u64(6);
         use rand::Rng;
+        let window = 16;
         let mut scratch = LstmScratch::default();
         // Reuse one scratch across varying batch sizes to exercise the
         // resize paths.
         for &batch in &[1usize, 7, 64, 3] {
-            let s: Vec<Matrix> = (0..16)
-                .map(|_| Matrix::from_fn(batch, 3, |_, _| rng.gen_range(-2.0..2.0)))
+            // Row r: `[w_0 .. w_15, s0, s1]`; step t feeds `[w_t, s0, s1]`.
+            let inputs = Matrix::from_fn(batch, window + 2, |_, _| rng.gen_range(-2.0..2.0));
+            let s: Vec<Matrix> = (0..window)
+                .map(|t| {
+                    Matrix::from_fn(batch, 3, |r, c| {
+                        inputs.get(r, if c == 0 { t } else { window + c - 1 })
+                    })
+                })
                 .collect();
             let a = net.infer(&s);
-            let b = net.infer_scratch(&s, &mut scratch);
+            let b = net.infer_windows(&inputs, window, &mut scratch);
             assert_eq!((a.rows(), a.cols()), (b.rows(), b.cols()));
             for (x, y) in a.as_slice().iter().zip(b.as_slice()) {
                 assert_eq!(x.to_bits(), y.to_bits());
@@ -994,18 +978,16 @@ mod tests {
     #[test]
     fn batch_forward_matches_per_sample() {
         let net = Lstm::new(1, 4, 2, &mut StdRng::seed_from_u64(21));
-        let s1 = [vec![0.1], vec![0.9]];
-        let s2 = [vec![-0.4], vec![0.2]];
-        let y1 = net.infer_one(&s1);
-        let y2 = net.infer_one(&s2);
+        let y1 = net.infer(&seq(&[&[0.1], &[0.9]]));
+        let y2 = net.infer(&seq(&[&[-0.4], &[0.2]]));
         let batch = vec![
             Matrix::from_vec(2, 1, vec![0.1, -0.4]),
             Matrix::from_vec(2, 1, vec![0.9, 0.2]),
         ];
         let yb = net.infer(&batch);
         for c in 0..2 {
-            assert!((yb.get(0, c) - y1[c]).abs() < 1e-12);
-            assert!((yb.get(1, c) - y2[c]).abs() < 1e-12);
+            assert!((yb.get(0, c) - y1.get(0, c)).abs() < 1e-12);
+            assert!((yb.get(1, c) - y2.get(0, c)).abs() < 1e-12);
         }
     }
 }

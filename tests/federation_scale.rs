@@ -1,13 +1,14 @@
-//! Acceptance properties of the parallel federation round engine
-//! (`DflRound`): under *any* adversarial fault plan the default
-//! `PerHome` mode must stay byte-identical to the retained sequential
-//! reference — same model bits, same bus statistics — and the O(N)
-//! `SharedSum` fast path must be numerically equivalent on fault-free
-//! rounds while remaining run-to-run byte-deterministic.
+//! Acceptance properties of the parallel federation round engines:
+//! under *any* adversarial fault plan the per-home `DflRound` must stay
+//! byte-identical to the retained sequential reference — same model
+//! bits, same bus statistics — and the O(N) shared-sum fast path of
+//! `HierarchicalRound` must be numerically equivalent on fault-free
+//! rounds, carry the reference's exact traffic with one shard, and stay
+//! run-to-run byte-deterministic.
 
 use pfdrl::fl::{
-    dfl_round_reference, AggregationMode, BroadcastBus, DflRound, FaultConfig, HierParams,
-    HierarchicalRound, LatencyModel, MergePolicy, PayloadCodec, RoundParams, ShardPlan,
+    dfl_round_reference, BroadcastBus, DflRound, FaultConfig, HierarchicalRound, LatencyModel,
+    MergePolicy, PayloadCodec, RoundOutcome, RoundParams, ShardPlan,
 };
 use pfdrl::nn::{Activation, Layered, Mlp};
 use proptest::prelude::*;
@@ -40,6 +41,16 @@ fn bits(models: &[Mlp]) -> Vec<u64> {
         .collect()
 }
 
+fn params(round: u64, alpha: Option<usize>, policy: &MergePolicy) -> RoundParams<'_> {
+    RoundParams {
+        round,
+        model_id: 0,
+        alpha,
+        policy,
+        participants: None,
+    }
+}
+
 fn run_engine(
     models: &mut [Mlp],
     engine: &mut DflRound,
@@ -47,21 +58,9 @@ fn run_engine(
     round: u64,
     alpha: Option<usize>,
     policy: &MergePolicy,
-    mode: AggregationMode,
 ) {
     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-    let _ = engine.run(
-        &mut col,
-        &RoundParams {
-            bus,
-            round,
-            model_id: 0,
-            alpha,
-            policy,
-            mode,
-            participants: None,
-        },
-    );
+    engine.run(&mut col, bus, &params(round, alpha, policy));
 }
 
 /// Runs `f` with every parallel call it makes limited to `width`
@@ -80,18 +79,9 @@ fn run_hier(
     round: u64,
     alpha: Option<usize>,
     policy: &MergePolicy,
-) {
+) -> RoundOutcome {
     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-    let _ = engine.run(
-        &mut col,
-        &HierParams {
-            round,
-            model_id: 0,
-            alpha,
-            policy,
-            participants: None,
-        },
-    );
+    engine.run(&mut col, &params(round, alpha, policy))
 }
 
 proptest! {
@@ -118,8 +108,7 @@ proptest! {
         let bus_b = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
         let mut engine = DflRound::new();
         for round in 1..=4u64 {
-            run_engine(&mut a, &mut engine, &bus_a, round, alpha, &policy,
-                       AggregationMode::PerHome);
+            run_engine(&mut a, &mut engine, &bus_a, round, alpha, &policy);
             let mut refs: Vec<&mut Mlp> = b.iter_mut().collect();
             dfl_round_reference(&mut refs, &bus_b, round, 0, alpha, &policy);
             prop_assert!(
@@ -131,28 +120,31 @@ proptest! {
         prop_assert_eq!(bus_a.stats(), bus_b.stats());
     }
 
-    /// `SharedSum` on fault-free rounds lands within float-reassociation
-    /// tolerance of `PerHome`, and two independent `SharedSum` runs of
-    /// the same configuration are byte-identical (the reduction tree is
-    /// fixed by fleet size, never by thread count).
+    /// The shared-sum fast path on fault-free rounds, one shard or
+    /// several, lands within float-reassociation tolerance of the
+    /// per-home engine, and two independent runs of the same
+    /// configuration are byte-identical (the reduction trees are fixed
+    /// by shard sizes, never by thread count).
     #[test]
     fn shared_sum_is_equivalent_and_deterministic(
         seed in 0u64..10_000,
         n in 2usize..10,
+        shards in 1usize..4,
     ) {
         let policy = MergePolicy::default();
         let mut per_home = fleet(n, seed);
         let mut shared = fleet(n, seed);
         let mut shared2 = fleet(n, seed);
         let mut engine = DflRound::new();
+        let bus = BroadcastBus::new(n, LatencyModel::lan());
+        let hier = || HierarchicalRound::new(
+            ShardPlan::round_robin(n, shards), LatencyModel::lan(), &FaultConfig::default());
+        let (mut ea, mut eb) = (hier(), hier());
         for round in 1..=2u64 {
-            for (models, mode) in [
-                (&mut per_home, AggregationMode::PerHome),
-                (&mut shared, AggregationMode::SharedSum),
-                (&mut shared2, AggregationMode::SharedSum),
-            ] {
-                let bus = BroadcastBus::new(n, LatencyModel::lan());
-                run_engine(models, &mut engine, &bus, round, Some(2), &policy, mode);
+            run_engine(&mut per_home, &mut engine, &bus, round, Some(2), &policy);
+            for (models, e) in [(&mut shared, &mut ea), (&mut shared2, &mut eb)] {
+                let out = run_hier(models, e, round, Some(2), &policy);
+                prop_assert_eq!(out.fast_path_homes, n);
             }
         }
         prop_assert_eq!(bits(&shared), bits(&shared2));
@@ -166,14 +158,14 @@ proptest! {
         }
     }
 
-    /// The flat-oracle property of the hierarchy: a single-shard
-    /// `HierarchicalRound` is byte-identical to the flat `SharedSum`
-    /// engine under *any* chaos plan — same model bits after every
-    /// round, same traffic statistics (the aggregate-of-aggregates
-    /// merge is `mem::take` at K=1, zero re-association; the synthetic
-    /// aggregator uplink is only charged when K>1).
+    /// The fast path's traffic is independent of it: under *any*
+    /// chaos plan a single-shard `HierarchicalRound` carries exactly the
+    /// sequential reference's traffic on the same plan, round after
+    /// round (one shard bus decides every delivery as the fleet bus
+    /// does, and the synthetic aggregator uplink is only charged when
+    /// K > 1).
     #[test]
-    fn single_shard_hierarchical_is_bitwise_flat_shared_sum(
+    fn single_shard_hierarchical_traffic_matches_the_reference_under_chaos(
         seed in 0u64..10_000,
         n in 2usize..10,
         chaos in 0.0f64..0.6,
@@ -182,23 +174,21 @@ proptest! {
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
         let policy = fault.merge_policy();
-        let mut flat = fleet(n, seed ^ 0xF1A7);
+        let mut reference = fleet(n, seed ^ 0xF1A7);
         let mut hier = fleet(n, seed ^ 0xF1A7);
         let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
-        let mut flat_engine = DflRound::new();
         let mut hier_engine = HierarchicalRound::new(
             ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault);
         for round in 1..=4u64 {
-            run_engine(&mut flat, &mut flat_engine, &bus, round, alpha, &policy,
-                       AggregationMode::SharedSum);
+            let mut refs: Vec<&mut Mlp> = reference.iter_mut().collect();
+            dfl_round_reference(&mut refs, &bus, round, 0, alpha, &policy);
             run_hier(&mut hier, &mut hier_engine, round, alpha, &policy);
             prop_assert!(
-                bits(&flat) == bits(&hier),
-                "round {} diverged from the flat oracle (seed {}, n {}, chaos {:.2}, alpha {:?})",
+                hier_engine.total_stats() == bus.stats(),
+                "round {} traffic diverged from the reference (seed {}, n {}, chaos {:.2}, alpha {:?})",
                 round, seed, n, chaos, alpha
             );
         }
-        prop_assert_eq!(hier_engine.total_stats(), bus.stats());
     }
 
     /// Multi-shard rounds are run-to-run byte-deterministic and
@@ -272,12 +262,11 @@ proptest! {
         seed in 0u64..10_000,
         n in 4usize..10,
         shards in 1usize..4,
-        codec_pick in 0usize..3,
+        codec_pick in 0usize..2,
     ) {
         let codec = [
             PayloadCodec::QuantizedI8 { per_layer_scale: true },
             PayloadCodec::QuantizedI8 { per_layer_scale: false },
-            PayloadCodec::TopK { fraction: 0.2 },
         ][codec_pick];
         let fault = FaultConfig::chaos(seed, 0.5);
         let policy = fault.merge_policy();
@@ -305,29 +294,27 @@ proptest! {
         }
     }
 
-    /// Thread width never changes a flat round: under chaos, both
-    /// flat modes give the same model bits and bus statistics one
-    /// thread wide and four wide. Columns of 64 homes and more split
-    /// their merge across threads.
+    /// Thread width never changes a per-home round on one fleet bus:
+    /// under chaos, the model bits and bus statistics match one thread
+    /// wide and four wide. Columns of 64 homes and more split their
+    /// merge across threads.
     #[test]
     fn flat_rounds_are_bit_identical_at_widths_one_and_four_under_chaos(
         seed in 0u64..10_000,
         n in 2usize..150,
         chaos in 0.0f64..0.6,
         alpha_pick in 0usize..2,
-        shared in 0usize..2,
     ) {
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
         let policy = fault.merge_policy();
-        let mode = if shared == 1 { AggregationMode::SharedSum } else { AggregationMode::PerHome };
         let run = |width: usize| {
             at_width(width, || {
                 let mut models = fleet(n, seed ^ 0x71D7);
                 let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
                 let mut engine = DflRound::new();
                 for round in 1..=4u64 {
-                    run_engine(&mut models, &mut engine, &bus, round, alpha, &policy, mode);
+                    run_engine(&mut models, &mut engine, &bus, round, alpha, &policy);
                 }
                 (bits(&models), bus.stats())
             })
@@ -335,22 +322,26 @@ proptest! {
         let (one, four) = (run(1), run(4));
         prop_assert!(
             one == four,
-            "widths 1 and 4 diverged (seed {}, n {}, chaos {:.2}, alpha {:?}, {:?})",
-            seed, n, chaos, alpha, mode
+            "widths 1 and 4 diverged (seed {}, n {}, chaos {:.2}, alpha {:?})",
+            seed, n, chaos, alpha
         );
     }
 
     /// Thread width never changes a hierarchical round: under chaos,
     /// with shards run in parallel, the model bits and the whole
     /// exported engine state match one thread wide and four wide.
+    /// Shard columns of 64 homes and more (one shard reaches 149) split
+    /// their merge across threads. A quarter of the cases draw a
+    /// negative rate and run fault-free, because under any chaos a
+    /// large shard almost never has a home eligible for the fast path.
     #[test]
     fn hierarchical_rounds_are_bit_identical_at_widths_one_and_four_under_chaos(
         seed in 0u64..10_000,
-        n in 2usize..40,
+        n in 2usize..150,
         shards in 1usize..6,
-        chaos in 0.0f64..0.6,
+        chaos in -0.2f64..0.6,
     ) {
-        let fault = FaultConfig::chaos(seed, chaos);
+        let fault = FaultConfig::chaos(seed, chaos.max(0.0));
         let policy = fault.merge_policy();
         let run = |width: usize| {
             at_width(width, || {
@@ -374,9 +365,9 @@ proptest! {
     /// A corrupted *compressed* payload demotes the receiver to the
     /// validated per-home fallback exactly as a corrupted raw payload
     /// does: fault fates are pure per-edge hashes, independent of the
-    /// payload bytes, so the fast-path/fallback split per round must
-    /// be identical between Raw and every compressed codec on the same
-    /// seed.
+    /// payload bytes, so the fast-path/fallback split per round of the
+    /// flat (one-shard) fast path must be identical between Raw and
+    /// every compressed codec on the same seed.
     #[test]
     fn corruption_demotes_compressed_payloads_exactly_as_raw(
         seed in 0u64..10_000,
@@ -387,35 +378,23 @@ proptest! {
         let codecs = [
             PayloadCodec::Raw,
             PayloadCodec::QuantizedI8 { per_layer_scale: true },
-            PayloadCodec::TopK { fraction: 0.3 },
+            PayloadCodec::QuantizedI8 { per_layer_scale: false },
         ];
         let mut splits: Vec<Vec<(usize, usize)>> = Vec::new();
         for codec in codecs {
             let mut models = fleet(n, seed ^ 0xDE40);
-            let bus = BroadcastBus::with_codec(n, LatencyModel::lan(), &fault, codec);
-            let mut engine = DflRound::new();
+            let mut engine = HierarchicalRound::with_codec(
+                ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault, codec);
             let mut per_round = Vec::new();
             for round in 1..=4u64 {
-                let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-                let outcome = engine.run(
-                    &mut col,
-                    &RoundParams {
-                        bus: &bus,
-                        round,
-                        model_id: 0,
-                        alpha: None,
-                        policy: &policy,
-                        mode: AggregationMode::SharedSum,
-                        participants: None,
-                    },
-                );
+                let outcome = run_hier(&mut models, &mut engine, round, None, &policy);
                 per_round.push((outcome.fast_path_homes, outcome.fallback_homes));
             }
             splits.push(per_round);
         }
         prop_assert!(
             splits[1] == splits[0] && splits[2] == splits[0],
-            "fast/fallback split diverged from raw (seed {}, n {}): raw {:?}, q8 {:?}, topk {:?}",
+            "fast/fallback split diverged from raw (seed {}, n {}): raw {:?}, q8 {:?}, q8-global {:?}",
             seed, n, splits[0], splits[1], splits[2]
         );
     }
