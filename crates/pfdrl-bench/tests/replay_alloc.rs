@@ -97,7 +97,7 @@ fn chained_days_allocate_one_row_block_and_one_slot_block() {
         "pushes after the first allocated {allocs} times ({bytes} bytes)"
     );
     assert_eq!(
-        agent.export_state().replay.transitions.len(),
+        agent.export_state().replay.len(),
         CAPACITY,
         "three days overfill the ring"
     );

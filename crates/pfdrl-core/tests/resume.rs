@@ -1,14 +1,16 @@
 //! Crash-recovery acceptance tests: a run resumed from any snapshot must
 //! reproduce the uninterrupted run bit for bit — including under an
 //! active deterministic fault plan with parked straggler queues in
-//! flight at the checkpoint boundary.
+//! flight at the checkpoint boundary — and must go on writing the
+//! uninterrupted run's snapshots byte for byte. A snapshot written by
+//! the previous format version must still resume to the same result.
 
 use pfdrl_core::{
     run_method, run_method_resumable, run_method_resume_from, CheckpointPolicy, EmsMethod,
-    RunResult, SimConfig,
+    EmsState, ForecastPhase, MethodRun, RunResult, SimConfig,
 };
 use pfdrl_fl::FaultConfig;
-use pfdrl_store::{CheckpointStore, StoreError};
+use pfdrl_store::{CheckpointStore, RunSnapshot, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -119,6 +121,103 @@ fn exercise_resume_matrix_across_widths(cfg: &SimConfig, method: EmsMethod, tag:
         }
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Resumes from every snapshot of a checkpointed run into a fresh
+/// checkpoint directory: each snapshot the resumed run writes must
+/// equal the original run's snapshot of the same day byte for byte.
+/// Both runs share this process, so even the forecast phase's wall-clock
+/// field is the same.
+fn exercise_resumed_snapshots(cfg: &SimConfig, method: EmsMethod, tag: &str) {
+    let dir = tmp_dir(tag);
+    run_method_resumable(&checkpointed(cfg, &dir), method).unwrap();
+    let snaps = CheckpointStore::open(&dir, 0).unwrap().list().unwrap();
+    assert_eq!(snaps.len(), cfg.eval_days as usize);
+    for (k, snap) in snaps.iter().enumerate() {
+        let resumed_dir = tmp_dir(&format!("{tag}-from-{k}"));
+        run_method_resume_from(&checkpointed(cfg, &resumed_dir), method, snap).unwrap();
+        let written = CheckpointStore::open(&resumed_dir, 0)
+            .unwrap()
+            .list()
+            .unwrap();
+        assert_eq!(
+            written.len(),
+            snaps.len() - k - 1,
+            "{tag}: resumed from {k}"
+        );
+        for path in &written {
+            let original = dir.join(path.file_name().unwrap());
+            assert!(
+                fs::read(path).unwrap() == fs::read(&original).unwrap(),
+                "{tag}: resumed from {k}, {} differs from the original run's",
+                original.display()
+            );
+        }
+        fs::remove_dir_all(&resumed_dir).unwrap();
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resumed_runs_write_the_original_snapshots_byte_for_byte() {
+    let mut cfg = SimConfig::tiny(11);
+    cfg.eval_days = 4;
+    exercise_resumed_snapshots(&cfg, EmsMethod::Pfdrl, "snapshots");
+
+    // Shards, parked stragglers and compressed uplinks fill every
+    // optional section of the snapshots.
+    let mut cfg = SimConfig::tiny(53);
+    cfg.n_residences = 7;
+    cfg.eval_days = 3;
+    cfg.aggregation = pfdrl_fl::AggregationMode::Hierarchical {
+        shards: 3,
+        assignment: pfdrl_fl::ShardAssignment::RoundRobin,
+    };
+    cfg.compression = pfdrl_fl::PayloadCodec::QuantizedI8 {
+        per_layer_scale: true,
+    };
+    cfg.fault = FaultConfig::chaos(53, 0.5);
+    cfg.fault.straggler_rate = 0.8;
+    exercise_resumed_snapshots(&cfg, EmsMethod::Pfdrl, "snapshots-hier-chaos");
+}
+
+#[test]
+fn v2_ems_fixture_resumes_to_the_uninterrupted_result() {
+    // The fixture's run, as crates/pfdrl-store/tests/fixtures/README.md
+    // generates it: a version 2 snapshot taken after the first
+    // evaluation day.
+    let mut cfg = SimConfig::tiny(7);
+    cfg.n_residences = 2;
+    cfg.dqn.replay_capacity = 64;
+    cfg.dqn.hidden_width = 6;
+    let method = EmsMethod::Pfdrl;
+    let reference = run_method(&cfg, method).result();
+
+    let bytes = include_bytes!("../../pfdrl-store/tests/fixtures/ems_tiny_v2.pfds");
+    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
+    let snap = RunSnapshot::decode(bytes).unwrap();
+    assert_eq!(snap.meta.next_day, cfg.eval_start_day + 1);
+    assert!(snap
+        .agents
+        .iter()
+        .flatten()
+        .all(|a| a.replay.len() == cfg.dqn.replay_capacity));
+    // Restored without the config-fingerprint check, so that a config
+    // field added later cannot strand the fixture.
+    let forecast = ForecastPhase::from_state(&cfg, &snap.forecast).unwrap();
+    let mut state = EmsState::from_snapshot(&cfg, &snap).unwrap();
+    while !state.done(&cfg) {
+        state.advance_day(&cfg, method, &forecast);
+    }
+    let resumed = MethodRun {
+        method: method.name().to_string(),
+        forecast_train_wall_s: forecast.train_wall_s,
+        forecast_comm_s: forecast.comm_s,
+        forecast_bytes: forecast.comm_bytes,
+        forecast_logical_bytes: forecast.comm_logical_bytes,
+        ems: state.into_phase(&cfg, 0.0),
+    };
+    assert_bit_identical(&reference, &resumed.result(), "v2 EMS fixture");
 }
 
 #[test]

@@ -402,17 +402,17 @@ impl DqnAgent {
         }
         let state_dim = self.qnet.in_dim();
         let actions = self.qnet.out_dim();
-        for (i, t) in state.replay.transitions.iter().enumerate() {
-            let next_ok = t.next_state.as_ref().is_none_or(|s| s.len() == state_dim);
-            if t.state.len() != state_dim || !next_ok {
-                return Err(format!(
-                    "agent state: transition {i} has a state of the wrong dimension"
-                ));
-            }
-            if t.action >= actions {
+        let replay_dim = state.replay.dim;
+        if replay_dim != 0 && replay_dim != state_dim {
+            return Err(format!(
+                "agent state: replay states are {replay_dim} wide, network takes {state_dim}"
+            ));
+        }
+        for (i, slot) in state.replay.slots.iter().enumerate() {
+            if slot.action as usize >= actions {
                 return Err(format!(
                     "agent state: transition {i} has action {}, network has {actions}",
-                    t.action
+                    slot.action
                 ));
             }
         }
@@ -747,32 +747,27 @@ mod tests {
         wrong_capacity.replay.capacity += 1;
         assert!(agent.restore_state(&wrong_capacity).is_err());
 
-        let mut bad_transition = agent.export_state();
-        bad_transition.replay = ReplayState {
-            capacity: agent.config().replay_capacity,
-            transitions: vec![Transition {
-                state: vec![0.0; 5],
-                action: 0,
+        // A one-transition ring of the given state width and action.
+        let capacity = agent.config().replay_capacity;
+        let ring = |state_width: usize, action: usize| {
+            let t = Transition {
+                state: vec![0.0; state_width],
+                action,
                 reward: 0.0,
                 next_state: None,
-            }],
-            write: 1,
+            };
+            ReplayBuffer::from_transitions(capacity, &[t], 1)
+                .unwrap()
+                .export_state()
         };
+        let mut bad_transition = agent.export_state();
+        bad_transition.replay = ring(5, 0);
         assert!(agent.restore_state(&bad_transition).is_err());
 
         // An action the network has no output for would index past its
         // Q-value row in `train_step`.
         let mut bad_action = agent.export_state();
-        bad_action.replay = ReplayState {
-            capacity: agent.config().replay_capacity,
-            transitions: vec![Transition {
-                state: vec![0.0; 2],
-                action: 3,
-                reward: 0.0,
-                next_state: None,
-            }],
-            write: 1,
-        };
+        bad_action.replay = ring(2, 3);
         assert!(agent.restore_state(&bad_action).is_err());
     }
 

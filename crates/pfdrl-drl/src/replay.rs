@@ -39,8 +39,19 @@
 //! chain — still round-trips exactly.
 //!
 //! Slot order, the write cursor and the sampling draws are those of a
-//! plain `Vec<Transition>` ring, so [`ReplayBuffer::export_state`] and
-//! training are independent of how rows are shared.
+//! plain `Vec<Transition>` ring, so training is independent of how rows
+//! are shared.
+//!
+//! # Checkpoints
+//!
+//! [`ReplayBuffer::export_state`] copies the ring's raw arrays — the row
+//! block, the slot records and the side table — into a [`ReplayState`],
+//! and [`ReplayBuffer::from_state`] validates such a state and copies it
+//! back, so a restored ring is the same ring, dead rows included, and
+//! keeps evolving exactly as the original would. Rings from the older
+//! per-transition snapshot format go through
+//! [`ReplayBuffer::from_transitions`] instead, which pushes the
+//! transitions oldest first and yields a logically equal ring.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -80,7 +91,7 @@ impl TransitionRef<'_> {
 
 /// Where a slot's next state is stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Next {
+pub enum Next {
     Terminal,
     /// The row after the slot's own state row.
     Row,
@@ -89,12 +100,13 @@ enum Next {
 }
 
 /// Per-transition record: 16 bytes.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    reward: f64,
-    row: u32,
-    action: u16,
-    next: Next,
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Slot {
+    pub reward: f64,
+    /// Row of the transition's state in the row block.
+    pub row: u32,
+    pub action: u16,
+    pub next: Next,
 }
 
 /// Fixed-capacity ring of transitions with uniform sampling, stored as
@@ -246,56 +258,68 @@ impl ReplayBuffer {
         }
     }
 
-    /// Captures the buffer contents and ring position, for
-    /// checkpointing.
+    /// Copies the ring's raw arrays and cursors, for checkpointing.
     pub fn export_state(&self) -> ReplayState {
         ReplayState {
             capacity: self.capacity,
-            transitions: (0..self.len())
-                .map(|i| self.get(i).to_transition())
-                .collect(),
+            dim: self.dim,
             write: self.write,
+            head: self.head,
+            rows: self.rows.clone(),
+            slots: self.slots.clone(),
+            spill: self.spill.clone(),
         }
     }
 
-    /// Rebuilds a buffer from a captured [`ReplayState`], restoring the
-    /// exact slot order and eviction order. Transitions are copied into
-    /// the ring oldest first, so consecutive ones chain wherever their states
-    /// do and the newest transition's next state is pending again. A
-    /// non-empty state allocates the whole `(capacity + 1) × dim` row
-    /// block, as a first push does.
+    /// Rebuilds the ring captured by [`ReplayBuffer::export_state`]:
+    /// the state is validated, then its arrays are copied as they are,
+    /// so the restored ring shares rows, spills and evicts exactly as
+    /// the original. A non-empty ring reserves every slot, as a first
+    /// push does.
     ///
     /// # Errors
-    /// Rejects states that violate the ring invariants (zero or
+    /// Rejects any state [`ReplayState::validate`] rejects.
+    pub fn from_state(state: &ReplayState) -> Result<Self, ReplayError> {
+        state.validate()?;
+        let mut slots = Vec::with_capacity(if state.slots.is_empty() {
+            0
+        } else {
+            state.capacity
+        });
+        slots.extend_from_slice(&state.slots);
+        Ok(ReplayBuffer {
+            capacity: state.capacity,
+            dim: state.dim,
+            rows: state.rows.clone(),
+            slots,
+            write: state.write,
+            head: state.head,
+            spill: state.spill.clone(),
+        })
+    }
+
+    /// Rebuilds a ring from owned transitions in storage order (not age
+    /// order) and the slot the ring overwrites next, restoring the exact
+    /// slot order and eviction order. Transitions are pushed oldest
+    /// first, so consecutive ones chain wherever their states do and the
+    /// newest transition's next state is pending again. This reads rings
+    /// of the per-transition snapshot format; the result is logically
+    /// equal to the ring that was captured, though its rows may be laid
+    /// out differently.
+    ///
+    /// # Errors
+    /// Rejects rings that violate the ring invariants (zero or
     /// oversized capacity, overfull, a write cursor outside the
     /// occupied region) or that the flat ring cannot hold (an empty
     /// state, states or next states of differing widths, an action above
     /// `u16::MAX`).
-    pub fn from_state(state: &ReplayState) -> Result<Self, ReplayError> {
-        let ReplayState {
-            capacity,
-            ref transitions,
-            write,
-        } = *state;
-        if capacity == 0 || capacity >= u32::MAX as usize {
-            return Err(ReplayError::Capacity { capacity });
-        }
+    pub fn from_transitions(
+        capacity: usize,
+        transitions: &[Transition],
+        write: usize,
+    ) -> Result<Self, ReplayError> {
+        check_cursors(capacity, transitions.len(), write)?;
         let len = transitions.len();
-        if len > capacity {
-            return Err(ReplayError::Overfull { len, capacity });
-        }
-        let valid_write = if len < capacity {
-            write == len
-        } else {
-            write < capacity
-        };
-        if !valid_write {
-            return Err(ReplayError::WriteCursor {
-                write,
-                len,
-                capacity,
-            });
-        }
         let dim = transitions.first().map_or(0, |t| t.state.len());
         for (index, t) in transitions.iter().enumerate() {
             if t.state.is_empty() {
@@ -382,7 +406,32 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Why [`ReplayBuffer::from_state`] rejected a [`ReplayState`].
+/// Checks the invariants every ring of `capacity` slots with `len`
+/// of them filled keeps, whatever its storage.
+fn check_cursors(capacity: usize, len: usize, write: usize) -> Result<(), ReplayError> {
+    if capacity == 0 || capacity >= u32::MAX as usize {
+        return Err(ReplayError::Capacity { capacity });
+    }
+    if len > capacity {
+        return Err(ReplayError::Overfull { len, capacity });
+    }
+    let valid_write = if len < capacity {
+        write == len
+    } else {
+        write < capacity
+    };
+    if !valid_write {
+        return Err(ReplayError::WriteCursor {
+            write,
+            len,
+            capacity,
+        });
+    }
+    Ok(())
+}
+
+/// Why a [`ReplayState`] or a list of transitions cannot be restored
+/// into a [`ReplayBuffer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// Zero, or too large for the ring's `u32` row index.
@@ -412,6 +461,23 @@ pub enum ReplayError {
     },
     /// Transition `index`'s action does not fit the 16-bit slot field.
     Action { index: usize, action: usize },
+    /// A ring holds states exactly when it has a width: `dim` must be 0
+    /// for an empty ring and positive otherwise.
+    Width { dim: usize, len: usize },
+    /// The row block (`"rows"`) or the side table (`"spill"`) has `len`
+    /// values where the ring's shape calls for `expected`.
+    Block {
+        block: &'static str,
+        len: usize,
+        expected: usize,
+    },
+    /// Slot `index` points at a row outside the `capacity + 1` rows.
+    Row { index: usize, row: u32 },
+    /// Slot `index` keeps its next state in a side table the ring does
+    /// not have.
+    Spilled { index: usize },
+    /// The next push's row is not the one after the newest slot's row.
+    Head { head: usize, expected: usize },
 }
 
 impl fmt::Display for ReplayError {
@@ -450,20 +516,121 @@ impl fmt::Display for ReplayError {
                 "replay state: transition {index} has action {action}, above {}",
                 u16::MAX
             ),
+            ReplayError::Width { dim, len } => write!(
+                f,
+                "replay state: width {dim} inconsistent with {len} stored transitions"
+            ),
+            ReplayError::Block {
+                block,
+                len,
+                expected,
+            } => write!(
+                f,
+                "replay state: {block} block holds {len} values, expected {expected}"
+            ),
+            ReplayError::Row { index, row } => {
+                write!(f, "replay state: slot {index} points at missing row {row}")
+            }
+            ReplayError::Spilled { index } => write!(
+                f,
+                "replay state: slot {index} is spilled but the ring has no side table"
+            ),
+            ReplayError::Head { head, expected } => write!(
+                f,
+                "replay state: next push row {head}, expected {expected}"
+            ),
         }
     }
 }
 
 impl std::error::Error for ReplayError {}
 
-/// Serializable snapshot of a [`ReplayBuffer`], for checkpointing.
+/// A [`ReplayBuffer`]'s raw storage, for checkpointing: the arrays and
+/// cursors described in the module docs, captured as they are.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayState {
     pub capacity: usize,
-    /// Buffer contents in storage order (not age order).
-    pub transitions: Vec<Transition>,
+    /// State width; 0 for a ring that was never pushed.
+    pub dim: usize,
     /// Next slot the ring will overwrite.
     pub write: usize,
+    /// State row of the next push: the row after the newest slot's.
+    pub head: usize,
+    /// `(capacity + 1) × dim` state rows.
+    pub rows: Vec<f64>,
+    /// One record per stored transition, in storage order (not age
+    /// order).
+    pub slots: Vec<Slot>,
+    /// The side table: empty, or `capacity × dim` next states indexed by
+    /// slot.
+    pub spill: Vec<f64>,
+}
+
+impl ReplayState {
+    /// Number of stored transitions.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Whether the ring holds no transition.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Checks that the arrays form a ring [`ReplayBuffer`] can run on:
+    /// the cursors fit `capacity` and `len`, the width is positive
+    /// exactly when transitions are stored, the row block holds
+    /// `(capacity + 1) × dim` values and the side table none or
+    /// `capacity × dim`, every slot's row exists, a spilled slot has a
+    /// side table, and `head` is the row after the newest slot's row.
+    ///
+    /// # Errors
+    /// The first violated rule, as a typed [`ReplayError`].
+    pub fn validate(&self) -> Result<(), ReplayError> {
+        let (capacity, dim, len) = (self.capacity, self.dim, self.len());
+        check_cursors(capacity, len, self.write)?;
+        if (dim == 0) != (len == 0) {
+            return Err(ReplayError::Width { dim, len });
+        }
+        let block = |block: &'static str, len: usize, expected: Option<usize>| {
+            if Some(len) == expected {
+                Ok(())
+            } else {
+                Err(ReplayError::Block {
+                    block,
+                    len,
+                    expected: expected.unwrap_or(usize::MAX),
+                })
+            }
+        };
+        let rows = capacity + 1;
+        block("rows", self.rows.len(), rows.checked_mul(dim))?;
+        if !self.spill.is_empty() {
+            block("spill", self.spill.len(), capacity.checked_mul(dim))?;
+        }
+        for (index, s) in self.slots.iter().enumerate() {
+            if s.row as usize >= rows {
+                return Err(ReplayError::Row { index, row: s.row });
+            }
+            if s.next == Next::Spilled && self.spill.is_empty() {
+                return Err(ReplayError::Spilled { index });
+            }
+        }
+        let expected = match len {
+            0 => 0,
+            _ => {
+                let newest = (self.write + capacity - 1) % capacity;
+                (self.slots[newest].row as usize + 1) % rows
+            }
+        };
+        if self.head != expected {
+            return Err(ReplayError::Head {
+                head: self.head,
+                expected,
+            });
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -547,20 +714,16 @@ mod tests {
         assert_eq!(restored.export_state(), rb.export_state());
     }
 
-    fn state_of(transitions: Vec<Transition>) -> ReplayState {
-        ReplayState {
-            capacity: 4,
-            write: transitions.len(),
-            transitions,
-        }
+    fn restore(transitions: &[Transition]) -> Result<ReplayBuffer, ReplayError> {
+        ReplayBuffer::from_transitions(4, transitions, transitions.len())
     }
 
     #[test]
-    fn from_state_rejects_mixed_state_widths() {
+    fn from_transitions_rejects_mixed_state_widths() {
         let mut wide = t(1.0);
         wide.state = vec![1.0, 2.0];
         assert_eq!(
-            ReplayBuffer::from_state(&state_of(vec![t(0.0), wide])).unwrap_err(),
+            restore(&[t(0.0), wide]).unwrap_err(),
             ReplayError::StateWidth {
                 index: 1,
                 len: 2,
@@ -570,21 +733,21 @@ mod tests {
     }
 
     #[test]
-    fn from_state_rejects_an_empty_state() {
+    fn from_transitions_rejects_an_empty_state() {
         let mut empty = t(1.0);
         empty.state.clear();
         assert_eq!(
-            ReplayBuffer::from_state(&state_of(vec![empty])).unwrap_err(),
+            restore(&[empty]).unwrap_err(),
             ReplayError::EmptyState { index: 0 }
         );
     }
 
     #[test]
-    fn from_state_rejects_a_next_state_of_another_width() {
+    fn from_transitions_rejects_a_next_state_of_another_width() {
         let mut ragged = t(1.0);
         ragged.next_state = Some(vec![0.0; 3]);
         assert_eq!(
-            ReplayBuffer::from_state(&state_of(vec![t(0.0), ragged])).unwrap_err(),
+            restore(&[t(0.0), ragged]).unwrap_err(),
             ReplayError::NextStateWidth {
                 index: 1,
                 len: 3,
@@ -594,11 +757,11 @@ mod tests {
     }
 
     #[test]
-    fn from_state_rejects_an_action_wider_than_the_slot() {
+    fn from_transitions_rejects_an_action_wider_than_the_slot() {
         let mut wide = t(1.0);
         wide.action = 1 << 16;
         assert_eq!(
-            ReplayBuffer::from_state(&state_of(vec![wide])).unwrap_err(),
+            restore(&[wide]).unwrap_err(),
             ReplayError::Action {
                 index: 0,
                 action: 1 << 16
@@ -607,25 +770,113 @@ mod tests {
     }
 
     #[test]
-    fn from_state_rejects_broken_ring_invariants() {
-        let mut s = state_of(vec![t(0.0)]);
-        s.capacity = 0;
+    fn from_transitions_rejects_broken_ring_invariants() {
         assert_eq!(
-            ReplayBuffer::from_state(&s).unwrap_err(),
+            ReplayBuffer::from_transitions(0, &[t(0.0)], 1).unwrap_err(),
             ReplayError::Capacity { capacity: 0 }
         );
-        let mut s = state_of(vec![t(0.0); 5]);
-        s.write = 0;
         assert!(matches!(
-            ReplayBuffer::from_state(&s).unwrap_err(),
+            ReplayBuffer::from_transitions(4, &vec![t(0.0); 5], 0).unwrap_err(),
             ReplayError::Overfull { len: 5, .. }
         ));
-        let mut s = state_of(vec![t(0.0)]);
-        s.write = 0;
         assert!(matches!(
-            ReplayBuffer::from_state(&s).unwrap_err(),
+            ReplayBuffer::from_transitions(4, &[t(0.0)], 0).unwrap_err(),
             ReplayError::WriteCursor { write: 0, .. }
         ));
+    }
+
+    /// A ring of capacity 3 over 2-wide states that has wrapped and
+    /// spilled once: slot 2's next state was displaced by an unchained
+    /// push.
+    fn spilled_ring() -> ReplayState {
+        let mut rb = ReplayBuffer::new(3);
+        rb.push(&[1.0, 1.0], 0, 0.5, Some(&[2.0, 2.0]));
+        rb.push(&[2.0, 2.0], 1, 1.5, Some(&[3.0, 3.0]));
+        rb.push(&[3.0, 3.0], 2, 2.5, Some(&[4.0, 4.0]));
+        rb.push(&[9.0, 9.0], 0, 3.5, Some(&[5.0, 5.0]));
+        let state = rb.export_state();
+        assert!(!state.spill.is_empty(), "the unchained push spilled");
+        state
+    }
+
+    #[test]
+    fn from_state_restores_the_same_ring() {
+        let state = spilled_ring();
+        let restored = ReplayBuffer::from_state(&state).unwrap();
+        assert_eq!(restored.export_state(), state);
+        assert_eq!(
+            restored.get(2).next_state,
+            Some(&[4.0, 4.0][..]),
+            "spilled next state"
+        );
+    }
+
+    #[test]
+    fn from_state_rejects_each_broken_rule() {
+        type BreakRule = fn(&mut ReplayState);
+        let cases: [(BreakRule, ReplayError); 9] = [
+            (|s| s.capacity = 0, ReplayError::Capacity { capacity: 0 }),
+            (
+                |s| s.write = 7,
+                ReplayError::WriteCursor {
+                    write: 7,
+                    len: 3,
+                    capacity: 3,
+                },
+            ),
+            (|s| s.dim = 0, ReplayError::Width { dim: 0, len: 3 }),
+            (
+                |s| {
+                    s.rows.pop();
+                },
+                ReplayError::Block {
+                    block: "rows",
+                    len: 7,
+                    expected: 8,
+                },
+            ),
+            (
+                |s| s.spill.push(0.0),
+                ReplayError::Block {
+                    block: "spill",
+                    len: 7,
+                    expected: 6,
+                },
+            ),
+            (
+                |s| s.slots[1].row = 4,
+                ReplayError::Row { index: 1, row: 4 },
+            ),
+            (|s| s.spill.clear(), ReplayError::Spilled { index: 2 }),
+            (
+                |s| s.head = 2,
+                ReplayError::Head {
+                    head: 2,
+                    expected: 0,
+                },
+            ),
+            (
+                |s| s.slots.push(s.slots[0]),
+                ReplayError::Overfull {
+                    len: 4,
+                    capacity: 3,
+                },
+            ),
+        ];
+        for (break_rule, expected) in cases {
+            let mut state = spilled_ring();
+            break_rule(&mut state);
+            assert_eq!(ReplayBuffer::from_state(&state).unwrap_err(), expected);
+        }
+        let empty = ReplayBuffer::new(3).export_state();
+        assert!(ReplayBuffer::from_state(&empty).unwrap().is_empty());
+        let mut sized = empty;
+        sized.dim = 2;
+        sized.rows = vec![0.0; 8];
+        assert_eq!(
+            ReplayBuffer::from_state(&sized).unwrap_err(),
+            ReplayError::Width { dim: 2, len: 0 }
+        );
     }
 
     #[test]

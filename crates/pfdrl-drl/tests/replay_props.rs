@@ -2,7 +2,9 @@
 //! the plain push-or-overwrite semantics every snapshot and training
 //! draw is defined by. Random mixes of chained, terminal and unchained
 //! pushes, over rows that include ±0.0, NaN payloads, ±∞ and
-//! subnormals, must export, restore and read back bit for bit.
+//! subnormals, must read back like the model, export and restore bit
+//! for bit, and rebuild from the model's transitions into a ring that
+//! reads back the same.
 
 use pfdrl_drl::{ReplayBuffer, ReplayState, Transition};
 use proptest::prelude::*;
@@ -39,14 +41,18 @@ fn same_transition(a: &Transition, b: &Transition) -> bool {
         && a.next_state.as_deref().map(bits) == b.next_state.as_deref().map(bits)
 }
 
+/// Bitwise equality of two rings' raw arrays and cursors.
 fn same_state(a: &ReplayState, b: &ReplayState) -> bool {
-    a.capacity == b.capacity
-        && a.write == b.write
-        && a.transitions.len() == b.transitions.len()
-        && a.transitions
+    let slot_bits = |s: &ReplayState| -> Vec<_> {
+        s.slots
             .iter()
-            .zip(&b.transitions)
-            .all(|(x, y)| same_transition(x, y))
+            .map(|x| (x.reward.to_bits(), x.row, x.action, x.next))
+            .collect()
+    };
+    (a.capacity, a.dim, a.write, a.head) == (b.capacity, b.dim, b.write, b.head)
+        && bits(&a.rows) == bits(&b.rows)
+        && bits(&a.spill) == bits(&b.spill)
+        && slot_bits(a) == slot_bits(b)
 }
 
 /// One value, biased towards the bit patterns `==` gets wrong.
@@ -74,22 +80,8 @@ fn flip_zeros(v: &[f64]) -> Vec<f64> {
     v.iter().map(|&x| if x == 0.0 { -x } else { x }).collect()
 }
 
-fn check(rb: &ReplayBuffer, model: &Model) -> Result<(), TestCaseError> {
-    let exported = rb.export_state();
-    let expect = ReplayState {
-        capacity: model.capacity,
-        transitions: model.buf.clone(),
-        write: model.write,
-    };
-    prop_assert!(
-        same_state(&exported, &expect),
-        "export differs from the model"
-    );
-    let restored = ReplayBuffer::from_state(&exported).expect("own export restores");
-    prop_assert!(
-        same_state(&restored.export_state(), &exported),
-        "from_state(export_state()) exports differently"
-    );
+/// `rb` reads back exactly the model's transitions in storage order.
+fn reads_like(rb: &ReplayBuffer, model: &Model) -> Result<(), TestCaseError> {
     prop_assert_eq!(rb.len(), model.buf.len());
     for (i, t) in model.buf.iter().enumerate() {
         prop_assert!(
@@ -98,6 +90,24 @@ fn check(rb: &ReplayBuffer, model: &Model) -> Result<(), TestCaseError> {
             i
         );
     }
+    Ok(())
+}
+
+fn check(rb: &ReplayBuffer, model: &Model) -> Result<(), TestCaseError> {
+    reads_like(rb, model)?;
+    let exported = rb.export_state();
+    prop_assert_eq!(exported.write, model.write);
+    prop_assert_eq!(exported.capacity, model.capacity);
+    let restored = ReplayBuffer::from_state(&exported).expect("own export restores");
+    prop_assert!(
+        same_state(&restored.export_state(), &exported),
+        "from_state(export_state()) exports differently"
+    );
+    reads_like(&restored, model)?;
+    let rebuilt = ReplayBuffer::from_transitions(model.capacity, &model.buf, model.write)
+        .expect("the model's transitions rebuild");
+    prop_assert_eq!(rebuilt.export_state().write, model.write);
+    reads_like(&rebuilt, model)?;
     Ok(())
 }
 
@@ -132,10 +142,18 @@ proptest! {
             last_next = t.next_state.clone();
             model.push(t);
             check(&rb, &model)?;
-            // Carry on from a restored ring now and then, so pushes after
-            // a resume are exercised too.
-            if rng.gen_range(0..4) == 0 {
-                rb = ReplayBuffer::from_state(&rb.export_state()).expect("own export restores");
+            // Carry on from a restored or a rebuilt ring now and then, so
+            // pushes after either kind of resume are exercised too.
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    rb = ReplayBuffer::from_state(&rb.export_state())
+                        .expect("own export restores");
+                }
+                2 => {
+                    rb = ReplayBuffer::from_transitions(capacity, &model.buf, model.write)
+                        .expect("the model's transitions rebuild");
+                }
+                _ => {}
             }
         }
     }

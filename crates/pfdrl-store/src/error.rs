@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use pfdrl_drl::ReplayError;
+
 /// Why a snapshot could not be written, read, or applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StoreError {
@@ -49,6 +51,8 @@ pub enum StoreError {
         /// The dangling id.
         id: u64,
     },
+    /// A replay ring's arrays or cursors break a ring invariant.
+    Replay(ReplayError),
     /// The snapshot was taken under a different configuration.
     ConfigMismatch {
         /// Fingerprint of the configuration trying to resume.
@@ -76,7 +80,8 @@ impl fmt::Display for StoreError {
             StoreError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot format version {found} (this build reads v{})",
+                    "unsupported snapshot format version {found} (this build reads v{} to v{})",
+                    crate::snapshot::MIN_READ_VERSION,
                     crate::snapshot::FORMAT_VERSION
                 )
             }
@@ -101,6 +106,7 @@ impl fmt::Display for StoreError {
             StoreError::BadTensorRef { id } => {
                 write!(f, "tensor reference {id} points outside the tensor pool")
             }
+            StoreError::Replay(e) => write!(f, "malformed snapshot data in {e}"),
             StoreError::ConfigMismatch { expected, found } => write!(
                 f,
                 "snapshot was taken under a different configuration \

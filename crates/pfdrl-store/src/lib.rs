@@ -22,9 +22,13 @@
 //!   allocates more than the input's own size can justify;
 //! * identical parameter tensors (bit-for-bit) are stored once via a
 //!   content-addressed [`TensorPool`], collapsing the N copies of
-//!   broadcast base layers across residences;
-//! * [`CheckpointStore`] writes atomically (temp file + rename) so a
-//!   crash mid-write never corrupts an existing snapshot.
+//!   broadcast base layers across residences; each replay ring is
+//!   written inline as one block and restored as the same ring;
+//! * [`CheckpointStore`] writes atomically and durably (temp file,
+//!   fsync, rename, directory fsync) so neither a crash nor a power
+//!   loss mid-write leaves a short file under a snapshot name;
+//! * every format version from [`MIN_READ_VERSION`] to
+//!   [`FORMAT_VERSION`] is read, each pinned by a committed fixture.
 //!
 //! ## Example
 //!
@@ -47,6 +51,7 @@ pub use error::StoreError;
 pub use snapshot::{
     ForecastState, HealthState, HomeHealthRecord, MetricsState, RunSnapshot, ServeDeviceState,
     ServeHomeState, ServeState, SnapshotMeta, TransportState, FORMAT_VERSION, MAGIC,
+    MIN_READ_VERSION,
 };
 pub use store::{CheckpointStore, SNAPSHOT_EXT};
 pub use tensor::{TensorId, TensorPool};

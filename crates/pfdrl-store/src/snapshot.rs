@@ -26,22 +26,41 @@
 //!
 //! ## Tensor dedup
 //!
-//! All parameter vectors — network layers, Adam moments, forecaster
-//! weights, in-flight update payloads, replay transition states — are
-//! interned into one content-addressed [`TensorPool`] (section
-//! `TENSORS`) and referenced by index everywhere else. After a γ
-//! broadcast every residence carries bit-identical base layers, each
-//! DQN's target network mirrors its Q-network between syncs, and
-//! consecutive replay transitions share state vectors; interning
-//! collapses all of that to one stored copy each.
+//! Network layers, Adam moments, forecaster weights and in-flight
+//! update payloads are interned into one content-addressed
+//! [`TensorPool`] (section `TENSORS`) and referenced by index
+//! everywhere else. After a γ broadcast every residence carries
+//! bit-identical base layers, and each DQN's target network mirrors its
+//! Q-network between syncs; interning collapses that to one stored copy
+//! each.
+//!
+//! ## Replay rings (version 3)
+//!
+//! Each agent's record in `AGENTS` carries its replay ring inline, as
+//! the ring stores it: capacity, dim, len, write and head (`u64` each),
+//! the `(capacity + 1) × dim` row block and the side table (each a
+//! length-prefixed `f64` block, the side table empty or
+//! `capacity × dim`) around `len` 15-byte slot records (reward bits,
+//! row `u32`, action `u16`, next kind `u8`). Encoding and decoding a
+//! ring are bulk copies, and the decoder checks every ring invariant
+//! ([`ReplayState::validate`]) before a ring can be restored.
+//!
+//! Version 2 files still load: their rings hold one pooled state id,
+//! action, reward and optional next-state id per transition, and are
+//! converted through [`ReplayBuffer::from_transitions`] into rings that
+//! are logically equal to the captured ones. Every file is written as
+//! version 3.
 
-use pfdrl_drl::{DqnState, ReplayState, Transition};
+use pfdrl_drl::replay::{Next, Slot};
+use pfdrl_drl::{DqnState, ReplayBuffer, ReplayState, Transition};
 use pfdrl_env::account::EnergyAccount;
 use pfdrl_fl::{
     BusState, BusStats, CloudState, CloudStats, HierShardState, HierState, LayerUpdate,
     ModelUpdate, ShardCounters,
 };
 use pfdrl_nn::optimizer::AdamState;
+
+use std::io::{self, Write};
 
 use crate::crc32::crc32;
 use crate::error::StoreError;
@@ -50,10 +69,17 @@ use crate::wire::{Reader, Writer};
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"PFDS";
-/// Format version this build writes and reads. Version 2 added the
-/// logical (pre-compression) byte counters to the bus, cloud, shard
-/// and forecast stats.
-pub const FORMAT_VERSION: u32 = 2;
+/// Format version this build writes. Version 2 added the logical
+/// (pre-compression) byte counters to the bus, cloud, shard and
+/// forecast stats; version 3 writes each replay ring inline as one
+/// block instead of one pooled tensor pair per transition.
+pub const FORMAT_VERSION: u32 = 3;
+/// Oldest format version this build still reads.
+pub const MIN_READ_VERSION: u32 = 2;
+
+/// Bytes of one replay slot record: reward bits, row, action and next
+/// kind.
+const SLOT_BYTES: usize = 15;
 
 /// Section kinds. Values are part of the on-disk format.
 pub mod section {
@@ -389,21 +415,7 @@ fn encode_dqn(w: &mut Writer, pool: &mut TensorPool, s: &DqnState) {
     w.put_u64(s.opt.t);
     encode_layer_ids(w, pool, &s.opt.m);
     encode_layer_ids(w, pool, &s.opt.v);
-    w.put_usize(s.replay.capacity);
-    w.put_usize(s.replay.write);
-    w.put_usize(s.replay.transitions.len());
-    for t in &s.replay.transitions {
-        w.put_u64(pool.intern(&t.state) as u64);
-        w.put_usize(t.action);
-        w.put_f64(t.reward);
-        match &t.next_state {
-            Some(ns) => {
-                w.put_bool(true);
-                w.put_u64(pool.intern(ns) as u64);
-            }
-            None => w.put_bool(false),
-        }
-    }
+    encode_ring(w, &s.replay);
     for &word in &s.rng {
         w.put_u64(word);
     }
@@ -411,12 +423,124 @@ fn encode_dqn(w: &mut Writer, pool: &mut TensorPool, s: &DqnState) {
     w.put_u64(s.grad_steps);
 }
 
-fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool) -> Result<DqnState, StoreError> {
+/// Exact size of [`encode_dqn`]'s output, so the `AGENTS` section is
+/// allocated once whatever the rings' size.
+fn dqn_len(s: &DqnState) -> usize {
+    let ids = |layers: &[Vec<f64>]| 8 + 8 * layers.len();
+    ids(&s.qnet) + ids(&s.target) + 8 + ids(&s.opt.m) + ids(&s.opt.v) + ring_len(&s.replay) + 48
+}
+
+fn decode_dqn(
+    r: &mut Reader<'_>,
+    pool: &TensorPool,
+    version: u32,
+    v2_budget: &mut usize,
+) -> Result<DqnState, StoreError> {
     let qnet = decode_layer_ids(r, pool)?;
     let target = decode_layer_ids(r, pool)?;
     let t = r.u64()?;
     let m = decode_layer_ids(r, pool)?;
     let v = decode_layer_ids(r, pool)?;
+    let replay = match version {
+        2 => decode_ring_v2(r, pool, v2_budget)?,
+        _ => decode_ring(r)?,
+    };
+    let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let env_steps = r.u64()?;
+    let grad_steps = r.u64()?;
+    Ok(DqnState {
+        qnet,
+        target,
+        opt: AdamState { t, m, v },
+        replay,
+        rng,
+        env_steps,
+        grad_steps,
+    })
+}
+
+/// A replay ring, inline: capacity, dim, len, write and head, the row
+/// block, one [`SLOT_BYTES`] record per slot, then the side table.
+fn encode_ring(w: &mut Writer, s: &ReplayState) {
+    w.put_usize(s.capacity);
+    w.put_usize(s.dim);
+    w.put_usize(s.len());
+    w.put_usize(s.write);
+    w.put_usize(s.head);
+    w.put_f64s(&s.rows);
+    for slot in &s.slots {
+        w.put_f64(slot.reward);
+        w.put_u32(slot.row);
+        w.put_u16(slot.action);
+        w.put_u8(match slot.next {
+            Next::Terminal => 0,
+            Next::Row => 1,
+            Next::Spilled => 2,
+        });
+    }
+    w.put_f64s(&s.spill);
+}
+
+fn ring_len(s: &ReplayState) -> usize {
+    5 * 8 + (8 + 8 * s.rows.len()) + SLOT_BYTES * s.len() + (8 + 8 * s.spill.len())
+}
+
+/// Reads a ring written by [`encode_ring`] and validates it before it
+/// can reach a [`ReplayBuffer`]. Every block is backed by bytes of the
+/// section, so the allocations are bounded by the input.
+fn decode_ring(r: &mut Reader<'_>) -> Result<ReplayState, StoreError> {
+    let capacity = r.usize()?;
+    let dim = r.usize()?;
+    let len = r.count(SLOT_BYTES)?;
+    let write = r.usize()?;
+    let head = r.usize()?;
+    let rows = r.f64s()?;
+    let mut slots = Vec::with_capacity(len);
+    for _ in 0..len {
+        let reward = r.f64()?;
+        let row = r.u32()?;
+        let action = r.u16()?;
+        let next = match r.u8()? {
+            0 => Next::Terminal,
+            1 => Next::Row,
+            2 => Next::Spilled,
+            _ => {
+                return Err(StoreError::Malformed {
+                    context: "replay slot kind",
+                })
+            }
+        };
+        slots.push(Slot {
+            reward,
+            row,
+            action,
+            next,
+        });
+    }
+    let spill = r.f64s()?;
+    let state = ReplayState {
+        capacity,
+        dim,
+        write,
+        head,
+        rows,
+        slots,
+        spill,
+    };
+    state.validate().map_err(StoreError::Replay)?;
+    Ok(state)
+}
+
+/// Reads a version 2 ring — one pooled state id, action, reward and
+/// optional next-state id per transition — and converts it through
+/// [`ReplayBuffer::from_transitions`]. A v2 ring's capacity is not
+/// backed by bytes, so the conversion draws its worst-case row block
+/// and side table from `budget`, in values.
+fn decode_ring_v2(
+    r: &mut Reader<'_>,
+    pool: &TensorPool,
+    budget: &mut usize,
+) -> Result<ReplayState, StoreError> {
     let capacity = r.usize()?;
     let write = r.usize()?;
     let n = r.count(25)?; // min bytes per transition: id + action + reward + flag
@@ -437,22 +561,19 @@ fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool) -> Result<DqnState, StoreEr
             next_state,
         });
     }
-    let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-    let env_steps = r.u64()?;
-    let grad_steps = r.u64()?;
-    Ok(DqnState {
-        qnet,
-        target,
-        opt: AdamState { t, m, v },
-        replay: ReplayState {
-            capacity,
-            transitions,
-            write,
-        },
-        rng,
-        env_steps,
-        grad_steps,
-    })
+    let dim = transitions.first().map_or(0, |t| t.state.len());
+    let need = capacity
+        .checked_mul(2)
+        .and_then(|c| c.checked_add(1))
+        .and_then(|c| c.checked_mul(dim))
+        .filter(|&need| need <= *budget)
+        .ok_or(StoreError::Malformed {
+            context: "v2 replay capacity",
+        })?;
+    *budget -= need;
+    ReplayBuffer::from_transitions(capacity, &transitions, write)
+        .map(|rb| rb.export_state())
+        .map_err(StoreError::Replay)
 }
 
 fn encode_bus_stats(w: &mut Writer, s: &BusStats) {
@@ -515,9 +636,42 @@ fn decode_cloud_stats(r: &mut Reader<'_>) -> Result<CloudStats, StoreError> {
     })
 }
 
+/// Writes the file header, then each section's header and payload.
+fn write_sections(out: &mut impl Write, sections: &[(u32, Vec<u8>)]) -> io::Result<()> {
+    let mut header = [0u8; 12];
+    header[..4].copy_from_slice(&MAGIC);
+    header[4..8].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+    header[8..].copy_from_slice(&(sections.len() as u32).to_le_bytes());
+    out.write_all(&header)?;
+    for (kind, payload) in sections {
+        let mut header = [0u8; 16];
+        header[..4].copy_from_slice(&kind.to_le_bytes());
+        header[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        header[12..].copy_from_slice(&crc32(payload).to_le_bytes());
+        out.write_all(&header)?;
+        out.write_all(payload)?;
+    }
+    Ok(())
+}
+
 impl RunSnapshot {
     /// Serialize to the `PFDS` byte format.
     pub fn encode(&self) -> Vec<u8> {
+        let sections = self.encode_sections();
+        let len = 12 + sections.iter().map(|(_, p)| 16 + p.len()).sum::<usize>();
+        let mut out = Vec::with_capacity(len);
+        write_sections(&mut out, &sections).expect("writing to memory cannot fail");
+        out
+    }
+
+    /// Writes the bytes of [`RunSnapshot::encode`] to `out` section by
+    /// section, without assembling the whole file in memory.
+    pub fn write_to(&self, out: &mut impl Write) -> io::Result<()> {
+        write_sections(out, &self.encode_sections())
+    }
+
+    /// Every section's kind and payload, in file order.
+    fn encode_sections(&self) -> Vec<(u32, Vec<u8>)> {
         let mut pool = TensorPool::new();
 
         // Build every tensor-referencing payload first so the pool is
@@ -543,7 +697,12 @@ impl RunSnapshot {
             }
         }
 
-        let mut agents = Writer::new();
+        let agents_len = 8 + self
+            .agents
+            .iter()
+            .map(|home| 8 + home.iter().map(dqn_len).sum::<usize>())
+            .sum::<usize>();
+        let mut agents = Writer::with_capacity(agents_len);
         agents.put_usize(self.agents.len());
         for home in &self.agents {
             agents.put_usize(home.len());
@@ -551,6 +710,7 @@ impl RunSnapshot {
                 encode_dqn(&mut agents, &mut pool, agent);
             }
         }
+        debug_assert_eq!(agents.len(), agents_len);
 
         let mut transport = Writer::new();
         encode_bus_stats(&mut transport, &self.transport.bus.stats);
@@ -669,33 +829,24 @@ impl RunSnapshot {
         if let Some(payload) = shard_payload {
             sections.push((section::SHARD, payload));
         }
-
-        let mut file = Writer::new();
-        file.put_bytes(&MAGIC);
-        file.put_u32(FORMAT_VERSION);
-        file.put_u32(sections.len() as u32);
-        for (kind, payload) in &sections {
-            file.put_u32(*kind);
-            file.put_u64(payload.len() as u64);
-            file.put_u32(crc32(payload));
-            file.put_bytes(payload);
-        }
-        file.into_bytes()
+        sections
     }
 
-    /// Parse and validate a `PFDS` byte stream.
+    /// Parse and validate a `PFDS` byte stream of any version from
+    /// [`MIN_READ_VERSION`] to [`FORMAT_VERSION`].
     ///
     /// Rejects: wrong magic, unknown version, truncation anywhere,
     /// CRC mismatches, unknown, duplicate or missing sections, dangling
-    /// tensor references and structurally malformed payloads — each as
-    /// a distinct [`StoreError`]. Never panics on arbitrary input.
+    /// tensor references, replay rings that break a ring invariant and
+    /// structurally malformed payloads — each as a distinct
+    /// [`StoreError`]. Never panics on arbitrary input.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = Reader::new(bytes, "file header");
         if r.take(4)? != MAGIC {
             return Err(StoreError::BadMagic);
         }
         let version = r.u32()?;
-        if version != FORMAT_VERSION {
+        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
         let n_sections = r.u32()?;
@@ -774,6 +925,9 @@ impl RunSnapshot {
             weights,
         };
 
+        // Converted v2 rings may hold at most 8 values (64 bytes) per
+        // byte of the file.
+        let mut v2_budget = bytes.len().saturating_mul(8);
         let mut ar = Reader::new(find(section::AGENTS)?, "agents section");
         let n_homes = ar.count(8)?;
         let mut agents = Vec::with_capacity(n_homes);
@@ -781,7 +935,7 @@ impl RunSnapshot {
             let n_devices = ar.count(8)?;
             let mut home = Vec::with_capacity(n_devices);
             for _ in 0..n_devices {
-                home.push(decode_dqn(&mut ar, &pool)?);
+                home.push(decode_dqn(&mut ar, &pool, version, &mut v2_budget)?);
             }
             agents.push(home);
         }
@@ -1026,9 +1180,9 @@ pub(crate) mod test_fixtures {
                 m: vec![vec![0.0; 4], vec![0.0; 2]],
                 v: vec![vec![0.0; 4], vec![0.0; 2]],
             },
-            replay: ReplayState {
-                capacity: 8,
-                transitions: vec![
+            replay: ReplayBuffer::from_transitions(
+                8,
+                &[
                     Transition {
                         state: vec![0.1, 0.2],
                         action: 1,
@@ -1042,8 +1196,10 @@ pub(crate) mod test_fixtures {
                         next_state: None,
                     },
                 ],
-                write: 2,
-            },
+                2,
+            )
+            .unwrap()
+            .export_state(),
             rng: [seed, seed ^ 7, seed.rotate_left(13), 1],
             env_steps: 10 * seed,
             grad_steps: 3 * seed,
@@ -1301,14 +1457,12 @@ mod tests {
         let snap = sample_snapshot();
         let bytes = snap.encode();
 
+        // Replay rings are written inline, outside the pool.
         let mut naive = 0usize;
         for home in &snap.agents {
             for a in home {
                 naive += a.qnet.iter().chain(&a.target).map(Vec::len).sum::<usize>();
                 naive += a.opt.m.iter().chain(&a.opt.v).map(Vec::len).sum::<usize>();
-                for t in &a.replay.transitions {
-                    naive += t.state.len() + t.next_state.as_ref().map_or(0, Vec::len);
-                }
             }
         }
         for home in &snap.forecast.weights {
@@ -1341,12 +1495,14 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(RunSnapshot::decode(&wrong_magic), Err(StoreError::BadMagic));
 
-        let mut future = bytes.clone();
-        future[4..8].copy_from_slice(&99u32.to_le_bytes());
-        assert_eq!(
-            RunSnapshot::decode(&future),
-            Err(StoreError::UnsupportedVersion { found: 99 })
-        );
+        for found in [0, 1, FORMAT_VERSION + 1, 99] {
+            let mut other = bytes.clone();
+            other[4..8].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                RunSnapshot::decode(&other),
+                Err(StoreError::UnsupportedVersion { found })
+            );
+        }
 
         assert_eq!(
             RunSnapshot::decode(b"PFD"),
@@ -1542,6 +1698,100 @@ mod tests {
             Err(StoreError::DuplicateSection {
                 kind: section::META
             })
+        );
+    }
+
+    /// The committed sample fixture of format `version`, if there is one.
+    fn sample_fixture(version: u32) -> Option<Vec<u8>> {
+        let path = format!(
+            "{}/tests/fixtures/sample_v{version}.pfds",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read(path).ok()
+    }
+
+    #[test]
+    fn v2_sample_fixture_decodes_to_the_sample() {
+        // Written by the last version 2 encoder (see tests/fixtures/README.md).
+        let v2 = sample_fixture(2).expect("sample_v2.pfds");
+        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
+        let back = RunSnapshot::decode(&v2).unwrap();
+        // Its rings convert to the rings the sample builds from the same
+        // transitions, so the logical content re-encodes identically.
+        assert_eq!(back.encode(), sample_snapshot().encode());
+        assert_eq!(back.agents[1][0].replay.len(), 2);
+    }
+
+    #[test]
+    fn v2_ring_capacity_is_checked_before_conversion() {
+        // A v2 ring's capacity is not backed by bytes, so a claim the
+        // file cannot justify is refused before any ring is allocated.
+        let v2 = sample_fixture(2).expect("sample_v2.pfds");
+        // Home and device counts, then four lists of two tensor ids and
+        // the Adam step.
+        let capacity_at = 16 + 4 * 24 + 8;
+        for (capacity, expected) in [
+            (
+                1u64 << 31,
+                StoreError::Malformed {
+                    context: "v2 replay capacity",
+                },
+            ),
+            (
+                0,
+                StoreError::Replay(pfdrl_drl::ReplayError::Capacity { capacity: 0 }),
+            ),
+        ] {
+            let (header, mut sections) = split_sections(&v2);
+            let agents = &mut sections
+                .iter_mut()
+                .find(|(k, _)| *k == section::AGENTS)
+                .unwrap()
+                .1;
+            assert_eq!(agents[capacity_at..capacity_at + 8], 8u64.to_le_bytes());
+            agents[capacity_at..capacity_at + 8].copy_from_slice(&capacity.to_le_bytes());
+            assert_eq!(
+                RunSnapshot::decode(&join_sections(&header, &sections)),
+                Err(expected)
+            );
+        }
+    }
+
+    #[test]
+    fn current_sample_fixture_pins_the_encoder() {
+        // A format change that forgets to bump FORMAT_VERSION fails here.
+        let fixture = sample_fixture(FORMAT_VERSION).expect("fixture of the current version");
+        assert_eq!(fixture, sample_snapshot().encode());
+    }
+
+    #[test]
+    fn every_readable_version_has_a_fixture() {
+        // Probe the decoder itself, not a constant: any version it does
+        // not turn away as unsupported must be pinned by a committed
+        // fixture that decodes to the sample, so a format bump cannot
+        // silently drop old reads.
+        let current = sample_snapshot().encode();
+        let mut readable = Vec::new();
+        for version in (0..=FORMAT_VERSION + 8).chain([u32::MAX]) {
+            let mut probe = current.clone();
+            probe[4..8].copy_from_slice(&version.to_le_bytes());
+            if RunSnapshot::decode(&probe) == Err(StoreError::UnsupportedVersion { found: version })
+            {
+                continue;
+            }
+            readable.push(version);
+            let fixture = sample_fixture(version)
+                .unwrap_or_else(|| panic!("version {version} is readable but has no fixture"));
+            assert_eq!(
+                u32::from_le_bytes(fixture[4..8].try_into().unwrap()),
+                version
+            );
+            let back = RunSnapshot::decode(&fixture).unwrap();
+            assert_eq!(back.encode(), current, "fixture v{version}");
+        }
+        assert_eq!(
+            readable,
+            (MIN_READ_VERSION..=FORMAT_VERSION).collect::<Vec<_>>()
         );
     }
 

@@ -1,14 +1,17 @@
 //! On-disk checkpoint directory management.
 //!
 //! [`CheckpointStore`] owns a directory of `snap-NNNNNN.pfds` files,
-//! one per captured day boundary. Writes are atomic (temp file +
-//! rename) so a crash mid-write can never leave a half-written file
-//! under a snapshot name; at worst a stale `.tmp` is left behind and
-//! ignored. Retention keeps the newest `keep_last` snapshots and
-//! prunes the rest, so long runs do not grow the directory without
-//! bound.
+//! one per captured day boundary. Writes are atomic and durable: the
+//! snapshot is streamed section by section into a temp file, the file
+//! is synced, renamed over its final name, and the directory is synced
+//! so the rename itself survives a power loss. A crash at any point
+//! leaves either the previous newest snapshot or the complete new one
+//! under a snapshot name — never an empty or short file; at worst a
+//! stale `.tmp` is left behind and ignored. Retention then keeps the
+//! newest `keep_last` snapshots and prunes the rest, so long runs do
+//! not grow the directory without bound.
 
-use std::fs;
+use std::fs::{self, File};
 use std::path::{Path, PathBuf};
 
 use crate::error::StoreError;
@@ -40,7 +43,9 @@ impl CheckpointStore {
         &self.dir
     }
 
-    /// Persist `snap` atomically, then prune to the retention limit.
+    /// Persist `snap` atomically and durably, then prune to the
+    /// retention limit: write the temp file, sync it, rename it over
+    /// the snapshot name, sync the directory, prune.
     ///
     /// The file name embeds `meta.next_day` zero-padded so that
     /// lexicographic order equals chronological order.
@@ -48,8 +53,12 @@ impl CheckpointStore {
         let name = format!("snap-{:06}.{SNAPSHOT_EXT}", snap.meta.next_day);
         let path = self.dir.join(&name);
         let tmp = self.dir.join(format!("{name}.tmp"));
-        fs::write(&tmp, snap.encode())?;
+        let mut file = File::create(&tmp)?;
+        snap.write_to(&mut file)?;
+        file.sync_all()?;
+        drop(file);
         fs::rename(&tmp, &path)?;
+        sync_dir(&self.dir)?;
         self.prune()?;
         Ok(path)
     }
@@ -90,6 +99,16 @@ impl CheckpointStore {
     }
 }
 
+/// Makes a rename in `dir` durable: the new directory entry survives a
+/// power loss only once the directory itself is synced.
+fn sync_dir(dir: &Path) -> std::io::Result<()> {
+    #[cfg(unix)]
+    File::open(dir)?.sync_all()?;
+    #[cfg(not(unix))]
+    let _ = dir;
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +131,10 @@ mod tests {
             path.file_name().unwrap().to_str().unwrap(),
             "snap-000004.pfds"
         );
+        // The streamed file is exactly the encoded snapshot, and no temp
+        // file outlives the save.
+        assert_eq!(fs::read(&path).unwrap(), snap.encode());
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let back = CheckpointStore::load(&path).unwrap();
         // The fixture contains NaN (NaN != NaN under PartialEq); compare
         // through deterministic re-encoding instead.

@@ -2,16 +2,18 @@
 //!
 //! A snapshot of an N-residence federation stores the same base-layer
 //! parameters up to N times (every residence holds the broadcast base
-//! after a γ merge), each DQN stores its target network as a near- or
-//! exact copy of its Q-network, and consecutive replay transitions
-//! share their `next_state`/`state` vectors. Interning every f64
-//! vector in one pool and referencing it by index collapses those
-//! copies: identical tensors (bit-for-bit, so `-0.0` ≠ `0.0` and NaN
-//! payloads are distinguished) are stored once.
+//! after a γ merge), and each DQN stores its target network as a near-
+//! or exact copy of its Q-network. Interning every network, optimizer,
+//! forecaster and in-flight update tensor in one pool and referencing
+//! it by index collapses those copies: identical tensors (bit-for-bit,
+//! so `-0.0` ≠ `0.0` and NaN payloads are distinguished) are stored
+//! once. Replay rings are not pooled: each is one block of distinct
+//! rows, written inline in the `AGENTS` section.
 //!
 //! Dedup keys are FNV-1a hashes over the raw bit patterns; collisions
 //! are resolved by exact bit comparison, so two distinct tensors never
-//! alias.
+//! alias. Only encoding interns, so a decoded pool builds its index on
+//! its first [`TensorPool::intern`], not while loading.
 
 use std::collections::HashMap;
 
@@ -56,6 +58,16 @@ impl TensorPool {
     /// Intern `vs`, returning the id of the stored copy. Bit-identical
     /// tensors get the same id; anything else gets a fresh slot.
     pub fn intern(&mut self, vs: &[f64]) -> TensorId {
+        // Every intern indexes its tensor, so an empty index over a
+        // non-empty pool means the pool was decoded.
+        if self.index.is_empty() {
+            for (id, t) in self.tensors.iter().enumerate() {
+                self.index
+                    .entry(hash_bits(t))
+                    .or_default()
+                    .push(id as TensorId);
+            }
+        }
         let h = hash_bits(vs);
         if let Some(ids) = self.index.get(&h) {
             for &id in ids {
@@ -102,21 +114,18 @@ impl TensorPool {
         }
     }
 
-    /// Deserialize a pool, rebuilding the dedup index.
+    /// Deserialize a pool. The dedup index is left empty until the
+    /// first [`TensorPool::intern`].
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, StoreError> {
         let n = r.count(8)?; // each tensor costs at least its length prefix
-        let mut pool = TensorPool {
-            tensors: Vec::with_capacity(n),
-            index: HashMap::new(),
-        };
+        let mut tensors = Vec::with_capacity(n);
         for _ in 0..n {
-            let t = r.f64s()?;
-            let h = hash_bits(&t);
-            let id = pool.tensors.len() as TensorId;
-            pool.tensors.push(t);
-            pool.index.entry(h).or_default().push(id);
+            tensors.push(r.f64s()?);
         }
-        Ok(pool)
+        Ok(TensorPool {
+            tensors,
+            index: HashMap::new(),
+        })
     }
 }
 
@@ -176,9 +185,12 @@ mod tests {
             let rt = back.get(id).unwrap();
             assert!(same_bits(orig, rt));
         }
-        // The rebuilt index still deduplicates.
+        // The index built on the first intern still deduplicates,
+        // whichever stored tensor comes first.
         let mut back = back;
+        assert_eq!(back.intern(&[f64::MAX; 17]), ids[2]);
         assert_eq!(back.intern(&[1.0, -0.0, nan]), ids[0]);
+        assert_eq!(back.len(), pool.len());
     }
 
     #[test]

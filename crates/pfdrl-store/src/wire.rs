@@ -6,7 +6,9 @@
 //! yields a typed [`StoreError`] instead of a panic. Collection
 //! lengths read from the wire are validated against the bytes that
 //! could possibly back them *before* any allocation, which caps the
-//! memory a hostile length field can demand.
+//! memory a hostile length field can demand. `f64` slices move in one
+//! bounds check and one pass over the bytes, so a replay ring's row
+//! block costs a copy, not a call per value.
 
 use crate::error::StoreError;
 
@@ -20,6 +22,14 @@ impl Writer {
     /// Fresh empty writer.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Empty writer with room for `bytes` bytes, so an encoder that
+    /// knows its output size allocates once.
+    pub fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
     }
 
     /// Consume the writer, returning the encoded bytes.
@@ -52,6 +62,11 @@ impl Writer {
         self.buf.push(v as u8);
     }
 
+    /// Little-endian u16.
+    pub fn put_u16(&mut self, v: u16) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Little-endian u32.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -72,11 +87,13 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    /// Length-prefixed f64 slice.
+    /// Length-prefixed f64 slice, by raw bit patterns.
     pub fn put_f64s(&mut self, vs: &[f64]) {
         self.put_usize(vs.len());
-        for &v in vs {
-            self.put_f64(v);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * vs.len(), 0);
+        for (out, v) in self.buf[start..].chunks_exact_mut(8).zip(vs) {
+            out.copy_from_slice(&v.to_le_bytes());
         }
     }
 
@@ -142,6 +159,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    /// Little-endian u16.
+    pub fn u16(&mut self) -> Result<u16, StoreError> {
+        let b = self.take(2)?;
+        Ok(u16::from_le_bytes([b[0], b[1]]))
+    }
+
     /// Little-endian u32.
     pub fn u32(&mut self) -> Result<u32, StoreError> {
         let b = self.take(4)?;
@@ -183,11 +206,11 @@ impl<'a> Reader<'a> {
     /// Length-prefixed f64 vector (length validated before allocation).
     pub fn f64s(&mut self) -> Result<Vec<f64>, StoreError> {
         let n = self.count(8)?;
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
-        Ok(out)
+        let bytes = self.take(8 * n)?;
+        Ok(bytes
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
+            .collect())
     }
 
     /// Length-prefixed UTF-8 string.
@@ -208,6 +231,7 @@ mod tests {
         w.put_u8(0xAB);
         w.put_bool(true);
         w.put_bool(false);
+        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX);
         w.put_f64(f64::NAN);
@@ -220,6 +244,7 @@ mod tests {
         assert_eq!(r.u8().unwrap(), 0xAB);
         assert!(r.bool().unwrap());
         assert!(!r.bool().unwrap());
+        assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
         assert_eq!(r.f64().unwrap().to_bits(), f64::NAN.to_bits());

@@ -1,19 +1,21 @@
 //! Property tests for the `PFDS` snapshot format: round-trips over
 //! randomized shapes and payloads (including NaN and -0.0 bit
-//! patterns), truncation fuzzing, single-bit-flip fuzzing, and the
-//! content-hash dedup guarantee. Decoding hostile bytes must *always*
-//! return a typed error — never panic, never mis-decode silently.
+//! patterns), truncation fuzzing, single-bit-flip fuzzing, the
+//! content-hash dedup guarantee, and hostile replay-ring records behind
+//! a valid checksum. Decoding hostile bytes must *always* return a
+//! typed error — never panic, never mis-decode silently.
 
-use pfdrl_drl::{DqnState, ReplayState, Transition};
+use pfdrl_drl::{DqnAgent, DqnConfig, DqnState, ReplayBuffer, ReplayError, ReplayState};
 use pfdrl_env::EnergyAccount;
 use pfdrl_fl::{
     BusState, BusStats, CloudState, CloudStats, HierShardState, HierState, LayerUpdate,
     ModelUpdate, ShardCounters,
 };
 use pfdrl_nn::optimizer::AdamState;
+use pfdrl_store::crc32::crc32;
 use pfdrl_store::{
     ForecastState, HealthState, HomeHealthRecord, MetricsState, RunSnapshot, ServeDeviceState,
-    ServeHomeState, ServeState, SnapshotMeta, TransportState, FORMAT_VERSION, MAGIC,
+    ServeHomeState, ServeState, SnapshotMeta, StoreError, TransportState, FORMAT_VERSION, MAGIC,
 };
 use proptest::prelude::*;
 
@@ -74,9 +76,27 @@ fn update(g: &mut Gen, n_layers: usize) -> ModelUpdate {
     }
 }
 
+/// A capacity-8 ring over 3-wide states, filled by up to 11 pushes of
+/// arbitrary bits that chain, end episodes or break the chain (and so
+/// spill) at random, as a real ring would be.
+fn ring(g: &mut Gen) -> ReplayState {
+    let mut rb = ReplayBuffer::new(8);
+    let mut last_next: Option<Vec<f64>> = None;
+    for _ in 0..g.below(12) {
+        let state = match (&last_next, g.below(3)) {
+            (Some(prev), 0 | 1) => prev.clone(),
+            _ => g.vec_f64(3),
+        };
+        let next_state = (g.below(4) != 0).then(|| g.vec_f64(3));
+        let action = g.below(3) as usize;
+        rb.push(&state, action, g.chaos_f64(), next_state.as_deref());
+        last_next = next_state;
+    }
+    rb.export_state()
+}
+
 fn dqn_state(g: &mut Gen, layers: &[Vec<f64>]) -> DqnState {
     let layers: Vec<Vec<f64>> = layers.to_vec();
-    let n_transitions = g.below(4) as usize;
     DqnState {
         qnet: layers.clone(),
         target: layers.clone(),
@@ -85,22 +105,7 @@ fn dqn_state(g: &mut Gen, layers: &[Vec<f64>]) -> DqnState {
             m: layers.clone(),
             v: layers.clone(),
         },
-        replay: ReplayState {
-            capacity: 8,
-            write: g.below(8) as usize,
-            transitions: (0..n_transitions)
-                .map(|_| Transition {
-                    state: g.vec_f64(3),
-                    action: g.below(3) as usize,
-                    reward: g.chaos_f64(),
-                    next_state: if g.below(2) == 0 {
-                        None
-                    } else {
-                        Some(g.vec_f64(3))
-                    },
-                })
-                .collect(),
-        },
+        replay: ring(g),
         rng: [g.next(), g.next(), g.next(), g.next()],
         env_steps: g.next(),
         grad_steps: g.next(),
@@ -432,4 +437,289 @@ fn every_prefix_of_a_small_snapshot_errors() {
             "prefix of {cut} bytes decoded"
         );
     }
+}
+
+/// Rebuilds `bytes` with `edit` applied to the `AGENTS` section payload
+/// and that section's CRC recomputed, so that the checksum passes and
+/// the payload parser has to catch the damage.
+fn edit_agents(bytes: &[u8], edit: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    const AGENTS: u32 = 4;
+    let n = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut out = bytes[..12].to_vec();
+    let mut pos = 12;
+    let mut edit = Some(edit);
+    for _ in 0..n {
+        let kind = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        let mut payload = bytes[pos + 16..pos + 16 + len].to_vec();
+        if kind == AGENTS {
+            (edit.take().unwrap())(&mut payload);
+        }
+        out.extend_from_slice(&kind.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crc32(&payload).to_le_bytes());
+        out.extend_from_slice(&payload);
+        pos += 16 + len;
+    }
+    out
+}
+
+/// Byte offsets of the one ring in a one-agent snapshot's `AGENTS`
+/// payload.
+struct RingAt {
+    /// Capacity; dim, len, write and head follow 8 bytes apart.
+    fields: usize,
+    /// Length prefix of the row block.
+    rows: usize,
+    /// First slot record.
+    slots: usize,
+    /// Length prefix of the side table.
+    spill: usize,
+}
+
+impl RingAt {
+    fn of(agent: &DqnState) -> Self {
+        let ids = |layers: &[Vec<f64>]| 8 + 8 * layers.len();
+        // Home and device counts, then the network and optimizer ids.
+        let fields =
+            16 + ids(&agent.qnet) + ids(&agent.target) + 8 + ids(&agent.opt.m) + ids(&agent.opt.v);
+        let rows = fields + 40;
+        let slots = rows + 8 + 8 * agent.replay.rows.len();
+        RingAt {
+            fields,
+            rows,
+            slots,
+            spill: slots + 15 * agent.replay.len(),
+        }
+    }
+}
+
+fn put_u64(payload: &mut [u8], at: usize, v: u64) {
+    payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+}
+
+fn tiny_agent_config() -> DqnConfig {
+    DqnConfig {
+        replay_capacity: 8,
+        hidden_layers: 1,
+        hidden_width: 4,
+        ..DqnConfig::slim(3)
+    }
+}
+
+/// A one-agent snapshot whose agent is a real 3-wide DQN with a full
+/// capacity-8 ring: chained throughout, or broken at every push so
+/// that it spills.
+fn ring_snapshot(spilled: bool) -> RunSnapshot {
+    let mut agent = DqnAgent::new(3, tiny_agent_config());
+    for i in 0..11 {
+        let x = i as f64;
+        let state = if spilled { [x, -x, 0.5] } else { [x, x, x] };
+        let next = if spilled {
+            [x + 0.25, 1.0, -0.0]
+        } else {
+            [x + 1.0, x + 1.0, x + 1.0]
+        };
+        agent.remember_step(&state, i % 3, x * 0.5, Some(&next));
+    }
+    let mut snap = build_snapshot(11, 1, 1, false);
+    snap.agents[0][0] = agent.export_state();
+    assert_eq!(snap.agents[0][0].replay.len(), 8);
+    assert_eq!(!snap.agents[0][0].replay.spill.is_empty(), spilled);
+    snap
+}
+
+/// Restores an agent from the one ring of a decoded snapshot.
+fn restore(snap: &RunSnapshot) -> Result<(), String> {
+    DqnAgent::new(3, tiny_agent_config()).restore_state(&snap.agents[0][0])
+}
+
+/// Every ring invariant the decoder and `restore_state` check, broken
+/// one at a time in otherwise valid v3 bytes with a valid checksum:
+/// each must surface as its typed error, and nothing may restore.
+#[test]
+fn hostile_ring_records_decode_to_typed_errors() {
+    type Edit = Box<dyn Fn(&mut Vec<u8>, &RingAt)>;
+    let replay = |e: ReplayError| Err(StoreError::Replay(e));
+    let truncated = Err(StoreError::Truncated {
+        context: "agents section",
+    });
+    let rows_block = |rows: usize| ReplayError::Block {
+        block: "rows",
+        len: rows,
+        expected: 27,
+    };
+    // (ring, edit, decode result); `Ok(())` marks a ring the decoder
+    // accepts and `restore_state` must turn away.
+    let cases: Vec<(bool, Edit, Result<(), StoreError>)> = vec![
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields, 0)),
+            replay(ReplayError::Capacity { capacity: 0 }),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields, 7)),
+            replay(ReplayError::Overfull {
+                len: 8,
+                capacity: 7,
+            }),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields + 24, 8)),
+            replay(ReplayError::WriteCursor {
+                write: 8,
+                len: 8,
+                capacity: 8,
+            }),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields + 8, 0)),
+            replay(ReplayError::Width { dim: 0, len: 8 }),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields + 8, 2)),
+            replay(ReplayError::Block {
+                block: "rows",
+                len: 27,
+                expected: 18,
+            }),
+        ),
+        (
+            false,
+            // One row value short: prefix and block shrink together.
+            Box::new(|p, at| {
+                put_u64(p, at.rows, 26);
+                p.drain(at.slots - 8..at.slots);
+            }),
+            replay(rows_block(26)),
+        ),
+        (
+            false,
+            Box::new(|p, at| {
+                put_u64(p, at.rows, 28);
+                p.splice(at.slots..at.slots, [0u8; 8]);
+            }),
+            replay(rows_block(28)),
+        ),
+        (
+            true,
+            Box::new(|p, at| {
+                put_u64(p, at.spill, 25);
+                p.splice(at.spill + 8..at.spill + 8, [0u8; 8]);
+            }),
+            replay(ReplayError::Block {
+                block: "spill",
+                len: 25,
+                expected: 24,
+            }),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields + 32, 0)),
+            replay(ReplayError::Head {
+                head: 0,
+                expected: 2,
+            }),
+        ),
+        (
+            false,
+            Box::new(|p, at| p[at.slots + 8..at.slots + 12].copy_from_slice(&9u32.to_le_bytes())),
+            replay(ReplayError::Row { index: 0, row: 9 }),
+        ),
+        (
+            false,
+            Box::new(|p, at| p[at.slots + 15 + 14] = 2),
+            replay(ReplayError::Spilled { index: 1 }),
+        ),
+        (
+            false,
+            Box::new(|p, at| p[at.slots + 14] = 3),
+            Err(StoreError::Malformed {
+                context: "replay slot kind",
+            }),
+        ),
+        (
+            false,
+            Box::new(|p, at| p[at.slots + 12..at.slots + 14].copy_from_slice(&3u16.to_le_bytes())),
+            Ok(()),
+        ),
+        (
+            true,
+            Box::new(|p, at| {
+                p[at.slots + 12..at.slots + 14].copy_from_slice(&u16::MAX.to_le_bytes())
+            }),
+            Ok(()),
+        ),
+        (
+            false,
+            // A row block longer than the section: no allocation, no read.
+            Box::new(|p, at| put_u64(p, at.rows, u64::MAX / 8)),
+            truncated.clone(),
+        ),
+        (
+            false,
+            Box::new(|p, at| put_u64(p, at.fields + 16, u64::MAX)),
+            truncated.clone(),
+        ),
+        (
+            false,
+            Box::new(|p, at| p.truncate(at.rows + 8 + 100)),
+            truncated.clone(),
+        ),
+        (
+            false,
+            Box::new(|p, at| p.truncate(at.slots + 15 * 3 + 7)),
+            truncated.clone(),
+        ),
+        (
+            true,
+            Box::new(|p, at| p.truncate(at.spill + 8 + 8 * 10 + 3)),
+            truncated.clone(),
+        ),
+    ];
+    for (i, (spilled, edit, expected)) in cases.into_iter().enumerate() {
+        let snap = ring_snapshot(spilled);
+        let at = RingAt::of(&snap.agents[0][0]);
+        let bytes = snap.encode();
+        let clean = RunSnapshot::decode(&bytes).unwrap();
+        assert_eq!(restore(&clean), Ok(()), "case {i}: the clean ring restores");
+        let hostile = edit_agents(&bytes, |p| edit(p, &at));
+        let decoded = RunSnapshot::decode(&hostile);
+        match expected {
+            Ok(()) => {
+                let snap = decoded.unwrap_or_else(|e| panic!("case {i}: {e}"));
+                assert!(restore(&snap).is_err(), "case {i} restored");
+            }
+            Err(e) => assert_eq!(decoded.err(), Some(e), "case {i}"),
+        }
+    }
+}
+
+/// Versions 2 and 3 are one bit apart, so a flipped version bit can land
+/// on the other readable version. The payloads then parse under the
+/// wrong layout, which must fail on its own, since the section CRCs
+/// still pass.
+#[test]
+fn a_snapshot_relabeled_as_the_other_version_never_decodes() {
+    let relabel = |bytes: &[u8], version: u32| {
+        let mut out = bytes.to_vec();
+        out[4..8].copy_from_slice(&version.to_le_bytes());
+        out
+    };
+    for seed in 0..300u64 {
+        for (homes, devices) in [(1, 1), (2, 1), (3, 2)] {
+            let bytes = build_snapshot(seed, homes, devices, seed % 2 == 0).encode();
+            assert!(
+                RunSnapshot::decode(&relabel(&bytes, 2)).is_err(),
+                "seed {seed}, {homes}x{devices}: v3 bytes decoded as v2"
+            );
+        }
+    }
+    let v2 = include_bytes!("fixtures/sample_v2.pfds");
+    assert!(RunSnapshot::decode(v2).is_ok());
+    assert!(RunSnapshot::decode(&relabel(v2, 3)).is_err());
 }
