@@ -22,7 +22,7 @@ use pfdrl_core::{
     ResumableRun, RunResult, SimConfig,
 };
 use pfdrl_data::SensorFaultConfig;
-use pfdrl_fl::{AggregationMode, PayloadCodec, ShardAssignment};
+use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec, ShardAssignment};
 use pfdrl_serve::{
     generate_stream, NdjsonSink, NdjsonSource, ServeConfig, ServeEngine, ServeReport,
     TelemetrySource, VecSource,
@@ -625,9 +625,12 @@ enum Expect {
     Within([f64; 2]),
 }
 
-/// One `canary` row: a configuration override and what it must give.
+/// One `canary` row: a method, a configuration override and what they
+/// must give.
 struct Canary {
     label: &'static str,
+    /// The method whose EMS run and forecast phase the row measures.
+    method: EmsMethod,
     /// Applied to the canary's base configuration.
     apply: fn(&mut SimConfig),
     /// Width of every parallel call; 0 is the default width.
@@ -639,32 +642,39 @@ struct Canary {
 /// and four wide, because the canary must not depend on how many threads
 /// ran it. The q8 envelope carries ~2× headroom over the measured deltas
 /// (DESIGN.md §16): int8 quantization is nearly free (|Δsaved| ≤ 1.2e-2
-/// quick / 7.6e-6 full, |Δaccuracy| ≤ 7.7e-3). The last three rows pin
+/// quick / 7.6e-6 full, |Δaccuracy| ≤ 7.7e-3). The remaining rows pin
 /// paths the default never takes: `hier:2` the shard reduction and the
 /// aggregate-of-aggregates merge (EMS and forecast federation alike),
 /// `churn:0.5` the per-home fallback under residence dropout and message
-/// loss, and `storm:0.5` sensor-fault imputation and quarantine.
-const CANARIES: [Canary; 7] = [
+/// loss, `storm:0.5` sensor-fault imputation and quarantine, `chaos:0.5`
+/// straggler parking and corrupted-payload rejection on the bus, `frl`
+/// the cloud server (forecast and Q-network rounds), and `frl chaos:0.5`
+/// its upload validation and failed rounds.
+const CANARIES: [Canary; 10] = [
     Canary {
         label: "f64 (1 thread)",
+        method: EmsMethod::Pfdrl,
         apply: |_| {},
         threads: 1,
         expect: Expect::Pinned(F64_FULL, F64_QUICK),
     },
     Canary {
         label: "f64 (4 threads)",
+        method: EmsMethod::Pfdrl,
         apply: |_| {},
         threads: 4,
         expect: Expect::Pinned(F64_FULL, F64_QUICK),
     },
     Canary {
         label: "f32fast",
+        method: EmsMethod::Pfdrl,
         apply: |c| c.precision = Precision::F32Fast,
         threads: 0,
         expect: Expect::Pinned(F32_FULL, F32_QUICK),
     },
     Canary {
         label: "q8",
+        method: EmsMethod::Pfdrl,
         apply: |c| {
             c.compression = PayloadCodec::QuantizedI8 {
                 per_layer_scale: true,
@@ -675,6 +685,7 @@ const CANARIES: [Canary; 7] = [
     },
     Canary {
         label: "hier:2",
+        method: EmsMethod::Pfdrl,
         apply: |c| {
             c.aggregation = AggregationMode::Hierarchical {
                 shards: 2,
@@ -689,6 +700,7 @@ const CANARIES: [Canary; 7] = [
     },
     Canary {
         label: "churn:0.5",
+        method: EmsMethod::Pfdrl,
         apply: |c| {
             c.fault.dropout_rate = 0.5;
             c.fault.loss_rate = 0.5;
@@ -701,11 +713,42 @@ const CANARIES: [Canary; 7] = [
     },
     Canary {
         label: "storm:0.5",
+        method: EmsMethod::Pfdrl,
         apply: |c| c.sensor_fault = SensorFaultConfig::storm(c.sensor_fault.seed, 0.5),
         threads: 0,
         expect: Expect::Pinned(
             [0.39606929304969885, 0.8000332742645503],
             [0.5095770501436676, 0.7775601629068307],
+        ),
+    },
+    Canary {
+        label: "chaos:0.5",
+        method: EmsMethod::Pfdrl,
+        apply: |c| c.fault = FaultConfig::chaos(c.fault.seed, 0.5),
+        threads: 0,
+        expect: Expect::Pinned(
+            [0.39595208101785356, 0.6551443768107857],
+            [0.4946141540418756, 0.8173723668605906],
+        ),
+    },
+    Canary {
+        label: "frl",
+        method: EmsMethod::Frl,
+        apply: |_| {},
+        threads: 0,
+        expect: Expect::Pinned(
+            [0.3908551145489847, 0.8000332742645418],
+            [0.4550178241491795, 0.7775601629068243],
+        ),
+    },
+    Canary {
+        label: "frl chaos:0.5",
+        method: EmsMethod::Frl,
+        apply: |c| c.fault = FaultConfig::chaos(c.fault.seed, 0.5),
+        threads: 0,
+        expect: Expect::Pinned(
+            [0.4013707548919291, 0.7145577802155411],
+            [0.5459995670043108, 0.6357524781529122],
         ),
     },
 ];
@@ -719,7 +762,8 @@ struct CanaryRow {
 }
 
 /// `canary [--quick]` target: runs the fixed-seed trajectory and
-/// forecast evaluation of every [`CANARIES`] row and exits 1 unless each
+/// forecast evaluation of every [`CANARIES`] row (its method's EMS run
+/// and forecast phase) and exits 1 unless each
 /// pinned row matches its committed literals bit for bit and each
 /// enveloped row stays inside its bounds.
 fn canary(ctx: &Ctx) {
@@ -745,9 +789,8 @@ fn canary(ctx: &Ctx) {
             .build()
             .expect("a thread width always builds")
             .install(|| {
-                let saved =
-                    pfdrl_core::run_method(cfg, EmsMethod::Pfdrl).converged_saved_fraction();
-                let forecast = train_forecasters(cfg, EmsMethod::Pfdrl);
+                let saved = pfdrl_core::run_method(cfg, row.method).converged_saved_fraction();
+                let forecast = train_forecasters(cfg, row.method);
                 [saved, pfdrl_core::evaluate_forecast(cfg, &forecast).mean]
             });
         if r == 0 {

@@ -75,11 +75,11 @@ fn steady_state_round_allocations_are_bounded() {
     // payload clones. That is still far below the O(N²) *payload
     // clones* (one full model copy per (sender, receiver) pair) of the
     // pre-engine exchange.
-    let bus = BroadcastBus::new(N, LatencyModel::lan());
+    let mut bus = BroadcastBus::new(N, LatencyModel::lan());
     let mut engine = DflRound::new();
     let (per_round, allocs) = steady_allocations_per_round(|models, r| {
         let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-        engine.run(&mut col, &bus, &params(r));
+        engine.run(&mut col, &mut bus, &params(r));
     });
     let bound = (2 * N * N + 16 * N) as f64;
     assert!(

@@ -22,11 +22,11 @@ use pfdrl_data::{
 use pfdrl_drl::{DqnAgent, DqnConfig};
 use pfdrl_env::{DeviceEnv, EnergyAccount, EnvConfig};
 use pfdrl_fl::{
-    aggregate, AggregationMode, BroadcastBus, CloudAggregator, DflRound, HierarchicalRound,
-    LatencyModel, MergePolicy, RoundParams, ShardPlan,
+    AggregationMode, BroadcastBus, CloudRound, DflRound, HierarchicalRound, LatencyModel,
+    MergePolicy, RoundParams, ShardPlan,
 };
 use pfdrl_forecast::PredictWorkspace;
-use pfdrl_nn::{Layered, Matrix};
+use pfdrl_nn::Matrix;
 use pfdrl_store::{
     ForecastState, HealthState as HealthSection, HomeHealthRecord, MetricsState, RunSnapshot,
     SnapshotMeta, StoreError, TransportState,
@@ -425,7 +425,9 @@ impl DayWorkspace {
 pub struct EmsState {
     pub agents: Vec<Vec<DqnAgent>>,
     pub bus: BroadcastBus,
-    pub cloud: CloudAggregator,
+    /// The FRL server. One engine serves every device column, so its
+    /// counters run on across devices and rounds.
+    pub cloud: CloudRound,
     /// Reusable federation-round engine (scratch buffers + update
     /// pool). Pure transient workspace — it holds no cross-round
     /// state, so it is rebuilt fresh on resume and never snapshotted.
@@ -500,7 +502,7 @@ impl EmsState {
             // Federation transports, routed through the configured fault
             // plan (inert when cfg.fault is fault-free).
             bus: BroadcastBus::with_codec(n, LatencyModel::lan(), &cfg.fault, cfg.compression),
-            cloud: CloudAggregator::with_codec(LatencyModel::cloud(), &cfg.fault, cfg.compression),
+            cloud: CloudRound::new(LatencyModel::cloud(), &cfg.fault, cfg.compression),
             fed_engine: DflRound::new(),
             hier: Self::build_hier(cfg),
             day_ws: DayWorkspace::default(),
@@ -750,8 +752,8 @@ impl EmsState {
                 federate(
                     &mut self.agents,
                     federation,
-                    &self.bus,
-                    &self.cloud,
+                    &mut self.bus,
+                    &mut self.cloud,
                     self.fed_round,
                     &policy,
                     &mut self.fed_engine,
@@ -851,7 +853,7 @@ impl EmsState {
             + self.cloud.stats().upload_bytes
             + self.cloud.stats().download_bytes;
         // Downloads always travel raw (the server ships the dense
-        // global model), so they count equally on both sides.
+        // mean), so they count equally on both sides.
         let comm_logical_bytes = self.bus.stats().logical_bytes
             + hier_logical
             + self.cloud.stats().logical_upload_bytes
@@ -954,8 +956,8 @@ impl EmsState {
         federate(
             &mut self.agents,
             federation,
-            &self.bus,
-            &self.cloud,
+            &mut self.bus,
+            &mut self.cloud,
             self.fed_round,
             &policy,
             &mut self.fed_engine,
@@ -1063,10 +1065,10 @@ impl EmsState {
             agents.push(row);
         }
 
-        let bus = BroadcastBus::with_codec(n, LatencyModel::lan(), &cfg.fault, cfg.compression);
+        let mut bus = BroadcastBus::with_codec(n, LatencyModel::lan(), &cfg.fault, cfg.compression);
         bus.restore_state(&snap.transport.bus)
             .map_err(|e| StoreError::State(format!("bus: {e}")))?;
-        let cloud = CloudAggregator::with_codec(LatencyModel::cloud(), &cfg.fault, cfg.compression);
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg.fault, cfg.compression);
         cloud.restore_state(&snap.transport.cloud);
 
         // SHARD is present exactly when the config runs hierarchically;
@@ -1225,74 +1227,49 @@ fn run_segment(
     }
 }
 
-/// One federation step over every device's agents.
+/// One federation step over every device's agents: one round of the
+/// method's engine per device column, in device order.
 #[allow(clippy::too_many_arguments)]
 fn federate(
     agents: &mut [Vec<DqnAgent>],
     federation: DrlFederation,
-    bus: &BroadcastBus,
-    cloud: &CloudAggregator,
+    bus: &mut BroadcastBus,
+    cloud: &mut CloudRound,
     round: u64,
     policy: &MergePolicy,
     engine: &mut DflRound,
-    hier: Option<&mut HierarchicalRound>,
+    mut hier: Option<&mut HierarchicalRound>,
     participants: Option<&[bool]>,
 ) {
-    let d = agents[0].len();
-    match federation {
-        DrlFederation::CloudFull => {
-            for device in 0..d {
-                // Uploads go in home order, so the pending queue (and with
-                // it the average order and the fault plan's per-arrival
-                // decisions) is fixed. Quarantined homes upload nothing;
-                // they still receive the aggregate below (downloads carry
-                // healthy data). Export and import are one model copy per
-                // home, too little work to pay for a thread.
-                for (home, home_agents) in agents.iter().enumerate() {
-                    if participants.is_none_or(|m| m[home]) {
-                        cloud.upload(aggregate::snapshot_update(
-                            &home_agents[device],
-                            home,
-                            round,
-                            device as u64,
-                        ));
-                    }
-                }
-                cloud.aggregate_with_quorum(policy.min_quorum);
-                for (home, row) in agents.iter_mut().enumerate() {
-                    // An offline home (or a round with nothing
-                    // aggregated yet) keeps its local agent.
-                    if let Some(global) = cloud.download_for(home, round) {
-                        row[device].import_all(&global);
-                    }
-                }
+    let alpha = match federation {
+        DrlFederation::None => return,
+        DrlFederation::CloudFull => None,
+        DrlFederation::LanAlpha(alpha) => Some(alpha),
+    };
+    for device in 0..agents[0].len() {
+        let mut col: Vec<&mut DqnAgent> = agents
+            .iter_mut()
+            .map(|home_agents| &mut home_agents[device])
+            .collect();
+        let p = RoundParams {
+            round,
+            model_id: device as u64,
+            alpha,
+            policy,
+            participants,
+        };
+        // FRL federates through the cloud server. PFDRL runs the
+        // two-level engine under Hierarchical (its per-shard buses
+        // bypass the fleet bus entirely), else the per-home engine on
+        // the fleet bus.
+        match (federation, hier.as_deref_mut()) {
+            (DrlFederation::CloudFull, _) => {
+                let _ = cloud.run(&mut col, &p);
             }
-        }
-        DrlFederation::None => {}
-        DrlFederation::LanAlpha(alpha) => {
-            // Under Hierarchical the fleet bus is bypassed entirely: the
-            // two-level engine owns per-shard buses and the top-level
-            // combine. PerHome runs the per-home engine on the fleet bus.
-            let mut hier = hier;
-            for device in 0..d {
-                let mut col: Vec<&mut DqnAgent> = agents
-                    .iter_mut()
-                    .map(|home_agents| &mut home_agents[device])
-                    .collect();
-                let p = RoundParams {
-                    round,
-                    model_id: device as u64,
-                    alpha: Some(alpha),
-                    policy,
-                    participants,
-                };
-                match hier.as_deref_mut() {
-                    Some(h) => {
-                        let _ = h.run(&mut col, &p);
-                    }
-                    None => engine.run(&mut col, bus, &p),
-                }
+            (_, Some(h)) => {
+                let _ = h.run(&mut col, &p);
             }
+            (_, None) => engine.run(&mut col, bus, &p),
         }
     }
 }

@@ -572,37 +572,6 @@ pub fn sensor_fault_sweep(base: &SimConfig, severities: &[f64]) -> SensorFaultRe
     }
 }
 
-/// Ablation: forecast accuracy with and without the time-of-day features
-/// (a design choice DESIGN.md calls out — the DRL consumes mode structure
-/// that is strongly diurnal).
-pub fn ablation_window_size(base: &SimConfig, windows: &[usize]) -> Series {
-    let points = windows
-        .iter()
-        .map(|&w| {
-            let mut cfg = base.clone();
-            cfg.window = w;
-            let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
-            (w as f64, evaluate_forecast(&cfg, &forecast).mean)
-        })
-        .collect();
-    Series::new("accuracy vs window", points)
-}
-
-/// Ablation: Huber vs MSE is covered at the unit level (pfdrl-nn); here,
-/// DQN train-frequency ablation — saved energy vs `train_every`.
-pub fn ablation_train_every(base: &SimConfig, values: &[usize]) -> Series {
-    let points = values
-        .iter()
-        .map(|&k| {
-            let mut cfg = base.clone();
-            cfg.train_every = k;
-            let run = run_method(&cfg, EmsMethod::Pfdrl);
-            (k as f64, run.converged_saved_fraction())
-        })
-        .collect();
-    Series::new("saved fraction vs train_every", points)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,7 +12,7 @@ use crate::config::SimConfig;
 use crate::method::EmsMethod;
 use pfdrl_data::dataset::build_windows_transformed;
 use pfdrl_data::{SupervisedSet, TraceGenerator, MINUTES_PER_DAY};
-use pfdrl_fl::{aggregate, BroadcastBus, CloudAggregator, DflRound, LatencyModel, RoundParams};
+use pfdrl_fl::{BroadcastBus, CloudRound, DflRound, LatencyModel, RoundParams};
 use pfdrl_forecast::{Forecaster, TrainConfig};
 use rayon::prelude::*;
 use std::time::Instant;
@@ -287,21 +287,22 @@ fn train_cloud(
     (secs, total, total)
 }
 
-/// FL baseline: FedAvg rounds through a central parameter server.
-fn train_fedavg_cloud(
+/// The β rounds of a federated forecast phase: every home refits its
+/// models on its own data for the round's epoch budget, then
+/// `federate` runs one round over each device's column, in device
+/// order.
+fn federated_rounds(
     cfg: &SimConfig,
     sets: &[Vec<SupervisedSet>],
     models: &mut [Vec<Box<dyn Forecaster>>],
-) -> (f64, u64, u64) {
+    mut federate: impl FnMut(&mut [&mut (dyn Forecaster + 'static)], &RoundParams<'_>),
+) {
     let (rounds, epochs_per_round) = rounds_for_beta(cfg);
     let round_cfg = TrainConfig {
         max_epochs: epochs_per_round,
         ..cfg.train.clone()
     };
-    let clouds: Vec<CloudAggregator> = (0..cfg.devices_per_home())
-        .map(|_| CloudAggregator::with_codec(LatencyModel::cloud(), &cfg.fault, cfg.compression))
-        .collect();
-    let quorum = cfg.fault.min_quorum.max(1);
+    let policy = cfg.fault.merge_policy();
     for round in 0..rounds {
         models
             .par_iter_mut()
@@ -311,29 +312,37 @@ fn train_fedavg_cloud(
                     refit(m.as_mut(), s, &round_cfg);
                 }
             });
-        for (home_id, home_models) in models.iter().enumerate() {
-            for (device, m) in home_models.iter().enumerate() {
-                clouds[device].upload(aggregate::snapshot_update(
-                    m.as_ref(),
-                    home_id,
-                    round as u64,
-                    device as u64,
-                ));
-            }
-        }
-        for (device, cloud) in clouds.iter().enumerate() {
-            cloud.aggregate_with_quorum(quorum);
-            // One model copy per home: too little work to pay for a
-            // thread.
-            for (home_id, home_models) in models.iter_mut().enumerate() {
-                // A home that cannot download (offline, or nothing
-                // aggregated yet) keeps its local model for this round.
-                if let Some(global) = cloud.download_for(home_id, round as u64) {
-                    home_models[device].import_all(&global);
-                }
-            }
+        for device in 0..cfg.devices_per_home() {
+            let mut col: Vec<_> = models
+                .iter_mut()
+                .map(|home_models| home_models[device].as_mut())
+                .collect();
+            let p = RoundParams {
+                round: round as u64,
+                model_id: device as u64,
+                alpha: None,
+                policy: &policy,
+                participants: None,
+            };
+            federate(&mut col, &p);
         }
     }
+}
+
+/// FL baseline: FedAvg rounds through a central parameter server. Each
+/// device has its own server engine, and the phase's seconds are their
+/// sum in device order.
+fn train_fedavg_cloud(
+    cfg: &SimConfig,
+    sets: &[Vec<SupervisedSet>],
+    models: &mut [Vec<Box<dyn Forecaster>>],
+) -> (f64, u64, u64) {
+    let mut clouds: Vec<CloudRound> = (0..cfg.devices_per_home())
+        .map(|_| CloudRound::new(LatencyModel::cloud(), &cfg.fault, cfg.compression))
+        .collect();
+    federated_rounds(cfg, sets, models, |col, p| {
+        let _ = clouds[p.model_id as usize].run(col, p);
+    });
     let secs: f64 = clouds.iter().map(|c| c.simulated_seconds()).sum();
     let bytes: u64 = clouds
         .iter()
@@ -353,15 +362,11 @@ fn train_dfl_lan(
     sets: &[Vec<SupervisedSet>],
     models: &mut [Vec<Box<dyn Forecaster>>],
 ) -> (f64, u64, u64) {
-    let (rounds, epochs_per_round) = rounds_for_beta(cfg);
-    let round_cfg = TrainConfig {
-        max_epochs: epochs_per_round,
-        ..cfg.train.clone()
-    };
-    // Hierarchical mode carries its own per-shard buses; the flat bus
-    // set stays empty so traffic is not double-counted.
+    // Hierarchical mode carries its own per-shard buses, shared by
+    // every device column; the flat bus set stays empty so traffic is
+    // not double-counted.
     let mut hier = crate::ems::EmsState::build_hier(cfg);
-    let buses: Vec<BroadcastBus> = if hier.is_some() {
+    let mut buses: Vec<BroadcastBus> = if hier.is_some() {
         Vec::new()
     } else {
         (0..cfg.devices_per_home())
@@ -375,45 +380,20 @@ fn train_dfl_lan(
             })
             .collect()
     };
-    let policy = cfg.fault.merge_policy();
     let mut engine = DflRound::new();
-    for round in 0..rounds {
-        models
-            .par_iter_mut()
-            .zip(sets.par_iter())
-            .for_each(|(home_models, home_sets)| {
-                for (m, s) in home_models.iter_mut().zip(home_sets.iter()) {
-                    refit(m.as_mut(), s, &round_cfg);
-                }
-            });
-        // One engine round per device: pooled exports, broadcasts in
-        // home order (so each bus sees the exact event sequence of the
-        // sequential reference), then per-home merges on the device's
-        // bus — or, under Hierarchical, the shard buses and the O(N)
-        // shared sum for every home whose round was fault-free.
-        // Corrupted or stale updates are rejected inside the validated
-        // merge; a layer that misses the quorum keeps the local
-        // parameters this round.
-        for device in 0..cfg.devices_per_home() {
-            let mut col: Vec<&mut dyn Forecaster> = models
-                .iter_mut()
-                .map(|home_models| home_models[device].as_mut())
-                .collect();
-            let p = RoundParams {
-                round: round as u64,
-                model_id: device as u64,
-                alpha: None,
-                policy: &policy,
-                participants: None,
-            };
-            match hier.as_mut() {
-                Some(h) => {
-                    let _ = h.run(&mut col, &p);
-                }
-                None => engine.run(&mut col, &buses[device], &p),
-            }
+    // One engine round per device: pooled exports, broadcasts in home
+    // order (so each bus sees the exact event sequence of the
+    // sequential reference), then per-home merges on the device's bus —
+    // or, under Hierarchical, the shard buses and the O(N) shared sum
+    // for every home whose round was fault-free. Corrupted or stale
+    // updates are rejected inside the validated merge; a layer that
+    // misses the quorum keeps the local parameters this round.
+    federated_rounds(cfg, sets, models, |col, p| match hier.as_mut() {
+        Some(h) => {
+            let _ = h.run(col, p);
         }
-    }
+        None => engine.run(col, &mut buses[p.model_id as usize], p),
+    });
     match &hier {
         Some(h) => {
             let s = h.total_stats();

@@ -6,8 +6,8 @@
 //! the previous format version must still resume to the same result.
 
 use pfdrl_core::{
-    run_method, run_method_resumable, run_method_resume_from, CheckpointPolicy, EmsMethod,
-    EmsState, ForecastPhase, MethodRun, RunResult, SimConfig,
+    run_method, run_method_resumable, run_method_resume_from, train_forecasters, CheckpointPolicy,
+    EmsMethod, EmsState, ForecastPhase, MethodRun, RunResult, SimConfig,
 };
 use pfdrl_fl::FaultConfig;
 use pfdrl_store::{CheckpointStore, RunSnapshot, StoreError};
@@ -353,7 +353,7 @@ fn resume_is_bit_identical_under_q8_compression_with_chaos_and_shards() {
 #[test]
 fn fl_method_resumes_bit_identically_under_q8_compression() {
     // The centralized FedAvg path compresses uploads inside the cloud
-    // aggregator; its pending queues and stats must survive a resume.
+    // server; its counters must survive a resume.
     let mut cfg = SimConfig::tiny(59);
     cfg.eval_days = 3;
     cfg.compression = pfdrl_fl::PayloadCodec::QuantizedI8 {
@@ -375,6 +375,32 @@ fn resume_is_bit_identical_under_f32fast_lstm_inference() {
     cfg.forecast_method = pfdrl_forecast::ForecastMethod::Lstm;
     cfg.precision = pfdrl_core::Precision::F32Fast;
     exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "f32fast");
+}
+
+#[test]
+fn frl_method_resumes_bit_identically_under_chaos_with_failed_rounds() {
+    // FRL is the one method whose Q-networks federate through the cloud
+    // server. Half the uploads churn, drop or arrive damaged, and a
+    // quorum of 2 makes some rounds fail; those rounds keep every local
+    // agent, on both sides of a snapshot.
+    let mut cfg = SimConfig::tiny(4);
+    cfg.eval_days = 3;
+    cfg.fault = FaultConfig {
+        min_quorum: 2,
+        ..FaultConfig::chaos(4, 0.5)
+    };
+    let forecast = train_forecasters(&cfg, EmsMethod::Frl);
+    let mut state = EmsState::fresh(&cfg);
+    let mut failures = Vec::new();
+    while !state.done(&cfg) {
+        state.advance_day(&cfg, EmsMethod::Frl, &forecast);
+        failures.push(state.cloud.stats().quorum_failures);
+    }
+    assert!(
+        failures[0] > 0 && failures[2] > failures[0],
+        "failed rounds must fall before and after a snapshot: {failures:?}"
+    );
+    exercise_resume_matrix(&cfg, EmsMethod::Frl, "frl-chaos");
 }
 
 #[test]

@@ -7,7 +7,7 @@
 
 use crate::codec::{LayerUpdate, ModelUpdate};
 use crate::shard::ShardAssignment;
-use pfdrl_nn::{average_params, Layered};
+use pfdrl_nn::Layered;
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
@@ -419,32 +419,10 @@ pub(crate) fn merge_base_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     merge_layers(model, updates, 0..alpha, now_round, policy, Some(alpha))
 }
 
-/// Averages complete snapshots of several models *in place* so that all
-/// end up identical (a synchronous FedAvg round among co-located models;
-/// used by the centralized baselines and tests).
-///
-/// # Panics
-/// Panics if `models` is empty or architectures differ — these are
-/// local programming errors, not network faults, so they stay loud.
-pub fn fedavg_in_place<M: Layered>(models: &mut [M]) {
-    assert!(!models.is_empty(), "fedavg over no models");
-    let layer_count = models[0].layer_count();
-    assert!(
-        models.iter().all(|m| m.layer_count() == layer_count),
-        "fedavg: mismatched layer counts"
-    );
-    for layer_idx in 0..layer_count {
-        let snapshots: Vec<Vec<f64>> = models.iter().map(|m| m.export_layer(layer_idx)).collect();
-        let avg = average_params(&snapshots);
-        for m in models.iter_mut() {
-            m.import_layer(layer_idx, &avg);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pfdrl_nn::average_params;
 
     /// Minimal Layered stand-in: two layers of sizes 2 and 3.
     #[derive(Debug, Clone, PartialEq)]
@@ -688,23 +666,6 @@ mod tests {
         for (x, y) in a.l0.iter().zip(b.l0.iter()) {
             assert!((x - y).abs() < 1e-12, "{x} vs {y}");
         }
-    }
-
-    #[test]
-    fn fedavg_makes_models_identical_at_mean() {
-        let mut models = vec![Toy::new(0.0), Toy::new(2.0), Toy::new(4.0)];
-        fedavg_in_place(&mut models);
-        for m in &models {
-            assert_eq!(m.l0, vec![2.0; 2]);
-            assert_eq!(m.l1, vec![20.0; 3]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "no models")]
-    fn fedavg_rejects_empty() {
-        let mut models: Vec<Toy> = vec![];
-        fedavg_in_place(&mut models);
     }
 
     #[test]

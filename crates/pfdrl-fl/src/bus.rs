@@ -1,21 +1,20 @@
 //! In-process broadcast bus between residences.
 //!
 //! Replaces the paper's LAN broadcast between smart-home hubs: each
-//! residence gets a mailbox (a mutex-guarded queue, so residences can
-//! run on worker threads concurrently), and every broadcast is
-//! delivered to all other residences. The bus keeps byte/message
-//! statistics and converts them into simulated communication time via a
-//! [`LatencyModel`], which is how the time-overhead comparison of
-//! Figure 14 is reproduced without real network hardware.
+//! residence gets a mailbox, and every broadcast is delivered to all
+//! other residences. The bus keeps byte/message statistics and converts
+//! them into simulated communication time via a [`LatencyModel`], which
+//! is how the time-overhead comparison of Figure 14 is reproduced
+//! without real network hardware.
 //!
-//! Updates travel as `Arc<ModelUpdate>` end-to-end: a broadcast to N−1
-//! peers shares one payload instead of cloning it, and
-//! [`BroadcastBus::broadcast_arc`] lets callers keep a handle to the
-//! exact payload they sent (the hierarchical shared-sum fast path uses
-//! pointer identity to prove a mailbox saw the full fault-free round).
-//! Statistics live in relaxed atomics, so concurrent broadcasters never
-//! serialize on a stats lock; totals are exact because every counter
-//! update is a commutative add.
+//! The bus is plain owned state: every method that delivers, drains or
+//! restores takes `&mut self`, and nothing is shared across threads
+//! (each hierarchical shard owns its own bus). Updates travel as
+//! `Arc<ModelUpdate>`: a broadcast to N−1 peers shares one payload
+//! instead of cloning it, and a clean delivery is pointer-identical to
+//! the payload the caller passed to [`BroadcastBus::broadcast_all`]
+//! (the hierarchical shared-sum fast path uses that identity to prove a
+//! mailbox saw the full fault-free round).
 //!
 //! A bus built with [`BroadcastBus::with_faults`] routes every delivery
 //! through a [`FaultInjector`]: churned-out or lossy deliveries are
@@ -25,8 +24,6 @@
 
 use crate::codec::{ModelUpdate, PayloadCodec};
 use crate::fault::{Delivery, DropReason, FaultConfig, FaultInjector};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Simple linear latency model: `per_message + bytes * per_byte`.
@@ -93,130 +90,38 @@ impl BusStats {
     pub fn dropped_total(&self) -> u64 {
         self.dropped_offline + self.dropped_loss + self.dropped_disconnected
     }
-}
 
-/// Adds `v` to an `f64` stored as its bit pattern in an [`AtomicU64`].
-/// The CAS loop makes concurrent adds lossless; the *order* of adds (and
-/// therefore the exact rounding) is whatever the callers' order is — on
-/// the deterministic default path broadcasts are sequential, so the sum
-/// order is fixed.
-fn atomic_f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => cur = observed,
-        }
-    }
-}
-
-/// [`BusStats`] in relaxed atomics: contention-free accounting for
-/// concurrent broadcasters. Every field is a commutative add, so totals
-/// are exact regardless of interleaving. `delay_seconds` stores the
-/// `f64` bit pattern (`0u64` is `0.0`, so zero-init works).
-#[derive(Default)]
-struct AtomicBusStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    logical_bytes: AtomicU64,
-    dropped_offline: AtomicU64,
-    dropped_loss: AtomicU64,
-    dropped_disconnected: AtomicU64,
-    corrupted: AtomicU64,
-    delayed: AtomicU64,
-    delay_seconds_bits: AtomicU64,
-}
-
-impl AtomicBusStats {
-    /// Folds one broadcast's locally accumulated delta in.
-    fn add(&self, d: &BusStats) {
-        let bump = |cell: &AtomicU64, v: u64| {
-            if v != 0 {
-                cell.fetch_add(v, Ordering::Relaxed);
-            }
-        };
-        bump(&self.messages, d.messages);
-        bump(&self.bytes, d.bytes);
-        bump(&self.logical_bytes, d.logical_bytes);
-        bump(&self.dropped_offline, d.dropped_offline);
-        bump(&self.dropped_loss, d.dropped_loss);
-        bump(&self.dropped_disconnected, d.dropped_disconnected);
-        bump(&self.corrupted, d.corrupted);
-        bump(&self.delayed, d.delayed);
-        if d.delay_seconds != 0.0 {
-            atomic_f64_add(&self.delay_seconds_bits, d.delay_seconds);
-        }
-    }
-
-    fn load(&self) -> BusStats {
-        BusStats {
-            messages: self.messages.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            logical_bytes: self.logical_bytes.load(Ordering::Relaxed),
-            dropped_offline: self.dropped_offline.load(Ordering::Relaxed),
-            dropped_loss: self.dropped_loss.load(Ordering::Relaxed),
-            dropped_disconnected: self.dropped_disconnected.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            delay_seconds: f64::from_bits(self.delay_seconds_bits.load(Ordering::Relaxed)),
-        }
-    }
-
-    fn store(&self, s: &BusStats) {
-        self.messages.store(s.messages, Ordering::Relaxed);
-        self.bytes.store(s.bytes, Ordering::Relaxed);
-        self.logical_bytes.store(s.logical_bytes, Ordering::Relaxed);
-        self.dropped_offline
-            .store(s.dropped_offline, Ordering::Relaxed);
-        self.dropped_loss.store(s.dropped_loss, Ordering::Relaxed);
-        self.dropped_disconnected
-            .store(s.dropped_disconnected, Ordering::Relaxed);
-        self.corrupted.store(s.corrupted, Ordering::Relaxed);
-        self.delayed.store(s.delayed, Ordering::Relaxed);
-        self.delay_seconds_bits
-            .store(s.delay_seconds.to_bits(), Ordering::Relaxed);
+    /// Adds every counter of `d` into `self` (the float sum in the
+    /// caller's order, which fixes its rounding).
+    pub(crate) fn add(&mut self, d: &BusStats) {
+        self.messages += d.messages;
+        self.bytes += d.bytes;
+        self.logical_bytes += d.logical_bytes;
+        self.dropped_offline += d.dropped_offline;
+        self.dropped_loss += d.dropped_loss;
+        self.dropped_disconnected += d.dropped_disconnected;
+        self.corrupted += d.corrupted;
+        self.delayed += d.delayed;
+        self.delay_seconds += d.delay_seconds;
     }
 }
 
 /// One residence's inbox. `closed` models a hub whose receiving end
 /// died: deliveries to it count as `dropped_disconnected` instead of
 /// panicking.
+#[derive(Default)]
 struct Mailbox {
-    queue: Mutex<Vec<Arc<ModelUpdate>>>,
-    closed: AtomicBool,
-}
-
-impl Mailbox {
-    fn new() -> Self {
-        Mailbox {
-            queue: Mutex::new(Vec::new()),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Delivers `u`; false if the receiving end is disconnected.
-    fn push(&self, u: Arc<ModelUpdate>) -> bool {
-        if self.closed.load(Ordering::Relaxed) {
-            return false;
-        }
-        self.queue.lock().push(u);
-        true
-    }
-}
-
-struct BusInner {
-    mailboxes: Vec<Mailbox>,
-    stats: AtomicBusStats,
-    latency: LatencyModel,
-    faults: Option<FaultInjector>,
-    codec: PayloadCodec,
+    queue: Vec<Arc<ModelUpdate>>,
+    closed: bool,
 }
 
 /// A broadcast bus connecting `n` residences.
-#[derive(Clone)]
 pub struct BroadcastBus {
-    inner: Arc<BusInner>,
+    mailboxes: Vec<Mailbox>,
+    stats: BusStats,
+    latency: LatencyModel,
+    faults: Option<FaultInjector>,
+    codec: PayloadCodec,
 }
 
 impl BroadcastBus {
@@ -225,7 +130,7 @@ impl BroadcastBus {
     /// # Panics
     /// Panics if `n == 0`.
     pub fn new(n: usize, latency: LatencyModel) -> Self {
-        Self::build(n, latency, None)
+        Self::with_faults(n, latency, &FaultConfig::default())
     }
 
     /// Creates a bus whose deliveries are subject to `faults`. A
@@ -251,201 +156,125 @@ impl BroadcastBus {
         faults: &FaultConfig,
         codec: PayloadCodec,
     ) -> Self {
-        let injector = faults
-            .is_active()
-            .then(|| FaultInjector::new(faults.plan(), n));
-        Self::build_with(n, latency, injector, codec)
-    }
-
-    fn build(n: usize, latency: LatencyModel, faults: Option<FaultInjector>) -> Self {
-        Self::build_with(n, latency, faults, PayloadCodec::Raw)
-    }
-
-    fn build_with(
-        n: usize,
-        latency: LatencyModel,
-        faults: Option<FaultInjector>,
-        codec: PayloadCodec,
-    ) -> Self {
         assert!(n > 0, "bus needs at least one participant");
         BroadcastBus {
-            inner: Arc::new(BusInner {
-                mailboxes: (0..n).map(|_| Mailbox::new()).collect(),
-                stats: AtomicBusStats::default(),
-                latency,
-                faults,
-                codec,
-            }),
+            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
+            stats: BusStats::default(),
+            latency,
+            faults: faults
+                .is_active()
+                .then(|| FaultInjector::new(faults.plan(), n)),
+            codec,
         }
     }
 
     /// The uplink payload codec this bus accounts under.
     pub fn codec(&self) -> PayloadCodec {
-        self.inner.codec
+        self.codec
     }
 
     /// Number of participants.
     pub fn len(&self) -> usize {
-        self.inner.mailboxes.len()
+        self.mailboxes.len()
     }
 
     pub fn is_empty(&self) -> bool {
         false // a bus always has >= 1 participant (checked at creation)
     }
 
-    /// Broadcasts `update` from its sender to every *other* residence.
-    /// Under an active fault plan each point-to-point delivery is
-    /// independently dropped, delayed, corrupted, or delivered; the
-    /// outcome for each `(sender, receiver, round, model_id)` tuple is
-    /// deterministic in the fault seed.
+    /// Broadcasts `update` from its sender to every *other* residence:
+    /// [`broadcast_all`](Self::broadcast_all) of one update.
     ///
     /// # Panics
     /// Panics if `update.sender` is out of range.
-    pub fn broadcast(&self, update: ModelUpdate) {
-        self.broadcast_arc(Arc::new(update));
+    pub fn broadcast(&mut self, update: ModelUpdate) {
+        self.broadcast_all(&[Arc::new(update)]);
     }
 
-    /// [`broadcast`](Self::broadcast) of an already-shared payload. All
-    /// clean deliveries alias `arc` — no payload clone per receiver —
-    /// and the caller's retained handle is pointer-identical to what the
-    /// mailboxes received.
-    pub fn broadcast_arc(&self, arc: Arc<ModelUpdate>) {
-        let n = self.len();
-        assert!(arc.sender < n, "sender {} out of range", arc.sender);
-        let wire = self.inner.codec.wire_update_bytes(&arc) as u64;
-        let logical = arc.byte_size() as u64;
-        let mut delta = BusStats::default();
-        for (i, mailbox) in self.inner.mailboxes.iter().enumerate() {
-            if i == arc.sender {
-                continue;
-            }
-            self.deliver_one(&arc, i, &mut |u| mailbox.push(u), wire, logical, &mut delta);
-        }
-        self.inner.stats.add(&delta);
-    }
-
-    /// Broadcasts one update per sender as a single batched pass,
-    /// visiting each mailbox exactly once (one lock per receiver per
-    /// round instead of one per sender×receiver pair). Deliveries,
-    /// fault fates, per-receiver arrival order (sender-ascending) and
-    /// every statistics bit — including the `delay_seconds` float
-    /// summation order — are identical to calling
-    /// [`broadcast_arc`](Self::broadcast_arc) once per update in slice
-    /// order: fault decisions are pure per-edge hashes, integer
-    /// counters are commutative, and the delay fold below replays the
-    /// sequential per-sender accumulation exactly.
+    /// Broadcasts one update per sender, each to every residence but
+    /// its sender. Under an active fault plan each point-to-point
+    /// delivery is independently dropped, delayed, corrupted, or
+    /// delivered; the outcome for each `(sender, receiver, round,
+    /// model_id)` tuple is a pure hash of the fault seed. Clean
+    /// deliveries alias the caller's `Arc` — no payload clone per
+    /// receiver.
+    ///
+    /// Each receiver's deliveries arrive in slice order, and each
+    /// sender's counter delta — `delay_seconds` included — is folded
+    /// into the totals in slice order, so the result is bit-identical
+    /// to broadcasting the updates one at a time.
     ///
     /// # Panics
     /// Panics if any `update.sender` is out of range.
-    pub fn broadcast_all(&self, updates: &[Arc<ModelUpdate>]) {
+    pub fn broadcast_all(&mut self, updates: &[Arc<ModelUpdate>]) {
         let n = self.len();
+        let codec = self.codec;
         let sizes: Vec<(u64, u64)> = updates
             .iter()
             .map(|arc| {
                 assert!(arc.sender < n, "sender {} out of range", arc.sender);
-                (
-                    self.inner.codec.wire_update_bytes(arc) as u64,
-                    arc.byte_size() as u64,
-                )
+                (codec.wire_update_bytes(arc) as u64, arc.byte_size() as u64)
             })
             .collect();
         let mut deltas = vec![BusStats::default(); updates.len()];
-        for (i, mailbox) in self.inner.mailboxes.iter().enumerate() {
-            // One lock (and one closed check) per receiver for the
-            // whole round — the batching win over per-sender
-            // broadcasts. Rounds are quiescent while this runs, so the
-            // coarser closed check cannot observe a different value
-            // than per-delivery checks would.
-            let closed = mailbox.closed.load(Ordering::Relaxed);
-            let mut guard = (!closed).then(|| mailbox.queue.lock());
-            let mut push = |u: Arc<ModelUpdate>| match guard.as_mut() {
-                Some(queue) => {
-                    queue.push(u);
-                    true
-                }
-                None => false,
-            };
+        let Self {
+            mailboxes,
+            faults,
+            latency,
+            ..
+        } = self;
+        for (receiver, mailbox) in mailboxes.iter_mut().enumerate() {
             for ((arc, &(wire, logical)), delta) in
                 updates.iter().zip(&sizes).zip(deltas.iter_mut())
             {
-                if arc.sender == i {
+                if arc.sender == receiver {
                     continue;
                 }
-                self.deliver_one(arc, i, &mut push, wire, logical, delta);
+                let fate = match faults {
+                    Some(inj) => inj
+                        .plan()
+                        .delivery(arc.sender, receiver, arc.round, arc.model_id),
+                    None => Delivery::Deliver,
+                };
+                match fate {
+                    Delivery::Drop(DropReason::SenderOffline | DropReason::ReceiverOffline) => {
+                        delta.dropped_offline += 1
+                    }
+                    Delivery::Drop(DropReason::Loss) => delta.dropped_loss += 1,
+                    // A dropped receiver is a fault, not a crash: count
+                    // the failed delivery and move on.
+                    Delivery::Corrupt(_) | Delivery::Deliver if mailbox.closed => {
+                        delta.dropped_disconnected += 1
+                    }
+                    Delivery::Corrupt(kind) => {
+                        let plan = faults.as_ref().expect("corrupt without injector").plan();
+                        let damaged = plan.corrupt(arc, receiver as u64, kind);
+                        delta.corrupted += 1;
+                        delta.messages += 1;
+                        delta.bytes += codec.wire_update_bytes(&damaged) as u64;
+                        delta.logical_bytes += damaged.byte_size() as u64;
+                        mailbox.queue.push(Arc::new(damaged));
+                    }
+                    Delivery::Delay { extra_latency_mult } => {
+                        let injector = faults.as_mut().expect("delay without injector");
+                        injector.park(receiver, Arc::clone(arc));
+                        delta.delayed += 1;
+                        delta.messages += 1;
+                        delta.bytes += wire;
+                        delta.logical_bytes += logical;
+                        delta.delay_seconds += extra_latency_mult * latency.seconds(1, wire);
+                    }
+                    Delivery::Deliver => {
+                        mailbox.queue.push(Arc::clone(arc));
+                        delta.messages += 1;
+                        delta.bytes += wire;
+                        delta.logical_bytes += logical;
+                    }
+                }
             }
         }
-        // Fold per-sender deltas in sender order — the same sequence of
-        // `AtomicBusStats::add` calls the per-sender path would issue.
         for delta in &deltas {
-            self.inner.stats.add(delta);
-        }
-    }
-
-    /// Routes one point-to-point delivery through the fault plan and
-    /// into the receiver's queue via `push` (which reports false when
-    /// the receiving end is disconnected), accumulating counters into
-    /// `delta`. Shared by the per-sender and batched broadcast paths
-    /// so their semantics cannot drift.
-    fn deliver_one(
-        &self,
-        arc: &Arc<ModelUpdate>,
-        receiver: usize,
-        push: &mut dyn FnMut(Arc<ModelUpdate>) -> bool,
-        wire: u64,
-        logical: u64,
-        delta: &mut BusStats,
-    ) {
-        let fate = match &self.inner.faults {
-            Some(inj) => inj
-                .plan()
-                .delivery(arc.sender, receiver, arc.round, arc.model_id),
-            None => Delivery::Deliver,
-        };
-        match fate {
-            Delivery::Drop(reason) => match reason {
-                DropReason::SenderOffline | DropReason::ReceiverOffline => {
-                    delta.dropped_offline += 1
-                }
-                DropReason::Loss => delta.dropped_loss += 1,
-            },
-            Delivery::Corrupt(kind) => {
-                let injector = self
-                    .inner
-                    .faults
-                    .as_ref()
-                    .expect("corrupt without injector");
-                let damaged = injector.plan().corrupt(arc, receiver as u64, kind);
-                let damaged_wire = self.inner.codec.wire_update_bytes(&damaged) as u64;
-                let damaged_logical = damaged.byte_size() as u64;
-                if !push(Arc::new(damaged)) {
-                    delta.dropped_disconnected += 1;
-                    return;
-                }
-                delta.corrupted += 1;
-                delta.messages += 1;
-                delta.bytes += damaged_wire;
-                delta.logical_bytes += damaged_logical;
-            }
-            Delivery::Delay { extra_latency_mult } => {
-                let injector = self.inner.faults.as_ref().expect("delay without injector");
-                injector.park(receiver, Arc::clone(arc));
-                delta.delayed += 1;
-                delta.messages += 1;
-                delta.bytes += wire;
-                delta.logical_bytes += logical;
-                delta.delay_seconds += extra_latency_mult * self.inner.latency.seconds(1, wire);
-            }
-            Delivery::Deliver => {
-                // A dropped receiver is a fault, not a crash: count
-                // the failed delivery and move on.
-                if !push(Arc::clone(arc)) {
-                    delta.dropped_disconnected += 1;
-                    return;
-                }
-                delta.messages += 1;
-                delta.bytes += wire;
-                delta.logical_bytes += logical;
-            }
+            self.stats.add(delta);
         }
     }
 
@@ -454,91 +283,68 @@ impl BroadcastBus {
     ///
     /// # Panics
     /// Panics if `id` is out of range.
-    pub fn drain(&self, id: usize) -> Vec<Arc<ModelUpdate>> {
+    pub fn drain(&mut self, id: usize) -> Vec<Arc<ModelUpdate>> {
         let mut out = Vec::new();
         self.drain_into(id, &mut out);
         out
     }
 
-    /// [`drain`](Self::drain) into a reusable buffer (cleared first).
-    pub fn drain_into(&self, id: usize, out: &mut Vec<Arc<ModelUpdate>>) {
+    /// [`drain`](Self::drain) into a reusable buffer (cleared first):
+    /// the mailbox in arrival order, then the stragglers that surface
+    /// this cycle. One drain advances the straggler clock one cycle.
+    pub fn drain_into(&mut self, id: usize, out: &mut Vec<Arc<ModelUpdate>>) {
         out.clear();
-        out.append(&mut self.inner.mailboxes[id].queue.lock());
-        if let Some(inj) = &self.inner.faults {
-            out.extend(inj.take_ready(id));
+        out.append(&mut self.mailboxes[id].queue);
+        if let Some(inj) = &mut self.faults {
+            inj.take_ready(id, out);
         }
     }
 
-    /// Drains residence `id`'s mailbox keeping only updates whose
-    /// `model_id` matches, appended to `out` (cleared first) in arrival
-    /// order; non-matching updates are *discarded*, exactly like the
-    /// clone-then-filter the round loops used to do — without the
-    /// allocation. Straggler clock still advances (one drain == one
-    /// cycle).
-    pub fn drain_model_into(&self, id: usize, model_id: u64, out: &mut Vec<Arc<ModelUpdate>>) {
-        out.clear();
-        {
-            let mut queue = self.inner.mailboxes[id].queue.lock();
-            for u in queue.drain(..) {
-                if u.model_id == model_id {
-                    out.push(u);
-                }
-            }
-        }
-        if let Some(inj) = &self.inner.faults {
-            for u in inj.take_ready(id) {
-                if u.model_id == model_id {
-                    out.push(u);
-                }
-            }
-        }
+    /// [`drain_into`](Self::drain_into) keeping only updates whose
+    /// `model_id` matches; the rest are *discarded*, not left queued.
+    pub fn drain_model_into(&mut self, id: usize, model_id: u64, out: &mut Vec<Arc<ModelUpdate>>) {
+        self.drain_into(id, out);
+        out.retain(|u| u.model_id == model_id);
     }
 
     /// Closes residence `id`'s mailbox: subsequent deliveries to it are
     /// counted as `dropped_disconnected`. Models a hub process that died
     /// without unregistering (robustness tests use this).
-    pub fn disconnect(&self, id: usize) {
-        self.inner.mailboxes[id]
-            .closed
-            .store(true, Ordering::Relaxed);
+    pub fn disconnect(&mut self, id: usize) {
+        self.mailboxes[id].closed = true;
     }
 
     /// Traffic so far.
     pub fn stats(&self) -> BusStats {
-        self.inner.stats.load()
+        self.stats
     }
 
     /// Simulated communication time spent so far, seconds, including
     /// straggler delay penalties.
     pub fn simulated_seconds(&self) -> f64 {
-        let s = self.stats();
-        self.inner.latency.seconds(s.messages, s.bytes) + s.delay_seconds
+        self.latency.seconds(self.stats.messages, self.stats.bytes) + self.stats.delay_seconds
     }
 
     /// Resets traffic statistics (not mailboxes).
-    pub fn reset_stats(&self) {
-        self.inner.stats.store(&BusStats::default());
+    pub fn reset_stats(&mut self) {
+        self.stats = BusStats::default();
     }
 
     /// Captures the complete bus state — statistics, undrained mailbox
     /// contents, and any parked straggler queues — without disturbing
     /// it.
-    ///
-    /// Not safe to call concurrently with `broadcast`/`drain`; callers
-    /// checkpoint between federation rounds, when the bus is quiescent.
     pub fn export_state(&self) -> BusState {
         let mailboxes = self
-            .inner
             .mailboxes
             .iter()
-            .map(|m| m.queue.lock().iter().map(|u| (**u).clone()).collect())
+            .map(|m| m.queue.iter().map(|u| (**u).clone()).collect())
             .collect();
-        let (parked_ready, parked_staged) = match &self.inner.faults {
+        let (parked_ready, parked_staged) = match &self.faults {
             Some(inj) => inj.export_parked(),
             None => (vec![Vec::new(); self.len()], vec![Vec::new(); self.len()]),
         };
         BusState {
-            stats: self.stats(),
+            stats: self.stats,
             mailboxes,
             parked_ready,
             parked_staged,
@@ -552,7 +358,7 @@ impl BroadcastBus {
     /// Rejects states whose participant count does not match, that
     /// target a disconnected mailbox, or that carry parked stragglers
     /// when this bus has no fault injector.
-    pub fn restore_state(&self, state: &BusState) -> Result<(), String> {
+    pub fn restore_state(&mut self, state: &BusState) -> Result<(), String> {
         let n = self.len();
         if state.mailboxes.len() != n {
             return Err(format!(
@@ -560,14 +366,15 @@ impl BroadcastBus {
                 state.mailboxes.len()
             ));
         }
-        for (mailbox, contents) in self.inner.mailboxes.iter().zip(&state.mailboxes) {
-            for u in contents {
-                if !mailbox.push(Arc::new(u.clone())) {
-                    return Err("bus mailbox disconnected".to_string());
-                }
+        for (mailbox, contents) in self.mailboxes.iter_mut().zip(&state.mailboxes) {
+            if mailbox.closed && !contents.is_empty() {
+                return Err("bus mailbox disconnected".to_string());
             }
+            mailbox
+                .queue
+                .extend(contents.iter().map(|u| Arc::new(u.clone())));
         }
-        match &self.inner.faults {
+        match &mut self.faults {
             Some(inj) => {
                 inj.restore_parked(state.parked_ready.clone(), state.parked_staged.clone())?
             }
@@ -581,7 +388,7 @@ impl BroadcastBus {
                 }
             }
         }
-        self.inner.stats.store(&state.stats);
+        self.stats = state.stats;
         Ok(())
     }
 }
@@ -623,7 +430,7 @@ mod tests {
 
     #[test]
     fn broadcast_reaches_everyone_but_sender() {
-        let bus = BroadcastBus::new(3, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
         bus.broadcast(update(0, 4));
         assert!(bus.drain(0).is_empty());
         assert_eq!(bus.drain(1).len(), 1);
@@ -634,7 +441,7 @@ mod tests {
 
     #[test]
     fn stats_count_per_delivery() {
-        let bus = BroadcastBus::new(4, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
         let u = update(1, 10);
         let size = u.byte_size() as u64;
         bus.broadcast(u);
@@ -645,7 +452,7 @@ mod tests {
 
     #[test]
     fn single_participant_broadcast_is_free() {
-        let bus = BroadcastBus::new(1, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(1, LatencyModel::lan());
         bus.broadcast(update(0, 10));
         assert_eq!(bus.stats(), BusStats::default());
     }
@@ -656,7 +463,7 @@ mod tests {
             per_message_s: 1.0,
             per_byte_s: 0.0,
         };
-        let bus = BroadcastBus::new(3, latency);
+        let mut bus = BroadcastBus::new(3, latency);
         bus.broadcast(update(0, 1));
         assert!((bus.simulated_seconds() - 2.0).abs() < 1e-12);
     }
@@ -671,30 +478,10 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_broadcasts_are_all_delivered() {
-        let bus = BroadcastBus::new(8, LatencyModel::lan());
-        std::thread::scope(|scope| {
-            for sender in 0..8 {
-                let bus = bus.clone();
-                scope.spawn(move || {
-                    for _ in 0..50 {
-                        bus.broadcast(update(sender, 4));
-                    }
-                });
-            }
-        });
-        // Each of 8 senders broadcast 50 updates to 7 peers.
-        assert_eq!(bus.stats().messages, 8 * 50 * 7);
-        for id in 0..8 {
-            assert_eq!(bus.drain(id).len(), 7 * 50);
-        }
-    }
-
-    #[test]
-    fn broadcast_arc_delivers_pointer_identical_payloads() {
-        let bus = BroadcastBus::new(3, LatencyModel::lan());
+    fn clean_deliveries_alias_the_sent_payload() {
+        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
         let sent = Arc::new(update(0, 4));
-        bus.broadcast_arc(Arc::clone(&sent));
+        bus.broadcast_all(&[Arc::clone(&sent)]);
         for id in 1..3 {
             let got = bus.drain(id);
             assert_eq!(got.len(), 1);
@@ -707,7 +494,7 @@ mod tests {
 
     #[test]
     fn keyed_drain_keeps_matching_and_discards_the_rest() {
-        let bus = BroadcastBus::new(2, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(2, LatencyModel::lan());
         let mut a = update(0, 4);
         a.model_id = 7;
         let mut b = update(0, 4);
@@ -728,7 +515,7 @@ mod tests {
 
     #[test]
     fn reset_stats_zeroes_counters() {
-        let bus = BroadcastBus::new(2, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(2, LatencyModel::lan());
         bus.broadcast(update(0, 4));
         bus.reset_stats();
         assert_eq!(bus.stats(), BusStats::default());
@@ -736,8 +523,8 @@ mod tests {
 
     #[test]
     fn inactive_fault_config_changes_nothing() {
-        let plain = BroadcastBus::new(3, LatencyModel::lan());
-        let faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &FaultConfig::default());
+        let mut plain = BroadcastBus::new(3, LatencyModel::lan());
+        let mut faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &FaultConfig::default());
         plain.broadcast(update(0, 4));
         faulty.broadcast(update(0, 4));
         assert_eq!(plain.stats(), faulty.stats());
@@ -750,7 +537,7 @@ mod tests {
             loss_rate: 1.0,
             ..FaultConfig::default()
         };
-        let bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &cfg);
+        let mut bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &cfg);
         bus.broadcast(update(0, 8));
         let s = bus.stats();
         assert_eq!(s.messages, 0);
@@ -769,7 +556,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = || {
-            let bus = BroadcastBus::with_faults(5, LatencyModel::lan(), &cfg);
+            let mut bus = BroadcastBus::with_faults(5, LatencyModel::lan(), &cfg);
             for round in 0..20u64 {
                 for sender in 0..5 {
                     bus.broadcast(update_round(sender, 4, round));
@@ -792,7 +579,7 @@ mod tests {
             per_message_s: 1.0,
             per_byte_s: 0.0,
         };
-        let bus = BroadcastBus::with_faults(2, latency, &cfg);
+        let mut bus = BroadcastBus::with_faults(2, latency, &cfg);
         bus.broadcast(update(0, 4));
         // First drain: still parked.
         assert!(bus.drain(1).is_empty());
@@ -811,7 +598,7 @@ mod tests {
             corrupt_rate: 1.0,
             ..FaultConfig::default()
         };
-        let bus = BroadcastBus::with_faults(2, LatencyModel::lan(), &cfg);
+        let mut bus = BroadcastBus::with_faults(2, LatencyModel::lan(), &cfg);
         let clean = update(0, 8);
         bus.broadcast(clean.clone());
         let got = bus.drain(1);
@@ -829,7 +616,7 @@ mod tests {
             dropout_rate: 1.0,
             ..FaultConfig::default()
         };
-        let bus = BroadcastBus::with_faults(3, LatencyModel::lan(), &cfg);
+        let mut bus = BroadcastBus::with_faults(3, LatencyModel::lan(), &cfg);
         bus.broadcast(update(0, 4));
         let s = bus.stats();
         assert_eq!(s.messages, 0);
@@ -838,7 +625,7 @@ mod tests {
 
     #[test]
     fn raw_codec_reports_equal_wire_and_logical_bytes() {
-        let bus = BroadcastBus::new(3, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
         assert!(bus.codec().is_raw());
         bus.broadcast(update(0, 10));
         let s = bus.stats();
@@ -852,7 +639,8 @@ mod tests {
         let codec = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,
         };
-        let bus = BroadcastBus::with_codec(3, LatencyModel::lan(), &FaultConfig::default(), codec);
+        let mut bus =
+            BroadcastBus::with_codec(3, LatencyModel::lan(), &FaultConfig::default(), codec);
         let u = update(0, 100);
         let logical = u.byte_size() as u64;
         let wire = codec.wire_update_bytes(&u) as u64;
@@ -862,14 +650,14 @@ mod tests {
         assert_eq!(s.bytes, 2 * wire);
         assert_eq!(s.logical_bytes, 2 * logical);
         // Simulated latency is paid on wire bytes.
-        let expected = bus.inner.latency.seconds(2, 2 * wire);
+        let expected = bus.latency.seconds(2, 2 * wire);
         assert!((bus.simulated_seconds() - expected).abs() < 1e-15);
     }
 
     #[test]
     fn batched_broadcast_is_bitwise_identical_to_sequential() {
         // Same fault plan, same senders: broadcast_all must reproduce
-        // per-sender broadcast_arc exactly — mailbox contents, arrival
+        // one broadcast per sender exactly — mailbox contents, arrival
         // order, every counter, and the delay_seconds float bits.
         let cfg = FaultConfig {
             seed: 1234,
@@ -881,7 +669,7 @@ mod tests {
         };
         let n = 7;
         let run = |batched: bool| {
-            let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &cfg);
+            let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &cfg);
             for round in 0..6u64 {
                 let arcs: Vec<Arc<ModelUpdate>> = (0..n)
                     .map(|s| Arc::new(update_round(s, 16 + s, round)))
@@ -890,7 +678,7 @@ mod tests {
                     bus.broadcast_all(&arcs);
                 } else {
                     for arc in arcs {
-                        bus.broadcast_arc(arc);
+                        bus.broadcast(Arc::unwrap_or_clone(arc));
                     }
                 }
             }
@@ -924,7 +712,7 @@ mod tests {
 
     #[test]
     fn batched_broadcast_respects_disconnected_receivers() {
-        let bus = BroadcastBus::new(3, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
         bus.disconnect(2);
         let arcs: Vec<Arc<ModelUpdate>> = (0..3).map(|s| Arc::new(update(s, 4))).collect();
         bus.broadcast_all(&arcs);
@@ -936,7 +724,7 @@ mod tests {
 
     #[test]
     fn disconnected_receiver_counts_as_drop_not_panic() {
-        let bus = BroadcastBus::new(2, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(2, LatencyModel::lan());
         bus.disconnect(1);
         bus.broadcast(update(0, 4));
         let s = bus.stats();

@@ -1,27 +1,32 @@
-//! Centralized cloud aggregator — the baseline architecture the paper
-//! argues against (Cloud and FL comparison methods, Table 2).
+//! The central parameter server — the baseline architecture the paper
+//! argues against (Cloud, FL and FRL comparison methods, Table 2) — as
+//! a column engine of the same shape as [`DflRound`](crate::DflRound)
+//! and [`HierarchicalRound`](crate::HierarchicalRound).
 //!
-//! Clients upload full model snapshots; the server averages and every
-//! client downloads the global model. Uplink and downlink both pay the
-//! cloud latency model, which is what makes the centralized baselines
-//! slower in the Figure 14 reproduction.
+//! One [`CloudRound::run`] is a whole server round over a model column:
+//! every participating home uploads a full snapshot in home order, the
+//! server averages the uploads that match the column's own layer
+//! shapes, and every home that can download imports the mean. Uplink
+//! and downlink both pay the cloud latency model, which is what makes
+//! the centralized baselines slower in the Figure 14 reproduction.
 //!
-//! An aggregator built with [`CloudAggregator::with_faults`] subjects
-//! uplink traffic to the same deterministic fault plan as the LAN bus
-//! (churned-out senders, loss, stragglers, payload corruption), and the
-//! server-side aggregation validates every snapshot instead of
-//! panicking: malformed uploads are rejected and counted, and an
-//! optional quorum keeps the previous global model when too few valid
-//! snapshots arrive.
+//! Uploads go through the same deterministic fault plan as the LAN bus
+//! (churned-out senders, loss, stragglers, payload corruption). A
+//! malformed upload — truncated, mis-shaped or non-finite — is rejected
+//! and counted, never panicked on. A round with no valid upload, or
+//! fewer than the policy's `min_quorum`, leaves every local model as it
+//! is, which is the LAN engine's rule too; so the server keeps no model
+//! between rounds, and the engine's only cross-round state is its
+//! [`CloudStats`].
 
+use crate::aggregate::fill_update;
 use crate::bus::LatencyModel;
 use crate::codec::{ModelUpdate, PayloadCodec};
-use crate::fault::{Delivery, DropReason, FaultConfig, FaultPlan};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::fault::{Delivery, DropReason, FaultConfig, FaultPlan, CLOUD_PEER};
+use crate::round::RoundParams;
+use pfdrl_nn::Layered;
 
-/// Traffic statistics of the aggregator, including fault counters.
+/// Traffic statistics of the server, including fault counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CloudStats {
     pub uploads: u64,
@@ -40,11 +45,11 @@ pub struct CloudStats {
     pub corrupted: u64,
     /// Uploads that straggled (paid a latency penalty).
     pub delayed: u64,
-    /// Snapshots rejected during aggregation (malformed structure,
-    /// mis-sized or non-finite layers).
+    /// Uploads rejected by the server (layers missing, mis-sized or
+    /// non-finite against the column's shapes).
     pub rejected: u64,
-    /// Aggregation rounds skipped because fewer valid snapshots than
-    /// the quorum arrived (previous global model kept).
+    /// Rounds in which uploads arrived but fewer valid ones than the
+    /// quorum (every local model kept).
     pub quorum_failures: u64,
     /// Downloads skipped because the residence was offline.
     pub missed_downloads: u64,
@@ -52,427 +57,335 @@ pub struct CloudStats {
     pub delay_seconds: f64,
 }
 
-/// Adds `v` to an `f64` stored as its bit pattern in an [`AtomicU64`].
-fn atomic_f64_add(cell: &AtomicU64, v: f64) {
-    let mut cur = cell.load(Ordering::Relaxed);
-    loop {
-        let next = (f64::from_bits(cur) + v).to_bits();
-        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-            Ok(_) => return,
-            Err(observed) => cur = observed,
-        }
-    }
+/// Serializable snapshot of a [`CloudRound`], for checkpointing. The
+/// engine writes `global: None` and no `pending` uploads; both fields
+/// remain so snapshots written before the server stopped keeping a
+/// model between rounds still decode, and restoring ignores them.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct CloudState {
+    /// Traffic counters (the latency model is linear in these).
+    pub stats: CloudStats,
+    /// A server-side global model (older snapshots only; unused).
+    pub global: Option<Vec<Vec<f64>>>,
+    /// Uploads awaiting aggregation (older snapshots only; unused).
+    pub pending: Vec<ModelUpdate>,
 }
 
-/// [`CloudStats`] in relaxed atomics so concurrent uploaders and
-/// downloaders never serialize on a stats lock. All counter updates are
-/// commutative adds, so totals are exact under any interleaving.
-#[derive(Default)]
-struct AtomicCloudStats {
-    uploads: AtomicU64,
-    downloads: AtomicU64,
-    upload_bytes: AtomicU64,
-    logical_upload_bytes: AtomicU64,
-    download_bytes: AtomicU64,
-    dropped_offline: AtomicU64,
-    dropped_loss: AtomicU64,
-    corrupted: AtomicU64,
-    delayed: AtomicU64,
-    rejected: AtomicU64,
-    quorum_failures: AtomicU64,
-    missed_downloads: AtomicU64,
-    delay_seconds_bits: AtomicU64,
-}
-
-impl AtomicCloudStats {
-    fn load(&self) -> CloudStats {
-        CloudStats {
-            uploads: self.uploads.load(Ordering::Relaxed),
-            downloads: self.downloads.load(Ordering::Relaxed),
-            upload_bytes: self.upload_bytes.load(Ordering::Relaxed),
-            logical_upload_bytes: self.logical_upload_bytes.load(Ordering::Relaxed),
-            download_bytes: self.download_bytes.load(Ordering::Relaxed),
-            dropped_offline: self.dropped_offline.load(Ordering::Relaxed),
-            dropped_loss: self.dropped_loss.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            delayed: self.delayed.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            quorum_failures: self.quorum_failures.load(Ordering::Relaxed),
-            missed_downloads: self.missed_downloads.load(Ordering::Relaxed),
-            delay_seconds: f64::from_bits(self.delay_seconds_bits.load(Ordering::Relaxed)),
-        }
-    }
-
-    fn store(&self, s: &CloudStats) {
-        self.uploads.store(s.uploads, Ordering::Relaxed);
-        self.downloads.store(s.downloads, Ordering::Relaxed);
-        self.upload_bytes.store(s.upload_bytes, Ordering::Relaxed);
-        self.logical_upload_bytes
-            .store(s.logical_upload_bytes, Ordering::Relaxed);
-        self.download_bytes
-            .store(s.download_bytes, Ordering::Relaxed);
-        self.dropped_offline
-            .store(s.dropped_offline, Ordering::Relaxed);
-        self.dropped_loss.store(s.dropped_loss, Ordering::Relaxed);
-        self.corrupted.store(s.corrupted, Ordering::Relaxed);
-        self.delayed.store(s.delayed, Ordering::Relaxed);
-        self.rejected.store(s.rejected, Ordering::Relaxed);
-        self.quorum_failures
-            .store(s.quorum_failures, Ordering::Relaxed);
-        self.missed_downloads
-            .store(s.missed_downloads, Ordering::Relaxed);
-        self.delay_seconds_bits
-            .store(s.delay_seconds.to_bits(), Ordering::Relaxed);
-    }
-}
-
-struct CloudInner {
-    pending: Mutex<Vec<ModelUpdate>>,
-    global: Mutex<Option<Arc<Vec<Vec<f64>>>>>,
-    stats: AtomicCloudStats,
+/// The cloud column engine: one server round per [`CloudRound::run`].
+/// Reusable across rounds and model columns; it keeps its upload
+/// buffers and the mean between rounds only as scratch.
+pub struct CloudRound {
+    stats: CloudStats,
     latency: LatencyModel,
     faults: Option<FaultPlan>,
     codec: PayloadCodec,
+    /// Upload buffers; the first `arrived` of a round reached the
+    /// server, in home order.
+    uploads: Vec<ModelUpdate>,
+    /// The round's mean, one vector per averaged layer.
+    mean: Vec<Vec<f64>>,
 }
 
-/// A central parameter server.
-#[derive(Clone)]
-pub struct CloudAggregator {
-    inner: Arc<CloudInner>,
-}
-
-impl CloudAggregator {
-    pub fn new(latency: LatencyModel) -> Self {
-        Self::build(latency, None, PayloadCodec::Raw)
-    }
-
-    /// An aggregator whose uplink is subject to `faults`. A fault-free
-    /// config behaves exactly like [`CloudAggregator::new`].
+impl CloudRound {
+    /// A server whose uplink is compressed with `codec` and subject to
+    /// `faults` (an inactive config is fault-free). Snapshots are
+    /// transformed at upload — the server averages exactly the values
+    /// the wire carried — and `upload_bytes` accounts the compressed
+    /// wire size while `logical_upload_bytes` keeps the raw-f64 size.
     ///
     /// # Panics
     /// Panics if the fault config is invalid.
-    pub fn with_faults(latency: LatencyModel, faults: &FaultConfig) -> Self {
-        Self::with_codec(latency, faults, PayloadCodec::Raw)
-    }
-
-    /// An aggregator whose uplink is compressed with `codec` (and
-    /// subject to `faults`). Snapshots are transformed at upload —
-    /// the server aggregates exactly the values the wire carried —
-    /// and `upload_bytes` accounts the compressed wire size while
-    /// `logical_upload_bytes` keeps the raw-f64 size.
-    ///
-    /// # Panics
-    /// Panics if the fault config is invalid.
-    pub fn with_codec(latency: LatencyModel, faults: &FaultConfig, codec: PayloadCodec) -> Self {
-        Self::build(latency, faults.is_active().then(|| faults.plan()), codec)
-    }
-
-    fn build(latency: LatencyModel, faults: Option<FaultPlan>, codec: PayloadCodec) -> Self {
-        CloudAggregator {
-            inner: Arc::new(CloudInner {
-                pending: Mutex::new(Vec::new()),
-                global: Mutex::new(None),
-                stats: AtomicCloudStats::default(),
-                latency,
-                faults,
-                codec,
-            }),
+    pub fn new(latency: LatencyModel, faults: &FaultConfig, codec: PayloadCodec) -> Self {
+        CloudRound {
+            stats: CloudStats::default(),
+            latency,
+            faults: faults.is_active().then(|| faults.plan()),
+            codec,
+            uploads: Vec::new(),
+            mean: Vec::new(),
         }
     }
 
-    /// The uplink payload codec this aggregator was built with.
-    pub fn codec(&self) -> PayloadCodec {
-        self.inner.codec
+    /// Runs one server round over `models` (one model per home, same
+    /// architecture): whole-model uploads in home order through the
+    /// fault plan, the mean of the valid uploads, and downloads into
+    /// every home that is online. `p.participants` withholds uploads (a
+    /// withheld home still downloads). Returns the number of uploads
+    /// averaged, 0 when the round failed and every model was left as it
+    /// was.
+    ///
+    /// # Panics
+    /// Panics if `models` is empty, the participation mask is
+    /// mis-sized, or `p.alpha` is set: the cloud baselines federate
+    /// whole models.
+    pub fn run<M: Layered + ?Sized>(
+        &mut self,
+        models: &mut [&mut M],
+        p: &RoundParams<'_>,
+    ) -> usize {
+        let n = models.len();
+        assert!(n > 0, "cloud round over no models");
+        if let Some(mask) = p.participants {
+            assert_eq!(mask.len(), n, "participation mask does not match fleet");
+        }
+        assert!(p.alpha.is_none(), "the cloud server averages whole models");
+        let layer_end = models[0].layer_count();
+
+        // Uploads and downloads are one model copy per home, too little
+        // work to pay for a thread; home order fixes the mean's float
+        // sum.
+        let mut arrived = 0;
+        for (home, model) in models.iter().enumerate() {
+            if p.participants.is_some_and(|m| !m[home]) {
+                continue;
+            }
+            if self.uploads.len() == arrived {
+                self.uploads.push(ModelUpdate::default());
+            }
+            let buf = &mut self.uploads[arrived];
+            buf.sender = home;
+            buf.round = p.round;
+            buf.model_id = p.model_id;
+            fill_update(&**model, 0..layer_end, buf);
+            if self.upload(arrived) {
+                arrived += 1;
+            }
+        }
+        if arrived == 0 {
+            return 0;
+        }
+
+        // The server accepts an upload only if it carries exactly the
+        // column's layers, in order, each of the column's size and
+        // finite: a corrupted upload can never become the reference.
+        // Valid uploads move to the front, keeping home order.
+        let mut valid = 0;
+        for i in 0..arrived {
+            let u = &self.uploads[i];
+            let ok = u.layers.len() == layer_end
+                && u.layers.iter().enumerate().all(|(l, lu)| {
+                    lu.index == l
+                        && lu.params.len() == models[0].layer_param_count(l)
+                        && lu.params.iter().all(|x| x.is_finite())
+                });
+            if ok {
+                self.uploads.swap(valid, i);
+                valid += 1;
+            }
+        }
+        self.stats.rejected += (arrived - valid) as u64;
+        if valid < p.policy.min_quorum.max(1) {
+            self.stats.quorum_failures += 1;
+            return 0;
+        }
+
+        // FedAvg layer by layer: copy the first valid upload, add the
+        // rest in home order, then scale by 1 / valid.
+        let scale = 1.0 / valid as f64;
+        self.mean.resize_with(layer_end, Vec::new);
+        for (l, acc) in self.mean.iter_mut().enumerate() {
+            acc.clear();
+            acc.extend_from_slice(&self.uploads[0].layers[l].params);
+            for u in &self.uploads[1..valid] {
+                for (a, x) in acc.iter_mut().zip(&u.layers[l].params) {
+                    *a += x;
+                }
+            }
+            for a in acc.iter_mut() {
+                *a *= scale;
+            }
+        }
+
+        // Downloads always travel raw: the server ships the dense mean.
+        let bytes: u64 = self
+            .mean
+            .iter()
+            .map(|l| 8 * l.len() as u64 + 16)
+            .sum::<u64>()
+            + 32;
+        for (home, model) in models.iter_mut().enumerate() {
+            if self.faults.is_some_and(|f| !f.can_download(home, p.round)) {
+                self.stats.missed_downloads += 1;
+                continue;
+            }
+            self.stats.downloads += 1;
+            self.stats.download_bytes += bytes;
+            for (l, layer) in self.mean.iter().enumerate() {
+                model.import_layer(l, layer);
+            }
+        }
+        valid
     }
 
-    /// Client uploads a full snapshot. Under an active fault plan the
-    /// upload may be lost, corrupted in transit, or delayed (paying a
-    /// latency penalty); the outcome is deterministic in the fault seed.
-    pub fn upload(&self, mut update: ModelUpdate) {
-        use crate::fault::CLOUD_PEER;
-        // Compression happens at the client before the uplink: faults
-        // (loss, corruption, straggling) act on the compressed payload,
-        // and the server aggregates the decoded wire values.
-        let codec = self.inner.codec;
+    /// Sends `self.uploads[slot]` through the uplink: compression at
+    /// the client, then the fault plan's fate (loss, corruption,
+    /// straggling), counted. Returns whether the upload reached the
+    /// server.
+    fn upload(&mut self, slot: usize) -> bool {
+        let codec = self.codec;
+        let update = &mut self.uploads[slot];
         if !codec.is_raw() {
-            codec.transform(&mut update);
+            codec.transform(update);
         }
-        let fate = match &self.inner.faults {
+        let fate = match &self.faults {
             Some(plan) => plan.upload(update.sender, update.round, update.model_id),
             None => Delivery::Deliver,
         };
-        let stats = &self.inner.stats;
-        let accepted = match fate {
-            Delivery::Drop(reason) => {
-                match reason {
-                    DropReason::SenderOffline | DropReason::ReceiverOffline => {
-                        stats.dropped_offline.fetch_add(1, Ordering::Relaxed);
-                    }
-                    DropReason::Loss => {
-                        stats.dropped_loss.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                None
+        let stats = &mut self.stats;
+        match fate {
+            Delivery::Drop(DropReason::SenderOffline | DropReason::ReceiverOffline) => {
+                stats.dropped_offline += 1;
+                return false;
+            }
+            Delivery::Drop(DropReason::Loss) => {
+                stats.dropped_loss += 1;
+                return false;
             }
             Delivery::Corrupt(kind) => {
-                let plan = self.inner.faults.as_ref().expect("corrupt without plan");
-                stats.corrupted.fetch_add(1, Ordering::Relaxed);
-                Some(plan.corrupt(&update, CLOUD_PEER, kind))
+                let plan = self.faults.as_ref().expect("corrupt without plan");
+                *update = plan.corrupt(update, CLOUD_PEER, kind);
+                stats.corrupted += 1;
             }
             Delivery::Delay { extra_latency_mult } => {
                 // Stragglers pay latency on the bytes that actually
                 // travel: the compressed wire size.
-                let bytes = codec.wire_update_bytes(&update) as u64;
-                stats.delayed.fetch_add(1, Ordering::Relaxed);
-                atomic_f64_add(
-                    &stats.delay_seconds_bits,
-                    extra_latency_mult * self.inner.latency.seconds(1, bytes),
-                );
-                Some(update)
+                let bytes = codec.wire_update_bytes(update) as u64;
+                stats.delayed += 1;
+                stats.delay_seconds += extra_latency_mult * self.latency.seconds(1, bytes);
             }
-            Delivery::Deliver => Some(update),
-        };
-        if let Some(update) = accepted {
-            stats.uploads.fetch_add(1, Ordering::Relaxed);
-            stats
-                .upload_bytes
-                .fetch_add(codec.wire_update_bytes(&update) as u64, Ordering::Relaxed);
-            stats
-                .logical_upload_bytes
-                .fetch_add(update.byte_size() as u64, Ordering::Relaxed);
-            self.inner.pending.lock().push(update);
+            Delivery::Deliver => {}
         }
+        stats.uploads += 1;
+        stats.upload_bytes += codec.wire_update_bytes(update) as u64;
+        stats.logical_upload_bytes += update.byte_size() as u64;
+        true
     }
 
-    /// True when `update` is a well-formed full snapshot matching the
-    /// reference structure: one layer per index, in order, every
-    /// parameter finite.
-    fn snapshot_is_valid(update: &ModelUpdate, reference: &ModelUpdate) -> bool {
-        update.layers.len() == reference.layers.len()
-            && update.layers.iter().enumerate().all(|(i, lu)| {
-                lu.index == i
-                    && lu.params.len() == reference.layers[i].params.len()
-                    && lu.params.iter().all(|p| p.is_finite())
-            })
-    }
-
-    /// Server-side FedAvg over everything uploaded since the last
-    /// aggregation, requiring at least `min_quorum` valid snapshots.
-    ///
-    /// Malformed snapshots (inconsistent layer structure, truncated or
-    /// non-finite layers) are rejected and counted, never panicked on;
-    /// the reference structure is the first internally-consistent
-    /// snapshot of the batch. If fewer than `min_quorum` snapshots
-    /// survive validation the previous global model is kept and 0 is
-    /// returned.
-    pub fn aggregate_with_quorum(&self, min_quorum: usize) -> usize {
-        let pending = std::mem::take(&mut *self.inner.pending.lock());
-        if pending.is_empty() {
-            return 0;
-        }
-        // The reference snapshot: first one that is self-consistent
-        // (layer i at position i, all params finite).
-        let reference = pending.iter().find(|u| {
-            u.layers
-                .iter()
-                .enumerate()
-                .all(|(i, lu)| lu.index == i && lu.params.iter().all(|p| p.is_finite()))
-        });
-        let valid: Vec<&ModelUpdate> = match reference {
-            Some(reference) => pending
-                .iter()
-                .filter(|u| Self::snapshot_is_valid(u, reference))
-                .collect(),
-            None => Vec::new(),
-        };
-        self.inner
-            .stats
-            .rejected
-            .fetch_add((pending.len() - valid.len()) as u64, Ordering::Relaxed);
-        if valid.len() < min_quorum.max(1) {
-            self.inner
-                .stats
-                .quorum_failures
-                .fetch_add(1, Ordering::Relaxed);
-            return 0;
-        }
-        let layer_count = valid[0].layers.len();
-        // Clone-free FedAvg, layer by layer. Summing the first
-        // snapshot then the rest in upload order is bit-identical to
-        // `pfdrl_nn::average_params` over per-layer clones (zero + s0 is
-        // exact), which is what this loop replaced.
-        let scale = 1.0 / valid.len() as f64;
-        let global: Vec<Vec<f64>> = (0..layer_count)
-            .map(|layer_idx| {
-                let mut acc = valid[0].layers[layer_idx].params.clone();
-                for u in &valid[1..] {
-                    for (a, p) in acc.iter_mut().zip(u.layers[layer_idx].params.iter()) {
-                        *a += p;
-                    }
-                }
-                for a in acc.iter_mut() {
-                    *a *= scale;
-                }
-                acc
-            })
-            .collect();
-        *self.inner.global.lock() = Some(Arc::new(global));
-        valid.len()
-    }
-
-    /// [`aggregate_with_quorum`](Self::aggregate_with_quorum) with a
-    /// quorum of one: any valid snapshot is enough. Returns the number
-    /// of snapshots merged (0 leaves any previous global model in
-    /// place).
-    pub fn aggregate(&self) -> usize {
-        self.aggregate_with_quorum(1)
-    }
-
-    /// Client downloads the current global model (None before the first
-    /// aggregation). The returned handle shares the server's copy —
-    /// N concurrent downloaders clone a pointer, not the tensors.
-    pub fn download(&self) -> Option<Arc<Vec<Vec<f64>>>> {
-        let global = Arc::clone(self.inner.global.lock().as_ref()?);
-        let bytes: u64 = global.iter().map(|l| 8 * l.len() as u64 + 16).sum::<u64>() + 32;
-        self.inner.stats.downloads.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .stats
-            .download_bytes
-            .fetch_add(bytes, Ordering::Relaxed);
-        Some(global)
-    }
-
-    /// Download on behalf of residence `receiver` during `round`: an
-    /// offline residence misses the download (counted) and keeps its
-    /// local model for the round.
-    pub fn download_for(&self, receiver: usize, round: u64) -> Option<Arc<Vec<Vec<f64>>>> {
-        if let Some(plan) = &self.inner.faults {
-            if !plan.can_download(receiver, round) {
-                self.inner
-                    .stats
-                    .missed_downloads
-                    .fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-        }
-        self.download()
-    }
-
+    /// Traffic so far.
     pub fn stats(&self) -> CloudStats {
-        self.inner.stats.load()
+        self.stats
     }
 
     /// Simulated communication seconds spent on all traffic so far,
     /// including straggler delay penalties.
     pub fn simulated_seconds(&self) -> f64 {
-        let s = self.stats();
-        self.inner
-            .latency
+        let s = &self.stats;
+        self.latency
             .seconds(s.uploads + s.downloads, s.upload_bytes + s.download_bytes)
             + s.delay_seconds
     }
 
-    /// Captures the aggregator's complete state — statistics, the
-    /// current global model, and uploads pending aggregation — for
-    /// checkpointing. The global model matters across rounds: a quorum
-    /// failure keeps serving it, so resume must not lose it.
+    /// Captures the engine's cross-round state (its counters) for
+    /// checkpointing.
     pub fn export_state(&self) -> CloudState {
         CloudState {
-            stats: self.stats(),
-            global: self
-                .inner
-                .global
-                .lock()
-                .as_ref()
-                .map(|g| g.as_ref().clone()),
-            pending: self.inner.pending.lock().clone(),
+            stats: self.stats,
+            ..CloudState::default()
         }
     }
 
-    /// Restores state captured with [`CloudAggregator::export_state`].
-    pub fn restore_state(&self, state: &CloudState) {
-        self.inner.stats.store(&state.stats);
-        *self.inner.global.lock() = state.global.clone().map(Arc::new);
-        *self.inner.pending.lock() = state.pending.clone();
+    /// Restores state captured with [`CloudRound::export_state`]. A
+    /// global model or pending uploads in an older snapshot are
+    /// ignored: a round never reads either.
+    pub fn restore_state(&mut self, state: &CloudState) {
+        self.stats = state.stats;
     }
-}
-
-/// Serializable snapshot of a [`CloudAggregator`], for checkpointing.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CloudState {
-    /// Traffic counters (the latency model is linear in these).
-    pub stats: CloudStats,
-    /// The global model, if any aggregation has succeeded yet.
-    pub global: Option<Vec<Vec<f64>>>,
-    /// Uploads received but not yet aggregated.
-    pub pending: Vec<ModelUpdate>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::LayerUpdate;
+    use crate::aggregate::MergePolicy;
 
-    fn snap(sender: usize, v: f64) -> ModelUpdate {
-        snap_round(sender, v, 0)
-    }
+    /// Minimal column model: its layers, exported as they are.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Toy(Vec<Vec<f64>>);
 
-    fn snap_round(sender: usize, v: f64, round: u64) -> ModelUpdate {
-        ModelUpdate {
-            sender,
-            round,
-            model_id: 0,
-            layers: vec![LayerUpdate {
-                index: 0,
-                params: vec![v; 4],
-            }],
+    impl Layered for Toy {
+        fn layer_count(&self) -> usize {
+            self.0.len()
+        }
+        fn layer_param_count(&self, i: usize) -> usize {
+            self.0[i].len()
+        }
+        fn export_layer(&self, i: usize) -> Vec<f64> {
+            self.0[i].clone()
+        }
+        fn import_layer(&mut self, i: usize, data: &[f64]) {
+            assert_eq!(data.len(), self.0[i].len(), "import length mismatch");
+            self.0[i].copy_from_slice(data);
         }
     }
 
-    #[test]
-    fn aggregate_averages_uploads() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 1.0));
-        cloud.upload(snap(1, 3.0));
-        assert_eq!(cloud.aggregate(), 2);
-        let g = cloud.download().unwrap();
-        assert_eq!(g[0], vec![2.0; 4]);
+    fn toy(v: f64) -> Toy {
+        Toy(vec![vec![v; 8], vec![v; 2]])
+    }
+
+    fn fault_free() -> CloudRound {
+        CloudRound::new(
+            LatencyModel::cloud(),
+            &FaultConfig::default(),
+            PayloadCodec::Raw,
+        )
+    }
+
+    /// One round at `round` with quorum `quorum`; returns the count
+    /// averaged.
+    fn run_at(
+        cloud: &mut CloudRound,
+        models: &mut [Toy],
+        round: u64,
+        quorum: usize,
+        participants: Option<&[bool]>,
+    ) -> usize {
+        let policy = MergePolicy {
+            min_quorum: quorum,
+            ..MergePolicy::default()
+        };
+        let mut col: Vec<&mut Toy> = models.iter_mut().collect();
+        cloud.run(
+            &mut col,
+            &RoundParams {
+                round,
+                model_id: 0,
+                alpha: None,
+                policy: &policy,
+                participants,
+            },
+        )
+    }
+
+    fn run(cloud: &mut CloudRound, models: &mut [Toy]) -> usize {
+        run_at(cloud, models, 0, 1, None)
     }
 
     #[test]
-    fn download_before_aggregate_is_none() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        assert!(cloud.download().is_none());
-    }
-
-    #[test]
-    fn empty_aggregate_keeps_previous_global() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 5.0));
-        cloud.aggregate();
-        assert_eq!(cloud.aggregate(), 0);
-        assert_eq!(cloud.download().unwrap()[0], vec![5.0; 4]);
-    }
-
-    #[test]
-    fn stats_track_both_directions() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 1.0));
-        cloud.aggregate();
-        let _ = cloud.download();
-        let _ = cloud.download();
+    fn every_home_imports_the_mean() {
+        let mut cloud = fault_free();
+        let mut models = vec![toy(1.0), toy(3.0), toy(8.0)];
+        assert_eq!(run(&mut cloud, &mut models), 3);
+        assert!(models.iter().all(|m| *m == toy(4.0)));
         let s = cloud.stats();
-        assert_eq!(s.uploads, 1);
-        assert_eq!(s.downloads, 2);
+        assert_eq!((s.uploads, s.downloads), (3, 3));
         assert!(s.upload_bytes > 0 && s.download_bytes > 0);
+        assert_eq!(cloud.export_state().global, None);
+    }
+
+    #[test]
+    fn mean_copies_the_first_upload_then_adds_in_home_order() {
+        // Float addition is not associative: the mean must be exactly
+        // ((u0 + u1) + u2) * (1/3), the order the server always used.
+        let vals = [0.1, 0.7, 1e16];
+        let mut models: Vec<Toy> = vals.iter().map(|&v| toy(v)).collect();
+        run(&mut fault_free(), &mut models);
+        let want = ((vals[0] + vals[1]) + vals[2]) * (1.0 / 3.0);
+        assert_eq!(models[0].0[0][0].to_bits(), want.to_bits());
     }
 
     #[test]
     fn cloud_time_exceeds_lan_time_for_same_traffic() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 1.0));
-        cloud.aggregate();
-        let _ = cloud.download();
+        let mut cloud = fault_free();
+        run(&mut cloud, &mut [toy(1.0), toy(2.0)]);
         let s = cloud.stats();
         let lan =
             LatencyModel::lan().seconds(s.uploads + s.downloads, s.upload_bytes + s.download_bytes);
@@ -480,72 +393,81 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_uploads_all_counted() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        std::thread::scope(|scope| {
-            for i in 0..8 {
-                let c = cloud.clone();
-                scope.spawn(move || c.upload(snap(i, i as f64)));
-            }
-        });
-        assert_eq!(cloud.stats().uploads, 8);
-        assert_eq!(cloud.aggregate(), 8);
-        // Average of 0..8 = 3.5.
-        assert_eq!(cloud.download().unwrap()[0], vec![3.5; 4]);
+    fn truncated_first_upload_is_rejected_not_taken_as_reference() {
+        // A fault plan in which home 0's upload arrives with layer 0 cut
+        // to 4 of 8 parameters and homes 1 and 2 arrive whole.
+        let truncate_home_0 = |seed| {
+            let cfg = FaultConfig {
+                seed,
+                corrupt_rate: 0.5,
+                ..FaultConfig::default()
+            };
+            let plan = cfg.plan();
+            let fates: Vec<Delivery> = (0..3).map(|h| plan.upload(h, 0, 0)).collect();
+            let kind = crate::fault::CorruptKind::Truncate;
+            let cut = crate::aggregate::snapshot_update(&toy(0.0), 0, 0, 0);
+            (fates
+                == [
+                    Delivery::Corrupt(kind),
+                    Delivery::Deliver,
+                    Delivery::Deliver,
+                ]
+                && plan.corrupt(&cut, CLOUD_PEER, kind).layers[0].params.len() == 4)
+                .then_some(cfg)
+        };
+        let cfg = (0..10_000).find_map(truncate_home_0).expect("no such seed");
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg, PayloadCodec::Raw);
+        let mut models = vec![toy(1.0), toy(3.0), toy(5.0)];
+        // The truncated upload is rejected; the whole ones average, and
+        // every home imports a correctly sized mean.
+        assert_eq!(run(&mut cloud, &mut models), 2);
+        let s = cloud.stats();
+        assert_eq!((s.corrupted, s.rejected), (1, 1));
+        assert!(models.iter().all(|m| *m == toy(4.0)));
     }
 
     #[test]
-    fn malformed_snapshots_are_rejected_not_panicked_on() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 1.0));
-        cloud.upload(snap(1, 3.0));
-        // Truncated layer.
-        let mut truncated = snap(2, 9.0);
-        truncated.layers[0].params.truncate(2);
-        cloud.upload(truncated);
-        // Non-finite layer.
-        let mut nan = snap(3, 9.0);
-        nan.layers[0].params[1] = f64::NAN;
-        cloud.upload(nan);
-        // Wrong layer count.
-        let mut extra = snap(4, 9.0);
-        extra.layers.push(LayerUpdate {
-            index: 1,
-            params: vec![9.0; 4],
-        });
-        cloud.upload(extra);
-        assert_eq!(cloud.aggregate(), 2, "only well-formed snapshots merge");
-        assert_eq!(cloud.stats().rejected, 3);
-        assert_eq!(cloud.download().unwrap()[0], vec![2.0; 4]);
+    fn non_finite_uploads_are_rejected_not_panicked_on() {
+        let mut cloud = fault_free();
+        let mut nan = toy(9.0);
+        nan.0[1][0] = f64::NAN;
+        let mut inf = toy(9.0);
+        inf.0[0][3] = f64::INFINITY;
+        let mut models = vec![toy(1.0), nan, toy(3.0), inf];
+        assert_eq!(run(&mut cloud, &mut models), 2);
+        assert_eq!(cloud.stats().rejected, 2);
+        // Every home, the invalid ones too, imports the valid mean.
+        assert!(models.iter().all(|m| *m == toy(2.0)));
     }
 
     #[test]
-    fn all_invalid_batch_keeps_previous_global() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 5.0));
-        cloud.aggregate();
-        let mut nan = snap(1, 9.0);
-        nan.layers[0].params[0] = f64::NAN;
-        cloud.upload(nan);
-        assert_eq!(cloud.aggregate(), 0);
-        assert_eq!(cloud.stats().rejected, 1);
-        assert_eq!(cloud.download().unwrap()[0], vec![5.0; 4]);
+    fn failed_round_keeps_every_local_model() {
+        // Below quorum: nothing is imported, nothing is downloaded.
+        let mut cloud = fault_free();
+        let mut models = vec![toy(2.0), toy(4.0)];
+        assert_eq!(run_at(&mut cloud, &mut models, 0, 3, None), 0);
+        assert_eq!(models, vec![toy(2.0), toy(4.0)]);
+        let s = cloud.stats();
+        assert_eq!((s.quorum_failures, s.downloads), (1, 0));
+
+        // Every upload invalid: the previous round's mean is not served
+        // either — the server keeps no model between rounds.
+        assert_eq!(run(&mut cloud, &mut models), 2);
+        let mut bad = vec![toy(f64::NAN), toy(f64::NAN)];
+        assert_eq!(run(&mut cloud, &mut bad), 0);
+        assert!(bad.iter().all(|m| m.0[0][0].is_nan()));
+        assert_eq!(cloud.stats().quorum_failures, 2);
     }
 
     #[test]
-    fn quorum_failure_keeps_previous_global() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 2.0));
-        cloud.upload(snap(1, 4.0));
-        assert_eq!(cloud.aggregate_with_quorum(2), 2);
-        cloud.upload(snap(0, 100.0));
-        assert_eq!(
-            cloud.aggregate_with_quorum(2),
-            0,
-            "one snapshot < quorum of 2"
-        );
-        assert_eq!(cloud.stats().quorum_failures, 1);
-        assert_eq!(cloud.download().unwrap()[0], vec![3.0; 4]);
+    fn withheld_home_uploads_nothing_but_downloads() {
+        let mut cloud = fault_free();
+        let mut models = vec![toy(1.0), toy(100.0), toy(3.0)];
+        let mask = [true, false, true];
+        assert_eq!(run_at(&mut cloud, &mut models, 0, 1, Some(&mask)), 2);
+        assert!(models.iter().all(|m| *m == toy(2.0)));
+        let s = cloud.stats();
+        assert_eq!((s.uploads, s.downloads), (2, 3));
     }
 
     #[test]
@@ -555,19 +477,17 @@ mod tests {
             loss_rate: 0.5,
             ..FaultConfig::default()
         };
-        let run = || {
-            let cloud = CloudAggregator::with_faults(LatencyModel::cloud(), &cfg);
-            for round in 0..20u64 {
-                for sender in 0..4 {
-                    cloud.upload(snap_round(sender, 1.0, round));
-                }
+        let go = || {
+            let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg, PayloadCodec::Raw);
+            let mut models = vec![toy(1.0); 4];
+            for round in 0..20 {
+                run_at(&mut cloud, &mut models, round, 1, None);
             }
             cloud.stats()
         };
-        let s = run();
-        assert_eq!(s, run());
+        let s = go();
+        assert_eq!(s, go());
         assert!(s.dropped_loss > 0, "some uploads must be lost at 50%");
-        assert!(s.uploads < 80, "some uploads must be dropped");
         assert_eq!(s.uploads + s.dropped_loss, 80);
     }
 
@@ -577,27 +497,40 @@ mod tests {
             dropout_rate: 1.0,
             ..FaultConfig::default()
         };
-        let cloud = CloudAggregator::with_faults(LatencyModel::cloud(), &cfg);
-        cloud.upload(snap(0, 1.0));
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg, PayloadCodec::Raw);
+        assert_eq!(run(&mut cloud, &mut [toy(1.0)]), 0);
         assert_eq!(cloud.stats().dropped_offline, 1);
-        assert_eq!(cloud.aggregate(), 0);
-        assert!(cloud.download_for(0, 0).is_none());
-        assert_eq!(cloud.stats().missed_downloads, 1);
+
+        // Only home 1 offline: it misses its upload and the download.
+        let plan = FaultConfig {
+            dropout_rate: 0.5,
+            ..FaultConfig::default()
+        };
+        let p = plan.plan();
+        let round = (0..1000)
+            .find(|&r| !p.is_offline(0, r) && p.is_offline(1, r) && !p.is_offline(2, r))
+            .expect("no such round");
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &plan, PayloadCodec::Raw);
+        let mut models = vec![toy(1.0), toy(7.0), toy(3.0)];
+        assert_eq!(run_at(&mut cloud, &mut models, round, 1, None), 2);
+        assert_eq!(models, vec![toy(2.0), toy(7.0), toy(2.0)]);
+        let s = cloud.stats();
+        assert_eq!((s.dropped_offline, s.missed_downloads), (1, 1));
     }
 
     #[test]
-    fn corrupted_upload_is_flagged_and_rejected_at_aggregation() {
+    fn corrupted_upload_is_flagged_and_rejected() {
         let cfg = FaultConfig {
             corrupt_rate: 1.0,
             ..FaultConfig::default()
         };
-        let cloud = CloudAggregator::with_faults(LatencyModel::cloud(), &cfg);
-        cloud.upload(snap(0, 1.0));
-        assert_eq!(cloud.stats().corrupted, 1);
-        // The damaged snapshot is either truncated or NaN-laden, so the
-        // validating aggregation rejects it.
-        assert_eq!(cloud.aggregate(), 0);
-        assert_eq!(cloud.stats().rejected, 1);
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg, PayloadCodec::Raw);
+        let mut models = vec![toy(1.0)];
+        // The damaged snapshot is either truncated or NaN-laden.
+        assert_eq!(run(&mut cloud, &mut models), 0);
+        let s = cloud.stats();
+        assert_eq!((s.corrupted, s.rejected), (1, 1));
+        assert_eq!(models, vec![toy(1.0)]);
     }
 
     #[test]
@@ -605,29 +538,23 @@ mod tests {
         let codec = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,
         };
-        let cloud =
-            CloudAggregator::with_codec(LatencyModel::cloud(), &FaultConfig::default(), codec);
-        let up = snap(0, 1.0);
+        let mut cloud = CloudRound::new(LatencyModel::cloud(), &FaultConfig::default(), codec);
+        let up = crate::aggregate::snapshot_update(&toy(1.0), 0, 0, 0);
         let wire = codec.wire_update_bytes(&up) as u64;
         let logical = up.byte_size() as u64;
         assert!(wire < logical);
-        cloud.upload(up);
+        let mut models = vec![toy(1.0)];
+        // The server averages the dequantized wire values: 1.0 survives
+        // q8 exactly (it is the layer max).
+        assert_eq!(run(&mut cloud, &mut models), 1);
+        assert_eq!(models, vec![toy(1.0)]);
         let s = cloud.stats();
-        assert_eq!(s.upload_bytes, wire);
-        assert_eq!(s.logical_upload_bytes, logical);
-        // The server aggregates the dequantized wire values, not the
-        // raw snapshot: 1.0 survives q8 exactly (it is the layer max).
-        assert_eq!(cloud.aggregate(), 1);
-        assert_eq!(cloud.download().unwrap()[0], vec![1.0; 4]);
-    }
+        assert_eq!((s.upload_bytes, s.logical_upload_bytes), (wire, logical));
 
-    #[test]
-    fn raw_uplink_reports_equal_wire_and_logical_bytes() {
-        let cloud = CloudAggregator::new(LatencyModel::cloud());
-        cloud.upload(snap(0, 2.0));
-        let s = cloud.stats();
+        let mut raw = fault_free();
+        run(&mut raw, &mut [toy(2.0)]);
+        let s = raw.stats();
         assert_eq!(s.upload_bytes, s.logical_upload_bytes);
-        assert!(s.upload_bytes > 0);
     }
 
     #[test]
@@ -641,11 +568,27 @@ mod tests {
             per_message_s: 1.0,
             per_byte_s: 0.0,
         };
-        let cloud = CloudAggregator::with_faults(latency, &cfg);
-        cloud.upload(snap(0, 1.0));
-        assert_eq!(cloud.aggregate(), 1);
+        let mut cloud = CloudRound::new(latency, &cfg, PayloadCodec::Raw);
+        assert_eq!(run(&mut cloud, &mut [toy(1.0)]), 1);
         let s = cloud.stats();
         assert_eq!(s.delayed, 1);
         assert!((s.delay_seconds - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restore_keeps_counters_and_ignores_an_old_global() {
+        let mut cloud = fault_free();
+        run(&mut cloud, &mut [toy(1.0), toy(3.0)]);
+        let mut state = cloud.export_state();
+        assert!(state.global.is_none() && state.pending.is_empty());
+        state.global = Some(vec![vec![50.0; 8], vec![50.0; 2]]);
+        let mut restored = fault_free();
+        restored.restore_state(&state);
+        assert_eq!(restored.stats(), cloud.stats());
+        // A failed round after the restore keeps local models; the old
+        // global is never served.
+        let mut models = vec![toy(1.0), toy(3.0)];
+        assert_eq!(run_at(&mut restored, &mut models, 1, 3, None), 0);
+        assert_eq!(models, vec![toy(1.0), toy(3.0)]);
     }
 }

@@ -21,7 +21,6 @@
 //! [`LatencyModel`]: crate::bus::LatencyModel
 
 use crate::codec::ModelUpdate;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -188,12 +187,22 @@ const SALT_OFFLINE: u64 = 0x4F46_464C;
 const SALT_LOSS: u64 = 0x4C4F_5353;
 const SALT_STRAGGLE: u64 = 0x5354_5247;
 const SALT_CORRUPT: u64 = 0x434F_5252;
-/// Sentinel "receiver" for uploads to the cloud aggregator.
+/// Sentinel "receiver" for uploads to the cloud server.
 pub const CLOUD_PEER: u64 = u64::MAX;
+
+/// SplitMix64 finalizer: every fault decision is a chain of these.
+#[inline]
+fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 #[inline]
 fn mix(h: u64, v: u64) -> u64 {
-    crate::topology_hash(h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    splitmix64(h ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[inline]
@@ -253,8 +262,8 @@ impl FaultPlan {
         self.transit_fate(sender as u64, receiver as u64, round, model_id)
     }
 
-    /// Fate of a client upload to the cloud aggregator (the cloud
-    /// itself never churns; only the sending residence can be offline).
+    /// Fate of a client upload to the cloud server (the cloud itself
+    /// never churns; only the sending residence can be offline).
     pub fn upload(&self, sender: usize, round: u64, model_id: u64) -> Delivery {
         if self.is_offline(sender, round) {
             return Delivery::Drop(DropReason::SenderOffline);
@@ -262,7 +271,7 @@ impl FaultPlan {
         self.transit_fate(sender as u64, CLOUD_PEER, round, model_id)
     }
 
-    /// Can `receiver` download the global model in `round`? Offline
+    /// Can `receiver` download the round's mean in `round`? Offline
     /// residences keep their local model for the round.
     pub fn can_download(&self, receiver: usize, round: u64) -> bool {
         !self.is_offline(receiver, round)
@@ -331,20 +340,18 @@ struct Parked {
     staged: Vec<Arc<ModelUpdate>>,
 }
 
-/// Stateful companion of [`FaultPlan`] used by the transports: holds
-/// the plan plus the parked straggler queues.
+/// Stateful companion of [`FaultPlan`] used by the bus: holds the plan
+/// plus the parked straggler queues.
 pub struct FaultInjector {
     plan: FaultPlan,
-    parked: Vec<Mutex<Parked>>,
+    parked: Vec<Parked>,
 }
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan, n_receivers: usize) -> Self {
         FaultInjector {
             plan,
-            parked: (0..n_receivers)
-                .map(|_| Mutex::new(Parked::default()))
-                .collect(),
+            parked: (0..n_receivers).map(|_| Parked::default()).collect(),
         }
     }
 
@@ -354,30 +361,27 @@ impl FaultInjector {
 
     /// Parks a straggling delivery for `receiver`; it will surface on
     /// the drain after next.
-    pub fn park(&self, receiver: usize, update: Arc<ModelUpdate>) {
-        self.parked[receiver].lock().staged.push(update);
+    pub fn park(&mut self, receiver: usize, update: Arc<ModelUpdate>) {
+        self.parked[receiver].staged.push(update);
     }
 
-    /// Returns deliveries parked for `receiver` whose delay has elapsed
-    /// and advances the queue one cycle (staged -> ready).
-    pub fn take_ready(&self, receiver: usize) -> Vec<Arc<ModelUpdate>> {
-        let mut slot = self.parked[receiver].lock();
-        let out = std::mem::take(&mut slot.ready);
-        slot.ready = std::mem::take(&mut slot.staged);
-        out
+    /// Appends the deliveries parked for `receiver` whose delay has
+    /// elapsed to `out` and advances the queue one cycle (staged ->
+    /// ready).
+    pub fn take_ready(&mut self, receiver: usize, out: &mut Vec<Arc<ModelUpdate>>) {
+        let slot = &mut self.parked[receiver];
+        out.append(&mut slot.ready);
+        std::mem::swap(&mut slot.ready, &mut slot.staged);
     }
 
     /// Captures the parked straggler queues — the fault plan's replay
     /// cursor — as `(ready, staged)` per receiver, in delivery order.
     pub fn export_parked(&self) -> (Vec<Vec<ModelUpdate>>, Vec<Vec<ModelUpdate>>) {
-        let mut ready = Vec::with_capacity(self.parked.len());
-        let mut staged = Vec::with_capacity(self.parked.len());
-        for slot in &self.parked {
-            let slot = slot.lock();
-            ready.push(slot.ready.iter().map(|u| (**u).clone()).collect());
-            staged.push(slot.staged.iter().map(|u| (**u).clone()).collect());
-        }
-        (ready, staged)
+        let copy = |q: &[Arc<ModelUpdate>]| q.iter().map(|u| (**u).clone()).collect();
+        self.parked
+            .iter()
+            .map(|slot| (copy(&slot.ready), copy(&slot.staged)))
+            .unzip()
     }
 
     /// Restores queues captured with [`FaultInjector::export_parked`],
@@ -390,7 +394,7 @@ impl FaultInjector {
     /// Rejects captures taken from an injector with a different number
     /// of receivers.
     pub fn restore_parked(
-        &self,
+        &mut self,
         ready: Vec<Vec<ModelUpdate>>,
         staged: Vec<Vec<ModelUpdate>>,
     ) -> Result<(), String> {
@@ -402,8 +406,7 @@ impl FaultInjector {
                 self.parked.len()
             ));
         }
-        for (slot, (r, s)) in self.parked.iter().zip(ready.into_iter().zip(staged)) {
-            let mut slot = slot.lock();
+        for (slot, (r, s)) in self.parked.iter_mut().zip(ready.into_iter().zip(staged)) {
             slot.ready = r.into_iter().map(Arc::new).collect();
             slot.staged = s.into_iter().map(Arc::new).collect();
         }
@@ -574,14 +577,19 @@ mod tests {
 
     #[test]
     fn parked_messages_surface_one_cycle_late() {
-        let injector = FaultInjector::new(FaultConfig::default().plan(), 2);
+        let mut injector = FaultInjector::new(FaultConfig::default().plan(), 2);
         injector.park(1, Arc::new(update(0, 0)));
+        let mut out = Vec::new();
         // Cycle 1: the staged message is not yet visible.
-        assert!(injector.take_ready(1).is_empty());
+        injector.take_ready(1, &mut out);
+        assert!(out.is_empty());
         // Cycle 2: now it surfaces.
-        assert_eq!(injector.take_ready(1).len(), 1);
+        injector.take_ready(1, &mut out);
+        assert_eq!(out.len(), 1);
         // Cycle 3: gone.
-        assert!(injector.take_ready(1).is_empty());
+        out.clear();
+        injector.take_ready(1, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]

@@ -184,7 +184,7 @@ impl DflRound {
     pub fn run<M: Layered + Send + Sync + ?Sized>(
         &mut self,
         models: &mut [&mut M],
-        bus: &BroadcastBus,
+        bus: &mut BroadcastBus,
         p: &RoundParams<'_>,
     ) {
         let n = models.len();
@@ -207,7 +207,7 @@ impl DflRound {
     pub(crate) fn exchange<M: Layered + Send + Sync + ?Sized>(
         &mut self,
         models: &mut [&mut M],
-        bus: &BroadcastBus,
+        bus: &mut BroadcastBus,
         p: &RoundParams<'_>,
     ) -> Exchange {
         let n = models.len();
@@ -246,12 +246,10 @@ impl DflRound {
                 }
             });
 
-        // Broadcast the round as one batched pass (one mailbox lock per
-        // receiver); deliveries land in home order per receiver, which
-        // is the arrival order the merge float-sum bit-identity pin
-        // relies on — identical to the historical per-sender loop.
-        // Withheld (quarantined) homes upload nothing; their staged
-        // buffer goes straight back to the pool.
+        // Broadcast the round as one batched pass; deliveries land in
+        // home order per receiver, the arrival order the merge float
+        // sum relies on. Withheld (quarantined) homes upload nothing;
+        // their staged buffer goes straight back to the pool.
         self.sent.clear();
         for (home, buf) in self.bufs.drain(..).enumerate() {
             if p.participants.is_none_or(|m| m[home]) {
@@ -323,7 +321,7 @@ pub(crate) fn merge_received<M: Layered + ?Sized>(
 /// plans.
 pub fn dfl_round_reference<M: Layered + ?Sized>(
     models: &mut [&mut M],
-    bus: &BroadcastBus,
+    bus: &mut BroadcastBus,
     round: u64,
     model_id: u64,
     alpha: Option<usize>,
@@ -393,7 +391,7 @@ mod tests {
 
     fn run_engine(
         models: &mut [Mlp],
-        bus: &BroadcastBus,
+        bus: &mut BroadcastBus,
         rounds: u64,
         alpha: Option<usize>,
         policy: &MergePolicy,
@@ -421,12 +419,12 @@ mod tests {
             let mut a = fleet(5, 11);
             let mut b = fleet(5, 11);
             let policy = MergePolicy::default();
-            let bus_a = BroadcastBus::new(5, LatencyModel::lan());
-            let bus_b = BroadcastBus::new(5, LatencyModel::lan());
-            run_engine(&mut a, &bus_a, 3, alpha, &policy);
+            let mut bus_a = BroadcastBus::new(5, LatencyModel::lan());
+            let mut bus_b = BroadcastBus::new(5, LatencyModel::lan());
+            run_engine(&mut a, &mut bus_a, 3, alpha, &policy);
             for round in 0..3 {
                 let mut col: Vec<&mut Mlp> = b.iter_mut().collect();
-                dfl_round_reference(&mut col, &bus_b, round, 0, alpha, &policy);
+                dfl_round_reference(&mut col, &mut bus_b, round, 0, alpha, &policy);
             }
             assert_eq!(bits(&a), bits(&b), "alpha={alpha:?}");
             assert_eq!(bus_a.stats(), bus_b.stats());
@@ -436,14 +434,14 @@ mod tests {
     #[test]
     fn pool_reclaims_buffers_between_rounds() {
         let mut models = fleet(4, 2);
-        let bus = BroadcastBus::new(4, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
         let mut engine = DflRound::new();
         let policy = MergePolicy::default();
         for round in 0..3 {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
             engine.run(
                 &mut col,
-                &bus,
+                &mut bus,
                 &RoundParams {
                     round,
                     model_id: 0,
@@ -467,12 +465,12 @@ mod tests {
 
         let mut models = fleet(n, 13);
         let before = bits(&models);
-        let bus = BroadcastBus::new(n, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(n, LatencyModel::lan());
         let mut engine = DflRound::new();
         let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
         engine.run(
             &mut col,
-            &bus,
+            &mut bus,
             &RoundParams {
                 round: 0,
                 model_id: 0,
@@ -491,7 +489,7 @@ mod tests {
         // oracle round over only the participating homes' updates must
         // reproduce every participant bit-for-bit.
         let mut oracle = fleet(n, 13);
-        let bus_o = BroadcastBus::new(n, LatencyModel::lan());
+        let mut bus_o = BroadcastBus::new(n, LatencyModel::lan());
         for (home, model) in oracle.iter().enumerate() {
             if mask[home] {
                 bus_o.broadcast(snapshot_update(model, home, 0, 0));
@@ -515,13 +513,13 @@ mod tests {
         let mask = vec![true; 5];
         let mut with_mask = fleet(5, 17);
         let mut without = fleet(5, 17);
-        let bus_a = BroadcastBus::new(5, LatencyModel::lan());
-        let bus_b = BroadcastBus::new(5, LatencyModel::lan());
+        let mut bus_a = BroadcastBus::new(5, LatencyModel::lan());
+        let mut bus_b = BroadcastBus::new(5, LatencyModel::lan());
         let mut engine = DflRound::new();
         let mut col: Vec<&mut Mlp> = with_mask.iter_mut().collect();
         engine.run(
             &mut col,
-            &bus_a,
+            &mut bus_a,
             &RoundParams {
                 round: 0,
                 model_id: 0,
@@ -530,7 +528,7 @@ mod tests {
                 participants: Some(&mask),
             },
         );
-        run_engine(&mut without, &bus_b, 1, Some(2), &policy);
+        run_engine(&mut without, &mut bus_b, 1, Some(2), &policy);
         assert_eq!(bits(&with_mask), bits(&without));
         assert_eq!(bus_a.stats(), bus_b.stats());
     }
@@ -539,8 +537,8 @@ mod tests {
     fn single_home_round_is_a_no_op_merge() {
         let mut models = fleet(1, 9);
         let before = bits(&models);
-        let bus = BroadcastBus::new(1, LatencyModel::lan());
-        run_engine(&mut models, &bus, 1, None, &MergePolicy::default());
+        let mut bus = BroadcastBus::new(1, LatencyModel::lan());
+        run_engine(&mut models, &mut bus, 1, None, &MergePolicy::default());
         assert_eq!(bits(&models), before);
     }
 }

@@ -1,57 +1,16 @@
-//! Broadcast schedulers for the β (DFL forecaster) and γ (DRL base-layer)
-//! frequencies swept in Figures 3 and 4.
+//! The integer-minute scheduler behind the serve loop's snapshot and
+//! federation cadences. (The batch runners derive the β and γ rounds of
+//! Figures 3 and 4 arithmetically: `rounds_for_beta` and the γ-aligned
+//! day segments.)
 
 use serde::{Deserialize, Serialize};
 
-/// Fires every `period_hours` of simulated time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PeriodicSchedule {
-    period_hours: f64,
-    next_due: f64,
-}
-
-impl PeriodicSchedule {
-    /// # Panics
-    /// Panics if `period_hours <= 0`.
-    pub fn new(period_hours: f64) -> Self {
-        assert!(period_hours > 0.0, "broadcast period must be positive");
-        PeriodicSchedule {
-            period_hours,
-            next_due: period_hours,
-        }
-    }
-
-    pub fn period_hours(&self) -> f64 {
-        self.period_hours
-    }
-
-    /// Returns `true` (and schedules the next firing) when `now_hours`
-    /// has reached the next due time. Skipped periods fire once — the
-    /// federation does one catch-up broadcast, not a burst.
-    pub fn due(&mut self, now_hours: f64) -> bool {
-        if now_hours + 1e-9 >= self.next_due {
-            // Advance past `now`, skipping any missed periods.
-            let periods_elapsed = ((now_hours - self.next_due) / self.period_hours).floor() + 1.0;
-            self.next_due += periods_elapsed * self.period_hours;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Expected number of broadcasts in a horizon of `hours`.
-    pub fn broadcasts_in(&self, hours: f64) -> u64 {
-        (hours / self.period_hours).floor() as u64
-    }
-}
-
 /// Integer-minute schedule for simulated-time event loops (the serve
-/// engine's snapshot and federation cadences). Unlike
-/// [`PeriodicSchedule`] there is no float epsilon anywhere: firing
-/// decisions are exact integer comparisons, so two replays of the same
-/// stream fire at identical minutes — a determinism requirement, not a
-/// nicety. Skipped periods fire once (catch-up), matching the float
-/// scheduler's semantics.
+/// engine's snapshot and federation cadences). There is no float
+/// epsilon anywhere: firing decisions are exact integer comparisons, so
+/// two replays of the same stream fire at identical minutes — a
+/// determinism requirement, not a nicety. Skipped periods fire once
+/// (catch-up), not as a burst.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MinuteSchedule {
     every_minutes: u64,
@@ -91,52 +50,6 @@ impl MinuteSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fires_on_schedule() {
-        let mut s = PeriodicSchedule::new(12.0);
-        assert!(!s.due(0.0));
-        assert!(!s.due(11.9));
-        assert!(s.due(12.0));
-        assert!(!s.due(12.1));
-        assert!(s.due(24.0));
-    }
-
-    #[test]
-    fn missed_periods_fire_once() {
-        let mut s = PeriodicSchedule::new(1.0);
-        assert!(s.due(5.5)); // periods 1..5 all elapsed
-        assert!(!s.due(5.6));
-        assert!(s.due(6.0));
-    }
-
-    #[test]
-    fn sub_hour_periods_work() {
-        // beta = 0.1 h is part of the paper's sweep.
-        let mut s = PeriodicSchedule::new(0.1);
-        let mut fired = 0;
-        let mut t = 0.0;
-        while t <= 1.0 {
-            if s.due(t) {
-                fired += 1;
-            }
-            t += 0.01;
-        }
-        assert!((9..=11).contains(&fired), "fired {fired} times in one hour");
-    }
-
-    #[test]
-    fn broadcasts_in_counts_periods() {
-        let s = PeriodicSchedule::new(6.0);
-        assert_eq!(s.broadcasts_in(24.0), 4);
-        assert_eq!(s.broadcasts_in(5.0), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "must be positive")]
-    fn zero_period_rejected() {
-        let _ = PeriodicSchedule::new(0.0);
-    }
 
     #[test]
     fn minute_schedule_is_exact_and_catches_up() {

@@ -410,16 +410,7 @@ impl HierarchicalRound {
     pub fn total_stats(&self) -> BusStats {
         let mut t = BusStats::default();
         for shard in &self.shards {
-            let s = shard.bus.stats();
-            t.messages += s.messages;
-            t.bytes += s.bytes;
-            t.logical_bytes += s.logical_bytes;
-            t.dropped_offline += s.dropped_offline;
-            t.dropped_loss += s.dropped_loss;
-            t.dropped_disconnected += s.dropped_disconnected;
-            t.corrupted += s.corrupted;
-            t.delayed += s.delayed;
-            t.delay_seconds += s.delay_seconds;
+            t.add(&shard.bus.stats());
         }
         t.messages += self.agg_messages;
         t.bytes += self.agg_bytes;
@@ -503,7 +494,7 @@ impl HierarchicalRound {
                     participants: p.participants.map(|_| &shard.mask[..]),
                     ..*p
                 };
-                let ex = shard.engine.exchange(col, &shard.bus, &shard_params);
+                let ex = shard.engine.exchange(col, &mut shard.bus, &shard_params);
                 shard.eligible.clear();
                 shard.eligible.resize(col.len(), false);
                 (ex, probe && shard.mark_eligible(codec))
@@ -750,7 +741,7 @@ mod tests {
     /// The fast path's reference: the per-home engine on one fleet bus.
     fn run_per_home(
         models: &mut [Mlp],
-        bus: &BroadcastBus,
+        bus: &mut BroadcastBus,
         rounds: u64,
         alpha: Option<usize>,
         policy: &MergePolicy,
@@ -848,8 +839,8 @@ mod tests {
             assert_eq!(bits(&fast), bits(&again), "n={n}");
 
             let mut slow = fleet(n, 31);
-            let bus = BroadcastBus::new(n, LatencyModel::lan());
-            run_per_home(&mut slow, &bus, rounds, alpha, &policy);
+            let mut bus = BroadcastBus::new(n, LatencyModel::lan());
+            run_per_home(&mut slow, &mut bus, rounds, alpha, &policy);
             assert_close(&fast, &slow, &format!("n={n}"));
             if engine.plan().shard_count() == 1 {
                 assert_eq!(engine.total_stats(), bus.stats(), "n={n}");
@@ -874,9 +865,9 @@ mod tests {
         let mut slow = fleet(6, 21);
         let mut engine =
             HierarchicalRound::new(ShardPlan::round_robin(6, 1), LatencyModel::lan(), &cfg);
-        let bus = BroadcastBus::with_faults(6, LatencyModel::lan(), &cfg);
+        let mut bus = BroadcastBus::with_faults(6, LatencyModel::lan(), &cfg);
         let out = run_hier(&mut fast, &mut engine, 4, None, &policy);
-        run_per_home(&mut slow, &bus, 4, None, &policy);
+        run_per_home(&mut slow, &mut bus, 4, None, &policy);
         assert!(
             out.fallback_homes > 0,
             "under 30% loss some home must fall back"
@@ -902,8 +893,8 @@ mod tests {
         assert_eq!(out.fast_path_homes, 0);
         assert_eq!(out.fallback_homes, 4);
         let mut slow = fleet(4, 5);
-        let bus = BroadcastBus::new(4, LatencyModel::lan());
-        run_per_home(&mut slow, &bus, 1, None, &policy);
+        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
+        run_per_home(&mut slow, &mut bus, 1, None, &policy);
         assert_eq!(bits(&models), bits(&slow));
         // The per-home merge under an unmet quorum keeps every local
         // model.
@@ -1065,9 +1056,9 @@ mod tests {
                 // One neighborhood is the whole fleet: the fallback is
                 // exactly the per-home engine's masked round.
                 let mut slow = fleet(n, 13);
-                let bus = BroadcastBus::new(n, LatencyModel::lan());
+                let mut bus = BroadcastBus::new(n, LatencyModel::lan());
                 let mut col: Vec<&mut Mlp> = slow.iter_mut().collect();
-                DflRound::new().run(&mut col, &bus, &params(0, None, &policy, Some(&mask)));
+                DflRound::new().run(&mut col, &mut bus, &params(0, None, &policy, Some(&mask)));
                 assert_eq!(bits(&models), bits(&slow));
             }
         }

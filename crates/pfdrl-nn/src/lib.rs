@@ -2,8 +2,8 @@
 //!
 //! A from-scratch dense neural-network library used by the PFDRL
 //! reproduction: matrices, fully-connected and LSTM layers with
-//! hand-written backpropagation, MSE/Huber losses, and SGD/Momentum/Adam
-//! optimizers.
+//! hand-written backpropagation, MSE/Huber losses, and the Adam
+//! optimizer.
 //!
 //! The paper trains small models (an 8x100 ReLU Q-network and one-layer
 //! LSTM forecasters) on commodity hardware, so this crate favours

@@ -1,49 +1,12 @@
 //! First-order optimizers operating on (parameter, gradient) slice pairs.
 //!
 //! The pairs come from `Mlp::param_grad_pairs` / `Lstm::param_grad_pairs`
-//! in a stable order, which lets stateful optimizers (momentum, Adam) keep
-//! their per-tensor state aligned across steps.
+//! in a stable order, which lets a stateful optimizer (Adam, the one every
+//! trainer uses) keep its per-tensor state aligned across steps.
 
 /// Visitor driven by [`Adam::step_fused`]: called once per tensor with
 /// `(stable index, parameters, gradients)`.
 pub type ParamGradVisitor<'a> = dyn FnMut(usize, &mut [f64], &[f64]) + 'a;
-
-/// Plain stochastic gradient descent: `w ← w - lr * g`.
-///
-/// This is the update rule of the paper's Eq. (2) (DSGD) and Eq. (7)
-/// (base-layer update).
-#[derive(Debug, Clone)]
-pub struct Sgd {
-    /// Learning rate (η in Eq. 2, δ in Eq. 7).
-    pub lr: f64,
-}
-
-impl Sgd {
-    pub fn new(lr: f64) -> Self {
-        assert!(lr > 0.0, "Sgd learning rate must be positive");
-        Sgd { lr }
-    }
-}
-
-/// SGD with classical momentum.
-#[derive(Debug, Clone)]
-pub struct Momentum {
-    pub lr: f64,
-    pub beta: f64,
-    velocity: Vec<Vec<f64>>,
-}
-
-impl Momentum {
-    pub fn new(lr: f64, beta: f64) -> Self {
-        assert!(lr > 0.0, "Momentum learning rate must be positive");
-        assert!((0.0..1.0).contains(&beta), "Momentum beta must be in [0,1)");
-        Momentum {
-            lr,
-            beta,
-            velocity: Vec::new(),
-        }
-    }
-}
 
 /// Adam (Kingma & Ba) with bias correction.
 #[derive(Debug, Clone)]
@@ -196,92 +159,11 @@ impl Adam {
     }
 }
 
-/// RMSProp: adaptive learning rates from a running second-moment
-/// estimate (Hinton), without Adam's first moment.
-#[derive(Debug, Clone)]
-pub struct RmsProp {
-    pub lr: f64,
-    pub decay: f64,
-    pub eps: f64,
-    sq: Vec<Vec<f64>>,
-}
-
-impl RmsProp {
-    pub fn new(lr: f64) -> Self {
-        RmsProp::with_decay(lr, 0.99, 1e-8)
-    }
-
-    pub fn with_decay(lr: f64, decay: f64, eps: f64) -> Self {
-        assert!(lr > 0.0, "RmsProp learning rate must be positive");
-        assert!(
-            (0.0..1.0).contains(&decay),
-            "RmsProp decay must be in [0,1)"
-        );
-        RmsProp {
-            lr,
-            decay,
-            eps,
-            sq: Vec::new(),
-        }
-    }
-}
-
 /// Anything that can apply one update step to a parameter set.
 pub trait Optimizer {
     /// Applies one update. `pairs[i] = (params, grads)` must keep the same
     /// shape and order across calls.
     fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]);
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]) {
-        for (w, g) in pairs.iter_mut() {
-            debug_assert_eq!(w.len(), g.len());
-            for (w, g) in w.iter_mut().zip(g.iter()) {
-                *w -= self.lr * g;
-            }
-        }
-    }
-}
-
-impl Optimizer for Momentum {
-    fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]) {
-        if self.velocity.is_empty() {
-            self.velocity = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
-        }
-        assert_eq!(
-            self.velocity.len(),
-            pairs.len(),
-            "Momentum: parameter set changed shape"
-        );
-        for ((w, g), v) in pairs.iter_mut().zip(self.velocity.iter_mut()) {
-            assert_eq!(w.len(), v.len(), "Momentum: tensor changed size");
-            for ((w, g), v) in w.iter_mut().zip(g.iter()).zip(v.iter_mut()) {
-                *v = self.beta * *v + g;
-                *w -= self.lr * *v;
-            }
-        }
-    }
-}
-
-impl Optimizer for RmsProp {
-    fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]) {
-        if self.sq.is_empty() {
-            self.sq = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
-        }
-        assert_eq!(
-            self.sq.len(),
-            pairs.len(),
-            "RmsProp: parameter set changed shape"
-        );
-        for ((w, g), sq) in pairs.iter_mut().zip(self.sq.iter_mut()) {
-            assert_eq!(w.len(), sq.len(), "RmsProp: tensor changed size");
-            for ((w, g), s) in w.iter_mut().zip(g.iter()).zip(sq.iter_mut()) {
-                *s = self.decay * *s + (1.0 - self.decay) * g * g;
-                *w -= self.lr * g / (s.sqrt() + self.eps);
-            }
-        }
-    }
 }
 
 impl Optimizer for Adam {
@@ -333,57 +215,9 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let w = converges(Sgd::new(0.1), 200);
-        assert!((w - 3.0).abs() < 1e-6, "w = {w}");
-    }
-
-    #[test]
-    fn momentum_converges_on_quadratic() {
-        let w = converges(Momentum::new(0.05, 0.9), 400);
-        assert!((w - 3.0).abs() < 1e-4, "w = {w}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let w = converges(Adam::new(0.1), 600);
         assert!((w - 3.0).abs() < 1e-3, "w = {w}");
-    }
-
-    #[test]
-    fn rmsprop_converges_on_quadratic() {
-        let w = converges(RmsProp::new(0.05), 800);
-        assert!((w - 3.0).abs() < 1e-2, "w = {w}");
-    }
-
-    #[test]
-    #[should_panic(expected = "decay must be in")]
-    fn rmsprop_rejects_bad_decay() {
-        let _ = RmsProp::with_decay(0.1, 1.0, 1e-8);
-    }
-
-    #[test]
-    fn sgd_single_step_math() {
-        let mut opt = Sgd::new(0.5);
-        let mut w = [1.0, 2.0];
-        let g = [0.2, -0.4];
-        let mut pairs = [(&mut w[..], &g[..])];
-        opt.step(&mut pairs);
-        assert!((w[0] - 0.9).abs() < 1e-12);
-        assert!((w[1] - 2.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn momentum_accumulates_velocity() {
-        let mut opt = Momentum::new(1.0, 0.5);
-        let mut w = [0.0];
-        let g = [1.0];
-        for _ in 0..2 {
-            let mut pairs = [(&mut w[..], &g[..])];
-            opt.step(&mut pairs);
-        }
-        // step1: v=1, w=-1; step2: v=1.5, w=-2.5
-        assert!((w[0] + 2.5).abs() < 1e-12);
     }
 
     #[test]
@@ -395,12 +229,6 @@ mod tests {
         let mut pairs = [(&mut w[..], &g[..])];
         opt.step(&mut pairs);
         assert!((w[0] + 0.01).abs() < 1e-6, "w = {}", w[0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn sgd_rejects_zero_lr() {
-        let _ = Sgd::new(0.0);
     }
 
     #[test]

@@ -166,7 +166,8 @@ pub struct ForecastState {
 pub struct TransportState {
     /// LAN broadcast bus: stats, mailboxes, parked queues.
     pub bus: BusState,
-    /// Cloud aggregator: stats, global model, pending uploads.
+    /// Cloud server: stats. Written with no global model and no
+    /// pending uploads; older snapshots that carry them still decode.
     pub cloud: CloudState,
 }
 

@@ -2,10 +2,10 @@
 //! fuzz-style no-panic guarantees for the federation substrate under
 //! malformed traffic.
 
-use pfdrl::core::{runner::run_method, EmsMethod, SimConfig};
+use pfdrl::core::{runner::run_method, EmsMethod, EmsState, SimConfig};
 use pfdrl::fl::{
-    aggregate, BroadcastBus, CloudAggregator, FaultConfig, LatencyModel, LayerSplit, LayerUpdate,
-    MergePolicy, ModelUpdate,
+    aggregate, BroadcastBus, CloudRound, Delivery, FaultConfig, LatencyModel, LayerSplit,
+    LayerUpdate, MergePolicy, ModelUpdate, PayloadCodec, RoundParams,
 };
 use pfdrl::nn::Layered;
 use rand::rngs::StdRng;
@@ -165,15 +165,10 @@ fn merges_never_panic_on_hostile_updates() {
 fn transports_never_panic_on_hostile_traffic() {
     let mut rng = StdRng::seed_from_u64(7);
     let chaos = FaultConfig::chaos(3, 0.5);
-    let bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &chaos);
-    let cloud = CloudAggregator::with_faults(LatencyModel::cloud(), &chaos);
+    let mut bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &chaos);
     for _ in 0..300 {
-        let u = hostile_update(&mut rng, 4);
-        bus.broadcast(u.clone());
-        cloud.upload(u);
+        bus.broadcast(hostile_update(&mut rng, 4));
     }
-    let _ = cloud.aggregate();
-    let _ = cloud.aggregate_with_quorum(3);
     for id in 0..4 {
         let updates = bus.drain(id);
         let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
@@ -182,11 +177,136 @@ fn transports_never_panic_on_hostile_traffic() {
         for layer in &model.layers {
             assert!(layer.iter().all(|p| p.is_finite()));
         }
-        let _ = cloud.download_for(id, 5);
     }
     // Counters observed something (50% chaos over 300 hostile sends).
     let s = bus.stats();
     assert!(s.dropped_total() + s.corrupted + s.delayed > 0);
+
+    // The cloud server takes uploads from a column of models whose
+    // parameters are laced with NaN and infinity, in transit under the
+    // same chaos. Whatever the round does, a home never imports a
+    // non-finite mean.
+    let mut cloud = CloudRound::new(LatencyModel::cloud(), &chaos, PayloadCodec::Raw);
+    let mut merged_rounds = 0;
+    for round in 0..100 {
+        let mut models: Vec<Toy> = (0..4)
+            .map(|_| {
+                let mut m = Toy::new();
+                for p in m.layers.iter_mut().flatten() {
+                    *p = match rng.gen_range(0..40u32) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        _ => rng.gen_range(-10.0..10.0),
+                    };
+                }
+                m
+            })
+            .collect();
+        let bits =
+            |m: &Toy| -> Vec<u64> { m.layers.iter().flatten().map(|p| p.to_bits()).collect() };
+        let before: Vec<Vec<u64>> = models.iter().map(bits).collect();
+        let policy = MergePolicy {
+            min_quorum: 1 + (round % 3) as usize,
+            ..MergePolicy::default()
+        };
+        let mut col: Vec<&mut Toy> = models.iter_mut().collect();
+        let merged = cloud.run(
+            &mut col,
+            &RoundParams {
+                round,
+                model_id: 0,
+                alpha: None,
+                policy: &policy,
+                participants: None,
+            },
+        );
+        // A home either kept its model or imported a finite mean.
+        for (m, before) in models.iter().zip(&before) {
+            let finite = m.layers.iter().flatten().all(|p| p.is_finite());
+            assert!(
+                finite || bits(m) == *before,
+                "round {round}: non-finite import"
+            );
+        }
+        merged_rounds += usize::from(merged > 0);
+    }
+    let s = cloud.stats();
+    assert!(merged_rounds > 0 && s.rejected > 0 && s.corrupted > 0 && s.quorum_failures > 0);
+}
+
+/// FL and FRL federate through the cloud server, whose validator once
+/// took the first in-order finite upload as the reference shape: a
+/// truncated upload arriving first made every correct one "mismatched"
+/// and then panicked in the import. Under chaos and under heavy
+/// corruption both methods must finish and replay bit for bit.
+#[test]
+fn cloud_methods_finish_under_corruption_and_replay_per_seed() {
+    let faults = [
+        FaultConfig::chaos(11, 0.3),
+        FaultConfig {
+            corrupt_rate: 0.5,
+            ..FaultConfig::default()
+        },
+    ];
+    for fault in faults {
+        for method in [EmsMethod::Fl, EmsMethod::Frl] {
+            let mut cfg = SimConfig::tiny(3);
+            cfg.fault = fault;
+            let run_once = || serde_json::to_string(&run_method(&cfg, method).result()).unwrap();
+            assert_eq!(
+                run_once(),
+                run_once(),
+                "{method:?} under {fault:?} must replay bit-identically"
+            );
+        }
+    }
+}
+
+/// A failed FRL round keeps every local agent. The server once served
+/// its last global model instead — the previous device's mean — so a
+/// device whose uploads were all lost had another device's Q-network
+/// loaded into its agents.
+#[test]
+fn frl_round_with_every_upload_lost_keeps_the_device_agents() {
+    let mut cfg = SimConfig::tiny(3);
+    cfg.fault = FaultConfig {
+        seed: 5,
+        loss_rate: 0.5,
+        ..FaultConfig::default()
+    };
+    let plan = cfg.fault.plan();
+    let (n, d) = (cfg.n_residences, cfg.devices_per_home());
+    let mut state = EmsState::fresh(&cfg);
+    let bits = |state: &EmsState, device: usize| -> Vec<Vec<u64>> {
+        state
+            .agents
+            .iter()
+            .map(|home| {
+                let all = pfdrl::nn::Layered::export_all(&home[device]);
+                all.into_iter().flatten().map(f64::to_bits).collect()
+            })
+            .collect()
+    };
+    let mut checked = 0;
+    for _ in 0..30 {
+        // `federate_now` advances the round clock, then federates.
+        let round = state.fed_round + 1;
+        let before: Vec<_> = (0..d).map(|device| bits(&state, device)).collect();
+        state.federate_now(&cfg, EmsMethod::Frl);
+        for (device, before) in before.iter().enumerate() {
+            let all_lost = (0..n)
+                .all(|home| matches!(plan.upload(home, round, device as u64), Delivery::Drop(_)));
+            if all_lost {
+                assert_eq!(
+                    &bits(&state, device),
+                    before,
+                    "round {round}: device {device} lost every upload but its agents moved"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "no round lost every upload of a device");
 }
 
 /// The degradation guarantee of the acceptance criteria, at test scale:

@@ -4,7 +4,10 @@
 
 use pfdrl::data::{build_windows, GeneratorConfig, TraceGenerator};
 use pfdrl::drl::{DqnAgent, DqnConfig};
-use pfdrl::fl::{aggregate, BroadcastBus, CloudAggregator, LatencyModel, LayerSplit, ModelUpdate};
+use pfdrl::fl::{
+    aggregate, BroadcastBus, CloudRound, FaultConfig, LatencyModel, LayerSplit, MergePolicy,
+    ModelUpdate, PayloadCodec, RoundParams,
+};
 use pfdrl::forecast::{ForecastMethod, Forecaster, TrainConfig};
 use pfdrl::nn::Layered;
 
@@ -34,16 +37,30 @@ fn lan_fedavg_equals_cloud_fedavg() {
     // parameter server compute the same average.
     let models = trained_forecasters(3);
 
-    // Cloud path.
-    let cloud = CloudAggregator::new(LatencyModel::cloud());
-    for (i, m) in models.iter().enumerate() {
-        cloud.upload(aggregate::snapshot_update(m.as_ref(), i, 0, 0));
-    }
-    cloud.aggregate();
-    let global = cloud.download().unwrap();
+    // Cloud path: every home imports the server's mean.
+    let mut cloud_models = models;
+    let mut cloud = CloudRound::new(
+        LatencyModel::cloud(),
+        &FaultConfig::default(),
+        PayloadCodec::Raw,
+    );
+    let mut col: Vec<&mut dyn Forecaster> = cloud_models.iter_mut().map(|m| m.as_mut()).collect();
+    let policy = MergePolicy::default();
+    let merged = cloud.run(
+        &mut col,
+        &RoundParams {
+            round: 0,
+            model_id: 0,
+            alpha: None,
+            policy: &policy,
+            participants: None,
+        },
+    );
+    assert_eq!(merged, 3);
+    let global = cloud_models[0].export_all();
 
     // LAN path: every home merges own + received.
-    let bus = BroadcastBus::new(3, LatencyModel::lan());
+    let mut bus = BroadcastBus::new(3, LatencyModel::lan());
     let mut lan_models = trained_forecasters(3);
     for (i, m) in lan_models.iter().enumerate() {
         bus.broadcast(aggregate::snapshot_update(m.as_ref(), i, 0, 0));
@@ -79,7 +96,7 @@ fn alpha_split_keeps_personal_layers_distinct_across_homes() {
         .collect();
     let alpha = 4;
     let split = LayerSplit::for_model(alpha, &agents[0]);
-    let bus = BroadcastBus::new(3, LatencyModel::lan());
+    let mut bus = BroadcastBus::new(3, LatencyModel::lan());
 
     for (i, a) in agents.iter().enumerate() {
         bus.broadcast(split.base_update(a, i, 0, 0));
@@ -139,7 +156,7 @@ fn repeated_rounds_shrink_model_disagreement() {
     let before = spread(&models);
     assert!(before > 0.0, "independently trained models should differ");
 
-    let bus = BroadcastBus::new(4, LatencyModel::lan());
+    let mut bus = BroadcastBus::new(4, LatencyModel::lan());
     for (i, m) in models.iter().enumerate() {
         bus.broadcast(aggregate::snapshot_update(m.as_ref(), i, 0, 0));
     }

@@ -54,7 +54,7 @@ fn params(round: u64, alpha: Option<usize>, policy: &MergePolicy) -> RoundParams
 fn run_engine(
     models: &mut [Mlp],
     engine: &mut DflRound,
-    bus: &BroadcastBus,
+    bus: &mut BroadcastBus,
     round: u64,
     alpha: Option<usize>,
     policy: &MergePolicy,
@@ -104,13 +104,13 @@ proptest! {
         let mut b = fleet(n, seed ^ 0x5EED);
         prop_assert_eq!(bits(&a), bits(&b));
 
-        let bus_a = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
-        let bus_b = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
+        let mut bus_a = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
+        let mut bus_b = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
         let mut engine = DflRound::new();
         for round in 1..=4u64 {
-            run_engine(&mut a, &mut engine, &bus_a, round, alpha, &policy);
+            run_engine(&mut a, &mut engine, &mut bus_a, round, alpha, &policy);
             let mut refs: Vec<&mut Mlp> = b.iter_mut().collect();
-            dfl_round_reference(&mut refs, &bus_b, round, 0, alpha, &policy);
+            dfl_round_reference(&mut refs, &mut bus_b, round, 0, alpha, &policy);
             prop_assert!(
                 bits(&a) == bits(&b),
                 "round {} diverged (seed {}, n {}, chaos {:.2}, alpha {:?})",
@@ -136,12 +136,12 @@ proptest! {
         let mut shared = fleet(n, seed);
         let mut shared2 = fleet(n, seed);
         let mut engine = DflRound::new();
-        let bus = BroadcastBus::new(n, LatencyModel::lan());
+        let mut bus = BroadcastBus::new(n, LatencyModel::lan());
         let hier = || HierarchicalRound::new(
             ShardPlan::round_robin(n, shards), LatencyModel::lan(), &FaultConfig::default());
         let (mut ea, mut eb) = (hier(), hier());
         for round in 1..=2u64 {
-            run_engine(&mut per_home, &mut engine, &bus, round, Some(2), &policy);
+            run_engine(&mut per_home, &mut engine, &mut bus, round, Some(2), &policy);
             for (models, e) in [(&mut shared, &mut ea), (&mut shared2, &mut eb)] {
                 let out = run_hier(models, e, round, Some(2), &policy);
                 prop_assert_eq!(out.fast_path_homes, n);
@@ -176,12 +176,12 @@ proptest! {
         let policy = fault.merge_policy();
         let mut reference = fleet(n, seed ^ 0xF1A7);
         let mut hier = fleet(n, seed ^ 0xF1A7);
-        let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
+        let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
         let mut hier_engine = HierarchicalRound::new(
             ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault);
         for round in 1..=4u64 {
             let mut refs: Vec<&mut Mlp> = reference.iter_mut().collect();
-            dfl_round_reference(&mut refs, &bus, round, 0, alpha, &policy);
+            dfl_round_reference(&mut refs, &mut bus, round, 0, alpha, &policy);
             run_hier(&mut hier, &mut hier_engine, round, alpha, &policy);
             prop_assert!(
                 hier_engine.total_stats() == bus.stats(),
@@ -311,10 +311,10 @@ proptest! {
         let run = |width: usize| {
             at_width(width, || {
                 let mut models = fleet(n, seed ^ 0x71D7);
-                let bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
+                let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
                 let mut engine = DflRound::new();
                 for round in 1..=4u64 {
-                    run_engine(&mut models, &mut engine, &bus, round, alpha, &policy);
+                    run_engine(&mut models, &mut engine, &mut bus, round, alpha, &policy);
                 }
                 (bits(&models), bus.stats())
             })

@@ -2,7 +2,6 @@
 
 use pfdrl::data::{build_windows, Mode};
 use pfdrl::env::{classify, reward};
-use pfdrl::fl::{PeriodicSchedule, Topology};
 use pfdrl::nn::{average_params, loss, Matrix};
 use proptest::prelude::*;
 
@@ -96,93 +95,6 @@ proptest! {
         let (m, _) = loss::mse(&p, &t);
         prop_assert!(h >= 0.0);
         prop_assert!(h <= 0.5 * m + 1e-9);
-    }
-
-    /// The broadcast scheduler fires exactly floor(horizon/period) times
-    /// when polled densely from 0 to horizon.
-    #[test]
-    fn scheduler_fires_expected_count(period in 0.5f64..24.0, horizon in 24.0f64..96.0) {
-        let mut s = PeriodicSchedule::new(period);
-        let mut fired = 0u64;
-        let mut t = 0.0;
-        while t <= horizon {
-            if s.due(t) {
-                fired += 1;
-            }
-            t += 0.05;
-        }
-        let expected = (horizon / period).floor() as u64;
-        // Dense polling may miss the final boundary by float step; allow 1.
-        prop_assert!(
-            fired == expected || fired == expected + 1 || fired + 1 == expected,
-            "period {period}, horizon {horizon}: fired {fired}, expected {expected}"
-        );
-    }
-
-    /// Every topology yields peer lists with no self-loops and no
-    /// duplicates, for every node — including RandomK, whose rejection
-    /// sampling must terminate for any k up to n-1.
-    #[test]
-    fn topology_peers_are_self_free_and_unique(
-        n in 2usize..24,
-        k_frac in 0.0f64..1.0,
-        round_salt in 0u64..1000,
-    ) {
-        let k = 1 + (k_frac * (n - 2) as f64) as usize; // 1..=n-1
-        prop_assume!(k < n);
-        let topologies = [
-            Topology::FullBroadcast,
-            Topology::Ring,
-            Topology::RandomK { k, round_salt },
-        ];
-        for t in topologies {
-            for node in 0..n {
-                let peers = t.peers(node, n);
-                prop_assert!(!peers.contains(&node), "{t:?}: node {node} is its own peer");
-                let mut sorted = peers.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                prop_assert!(
-                    sorted.len() == peers.len(),
-                    "{t:?}: duplicate peers for node {node}"
-                );
-                for &p in &peers {
-                    prop_assert!(p < n);
-                }
-                if let Topology::RandomK { k, .. } = t {
-                    prop_assert_eq!(peers.len(), k);
-                }
-            }
-        }
-    }
-
-    /// Catch-up semantics across float-accumulated horizons: no matter
-    /// how irregular the polling instants, the scheduler fires at most
-    /// once per missed span (no bursts) and never falls permanently
-    /// behind — after a fire, the next due time is strictly in the
-    /// future.
-    #[test]
-    fn scheduler_catchup_never_bursts(
-        period in 0.05f64..24.0,
-        steps in prop::collection::vec(0.001f64..10.0, 1..60),
-    ) {
-        let mut s = PeriodicSchedule::new(period);
-        let mut now = 0.0f64;
-        let mut fires = 0u64;
-        for dt in steps {
-            now += dt; // accumulated float time, like the EMS minute loop
-            if s.due(now) {
-                fires += 1;
-                // Immediately polling again at the same instant must not
-                // fire a second time: catch-up is one broadcast, not a
-                // burst per missed period.
-                prop_assert!(!s.due(now), "burst at t={now}, period {period}");
-            }
-        }
-        // Firing count is bounded by the elapsed periods (catch-up
-        // collapses missed periods into single fires).
-        let max_fires = (now / period).floor() as u64 + 1;
-        prop_assert!(fires <= max_fires, "{fires} fires > {max_fires} possible periods");
     }
 
     /// Matrix multiplication distributes over addition:
