@@ -10,20 +10,21 @@
 //!
 //! Each simulated day is split into γ-aligned segments; all residences
 //! advance their episodes through a segment in parallel (rayon), then the
-//! federation step runs at the boundary.
+//! federation step runs at the boundary. Every device-minute runs through
+//! [`run_device_span`], the one decision loop the serve mode runs too.
 
 use crate::config::{HealthPolicy, SimConfig};
 use crate::forecast::ForecastPhase;
 use crate::method::EmsMethod;
 use pfdrl_data::{
-    impute_forward_fill, Archetype, DayTrace, HouseholdSpec, TraceGenerator, MINUTES_PER_DAY,
+    impute_forward_fill, Archetype, DayTrace, HouseholdSpec, Mode, TraceGenerator, MINUTES_PER_DAY,
     WATT_CEILING,
 };
 use pfdrl_drl::{DqnAgent, DqnConfig};
-use pfdrl_env::{DeviceEnv, EnergyAccount, EnvConfig};
+use pfdrl_env::{DaySeries, EnergyAccount, EnvConfig};
 use pfdrl_fl::{
     AggregationMode, BroadcastBus, CloudRound, DflRound, HierarchicalRound, LatencyModel,
-    MergePolicy, RoundParams, ShardPlan,
+    RoundParams, ShardPlan,
 };
 use pfdrl_forecast::PredictWorkspace;
 use pfdrl_nn::Matrix;
@@ -33,6 +34,7 @@ use pfdrl_store::{
 };
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::time::Instant;
 
 /// How a method federates its DRL agents.
@@ -239,15 +241,8 @@ pub struct PredictDayWorkspace {
     fws: PredictWorkspace,
 }
 
-/// Allocation-free [`predict_day`] writing into `out`.
-///
-/// Consecutive minutes share `window - 1` of their window elements, so
-/// instead of encoding `window` values per minute this encodes the
-/// whole span the windows touch exactly once and each input row copies
-/// its slice of the encoded buffer. `transform.encode` is a pure
-/// per-element function and the row contents, feature order and decode
-/// step are unchanged, so the output is bit-identical to
-/// [`predict_day`].
+/// Allocation-free [`predict_day`] writing into `out`: the full-day
+/// span of [`predict_span_into`].
 pub fn predict_day_into(
     cfg: &SimConfig,
     forecaster: &dyn pfdrl_forecast::Forecaster,
@@ -257,44 +252,30 @@ pub fn predict_day_into(
     ws: &mut PredictDayWorkspace,
     out: &mut Vec<f64>,
 ) {
-    let window = cfg.window;
-    let horizon = cfg.horizon;
-    let transform = cfg.transform;
-    // Minute t's window covers concatenated-series indices
-    // [1440 + t - horizon - window, 1440 + t - horizon); over all t the
-    // used span is `window + 1439` elements starting at
-    // `1440 - horizon - window`.
-    let start0 = MINUTES_PER_DAY - horizon - window;
-    let span = window + MINUTES_PER_DAY - 1;
-    ws.encoded.clear();
-    ws.encoded.reserve(span);
-    for idx in start0..start0 + span {
-        let w = if idx < MINUTES_PER_DAY {
-            prev_day.watts[idx]
-        } else {
-            today.watts[idx - MINUTES_PER_DAY]
-        };
-        ws.encoded.push(transform.encode(w / scale));
-    }
-    ws.inputs.resize(MINUTES_PER_DAY, window + 2);
-    for t in 0..MINUTES_PER_DAY {
-        let row = ws.inputs.row_mut(t);
-        row[..window].copy_from_slice(&ws.encoded[t..t + window]);
-        let angle = 2.0 * std::f64::consts::PI * t as f64 / MINUTES_PER_DAY as f64;
-        row[window] = angle.sin();
-        row[window + 1] = angle.cos();
-    }
-    forecaster.predict_into(&ws.inputs, &mut ws.fws, &mut ws.raw);
     out.clear();
-    out.extend(
-        ws.raw
-            .iter()
-            .map(|p| (transform.decode(*p) * scale).max(0.0)),
+    predict_span_into(
+        cfg,
+        forecaster,
+        &prev_day.watts,
+        &today.watts,
+        scale,
+        0,
+        MINUTES_PER_DAY,
+        ws,
+        out,
     );
 }
 
 /// Predictions for the partial minute range `[r0, r1)` of a day,
 /// appended to `out` (which must already hold rows `[0, r0)`).
+///
+/// Consecutive minutes share `window - 1` of their window elements, so
+/// instead of encoding `window` values per minute this encodes the span
+/// the rows' windows touch exactly once and each input row copies its
+/// slice of the encoded buffer. `transform.encode` is a pure
+/// per-element function and the row contents, feature order and decode
+/// step are those of [`predict_day`], so the output is bit-identical
+/// to it.
 ///
 /// The serve loop closes a day chunk by chunk, so it cannot featurize
 /// all 1440 rows at once — but every forecaster's `predict_into`
@@ -354,10 +335,8 @@ pub fn predict_span_into(
 }
 
 /// Recycled buffers for one device's day: the trace pair (today's
-/// trace becomes tomorrow's `prev` via a swap), the decoded
-/// predictions, the persistent environment reloaded day over day with
-/// [`DeviceEnv::load_day`], and the live episode's state
-/// double-buffer.
+/// trace becomes tomorrow's `prev` via a swap) and the decoded
+/// predictions. The kernel reads the day from here in place.
 #[derive(Default)]
 struct DeviceDay {
     prev: DayTrace,
@@ -365,11 +344,6 @@ struct DeviceDay {
     /// Day index `today` currently holds; drives the prev/today swap.
     loaded_day: Option<u64>,
     pred: Vec<f64>,
-    env: Option<DeviceEnv>,
-    /// Current episode state `s_t`.
-    cur: Vec<f64>,
-    /// Scratch for `s_{t+1}`; swapped into `cur` after each step.
-    next: Vec<f64>,
 }
 
 /// One home's recycled day-pipeline buffers.
@@ -380,16 +354,49 @@ struct HomeWorkspace {
     hh: Option<HouseholdSpec>,
     devices: Vec<DeviceDay>,
     pws: PredictDayWorkspace,
-    /// Per-segment hour-of-day accumulators written by [`run_segment`].
-    saved: [f64; 24],
-    standby: [f64; 24],
     /// Device-minutes imputed while loading the current day's traces.
     imputed_minutes: u32,
-    /// Per-day train-loss accumulators (zeroed at day load, summed
-    /// across segments, folded into the fleet mean at day end).
-    loss_sum: f64,
-    loss_steps: u64,
-    nonfinite_losses: u32,
+    /// The day's accounts and loss accumulators, and the current
+    /// segment's hour buckets (zeroed by [`run_segment`]).
+    tally: HomeTally,
+}
+
+/// One home's running tallies from [`run_device_span`]: each device's
+/// energy account, (saved, standby) kWh by hour of day, and the
+/// train-loss accumulators. The batch day and the serve loop each keep
+/// one per home and close the day through [`EmsState::close_day`].
+#[derive(Debug, Default)]
+pub struct HomeTally {
+    /// Per-device accounts, in device order.
+    pub accounts: Vec<EnergyAccount>,
+    pub saved: [f64; 24],
+    pub standby: [f64; 24],
+    pub loss_sum: f64,
+    pub loss_steps: u64,
+    pub nonfinite_losses: u32,
+    /// The kernel's episode state double buffer (`s_t`, `s_{t+1}`).
+    states: [Vec<f64>; 2],
+}
+
+impl HomeTally {
+    /// An all-zero tally for a home of `devices` devices.
+    pub fn new(devices: usize) -> Self {
+        let mut tally = HomeTally::default();
+        tally.reset(devices);
+        tally
+    }
+
+    /// Zeroes every account, bucket and accumulator for a new day,
+    /// keeping the buffers.
+    pub fn reset(&mut self, devices: usize) {
+        self.accounts.clear();
+        self.accounts.resize(devices, EnergyAccount::new());
+        self.saved = [0.0; 24];
+        self.standby = [0.0; 24];
+        self.loss_sum = 0.0;
+        self.loss_steps = 0;
+        self.nonfinite_losses = 0;
+    }
 }
 
 /// Per-home day-pipeline workspaces. Pure transient scratch, like
@@ -438,7 +445,7 @@ pub struct EmsState {
     /// counters, so it rides the snapshot's optional SHARD section.
     pub hier: Option<HierarchicalRound>,
     /// Reusable per-home day-pipeline buffers (traces, predictions,
-    /// environments, episode states). Pure transient workspace — like
+    /// tallies, episode states). Pure transient workspace — like
     /// `fed_engine`, rebuilt fresh on resume and never snapshotted.
     pub day_ws: DayWorkspace,
     pub fed_round: u64,
@@ -473,10 +480,6 @@ pub struct EmsState {
 impl EmsState {
     /// Day-zero state with freshly seeded agents and empty transports.
     pub fn fresh(cfg: &SimConfig) -> Self {
-        let env_cfg = EnvConfig {
-            state_window: cfg.state_window,
-        };
-        let state_dim = env_cfg.state_dim();
         let n = cfg.n_residences;
         let d = cfg.devices_per_home();
 
@@ -484,15 +487,7 @@ impl EmsState {
         let agents: Vec<Vec<DqnAgent>> = (0..n)
             .map(|home| {
                 (0..d)
-                    .map(|device| {
-                        DqnAgent::new(
-                            state_dim,
-                            DqnConfig {
-                                seed: Self::agent_seed(cfg, home, device),
-                                ..cfg.dqn.clone()
-                            },
-                        )
-                    })
+                    .map(|device| Self::new_agent(cfg, home, device))
                     .collect()
             })
             .collect();
@@ -544,11 +539,21 @@ impl EmsState {
         ))
     }
 
-    fn agent_seed(cfg: &SimConfig, home: usize, device: usize) -> u64 {
-        cfg.seed
+    /// The freshly seeded DQN of one home-device pair.
+    fn new_agent(cfg: &SimConfig, home: usize, device: usize) -> DqnAgent {
+        let seed = cfg
+            .seed
             .wrapping_mul(0xC2B2_AE35)
             .wrapping_add((home as u64) << 13)
-            .wrapping_add(device as u64)
+            .wrapping_add(device as u64);
+        let state_window = cfg.state_window;
+        DqnAgent::new(
+            EnvConfig { state_window }.state_dim(),
+            DqnConfig {
+                seed,
+                ..cfg.dqn.clone()
+            },
+        )
     }
 
     /// Whether every evaluation day has been executed.
@@ -556,9 +561,9 @@ impl EmsState {
         self.next_day >= cfg.eval_start_day + cfg.eval_days
     }
 
-    /// Executes one evaluation day (`self.next_day`): builds the day's
-    /// environments, walks the γ-aligned segments with federation at
-    /// each boundary, and folds the day's accounts into the
+    /// Executes one evaluation day (`self.next_day`): loads the day's
+    /// traces and predictions, walks the γ-aligned segments with
+    /// federation at each boundary, and closes the day into the
     /// accumulators.
     pub fn advance_day(&mut self, cfg: &SimConfig, method: EmsMethod, forecast: &ForecastPhase) {
         self.advance_day_with(cfg, method, forecast, true);
@@ -587,15 +592,10 @@ impl EmsState {
     ) {
         let day = self.next_day;
         let gen = TraceGenerator::new(cfg.generator());
-        let env_cfg = EnvConfig {
-            state_window: cfg.state_window,
-        };
         let n = cfg.n_residences;
         let d = cfg.devices_per_home();
         let federation = method.drl_federation(cfg.alpha);
-        let policy = cfg.fault.merge_policy();
         let gamma_minutes = ((cfg.gamma_hours * 60.0).round() as usize).max(1);
-        let late_start = cfg.eval_start_day + cfg.eval_days - cfg.eval_days.div_ceil(3);
 
         // Sensor-fault plan: pure hash decisions per (home, device, day,
         // minute), so the corrupted stream is identical whether a trace
@@ -605,124 +605,67 @@ impl EmsState {
         let plan = cfg.sensor_fault.plan();
         let faults_on = cfg.sensor_fault.is_active();
 
-        // Build the day's envs (predictions + ground truth), per home,
-        // into the recycled workspaces.
-        self.day_ws.ensure_shape(n, d);
-        self.day_ws
-            .homes
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(home, hw)| {
-                let HomeWorkspace {
-                    hh,
-                    devices,
-                    pws,
-                    imputed_minutes,
-                    loss_sum,
-                    loss_steps,
-                    nonfinite_losses,
-                    ..
-                } = hw;
-                *imputed_minutes = 0;
-                *loss_sum = 0.0;
-                *loss_steps = 0;
-                *nonfinite_losses = 0;
-                let hh = hh.get_or_insert_with(|| gen.household(home as u64));
-                for (device, dd) in devices.iter_mut().enumerate() {
-                    let spec = &hh.devices[device];
-                    if !spec.controllable {
-                        continue;
-                    }
-                    if dd.loaded_day == Some(day - 1) {
-                        std::mem::swap(&mut dd.prev, &mut dd.today);
-                    } else {
-                        gen.day_trace_into(hh, device, day - 1, &mut dd.prev);
-                        if faults_on {
-                            // Reproduce yesterday's corruption + repair
-                            // so the regenerated prev matches what the
-                            // swap path would carry. Yesterday's repairs
-                            // were already counted when yesterday ran.
-                            plan.corrupt_day(
-                                home as u64,
-                                device as u64,
-                                day - 1,
-                                &mut dd.prev.watts,
-                            );
-                            impute_forward_fill(&mut dd.prev.watts, WATT_CEILING, 0.0);
-                        }
-                    }
-                    gen.day_trace_into(hh, device, day, &mut dd.today);
+        // Load the day's traces and predictions, per home, into the
+        // recycled workspaces. The workspace is taken out of `self` for
+        // the day so the folds below can borrow both.
+        let mut ws = std::mem::take(&mut self.day_ws);
+        ws.ensure_shape(n, d);
+        ws.homes.par_iter_mut().enumerate().for_each(|(home, hw)| {
+            let HomeWorkspace {
+                hh,
+                devices,
+                pws,
+                imputed_minutes,
+                tally,
+            } = hw;
+            *imputed_minutes = 0;
+            tally.reset(d);
+            let hh = hh.get_or_insert_with(|| gen.household(home as u64));
+            for (device, dd) in devices.iter_mut().enumerate() {
+                let spec = &hh.devices[device];
+                if !spec.controllable {
+                    continue;
+                }
+                if dd.loaded_day == Some(day - 1) {
+                    std::mem::swap(&mut dd.prev, &mut dd.today);
+                } else {
+                    gen.day_trace_into(hh, device, day - 1, &mut dd.prev);
                     if faults_on {
-                        plan.corrupt_day(home as u64, device as u64, day, &mut dd.today.watts);
-                        *imputed_minutes +=
-                            impute_forward_fill(&mut dd.today.watts, WATT_CEILING, 0.0);
+                        // Reproduce yesterday's corruption + repair so
+                        // the regenerated prev matches what the swap
+                        // path would carry. Yesterday's repairs were
+                        // already counted when yesterday ran.
+                        plan.corrupt_day(home as u64, device as u64, day - 1, &mut dd.prev.watts);
+                        impute_forward_fill(&mut dd.prev.watts, WATT_CEILING, 0.0);
                     }
-                    dd.loaded_day = Some(day);
-                    predict_day_into(
-                        cfg,
-                        forecast.models[home][device].as_ref(),
-                        &dd.prev,
-                        &dd.today,
-                        spec.on_watts,
-                        pws,
-                        &mut dd.pred,
-                    );
-                    match &mut dd.env {
-                        Some(env) => env.load_day(
-                            spec.clone(),
-                            &dd.pred,
-                            &dd.today.watts,
-                            &dd.today.modes,
-                            env_cfg,
-                        ),
-                        None => {
-                            dd.env = Some(DeviceEnv::new(
-                                spec.clone(),
-                                dd.pred.clone(),
-                                dd.today.watts.clone(),
-                                dd.today.modes.clone(),
-                                env_cfg,
-                            ));
-                        }
-                    }
-                    dd.env
-                        .as_mut()
-                        .expect("just loaded")
-                        .reset_into(&mut dd.cur);
                 }
-            });
-
-        // Fold the day's imputation verdicts through the per-home
-        // health machines (sequential, in home order). Today's dirt
-        // decides today's federation participation: a home whose stream
-        // needed heavy repair this morning does not upload tonight.
-        let mut any_quarantined = false;
-        if faults_on {
-            for (home, hw) in self.day_ws.homes.iter().enumerate() {
-                self.imputed_minutes += hw.imputed_minutes as u64;
-                let dirty = hw.imputed_minutes >= cfg.health.dirty_minutes;
-                if self.health[home].observe_day(dirty, &cfg.health) {
-                    self.health_transitions += 1;
+                gen.day_trace_into(hh, device, day, &mut dd.today);
+                if faults_on {
+                    plan.corrupt_day(home as u64, device as u64, day, &mut dd.today.watts);
+                    *imputed_minutes += impute_forward_fill(&mut dd.today.watts, WATT_CEILING, 0.0);
                 }
-                if self.health[home].quarantined() {
-                    self.quarantined_home_days += 1;
-                    any_quarantined = true;
-                }
+                dd.loaded_day = Some(day);
+                predict_day_into(
+                    cfg,
+                    forecast.models[home][device].as_ref(),
+                    &dd.prev,
+                    &dd.today,
+                    spec.on_watts,
+                    pws,
+                    &mut dd.pred,
+                );
             }
+        });
+
+        // Today's dirt decides today's federation participation: a home
+        // whose stream needed heavy repair this morning does not upload
+        // tonight.
+        if faults_on {
+            self.observe_health(cfg, ws.homes.iter().map(|hw| hw.imputed_minutes));
+            self.count_quarantined();
         }
-        self.participants.clear();
-        if any_quarantined {
-            self.participants
-                .extend(self.health.iter().map(|h| !h.quarantined()));
-        }
-        let participants: Option<&[bool]> = if any_quarantined {
-            Some(&self.participants)
-        } else {
-            None
-        };
 
         // Walk the day in γ-aligned segments.
-        let mut day_account = EnergyAccount::new();
         let day_minute0 = (day - cfg.eval_start_day) as usize * MINUTES_PER_DAY;
         let mut seg_start = 0usize;
         while seg_start < MINUTES_PER_DAY {
@@ -731,74 +674,89 @@ impl EmsState {
             let seg_end = (next_boundary - day_minute0).min(MINUTES_PER_DAY);
 
             // All homes advance through the segment in parallel, each
-            // accumulating into its own per-home hour buckets; the fold
-            // below runs in home order, exactly as the sequential
-            // reference did.
-            self.day_ws
-                .homes
+            // into its own hour buckets; the fold runs in home order.
+            ws.homes
                 .par_iter_mut()
                 .zip(self.agents.par_iter_mut())
-                .for_each(|(hw, home_agents)| run_segment(cfg, hw, home_agents, seg_end, train));
-            for hw in &self.day_ws.homes {
-                for h in 0..24 {
-                    self.hourly_saved[h] += hw.saved[h];
-                    self.hourly_standby[h] += hw.standby[h];
-                }
-            }
+                .for_each(|(hw, agents)| run_segment(cfg, hw, agents, seg_start..seg_end, train));
+            self.fold_hours(ws.homes.iter().map(|hw| &hw.tally));
 
             // Federation at the boundary (if the day is not over early).
             if seg_end < MINUTES_PER_DAY || next_boundary == day_minute0 + MINUTES_PER_DAY {
-                self.fed_round += 1;
-                federate(
-                    &mut self.agents,
-                    federation,
-                    &mut self.bus,
-                    &mut self.cloud,
-                    self.fed_round,
-                    &policy,
-                    &mut self.fed_engine,
-                    self.hier.as_mut(),
-                    participants,
-                );
+                self.federate_round(cfg, federation);
             }
             seg_start = seg_end;
         }
 
-        // Collect the day's accounts (each env's account was reset at
-        // day load, so it holds exactly this day's figures).
-        for (home, hw) in self.day_ws.homes.iter().enumerate() {
-            for env in hw.devices.iter().filter_map(|dd| dd.env.as_ref()) {
-                day_account.merge(env.account());
+        self.close_day(cfg, ws.homes.iter().map(|hw| &hw.tally));
+        self.day_ws = ws;
+    }
+
+    /// Feeds one completed day's imputed-minute counts, one per home in
+    /// home order, through the health machines.
+    pub fn observe_health(&mut self, cfg: &SimConfig, imputed: impl IntoIterator<Item = u32>) {
+        for (health, minutes) in self.health.iter_mut().zip(imputed) {
+            self.imputed_minutes += minutes as u64;
+            if health.observe_day(minutes >= cfg.health.dirty_minutes, &cfg.health) {
+                self.health_transitions += 1;
+            }
+        }
+    }
+
+    /// Counts a day of every quarantined home into
+    /// `quarantined_home_days`.
+    pub fn count_quarantined(&mut self) {
+        self.quarantined_home_days += self.health.iter().filter(|h| h.quarantined()).count() as u64;
+    }
+
+    /// Adds each home's hour buckets, in home order, into the run's.
+    pub fn fold_hours<'a>(&mut self, tallies: impl IntoIterator<Item = &'a HomeTally>) {
+        for tally in tallies {
+            for h in 0..24 {
+                self.hourly_saved[h] += tally.saved[h];
+                self.hourly_standby[h] += tally.standby[h];
+            }
+        }
+    }
+
+    /// Closes day `next_day` from each home's tally, in home order:
+    /// merges every device account into the day's account and, over the
+    /// last third of the evaluation days, the home's late account;
+    /// pushes the day's saved fraction, saved kWh per client and fleet
+    /// mean train loss (NaN if any batch loss was non-finite, so the
+    /// divergence supervisor sees it); and moves `next_day` on.
+    pub fn close_day<'a>(
+        &mut self,
+        cfg: &SimConfig,
+        tallies: impl IntoIterator<Item = &'a HomeTally>,
+    ) {
+        let day = self.next_day;
+        let late_start = cfg.eval_start_day + cfg.eval_days - cfg.eval_days.div_ceil(3);
+        let mut day_account = EnergyAccount::new();
+        let (mut loss_sum, mut loss_steps, mut nonfinite) = (0.0f64, 0u64, 0u32);
+        for (home, tally) in tallies.into_iter().enumerate() {
+            for account in &tally.accounts {
+                day_account.merge(account);
                 if day >= late_start {
-                    self.per_home_late[home].merge(env.account());
+                    self.per_home_late[home].merge(account);
                 }
             }
+            loss_sum += tally.loss_sum;
+            loss_steps += tally.loss_steps;
+            nonfinite += tally.nonfinite_losses;
         }
         self.total.merge(&day_account);
         self.daily_saved_fraction
             .push(day_account.saved_fraction().unwrap_or(0.0));
         self.daily_saved_kwh_per_client
-            .push(day_account.standby_saved_kwh / n as f64);
-
-        // Fleet mean train loss for the day (home order, so the float
-        // sum is deterministic). NaN flags a day with any non-finite
-        // batch loss for the divergence supervisor.
-        let mut loss_sum = 0.0f64;
-        let mut loss_steps = 0u64;
-        let mut nonfinite = 0u32;
-        for hw in &self.day_ws.homes {
-            loss_sum += hw.loss_sum;
-            loss_steps += hw.loss_steps;
-            nonfinite += hw.nonfinite_losses;
-        }
-        let mean_loss = if nonfinite > 0 {
+            .push(day_account.standby_saved_kwh / cfg.n_residences as f64);
+        self.daily_mean_loss.push(if nonfinite > 0 {
             f64::NAN
         } else if loss_steps == 0 {
             0.0
         } else {
             loss_sum / loss_steps as f64
-        };
-        self.daily_mean_loss.push(mean_loss);
+        });
         self.next_day = day + 1;
     }
 
@@ -937,33 +895,55 @@ impl EmsState {
     /// advances so bus/cloud arrival bookkeeping stays consistent.
     pub fn federate_now(&mut self, cfg: &SimConfig, method: EmsMethod) {
         let federation = method.drl_federation(cfg.alpha);
-        if federation == DrlFederation::None {
-            return;
+        if federation != DrlFederation::None {
+            self.federate_round(cfg, federation);
         }
-        let policy = cfg.fault.merge_policy();
+    }
+
+    /// Advances the round counter and runs one round of `federation`
+    /// per device column, in device order, withholding quarantined
+    /// homes' uploads.
+    fn federate_round(&mut self, cfg: &SimConfig, federation: DrlFederation) {
+        self.fed_round += 1;
+        let alpha = match federation {
+            DrlFederation::None => return,
+            DrlFederation::CloudFull => None,
+            DrlFederation::LanAlpha(alpha) => Some(alpha),
+        };
         let any_quarantined = self.health.iter().any(HomeHealth::quarantined);
         self.participants.clear();
         if any_quarantined {
             self.participants
                 .extend(self.health.iter().map(|h| !h.quarantined()));
         }
-        let participants: Option<&[bool]> = if any_quarantined {
-            Some(&self.participants)
-        } else {
-            None
-        };
-        self.fed_round += 1;
-        federate(
-            &mut self.agents,
-            federation,
-            &mut self.bus,
-            &mut self.cloud,
-            self.fed_round,
-            &policy,
-            &mut self.fed_engine,
-            self.hier.as_mut(),
-            participants,
-        );
+        let policy = cfg.fault.merge_policy();
+        for device in 0..self.agents[0].len() {
+            let mut col: Vec<&mut DqnAgent> = self
+                .agents
+                .iter_mut()
+                .map(|home_agents| &mut home_agents[device])
+                .collect();
+            let p = RoundParams {
+                round: self.fed_round,
+                model_id: device as u64,
+                alpha,
+                policy: &policy,
+                participants: any_quarantined.then_some(&self.participants[..]),
+            };
+            // FRL federates through the cloud server. PFDRL runs the
+            // two-level engine under Hierarchical (its per-shard buses
+            // bypass the fleet bus entirely), else the per-home engine
+            // on the fleet bus.
+            match (federation, self.hier.as_mut()) {
+                (DrlFederation::CloudFull, _) => {
+                    let _ = self.cloud.run(&mut col, &p);
+                }
+                (_, Some(h)) => {
+                    let _ = h.run(&mut col, &p);
+                }
+                (_, None) => self.fed_engine.run(&mut col, &mut self.bus, &p),
+            }
+        }
     }
 
     /// Captures the complete cross-day state into a snapshot.
@@ -1013,10 +993,6 @@ impl EmsState {
     pub fn from_snapshot(cfg: &SimConfig, snap: &RunSnapshot) -> Result<Self, StoreError> {
         let n = cfg.n_residences;
         let d = cfg.devices_per_home();
-        let env_cfg = EnvConfig {
-            state_window: cfg.state_window,
-        };
-        let state_dim = env_cfg.state_dim();
 
         if snap.meta.n_homes != n as u64 || snap.meta.n_devices != d as u64 {
             return Err(StoreError::State(format!(
@@ -1050,13 +1026,7 @@ impl EmsState {
         for (home, home_states) in snap.agents.iter().enumerate() {
             let mut row = Vec::with_capacity(d);
             for (device, state) in home_states.iter().enumerate() {
-                let mut agent = DqnAgent::new(
-                    state_dim,
-                    DqnConfig {
-                        seed: Self::agent_seed(cfg, home, device),
-                        ..cfg.dqn.clone()
-                    },
-                );
+                let mut agent = Self::new_agent(cfg, home, device);
                 agent
                     .restore_state(state)
                     .map_err(|e| StoreError::State(format!("agent [{home}][{device}]: {e}")))?;
@@ -1096,9 +1066,9 @@ impl EmsState {
         let mut hourly_standby = [0.0f64; 24];
         hourly_standby.copy_from_slice(&m.hourly_standby);
 
-        // HEALTH is present exactly when a hostile-telemetry feature is
-        // active; either way the restored state must match what the
-        // uninterrupted run carries at this day boundary.
+        // HEALTH is present whenever a hostile-telemetry feature is
+        // active (serve writes it always); the restored state must match
+        // what the uninterrupted run carries at this day boundary.
         let mut health = vec![HomeHealth::default(); n];
         let mut imputed_minutes = 0;
         let mut health_transitions = 0;
@@ -1132,6 +1102,11 @@ impl EmsState {
             quarantined_home_days = h.quarantined_home_days;
             rollbacks = h.rollbacks;
             daily_mean_loss.extend_from_slice(&h.daily_mean_loss);
+        } else if Self::health_active(cfg) {
+            return Err(StoreError::State(
+                "config runs the health machines but the snapshot has no health section"
+                    .to_string(),
+            ));
         }
 
         Ok(EmsState {
@@ -1171,106 +1146,123 @@ pub fn run_ems(cfg: &SimConfig, method: EmsMethod, forecast: &ForecastPhase) -> 
     state.into_phase(cfg, started.elapsed().as_secs_f64())
 }
 
-/// Advances one home's episodes to `seg_end`, accumulating (saved,
-/// standby) kWh per hour-of-day into the workspace's own buckets
-/// (`hw.saved` / `hw.standby`, zeroed here). Steady state performs no
-/// heap allocation: episode states live in each device's double
-/// buffer, and each step's `next` is the following step's `cur`, so
-/// the agent's flat replay ring stores it once, in place.
+/// Advances one home's devices through the segment `minutes` of the
+/// day loaded into its workspace, each with a train cadence that
+/// restarts at the segment start. The hour buckets are zeroed first,
+/// so they hold this segment's kWh for the caller's fold.
 fn run_segment(
     cfg: &SimConfig,
     hw: &mut HomeWorkspace,
     agents: &mut [DqnAgent],
-    seg_end: usize,
+    minutes: Range<usize>,
     train: bool,
 ) {
-    hw.saved = [0.0f64; 24];
-    hw.standby = [0.0f64; 24];
     let HomeWorkspace {
+        hh: Some(hh),
         devices,
+        tally,
+        ..
+    } = hw
+    else {
+        return;
+    };
+    tally.saved = [0.0; 24];
+    tally.standby = [0.0; 24];
+    for (device, (dd, spec)) in devices.iter().zip(&hh.devices).enumerate() {
+        if !spec.controllable {
+            continue;
+        }
+        let day = DaySeries {
+            spec,
+            pred: &dd.pred,
+            watts: &dd.today.watts,
+            modes: &dd.today.modes,
+        };
+        let mut steps_since_train = 0;
+        run_device_span(
+            cfg,
+            &mut agents[device],
+            day,
+            minutes.clone(),
+            train,
+            &mut steps_since_train,
+            tally,
+            device,
+            |_, _, _| {},
+        );
+    }
+}
+
+/// The EMS's device-minute loop (§3.3.1), the one both the batch day
+/// and the serve loop run: walks device `device` over the minutes of
+/// `minutes` that can be decided (from `state_window` on). Per minute it
+/// encodes the state, lets the agent act, settles the action against
+/// the real mode (Table 1 reward and the device's account in `tally`),
+/// adds the minute's saved and standby kWh to its hour bucket, reports
+/// `(minute, action, reward)` to `decided`, stores the transition
+/// (terminal on the day's last minute), and takes a gradient step when
+/// `train` is set, `steps_since_train` has reached `cfg.train_every`
+/// and the agent is warm.
+///
+/// A span may stop anywhere: the next span re-encodes its first state
+/// from the same series, so cutting a day into spans, with the cadence
+/// counter carried across the cuts, gives the uncut day's bits.
+/// Steady state performs no heap allocation: each step's `s_{t+1}` is
+/// the next step's `s_t`, so the agent's flat replay ring stores it
+/// once, in place.
+#[allow(clippy::too_many_arguments)]
+pub fn run_device_span(
+    cfg: &SimConfig,
+    agent: &mut DqnAgent,
+    day: DaySeries<'_>,
+    minutes: Range<usize>,
+    train: bool,
+    steps_since_train: &mut u64,
+    tally: &mut HomeTally,
+    device: usize,
+    mut decided: impl FnMut(usize, Mode, f64),
+) {
+    let window = cfg.state_window;
+    let first = minutes.start.max(window);
+    if first >= minutes.end {
+        return;
+    }
+    let HomeTally {
+        accounts,
         saved,
         standby,
         loss_sum,
         loss_steps,
         nonfinite_losses,
-        ..
-    } = hw;
-    for (device, dd) in devices.iter_mut().enumerate() {
-        let Some(env) = &mut dd.env else { continue };
-        let agent = &mut agents[device];
-        let mut steps_since_train = 0usize;
-        while !env.done() && env.current_minute() < seg_end {
-            let minute = env.current_minute();
-            let action = agent.act(&dd.cur);
-            // Hour-of-day bookkeeping uses ground truth via the account
-            // delta (standby saved only changes on standby minutes).
-            let before = *env.account();
-            let (reward, done) = env.step_into(action, &mut dd.next);
-            let after = *env.account();
-            let hour = minute / 60;
-            saved[hour] += after.standby_saved_kwh - before.standby_saved_kwh;
-            standby[hour] += after.standby_total_kwh - before.standby_total_kwh;
-            agent.remember_step(&dd.cur, action.index(), reward, (!done).then_some(&dd.next));
-            steps_since_train += 1;
-            if train && steps_since_train >= cfg.train_every && agent.ready() {
-                let loss = agent.train_step();
-                if loss.is_finite() {
-                    *loss_sum += loss;
-                    *loss_steps += 1;
-                } else {
-                    *nonfinite_losses += 1;
-                }
-                steps_since_train = 0;
-            }
-            std::mem::swap(&mut dd.cur, &mut dd.next);
+        states: [cur, next],
+    } = tally;
+    let account = &mut accounts[device];
+    day.state_into(window, first, cur);
+    for t in first..minutes.end {
+        let action = agent.act(cur);
+        let before = *account;
+        let reward = day.settle(t, action, account);
+        let hour = t / 60;
+        saved[hour] += account.standby_saved_kwh - before.standby_saved_kwh;
+        standby[hour] += account.standby_total_kwh - before.standby_total_kwh;
+        decided(t, action, reward);
+        let done = t + 1 == day.watts.len();
+        if !done {
+            day.state_into(window, t + 1, next);
         }
-    }
-}
-
-/// One federation step over every device's agents: one round of the
-/// method's engine per device column, in device order.
-#[allow(clippy::too_many_arguments)]
-fn federate(
-    agents: &mut [Vec<DqnAgent>],
-    federation: DrlFederation,
-    bus: &mut BroadcastBus,
-    cloud: &mut CloudRound,
-    round: u64,
-    policy: &MergePolicy,
-    engine: &mut DflRound,
-    mut hier: Option<&mut HierarchicalRound>,
-    participants: Option<&[bool]>,
-) {
-    let alpha = match federation {
-        DrlFederation::None => return,
-        DrlFederation::CloudFull => None,
-        DrlFederation::LanAlpha(alpha) => Some(alpha),
-    };
-    for device in 0..agents[0].len() {
-        let mut col: Vec<&mut DqnAgent> = agents
-            .iter_mut()
-            .map(|home_agents| &mut home_agents[device])
-            .collect();
-        let p = RoundParams {
-            round,
-            model_id: device as u64,
-            alpha,
-            policy,
-            participants,
-        };
-        // FRL federates through the cloud server. PFDRL runs the
-        // two-level engine under Hierarchical (its per-shard buses
-        // bypass the fleet bus entirely), else the per-home engine on
-        // the fleet bus.
-        match (federation, hier.as_deref_mut()) {
-            (DrlFederation::CloudFull, _) => {
-                let _ = cloud.run(&mut col, &p);
+        agent.remember_step(cur, action.index(), reward, (!done).then_some(&next[..]));
+        *steps_since_train += 1;
+        if train && *steps_since_train >= cfg.train_every as u64 && agent.ready() {
+            let loss = agent.train_step();
+            if loss.is_finite() {
+                *loss_sum += loss;
+                *loss_steps += 1;
+            } else {
+                *nonfinite_losses += 1;
             }
-            (_, Some(h)) => {
-                let _ = h.run(&mut col, &p);
-            }
-            (_, None) => engine.run(&mut col, bus, &p),
+            *steps_since_train = 0;
         }
+        std::mem::swap(cur, next);
     }
 }
 

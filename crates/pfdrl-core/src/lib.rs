@@ -36,8 +36,8 @@ pub mod runner;
 
 pub use config::{CheckpointPolicy, HealthPolicy, SimConfig, SupervisionPolicy};
 pub use ems::{
-    predict_day_into, predict_span_into, DrlFederation, EmsPhase, EmsState, HealthState,
-    HomeHealth, PredictDayWorkspace,
+    predict_day_into, predict_span_into, run_device_span, DrlFederation, EmsPhase, EmsState,
+    HealthState, HomeHealth, HomeTally, PredictDayWorkspace,
 };
 pub use eval::{evaluate_forecast, ForecastEval};
 pub use forecast::{train_forecasters, ForecastPhase};

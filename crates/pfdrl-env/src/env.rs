@@ -48,6 +48,53 @@ pub struct Step {
     pub done: bool,
 }
 
+/// One device-day, borrowed: the forecast, the real readings and the
+/// real modes of every minute. [`DeviceEnv`] and the EMS's
+/// device-minute kernel encode states and settle actions through this
+/// one type, so the two agree bit for bit.
+#[derive(Debug, Clone, Copy)]
+pub struct DaySeries<'a> {
+    pub spec: &'a DeviceSpec,
+    pub pred: &'a [f64],
+    pub watts: &'a [f64],
+    pub modes: &'a [Mode],
+}
+
+impl DaySeries<'_> {
+    /// Writes the state for minute `t` into `s` (cleared first):
+    /// normalized predictions for `(t-state_window, t]`, normalized real
+    /// readings for `[t-state_window, t)`, one-hot predicted mode at
+    /// `t`, one-hot real mode at `t-1`.
+    pub fn state_into(&self, state_window: usize, t: usize, s: &mut Vec<f64>) {
+        let scale = self.spec.on_watts;
+        s.clear();
+        s.reserve(EnvConfig { state_window }.state_dim());
+        for p in &self.pred[(t + 1 - state_window)..=t] {
+            s.push(p / scale);
+        }
+        for w in &self.watts[(t - state_window)..t] {
+            s.push(w / scale);
+        }
+        let pred_mode = classify(self.spec, self.pred[t]);
+        let prev_real_mode = self.modes[t - 1];
+        for m in Mode::ALL {
+            s.push(if m == pred_mode { 1.0 } else { 0.0 });
+        }
+        for m in Mode::ALL {
+            s.push(if m == prev_real_mode { 1.0 } else { 0.0 });
+        }
+    }
+
+    /// Settles `action` at minute `t` against the real mode: returns the
+    /// Table 1 reward after recording the minute into `account`.
+    pub fn settle(&self, t: usize, action: Mode, account: &mut EnergyAccount) -> f64 {
+        let true_mode = self.modes[t];
+        let r = reward(true_mode, action);
+        account.record(true_mode, self.watts[t], action, r);
+        r
+    }
+}
+
 /// One device-day episode.
 ///
 /// `pred_watts[t]` is the DFL forecast for minute `t`; `real_watts[t]`
@@ -76,23 +123,7 @@ impl DeviceEnv {
         real_modes: Vec<Mode>,
         cfg: EnvConfig,
     ) -> Self {
-        assert_eq!(
-            pred_watts.len(),
-            real_watts.len(),
-            "pred/real length mismatch"
-        );
-        assert_eq!(
-            real_watts.len(),
-            real_modes.len(),
-            "watts/modes length mismatch"
-        );
-        assert!(
-            pred_watts.len() > cfg.state_window,
-            "episode of {} minutes too short for window {}",
-            pred_watts.len(),
-            cfg.state_window
-        );
-        assert!(cfg.state_window >= 1, "state window must be >= 1");
+        check_day(&pred_watts, &real_watts, &real_modes, cfg);
         DeviceEnv {
             spec,
             pred_watts,
@@ -102,16 +133,6 @@ impl DeviceEnv {
             t: cfg.state_window,
             account: EnergyAccount::new(),
         }
-    }
-
-    /// The device under control.
-    pub fn spec(&self) -> &DeviceSpec {
-        &self.spec
-    }
-
-    /// Episode length in decision steps.
-    pub fn remaining_steps(&self) -> usize {
-        self.pred_watts.len() - self.t
     }
 
     /// The accumulated energy account for this episode.
@@ -142,23 +163,7 @@ impl DeviceEnv {
         real_modes: &[Mode],
         cfg: EnvConfig,
     ) {
-        assert_eq!(
-            pred_watts.len(),
-            real_watts.len(),
-            "pred/real length mismatch"
-        );
-        assert_eq!(
-            real_watts.len(),
-            real_modes.len(),
-            "watts/modes length mismatch"
-        );
-        assert!(
-            pred_watts.len() > cfg.state_window,
-            "episode of {} minutes too short for window {}",
-            pred_watts.len(),
-            cfg.state_window
-        );
-        assert!(cfg.state_window >= 1, "state window must be >= 1");
+        check_day(pred_watts, real_watts, real_modes, cfg);
         self.spec = spec;
         self.pred_watts.clear();
         self.pred_watts.extend_from_slice(pred_watts);
@@ -185,38 +190,19 @@ impl DeviceEnv {
         self.state_into(out);
     }
 
-    /// Builds the state vector for the current minute `t`:
-    /// normalized predictions for `(t-window, t]`, normalized real
-    /// readings for `[t-window, t)`, one-hot predicted mode at `t`,
-    /// one-hot real mode at `t-1`.
-    fn state(&self) -> Vec<f64> {
-        let mut s = Vec::with_capacity(self.cfg.state_dim());
-        self.state_into(&mut s);
-        s
+    fn series(&self) -> DaySeries<'_> {
+        DaySeries {
+            spec: &self.spec,
+            pred: &self.pred_watts,
+            watts: &self.real_watts,
+            modes: &self.real_modes,
+        }
     }
 
-    /// [`DeviceEnv::state`] into a reused buffer (cleared and refilled
-    /// with the exact same push sequence).
+    /// Builds the state vector for the current minute into a reused
+    /// buffer ([`DaySeries::state_into`]).
     fn state_into(&self, s: &mut Vec<f64>) {
-        let w = self.cfg.state_window;
-        let t = self.t;
-        let scale = self.spec.on_watts;
-        s.clear();
-        s.reserve(self.cfg.state_dim());
-        for i in (t + 1 - w)..=t {
-            s.push(self.pred_watts[i] / scale);
-        }
-        for i in (t - w)..t {
-            s.push(self.real_watts[i] / scale);
-        }
-        let pred_mode = classify(&self.spec, self.pred_watts[t]);
-        let prev_real_mode = self.real_modes[t - 1];
-        for m in Mode::ALL {
-            s.push(if m == pred_mode { 1.0 } else { 0.0 });
-        }
-        for m in Mode::ALL {
-            s.push(if m == prev_real_mode { 1.0 } else { 0.0 });
-        }
+        self.series().state_into(self.cfg.state_window, self.t, s);
     }
 
     /// Takes an action for the current minute.
@@ -224,41 +210,27 @@ impl DeviceEnv {
     /// # Panics
     /// Panics if called after the episode has ended.
     pub fn step(&mut self, action: Mode) -> Step {
-        assert!(self.t < self.pred_watts.len(), "step after episode end");
-        let true_mode = self.real_modes[self.t];
-        let r = reward(true_mode, action);
-        self.account
-            .record(true_mode, self.real_watts[self.t], action, r);
-        self.t += 1;
-        if self.t >= self.pred_watts.len() {
-            Step {
-                next_state: None,
-                reward: r,
-                done: true,
-            }
-        } else {
-            Step {
-                next_state: Some(self.state()),
-                reward: r,
-                done: false,
-            }
+        let mut next = Vec::new();
+        let (reward, done) = self.step_into(action, &mut next);
+        Step {
+            next_state: (!done).then_some(next),
+            reward,
+            done,
         }
     }
 
     /// [`DeviceEnv::step`] writing the next state into a caller buffer
     /// instead of allocating. Returns `(reward, done)`; `next_state` is
     /// cleared and refilled only when the episode continues (untouched
-    /// on the terminal step). Account/reward/state effects are
-    /// identical to `step`.
+    /// on the terminal step).
     ///
     /// # Panics
     /// Panics if called after the episode has ended.
     pub fn step_into(&mut self, action: Mode, next_state: &mut Vec<f64>) -> (f64, bool) {
         assert!(self.t < self.pred_watts.len(), "step after episode end");
-        let true_mode = self.real_modes[self.t];
-        let r = reward(true_mode, action);
-        self.account
-            .record(true_mode, self.real_watts[self.t], action, r);
+        let mut account = self.account;
+        let r = self.series().settle(self.t, action, &mut account);
+        self.account = account;
         self.t += 1;
         let done = self.t >= self.pred_watts.len();
         if !done {
@@ -266,6 +238,31 @@ impl DeviceEnv {
         }
         (r, done)
     }
+}
+
+/// The validation [`DeviceEnv::new`] and [`DeviceEnv::load_day`] share.
+///
+/// # Panics
+/// Panics if the series lengths differ or are shorter than the state
+/// window + 1.
+fn check_day(pred_watts: &[f64], real_watts: &[f64], real_modes: &[Mode], cfg: EnvConfig) {
+    assert_eq!(
+        pred_watts.len(),
+        real_watts.len(),
+        "pred/real length mismatch"
+    );
+    assert_eq!(
+        real_watts.len(),
+        real_modes.len(),
+        "watts/modes length mismatch"
+    );
+    assert!(
+        pred_watts.len() > cfg.state_window,
+        "episode of {} minutes too short for window {}",
+        pred_watts.len(),
+        cfg.state_window
+    );
+    assert!(cfg.state_window >= 1, "state window must be >= 1");
 }
 
 #[cfg(test)]

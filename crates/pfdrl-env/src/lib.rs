@@ -29,5 +29,5 @@ pub mod reward;
 
 pub use account::EnergyAccount;
 pub use classify::{classify, BAND};
-pub use env::{DeviceEnv, EnvConfig, Step};
+pub use env::{DaySeries, DeviceEnv, EnvConfig, Step};
 pub use reward::reward;

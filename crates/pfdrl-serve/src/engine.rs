@@ -7,8 +7,8 @@
 //! arrived readings (forward-fill, exactly the batch pipeline's
 //! `impute_forward_fill` semantics), extends the day's forecast with
 //! the zero-alloc [`predict_span_into`] kernel, and walks every
-//! healthy home's devices through the same act → reward → remember →
-//! train loop as the batch EMS, emitting one [`DecisionRecord`] per
+//! healthy home's devices through [`run_device_span`], the batch EMS's
+//! own device-minute kernel, emitting one [`DecisionRecord`] per
 //! controllable device-minute to a [`DecisionSink`].
 //!
 //! # Determinism
@@ -23,33 +23,39 @@
 //!
 //! # Divergences from the batch pipeline (the serve contract)
 //!
-//! The batch EMS knows each minute's ground-truth mode; a stream
-//! carries watts only, so serve recovers modes via `classify` over the
-//! repaired readings. Quarantined homes are *shed from inference*
-//! (no decisions, no training — counted in `quarantined_shed`), where
-//! batch only withholds their uploads. Health observes a day's dirt at
-//! day *close* (the stream is only fully known then), so a day's
-//! quarantine verdict gates the federation round that same night and
-//! inference from the next day on. Federation fires once per day
-//! boundary, not per γ-segment, and the train cadence counter persists
-//! across chunk closes within a day instead of resetting per segment.
+//! Serve differs from the batch day only in what it hands the kernel
+//! and when it folds. The batch EMS knows each minute's ground-truth
+//! mode; a stream carries watts only, so serve passes the modes it
+//! classifies once per repaired minute. Its train cadence counter lives
+//! for the day, carried across chunk closes, instead of restarting per
+//! segment, and a callback logs each decision. Quarantined homes are
+//! *shed from inference* (no decisions, no training — counted in
+//! `quarantined_shed`), where batch only withholds their uploads.
+//! Health observes a day's dirt at day *close* (the stream is only
+//! fully known then), so a day's quarantine verdict gates the
+//! federation round that same night and inference from the next day
+//! on. Federation fires once per day boundary, not per γ-segment, and
+//! the hour buckets fold once per day.
 
 use crate::queue::BoundedQueue;
 use crate::record::{format_decision, parse_telemetry, DecisionRecord, TelemetryRecord};
 use crate::sink::{DecisionSink, SinkStatus};
 use crate::source::TelemetrySource;
 use pfdrl_core::{
-    predict_span_into, EmsMethod, EmsState, ForecastPhase, PredictDayWorkspace, SimConfig,
+    predict_span_into, run_device_span, EmsMethod, EmsState, ForecastPhase, HomeTally,
+    PredictDayWorkspace, SimConfig,
 };
 use pfdrl_data::{DeviceSpec, HouseholdSpec, Mode, TraceGenerator, MINUTES_PER_DAY, WATT_CEILING};
 use pfdrl_drl::DqnAgent;
-use pfdrl_env::{classify, reward, EnergyAccount};
+use pfdrl_env::{classify, DaySeries};
 use pfdrl_fl::MinuteSchedule;
+use pfdrl_forecast::Forecaster;
 use pfdrl_store::{
     CheckpointStore, RunSnapshot, ServeDeviceState, ServeHomeState, ServeState, StoreError,
 };
 use rayon::prelude::*;
 use serde::Serialize;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Knobs of the serve loop. Deliberately separate from [`SimConfig`]:
@@ -186,17 +192,18 @@ impl From<StoreError> for ServeError {
 
 /// One device's live buffers. `today` always holds 1440 slots (raw
 /// values land there at drain, the repair scan rewrites them in
-/// place); `prev` is empty during the priming day and a full repaired
-/// day afterwards; `pred` grows chunk by chunk through the day.
+/// place) and `modes` their classes once repaired; `prev` is empty
+/// during the priming day and a full repaired day afterwards; `pred`
+/// grows chunk by chunk through the day.
 struct DeviceLive {
     prev: Vec<f64>,
     today: Vec<f64>,
+    modes: Vec<Mode>,
     pred: Vec<f64>,
     /// Forward-fill seed, reset to 0.0 at each day start (mirroring
     /// `impute_forward_fill`'s leading-gap fallback).
     last_good: f64,
     steps_since_train: u64,
-    account: EnergyAccount,
 }
 
 impl DeviceLive {
@@ -204,10 +211,48 @@ impl DeviceLive {
         DeviceLive {
             prev: Vec::new(),
             today: vec![0.0; MINUTES_PER_DAY],
+            modes: vec![Mode::Off; MINUTES_PER_DAY],
             pred: Vec::new(),
             last_good: 0.0,
             steps_since_train: 0,
-            account: EnergyAccount::new(),
+        }
+    }
+
+    /// Extends the day's forecast to cover the decisions of a chunk
+    /// ending at `c1` plus the successor state at `c1` (the last
+    /// minute's transition looks one row ahead).
+    fn predict_through(
+        &mut self,
+        cfg: &SimConfig,
+        model: &dyn Forecaster,
+        spec: &DeviceSpec,
+        c1: usize,
+        pws: &mut PredictDayWorkspace,
+    ) {
+        let target = (c1 + 1).min(MINUTES_PER_DAY);
+        if self.pred.len() < target {
+            let r0 = self.pred.len();
+            predict_span_into(
+                cfg,
+                model,
+                &self.prev,
+                &self.today,
+                spec.on_watts,
+                r0,
+                target,
+                pws,
+                &mut self.pred,
+            );
+        }
+    }
+
+    /// Classifies the repaired readings of `minutes` into `modes`.
+    fn classify(&mut self, spec: &DeviceSpec, minutes: Range<usize>) {
+        for (mode, &w) in self.modes[minutes.clone()]
+            .iter_mut()
+            .zip(&self.today[minutes])
+        {
+            *mode = classify(spec, w);
         }
     }
 }
@@ -220,17 +265,11 @@ struct HomeLive {
     present: Vec<bool>,
     devices: Vec<DeviceLive>,
     imputed_today: u32,
-    loss_sum: f64,
-    loss_steps: u64,
-    nonfinite_losses: u32,
-    /// Per-day hour-of-day (saved, standby) kWh buckets.
-    saved: [f64; 24],
-    standby: [f64; 24],
+    /// The day's accounts, hour buckets and loss accumulators.
+    tally: HomeTally,
     /// Decisions produced by the current chunk, drained at emit.
     out: Vec<DecisionRecord>,
     pws: PredictDayWorkspace,
-    cur: Vec<f64>,
-    next: Vec<f64>,
     /// Per-chunk counter deltas, folded sequentially in home order.
     chunk_gap: u64,
     chunk_repaired: u64,
@@ -245,15 +284,9 @@ impl HomeLive {
             present: vec![false; MINUTES_PER_DAY],
             devices: (0..n_devices).map(|_| DeviceLive::fresh()).collect(),
             imputed_today: 0,
-            loss_sum: 0.0,
-            loss_steps: 0,
-            nonfinite_losses: 0,
-            saved: [0.0; 24],
-            standby: [0.0; 24],
+            tally: HomeTally::new(n_devices),
             out: Vec::new(),
             pws: PredictDayWorkspace::default(),
-            cur: Vec::new(),
-            next: Vec::new(),
             chunk_gap: 0,
             chunk_repaired: 0,
             chunk_quarantined_shed: 0,
@@ -265,11 +298,7 @@ impl HomeLive {
     fn roll_day(&mut self) {
         self.present.fill(false);
         self.imputed_today = 0;
-        self.loss_sum = 0.0;
-        self.loss_steps = 0;
-        self.nonfinite_losses = 0;
-        self.saved = [0.0; 24];
-        self.standby = [0.0; 24];
+        self.tally.reset(self.devices.len());
         for (device, dl) in self.devices.iter_mut().enumerate() {
             if self.hh.devices[device].controllable {
                 std::mem::swap(&mut dl.prev, &mut dl.today);
@@ -279,38 +308,7 @@ impl HomeLive {
             dl.pred.clear();
             dl.last_good = 0.0;
             dl.steps_since_train = 0;
-            dl.account = EnergyAccount::new();
         }
-    }
-}
-
-/// Builds the serve-side state vector for minute `t`, mirroring
-/// `DeviceEnv::state_into` exactly except that both mode one-hots are
-/// recovered via `classify` (the stream carries watts, not modes).
-fn build_state(
-    spec: &DeviceSpec,
-    pred: &[f64],
-    today: &[f64],
-    state_window: usize,
-    t: usize,
-    out: &mut Vec<f64>,
-) {
-    let scale = spec.on_watts;
-    out.clear();
-    out.reserve(2 * state_window + 6);
-    for p in &pred[(t + 1 - state_window)..=t] {
-        out.push(p / scale);
-    }
-    for w in &today[(t - state_window)..t] {
-        out.push(w / scale);
-    }
-    let pred_mode = classify(spec, pred[t]);
-    let prev_mode = classify(spec, today[t - 1]);
-    for m in Mode::ALL {
-        out.push(if m == pred_mode { 1.0 } else { 0.0 });
-    }
-    for m in Mode::ALL {
-        out.push(if m == prev_mode { 1.0 } else { 0.0 });
     }
 }
 
@@ -420,6 +418,13 @@ impl ServeEngine {
         let serve = snap.serve.as_ref().ok_or_else(|| {
             ServeError::Config("snapshot has no serve section (batch snapshot?)".to_string())
         })?;
+        // Serve writes HEALTH whatever the config; without it the
+        // health machines and loss history would restore as zeros.
+        if snap.health.is_none() {
+            return Err(ServeError::Config(
+                "serve snapshot has no health section".to_string(),
+            ));
+        }
         let n = cfg.n_residences;
         let d = cfg.devices_per_home();
         let serve_start = (cfg.eval_start_day - 1) * MINUTES_PER_DAY as u64;
@@ -451,9 +456,9 @@ impl ServeEngine {
         for (home, hs) in serve.homes.iter().enumerate() {
             let mut hl = HomeLive::fresh(home, generator.household(home as u64), d);
             hl.imputed_today = hs.imputed_today;
-            hl.loss_sum = hs.loss_sum;
-            hl.loss_steps = hs.loss_steps;
-            hl.nonfinite_losses = hs.nonfinite_losses;
+            hl.tally.loss_sum = hs.loss_sum;
+            hl.tally.loss_steps = hs.loss_steps;
+            hl.tally.nonfinite_losses = hs.nonfinite_losses;
             if hs.saved_hourly.len() != 24 || hs.standby_hourly.len() != 24 {
                 return Err(ServeError::Config(format!(
                     "home {home}: serve hourly buckets must hold 24 bins \
@@ -462,8 +467,8 @@ impl ServeEngine {
                     hs.standby_hourly.len()
                 )));
             }
-            hl.saved.copy_from_slice(&hs.saved_hourly);
-            hl.standby.copy_from_slice(&hs.standby_hourly);
+            hl.tally.saved.copy_from_slice(&hs.saved_hourly);
+            hl.tally.standby.copy_from_slice(&hs.standby_hourly);
             for minute in 0..c_in_day {
                 hl.present[minute] = true;
             }
@@ -486,22 +491,13 @@ impl ServeEngine {
                 }
                 dl.prev = ds.prev_watts.clone();
                 dl.today[..c_in_day].copy_from_slice(&ds.today_watts);
+                dl.classify(spec, 0..c_in_day);
                 dl.last_good = ds.last_good_watt;
                 dl.steps_since_train = ds.steps_since_train;
-                dl.account = ds.account;
+                hl.tally.accounts[device] = ds.account;
                 if !priming && !quarantined && c_in_day > 0 {
-                    let target = (c_in_day + 1).min(MINUTES_PER_DAY);
-                    predict_span_into(
-                        &cfg,
-                        forecast.models[home][device].as_ref(),
-                        &dl.prev,
-                        &dl.today,
-                        spec.on_watts,
-                        0,
-                        target,
-                        &mut hl.pws,
-                        &mut dl.pred,
-                    );
+                    let model = forecast.models[home][device].as_ref();
+                    dl.predict_through(&cfg, model, spec, c_in_day, &mut hl.pws);
                 }
             }
             homes.push(hl);
@@ -695,11 +691,7 @@ impl ServeEngine {
         // holds for the whole day; count it once at the day's first
         // chunk, mirroring the batch accounting.
         if c0 == 0 && !priming {
-            for h in &self.ems.health {
-                if h.quarantined() {
-                    self.ems.quarantined_home_days += 1;
-                }
-            }
+            self.ems.count_quarantined();
         }
 
         let cfg = &self.cfg;
@@ -776,61 +768,22 @@ impl ServeEngine {
         Ok(())
     }
 
-    /// Day-boundary bookkeeping, mirroring the batch day fold.
+    /// Day-boundary bookkeeping through the batch day's own folds: the
+    /// day's hour buckets, accounts, daily series and mean loss, then
+    /// the health verdicts on the day's dirt and the night's federation
+    /// round.
     fn close_day(&mut self, day: u64, priming: bool) {
         if !priming {
-            let n = self.cfg.n_residences;
-            let late_start =
-                self.cfg.eval_start_day + self.cfg.eval_days - self.cfg.eval_days.div_ceil(3);
-
-            let mut loss_sum = 0.0f64;
-            let mut loss_steps = 0u64;
-            let mut nonfinite = 0u32;
-            let mut day_account = EnergyAccount::new();
-            for hl in &self.homes {
-                loss_sum += hl.loss_sum;
-                loss_steps += hl.loss_steps;
-                nonfinite += hl.nonfinite_losses;
-                for dl in &hl.devices {
-                    day_account.merge(&dl.account);
-                    if day >= late_start {
-                        self.ems.per_home_late[hl.home].merge(&dl.account);
-                    }
-                }
-                for h in 0..24 {
-                    self.ems.hourly_saved[h] += hl.saved[h];
-                    self.ems.hourly_standby[h] += hl.standby[h];
-                }
-            }
-            self.ems.total.merge(&day_account);
-            self.ems
-                .daily_saved_fraction
-                .push(day_account.saved_fraction().unwrap_or(0.0));
-            self.ems
-                .daily_saved_kwh_per_client
-                .push(day_account.standby_saved_kwh / n as f64);
-            let mean_loss = if nonfinite > 0 {
-                f64::NAN
-            } else if loss_steps == 0 {
-                0.0
-            } else {
-                loss_sum / loss_steps as f64
-            };
-            self.ems.daily_mean_loss.push(mean_loss);
-
+            debug_assert_eq!(self.ems.next_day, day, "serve closes days in order");
+            let tallies = || self.homes.iter().map(|hl| &hl.tally);
+            self.ems.fold_hours(tallies());
+            self.ems.close_day(&self.cfg, tallies());
             // Health observes the day's dirt now that the whole stream
             // for it is known; the verdict gates tonight's federation
             // round and tomorrow's inference.
-            for hl in &self.homes {
-                self.ems.imputed_minutes += hl.imputed_today as u64;
-                let dirty = hl.imputed_today >= self.cfg.health.dirty_minutes;
-                if self.ems.health[hl.home].observe_day(dirty, &self.cfg.health) {
-                    self.ems.health_transitions += 1;
-                }
-            }
-
+            self.ems
+                .observe_health(&self.cfg, self.homes.iter().map(|hl| hl.imputed_today));
             self.ems.federate_now(&self.cfg, self.method);
-            self.ems.next_day = day + 1;
         }
         for hl in &mut self.homes {
             hl.roll_day();
@@ -876,11 +829,11 @@ impl ServeEngine {
                 .iter()
                 .map(|hl| ServeHomeState {
                     imputed_today: hl.imputed_today,
-                    loss_sum: hl.loss_sum,
-                    loss_steps: hl.loss_steps,
-                    nonfinite_losses: hl.nonfinite_losses,
-                    saved_hourly: hl.saved.to_vec(),
-                    standby_hourly: hl.standby.to_vec(),
+                    loss_sum: hl.tally.loss_sum,
+                    loss_steps: hl.tally.loss_steps,
+                    nonfinite_losses: hl.tally.nonfinite_losses,
+                    saved_hourly: hl.tally.saved.to_vec(),
+                    standby_hourly: hl.tally.standby.to_vec(),
                     devices: hl
                         .devices
                         .iter()
@@ -892,7 +845,7 @@ impl ServeEngine {
                             ServeDeviceState {
                                 last_good_watt: dl.last_good,
                                 steps_since_train: dl.steps_since_train,
-                                account: dl.account,
+                                account: hl.tally.accounts[device],
                                 prev_watts: dl.prev.clone(),
                                 today_watts: dl.today[..c_in_day].to_vec(),
                             }
@@ -947,7 +900,8 @@ impl ServeEngine {
 /// never arrived forward-fill from the last good value, delivered
 /// values outside the plausible band (non-finite, negative, above
 /// [`WATT_CEILING`]) are replaced the same way. Matches
-/// `impute_forward_fill` semantics with a per-day 0.0 fallback.
+/// `impute_forward_fill` semantics with a per-day 0.0 fallback. The
+/// repaired readings are then classified into the device's modes.
 fn repair_chunk(hl: &mut HomeLive, c0: usize, c1: usize) {
     let HomeLive {
         hh,
@@ -958,8 +912,8 @@ fn repair_chunk(hl: &mut HomeLive, c0: usize, c1: usize) {
         chunk_repaired,
         ..
     } = hl;
-    for (device, dl) in devices.iter_mut().enumerate() {
-        if !hh.devices[device].controllable {
+    for (dl, spec) in devices.iter_mut().zip(&hh.devices) {
+        if !spec.controllable {
             continue;
         }
         for (seen, watt) in present[c0..c1].iter().zip(&mut dl.today[c0..c1]) {
@@ -978,13 +932,12 @@ fn repair_chunk(hl: &mut HomeLive, c0: usize, c1: usize) {
                 dl.last_good = w;
             }
         }
+        dl.classify(spec, c0..c1);
     }
 }
 
-/// Extends forecasts and walks the decide loop for the chunk `[c0,
-/// c1)` of one healthy home: per controllable device, build the state,
-/// act, account, record the decision, remember the transition, and
-/// train on the configured cadence.
+/// Extends forecasts and runs the device-minute kernel for the chunk
+/// `[c0, c1)` of one healthy home, logging every decision.
 #[allow(clippy::too_many_arguments)]
 fn decide_chunk(
     cfg: &SimConfig,
@@ -1000,77 +953,42 @@ fn decide_chunk(
         home,
         hh,
         devices,
-        loss_sum,
-        loss_steps,
-        nonfinite_losses,
-        saved,
-        standby,
+        tally,
         out,
         pws,
-        cur,
-        next,
         ..
     } = hl;
     let home = *home;
-    let sw = cfg.state_window;
-    let decide_from = c0.max(sw);
     for (device, dl) in devices.iter_mut().enumerate() {
         let spec = &hh.devices[device];
         if !spec.controllable {
             continue;
         }
-        // Extend the day's forecast to cover this chunk's decisions
-        // plus the successor state at c1 (the last minute's transition
-        // looks one row ahead).
-        let target = (c1 + 1).min(MINUTES_PER_DAY);
-        if dl.pred.len() < target {
-            let r0 = dl.pred.len();
-            predict_span_into(
-                cfg,
-                forecast.models[home][device].as_ref(),
-                &dl.prev,
-                &dl.today,
-                spec.on_watts,
-                r0,
-                target,
-                pws,
-                &mut dl.pred,
-            );
-        }
-        let agent = &mut agents[device];
-        for t in decide_from..c1 {
-            build_state(spec, &dl.pred, &dl.today, sw, t, cur);
-            let action = agent.act(cur);
-            let true_mode = classify(spec, dl.today[t]);
-            let r = reward(true_mode, action);
-            let before = dl.account;
-            dl.account.record(true_mode, dl.today[t], action, r);
-            let hour = t / 60;
-            saved[hour] += dl.account.standby_saved_kwh - before.standby_saved_kwh;
-            standby[hour] += dl.account.standby_total_kwh - before.standby_total_kwh;
-            out.push(DecisionRecord {
-                minute: day_minute0 + t as u64,
-                home,
-                device,
-                action: action.index(),
-                reward: r,
-            });
-            let next_state = (t + 1 < MINUTES_PER_DAY).then(|| {
-                build_state(spec, &dl.pred, &dl.today, sw, t + 1, next);
-                &next[..]
-            });
-            agent.remember_step(cur, action.index(), r, next_state);
-            dl.steps_since_train += 1;
-            if train && dl.steps_since_train >= cfg.train_every as u64 && agent.ready() {
-                let loss = agent.train_step();
-                if loss.is_finite() {
-                    *loss_sum += loss;
-                    *loss_steps += 1;
-                } else {
-                    *nonfinite_losses += 1;
-                }
-                dl.steps_since_train = 0;
-            }
-        }
+        dl.predict_through(cfg, forecast.models[home][device].as_ref(), spec, c1, pws);
+        let day = DaySeries {
+            spec,
+            pred: &dl.pred,
+            watts: &dl.today,
+            modes: &dl.modes,
+        };
+        run_device_span(
+            cfg,
+            &mut agents[device],
+            day,
+            c0..c1,
+            train,
+            &mut dl.steps_since_train,
+            tally,
+            device,
+            |t, action, reward| {
+                out.push(DecisionRecord {
+                    minute: day_minute0 + t as u64,
+                    home,
+                    device,
+                    action: action.index(),
+                    reward,
+                })
+            },
+        );
     }
 }

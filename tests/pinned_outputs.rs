@@ -1,0 +1,119 @@
+//! Pins the deterministic outputs of both EMS entry points across
+//! commits: the batch run that `repro run --quick` computes and the
+//! serve decision log over the committed CI fixture. Each is folded
+//! into an FNV-1a-64 hash over exact bit patterns, so a refactor that
+//! claims to move no bit can be checked against the literals below
+//! instead of against a second checkout.
+//!
+//! Floats are hashed by `to_bits()`, not through JSON: the JSON writer
+//! prints NaN and both infinities as `null`, so it would hide a change
+//! between them.
+
+use pfdrl_core::{run_method, train_forecasters, EmsMethod, RunResult, SimConfig};
+use pfdrl_serve::{NdjsonSource, ServeConfig, ServeEngine, VecSink};
+use std::io::BufReader;
+
+/// `run_method(&SimConfig::tiny(42), EmsMethod::Pfdrl).result()`.
+const BATCH_RESULT_HASH: u64 = 0xe760_9054_de41_6b76;
+/// Every line of the serve decision log, newline-terminated.
+const SERVE_LOG_HASH: u64 = 0x052d_7e01_3c49_47cd;
+const SERVE_LOG_LINES: usize = 17_244;
+const SERVE_FINAL_SAVED_FRACTION_BITS: u64 = 0x3fe0_7d31_08fb_ee7e;
+
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+
+    fn f64s(&mut self, v: &[f64]) {
+        self.u64(v.len() as u64);
+        v.iter().for_each(|&x| self.f64(x));
+    }
+}
+
+fn hash_result(r: &RunResult) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(r.method.as_bytes());
+    h.f64(r.forecast_comm_s);
+    h.u64(r.forecast_bytes);
+    h.u64(r.forecast_logical_bytes);
+    h.f64(r.ems_comm_s);
+    h.u64(r.ems_comm_bytes);
+    h.u64(r.ems_comm_logical_bytes);
+    let a = &r.account;
+    h.f64(a.standby_total_kwh);
+    h.f64(a.standby_saved_kwh);
+    h.u64(a.comfort_violation_minutes);
+    h.f64(a.interrupted_on_kwh);
+    h.u64(a.minutes);
+    h.f64(a.total_reward);
+    for series in [
+        &r.daily_saved_fraction,
+        &r.daily_saved_kwh_per_client,
+        &r.hourly_saved_kwh_per_client,
+        &r.hourly_standby_kwh_per_client,
+        &r.per_home_saved_fraction,
+        &r.per_home_saved_kwh,
+    ] {
+        h.f64s(series);
+    }
+    h.0
+}
+
+#[test]
+fn batch_quick_run_matches_pinned_hash() {
+    let result = run_method(&SimConfig::tiny(42), EmsMethod::Pfdrl).result();
+    let hash = hash_result(&result);
+    assert_eq!(hash, BATCH_RESULT_HASH, "batch result hash {hash:#018x}");
+}
+
+#[test]
+fn serve_fixture_log_matches_pinned_hash() {
+    let cfg = SimConfig::tiny(42);
+    let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
+    let mut engine = ServeEngine::new(
+        cfg,
+        ServeConfig::default(),
+        EmsMethod::Pfdrl,
+        forecast,
+        None,
+    );
+    let file = std::fs::File::open(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/serve_tiny.ndjson"
+    ))
+    .expect("fixture present");
+    let mut source = NdjsonSource::new(BufReader::new(file));
+    let mut sink = VecSink::default();
+    let report = engine.run(&mut source, &mut sink).expect("serve run");
+    let mut h = Fnv::new();
+    for line in &sink.lines {
+        h.bytes(line.as_bytes());
+        h.bytes(b"\n");
+    }
+    let final_bits = report.final_saved_fraction.to_bits();
+    assert_eq!(sink.lines.len(), SERVE_LOG_LINES);
+    assert_eq!(h.0, SERVE_LOG_HASH, "serve log hash {:#018x}", h.0);
+    assert_eq!(
+        final_bits, SERVE_FINAL_SAVED_FRACTION_BITS,
+        "final saved fraction bits {final_bits:#018x}"
+    );
+}

@@ -5,11 +5,11 @@
 //! arbitrary garbage streams.
 
 use pfdrl::core::{
-    run_method_resumable, run_method_resume_from, CheckpointPolicy, EmsMethod, EmsPhase,
-    HealthPolicy, SimConfig, SupervisionPolicy,
+    run_method_resumable, run_method_resume_from, train_forecasters, CheckpointPolicy, EmsMethod,
+    EmsPhase, EmsState, HealthPolicy, SimConfig, SupervisionPolicy,
 };
 use pfdrl::data::{impute_forward_fill, SensorFaultConfig, MINUTES_PER_DAY, WATT_CEILING};
-use pfdrl::store::CheckpointStore;
+use pfdrl::store::{CheckpointStore, RunSnapshot, StoreError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fs;
@@ -196,4 +196,27 @@ fn corruption_is_order_free_and_idempotent_per_day() {
     let mut backward: Vec<_> = (0..5).rev().map(|day| corrupt(1, 2, day)).collect();
     backward.reverse();
     assert_eq!(forward, backward, "corruption depends on call order");
+}
+
+#[test]
+fn snapshot_without_health_section_is_rejected_when_health_is_active() {
+    // A CRC-valid snapshot that lost its HEALTH section must not restore
+    // zeroed health machines and an empty loss history.
+    let mut cfg = SimConfig::tiny(13);
+    cfg.sensor_fault = SensorFaultConfig::storm(13, 0.9);
+    let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
+    let mut state = EmsState::fresh(&cfg);
+    for _ in 0..2 {
+        state.advance_day(&cfg, EmsMethod::Pfdrl, &forecast);
+    }
+    assert!(state.imputed_minutes > 0, "the storm must impute");
+    let mut snap = state.to_snapshot(&cfg, EmsMethod::Pfdrl, forecast.export_state());
+    assert!(EmsState::from_snapshot(&cfg, &snap).is_ok());
+    snap.health = None;
+    let snap = RunSnapshot::decode(&snap.encode()).expect("still a valid file");
+    match EmsState::from_snapshot(&cfg, &snap) {
+        Err(StoreError::State(msg)) => assert!(msg.contains("health"), "{msg}"),
+        Err(other) => panic!("wrong error: {other:?}"),
+        Ok(_) => panic!("restored a health-active run without its health section"),
+    }
 }

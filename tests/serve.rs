@@ -7,9 +7,10 @@
 
 use pfdrl_core::{train_forecasters, EmsMethod, SimConfig};
 use pfdrl_serve::{
-    generate_stream, FlakySink, ServeConfig, ServeEngine, ServeReport, VecSink, VecSource,
+    generate_stream, FlakySink, ServeConfig, ServeEngine, ServeError, ServeReport, VecSink,
+    VecSource,
 };
-use pfdrl_store::CheckpointStore;
+use pfdrl_store::{CheckpointStore, RunSnapshot};
 use std::path::PathBuf;
 
 const MINUTES_PER_DAY: u64 = 1440;
@@ -246,6 +247,36 @@ fn resume_after_kill_matches_uninterrupted_run() {
     for dir in [ref_dir, crash_dir, resume_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+#[test]
+fn serve_snapshot_without_health_section_is_rejected() {
+    // Serve writes HEALTH whatever the config, so a serve snapshot
+    // without it is damaged, even where batch would not need one.
+    let cfg = short_cfg(3);
+    let dir = temp_dir("no-health");
+    run_serve(&cfg, ServeConfig::default(), stream_for(&cfg), Some(&dir));
+    let store = CheckpointStore::open(&dir, 0).expect("open store");
+    let path = store.latest().expect("scan").expect("snapshot written");
+    let mut snap = CheckpointStore::load(&path).expect("load snapshot");
+    let resume = |snap: &RunSnapshot| {
+        ServeEngine::resume(
+            cfg.clone(),
+            ServeConfig::default(),
+            EmsMethod::Pfdrl,
+            snap,
+            None,
+        )
+    };
+    assert!(resume(&snap).is_ok());
+    snap.health = None;
+    let snap = RunSnapshot::decode(&snap.encode()).expect("still a valid file");
+    match resume(&snap) {
+        Err(ServeError::Config(msg)) => assert!(msg.contains("health"), "{msg}"),
+        Err(other) => panic!("wrong error: {other}"),
+        Ok(_) => panic!("resumed a serve snapshot without its health section"),
+    }
+    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
