@@ -30,10 +30,46 @@ use pfdrl_serve::{
 use pfdrl_store::CheckpointStore;
 use serde::Serialize;
 use std::fs;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 const SEED: u64 = 42;
+
+// `print!` and `println!` are shadowed for the rest of this file, so
+// every stdout line of `repro` goes through `write_stdout`.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout until its reader goes away. After a broken pipe
+/// (`repro canary | head -n 1`) every further write is dropped, so the
+/// run still does all its work and exits with its usual status instead
+/// of panicking on the next line. Any other write error panics, as
+/// `println!` does.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            panic!("failed printing to stdout: {e}");
+        }
+        CLOSED.store(true, Ordering::Relaxed);
+    }
+}
 
 /// Every flag but `--json`, parsed straight into its field.
 #[derive(Default)]
@@ -789,9 +825,11 @@ fn canary(ctx: &Ctx) {
             .build()
             .expect("a thread width always builds")
             .install(|| {
-                let saved = pfdrl_core::run_method(cfg, row.method).converged_saved_fraction();
-                let forecast = train_forecasters(cfg, row.method);
-                [saved, pfdrl_core::evaluate_forecast(cfg, &forecast).mean]
+                let (run, forecast) = pfdrl_core::runner::run_method_with_forecast(cfg, row.method);
+                [
+                    run.converged_saved_fraction(),
+                    pfdrl_core::evaluate_forecast(cfg, &forecast).mean,
+                ]
             });
         if r == 0 {
             reference = got;

@@ -2,9 +2,9 @@
 //! behind Figures 3 and 5–8.
 
 use crate::config::SimConfig;
-use crate::ems::predict_day;
+use crate::ems::{predict_day_into, PredictDayWorkspace};
 use crate::forecast::ForecastPhase;
-use pfdrl_data::TraceGenerator;
+use pfdrl_data::{DayTrace, TraceGenerator};
 use pfdrl_forecast::metrics::{paper_accuracies, DEFAULT_ACCURACY_FLOOR_WATTS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -31,18 +31,18 @@ pub fn evaluate_forecast(cfg: &SimConfig, forecast: &ForecastPhase) -> ForecastE
             let mut accs = Vec::new();
             let mut hour_sum = vec![0.0f64; 24];
             let mut hour_n = vec![0.0f64; 24];
+            // The EMS's inference path: one workspace and trace pair per
+            // home, each eval day's trace reused as the next day's `prev`.
+            let mut ws = PredictDayWorkspace::default();
+            let (mut prev, mut today) = (DayTrace::default(), DayTrace::default());
+            let mut pred = Vec::new();
             for device in 0..cfg.devices_per_home() {
                 let scale = hh.devices[device].on_watts;
+                let model = forecast.models[home as usize][device].as_ref();
+                gen.day_trace_into(&hh, device, cfg.eval_start_day - 1, &mut prev);
                 for day in cfg.eval_start_day..cfg.eval_start_day + cfg.eval_days {
-                    let prev = gen.day_trace(home, device, day - 1);
-                    let today = gen.day_trace(home, device, day);
-                    let pred = predict_day(
-                        cfg,
-                        forecast.models[home as usize][device].as_ref(),
-                        &prev,
-                        &today,
-                        scale,
-                    );
+                    gen.day_trace_into(&hh, device, day, &mut today);
+                    predict_day_into(cfg, model, &prev, &today, scale, &mut ws, &mut pred);
                     // Hourly bucketing needs per-minute alignment, so
                     // compute accuracy minute by minute.
                     for (t, (p, r)) in pred.iter().zip(today.watts.iter()).enumerate() {
@@ -54,6 +54,7 @@ pub fn evaluate_forecast(cfg: &SimConfig, forecast: &ForecastPhase) -> ForecastE
                         hour_sum[t / 60] += a;
                         hour_n[t / 60] += 1.0;
                     }
+                    std::mem::swap(&mut prev, &mut today);
                 }
             }
             (accs, hour_sum, hour_n)

@@ -298,10 +298,6 @@ fn federated_rounds(
     mut federate: impl FnMut(&mut [&mut (dyn Forecaster + 'static)], &RoundParams<'_>),
 ) {
     let (rounds, epochs_per_round) = rounds_for_beta(cfg);
-    let round_cfg = TrainConfig {
-        max_epochs: epochs_per_round,
-        ..cfg.train.clone()
-    };
     let policy = cfg.fault.merge_policy();
     for round in 0..rounds {
         models
@@ -309,7 +305,7 @@ fn federated_rounds(
             .zip(sets.par_iter())
             .for_each(|(home_models, home_sets)| {
                 for (m, s) in home_models.iter_mut().zip(home_sets.iter()) {
-                    refit(m.as_mut(), s, &round_cfg);
+                    let _ = m.fit_budget(s, epochs_per_round);
                 }
             });
         for device in 0..cfg.devices_per_home() {
@@ -405,11 +401,6 @@ fn train_dfl_lan(
             buses.iter().map(|b| b.stats().logical_bytes).sum(),
         ),
     }
-}
-
-/// One federated-round refit with a bounded epoch budget.
-fn refit(model: &mut dyn Forecaster, set: &SupervisedSet, round_cfg: &TrainConfig) {
-    let _ = model.fit_budget(set, round_cfg.max_epochs);
 }
 
 #[cfg(test)]

@@ -123,16 +123,7 @@ pub struct ResumableRun {
 
 /// Runs one method end to end.
 pub fn run_method(cfg: &SimConfig, method: EmsMethod) -> MethodRun {
-    let forecast = train_forecasters(cfg, method);
-    let ems = run_ems(cfg, method, &forecast);
-    MethodRun {
-        method: method.name().to_string(),
-        forecast_train_wall_s: forecast.train_wall_s,
-        forecast_comm_s: forecast.comm_s,
-        forecast_bytes: forecast.comm_bytes,
-        forecast_logical_bytes: forecast.comm_logical_bytes,
-        ems,
-    }
+    run_method_with_forecast(cfg, method).0
 }
 
 /// Runs one method and also returns the trained forecasters (for

@@ -13,9 +13,7 @@ use pfdrl_core::ems::{predict_day, predict_day_into, PredictDayWorkspace};
 use pfdrl_core::SimConfig;
 use pfdrl_data::dataset::TargetTransform;
 use pfdrl_data::{DayTrace, Mode, MINUTES_PER_DAY};
-use pfdrl_forecast::{
-    BpNetwork, Forecaster, LinearRegressor, LstmForecaster, SvrConfig, SvrRegressor, TrainConfig,
-};
+use pfdrl_forecast::{BpNetwork, Forecaster, LstmForecaster, SvrConfig, SvrRegressor, TrainConfig};
 use proptest::prelude::*;
 
 /// splitmix64, same shape as the `pfdrl-forecast` predict props: one
@@ -76,7 +74,8 @@ fn scramble_params(model: &mut dyn Forecaster, g: &mut Gen) {
 fn build_backend(which: u64, dim: usize, g: &mut Gen) -> Box<dyn Forecaster> {
     let cfg = TrainConfig::with_seed(g.below(1024));
     let mut model: Box<dyn Forecaster> = match which {
-        0 => Box::new(LinearRegressor::new(dim, cfg)),
+        // LR: the BP network with no hidden layer.
+        0 => Box::new(BpNetwork::with_hidden(dim, &[], cfg)),
         1 => Box::new(BpNetwork::new(dim, cfg)),
         2 => Box::new(SvrRegressor::new(
             dim,

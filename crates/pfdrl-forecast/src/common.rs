@@ -1,4 +1,5 @@
-//! Shared batch-assembly helpers for the fit loops.
+//! Batch-assembly helpers for the minibatch steps and the allocating
+//! predict oracles.
 
 use pfdrl_nn::Matrix;
 
@@ -18,14 +19,8 @@ pub(crate) fn batch_inputs_into(inputs: &[Vec<f64>], idx: &[usize], out: &mut Ma
     }
 }
 
-/// Assembles the selected targets into a `batch x 1` matrix.
-pub(crate) fn batch_targets(targets: &[f64], idx: &[usize]) -> Matrix {
-    let mut m = Matrix::default();
-    batch_targets_into(targets, idx, &mut m);
-    m
-}
-
-/// Allocation-free [`batch_targets`]: every entry of `out` is overwritten.
+/// Assembles the selected targets into a `batch x 1` matrix; every
+/// entry of `out` is overwritten.
 pub(crate) fn batch_targets_into(targets: &[f64], idx: &[usize], out: &mut Matrix) {
     out.resize(idx.len(), 1);
     for (r, &i) in idx.iter().enumerate() {
@@ -43,7 +38,8 @@ mod tests {
         let m = batch_inputs(&inputs, &[2, 0]);
         assert_eq!(m.row(0), &[5.0, 6.0]);
         assert_eq!(m.row(1), &[1.0, 2.0]);
-        let t = batch_targets(&[10.0, 20.0, 30.0], &[2, 0]);
+        let mut t = Matrix::default();
+        batch_targets_into(&[10.0, 20.0, 30.0], &[2, 0], &mut t);
         assert_eq!(t.as_slice(), &[30.0, 10.0]);
     }
 }

@@ -1,7 +1,11 @@
-//! The common forecaster interface shared by LR, SVR, BP and LSTM.
+//! The common forecaster interface shared by LR, SVR, BP and LSTM, and
+//! the one fit loop they all train through.
 
 use pfdrl_data::SupervisedSet;
+use pfdrl_nn::optimizer::Adam;
 use pfdrl_nn::{F32LstmScratch, Layered, LstmScratch, Matrix};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 /// Numeric precision of the forecast *inference* path.
@@ -155,7 +159,50 @@ pub trait Forecaster: Layered + Send + Sync {
     fn method_name(&self) -> &'static str;
 }
 
-/// Deterministic index shuffle (Fisher–Yates) used by every fit loop.
+/// The fit loop every backend trains through: up to `max_epochs` epochs
+/// of a seeded shuffle cut into `cfg.batch`-sized minibatches, one Adam
+/// optimizer across the whole fit, and [`Convergence`] on the mean
+/// minibatch loss. `step` trains one minibatch, given its sample
+/// indices and the optimizer, and returns the minibatch loss.
+///
+/// # Panics
+/// Panics on an empty `set`.
+pub(crate) fn fit_epochs(
+    set: &SupervisedSet,
+    cfg: &TrainConfig,
+    max_epochs: usize,
+    mut step: impl FnMut(&[usize], &mut Adam) -> f64,
+) -> FitReport {
+    assert!(!set.is_empty(), "fit on empty dataset");
+    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(1));
+    let mut opt = Adam::new(cfg.lr);
+    let mut conv = Convergence::new(cfg.tol, cfg.patience);
+    let mut final_loss = f64::NAN;
+    for epoch in 0..max_epochs {
+        let idx = shuffled_indices(set.len(), &mut rng);
+        let mut epoch_loss = 0.0;
+        let mut batches = 0.0;
+        for chunk in idx.chunks(cfg.batch) {
+            epoch_loss += step(chunk, &mut opt);
+            batches += 1.0;
+        }
+        final_loss = epoch_loss / batches;
+        if conv.update(final_loss) {
+            return FitReport {
+                epochs: epoch + 1,
+                final_loss,
+                converged: true,
+            };
+        }
+    }
+    FitReport {
+        epochs: max_epochs,
+        final_loss,
+        converged: false,
+    }
+}
+
+/// Deterministic index shuffle (Fisher–Yates) of [`fit_epochs`].
 pub(crate) fn shuffled_indices(n: usize, rng: &mut impl rand::Rng) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
@@ -165,7 +212,7 @@ pub(crate) fn shuffled_indices(n: usize, rng: &mut impl rand::Rng) -> Vec<usize>
     idx
 }
 
-/// Epoch-loop early-stopping state machine shared by all fit loops.
+/// Early-stopping state machine of [`fit_epochs`].
 #[derive(Debug)]
 pub(crate) struct Convergence {
     tol: f64,
@@ -187,9 +234,9 @@ impl Convergence {
     /// Feeds one epoch's loss; returns `true` when training should stop.
     ///
     /// A non-finite loss stops immediately: the epoch's gradients are
-    /// garbage and every further epoch would train on garbage. Since
-    /// all four fit loops (LR/BP/SVR/LSTM) route their epoch losses
-    /// through here, this single guard covers forecaster fit.
+    /// garbage and every further epoch would train on garbage. Every
+    /// backend trains through [`fit_epochs`], so this single guard
+    /// covers forecaster fit.
     pub fn update(&mut self, loss: f64) -> bool {
         if !loss.is_finite() {
             return true;

@@ -3,7 +3,8 @@
 //! Per-device load forecasting for the PFDRL reproduction: the four
 //! compared algorithms (linear regression, support-vector regression,
 //! back-propagation MLP, LSTM) behind one [`Forecaster`] trait, plus the
-//! paper's accuracy metrics.
+//! paper's accuracy metrics. Linear regression is the BP network with no
+//! hidden layer, and all four train through one epoch loop.
 //!
 //! Every forecaster also implements `pfdrl_nn::Layered`, so the
 //! decentralized federation in `pfdrl-fl` can broadcast and average any
@@ -35,7 +36,6 @@ mod common;
 
 pub mod bp;
 pub mod forecaster;
-pub mod linreg;
 pub mod lstm_forecaster;
 pub mod method;
 pub mod metrics;
@@ -43,7 +43,6 @@ pub mod svr;
 
 pub use bp::BpNetwork;
 pub use forecaster::{FitReport, Forecaster, Precision, PredictWorkspace, TrainConfig};
-pub use linreg::LinearRegressor;
 pub use lstm_forecaster::LstmForecaster;
 pub use method::ForecastMethod;
 pub use svr::{SvrConfig, SvrRegressor};

@@ -5,11 +5,11 @@
 //! receives `[watt_t, sin, cos]`, with the time features repeated at
 //! every step so the recurrence can condition on time of day throughout.
 
+use crate::common::batch_targets_into;
 use crate::forecaster::{
-    shuffled_indices, Convergence, FitReport, Forecaster, Precision, PredictWorkspace, TrainConfig,
+    fit_epochs, FitReport, Forecaster, Precision, PredictWorkspace, TrainConfig,
 };
 use pfdrl_data::SupervisedSet;
-use pfdrl_nn::optimizer::Adam;
 use pfdrl_nn::{loss, F32Lstm, F32LstmScratch, Layered, Lstm, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,26 +76,26 @@ impl LstmForecaster {
     /// matrices of `[watt, sin, cos]`.
     fn to_sequence(&self, inputs: &[Vec<f64>], idx: &[usize]) -> Vec<Matrix> {
         let mut seq = Vec::new();
-        self.to_sequence_into(inputs, idx, &mut seq);
+        sequence_into(self.window, inputs, idx, &mut seq);
         seq
     }
+}
 
-    /// Allocation-free [`LstmForecaster::to_sequence`]: reuses the step
-    /// matrices held in `seq` (truncated/extended to `window` steps,
-    /// every entry overwritten).
-    fn to_sequence_into(&self, inputs: &[Vec<f64>], idx: &[usize], seq: &mut Vec<Matrix>) {
-        let batch = idx.len();
-        seq.resize(self.window, Matrix::default());
-        for (t, m) in seq.iter_mut().enumerate() {
-            m.resize(batch, 3);
-            for (r, &i) in idx.iter().enumerate() {
-                let f = &inputs[i];
-                debug_assert_eq!(f.len(), self.window + 2);
-                let row = m.row_mut(r);
-                row[0] = f[t];
-                row[1] = f[self.window];
-                row[2] = f[self.window + 1];
-            }
+/// Allocation-free [`LstmForecaster::to_sequence`]: reuses the step
+/// matrices held in `seq` (truncated/extended to `window` steps, every
+/// entry overwritten).
+fn sequence_into(window: usize, inputs: &[Vec<f64>], idx: &[usize], seq: &mut Vec<Matrix>) {
+    let batch = idx.len();
+    seq.resize(window, Matrix::default());
+    for (t, m) in seq.iter_mut().enumerate() {
+        m.resize(batch, 3);
+        for (r, &i) in idx.iter().enumerate() {
+            let f = &inputs[i];
+            debug_assert_eq!(f.len(), window + 2);
+            let row = m.row_mut(r);
+            row[0] = f[t];
+            row[1] = f[window];
+            row[2] = f[window + 1];
         }
     }
 }
@@ -124,54 +124,27 @@ impl Forecaster for LstmForecaster {
     }
 
     fn fit_budget(&mut self, set: &SupervisedSet, max_epochs: usize) -> FitReport {
-        assert!(!set.is_empty(), "fit on empty dataset");
         assert_eq!(
             set.feature_dim(),
             self.window + 2,
             "dataset window mismatch"
         );
-        let mut rng = StdRng::seed_from_u64(self.cfg.seed.wrapping_add(1));
-        let mut opt = Adam::new(self.cfg.lr);
-        let mut conv = Convergence::new(self.cfg.tol, self.cfg.patience);
-        let mut final_loss = f64::NAN;
         // Sequence/target/gradient buffers reused across every BPTT step.
         let mut seq = Vec::new();
         let (mut t, mut grad) = (Matrix::default(), Matrix::default());
-        for epoch in 0..max_epochs {
-            let idx = shuffled_indices(set.len(), &mut rng);
-            let mut epoch_loss = 0.0;
-            let mut batches = 0.0;
-            for chunk in idx.chunks(self.cfg.batch) {
-                self.to_sequence_into(&set.inputs, chunk, &mut seq);
-                t.resize(chunk.len(), 1);
-                for (r, &i) in chunk.iter().enumerate() {
-                    t.set(r, 0, set.targets[i]);
-                }
-                self.net.zero_grad();
-                let y = self.net.forward_ws(&seq);
-                let l = loss::mse_into(y, &t, &mut grad);
-                self.net.backward(&grad);
-                let net = &mut self.net;
-                opt.step_fused(net.param_tensor_count(), |f| net.for_each_param_grad(f));
-                epoch_loss += l;
-                batches += 1.0;
-            }
-            final_loss = epoch_loss / batches;
-            if conv.update(final_loss) {
-                self.refresh_mirror();
-                return FitReport {
-                    epochs: epoch + 1,
-                    final_loss,
-                    converged: true,
-                };
-            }
-        }
+        let net = &mut self.net;
+        let report = fit_epochs(set, &self.cfg, max_epochs, |chunk, opt| {
+            sequence_into(self.window, &set.inputs, chunk, &mut seq);
+            batch_targets_into(&set.targets, chunk, &mut t);
+            net.zero_grad();
+            let y = net.forward_ws(&seq);
+            let l = loss::mse_into(y, &t, &mut grad);
+            net.backward(&grad);
+            opt.step_fused(net.param_tensor_count(), |f| net.for_each_param_grad(f));
+            l
+        });
         self.refresh_mirror();
-        FitReport {
-            epochs: max_epochs,
-            final_loss,
-            converged: false,
-        }
+        report
     }
 
     fn predict(&self, inputs: &[Vec<f64>]) -> Vec<f64> {

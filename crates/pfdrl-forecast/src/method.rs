@@ -2,7 +2,6 @@
 
 use crate::bp::BpNetwork;
 use crate::forecaster::{Forecaster, TrainConfig};
-use crate::linreg::LinearRegressor;
 use crate::lstm_forecaster::LstmForecaster;
 use crate::svr::{SvrConfig, SvrRegressor};
 use serde::{Deserialize, Serialize};
@@ -38,10 +37,11 @@ impl ForecastMethod {
         }
     }
 
-    /// Instantiates a fresh forecaster of this method.
+    /// Instantiates a fresh forecaster of this method. LR is the BP
+    /// network with no hidden layer.
     pub fn build(self, feature_dim: usize, cfg: TrainConfig) -> Box<dyn Forecaster> {
         match self {
-            ForecastMethod::Lr => Box::new(LinearRegressor::new(feature_dim, cfg)),
+            ForecastMethod::Lr => Box::new(BpNetwork::with_hidden(feature_dim, &[], cfg)),
             ForecastMethod::Svm => Box::new(SvrRegressor::new(
                 feature_dim,
                 SvrConfig {
@@ -81,6 +81,29 @@ mod tests {
             let p = fc.predict(&input);
             assert_eq!(p.len(), 1);
             assert!(p[0].is_finite(), "{m} produced {p:?}");
+        }
+    }
+
+    #[test]
+    fn every_backend_rejects_an_empty_fit() {
+        let empty = pfdrl_data::SupervisedSet {
+            inputs: vec![],
+            targets: vec![],
+            window: 8,
+            horizon: 1,
+            scale: 1.0,
+            transform: Default::default(),
+        };
+        for m in ForecastMethod::ALL {
+            let mut fc = m.build(empty.feature_dim(), TrainConfig::default());
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fc.fit(&empty)))
+                .expect_err("fit on an empty set must panic");
+            let msg = err
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| err.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or_default();
+            assert!(msg.contains("fit on empty dataset"), "{m}: {msg:?}");
         }
     }
 

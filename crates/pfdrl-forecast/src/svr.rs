@@ -8,11 +8,8 @@
 //! (fixed features, degrades as data grows heterogeneous; "its
 //! performance with large datasets is lower than the others").
 
-use crate::forecaster::{
-    shuffled_indices, Convergence, FitReport, Forecaster, PredictWorkspace, TrainConfig,
-};
+use crate::forecaster::{fit_epochs, FitReport, Forecaster, PredictWorkspace, TrainConfig};
 use pfdrl_data::SupervisedSet;
-use pfdrl_nn::optimizer::{Adam, Optimizer};
 use pfdrl_nn::{Layered, Matrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,14 +96,15 @@ impl SvrRegressor {
         );
         out
     }
+}
 
-    fn predict_features(&self, z: &[f64]) -> f64 {
-        let mut acc = self.w[self.w.len() - 1]; // bias
-        for (w, z) in self.w.iter().zip(z.iter()) {
-            acc += w * z;
-        }
-        acc
+/// The linear model on a feature vector: bias, then `w . z`.
+fn predict_features(w: &[f64], z: &[f64]) -> f64 {
+    let mut acc = w[w.len() - 1]; // bias
+    for (w, z) in w.iter().zip(z.iter()) {
+        acc += w * z;
     }
+    acc
 }
 
 impl Layered for SvrRegressor {
@@ -134,64 +132,40 @@ impl Forecaster for SvrRegressor {
     }
 
     fn fit_budget(&mut self, set: &SupervisedSet, max_epochs: usize) -> FitReport {
-        assert!(!set.is_empty(), "fit on empty dataset");
         // Precompute the (fixed) feature map once per fit.
         let features: Vec<Vec<f64>> = set.inputs.iter().map(|x| self.transform(x)).collect();
-        let mut rng = StdRng::seed_from_u64(self.cfg.train.seed.wrapping_add(1));
-        let mut opt = Adam::new(self.cfg.train.lr);
-        let mut conv = Convergence::new(self.cfg.train.tol, self.cfg.train.patience);
-        let mut final_loss = f64::NAN;
-        let dim = self.w.len();
-        for epoch in 0..max_epochs {
-            let idx = shuffled_indices(set.len(), &mut rng);
-            let mut epoch_loss = 0.0;
-            let mut batches = 0.0;
-            for chunk in idx.chunks(self.cfg.train.batch) {
-                let mut grad = vec![0.0; dim];
-                let mut batch_loss = 0.0;
-                for &i in chunk {
-                    let z = &features[i];
-                    let err = self.predict_features(z) - set.targets[i];
-                    let excess = err.abs() - self.cfg.epsilon;
-                    if excess > 0.0 {
-                        batch_loss += excess;
-                        let s = err.signum() / chunk.len() as f64;
-                        for (g, z) in grad.iter_mut().zip(z.iter()) {
-                            *g += s * z;
-                        }
-                        grad[dim - 1] += s; // bias
+        let SvrRegressor { w, cfg, .. } = self;
+        let dim = w.len();
+        let mut grad = vec![0.0; dim];
+        fit_epochs(set, &cfg.train, max_epochs, |chunk, opt| {
+            grad.fill(0.0);
+            let mut batch_loss = 0.0;
+            for &i in chunk {
+                let z = &features[i];
+                let err = predict_features(w, z) - set.targets[i];
+                let excess = err.abs() - cfg.epsilon;
+                if excess > 0.0 {
+                    batch_loss += excess;
+                    let s = err.signum() / chunk.len() as f64;
+                    for (g, z) in grad.iter_mut().zip(z.iter()) {
+                        *g += s * z;
                     }
+                    grad[dim - 1] += s; // bias
                 }
-                // L2 regularization (not on the bias).
-                for (g, w) in grad.iter_mut().zip(self.w.iter()).take(dim - 1) {
-                    *g += self.cfg.lambda * w;
-                }
-                let gslice = &grad[..];
-                let mut pairs = [(&mut self.w[..], gslice)];
-                opt.step(&mut pairs);
-                epoch_loss += batch_loss / chunk.len() as f64;
-                batches += 1.0;
             }
-            final_loss = epoch_loss / batches;
-            if conv.update(final_loss) {
-                return FitReport {
-                    epochs: epoch + 1,
-                    final_loss,
-                    converged: true,
-                };
+            // L2 regularization (not on the bias).
+            for (g, w) in grad.iter_mut().zip(w.iter()).take(dim - 1) {
+                *g += cfg.lambda * w;
             }
-        }
-        FitReport {
-            epochs: max_epochs,
-            final_loss,
-            converged: false,
-        }
+            opt.step_fused(1, |f| f(0, w, &grad));
+            batch_loss / chunk.len() as f64
+        })
     }
 
     fn predict(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
         inputs
             .iter()
-            .map(|x| self.predict_features(&self.transform(x)))
+            .map(|x| predict_features(&self.w, &self.transform(x)))
             .collect()
     }
 

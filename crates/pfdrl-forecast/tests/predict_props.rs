@@ -11,8 +11,7 @@
 //! exact, as are signed zeros, infinities and every finite bit pattern.
 
 use pfdrl_forecast::{
-    BpNetwork, Forecaster, LinearRegressor, LstmForecaster, PredictWorkspace, SvrConfig,
-    SvrRegressor, TrainConfig,
+    BpNetwork, Forecaster, LstmForecaster, PredictWorkspace, SvrConfig, SvrRegressor, TrainConfig,
 };
 use pfdrl_nn::Matrix;
 use proptest::prelude::*;
@@ -116,7 +115,8 @@ proptest! {
         let cfg = TrainConfig::with_seed(seed % 1024);
         let mut ws = PredictWorkspace::default();
 
-        let mut lr = LinearRegressor::new(dim, cfg.clone());
+        // LR: the BP network with no hidden layer.
+        let mut lr = BpNetwork::with_hidden(dim, &[], cfg.clone());
         scramble_params(&mut lr, g);
         check_backend(&lr, g, &mut ws, dim);
 
@@ -145,7 +145,7 @@ proptest! {
         let mut ws = PredictWorkspace::default();
         let mut out = vec![1.0, 2.0];
         let models: Vec<Box<dyn Forecaster>> = vec![
-            Box::new(LinearRegressor::new(dim, TrainConfig::default())),
+            Box::new(BpNetwork::with_hidden(dim, &[], TrainConfig::default())),
             Box::new(BpNetwork::new(dim, TrainConfig::default())),
             Box::new(LstmForecaster::new(dim, TrainConfig::default())),
             Box::new(SvrRegressor::new(dim, SvrConfig::default())),

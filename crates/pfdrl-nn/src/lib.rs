@@ -16,21 +16,22 @@
 //! ## Example
 //!
 //! ```
-//! use pfdrl_nn::{Mlp, Activation, loss, optimizer::{Adam, Optimizer}, Matrix};
+//! use pfdrl_nn::{Mlp, Activation, loss, optimizer::Adam, Matrix};
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! let mut rng = StdRng::seed_from_u64(0);
 //! let mut net = Mlp::new(&[1, 16, 1], Activation::Tanh, Activation::Identity, &mut rng);
 //! let mut opt = Adam::new(0.01);
-//! // Fit y = 2x on a tiny batch.
+//! // Fit y = 2x on a tiny batch, on the allocation-free training path.
 //! let x = Matrix::from_vec(4, 1, vec![-1.0, -0.5, 0.5, 1.0]);
 //! let t = x.map(|v| 2.0 * v);
+//! let mut grad = Matrix::default();
 //! for _ in 0..200 {
 //!     net.zero_grad();
-//!     let y = net.forward(&x);
-//!     let (_, grad) = loss::mse(&y, &t);
-//!     net.backward(&grad);
-//!     opt.step(&mut net.param_grad_pairs());
+//!     let y = net.forward_ws(&x);
+//!     loss::mse_into(y, &t, &mut grad);
+//!     net.backward_ws(&x, &grad);
+//!     opt.step_fused(net.param_tensor_count(), |f| net.for_each_param_grad(f));
 //! }
 //! let (err, _) = loss::mse(&net.infer(&x), &t);
 //! assert!(err < 1e-2);

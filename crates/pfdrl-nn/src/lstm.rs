@@ -803,7 +803,7 @@ impl Layered for Lstm {
 mod tests {
     use super::*;
     use crate::loss::mse;
-    use crate::optimizer::{Adam, Optimizer};
+    use crate::optimizer::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -24,11 +24,11 @@ struct MlpWs {
 
 /// A stack of [`Dense`] layers.
 ///
-/// Two API families coexist: the original allocating
-/// `forward`/`infer`/`backward`, and the workspace variants
-/// ([`Mlp::forward_ws`], [`Mlp::infer_ws`], [`Mlp::backward_ws`]) that
-/// reuse buffers owned by the network and allocate nothing in steady
-/// state. Both produce bit-identical outputs and gradients.
+/// Trainers use the workspace family ([`Mlp::forward_ws`],
+/// [`Mlp::infer_ws`], [`Mlp::backward_ws`]), which reuses buffers owned
+/// by the network and allocates nothing in steady state. The allocating
+/// `forward`/`infer`/`backward` family is the oracle the twin tests
+/// compare it against: both produce bit-identical outputs and gradients.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Mlp {
     layers: Vec<Dense>,

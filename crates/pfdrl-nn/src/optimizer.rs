@@ -1,8 +1,11 @@
-//! First-order optimizers operating on (parameter, gradient) slice pairs.
+//! Adam, the one optimizer every trainer uses.
 //!
-//! The pairs come from `Mlp::param_grad_pairs` / `Lstm::param_grad_pairs`
-//! in a stable order, which lets a stateful optimizer (Adam, the one every
-//! trainer uses) keep its per-tensor state aligned across steps.
+//! Trainers update through [`Adam::step_fused`], driven by a network's
+//! `for_each_param_grad` visitor, which walks the (parameter, gradient)
+//! tensors in the stable `param_grad_pairs` order so the per-tensor
+//! moment state stays aligned across steps. [`Adam::step`] takes the
+//! same tensors as a collected pair list; it is the oracle the kernel
+//! property tests pin `step_fused` to.
 
 /// Visitor driven by [`Adam::step_fused`]: called once per tensor with
 /// `(stable index, parameters, gradients)`.
@@ -38,13 +41,45 @@ impl Adam {
             v: Vec::new(),
         }
     }
-}
 
-impl Adam {
+    /// Applies one update to a collected pair list. `pairs[i] =
+    /// (params, grads)` must keep the same shape and order across calls.
+    /// The reference [`Adam::step_fused`] is pinned to bit for bit.
+    pub fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]) {
+        if self.m.is_empty() {
+            self.m = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
+            self.v = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
+        }
+        assert_eq!(
+            self.m.len(),
+            pairs.len(),
+            "Adam: parameter set changed shape"
+        );
+        self.t += 1;
+        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
+        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        for (i, (w, g)) in pairs.iter_mut().enumerate() {
+            let (m, v) = (&mut self.m[i], &mut self.v[i]);
+            assert_eq!(w.len(), m.len(), "Adam: tensor changed size");
+            for (((w, g), m), v) in w
+                .iter_mut()
+                .zip(g.iter())
+                .zip(m.iter_mut())
+                .zip(v.iter_mut())
+            {
+                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
+                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
+                let mhat = *m / bc1;
+                let vhat = *v / bc2;
+                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
+            }
+        }
+    }
+
     /// Allocation-free Adam step driven by a visitor instead of a
     /// collected pair list: `for_each` must invoke its callback exactly
     /// once per tensor with `(index, params, grads)` in the same stable
-    /// order [`Optimizer::step`] would see (e.g.
+    /// order [`Adam::step`] would see (e.g.
     /// `Mlp::for_each_param_grad`). The per-element update is the same
     /// expression sequence as `step`, so the resulting weights are
     /// bit-identical; [`AdamState`] layout is unchanged.
@@ -105,7 +140,7 @@ impl Adam {
 
 /// Snapshot of Adam's internal moment estimates, for checkpointing.
 ///
-/// `m`/`v` are empty until the first [`Optimizer::step`] (Adam
+/// `m`/`v` are empty until the first step (Adam
 /// initializes them lazily); an empty snapshot restores that
 /// not-yet-stepped state.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -159,52 +194,12 @@ impl Adam {
     }
 }
 
-/// Anything that can apply one update step to a parameter set.
-pub trait Optimizer {
-    /// Applies one update. `pairs[i] = (params, grads)` must keep the same
-    /// shape and order across calls.
-    fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]);
-}
-
-impl Optimizer for Adam {
-    fn step(&mut self, pairs: &mut [(&mut [f64], &[f64])]) {
-        if self.m.is_empty() {
-            self.m = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
-            self.v = pairs.iter().map(|(w, _)| vec![0.0; w.len()]).collect();
-        }
-        assert_eq!(
-            self.m.len(),
-            pairs.len(),
-            "Adam: parameter set changed shape"
-        );
-        self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for (i, (w, g)) in pairs.iter_mut().enumerate() {
-            let (m, v) = (&mut self.m[i], &mut self.v[i]);
-            assert_eq!(w.len(), m.len(), "Adam: tensor changed size");
-            for (((w, g), m), v) in w
-                .iter_mut()
-                .zip(g.iter())
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
-            {
-                *m = self.beta1 * *m + (1.0 - self.beta1) * g;
-                *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *w -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Minimize f(w) = (w - 3)^2 from w = 0 with each optimizer.
-    fn converges<O: Optimizer>(mut opt: O, iters: usize) -> f64 {
+    /// Minimize f(w) = (w - 3)^2 from w = 0.
+    fn converges(mut opt: Adam, iters: usize) -> f64 {
         let mut w = [0.0f64];
         for _ in 0..iters {
             let g = [2.0 * (w[0] - 3.0)];

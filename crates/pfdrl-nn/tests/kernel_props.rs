@@ -17,7 +17,7 @@
 //! bit-identical checkpoint-resume guarantee actually needs (a run that
 //! hits NaN has already diverged and is not resumable).
 
-use pfdrl_nn::optimizer::{Adam, Optimizer};
+use pfdrl_nn::optimizer::Adam;
 use pfdrl_nn::{Activation, Layered, Matrix, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -257,7 +257,7 @@ proptest! {
     }
 
     /// `Adam::step_fused` applies the exact per-element update of the
-    /// pair-based `Optimizer::step`, bit for bit, across multiple steps
+    /// pair-based `Adam::step`, bit for bit, across multiple steps
     /// (so the first-moment history and bias correction agree too).
     #[test]
     fn adam_step_fused_matches_step_bitwise(

@@ -1,15 +1,20 @@
 //! Pins the deterministic outputs of both EMS entry points across
 //! commits: the batch run that `repro run --quick` computes and the
-//! serve decision log over the committed CI fixture. Each is folded
-//! into an FNV-1a-64 hash over exact bit patterns, so a refactor that
-//! claims to move no bit can be checked against the literals below
-//! instead of against a second checkout.
+//! serve decision log over the committed CI fixture. It also pins the
+//! forecast phase of every forecasting backend under every training
+//! architecture. Each is folded into an FNV-1a-64 hash over exact bit
+//! patterns, so a refactor that claims to move no bit can be checked
+//! against the literals below instead of against a second checkout.
 //!
 //! Floats are hashed by `to_bits()`, not through JSON: the JSON writer
 //! prints NaN and both infinities as `null`, so it would hide a change
 //! between them.
 
-use pfdrl_core::{run_method, train_forecasters, EmsMethod, RunResult, SimConfig};
+use pfdrl_core::EmsMethod::{Cloud, Fl, Local, Pfdrl};
+use pfdrl_core::{
+    evaluate_forecast, run_method, train_forecasters, EmsMethod, RunResult, SimConfig,
+};
+use pfdrl_forecast::ForecastMethod::{self, Bp, Lr, Lstm, Svm};
 use pfdrl_serve::{NdjsonSource, ServeConfig, ServeEngine, VecSink};
 use std::io::BufReader;
 
@@ -19,6 +24,27 @@ const BATCH_RESULT_HASH: u64 = 0xe760_9054_de41_6b76;
 const SERVE_LOG_HASH: u64 = 0x052d_7e01_3c49_47cd;
 const SERVE_LOG_LINES: usize = 17_244;
 const SERVE_FINAL_SAVED_FRACTION_BITS: u64 = 0x3fe0_7d31_08fb_ee7e;
+/// `train_forecasters` + `evaluate_forecast` on the cut-down tiny
+/// config of [`forecast_config`], per backend and training
+/// architecture. FRL trains the same forecast phase as FL.
+const FORECAST_PHASE_HASHES: [(ForecastMethod, EmsMethod, u64); 16] = [
+    (Lr, Local, 0x9a09_feed_03b3_823a),
+    (Lr, Cloud, 0x0f32_f33f_d819_22c9),
+    (Lr, Fl, 0xb84a_3f2d_7f3d_f3fb),
+    (Lr, Pfdrl, 0x7549_90e3_bc03_0d77),
+    (Svm, Local, 0x97c5_ac76_6594_3f51),
+    (Svm, Cloud, 0x24ec_08e4_7bbb_7355),
+    (Svm, Fl, 0x589c_45ee_f50d_6a2b),
+    (Svm, Pfdrl, 0xee22_6bb4_41ca_35ec),
+    (Bp, Local, 0xb22a_8ab3_7cf3_c08e),
+    (Bp, Cloud, 0xa790_5931_81d4_20f2),
+    (Bp, Fl, 0x6153_ae41_6b07_0bf7),
+    (Bp, Pfdrl, 0x91f6_ce8a_27c1_d475),
+    (Lstm, Local, 0xaa59_8b72_d1d0_45fa),
+    (Lstm, Cloud, 0xf1f6_5b28_37bf_e892),
+    (Lstm, Fl, 0x41bf_e697_9cd9_d224),
+    (Lstm, Pfdrl, 0x440a_b715_996f_0f9b),
+];
 
 /// FNV-1a, 64-bit.
 struct Fnv(u64);
@@ -116,4 +142,46 @@ fn serve_fixture_log_matches_pinned_hash() {
         final_bits, SERVE_FINAL_SAVED_FRACTION_BITS,
         "final saved fraction bits {final_bits:#018x}"
     );
+}
+
+/// `SimConfig::tiny(42)` cut to 2 homes, 1 eval day, stride 30 and 2
+/// epochs, so all 16 phases train in seconds.
+fn forecast_config(method: ForecastMethod) -> SimConfig {
+    let mut cfg = SimConfig::tiny(42);
+    cfg.n_residences = 2;
+    cfg.eval_days = 1;
+    cfg.stride = 30;
+    cfg.train.max_epochs = 2;
+    cfg.forecast_method = method;
+    cfg
+}
+
+/// Every exported weight in home/device/layer order, the phase's
+/// communication costs, then the mean evaluated accuracy.
+fn hash_forecast_phase(method: ForecastMethod, ems: EmsMethod) -> u64 {
+    let cfg = forecast_config(method);
+    let phase = train_forecasters(&cfg, ems);
+    let mut h = Fnv::new();
+    for home in &phase.models {
+        for model in home {
+            model.export_all().iter().for_each(|l| h.f64s(l));
+        }
+    }
+    h.f64(phase.comm_s);
+    h.u64(phase.comm_bytes);
+    h.u64(phase.comm_logical_bytes);
+    h.f64(evaluate_forecast(&cfg, &phase).mean);
+    h.0
+}
+
+#[test]
+fn forecast_phase_of_every_backend_matches_pinned_hash() {
+    let mismatches: Vec<String> = FORECAST_PHASE_HASHES
+        .iter()
+        .filter_map(|&(method, ems, want)| {
+            let got = hash_forecast_phase(method, ems);
+            (got != want).then(|| format!("{method} {ems:?}: {got:#018x} (pinned {want:#018x})"))
+        })
+        .collect();
+    assert!(mismatches.is_empty(), "{}", mismatches.join("\n"));
 }
