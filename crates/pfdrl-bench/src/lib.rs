@@ -56,9 +56,7 @@ pub fn repro_config(seed: u64) -> SimConfig {
         fault: pfdrl_fl::FaultConfig::default(),
         checkpoint: pfdrl_core::CheckpointPolicy::default(),
         aggregation: pfdrl_fl::AggregationMode::PerHome,
-        max_shard_bytes: 0,
         sensor_fault: pfdrl_data::SensorFaultConfig::default(),
-        health: pfdrl_core::HealthPolicy::default(),
         supervision: pfdrl_core::SupervisionPolicy::default(),
         precision: pfdrl_core::Precision::F64,
         compression: pfdrl_fl::PayloadCodec::Raw,

@@ -13,8 +13,7 @@
 
 use pfdrl_bench::alloc::{count_allocations, CountingAlloc};
 use pfdrl_fl::{
-    BroadcastBus, DflRound, FaultConfig, HierarchicalRound, LatencyModel, MergePolicy, RoundParams,
-    ShardPlan,
+    BroadcastBus, DflRound, FaultConfig, HierarchicalRound, LatencyModel, RoundParams, ShardPlan,
 };
 use pfdrl_nn::{Activation, Mlp};
 use rand::rngs::StdRng;
@@ -58,12 +57,10 @@ fn steady_allocations_per_round(mut round: impl FnMut(&mut [Mlp], u64)) -> (f64,
 
 #[test]
 fn steady_state_round_allocations_are_bounded() {
-    let policy = MergePolicy::default();
     let params = |round| RoundParams {
         round,
         model_id: 0,
         alpha: None,
-        policy: &policy,
         participants: None,
     };
 

@@ -7,89 +7,17 @@ use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec};
 use pfdrl_forecast::{ForecastMethod, Precision, TrainConfig};
 use serde::{Deserialize, Serialize};
 
-fn default_dirty_minutes() -> u32 {
-    30
-}
-fn default_quarantine_after_days() -> u32 {
-    2
-}
-fn default_readmit_after_days() -> u32 {
-    2
-}
-fn default_supervision_window_days() -> u64 {
-    3
-}
-
-/// Per-home telemetry-health policy: when a home counts as dirty, how
-/// quickly repeated dirt escalates to quarantine, and how much clean
-/// history re-admits it. The thresholds only matter once imputation
-/// actually fires, so a fault-free run never transitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct HealthPolicy {
-    /// A home's day is dirty when at least this many device-minutes
-    /// were imputed across its devices.
-    #[serde(default = "default_dirty_minutes")]
-    pub dirty_minutes: u32,
-    /// Consecutive dirty days (while Degraded) before quarantine.
-    #[serde(default = "default_quarantine_after_days")]
-    pub quarantine_after_days: u32,
-    /// Consecutive clean days before a quarantined home is re-admitted
-    /// to federation uploads (hysteresis).
-    #[serde(default = "default_readmit_after_days")]
-    pub readmit_after_days: u32,
-}
-
-impl Default for HealthPolicy {
-    fn default() -> Self {
-        HealthPolicy {
-            dirty_minutes: default_dirty_minutes(),
-            quarantine_after_days: default_quarantine_after_days(),
-            readmit_after_days: default_readmit_after_days(),
-        }
-    }
-}
-
-impl HealthPolicy {
-    /// Validates threshold sanity.
-    ///
-    /// # Panics
-    /// Panics with a descriptive message on an invalid policy.
-    pub fn validate(&self) {
-        assert!(self.dirty_minutes >= 1, "dirty_minutes must be >= 1");
-        assert!(
-            self.quarantine_after_days >= 1,
-            "quarantine_after_days must be >= 1"
-        );
-        assert!(
-            self.readmit_after_days >= 1,
-            "readmit_after_days must be >= 1"
-        );
-    }
-}
-
 /// Training-divergence supervision: a windowed loss-explosion detector
 /// plus automatic rollback to the last good checkpoint. Disabled by
 /// default (`explode_factor == 0`), in which case the runner behaves
 /// exactly as before.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct SupervisionPolicy {
     /// A completed day diverges when its fleet mean train loss is
-    /// non-finite or exceeds this factor × the trailing-window mean.
-    /// `0.0` disables supervision entirely.
+    /// non-finite or exceeds this factor × the mean loss of the three
+    /// completed days before it. `0.0` disables supervision entirely.
     #[serde(default)]
     pub explode_factor: f64,
-    /// Trailing window (in completed days) the detector baselines on.
-    #[serde(default = "default_supervision_window_days")]
-    pub window_days: u64,
-}
-
-impl Default for SupervisionPolicy {
-    fn default() -> Self {
-        SupervisionPolicy {
-            explode_factor: 0.0,
-            window_days: default_supervision_window_days(),
-        }
-    }
 }
 
 impl SupervisionPolicy {
@@ -107,7 +35,6 @@ impl SupervisionPolicy {
             self.explode_factor.is_finite() && self.explode_factor >= 0.0,
             "explode_factor must be finite and non-negative"
         );
-        assert!(self.window_days >= 1, "window_days must be >= 1");
     }
 }
 
@@ -215,24 +142,12 @@ pub struct SimConfig {
     /// the flat fast path over one fleet-wide bus.
     #[serde(default)]
     pub aggregation: AggregationMode,
-    /// Federation memory budget, bytes, for the largest reduction
-    /// domain (the biggest shard under `Hierarchical`, the whole fleet
-    /// under `PerHome`). `0` = unlimited. When set, validation
-    /// fails early — at config time, with the offending numbers — if
-    /// the domain's estimated resident payload exceeds the budget,
-    /// instead of OOMing mid-run at fleet scale.
-    #[serde(default)]
-    pub max_shard_bytes: u64,
     /// Seeded sensor-fault injection into per-home minute streams
     /// (dropouts, stuck-at, spikes, NaN/negative watts, clock skew).
     /// Defaults to inactive — every reading passes through untouched
     /// and runs stay bit-identical to fault-free builds.
     #[serde(default)]
     pub sensor_fault: SensorFaultConfig,
-    /// Per-home telemetry-health machine thresholds (imputation dirt,
-    /// quarantine escalation, re-admission hysteresis).
-    #[serde(default)]
-    pub health: HealthPolicy,
     /// Training-divergence supervision + checkpoint rollback. Off by
     /// default.
     #[serde(default)]
@@ -276,9 +191,7 @@ impl Default for SimConfig {
             fault: FaultConfig::default(),
             checkpoint: CheckpointPolicy::default(),
             aggregation: AggregationMode::PerHome,
-            max_shard_bytes: 0,
             sensor_fault: SensorFaultConfig::default(),
-            health: HealthPolicy::default(),
             supervision: SupervisionPolicy::default(),
             precision: Precision::F64,
             compression: PayloadCodec::Raw,
@@ -341,9 +254,7 @@ impl SimConfig {
             fault: FaultConfig::default(),
             checkpoint: CheckpointPolicy::default(),
             aggregation: AggregationMode::PerHome,
-            max_shard_bytes: 0,
             sensor_fault: SensorFaultConfig::default(),
-            health: HealthPolicy::default(),
             supervision: SupervisionPolicy::default(),
             precision: Precision::F64,
             compression: PayloadCodec::Raw,
@@ -407,39 +318,15 @@ impl SimConfig {
                 "hierarchical aggregation needs at least one shard"
             );
         }
-        if self.max_shard_bytes > 0 {
-            // Largest reduction domain: the biggest shard under
-            // Hierarchical (round-robin and archetype chunking are both
-            // balanced, so ceil(n/k)), the whole fleet under PerHome.
-            let domain = match self.aggregation {
-                AggregationMode::Hierarchical { shards, .. } => self
-                    .n_residences
-                    .div_ceil(shards.clamp(1, self.n_residences)),
-                AggregationMode::PerHome => self.n_residences,
-            } as u64;
-            let resident = domain * self.estimated_update_bytes();
-            assert!(
-                resident <= self.max_shard_bytes,
-                "largest federation domain needs ~{} B resident payloads \
-                 ({} homes x {} B/update), over max_shard_bytes = {}; \
-                 raise the budget or increase the shard count",
-                resident,
-                domain,
-                self.estimated_update_bytes(),
-                self.max_shard_bytes
-            );
-        }
         self.fault.validate();
         self.sensor_fault.validate();
-        self.health.validate();
         self.supervision.validate();
     }
 
     /// Estimated bytes of one home's LAN federation payload: the α
     /// base layers (weights + biases) of the per-device DQN at the
     /// configured codec's wire size (8 B per f64 under `Raw`) — the
-    /// column that dominates resident federation memory. Feeds the
-    /// `max_shard_bytes` early guard.
+    /// column that dominates resident federation memory.
     pub fn estimated_update_bytes(&self) -> u64 {
         let state_dim = 2 * self.state_window + 6;
         let mut dims = vec![state_dim];
@@ -574,48 +461,6 @@ mod tests {
         // pre-hierarchical configs keep their exact JSON shape.
         let json = serde_json::to_string(&base).unwrap();
         assert!(json.contains("\"aggregation\":\"PerHome\""));
-    }
-
-    #[test]
-    fn shard_budget_guard_passes_when_sharded() {
-        use pfdrl_fl::ShardAssignment;
-        let mut small = SimConfig::tiny(5);
-        small.n_residences = 64;
-        // One update is a few KiB; 16 shards of 4 homes fit easily.
-        small.max_shard_bytes = 64 * 1024;
-        small.aggregation = AggregationMode::Hierarchical {
-            shards: 16,
-            assignment: ShardAssignment::RoundRobin,
-        };
-        // A one-device, one-day 10,000-home fleet in 32 shards: ~313
-        // homes x ~2.4 KiB ≈ 0.75 MiB resident per shard fits a 4 MiB
-        // budget with headroom.
-        let mut city = SimConfig::tiny(42);
-        city.n_residences = 10_000;
-        city.devices = vec![pfdrl_data::DeviceType::Tv];
-        city.eval_days = 1;
-        city.max_shard_bytes = 4 * 1024 * 1024;
-        city.aggregation = AggregationMode::Hierarchical {
-            shards: 32,
-            assignment: ShardAssignment::RoundRobin,
-        };
-        for cfg in [small, city] {
-            cfg.validate();
-            assert!(cfg.estimated_update_bytes() > 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "max_shard_bytes")]
-    fn shard_budget_guard_rejects_oversized_flat_fleet() {
-        let mut cfg = SimConfig::tiny(5);
-        cfg.n_residences = 100_000;
-        cfg.aggregation = AggregationMode::Hierarchical {
-            shards: 1,
-            assignment: pfdrl_fl::ShardAssignment::RoundRobin,
-        };
-        cfg.max_shard_bytes = 1024 * 1024; // ~100k homes never fit 1 MiB
-        cfg.validate();
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! federation step runs at the boundary. Every device-minute runs through
 //! [`run_device_span`], the one decision loop the serve mode runs too.
 
-use crate::config::{HealthPolicy, SimConfig};
+use crate::config::SimConfig;
 use crate::forecast::ForecastPhase;
 use crate::method::EmsMethod;
 use pfdrl_data::{
@@ -70,11 +70,24 @@ pub enum HealthState {
     Quarantined,
 }
 
+/// A home's day is dirty when at least this many device-minutes were
+/// imputed across its devices.
+const DIRTY_MINUTES: u32 = 30;
+/// Consecutive dirty days (while Degraded) before quarantine.
+const QUARANTINE_AFTER_DAYS: u32 = 2;
+/// Consecutive clean days before a quarantined home is re-admitted to
+/// federation uploads.
+const READMIT_AFTER_DAYS: u32 = 2;
+
+/// Completed days before the current one that the divergence
+/// supervisor baselines its loss on.
+const SUPERVISION_WINDOW_DAYS: usize = 3;
+
 /// Per-home telemetry health machine: Healthy → Degraded on a dirty
-/// day, Degraded → Quarantined after `quarantine_after_days`
+/// day, Degraded → Quarantined after `QUARANTINE_AFTER_DAYS` (2)
 /// consecutive dirty days, Quarantined → Healthy again only after
-/// `readmit_after_days` consecutive clean days (hysteresis, so a home
-/// flapping between clean and dirty stays out of the federation).
+/// `READMIT_AFTER_DAYS` (2) consecutive clean days (hysteresis, so a
+/// home flapping between clean and dirty stays out of the federation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HomeHealth {
     /// Current state.
@@ -103,13 +116,13 @@ impl HomeHealth {
 
     /// Feeds one completed day's imputation verdict; returns whether
     /// the state changed.
-    pub fn observe_day(&mut self, dirty: bool, policy: &HealthPolicy) -> bool {
+    pub fn observe_day(&mut self, dirty: bool) -> bool {
         let before = self.state;
         if dirty {
             self.clean_days = 0;
             if self.state != HealthState::Quarantined {
                 self.dirty_days += 1;
-                self.state = if self.dirty_days >= policy.quarantine_after_days {
+                self.state = if self.dirty_days >= QUARANTINE_AFTER_DAYS {
                     HealthState::Quarantined
                 } else {
                     HealthState::Degraded
@@ -124,7 +137,7 @@ impl HomeHealth {
                 }
                 HealthState::Quarantined => {
                     self.clean_days += 1;
-                    if self.clean_days >= policy.readmit_after_days {
+                    if self.clean_days >= READMIT_AFTER_DAYS {
                         self.state = HealthState::Healthy;
                         self.dirty_days = 0;
                         self.clean_days = 0;
@@ -661,7 +674,7 @@ impl EmsState {
         // whose stream needed heavy repair this morning does not upload
         // tonight.
         if faults_on {
-            self.observe_health(cfg, ws.homes.iter().map(|hw| hw.imputed_minutes));
+            self.observe_health(ws.homes.iter().map(|hw| hw.imputed_minutes));
             self.count_quarantined();
         }
 
@@ -683,7 +696,7 @@ impl EmsState {
 
             // Federation at the boundary (if the day is not over early).
             if seg_end < MINUTES_PER_DAY || next_boundary == day_minute0 + MINUTES_PER_DAY {
-                self.federate_round(cfg, federation);
+                self.federate_round(federation);
             }
             seg_start = seg_end;
         }
@@ -693,11 +706,12 @@ impl EmsState {
     }
 
     /// Feeds one completed day's imputed-minute counts, one per home in
-    /// home order, through the health machines.
-    pub fn observe_health(&mut self, cfg: &SimConfig, imputed: impl IntoIterator<Item = u32>) {
+    /// home order, through the health machines: a day with at least
+    /// `DIRTY_MINUTES` (30) imputed device-minutes is dirty.
+    pub fn observe_health(&mut self, imputed: impl IntoIterator<Item = u32>) {
         for (health, minutes) in self.health.iter_mut().zip(imputed) {
             self.imputed_minutes += minutes as u64;
-            if health.observe_day(minutes >= cfg.health.dirty_minutes, &cfg.health) {
+            if health.observe_day(minutes >= DIRTY_MINUTES) {
                 self.health_transitions += 1;
             }
         }
@@ -762,9 +776,10 @@ impl EmsState {
 
     /// Whether the just-completed day diverged under the configured
     /// supervision policy: its fleet mean loss is non-finite, or it
-    /// exceeds `explode_factor` × the trailing-window mean. A pure
-    /// function of snapshotted state, so a resumed run reaches the
-    /// exact same verdicts as the uninterrupted one.
+    /// exceeds `explode_factor` × the mean over the trailing
+    /// `SUPERVISION_WINDOW_DAYS` (3) days. A pure function of
+    /// snapshotted state, so a resumed run reaches the exact same
+    /// verdicts as the uninterrupted one.
     pub fn last_day_diverged(&self, cfg: &SimConfig) -> bool {
         let sup = &cfg.supervision;
         if !sup.is_active() {
@@ -781,7 +796,7 @@ impl EmsState {
         // day without gradient steps — warmup or a frozen re-run — and
         // carries no loss-scale information).
         let n = losses.len() - 1;
-        let window = &losses[n.saturating_sub(sup.window_days as usize)..n];
+        let window = &losses[n.saturating_sub(SUPERVISION_WINDOW_DAYS)..n];
         let mut sum = 0.0f64;
         let mut count = 0u32;
         for &v in window {
@@ -896,14 +911,14 @@ impl EmsState {
     pub fn federate_now(&mut self, cfg: &SimConfig, method: EmsMethod) {
         let federation = method.drl_federation(cfg.alpha);
         if federation != DrlFederation::None {
-            self.federate_round(cfg, federation);
+            self.federate_round(federation);
         }
     }
 
     /// Advances the round counter and runs one round of `federation`
     /// per device column, in device order, withholding quarantined
     /// homes' uploads.
-    fn federate_round(&mut self, cfg: &SimConfig, federation: DrlFederation) {
+    fn federate_round(&mut self, federation: DrlFederation) {
         self.fed_round += 1;
         let alpha = match federation {
             DrlFederation::None => return,
@@ -916,7 +931,6 @@ impl EmsState {
             self.participants
                 .extend(self.health.iter().map(|h| !h.quarantined()));
         }
-        let policy = cfg.fault.merge_policy();
         for device in 0..self.agents[0].len() {
             let mut col: Vec<&mut DqnAgent> = self
                 .agents
@@ -927,7 +941,6 @@ impl EmsState {
                 round: self.fed_round,
                 model_id: device as u64,
                 alpha,
-                policy: &policy,
                 participants: any_quarantined.then_some(&self.participants[..]),
             };
             // FRL federates through the cloud server. PFDRL runs the
@@ -1409,14 +1422,36 @@ mod tests {
 
     #[test]
     fn pfdrl_federation_preserves_personal_layers() {
-        // After a run, PFDRL agents share base layers but keep distinct
-        // personalization layers.
+        // The run's last γ boundary ends the last day and federates, so
+        // afterwards every home holds the same base layers (Eq. 7) and
+        // its own personalization layers (Eq. 8).
+        use pfdrl_nn::Layered;
         let cfg = SimConfig::tiny(5);
         let forecast = train_forecasters(&cfg, EmsMethod::Pfdrl);
-        let _ = run_ems(&cfg, EmsMethod::Pfdrl, &forecast);
-        // (Agents are internal to run_ems; the property is asserted at the
-        // unit level in pfdrl-fl. Here we just confirm the run completes
-        // with sharing enabled — see personalization tests for the
-        // layer-level invariant.)
+        let mut state = EmsState::fresh(&cfg);
+        while !state.done(&cfg) {
+            state.advance_day(&cfg, EmsMethod::Pfdrl, &forecast);
+        }
+        for device in 0..cfg.devices_per_home() {
+            let homes: Vec<Vec<Vec<f64>>> = state
+                .agents
+                .iter()
+                .map(|agents| agents[device].export_all())
+                .collect();
+            for (home, layers) in homes.iter().enumerate().skip(1) {
+                for l in 0..cfg.alpha {
+                    for (a, b) in homes[0][l].iter().zip(&layers[l]) {
+                        assert!(
+                            (a - b).abs() < 1e-12,
+                            "device {device}: base layer {l} of home {home} drifted: {a} vs {b}"
+                        );
+                    }
+                }
+            }
+            assert!(
+                (cfg.alpha..homes[0].len()).any(|l| homes.iter().any(|h| h[l] != homes[0][l])),
+                "device {device}: every personalization layer is shared"
+            );
+        }
     }
 }

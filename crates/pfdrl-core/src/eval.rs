@@ -5,7 +5,7 @@ use crate::config::SimConfig;
 use crate::ems::{predict_day_into, PredictDayWorkspace};
 use crate::forecast::ForecastPhase;
 use pfdrl_data::{DayTrace, TraceGenerator};
-use pfdrl_forecast::metrics::{paper_accuracies, DEFAULT_ACCURACY_FLOOR_WATTS};
+use pfdrl_forecast::metrics::{sample_accuracy, DEFAULT_ACCURACY_FLOOR_WATTS};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +49,7 @@ pub fn evaluate_forecast(cfg: &SimConfig, forecast: &ForecastPhase) -> ForecastE
                         if *r < DEFAULT_ACCURACY_FLOOR_WATTS {
                             continue;
                         }
-                        let a = paper_accuracies(&[*p], &[*r], DEFAULT_ACCURACY_FLOOR_WATTS)[0];
+                        let a = sample_accuracy(*p, *r);
                         accs.push(a);
                         hour_sum[t / 60] += a;
                         hour_n[t / 60] += 1.0;

@@ -11,7 +11,7 @@ use crate::eval::evaluate_forecast;
 use crate::forecast::train_forecasters;
 use crate::method::EmsMethod;
 use crate::runner::{run_method, run_method_with_forecast, MethodRun};
-use pfdrl_data::{PricePlan, TraceGenerator};
+use pfdrl_data::PricePlan;
 use pfdrl_forecast::metrics::accuracy_cdf;
 use pfdrl_forecast::ForecastMethod;
 use serde::{Deserialize, Serialize};
@@ -280,8 +280,6 @@ pub fn fig10_monetary(base: &SimConfig) -> Fig10Result {
         .iter()
         .map(|v| v / days)
         .collect();
-    let gen = TraceGenerator::new(base.generator());
-    let _ = gen; // generator kept for future seasonal standby profiles
     let month_days = [
         31.0, 28.0, 31.0, 30.0, 31.0, 30.0, 31.0, 31.0, 30.0, 31.0, 30.0, 31.0,
     ];
@@ -446,9 +444,9 @@ pub struct DegradationResult {
 
 /// Sweeps PFDRL over `(dropout_rate, loss_rate)` pairs and reports
 /// forecast accuracy and standby-energy savings against the fault-free
-/// baseline. Quorum/staleness knobs are taken from `base.fault`; only
-/// the two rates vary. The fault seed stays fixed so rows differ only
-/// in fault intensity, not fault pattern.
+/// baseline. The rest of `base.fault` (seed, straggler and corruption
+/// rates) is kept; only the two rates vary. The fault seed stays fixed
+/// so rows differ only in fault intensity, not fault pattern.
 ///
 /// Rows are independent simulations (each gets its own `SimConfig`
 /// clone and RNG chain), so they run in parallel via `par_iter`; the

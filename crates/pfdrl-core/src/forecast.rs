@@ -11,7 +11,7 @@
 use crate::config::SimConfig;
 use crate::method::EmsMethod;
 use pfdrl_data::dataset::build_windows_transformed;
-use pfdrl_data::{SupervisedSet, TraceGenerator, MINUTES_PER_DAY};
+use pfdrl_data::{SupervisedSet, TraceGenerator};
 use pfdrl_fl::{BroadcastBus, CloudRound, DflRound, LatencyModel, RoundParams};
 use pfdrl_forecast::{Forecaster, TrainConfig};
 use rayon::prelude::*;
@@ -116,16 +116,10 @@ pub fn training_set(
     let start = cfg.eval_start_day - cfg.train_days;
     let watts = gen.multi_day_watts(home, device, start..cfg.eval_start_day);
     let scale = gen.household(home).devices[device].on_watts;
-    let start_minute = (start as usize * MINUTES_PER_DAY) % MINUTES_PER_DAY; // always 0, kept for clarity
-    build_windows_transformed(
-        &watts,
-        scale,
-        cfg.window,
-        cfg.horizon,
-        start_minute,
-        cfg.transform,
-    )
-    .strided(cfg.stride)
+    // The span starts at a day boundary: its first minute is minute 0
+    // of the day.
+    build_windows_transformed(&watts, scale, cfg.window, cfg.horizon, 0, cfg.transform)
+        .strided(cfg.stride)
 }
 
 fn fresh_models(cfg: &SimConfig) -> Vec<Vec<Box<dyn Forecaster>>> {
@@ -156,11 +150,15 @@ fn fresh_models(cfg: &SimConfig) -> Vec<Vec<Box<dyn Forecaster>>> {
 }
 
 /// Number of federation rounds implied by the broadcast period β over the
-/// training span, and the per-round epoch budget. The total epoch budget
-/// is held (approximately) constant across β so the sweep isolates the
-/// *frequency* effect: very small β means averaging after every epoch
-/// (cold-start optimizers, half-trained models), large β means few
-/// aggregations.
+/// training span, and the per-round epoch budget: one round per β of
+/// training hours, capped at `2 × max_epochs` rounds, and
+/// `max_epochs / rounds` epochs per round, floored and at least 1. The
+/// total budget `rounds × epochs_per_round` therefore varies with β: it
+/// is `max_epochs` only where `rounds` divides it, less where the floor
+/// drops a remainder, and up to twice `max_epochs` once rounds exceed
+/// `max_epochs` and every round still trains one epoch. Very small β
+/// means averaging after every epoch (cold-start optimizers,
+/// half-trained models), large β means few aggregations.
 pub fn rounds_for_beta(cfg: &SimConfig) -> (usize, usize) {
     let train_hours = cfg.train_days as f64 * 24.0;
     let raw_rounds = (train_hours / cfg.beta_hours).floor().max(1.0) as usize;
@@ -298,7 +296,6 @@ fn federated_rounds(
     mut federate: impl FnMut(&mut [&mut (dyn Forecaster + 'static)], &RoundParams<'_>),
 ) {
     let (rounds, epochs_per_round) = rounds_for_beta(cfg);
-    let policy = cfg.fault.merge_policy();
     for round in 0..rounds {
         models
             .par_iter_mut()
@@ -317,7 +314,6 @@ fn federated_rounds(
                 round: round as u64,
                 model_id: device as u64,
                 alpha: None,
-                policy: &policy,
                 participants: None,
             };
             federate(&mut col, &p);
@@ -381,9 +377,8 @@ fn train_dfl_lan(
     // order (so each bus sees the exact event sequence of the
     // sequential reference), then per-home merges on the device's bus —
     // or, under Hierarchical, the shard buses and the O(N) shared sum
-    // for every home whose round was fault-free. Corrupted or stale
-    // updates are rejected inside the validated merge; a layer that
-    // misses the quorum keeps the local parameters this round.
+    // for every home whose round was fault-free. Corrupted updates are
+    // rejected inside the validated merge.
     federated_rounds(cfg, sets, models, |col, p| match hier.as_mut() {
         Some(h) => {
             let _ = h.run(col, p);

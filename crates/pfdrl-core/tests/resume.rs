@@ -380,21 +380,18 @@ fn resume_is_bit_identical_under_f32fast_lstm_inference() {
 #[test]
 fn frl_method_resumes_bit_identically_under_chaos_with_failed_rounds() {
     // FRL is the one method whose Q-networks federate through the cloud
-    // server. Half the uploads churn, drop or arrive damaged, and a
-    // quorum of 2 makes some rounds fail; those rounds keep every local
-    // agent, on both sides of a snapshot.
+    // server. Half the uploads churn, drop or arrive damaged, so some
+    // rounds average nothing; those rounds keep every local agent, on
+    // both sides of a snapshot.
     let mut cfg = SimConfig::tiny(4);
     cfg.eval_days = 3;
-    cfg.fault = FaultConfig {
-        min_quorum: 2,
-        ..FaultConfig::chaos(4, 0.5)
-    };
+    cfg.fault = FaultConfig::chaos(4, 0.5);
     let forecast = train_forecasters(&cfg, EmsMethod::Frl);
     let mut state = EmsState::fresh(&cfg);
     let mut failures = Vec::new();
     while !state.done(&cfg) {
         state.advance_day(&cfg, EmsMethod::Frl, &forecast);
-        failures.push(state.cloud.stats().quorum_failures);
+        failures.push(state.cloud.stats().empty_rounds);
     }
     assert!(
         failures[0] > 0 && failures[2] > failures[0],

@@ -30,7 +30,6 @@
 //! supervision upstream exists to catch.
 
 use crate::rng::mix_seed;
-use crate::schedule::MINUTES_PER_DAY;
 use serde::{Deserialize, Serialize};
 
 /// Domain-separation salts, one per fault class.
@@ -38,6 +37,11 @@ const SALT_SKEW: u64 = 0x534B_4557; // "SKEW"
 const SALT_GAP: u64 = 0x4741_5020; // "GAP "
 const SALT_STUCK: u64 = 0x5354_4B41; // "STKA"
 const SALT_MINUTE: u64 = 0x4D49_4E46; // "MINF"
+
+/// Longest dropout gap or stuck-at window, minutes.
+const MAX_GAP_MINUTES: usize = 120;
+/// Largest clock-skew rotation, minutes.
+const MAX_SKEW_MINUTES: usize = 15;
 
 /// Physical plausibility ceiling for a single-appliance minute reading,
 /// watts. No modelled residential device draws anywhere near this, and
@@ -73,24 +77,10 @@ pub struct SensorFaultConfig {
     /// [`WATT_CEILING`]).
     #[serde(default)]
     pub spike_rate: f64,
-    /// Longest dropout / stuck window, minutes.
-    #[serde(default = "default_max_gap")]
-    pub max_gap_minutes: usize,
-    /// Largest clock-skew rotation, minutes.
-    #[serde(default = "default_max_skew")]
-    pub max_skew_minutes: usize,
 }
 
 fn default_sensor_seed() -> u64 {
     0x5EA1
-}
-
-fn default_max_gap() -> usize {
-    120
-}
-
-fn default_max_skew() -> usize {
-    15
 }
 
 impl Default for SensorFaultConfig {
@@ -103,8 +93,6 @@ impl Default for SensorFaultConfig {
             nan_rate: 0.0,
             negative_rate: 0.0,
             spike_rate: 0.0,
-            max_gap_minutes: default_max_gap(),
-            max_skew_minutes: default_max_skew(),
         }
     }
 }
@@ -131,7 +119,6 @@ impl SensorFaultConfig {
             nan_rate: 0.02 * severity,
             negative_rate: 0.01 * severity,
             spike_rate: 0.02 * severity,
-            ..SensorFaultConfig::default()
         }
     }
 
@@ -151,16 +138,6 @@ impl SensorFaultConfig {
                 "sensor fault {name} must be a probability, got {rate}"
             );
         }
-        assert!(
-            (1..=MINUTES_PER_DAY).contains(&self.max_gap_minutes),
-            "max_gap_minutes must be in 1..=1440, got {}",
-            self.max_gap_minutes
-        );
-        assert!(
-            self.max_skew_minutes < MINUTES_PER_DAY,
-            "max_skew_minutes must be under a day, got {}",
-            self.max_skew_minutes
-        );
     }
 
     /// Freezes the config into a plan (validating it).
@@ -208,11 +185,11 @@ impl SensorFaultPlan {
         let len = watts.len();
         let mut touched = 0u32;
 
-        // Clock skew: rotate the whole window by 1..=max_skew minutes,
-        // direction from the hash's low bit.
+        // Clock skew: rotate the whole window by 1..=MAX_SKEW_MINUTES
+        // minutes, direction from the hash's low bit.
         let h = self.hash(SALT_SKEW, home, device, day, 0);
-        if cfg.max_skew_minutes > 0 && unit(h) < cfg.clock_skew_rate {
-            let k = 1 + (h >> 7) as usize % cfg.max_skew_minutes.min(len - 1).max(1);
+        if unit(h) < cfg.clock_skew_rate {
+            let k = 1 + (h >> 7) as usize % MAX_SKEW_MINUTES.min(len - 1).max(1);
             if h & 1 == 0 {
                 watts.rotate_left(k);
             } else {
@@ -225,7 +202,7 @@ impl SensorFaultPlan {
         let h = self.hash(SALT_GAP, home, device, day, 0);
         if unit(h) < cfg.dropout_rate {
             let start = (h >> 7) as usize % len;
-            let gap = 1 + (h >> 33) as usize % cfg.max_gap_minutes;
+            let gap = 1 + (h >> 33) as usize % MAX_GAP_MINUTES;
             for w in watts.iter_mut().skip(start).take(gap) {
                 *w = f64::NAN;
                 touched += 1;
@@ -236,7 +213,7 @@ impl SensorFaultPlan {
         let h = self.hash(SALT_STUCK, home, device, day, 0);
         if unit(h) < cfg.stuck_rate {
             let start = (h >> 7) as usize % len;
-            let run = 1 + (h >> 33) as usize % cfg.max_gap_minutes;
+            let run = 1 + (h >> 33) as usize % MAX_GAP_MINUTES;
             let held = watts[start];
             for w in watts.iter_mut().skip(start).take(run) {
                 *w = held;
@@ -290,6 +267,7 @@ pub fn impute_forward_fill(watts: &mut [f64], ceiling: f64, fallback: f64) -> u3
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::MINUTES_PER_DAY;
 
     fn clean_day(seed: u64) -> Vec<f64> {
         (0..MINUTES_PER_DAY)

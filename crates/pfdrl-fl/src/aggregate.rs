@@ -1,9 +1,9 @@
 //! Parameter aggregation — Algorithm 1's `W ← Σ W_n / N` and helpers for
 //! applying it to any [`Layered`] model — hardened against the faults of
-//! [`crate::fault`]: mis-sized, truncated, non-finite or stale updates
-//! are rejected with typed [`AggregateError`]s and counted, never
-//! panicked on, and a configurable per-layer quorum decides whether a
-//! merge is applied at all or the local model is kept for the round.
+//! [`crate::fault`]: mis-sized, truncated or non-finite layers are
+//! rejected with typed [`AggregateError`]s and counted, never panicked
+//! on, and each layer averages the local model with every valid layer
+//! that arrived.
 
 use crate::codec::{LayerUpdate, ModelUpdate};
 use crate::shard::ShardAssignment;
@@ -29,11 +29,11 @@ pub enum AggregationMode {
     /// construction). Each home then merges `(local_i + S − update_i) /
     /// N` — O(N·params) per round — and message complexity drops from
     /// O(N²) deliveries per round to O(Σ nₖ²). A home whose shard round
-    /// was disturbed (churn, loss, stragglers, corruption, or an
-    /// unmeetable quorum) falls back to the per-home merge of what its
-    /// neighborhood delivered. `shards: 1` is the flat O(N) fast path:
-    /// numerically equivalent to `PerHome` but not bit-identical (the
-    /// sum is re-associated), so it carries its own canary.
+    /// was disturbed (churn, loss, stragglers or corruption) falls back
+    /// to the per-home merge of what its neighborhood delivered.
+    /// `shards: 1` is the flat O(N) fast path: numerically equivalent
+    /// to `PerHome` but not bit-identical (the sum is re-associated), so
+    /// it carries its own canary.
     Hierarchical {
         /// Number of neighborhood shards (clamped to the fleet size;
         /// must be ≥ 1).
@@ -111,20 +111,6 @@ pub enum AggregateError {
         layer: usize,
         alpha: usize,
     },
-    /// The update is older than the staleness bound allows.
-    TooStale {
-        sender: usize,
-        round: u64,
-        now: u64,
-        max: u64,
-    },
-    /// A layer had contributions, but fewer than the quorum; the local
-    /// parameters were kept for this round.
-    QuorumNotMet {
-        layer: usize,
-        accepted: usize,
-        required: usize,
-    },
 }
 
 impl fmt::Display for AggregateError {
@@ -161,53 +147,11 @@ impl fmt::Display for AggregateError {
                 f,
                 "update from {sender}: personalization layer {layer} leaked (alpha = {alpha})"
             ),
-            AggregateError::TooStale {
-                sender,
-                round,
-                now,
-                max,
-            } => write!(
-                f,
-                "update from {sender}: round {round} is more than {max} rounds behind {now}"
-            ),
-            AggregateError::QuorumNotMet {
-                layer,
-                accepted,
-                required,
-            } => write!(
-                f,
-                "layer {layer}: {accepted} valid updates < quorum {required}; kept local model"
-            ),
         }
     }
 }
 
 impl std::error::Error for AggregateError {}
-
-/// Policy governing a validated merge.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MergePolicy {
-    /// Minimum number of valid remote contributions a layer needs
-    /// before the average is applied; below it the local parameters are
-    /// kept for the round (graceful degradation under churn).
-    pub min_quorum: usize,
-    /// Per-round decay on the weight of stale updates:
-    /// `weight = staleness_decay ^ (now - update.round)`. `1.0`
-    /// disables decay.
-    pub staleness_decay: f64,
-    /// Updates more than this many rounds behind `now` are rejected.
-    pub max_staleness: u64,
-}
-
-impl Default for MergePolicy {
-    fn default() -> Self {
-        MergePolicy {
-            min_quorum: 1,
-            staleness_decay: 1.0,
-            max_staleness: u64::MAX,
-        }
-    }
-}
 
 /// Outcome of a validated merge: what was applied, what was rejected.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -216,37 +160,26 @@ pub struct MergeReport {
     pub accepted_updates: usize,
     /// Layers whose parameters were re-averaged.
     pub merged_layers: usize,
-    /// Layers that had contributions but missed the quorum (local
-    /// parameters kept).
-    pub quorum_kept_local: usize,
     /// Every rejection, in deterministic (update, layer) order.
     pub rejections: Vec<AggregateError>,
 }
 
 impl MergeReport {
-    /// True when nothing was rejected and no quorum fell short.
+    /// True when nothing was rejected.
     pub fn is_clean(&self) -> bool {
         self.rejections.is_empty()
     }
 }
 
-/// One accepted remote contribution to a layer.
-struct Contribution<'a> {
-    weight: f64,
-    params: &'a [f64],
-}
-
-/// Validates `update` against `model` and `policy`, returning per-layer
-/// contributions keyed by layer index. `alpha` bounds the permitted
-/// layer indices (personalization guard); `None` permits all layers.
+/// Validates `update` against `model`, returning its accepted layers as
+/// `(layer index, parameters)`. `alpha` bounds the permitted layer
+/// indices (personalization guard); `None` permits all layers.
 fn validate_update<'a, M: Layered + ?Sized>(
     model: &M,
     update: &'a ModelUpdate,
-    now_round: u64,
-    policy: &MergePolicy,
     alpha: Option<usize>,
     rejections: &mut Vec<AggregateError>,
-) -> Option<Vec<(usize, Contribution<'a>)>> {
+) -> Option<Vec<(usize, &'a [f64])>> {
     // Privacy guard first: a leaked personalization layer poisons the
     // whole update (the peer is misbehaving or mis-configured).
     if let Some(alpha) = alpha {
@@ -259,19 +192,6 @@ fn validate_update<'a, M: Layered + ?Sized>(
             return None;
         }
     }
-    let staleness = now_round.saturating_sub(update.round);
-    if staleness > policy.max_staleness {
-        rejections.push(AggregateError::TooStale {
-            sender: update.sender,
-            round: update.round,
-            now: now_round,
-            max: policy.max_staleness,
-        });
-        return None;
-    }
-    let weight = policy
-        .staleness_decay
-        .powi(staleness.min(i32::MAX as u64) as i32);
     let mut accepted = Vec::with_capacity(update.layers.len());
     for lu in &update.layers {
         if lu.index >= model.layer_count() {
@@ -299,79 +219,51 @@ fn validate_update<'a, M: Layered + ?Sized>(
             });
             continue;
         }
-        accepted.push((
-            lu.index,
-            Contribution {
-                weight,
-                params: &lu.params,
-            },
-        ));
+        accepted.push((lu.index, &lu.params[..]));
     }
     Some(accepted)
 }
 
-/// Core validated merge over an explicit layer range. The local model
-/// always participates with weight 1; accepted remote layers join with
-/// their staleness weight; a layer is only re-imported when at least
-/// `policy.min_quorum` remote contributions survived validation.
+/// Core validated merge over an explicit layer range: each layer that
+/// received at least one valid contribution becomes the mean of the
+/// local parameters and those contributions (Algorithm 1's
+/// `W ← Σ W_n / N` over what arrived).
 fn merge_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     model: &mut M,
     updates: &[U],
     layer_range: std::ops::Range<usize>,
-    now_round: u64,
-    policy: &MergePolicy,
     alpha: Option<usize>,
 ) -> MergeReport {
     let mut report = MergeReport::default();
-    let mut per_layer: Vec<Vec<Contribution>> =
-        (0..model.layer_count()).map(|_| Vec::new()).collect();
+    let mut per_layer: Vec<Vec<&[f64]>> = (0..model.layer_count()).map(|_| Vec::new()).collect();
     for update in updates {
-        match validate_update(
-            model,
-            update.borrow(),
-            now_round,
-            policy,
-            alpha,
-            &mut report.rejections,
-        ) {
+        match validate_update(model, update.borrow(), alpha, &mut report.rejections) {
             Some(accepted) if !accepted.is_empty() => {
                 report.accepted_updates += 1;
-                for (layer, c) in accepted {
-                    per_layer[layer].push(c);
+                for (layer, params) in accepted {
+                    per_layer[layer].push(params);
                 }
             }
             _ => {}
         }
     }
-    let quorum = policy.min_quorum.max(1);
     // One accumulator buffer reused across every merged layer; each pass
-    // starts from the freshly exported local parameters, so the averaging
-    // arithmetic is unchanged.
+    // starts from the freshly exported local parameters.
     let mut acc: Vec<f64> = Vec::new();
     for layer_idx in layer_range {
         let contributions = &per_layer[layer_idx];
         if contributions.is_empty() {
             continue; // nothing received for this layer: normal for partial updates
         }
-        if contributions.len() < quorum {
-            report.rejections.push(AggregateError::QuorumNotMet {
-                layer: layer_idx,
-                accepted: contributions.len(),
-                required: quorum,
-            });
-            report.quorum_kept_local += 1;
-            continue;
-        }
         model.export_layer_into(layer_idx, &mut acc);
-        let mut total_weight = 1.0; // the local model's own weight
-        for c in contributions {
-            for (a, p) in acc.iter_mut().zip(c.params.iter()) {
-                *a += c.weight * p;
+        for params in contributions {
+            for (a, p) in acc.iter_mut().zip(params.iter()) {
+                *a += p;
             }
-            total_weight += c.weight;
         }
+        let count = (contributions.len() + 1) as f64;
         for a in acc.iter_mut() {
-            *a /= total_weight;
+            *a /= count;
         }
         model.import_layer(layer_idx, &acc);
         report.merged_layers += 1;
@@ -380,43 +272,26 @@ fn merge_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
 }
 
 /// Averages the local model with the matching layers of every received
-/// update under `policy`, layer by layer. Invalid layers (wrong size,
-/// non-finite, out of range) and stale updates are rejected with typed
-/// errors in the returned [`MergeReport`] instead of panicking; layers
-/// that miss the quorum keep the local parameters for this round.
-pub fn merge_updates_with<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
-    model: &mut M,
-    updates: &[U],
-    now_round: u64,
-    policy: &MergePolicy,
-) -> MergeReport {
-    let layer_count = model.layer_count();
-    merge_layers(model, updates, 0..layer_count, now_round, policy, None)
-}
-
-/// [`merge_updates_with`] under the default policy (quorum 1, no
-/// staleness decay), with `now` taken as the newest round among the
-/// updates. With well-formed inputs this is exactly the seed behavior:
-/// a plain average of local + received, layer by layer.
+/// update, layer by layer: a plain average of local + received. Invalid
+/// layers (wrong size, non-finite, out of range) are rejected with typed
+/// errors in the returned [`MergeReport`] instead of panicking.
 pub fn merge_updates<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     model: &mut M,
     updates: &[U],
 ) -> MergeReport {
-    let now = updates.iter().map(|u| u.borrow().round).max().unwrap_or(0);
-    merge_updates_with(model, updates, now, &MergePolicy::default())
+    let layer_count = model.layer_count();
+    merge_layers(model, updates, 0..layer_count, None)
 }
 
 /// Validated merge over only the base layers `0..alpha`, rejecting any
 /// update that leaks a personalization layer. Used by
-/// [`crate::LayerSplit::merge_base_with`].
+/// [`crate::LayerSplit::merge_base`].
 pub(crate) fn merge_base_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     model: &mut M,
     updates: &[U],
     alpha: usize,
-    now_round: u64,
-    policy: &MergePolicy,
 ) -> MergeReport {
-    merge_layers(model, updates, 0..alpha, now_round, policy, Some(alpha))
+    merge_layers(model, updates, 0..alpha, Some(alpha))
 }
 
 #[cfg(test)]
@@ -584,73 +459,9 @@ mod tests {
     }
 
     #[test]
-    fn quorum_keeps_local_model_when_unmet() {
-        let mut local = Toy::new(0.0);
-        let before = local.clone();
-        let remote = snapshot_update(&Toy::new(8.0), 1, 5, 0);
-        let policy = MergePolicy {
-            min_quorum: 2,
-            ..MergePolicy::default()
-        };
-        let report = merge_updates_with(&mut local, &[&remote], 5, &policy);
-        assert_eq!(local, before, "below quorum the local model must be kept");
-        assert_eq!(report.quorum_kept_local, 2);
-        assert!(matches!(
-            report.rejections[0],
-            AggregateError::QuorumNotMet { .. }
-        ));
-        // With a second update the quorum is met and the merge applies.
-        let remote2 = snapshot_update(&Toy::new(4.0), 2, 5, 0);
-        let report = merge_updates_with(&mut local, &[&remote, &remote2], 5, &policy);
-        assert!(report.is_clean());
-        assert_eq!(local.l0, vec![4.0; 2]); // (0 + 8 + 4) / 3
-    }
-
-    #[test]
-    fn stale_updates_are_downweighted() {
-        let mut local = Toy::new(0.0);
-        // A fresh update (weight 1) and a 2-round-stale one (weight 0.25).
-        let fresh = snapshot_update(&Toy::new(3.0), 1, 10, 0);
-        let stale = snapshot_update(&Toy::new(3.0), 2, 8, 0);
-        let policy = MergePolicy {
-            staleness_decay: 0.5,
-            ..MergePolicy::default()
-        };
-        let report = merge_updates_with(&mut local, &[&fresh, &stale], 10, &policy);
-        assert!(report.is_clean());
-        // (0*1 + 3*1 + 3*0.25) / (1 + 1 + 0.25) = 3.75 / 2.25
-        let expected = 3.75 / 2.25;
-        for v in &local.l0 {
-            assert!((v - expected).abs() < 1e-12, "{v} vs {expected}");
-        }
-    }
-
-    #[test]
-    fn too_stale_updates_are_rejected() {
-        let mut local = Toy::new(0.0);
-        let before = local.clone();
-        let ancient = snapshot_update(&Toy::new(9.0), 3, 0, 0);
-        let policy = MergePolicy {
-            max_staleness: 4,
-            ..MergePolicy::default()
-        };
-        let report = merge_updates_with(&mut local, &[&ancient], 20, &policy);
-        assert_eq!(local, before);
-        assert_eq!(
-            report.rejections,
-            vec![AggregateError::TooStale {
-                sender: 3,
-                round: 0,
-                now: 20,
-                max: 4
-            }]
-        );
-    }
-
-    #[test]
-    fn default_policy_matches_plain_average() {
-        // The validated path under the default policy must agree exactly
-        // with the naive mean of local + all updates.
+    fn merge_matches_plain_average() {
+        // The validated path must agree exactly with the naive mean of
+        // local + all updates.
         let mut a = Toy::new(1.0);
         let mut b = Toy::new(1.0);
         let u1 = snapshot_update(&Toy::new(2.0), 1, 0, 0);

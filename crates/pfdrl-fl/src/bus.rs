@@ -411,6 +411,7 @@ pub struct BusState {
 mod tests {
     use super::*;
     use crate::codec::LayerUpdate;
+    use crate::fault::STRAGGLER_DELAY;
 
     fn update(sender: usize, n_params: usize) -> ModelUpdate {
         update_round(sender, n_params, 0)
@@ -572,7 +573,6 @@ mod tests {
     fn stragglers_arrive_one_drain_late_and_pay_latency() {
         let cfg = FaultConfig {
             straggler_rate: 1.0,
-            straggler_delay: 3.0,
             ..FaultConfig::default()
         };
         let latency = LatencyModel {
@@ -588,8 +588,9 @@ mod tests {
         let s = bus.stats();
         assert_eq!(s.delayed, 1);
         assert_eq!(s.messages, 1);
-        // 1 message * 1 s nominal + 3x penalty on that delivery.
-        assert!((bus.simulated_seconds() - 4.0).abs() < 1e-12);
+        // 1 message * 1 s nominal + the straggler penalty on that
+        // delivery.
+        assert!((bus.simulated_seconds() - (1.0 + STRAGGLER_DELAY)).abs() < 1e-12);
     }
 
     #[test]
@@ -664,7 +665,6 @@ mod tests {
             loss_rate: 0.2,
             corrupt_rate: 0.15,
             straggler_rate: 0.25,
-            straggler_delay: 2.5,
             ..FaultConfig::default()
         };
         let n = 7;

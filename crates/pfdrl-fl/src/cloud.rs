@@ -13,11 +13,10 @@
 //! Uploads go through the same deterministic fault plan as the LAN bus
 //! (churned-out senders, loss, stragglers, payload corruption). A
 //! malformed upload — truncated, mis-shaped or non-finite — is rejected
-//! and counted, never panicked on. A round with no valid upload, or
-//! fewer than the policy's `min_quorum`, leaves every local model as it
-//! is, which is the LAN engine's rule too; so the server keeps no model
-//! between rounds, and the engine's only cross-round state is its
-//! [`CloudStats`].
+//! and counted, never panicked on. A round with no valid upload leaves
+//! every local model as it is, which is the LAN engine's rule too; so
+//! the server keeps no model between rounds, and the engine's only
+//! cross-round state is its [`CloudStats`].
 
 use crate::aggregate::fill_update;
 use crate::bus::LatencyModel;
@@ -48,9 +47,9 @@ pub struct CloudStats {
     /// Uploads rejected by the server (layers missing, mis-sized or
     /// non-finite against the column's shapes).
     pub rejected: u64,
-    /// Rounds in which uploads arrived but fewer valid ones than the
-    /// quorum (every local model kept).
-    pub quorum_failures: u64,
+    /// Rounds that averaged nothing because no valid upload arrived
+    /// (every local model kept).
+    pub empty_rounds: u64,
     /// Downloads skipped because the residence was offline.
     pub missed_downloads: u64,
     /// Extra simulated seconds paid by straggling uploads.
@@ -151,9 +150,6 @@ impl CloudRound {
                 arrived += 1;
             }
         }
-        if arrived == 0 {
-            return 0;
-        }
 
         // The server accepts an upload only if it carries exactly the
         // column's layers, in order, each of the column's size and
@@ -174,8 +170,8 @@ impl CloudRound {
             }
         }
         self.stats.rejected += (arrived - valid) as u64;
-        if valid < p.policy.min_quorum.max(1) {
-            self.stats.quorum_failures += 1;
+        if valid == 0 {
+            self.stats.empty_rounds += 1;
             return 0;
         }
 
@@ -295,7 +291,7 @@ impl CloudRound {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::MergePolicy;
+    use crate::fault::STRAGGLER_DELAY;
 
     /// Minimal column model: its layers, exported as they are.
     #[derive(Debug, Clone, PartialEq)]
@@ -329,19 +325,13 @@ mod tests {
         )
     }
 
-    /// One round at `round` with quorum `quorum`; returns the count
-    /// averaged.
+    /// One round at `round`; returns the count averaged.
     fn run_at(
         cloud: &mut CloudRound,
         models: &mut [Toy],
         round: u64,
-        quorum: usize,
         participants: Option<&[bool]>,
     ) -> usize {
-        let policy = MergePolicy {
-            min_quorum: quorum,
-            ..MergePolicy::default()
-        };
         let mut col: Vec<&mut Toy> = models.iter_mut().collect();
         cloud.run(
             &mut col,
@@ -349,14 +339,13 @@ mod tests {
                 round,
                 model_id: 0,
                 alpha: None,
-                policy: &policy,
                 participants,
             },
         )
     }
 
     fn run(cloud: &mut CloudRound, models: &mut [Toy]) -> usize {
-        run_at(cloud, models, 0, 1, None)
+        run_at(cloud, models, 0, None)
     }
 
     #[test]
@@ -442,21 +431,18 @@ mod tests {
 
     #[test]
     fn failed_round_keeps_every_local_model() {
-        // Below quorum: nothing is imported, nothing is downloaded.
+        // Every upload invalid: nothing is imported, nothing is
+        // downloaded, and the previous round's mean is not served
+        // either — the server keeps no model between rounds.
         let mut cloud = fault_free();
         let mut models = vec![toy(2.0), toy(4.0)];
-        assert_eq!(run_at(&mut cloud, &mut models, 0, 3, None), 0);
-        assert_eq!(models, vec![toy(2.0), toy(4.0)]);
-        let s = cloud.stats();
-        assert_eq!((s.quorum_failures, s.downloads), (1, 0));
-
-        // Every upload invalid: the previous round's mean is not served
-        // either — the server keeps no model between rounds.
         assert_eq!(run(&mut cloud, &mut models), 2);
+        let downloads = cloud.stats().downloads;
         let mut bad = vec![toy(f64::NAN), toy(f64::NAN)];
         assert_eq!(run(&mut cloud, &mut bad), 0);
         assert!(bad.iter().all(|m| m.0[0][0].is_nan()));
-        assert_eq!(cloud.stats().quorum_failures, 2);
+        let s = cloud.stats();
+        assert_eq!((s.empty_rounds, s.downloads), (1, downloads));
     }
 
     #[test]
@@ -464,7 +450,7 @@ mod tests {
         let mut cloud = fault_free();
         let mut models = vec![toy(1.0), toy(100.0), toy(3.0)];
         let mask = [true, false, true];
-        assert_eq!(run_at(&mut cloud, &mut models, 0, 1, Some(&mask)), 2);
+        assert_eq!(run_at(&mut cloud, &mut models, 0, Some(&mask)), 2);
         assert!(models.iter().all(|m| *m == toy(2.0)));
         let s = cloud.stats();
         assert_eq!((s.uploads, s.downloads), (2, 3));
@@ -481,7 +467,7 @@ mod tests {
             let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg, PayloadCodec::Raw);
             let mut models = vec![toy(1.0); 4];
             for round in 0..20 {
-                run_at(&mut cloud, &mut models, round, 1, None);
+                run_at(&mut cloud, &mut models, round, None);
             }
             cloud.stats()
         };
@@ -512,7 +498,7 @@ mod tests {
             .expect("no such round");
         let mut cloud = CloudRound::new(LatencyModel::cloud(), &plan, PayloadCodec::Raw);
         let mut models = vec![toy(1.0), toy(7.0), toy(3.0)];
-        assert_eq!(run_at(&mut cloud, &mut models, round, 1, None), 2);
+        assert_eq!(run_at(&mut cloud, &mut models, round, None), 2);
         assert_eq!(models, vec![toy(2.0), toy(7.0), toy(2.0)]);
         let s = cloud.stats();
         assert_eq!((s.dropped_offline, s.missed_downloads), (1, 1));
@@ -561,7 +547,6 @@ mod tests {
     fn straggling_upload_still_arrives_but_pays_latency() {
         let cfg = FaultConfig {
             straggler_rate: 1.0,
-            straggler_delay: 2.0,
             ..FaultConfig::default()
         };
         let latency = LatencyModel {
@@ -572,7 +557,7 @@ mod tests {
         assert_eq!(run(&mut cloud, &mut [toy(1.0)]), 1);
         let s = cloud.stats();
         assert_eq!(s.delayed, 1);
-        assert!((s.delay_seconds - 2.0).abs() < 1e-12);
+        assert!((s.delay_seconds - STRAGGLER_DELAY).abs() < 1e-12);
     }
 
     #[test]
@@ -587,8 +572,8 @@ mod tests {
         assert_eq!(restored.stats(), cloud.stats());
         // A failed round after the restore keeps local models; the old
         // global is never served.
-        let mut models = vec![toy(1.0), toy(3.0)];
-        assert_eq!(run_at(&mut restored, &mut models, 1, 3, None), 0);
-        assert_eq!(models, vec![toy(1.0), toy(3.0)]);
+        let mut models = vec![toy(f64::NAN), toy(f64::NAN)];
+        assert_eq!(run_at(&mut restored, &mut models, 1, None), 0);
+        assert!(models.iter().all(|m| m.0[0][0].is_nan()));
     }
 }

@@ -128,8 +128,9 @@ impl PayloadCodec {
     }
 
     /// Accounting bytes of one encoded layer *excluding* the layer
-    /// header — the resident-payload figure `peak_shard_bytes` and the
-    /// `max_shard_bytes` guard count. Exactly `8 * len` under `Raw`.
+    /// header — the resident-payload figure `peak_shard_bytes` and
+    /// `SimConfig::estimated_update_bytes` count. Exactly `8 * len`
+    /// under `Raw`.
     pub fn payload_layer_bytes(&self, len: usize) -> usize {
         self.wire_layer_bytes(len) - LAYER_HEADER_BYTES
     }

@@ -11,10 +11,11 @@
 //! Fault classes, mirroring the knobs in [`FaultConfig`]:
 //!
 //! * **churn** — a residence goes offline for whole windows of
-//!   federation rounds (neither sends nor receives);
+//!   `OFFLINE_ROUNDS` (2) federation rounds (neither sends nor receives);
 //! * **loss** — an individual point-to-point delivery vanishes;
 //! * **stragglers** — a delivery arrives one drain cycle late and pays
-//!   a latency penalty (fed into the [`LatencyModel`] accounting);
+//!   `STRAGGLER_DELAY` (4) times the nominal latency on top (fed into the
+//!   [`LatencyModel`] accounting);
 //! * **corruption** — a delivered payload is damaged: NaN-injected
 //!   parameters or a truncated layer.
 //!
@@ -24,7 +25,13 @@ use crate::codec::ModelUpdate;
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-use crate::aggregate::MergePolicy;
+/// Length of one churn window, in federation rounds: a residence drawn
+/// offline sits out this many consecutive rounds.
+pub(crate) const OFFLINE_ROUNDS: u64 = 2;
+
+/// Latency multiplier a straggling delivery pays on top of the nominal
+/// per-message cost.
+pub(crate) const STRAGGLER_DELAY: f64 = 4.0;
 
 /// User-facing fault knobs. All rates are probabilities in `[0, 1]`;
 /// the default is fault-free (every rate zero), so wiring a
@@ -37,37 +44,20 @@ pub struct FaultConfig {
     #[serde(default)]
     pub seed: u64,
     /// Probability that a residence is offline for a given window of
-    /// rounds (churn).
+    /// `OFFLINE_ROUNDS` (2) rounds (churn).
     #[serde(default)]
     pub dropout_rate: f64,
-    /// Length of one offline window, in federation rounds.
-    #[serde(default)]
-    pub offline_rounds: u64,
     /// Per-delivery probability that a message is lost.
     #[serde(default)]
     pub loss_rate: f64,
     /// Per-delivery probability that a message straggles (arrives one
-    /// drain cycle late).
+    /// drain cycle late, paying `STRAGGLER_DELAY` (4) times the nominal
+    /// latency on top).
     #[serde(default)]
     pub straggler_rate: f64,
-    /// Latency multiplier a straggling delivery pays on top of the
-    /// nominal per-message cost.
-    #[serde(default)]
-    pub straggler_delay: f64,
     /// Per-delivery probability that the payload is corrupted.
     #[serde(default)]
     pub corrupt_rate: f64,
-    /// Minimum remote updates a layer needs before a merge is applied
-    /// (otherwise the local model is kept for that round).
-    #[serde(default)]
-    pub min_quorum: usize,
-    /// Per-round decay applied to the weight of stale updates
-    /// (`weight = decay^staleness`); `1.0` disables decay.
-    #[serde(default)]
-    pub staleness_decay: f64,
-    /// Updates older than this many rounds are rejected outright.
-    #[serde(default)]
-    pub max_staleness: u64,
 }
 
 impl Default for FaultConfig {
@@ -75,14 +65,9 @@ impl Default for FaultConfig {
         FaultConfig {
             seed: 0xFA01,
             dropout_rate: 0.0,
-            offline_rounds: 2,
             loss_rate: 0.0,
             straggler_rate: 0.0,
-            straggler_delay: 4.0,
             corrupt_rate: 0.0,
-            min_quorum: 1,
-            staleness_decay: 1.0,
-            max_staleness: u64::MAX,
         }
     }
 }
@@ -97,7 +82,6 @@ impl FaultConfig {
             loss_rate: rate,
             straggler_rate: rate / 4.0,
             corrupt_rate: rate / 4.0,
-            ..FaultConfig::default()
         }
     }
 
@@ -107,15 +91,6 @@ impl FaultConfig {
             || self.loss_rate > 0.0
             || self.straggler_rate > 0.0
             || self.corrupt_rate > 0.0
-    }
-
-    /// The aggregation policy implied by the quorum/staleness knobs.
-    pub fn merge_policy(&self) -> MergePolicy {
-        MergePolicy {
-            min_quorum: self.min_quorum.max(1),
-            staleness_decay: self.staleness_decay,
-            max_staleness: self.max_staleness,
-        }
     }
 
     /// Validates the knobs.
@@ -134,13 +109,6 @@ impl FaultConfig {
                 "fault {name} {rate} must be a probability in [0, 1]"
             );
         }
-        assert!(self.offline_rounds >= 1, "offline_rounds must be >= 1");
-        assert!(self.straggler_delay >= 0.0, "straggler_delay must be >= 0");
-        assert!(
-            self.staleness_decay > 0.0 && self.staleness_decay <= 1.0,
-            "staleness_decay {} must be in (0, 1]",
-            self.staleness_decay
-        );
     }
 
     /// Freezes the config into a decision plan.
@@ -239,12 +207,12 @@ impl FaultPlan {
     }
 
     /// Is `node` offline (churned out) during `round`? Offline spans
-    /// are whole windows of `offline_rounds` rounds.
+    /// are whole windows of `OFFLINE_ROUNDS` (2) rounds.
     pub fn is_offline(&self, node: usize, round: u64) -> bool {
         if self.cfg.dropout_rate <= 0.0 {
             return false;
         }
-        let window = round / self.cfg.offline_rounds.max(1);
+        let window = round / OFFLINE_ROUNDS;
         let h = self.delivery_hash(SALT_OFFLINE, node as u64, 0, window, 0);
         unit(h) < self.cfg.dropout_rate
     }
@@ -293,7 +261,7 @@ impl FaultPlan {
         let straggle = self.delivery_hash(SALT_STRAGGLE, sender, receiver, round, model_id);
         if unit(straggle) < self.cfg.straggler_rate {
             return Delivery::Delay {
-                extra_latency_mult: self.cfg.straggler_delay,
+                extra_latency_mult: STRAGGLER_DELAY,
             };
         }
         Delivery::Deliver
@@ -499,13 +467,12 @@ mod tests {
     fn offline_windows_span_whole_rounds() {
         let plan = FaultConfig {
             dropout_rate: 0.5,
-            offline_rounds: 4,
             ..FaultConfig::default()
         }
         .plan();
         for node in 0..8 {
             for window in 0..20u64 {
-                let states: Vec<bool> = (window * 4..window * 4 + 4)
+                let states: Vec<bool> = (window * OFFLINE_ROUNDS..(window + 1) * OFFLINE_ROUNDS)
                     .map(|r| plan.is_offline(node, r))
                     .collect();
                 assert!(

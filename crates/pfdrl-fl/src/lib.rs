@@ -12,9 +12,9 @@
 //!   the O(N) shared-sum fast path (one shard is the flat topology);
 //! * [`CloudRound`] — the centralized parameter server of the Cloud, FL
 //!   and FRL baselines, as a column engine of the same shape;
-//! * [`aggregate`] — FedAvg (Algorithm 1's `W ← Σ W_n / N`), hardened
-//!   with typed [`AggregateError`]s, per-layer quorum and staleness
-//!   decay ([`MergePolicy`]);
+//! * [`aggregate`] — FedAvg (Algorithm 1's `W ← Σ W_n / N` over the
+//!   local model and every valid layer that arrived), hardened with
+//!   typed [`AggregateError`]s;
 //! * [`LayerSplit`] — the α base/personalization split (Eqs. 7–8);
 //! * [`MinuteSchedule`] — the serve loop's integer-minute cadences;
 //! * [`fault`] — deterministic chaos injection (churn, loss,
@@ -60,10 +60,7 @@ pub mod round;
 pub mod scheduler;
 pub mod shard;
 
-pub use aggregate::{
-    merge_updates, merge_updates_with, snapshot_update, AggregateError, AggregationMode,
-    MergePolicy, MergeReport,
-};
+pub use aggregate::{merge_updates, snapshot_update, AggregateError, AggregationMode, MergeReport};
 pub use bus::{BroadcastBus, BusState, BusStats, LatencyModel};
 pub use cloud::{CloudRound, CloudState, CloudStats};
 pub use codec::{

@@ -2,7 +2,7 @@
 //! DRL network are *base* layers, broadcast and federated; the remaining
 //! layers are *personalization* layers that never leave the residence.
 
-use crate::aggregate::{fill_update, merge_base_layers, MergePolicy, MergeReport};
+use crate::aggregate::{fill_update, merge_base_layers, MergeReport};
 use crate::codec::ModelUpdate;
 use pfdrl_nn::Layered;
 use std::borrow::Borrow;
@@ -85,25 +85,12 @@ impl LayerSplit {
         model: &mut M,
         updates: &[U],
     ) -> MergeReport {
-        let now = updates.iter().map(|u| u.borrow().round).max().unwrap_or(0);
-        self.merge_base_with(model, updates, now, &MergePolicy::default())
-    }
-
-    /// [`merge_base`](Self::merge_base) under an explicit round clock
-    /// and [`MergePolicy`] (quorum, staleness decay, staleness bound).
-    pub fn merge_base_with<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
-        &self,
-        model: &mut M,
-        updates: &[U],
-        now_round: u64,
-        policy: &MergePolicy,
-    ) -> MergeReport {
         assert_eq!(
             model.layer_count(),
             self.total,
             "split does not match model"
         );
-        merge_base_layers(model, updates, self.alpha, now_round, policy)
+        merge_base_layers(model, updates, self.alpha)
     }
 }
 

@@ -29,9 +29,7 @@
 //! phase, then falls back to this module's per-home merge for any home
 //! the hierarchy's O(N) shared-sum fast path cannot take.
 
-use crate::aggregate::{
-    fill_update, merge_base_layers, merge_updates_with, snapshot_update, MergePolicy,
-};
+use crate::aggregate::{fill_update, merge_base_layers, merge_updates, snapshot_update};
 use crate::bus::BroadcastBus;
 use crate::codec::ModelUpdate;
 use crate::personalization::LayerSplit;
@@ -103,15 +101,14 @@ impl UpdatePool {
 /// [`HierarchicalRound::run`](crate::HierarchicalRound::run), over the
 /// whole fleet).
 pub struct RoundParams<'a> {
-    /// Federation round clock (staleness reference).
+    /// Federation round clock, stamped on every payload and keyed into
+    /// the fault plan's decisions.
     pub round: u64,
     /// Model id stamped on broadcasts and used to key the drains.
     pub model_id: u64,
     /// `Some(alpha)`: broadcast/merge only the first `alpha` base layers
     /// (PFDRL layer split). `None`: full-model DFL.
     pub alpha: Option<usize>,
-    /// Merge policy (quorum, staleness decay/bound).
-    pub policy: &'a MergePolicy,
     /// Per-home upload participation mask (`None` = everyone). A
     /// non-participating (quarantined) home broadcasts nothing but
     /// still drains and merges what it receives, so it keeps learning
@@ -270,9 +267,8 @@ impl DflRound {
         }
 
         // Payload bytes staged for this round (one copy per sender),
-        // measured at the codec's wire size so `peak_shard_bytes` and
-        // the `max_shard_bytes` budget reflect real uplink cost.
-        // Exactly 8 B/param under `Raw`.
+        // measured at the codec's wire size so `peak_shard_bytes`
+        // reflects real uplink cost. Exactly 8 B/param under `Raw`.
         let payload_bytes: u64 = self
             .sent
             .iter()
@@ -300,17 +296,16 @@ impl DflRound {
 }
 
 /// The per-home merge: `model` averaged with every update it received
-/// this round under `p.policy` (base layers `0..alpha` only when
-/// `p.alpha` is set). Invalid updates are rejected inside the validated
-/// merge; a layer that misses the quorum keeps the local parameters.
+/// this round (base layers `0..alpha` only when `p.alpha` is set).
+/// Invalid updates are rejected inside the validated merge.
 pub(crate) fn merge_received<M: Layered + ?Sized>(
     model: &mut M,
     received: &[Arc<ModelUpdate>],
     p: &RoundParams<'_>,
 ) {
     let _ = match p.alpha {
-        Some(a) => merge_base_layers(model, received, a, p.round, p.policy),
-        None => merge_updates_with(model, received, p.round, p.policy),
+        Some(a) => merge_base_layers(model, received, a),
+        None => merge_updates(model, received),
     };
 }
 
@@ -325,7 +320,6 @@ pub fn dfl_round_reference<M: Layered + ?Sized>(
     round: u64,
     model_id: u64,
     alpha: Option<usize>,
-    policy: &MergePolicy,
 ) {
     for (home, model) in models.iter().enumerate() {
         let update = match alpha {
@@ -346,10 +340,10 @@ pub fn dfl_round_reference<M: Layered + ?Sized>(
         match alpha {
             Some(a) => {
                 let split = LayerSplit::new(a, model.layer_count());
-                let _ = split.merge_base_with(&mut **model, &refs, round, policy);
+                let _ = split.merge_base(&mut **model, &refs);
             }
             None => {
-                let _ = merge_updates_with(&mut **model, &refs, round, policy);
+                let _ = merge_updates(&mut **model, &refs);
             }
         }
     }
@@ -389,13 +383,7 @@ mod tests {
             .collect()
     }
 
-    fn run_engine(
-        models: &mut [Mlp],
-        bus: &mut BroadcastBus,
-        rounds: u64,
-        alpha: Option<usize>,
-        policy: &MergePolicy,
-    ) {
+    fn run_engine(models: &mut [Mlp], bus: &mut BroadcastBus, rounds: u64, alpha: Option<usize>) {
         let mut engine = DflRound::new();
         for round in 0..rounds {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
@@ -406,7 +394,6 @@ mod tests {
                     round,
                     model_id: 0,
                     alpha,
-                    policy,
                     participants: None,
                 },
             );
@@ -418,13 +405,12 @@ mod tests {
         for alpha in [None, Some(2)] {
             let mut a = fleet(5, 11);
             let mut b = fleet(5, 11);
-            let policy = MergePolicy::default();
             let mut bus_a = BroadcastBus::new(5, LatencyModel::lan());
             let mut bus_b = BroadcastBus::new(5, LatencyModel::lan());
-            run_engine(&mut a, &mut bus_a, 3, alpha, &policy);
+            run_engine(&mut a, &mut bus_a, 3, alpha);
             for round in 0..3 {
                 let mut col: Vec<&mut Mlp> = b.iter_mut().collect();
-                dfl_round_reference(&mut col, &mut bus_b, round, 0, alpha, &policy);
+                dfl_round_reference(&mut col, &mut bus_b, round, 0, alpha);
             }
             assert_eq!(bits(&a), bits(&b), "alpha={alpha:?}");
             assert_eq!(bus_a.stats(), bus_b.stats());
@@ -436,7 +422,6 @@ mod tests {
         let mut models = fleet(4, 2);
         let mut bus = BroadcastBus::new(4, LatencyModel::lan());
         let mut engine = DflRound::new();
-        let policy = MergePolicy::default();
         for round in 0..3 {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
             engine.run(
@@ -446,7 +431,6 @@ mod tests {
                     round,
                     model_id: 0,
                     alpha: None,
-                    policy: &policy,
                     participants: None,
                 },
             );
@@ -460,7 +444,6 @@ mod tests {
     #[test]
     fn withheld_home_uploads_nothing_but_still_merges() {
         let n = 4;
-        let policy = MergePolicy::default();
         let mask = [true, false, true, true]; // home 1 quarantined
 
         let mut models = fleet(n, 13);
@@ -475,7 +458,6 @@ mod tests {
                 round: 0,
                 model_id: 0,
                 alpha: None,
-                policy: &policy,
                 participants: Some(&mask),
             },
         );
@@ -498,7 +480,7 @@ mod tests {
         for (home, model) in oracle.iter_mut().enumerate() {
             let updates = bus_o.drain(home);
             let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
-            let _ = merge_updates_with(model, &refs, 0, &policy);
+            let _ = merge_updates(model, &refs);
         }
         assert_eq!(bits(&models), bits(&oracle));
 
@@ -509,7 +491,6 @@ mod tests {
 
     #[test]
     fn full_participation_mask_is_identical_to_none() {
-        let policy = MergePolicy::default();
         let mask = vec![true; 5];
         let mut with_mask = fleet(5, 17);
         let mut without = fleet(5, 17);
@@ -524,11 +505,10 @@ mod tests {
                 round: 0,
                 model_id: 0,
                 alpha: Some(2),
-                policy: &policy,
                 participants: Some(&mask),
             },
         );
-        run_engine(&mut without, &mut bus_b, 1, Some(2), &policy);
+        run_engine(&mut without, &mut bus_b, 1, Some(2));
         assert_eq!(bits(&with_mask), bits(&without));
         assert_eq!(bus_a.stats(), bus_b.stats());
     }
@@ -538,7 +518,7 @@ mod tests {
         let mut models = fleet(1, 9);
         let before = bits(&models);
         let mut bus = BroadcastBus::new(1, LatencyModel::lan());
-        run_engine(&mut models, &mut bus, 1, None, &MergePolicy::default());
+        run_engine(&mut models, &mut bus, 1, None);
         assert_eq!(bits(&models), before);
     }
 }

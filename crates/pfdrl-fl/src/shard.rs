@@ -18,9 +18,8 @@
 //! order. Any deviation (loss, churn, straggling, corruption —
 //! stragglers surface old Arcs, corruption re-wraps new ones) falls that
 //! home back to the exact per-home merge of what its neighborhood
-//! delivered. An invalid broadcast payload anywhere, a withheld upload
-//! or a quorum no complete round can meet demotes the whole fleet to the
-//! fallback.
+//! delivered. An invalid broadcast payload anywhere or a withheld upload
+//! demotes the whole fleet to the fallback.
 //!
 //! Determinism rules for the two-level reduction tree:
 //!
@@ -194,11 +193,6 @@ impl ShardPlan {
     /// The shard a home belongs to.
     pub fn shard_of(&self, home: usize) -> usize {
         self.home_shard[home] as usize
-    }
-
-    /// Largest shard population (drives the per-shard memory budget).
-    pub fn max_shard_len(&self) -> usize {
-        self.members.iter().map(Vec::len).max().unwrap_or(0)
     }
 }
 
@@ -400,7 +394,7 @@ impl HierarchicalRound {
     }
 
     /// Fleet-wide high-water mark of per-shard payload-resident bytes
-    /// in any single round — the figure `max_shard_bytes` budgets.
+    /// in any single round.
     pub fn peak_shard_bytes(&self) -> u64 {
         self.peak_shard_bytes
     }
@@ -444,12 +438,9 @@ impl HierarchicalRound {
         if let Some(mask) = p.participants {
             assert_eq!(mask.len(), n, "participation mask does not match fleet");
         }
+        // S must hold every home's payload.
         let full_round = p.participants.is_none_or(|m| m.iter().all(|&b| b));
-        // S must hold every home's payload, and the quorum an eligible
-        // home effectively meets is the N−1 fleet-wide contributions
-        // inside S.
-        let quorum = p.policy.min_quorum.max(1);
-        let probe = n >= 2 && full_round && quorum < n;
+        let probe = n >= 2 && full_round;
 
         let Self {
             plan,
@@ -677,7 +668,6 @@ fn combine_partials(parts: &mut [Vec<Vec<f64>>]) -> Vec<Vec<f64>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::MergePolicy;
     use pfdrl_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -708,17 +698,11 @@ mod tests {
             .collect()
     }
 
-    fn params<'a>(
-        round: u64,
-        alpha: Option<usize>,
-        policy: &'a MergePolicy,
-        participants: Option<&'a [bool]>,
-    ) -> RoundParams<'a> {
+    fn params(round: u64, alpha: Option<usize>, participants: Option<&[bool]>) -> RoundParams<'_> {
         RoundParams {
             round,
             model_id: 0,
             alpha,
-            policy,
             participants,
         }
     }
@@ -728,28 +712,21 @@ mod tests {
         engine: &mut HierarchicalRound,
         rounds: u64,
         alpha: Option<usize>,
-        policy: &MergePolicy,
     ) -> RoundOutcome {
         let mut last = RoundOutcome::default();
         for round in 0..rounds {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            last = engine.run(&mut col, &params(round, alpha, policy, None));
+            last = engine.run(&mut col, &params(round, alpha, None));
         }
         last
     }
 
     /// The fast path's reference: the per-home engine on one fleet bus.
-    fn run_per_home(
-        models: &mut [Mlp],
-        bus: &mut BroadcastBus,
-        rounds: u64,
-        alpha: Option<usize>,
-        policy: &MergePolicy,
-    ) {
+    fn run_per_home(models: &mut [Mlp], bus: &mut BroadcastBus, rounds: u64, alpha: Option<usize>) {
         let mut engine = DflRound::new();
         for round in 0..rounds {
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            engine.run(&mut col, bus, &params(round, alpha, policy, None));
+            engine.run(&mut col, bus, &params(round, alpha, None));
         }
     }
 
@@ -820,7 +797,6 @@ mod tests {
                 1,
             ),
         ];
-        let policy = MergePolicy::default();
         for (plan, alpha, rounds) in cases {
             let n = plan.len();
             let run = || {
@@ -830,7 +806,7 @@ mod tests {
                     LatencyModel::lan(),
                     &FaultConfig::default(),
                 );
-                let out = run_hier(&mut models, &mut engine, rounds, alpha, &policy);
+                let out = run_hier(&mut models, &mut engine, rounds, alpha);
                 assert_eq!(out.fast_path_homes, n, "fault-free round must be fast");
                 (models, engine)
             };
@@ -840,7 +816,7 @@ mod tests {
 
             let mut slow = fleet(n, 31);
             let mut bus = BroadcastBus::new(n, LatencyModel::lan());
-            run_per_home(&mut slow, &mut bus, rounds, alpha, &policy);
+            run_per_home(&mut slow, &mut bus, rounds, alpha);
             assert_close(&fast, &slow, &format!("n={n}"));
             if engine.plan().shard_count() == 1 {
                 assert_eq!(engine.total_stats(), bus.stats(), "n={n}");
@@ -860,45 +836,19 @@ mod tests {
             straggler_rate: 0.2,
             ..FaultConfig::default()
         };
-        let policy = MergePolicy::default();
         let mut fast = fleet(6, 21);
         let mut slow = fleet(6, 21);
         let mut engine =
             HierarchicalRound::new(ShardPlan::round_robin(6, 1), LatencyModel::lan(), &cfg);
         let mut bus = BroadcastBus::with_faults(6, LatencyModel::lan(), &cfg);
-        let out = run_hier(&mut fast, &mut engine, 4, None, &policy);
-        run_per_home(&mut slow, &mut bus, 4, None, &policy);
+        let out = run_hier(&mut fast, &mut engine, 4, None);
+        run_per_home(&mut slow, &mut bus, 4, None);
         assert!(
             out.fallback_homes > 0,
             "under 30% loss some home must fall back"
         );
         assert_eq!(bits(&fast), bits(&slow));
         assert_eq!(engine.total_stats(), bus.stats());
-    }
-
-    #[test]
-    fn unmeetable_quorum_forces_whole_fleet_fallback() {
-        let policy = MergePolicy {
-            min_quorum: 10, // > n-1 = 3
-            ..MergePolicy::default()
-        };
-        let mut models = fleet(4, 5);
-        let before = bits(&models);
-        let mut engine = HierarchicalRound::new(
-            ShardPlan::round_robin(4, 1),
-            LatencyModel::lan(),
-            &FaultConfig::default(),
-        );
-        let out = run_hier(&mut models, &mut engine, 1, None, &policy);
-        assert_eq!(out.fast_path_homes, 0);
-        assert_eq!(out.fallback_homes, 4);
-        let mut slow = fleet(4, 5);
-        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
-        run_per_home(&mut slow, &mut bus, 1, None, &policy);
-        assert_eq!(bits(&models), bits(&slow));
-        // The per-home merge under an unmet quorum keeps every local
-        // model.
-        assert_eq!(bits(&models), before);
     }
 
     #[test]
@@ -910,7 +860,7 @@ mod tests {
             LatencyModel::lan(),
             &FaultConfig::default(),
         );
-        let out = run_hier(&mut models, &mut engine, 1, None, &MergePolicy::default());
+        let out = run_hier(&mut models, &mut engine, 1, None);
         assert_eq!((out.fast_path_homes, out.fallback_homes), (0, 1));
         assert_eq!(bits(&models), before);
     }
@@ -921,13 +871,7 @@ mod tests {
             let mut models = fleet(9, 5);
             let mut engine =
                 HierarchicalRound::new(plan, LatencyModel::lan(), &FaultConfig::default());
-            let out = run_hier(
-                &mut models,
-                &mut engine,
-                2,
-                Some(2),
-                &MergePolicy::default(),
-            );
+            let out = run_hier(&mut models, &mut engine, 2, Some(2));
             assert_eq!(out.fast_path_homes, 9, "fault-free fleet must be fast");
             bits(&models)
         };
@@ -956,7 +900,7 @@ mod tests {
         let mut models = fleet(8, 11);
         let plan = ShardPlan::round_robin(8, 2);
         let mut engine = HierarchicalRound::new(plan.clone(), LatencyModel::lan(), &cfg);
-        run_hier(&mut models, &mut engine, 3, None, &MergePolicy::default());
+        run_hier(&mut models, &mut engine, 3, None);
         let state = engine.export_state();
         assert!(state.shards.iter().any(|s| s.counters.rounds == 3));
 
@@ -1008,7 +952,7 @@ mod tests {
                     &FaultConfig::default(),
                     codec,
                 );
-                let out = run_hier(&mut models, &mut engine, 1, None, &MergePolicy::default());
+                let out = run_hier(&mut models, &mut engine, 1, None);
                 assert_eq!(out.fast_path_homes, n, "{codec:?} K={shards}");
 
                 let bus_messages: u64 = engine.shards.iter().map(|s| s.bus.stats().messages).sum();
@@ -1038,7 +982,6 @@ mod tests {
     #[test]
     fn withheld_home_disables_the_global_fast_path() {
         let n = 6;
-        let policy = MergePolicy::default();
         let mut mask = vec![true; n];
         mask[2] = false;
         for shards in [1, 2] {
@@ -1049,7 +992,7 @@ mod tests {
                 &FaultConfig::default(),
             );
             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            let out = engine.run(&mut col, &params(0, None, &policy, Some(&mask)));
+            let out = engine.run(&mut col, &params(0, None, Some(&mask)));
             assert_eq!(out.fast_path_homes, 0, "K={shards}");
             assert_eq!(out.fallback_homes, n, "K={shards}");
             if shards == 1 {
@@ -1058,7 +1001,7 @@ mod tests {
                 let mut slow = fleet(n, 13);
                 let mut bus = BroadcastBus::new(n, LatencyModel::lan());
                 let mut col: Vec<&mut Mlp> = slow.iter_mut().collect();
-                DflRound::new().run(&mut col, &mut bus, &params(0, None, &policy, Some(&mask)));
+                DflRound::new().run(&mut col, &mut bus, &params(0, None, Some(&mask)));
                 assert_eq!(bits(&models), bits(&slow));
             }
         }

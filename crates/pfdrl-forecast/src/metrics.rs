@@ -10,15 +10,21 @@
 /// average.
 pub const DEFAULT_ACCURACY_FLOOR_WATTS: f64 = 1.0;
 
-/// Per-sample paper accuracies: `1 - |pred - real| / real`, clamped to
-/// `[0, 1]`, for samples with `real >= floor`.
+/// One sample's paper accuracy: `1 - |pred - real| / real`, clamped to
+/// `[0, 1]`. The caller skips samples whose `real` is below its floor.
+pub fn sample_accuracy(pred: f64, real: f64) -> f64 {
+    (1.0 - (pred - real).abs() / real).clamp(0.0, 1.0)
+}
+
+/// Per-sample paper accuracies ([`sample_accuracy`]) of the samples with
+/// `real >= floor`.
 pub fn paper_accuracies(pred: &[f64], real: &[f64], floor: f64) -> Vec<f64> {
     assert_eq!(pred.len(), real.len(), "paper_accuracies length mismatch");
     assert!(floor > 0.0, "floor must be positive");
     pred.iter()
         .zip(real.iter())
         .filter(|(_, r)| **r >= floor)
-        .map(|(p, r)| (1.0 - (p - r).abs() / r).clamp(0.0, 1.0))
+        .map(|(p, r)| sample_accuracy(*p, *r))
         .collect()
 }
 

@@ -782,7 +782,7 @@ impl ServeEngine {
             // for it is known; the verdict gates tonight's federation
             // round and tomorrow's inference.
             self.ems
-                .observe_health(&self.cfg, self.homes.iter().map(|hl| hl.imputed_today));
+                .observe_health(self.homes.iter().map(|hl| hl.imputed_today));
             self.ems.federate_now(&self.cfg, self.method);
         }
         for hl in &mut self.homes {

@@ -614,7 +614,7 @@ fn encode_cloud_stats(w: &mut Writer, s: &CloudStats) {
     w.put_u64(s.corrupted);
     w.put_u64(s.delayed);
     w.put_u64(s.rejected);
-    w.put_u64(s.quorum_failures);
+    w.put_u64(s.empty_rounds);
     w.put_u64(s.missed_downloads);
     w.put_f64(s.delay_seconds);
 }
@@ -631,7 +631,7 @@ fn decode_cloud_stats(r: &mut Reader<'_>) -> Result<CloudStats, StoreError> {
         corrupted: r.u64()?,
         delayed: r.u64()?,
         rejected: r.u64()?,
-        quorum_failures: r.u64()?,
+        empty_rounds: r.u64()?,
         missed_downloads: r.u64()?,
         delay_seconds: r.f64()?,
     })
@@ -1251,7 +1251,7 @@ pub(crate) mod test_fixtures {
                     stats: CloudStats {
                         uploads: 4,
                         upload_bytes: 2048,
-                        quorum_failures: 1,
+                        empty_rounds: 1,
                         delay_seconds: 0.1,
                         ..Default::default()
                     },

@@ -195,7 +195,7 @@ fn build_snapshot(seed: u64, n_homes: usize, n_devices: usize, shared_agents: bo
                     corrupted: g.next(),
                     delayed: g.next(),
                     rejected: g.next(),
-                    quorum_failures: g.next(),
+                    empty_rounds: g.next(),
                     missed_downloads: g.next(),
                     delay_seconds: g.chaos_f64(),
                 },

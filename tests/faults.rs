@@ -5,7 +5,7 @@
 use pfdrl::core::{runner::run_method, EmsMethod, EmsState, SimConfig};
 use pfdrl::fl::{
     aggregate, BroadcastBus, CloudRound, Delivery, FaultConfig, LatencyModel, LayerSplit,
-    LayerUpdate, MergePolicy, ModelUpdate, PayloadCodec, RoundParams,
+    LayerUpdate, ModelUpdate, PayloadCodec, RoundParams,
 };
 use pfdrl::nn::Layered;
 use rand::rngs::StdRng;
@@ -21,10 +21,8 @@ fn chaos_runs_are_bit_identical_per_seed() {
         seed: 0xC0FFEE,
         loss_rate: 0.3,
         dropout_rate: 0.4,
-        offline_rounds: 2,
         straggler_rate: 0.1,
         corrupt_rate: 0.1,
-        ..FaultConfig::default()
     };
     let run_once = || {
         let run = run_method(&cfg, EmsMethod::Pfdrl);
@@ -122,11 +120,6 @@ fn hostile_update(rng: &mut StdRng, n_senders: usize) -> ModelUpdate {
 #[test]
 fn merges_never_panic_on_hostile_updates() {
     let mut rng = StdRng::seed_from_u64(99);
-    let policy = MergePolicy {
-        min_quorum: 2,
-        staleness_decay: 0.5,
-        max_staleness: 10,
-    };
     for _ in 0..500 {
         let updates: Vec<ModelUpdate> = (0..rng.gen_range(0..6usize))
             .map(|_| hostile_update(&mut rng, 4))
@@ -136,15 +129,11 @@ fn merges_never_panic_on_hostile_updates() {
         let mut model = Toy::new();
         let report = aggregate::merge_updates(&mut model, &refs);
         assert!(report.accepted_updates <= refs.len());
-        let mut model2 = Toy::new();
-        let _ = aggregate::merge_updates_with(&mut model2, &refs, 50, &policy);
-        for m in [&model, &model2] {
-            for layer in &m.layers {
-                assert!(
-                    layer.iter().all(|p| p.is_finite()),
-                    "merge let non-finite params in"
-                );
-            }
+        for layer in &model.layers {
+            assert!(
+                layer.iter().all(|p| p.is_finite()),
+                "merge let non-finite params in"
+            );
         }
 
         let mut split_model = Toy::new();
@@ -205,10 +194,6 @@ fn transports_never_panic_on_hostile_traffic() {
         let bits =
             |m: &Toy| -> Vec<u64> { m.layers.iter().flatten().map(|p| p.to_bits()).collect() };
         let before: Vec<Vec<u64>> = models.iter().map(bits).collect();
-        let policy = MergePolicy {
-            min_quorum: 1 + (round % 3) as usize,
-            ..MergePolicy::default()
-        };
         let mut col: Vec<&mut Toy> = models.iter_mut().collect();
         let merged = cloud.run(
             &mut col,
@@ -216,7 +201,6 @@ fn transports_never_panic_on_hostile_traffic() {
                 round,
                 model_id: 0,
                 alpha: None,
-                policy: &policy,
                 participants: None,
             },
         );
@@ -231,7 +215,7 @@ fn transports_never_panic_on_hostile_traffic() {
         merged_rounds += usize::from(merged > 0);
     }
     let s = cloud.stats();
-    assert!(merged_rounds > 0 && s.rejected > 0 && s.corrupted > 0 && s.quorum_failures > 0);
+    assert!(merged_rounds > 0 && s.rejected > 0 && s.corrupted > 0 && s.empty_rounds > 0);
 }
 
 /// FL and FRL federate through the cloud server, whose validator once

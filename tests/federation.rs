@@ -5,8 +5,8 @@
 use pfdrl::data::{build_windows, GeneratorConfig, TraceGenerator};
 use pfdrl::drl::{DqnAgent, DqnConfig};
 use pfdrl::fl::{
-    aggregate, BroadcastBus, CloudRound, FaultConfig, LatencyModel, LayerSplit, MergePolicy,
-    ModelUpdate, PayloadCodec, RoundParams,
+    aggregate, BroadcastBus, CloudRound, FaultConfig, LatencyModel, LayerSplit, ModelUpdate,
+    PayloadCodec, RoundParams,
 };
 use pfdrl::forecast::{ForecastMethod, Forecaster, TrainConfig};
 use pfdrl::nn::Layered;
@@ -45,14 +45,12 @@ fn lan_fedavg_equals_cloud_fedavg() {
         PayloadCodec::Raw,
     );
     let mut col: Vec<&mut dyn Forecaster> = cloud_models.iter_mut().map(|m| m.as_mut()).collect();
-    let policy = MergePolicy::default();
     let merged = cloud.run(
         &mut col,
         &RoundParams {
             round: 0,
             model_id: 0,
             alpha: None,
-            policy: &policy,
             participants: None,
         },
     );

@@ -8,7 +8,7 @@
 
 use pfdrl::fl::{
     dfl_round_reference, BroadcastBus, DflRound, FaultConfig, HierarchicalRound, LatencyModel,
-    MergePolicy, PayloadCodec, RoundOutcome, RoundParams, ShardPlan,
+    PayloadCodec, RoundOutcome, RoundParams, ShardPlan,
 };
 use pfdrl::nn::{Activation, Layered, Mlp};
 use proptest::prelude::*;
@@ -41,12 +41,11 @@ fn bits(models: &[Mlp]) -> Vec<u64> {
         .collect()
 }
 
-fn params(round: u64, alpha: Option<usize>, policy: &MergePolicy) -> RoundParams<'_> {
+fn params(round: u64, alpha: Option<usize>) -> RoundParams<'static> {
     RoundParams {
         round,
         model_id: 0,
         alpha,
-        policy,
         participants: None,
     }
 }
@@ -57,10 +56,9 @@ fn run_engine(
     bus: &mut BroadcastBus,
     round: u64,
     alpha: Option<usize>,
-    policy: &MergePolicy,
 ) {
     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-    engine.run(&mut col, bus, &params(round, alpha, policy));
+    engine.run(&mut col, bus, &params(round, alpha));
 }
 
 /// Runs `f` with every parallel call it makes limited to `width`
@@ -78,10 +76,9 @@ fn run_hier(
     engine: &mut HierarchicalRound,
     round: u64,
     alpha: Option<usize>,
-    policy: &MergePolicy,
 ) -> RoundOutcome {
     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-    engine.run(&mut col, &params(round, alpha, policy))
+    engine.run(&mut col, &params(round, alpha))
 }
 
 proptest! {
@@ -98,7 +95,6 @@ proptest! {
     ) {
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
-        let policy = fault.merge_policy();
 
         let mut a = fleet(n, seed ^ 0x5EED);
         let mut b = fleet(n, seed ^ 0x5EED);
@@ -108,9 +104,9 @@ proptest! {
         let mut bus_b = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
         let mut engine = DflRound::new();
         for round in 1..=4u64 {
-            run_engine(&mut a, &mut engine, &mut bus_a, round, alpha, &policy);
+            run_engine(&mut a, &mut engine, &mut bus_a, round, alpha);
             let mut refs: Vec<&mut Mlp> = b.iter_mut().collect();
-            dfl_round_reference(&mut refs, &mut bus_b, round, 0, alpha, &policy);
+            dfl_round_reference(&mut refs, &mut bus_b, round, 0, alpha);
             prop_assert!(
                 bits(&a) == bits(&b),
                 "round {} diverged (seed {}, n {}, chaos {:.2}, alpha {:?})",
@@ -131,7 +127,6 @@ proptest! {
         n in 2usize..10,
         shards in 1usize..4,
     ) {
-        let policy = MergePolicy::default();
         let mut per_home = fleet(n, seed);
         let mut shared = fleet(n, seed);
         let mut shared2 = fleet(n, seed);
@@ -141,9 +136,9 @@ proptest! {
             ShardPlan::round_robin(n, shards), LatencyModel::lan(), &FaultConfig::default());
         let (mut ea, mut eb) = (hier(), hier());
         for round in 1..=2u64 {
-            run_engine(&mut per_home, &mut engine, &mut bus, round, Some(2), &policy);
+            run_engine(&mut per_home, &mut engine, &mut bus, round, Some(2));
             for (models, e) in [(&mut shared, &mut ea), (&mut shared2, &mut eb)] {
-                let out = run_hier(models, e, round, Some(2), &policy);
+                let out = run_hier(models, e, round, Some(2));
                 prop_assert_eq!(out.fast_path_homes, n);
             }
         }
@@ -173,7 +168,6 @@ proptest! {
     ) {
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
-        let policy = fault.merge_policy();
         let mut reference = fleet(n, seed ^ 0xF1A7);
         let mut hier = fleet(n, seed ^ 0xF1A7);
         let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
@@ -181,8 +175,8 @@ proptest! {
             ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault);
         for round in 1..=4u64 {
             let mut refs: Vec<&mut Mlp> = reference.iter_mut().collect();
-            dfl_round_reference(&mut refs, &mut bus, round, 0, alpha, &policy);
-            run_hier(&mut hier, &mut hier_engine, round, alpha, &policy);
+            dfl_round_reference(&mut refs, &mut bus, round, 0, alpha);
+            run_hier(&mut hier, &mut hier_engine, round, alpha);
             prop_assert!(
                 hier_engine.total_stats() == bus.stats(),
                 "round {} traffic diverged from the reference (seed {}, n {}, chaos {:.2}, alpha {:?})",
@@ -203,7 +197,6 @@ proptest! {
         chaos in 0.0f64..0.5,
     ) {
         let fault = FaultConfig::chaos(seed, chaos);
-        let policy = fault.merge_policy();
         let plan = ShardPlan::round_robin(n, shards);
         let mut scrambled: Vec<Vec<usize>> = plan.members().to_vec();
         let k = scrambled.len();
@@ -219,8 +212,8 @@ proptest! {
         let mut ea = HierarchicalRound::new(plan, LatencyModel::lan(), &fault);
         let mut eb = HierarchicalRound::new(scrambled_plan, LatencyModel::lan(), &fault);
         for round in 1..=4u64 {
-            run_hier(&mut a, &mut ea, round, None, &policy);
-            run_hier(&mut b, &mut eb, round, None, &policy);
+            run_hier(&mut a, &mut ea, round, None);
+            run_hier(&mut b, &mut eb, round, None);
         }
         prop_assert_eq!(bits(&a), bits(&b));
         prop_assert_eq!(ea.export_state(), eb.export_state());
@@ -238,7 +231,6 @@ proptest! {
         shards in 2usize..4,
     ) {
         let fault = FaultConfig::chaos(seed, 0.5);
-        let policy = fault.merge_policy();
         let mut a = fleet(n, seed ^ 0xC4A0);
         let mut b = fleet(n, seed ^ 0xC4A0);
         let mut ea = HierarchicalRound::new(
@@ -246,8 +238,8 @@ proptest! {
         let mut eb = HierarchicalRound::new(
             ShardPlan::round_robin(n, shards), LatencyModel::lan(), &fault);
         for round in 1..=5u64 {
-            run_hier(&mut a, &mut ea, round, None, &policy);
-            run_hier(&mut b, &mut eb, round, None, &policy);
+            run_hier(&mut a, &mut ea, round, None);
+            run_hier(&mut b, &mut eb, round, None);
             prop_assert_eq!(bits(&a), bits(&b));
             prop_assert_eq!(ea.export_state(), eb.export_state());
         }
@@ -269,7 +261,6 @@ proptest! {
             PayloadCodec::QuantizedI8 { per_layer_scale: false },
         ][codec_pick];
         let fault = FaultConfig::chaos(seed, 0.5);
-        let policy = fault.merge_policy();
         let mut a = fleet(n, seed ^ 0xC0DEC);
         let mut b = fleet(n, seed ^ 0xC0DEC);
         let mut ea = HierarchicalRound::with_codec(
@@ -277,8 +268,8 @@ proptest! {
         let mut eb = HierarchicalRound::with_codec(
             ShardPlan::round_robin(n, shards), LatencyModel::lan(), &fault, codec);
         for round in 1..=5u64 {
-            run_hier(&mut a, &mut ea, round, None, &policy);
-            run_hier(&mut b, &mut eb, round, None, &policy);
+            run_hier(&mut a, &mut ea, round, None);
+            run_hier(&mut b, &mut eb, round, None);
             prop_assert!(
                 bits(&a) == bits(&b),
                 "round {} diverged (seed {}, n {}, shards {}, codec {})",
@@ -307,14 +298,13 @@ proptest! {
     ) {
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
-        let policy = fault.merge_policy();
         let run = |width: usize| {
             at_width(width, || {
                 let mut models = fleet(n, seed ^ 0x71D7);
                 let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &fault);
                 let mut engine = DflRound::new();
                 for round in 1..=4u64 {
-                    run_engine(&mut models, &mut engine, &mut bus, round, alpha, &policy);
+                    run_engine(&mut models, &mut engine, &mut bus, round, alpha);
                 }
                 (bits(&models), bus.stats())
             })
@@ -342,14 +332,13 @@ proptest! {
         chaos in -0.2f64..0.6,
     ) {
         let fault = FaultConfig::chaos(seed, chaos.max(0.0));
-        let policy = fault.merge_policy();
         let run = |width: usize| {
             at_width(width, || {
                 let mut models = fleet(n, seed ^ 0x41E2);
                 let mut engine = HierarchicalRound::new(
                     ShardPlan::round_robin(n, shards), LatencyModel::lan(), &fault);
                 for round in 1..=4u64 {
-                    run_hier(&mut models, &mut engine, round, None, &policy);
+                    run_hier(&mut models, &mut engine, round, None);
                 }
                 (bits(&models), engine.export_state())
             })
@@ -374,7 +363,6 @@ proptest! {
         n in 3usize..8,
     ) {
         let fault = FaultConfig::chaos(seed, 0.5);
-        let policy = fault.merge_policy();
         let codecs = [
             PayloadCodec::Raw,
             PayloadCodec::QuantizedI8 { per_layer_scale: true },
@@ -387,7 +375,7 @@ proptest! {
                 ShardPlan::round_robin(n, 1), LatencyModel::lan(), &fault, codec);
             let mut per_round = Vec::new();
             for round in 1..=4u64 {
-                let outcome = run_hier(&mut models, &mut engine, round, None, &policy);
+                let outcome = run_hier(&mut models, &mut engine, round, None);
                 per_round.push((outcome.fast_path_homes, outcome.fallback_homes));
             }
             splits.push(per_round);

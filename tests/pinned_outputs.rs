@@ -2,7 +2,9 @@
 //! commits: the batch run that `repro run --quick` computes and the
 //! serve decision log over the committed CI fixture. It also pins the
 //! forecast phase of every forecasting backend under every training
-//! architecture. Each is folded into an FNV-1a-64 hash over exact bit
+//! architecture, and the batch run under the fault plans that drive
+//! stragglers, rejected payloads, per-home fallbacks and failed cloud
+//! rounds. Each is folded into an FNV-1a-64 hash over exact bit
 //! patterns, so a refactor that claims to move no bit can be checked
 //! against the literals below instead of against a second checkout.
 //!
@@ -12,14 +14,23 @@
 
 use pfdrl_core::EmsMethod::{Cloud, Fl, Local, Pfdrl};
 use pfdrl_core::{
-    evaluate_forecast, run_method, train_forecasters, EmsMethod, RunResult, SimConfig,
+    evaluate_forecast, run_method, train_forecasters, AggregationMode, EmsMethod, EmsState,
+    RunResult, SimConfig,
 };
+use pfdrl_fl::{FaultConfig, ShardAssignment};
 use pfdrl_forecast::ForecastMethod::{self, Bp, Lr, Lstm, Svm};
 use pfdrl_serve::{NdjsonSource, ServeConfig, ServeEngine, VecSink};
 use std::io::BufReader;
 
 /// `run_method(&SimConfig::tiny(42), EmsMethod::Pfdrl).result()`.
 const BATCH_RESULT_HASH: u64 = 0xe760_9054_de41_6b76;
+/// The same run under [`faulty_config`]: stragglers, lost and
+/// corrupted deliveries in both phases.
+const FAULTY_PFDRL_HASH: u64 = 0xee3d_834e_c171_7857;
+/// FRL on `SimConfig::tiny(42)` under `FaultConfig::chaos(7, 0.4)`.
+const CHAOS_FRL_HASH: u64 = 0x0cc8_d621_91bd_b880;
+/// [`faulty_config`] federating through two round-robin shards.
+const FAULTY_HIER_PFDRL_HASH: u64 = 0x3693_b4fb_ca3d_2509;
 /// Every line of the serve decision log, newline-terminated.
 const SERVE_LOG_HASH: u64 = 0x052d_7e01_3c49_47cd;
 const SERVE_LOG_LINES: usize = 17_244;
@@ -109,6 +120,73 @@ fn batch_quick_run_matches_pinned_hash() {
     let result = run_method(&SimConfig::tiny(42), EmsMethod::Pfdrl).result();
     let hash = hash_result(&result);
     assert_eq!(hash, BATCH_RESULT_HASH, "batch result hash {hash:#018x}");
+}
+
+/// `SimConfig::tiny(42)` with a fifth of deliveries lost, a quarter
+/// straggling and a fifth corrupted (no churn, so every home stays in
+/// every round).
+fn faulty_config() -> SimConfig {
+    let mut cfg = SimConfig::tiny(42);
+    cfg.fault = FaultConfig {
+        seed: 7,
+        loss_rate: 0.2,
+        straggler_rate: 0.25,
+        corrupt_rate: 0.2,
+        ..FaultConfig::default()
+    };
+    cfg
+}
+
+/// The hash of `run_method(cfg, method).result()`, and the EMS state
+/// of the same run driven day by day, whose transports hold the
+/// counters the fault paths raise.
+fn faulty_run(cfg: &SimConfig, method: EmsMethod) -> (u64, EmsState) {
+    let hash = hash_result(&run_method(cfg, method).result());
+    let forecast = train_forecasters(cfg, method);
+    let mut state = EmsState::fresh(cfg);
+    while !state.done(cfg) {
+        state.advance_day(cfg, method, &forecast);
+    }
+    (hash, state)
+}
+
+#[test]
+fn fault_paths_match_pinned_hashes() {
+    let (hash, state) = faulty_run(&faulty_config(), EmsMethod::Pfdrl);
+    let bus = state.bus.stats();
+    assert!(
+        bus.delayed > 0 && bus.corrupted > 0 && bus.dropped_total() > 0,
+        "{bus:?}"
+    );
+    assert_eq!(hash, FAULTY_PFDRL_HASH, "faulty PFDRL hash {hash:#018x}");
+
+    let mut cfg = SimConfig::tiny(42);
+    cfg.fault = FaultConfig::chaos(7, 0.4);
+    let (hash, state) = faulty_run(&cfg, EmsMethod::Frl);
+    let cloud = state.cloud.stats();
+    assert!(cloud.empty_rounds > 0 && cloud.rejected > 0, "{cloud:?}");
+    assert_eq!(hash, CHAOS_FRL_HASH, "chaos FRL hash {hash:#018x}");
+
+    let mut cfg = faulty_config();
+    cfg.aggregation = AggregationMode::Hierarchical {
+        shards: 2,
+        assignment: ShardAssignment::RoundRobin,
+    };
+    let (hash, state) = faulty_run(&cfg, EmsMethod::Pfdrl);
+    let hier = state.hier.as_ref().expect("hierarchical engine");
+    let (fast, fallback) = hier.export_state().shards.iter().fold((0, 0), |(f, b), s| {
+        (
+            f + s.counters.fast_path_homes,
+            b + s.counters.fallback_homes,
+        )
+    });
+    assert!(fast > 0 && fallback > 0, "fast {fast}, fallback {fallback}");
+    let stats = hier.total_stats();
+    assert!(stats.delayed > 0 && stats.corrupted > 0, "{stats:?}");
+    assert_eq!(
+        hash, FAULTY_HIER_PFDRL_HASH,
+        "faulty hierarchical PFDRL hash {hash:#018x}"
+    );
 }
 
 #[test]

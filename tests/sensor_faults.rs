@@ -6,7 +6,7 @@
 
 use pfdrl::core::{
     run_method_resumable, run_method_resume_from, train_forecasters, CheckpointPolicy, EmsMethod,
-    EmsPhase, EmsState, HealthPolicy, SimConfig, SupervisionPolicy,
+    EmsPhase, EmsState, SimConfig, SupervisionPolicy,
 };
 use pfdrl::data::{impute_forward_fill, SensorFaultConfig, MINUTES_PER_DAY, WATT_CEILING};
 use pfdrl::store::{CheckpointStore, RunSnapshot, StoreError};
@@ -21,16 +21,13 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A tiny neighbourhood under a severe sensor-fault storm, with health
-/// thresholds tightened so quarantine engages within the short run.
+/// A tiny neighbourhood under a severe sensor-fault storm, run for
+/// enough evaluation days that quarantine engages under the health
+/// machine's thresholds (two dirty days in a row).
 fn stormy_config(world_seed: u64, fault_seed: u64) -> SimConfig {
     let mut cfg = SimConfig::tiny(world_seed);
     cfg.sensor_fault = SensorFaultConfig::storm(fault_seed, 0.8);
-    cfg.health = HealthPolicy {
-        dirty_minutes: 1,
-        quarantine_after_days: 1,
-        readmit_after_days: 1,
-    };
+    cfg.eval_days = 4;
     cfg
 }
 
@@ -120,8 +117,8 @@ fn exercise_resume_matrix(cfg: &SimConfig, tag: &str) -> EmsPhase {
 
 #[test]
 fn kill_and_resume_mid_quarantine_is_bit_identical() {
-    let mut cfg = stormy_config(11, 0xBADCAB);
-    cfg.eval_days = 4; // snapshots land both inside and after quarantine
+    // Snapshots land both before and inside quarantine.
+    let cfg = stormy_config(11, 0xBADCAB);
     let reference = exercise_resume_matrix(&cfg, "quarantine");
     assert!(
         reference.quarantined_home_days > 0,
@@ -141,7 +138,6 @@ fn supervision_rollbacks_replay_across_resume() {
     cfg.eval_days = 4;
     cfg.supervision = SupervisionPolicy {
         explode_factor: 1e-12,
-        window_days: 1,
     };
     let reference = exercise_resume_matrix(&cfg, "rollback");
     assert!(

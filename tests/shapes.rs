@@ -52,9 +52,7 @@ fn shape_config(seed: u64) -> SimConfig {
         fault: pfdrl::fl::FaultConfig::default(),
         checkpoint: pfdrl::core::CheckpointPolicy::default(),
         aggregation: pfdrl::fl::AggregationMode::PerHome,
-        max_shard_bytes: 0,
         sensor_fault: pfdrl::data::SensorFaultConfig::default(),
-        health: pfdrl::core::HealthPolicy::default(),
         supervision: pfdrl::core::SupervisionPolicy::default(),
         precision: pfdrl::core::Precision::F64,
         compression: pfdrl::fl::PayloadCodec::Raw,
