@@ -18,8 +18,8 @@ use pfdrl_core::experiment::{
     headline, table2_rows, DegradationResult, SensorFaultResult,
 };
 use pfdrl_core::{
-    run_method_resumable, run_method_resume_from, train_forecasters, EmsMethod, Precision,
-    ResumableRun, RunResult, SimConfig,
+    run_method_resumable, run_method_resume_from, train_forecasters, EmsMethod, ResumableRun,
+    RunResult, SimConfig,
 };
 use pfdrl_data::SensorFaultConfig;
 use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec, ShardAssignment};
@@ -89,10 +89,6 @@ struct Ctx {
     shards: Option<usize>,
     chunk_minutes: Option<usize>,
     queue_cap: Option<usize>,
-    /// `--precision <f64|f32fast>`: forecast inference precision of the
-    /// base configuration (run/serve/headline/figures). Part of the run
-    /// identity, so `f32fast` selects its own canary trajectory.
-    precision: Precision,
     /// `--compression <raw|q8|q8-global>`: federation payload codec of
     /// the base configuration. Part of the run identity — compressed
     /// codecs change the merged bits, so each codec has its own
@@ -107,7 +103,6 @@ impl Ctx {
         } else {
             repro_config(SEED)
         };
-        cfg.precision = self.precision;
         cfg.compression = self.compression;
         cfg
     }
@@ -118,7 +113,6 @@ impl Ctx {
         } else {
             forecast_config(SEED)
         };
-        cfg.precision = self.precision;
         cfg.compression = self.compression;
         cfg
     }
@@ -637,18 +631,14 @@ fn run_headline(ctx: &Ctx) {
 /// converged saved-standby fraction of the fixed-seed PFDRL run and the
 /// mean forecast accuracy of the trained fleet over the evaluation span.
 /// Full scale is `bench_ems_config()`; quick is `tiny(42)` with the
-/// forecast method switched to LSTM, since the tiny config's LR
-/// forecaster has no f32 path. The saved fraction is action-quantized
-/// (sub-µW forecast deltas rarely flip a discrete EMS action, so F64 and
-/// F32Fast land on the same value, which is itself pinned); the forecast
-/// accuracy moves whenever a single prediction bit changes, which keeps
-/// the two precisions' canaries distinct. Every run here is
-/// bit-deterministic, so any drift is a correctness regression, not
-/// noise.
+/// forecast method switched from LR to LSTM, the paper's forecaster, so
+/// both scales pin it. The saved fraction is action-quantized (sub-µW
+/// forecast deltas rarely flip a discrete EMS action); the forecast
+/// accuracy moves whenever a single prediction bit changes, so it pins
+/// the LSTM inference kernel. Every run here is bit-deterministic, so
+/// any drift is a correctness regression, not noise.
 const F64_FULL: [f64; 2] = [0.39476153139803727, 0.8000332742645503];
 const F64_QUICK: [f64; 2] = [0.49031103179286195, 0.7775601629068307];
-const F32_FULL: [f64; 2] = [0.39476153139803727, 0.8000332827694779];
-const F32_QUICK: [f64; 2] = [0.49031103179286195, 0.7775601875591515];
 
 /// The two observables every canary row measures, in literal order.
 const OBSERVABLES: [&str; 2] = ["saved fraction", "forecast accuracy"];
@@ -686,7 +676,7 @@ struct Canary {
 /// straggler parking and corrupted-payload rejection on the bus, `frl`
 /// the cloud server (forecast and Q-network rounds), and `frl chaos:0.5`
 /// its upload validation and failed rounds.
-const CANARIES: [Canary; 10] = [
+const CANARIES: [Canary; 9] = [
     Canary {
         label: "f64 (1 thread)",
         method: EmsMethod::Pfdrl,
@@ -700,13 +690,6 @@ const CANARIES: [Canary; 10] = [
         apply: |_| {},
         threads: 4,
         expect: Expect::Pinned(F64_FULL, F64_QUICK),
-    },
-    Canary {
-        label: "f32fast",
-        method: EmsMethod::Pfdrl,
-        apply: |c| c.precision = Precision::F32Fast,
-        threads: 0,
-        expect: Expect::Pinned(F32_FULL, F32_QUICK),
     },
     Canary {
         label: "q8",
@@ -807,7 +790,7 @@ fn canary(ctx: &Ctx) {
     let base = if ctx.quick {
         let mut c = quick_config(SEED);
         // tiny() uses the LR forecaster; the canary must exercise the
-        // LSTM path, the one backend with a reduced-precision mirror.
+        // LSTM path, the paper's forecaster.
         c.forecast_method = pfdrl_forecast::ForecastMethod::Lstm;
         c
     } else {
@@ -939,16 +922,6 @@ fn main() {
             "--shards" => ctx.shards = Some(parsed(&mut it, a)),
             "--chunk-minutes" => ctx.chunk_minutes = Some(parsed(&mut it, a)),
             "--queue-cap" => ctx.queue_cap = Some(parsed(&mut it, a)),
-            "--precision" => {
-                ctx.precision = match flag_value(&mut it, a).as_str() {
-                    "f64" => Precision::F64,
-                    "f32fast" => Precision::F32Fast,
-                    other => {
-                        eprintln!("--precision must be f64 or f32fast, got {other:?}");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--compression" => {
                 ctx.compression = match flag_value(&mut it, a).as_str() {
                     "raw" => PayloadCodec::Raw,
@@ -969,7 +942,7 @@ fn main() {
                     "unknown flag {other:?}; known: --quick --json --out-dir \
                      --checkpoint-dir --resume-from --crash-after-day --stream --serve-out \
                      --snapshot-every-minutes --crash-after-minute --shards --chunk-minutes \
-                     --queue-cap --precision --compression"
+                     --queue-cap --compression"
                 );
                 std::process::exit(2);
             }

@@ -58,7 +58,6 @@ pub fn repro_config(seed: u64) -> SimConfig {
         aggregation: pfdrl_fl::AggregationMode::PerHome,
         sensor_fault: pfdrl_data::SensorFaultConfig::default(),
         supervision: pfdrl_core::SupervisionPolicy::default(),
-        precision: pfdrl_core::Precision::F64,
         compression: pfdrl_fl::PayloadCodec::Raw,
     }
 }

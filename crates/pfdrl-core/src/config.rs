@@ -4,7 +4,7 @@ use pfdrl_data::dataset::TargetTransform;
 use pfdrl_data::{DeviceType, GeneratorConfig, SensorFaultConfig};
 use pfdrl_drl::DqnConfig;
 use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec};
-use pfdrl_forecast::{ForecastMethod, Precision, TrainConfig};
+use pfdrl_forecast::{ForecastMethod, TrainConfig};
 use serde::{Deserialize, Serialize};
 
 /// Training-divergence supervision: a windowed loss-explosion detector
@@ -152,12 +152,6 @@ pub struct SimConfig {
     /// default.
     #[serde(default)]
     pub supervision: SupervisionPolicy,
-    /// Forecast *inference* precision. The default `F64` is the
-    /// bitwise-pinned path; `F32Fast` routes prediction through the f32
-    /// LSTM mirror and vector transcendentals (deterministic, its own
-    /// canary — training, snapshots and federation stay f64 either way).
-    #[serde(default)]
-    pub precision: Precision,
     /// Federation payload codec. The default `Raw` ships full f64
     /// parameters and is the bitwise-pinned path; `QuantizedI8`
     /// compresses every uplink (LAN broadcast, hierarchical shard
@@ -193,7 +187,6 @@ impl Default for SimConfig {
             aggregation: AggregationMode::PerHome,
             sensor_fault: SensorFaultConfig::default(),
             supervision: SupervisionPolicy::default(),
-            precision: Precision::F64,
             compression: PayloadCodec::Raw,
         }
     }
@@ -256,7 +249,6 @@ impl SimConfig {
             aggregation: AggregationMode::PerHome,
             sensor_fault: SensorFaultConfig::default(),
             supervision: SupervisionPolicy::default(),
-            precision: Precision::F64,
             compression: PayloadCodec::Raw,
         }
     }
@@ -464,23 +456,12 @@ mod tests {
     }
 
     #[test]
-    fn precision_defaults_to_f64_and_is_hashed() {
-        let base = SimConfig::tiny(5);
-        assert_eq!(base.precision, Precision::F64);
-        // Reduced-precision inference changes result bits, so it must
-        // be part of the run identity (same rule as `aggregation`).
-        let mut fast = base.clone();
-        fast.precision = Precision::F32Fast;
-        assert_ne!(base.run_hash(), fast.run_hash());
-    }
-
-    #[test]
     fn compression_defaults_to_raw_and_is_hashed() {
         let base = SimConfig::tiny(5);
         assert_eq!(base.compression, PayloadCodec::Raw);
         // Compressed uplinks change the merged parameter bits, so the
         // codec must be part of the run identity (same rule as
-        // `precision` and `aggregation`).
+        // `aggregation`).
         let mut q8 = base.clone();
         q8.compression = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,

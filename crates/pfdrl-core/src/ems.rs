@@ -35,7 +35,6 @@ use pfdrl_store::{
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
-use std::time::Instant;
 
 /// How a method federates its DRL agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -440,8 +439,8 @@ impl DayWorkspace {
 /// round counter, and the metric accumulators.
 ///
 /// Public so benchmarks and allocation tests can drive the run one
-/// [`EmsState::advance_day`] at a time; normal callers use
-/// [`run_ems`] or the resumable runners.
+/// [`EmsState::advance_day`] at a time; normal callers use the runners
+/// in [`crate::runner`].
 pub struct EmsState {
     pub agents: Vec<Vec<DqnAgent>>,
     pub bus: BroadcastBus,
@@ -1148,17 +1147,6 @@ impl EmsState {
     }
 }
 
-/// Runs the EMS over the evaluation span.
-pub fn run_ems(cfg: &SimConfig, method: EmsMethod, forecast: &ForecastPhase) -> EmsPhase {
-    cfg.validate();
-    let started = Instant::now();
-    let mut state = EmsState::fresh(cfg);
-    while !state.done(cfg) {
-        state.advance_day(cfg, method, forecast);
-    }
-    state.into_phase(cfg, started.elapsed().as_secs_f64())
-}
-
 /// Advances one home's devices through the segment `minutes` of the
 /// day loaded into its workspace, each with a train cadence that
 /// restarts at the segment start. The hour buckets are zeroed first,
@@ -1285,9 +1273,7 @@ mod tests {
     use crate::forecast::train_forecasters;
 
     fn tiny_run(method: EmsMethod) -> EmsPhase {
-        let cfg = SimConfig::tiny(3);
-        let forecast = train_forecasters(&cfg, method);
-        run_ems(&cfg, method, &forecast)
+        crate::runner::run_method(&SimConfig::tiny(3), method).ems
     }
 
     #[test]

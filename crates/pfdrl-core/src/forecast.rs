@@ -136,13 +136,7 @@ fn fresh_models(cfg: &SimConfig) -> Vec<Vec<Box<dyn Forecaster>>> {
                         seed,
                         ..cfg.train.clone()
                     };
-                    let mut model = cfg.forecast_method.build(cfg.feature_dim(), train);
-                    // Inference precision is part of the run identity;
-                    // backends without a reduced-precision path ignore
-                    // it. Set before any fit/import so the f32 mirror
-                    // tracks every subsequent weight mutation.
-                    model.set_precision(cfg.precision);
-                    model
+                    cfg.forecast_method.build(cfg.feature_dim(), train)
                 })
                 .collect()
         })

@@ -10,10 +10,11 @@
 //! 1. **Forecast phase** ([`forecast::train_forecasters`]) — per-device
 //!    load forecasters are trained under the method's architecture
 //!    (local / centralized cloud / FedAvg / decentralized LAN).
-//! 2. **EMS phase** ([`ems::run_ems`]) — DQN agents control device modes
-//!    minute by minute over the evaluation days, learning online, with
-//!    the method's DRL federation (none / full cloud FedAvg / α-layer
-//!    LAN broadcast with personal layers kept local).
+//! 2. **EMS phase** ([`ems::EmsState`], run by [`runner::run_method`]) —
+//!    DQN agents control device modes minute by minute over the
+//!    evaluation days, learning online, with the method's DRL federation
+//!    (none / full cloud FedAvg / α-layer LAN broadcast with personal
+//!    layers kept local).
 //!
 //! ## Example
 //!
@@ -43,7 +44,6 @@ pub use eval::{evaluate_forecast, ForecastEval};
 pub use forecast::{train_forecasters, ForecastPhase};
 pub use method::EmsMethod;
 pub use pfdrl_fl::AggregationMode;
-pub use pfdrl_forecast::Precision;
 pub use runner::{
     run_method, run_method_resumable, run_method_resume_from, MethodRun, ResumableRun, RunResult,
 };

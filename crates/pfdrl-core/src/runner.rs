@@ -2,7 +2,7 @@
 //! phase, with cost accounting for the time-overhead figures.
 
 use crate::config::SimConfig;
-use crate::ems::{run_ems, EmsPhase, EmsState};
+use crate::ems::{EmsPhase, EmsState};
 use crate::forecast::{train_forecasters, ForecastPhase};
 use crate::method::EmsMethod;
 use pfdrl_env::EnergyAccount;
@@ -121,7 +121,9 @@ pub struct ResumableRun {
     pub resumed_from_day: Option<u64>,
 }
 
-/// Runs one method end to end.
+/// Runs one method end to end, under the divergence supervisor and
+/// writing no snapshots: the same run as [`run_method_resumable`]
+/// without a checkpoint directory.
 pub fn run_method(cfg: &SimConfig, method: EmsMethod) -> MethodRun {
     run_method_with_forecast(cfg, method).0
 }
@@ -129,19 +131,10 @@ pub fn run_method(cfg: &SimConfig, method: EmsMethod) -> MethodRun {
 /// Runs one method and also returns the trained forecasters (for
 /// experiments that need to evaluate forecast quality on the same run).
 pub fn run_method_with_forecast(cfg: &SimConfig, method: EmsMethod) -> (MethodRun, ForecastPhase) {
-    let forecast = train_forecasters(cfg, method);
-    let ems = run_ems(cfg, method, &forecast);
-    (
-        MethodRun {
-            method: method.name().to_string(),
-            forecast_train_wall_s: forecast.train_wall_s,
-            forecast_comm_s: forecast.comm_s,
-            forecast_bytes: forecast.comm_bytes,
-            forecast_logical_bytes: forecast.comm_logical_bytes,
-            ems,
-        },
-        forecast,
-    )
+    cfg.validate();
+    let (run, forecast) = drive(cfg, method, None, None)
+        .expect("a run without a store or a snapshot restores only its own snapshots");
+    (run.run, forecast)
 }
 
 /// Runs one method with the configured [`CheckpointPolicy`]: if the
@@ -165,7 +158,7 @@ pub fn run_method_resumable(
         },
         None => None,
     };
-    drive(cfg, method, store.as_ref(), snap)
+    drive(cfg, method, store.as_ref(), snap).map(|(run, _)| run)
 }
 
 /// Like [`run_method_resumable`], but resumes from an explicit
@@ -179,7 +172,7 @@ pub fn run_method_resume_from(
     cfg.validate();
     let store = open_store(cfg)?;
     let snap = CheckpointStore::load(snapshot)?;
-    drive(cfg, method, store.as_ref(), Some(snap))
+    drive(cfg, method, store.as_ref(), Some(snap)).map(|(run, _)| run)
 }
 
 fn open_store(cfg: &SimConfig) -> Result<Option<CheckpointStore>, StoreError> {
@@ -189,15 +182,18 @@ fn open_store(cfg: &SimConfig) -> Result<Option<CheckpointStore>, StoreError> {
     }
 }
 
-/// The checkpointed execution loop shared by both resume entry points.
+/// The execution loop behind every runner: trains the forecasters (or
+/// restores them and the EMS from `snap`), then runs the EMS days under
+/// the divergence supervisor, saving to `store` at the configured
+/// cadence. The EMS clock starts once the forecasters are in hand, so
+/// `ems.train_wall_s` never counts forecast training.
 fn drive(
     cfg: &SimConfig,
     method: EmsMethod,
     store: Option<&CheckpointStore>,
     snap: Option<RunSnapshot>,
-) -> Result<ResumableRun, StoreError> {
-    let started = Instant::now();
-    let (mut state, forecast, forecast_state, resumed_from_day) = match snap {
+) -> Result<(ResumableRun, ForecastPhase), StoreError> {
+    let (forecast, snap) = match snap {
         Some(snap) => {
             let expected = cfg.run_hash();
             if snap.meta.config_hash != expected {
@@ -212,16 +208,33 @@ fn drive(
                     found: snap.meta.method.clone(),
                 });
             }
-            let forecast = ForecastPhase::from_state(cfg, &snap.forecast)?;
-            let resumed_from_day = Some(snap.meta.next_day);
-            let state = EmsState::from_snapshot(cfg, &snap)?;
-            (state, forecast, snap.forecast, resumed_from_day)
+            (ForecastPhase::from_state(cfg, &snap.forecast)?, Some(snap))
         }
-        None => {
-            let forecast = train_forecasters(cfg, method);
-            let forecast_state = forecast.export_state();
-            (EmsState::fresh(cfg), forecast, forecast_state, None)
-        }
+        None => (train_forecasters(cfg, method), None),
+    };
+
+    let started = Instant::now();
+    let supervised = cfg.supervision.is_active();
+    // Snapshots carry the forecast state; a run that writes none skips
+    // exporting it.
+    let snapshots = store.is_some() || supervised;
+    let (mut state, resumed_from_day, forecast_state) = match snap {
+        Some(snap) => (
+            EmsState::from_snapshot(cfg, &snap)?,
+            Some(snap.meta.next_day),
+            snapshots.then_some(snap.forecast),
+        ),
+        None => (
+            EmsState::fresh(cfg),
+            None,
+            snapshots.then(|| forecast.export_state()),
+        ),
+    };
+    let snapshot = |state: &EmsState| {
+        let forecast = forecast_state
+            .clone()
+            .expect("exported when snapshots are written");
+        state.to_snapshot(cfg, method, forecast)
     };
 
     // Divergence supervision keeps the last known-good snapshot in
@@ -231,8 +244,7 @@ fn drive(
     // frozen re-run takes no gradient steps, so it cannot re-diverge.
     // `rollbacks` rides the snapshot's health section, so a resumed run
     // replays the exact same verdicts and recovery count.
-    let supervised = cfg.supervision.is_active();
-    let mut last_good = supervised.then(|| state.to_snapshot(cfg, method, forecast_state.clone()));
+    let mut last_good = supervised.then(|| snapshot(&state));
 
     let every = cfg.checkpoint.every_days.max(1);
     while !state.done(cfg) {
@@ -245,7 +257,7 @@ fn drive(
             state.advance_day_frozen(cfg, method, &forecast);
         }
         if let Some(good) = last_good.as_mut() {
-            *good = state.to_snapshot(cfg, method, forecast_state.clone());
+            *good = snapshot(&state);
         }
         let completed = state.next_day - cfg.eval_start_day;
         if let Some(store) = store {
@@ -254,7 +266,7 @@ fn drive(
                 // above, so reuse it rather than snapshotting twice.
                 match last_good.as_ref() {
                     Some(good) => store.save(good)?,
-                    None => store.save(&state.to_snapshot(cfg, method, forecast_state.clone()))?,
+                    None => store.save(&snapshot(&state))?,
                 };
             }
         }
@@ -266,17 +278,21 @@ fn drive(
     }
 
     let ems = state.into_phase(cfg, started.elapsed().as_secs_f64());
-    Ok(ResumableRun {
-        run: MethodRun {
-            method: method.name().to_string(),
-            forecast_train_wall_s: forecast.train_wall_s,
-            forecast_comm_s: forecast.comm_s,
-            forecast_bytes: forecast.comm_bytes,
-            forecast_logical_bytes: forecast.comm_logical_bytes,
-            ems,
+    let run = MethodRun {
+        method: method.name().to_string(),
+        forecast_train_wall_s: forecast.train_wall_s,
+        forecast_comm_s: forecast.comm_s,
+        forecast_bytes: forecast.comm_bytes,
+        forecast_logical_bytes: forecast.comm_logical_bytes,
+        ems,
+    };
+    Ok((
+        ResumableRun {
+            run,
+            resumed_from_day,
         },
-        resumed_from_day,
-    })
+        forecast,
+    ))
 }
 
 #[cfg(test)]
@@ -293,6 +309,35 @@ mod tests {
             let f = run.converged_saved_fraction();
             assert!((0.0..=1.0).contains(&f), "{method} fraction {f}");
         }
+    }
+
+    #[test]
+    fn run_method_runs_the_divergence_supervisor() {
+        // A microscopic explode factor flags any day whose loss rose,
+        // so the supervisor must roll back, in both runners alike.
+        let mut cfg = SimConfig::tiny(13);
+        cfg.eval_days = 4;
+        cfg.supervision.explode_factor = 1e-12;
+        let batch = run_method(&cfg, EmsMethod::Pfdrl);
+        let resumable = run_method_resumable(&cfg, EmsMethod::Pfdrl).unwrap().run;
+        assert!(batch.ems.rollbacks > 0, "the supervisor never rolled back");
+        assert_eq!(batch.ems.rollbacks, resumable.ems.rollbacks);
+        assert_eq!(batch.result(), resumable.result());
+    }
+
+    #[test]
+    fn ems_wall_clock_excludes_forecast_training() {
+        let cfg = SimConfig::tiny(9);
+        let started = Instant::now();
+        let run = run_method_resumable(&cfg, EmsMethod::Pfdrl).unwrap().run;
+        let elapsed = started.elapsed().as_secs_f64();
+        let phases = run.forecast_train_wall_s + run.ems.train_wall_s;
+        assert!(
+            phases <= elapsed,
+            "forecast {} s + EMS {} s exceed the call's {elapsed} s",
+            run.forecast_train_wall_s,
+            run.ems.train_wall_s
+        );
     }
 
     #[test]

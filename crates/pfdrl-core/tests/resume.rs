@@ -363,18 +363,14 @@ fn fl_method_resumes_bit_identically_under_q8_compression() {
 }
 
 #[test]
-fn resume_is_bit_identical_under_f32fast_lstm_inference() {
-    // Reduced-precision inference must be just as snapshot-stable as the
-    // f64 default: snapshots hold only the f64 master weights, and the
-    // f32 mirror is re-quantized deterministically from those bits on
-    // restore, so a resumed F32Fast run replays the exact same f32
-    // arithmetic. `tiny` uses the LR forecaster, so switch to LSTM —
-    // the one backend with a reduced-precision path.
+fn resume_is_bit_identical_with_the_lstm_forecaster() {
+    // The paper's forecaster restores from the snapshot's weights and
+    // must replay the same predictions. `tiny` uses the LR forecaster,
+    // and this is the one resume test on the LSTM.
     let mut cfg = SimConfig::tiny(37);
     cfg.eval_days = 3;
     cfg.forecast_method = pfdrl_forecast::ForecastMethod::Lstm;
-    cfg.precision = pfdrl_core::Precision::F32Fast;
-    exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "f32fast");
+    exercise_resume_matrix(&cfg, EmsMethod::Pfdrl, "lstm");
 }
 
 #[test]

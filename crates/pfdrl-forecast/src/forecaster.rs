@@ -3,30 +3,10 @@
 
 use pfdrl_data::SupervisedSet;
 use pfdrl_nn::optimizer::Adam;
-use pfdrl_nn::{F32LstmScratch, Layered, LstmScratch, Matrix};
+use pfdrl_nn::{Layered, LstmScratch, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-
-/// Numeric precision of the forecast *inference* path.
-///
-/// Training, snapshots and federation payloads are always f64 — this
-/// knob only selects what arithmetic `predict`/`predict_into` run.
-/// `F32Fast` is strictly opt-in: it changes result bits, so (like
-/// hierarchical aggregation) it is part of the run identity and carries
-/// its own canary trajectory; the default stays bit-identical to every
-/// recorded f64 run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum Precision {
-    /// Full-precision scalar inference — the bitwise-pinned default.
-    #[default]
-    F64,
-    /// Reduced-precision inference through an f32 weight mirror and the
-    /// vectorized polynomial transcendentals in `pfdrl_nn::fastmath`.
-    /// Deterministic (same bits every run), just different bits than
-    /// `F64`.
-    F32Fast,
-}
 
 /// Reusable buffers for [`Forecaster::predict_into`]. One workspace can
 /// serve forecasters of any backend and shape: each backend resizes the
@@ -41,8 +21,6 @@ pub struct PredictWorkspace {
     /// LSTM gate/state scratch (the sequence unroll itself is consumed
     /// straight from the flat window rows by `Lstm::infer_windows`).
     pub(crate) lstm: LstmScratch,
-    /// f32 twin of `lstm` for the `Precision::F32Fast` mirror path.
-    pub(crate) lstm_f32: F32LstmScratch,
 }
 
 /// Training hyperparameters shared by the iterative forecasters.
@@ -138,21 +116,6 @@ pub trait Forecaster: Layered + Send + Sync {
         let preds = self.predict(&rows);
         out.clear();
         out.extend_from_slice(&preds);
-    }
-
-    /// Selects the inference precision. The default implementation
-    /// ignores the request (most backends have no reduced-precision
-    /// path and stay f64); backends that honour it (LSTM) rebuild
-    /// their reduced-precision mirror immediately, so the change takes
-    /// effect on the next predict call.
-    fn set_precision(&mut self, precision: Precision) {
-        let _ = precision;
-    }
-
-    /// The precision the *next* predict call will run at. `F64` unless
-    /// the backend honours [`Forecaster::set_precision`].
-    fn precision(&self) -> Precision {
-        Precision::F64
     }
 
     /// Human-readable method name ("LR", "SVM", "BP", "LSTM").

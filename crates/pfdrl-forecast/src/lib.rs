@@ -42,7 +42,7 @@ pub mod metrics;
 pub mod svr;
 
 pub use bp::BpNetwork;
-pub use forecaster::{FitReport, Forecaster, Precision, PredictWorkspace, TrainConfig};
+pub use forecaster::{FitReport, Forecaster, PredictWorkspace, TrainConfig};
 pub use lstm_forecaster::LstmForecaster;
 pub use method::ForecastMethod;
 pub use svr::{SvrConfig, SvrRegressor};

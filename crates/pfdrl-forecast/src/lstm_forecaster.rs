@@ -6,31 +6,18 @@
 //! every step so the recurrence can condition on time of day throughout.
 
 use crate::common::batch_targets_into;
-use crate::forecaster::{
-    fit_epochs, FitReport, Forecaster, Precision, PredictWorkspace, TrainConfig,
-};
+use crate::forecaster::{fit_epochs, FitReport, Forecaster, PredictWorkspace, TrainConfig};
 use pfdrl_data::SupervisedSet;
-use pfdrl_nn::{loss, F32Lstm, F32LstmScratch, Layered, Lstm, Matrix};
+use pfdrl_nn::{loss, Layered, Lstm, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// LSTM regressor over the supervised window features.
-///
-/// In `Precision::F32Fast` mode the forecaster keeps an [`F32Lstm`]
-/// inference mirror alongside the f64 master network. The mirror is
-/// derived state: it is re-quantized from the master's exact bits after
-/// every weight mutation (end of [`Forecaster::fit_budget`], every
-/// [`Layered::import_layer`] — which covers federation merges, cloud
-/// pushes and snapshot restores), so `predict`/`predict_into` stay
-/// `&self`-pure and the f64 master remains the only trained,
-/// snapshotted, federated state.
 #[derive(Debug, Clone)]
 pub struct LstmForecaster {
     net: Lstm,
     window: usize,
     cfg: TrainConfig,
-    precision: Precision,
-    mirror: Option<F32Lstm>,
 }
 
 impl LstmForecaster {
@@ -50,25 +37,6 @@ impl LstmForecaster {
             net,
             window: feature_dim - 2,
             cfg,
-            precision: Precision::F64,
-            mirror: None,
-        }
-    }
-
-    /// Re-quantizes the f32 mirror from the f64 master. Called at every
-    /// `&mut self` point that can change weights; a no-op in f64 mode.
-    fn refresh_mirror(&mut self) {
-        if self.precision == Precision::F32Fast {
-            let mirror = self.mirror.get_or_insert_with(F32Lstm::default);
-            self.net.quantize_f32_into(mirror);
-        }
-    }
-
-    /// The active f32 mirror, if the forecaster is in `F32Fast` mode.
-    fn active_mirror(&self) -> Option<&F32Lstm> {
-        match self.precision {
-            Precision::F32Fast => self.mirror.as_ref(),
-            Precision::F64 => None,
         }
     }
 
@@ -112,9 +80,6 @@ impl Layered for LstmForecaster {
     }
     fn import_layer(&mut self, i: usize, data: &[f64]) {
         self.net.import_layer(i, data);
-        // Federation merges / cloud pushes / snapshot restores all land
-        // here — the mirror must follow the new master bits.
-        self.refresh_mirror();
     }
 }
 
@@ -133,7 +98,7 @@ impl Forecaster for LstmForecaster {
         let mut seq = Vec::new();
         let (mut t, mut grad) = (Matrix::default(), Matrix::default());
         let net = &mut self.net;
-        let report = fit_epochs(set, &self.cfg, max_epochs, |chunk, opt| {
+        fit_epochs(set, &self.cfg, max_epochs, |chunk, opt| {
             sequence_into(self.window, &set.inputs, chunk, &mut seq);
             batch_targets_into(&set.targets, chunk, &mut t);
             net.zero_grad();
@@ -142,23 +107,12 @@ impl Forecaster for LstmForecaster {
             net.backward(&grad);
             opt.step_fused(net.param_tensor_count(), |f| net.for_each_param_grad(f));
             l
-        });
-        self.refresh_mirror();
-        report
+        })
     }
 
     fn predict(&self, inputs: &[Vec<f64>]) -> Vec<f64> {
         if inputs.is_empty() {
             return Vec::new();
-        }
-        if let Some(mirror) = self.active_mirror() {
-            // Route through the same flat-window kernel as
-            // `predict_into` (fresh scratch) so both entry points stay
-            // bit-identical in f32 mode too.
-            let flat = Matrix::from_fn(inputs.len(), self.window + 2, |r, c| inputs[r][c]);
-            let mut out = Vec::new();
-            mirror.infer_windows_into(&flat, self.window, &mut F32LstmScratch::default(), &mut out);
-            return out;
         }
         let idx: Vec<usize> = (0..inputs.len()).collect();
         let seq = self.to_sequence(inputs, &idx);
@@ -171,27 +125,11 @@ impl Forecaster for LstmForecaster {
             return;
         }
         debug_assert_eq!(inputs.cols(), self.window + 2);
-        if let Some(mirror) = self.active_mirror() {
-            mirror.infer_windows_into(inputs, self.window, &mut ws.lstm_f32, out);
-            return;
-        }
         // `infer_windows` consumes the flat window rows directly — the
         // same `[w_t, sin, cos]` unroll as `to_sequence`, bit for bit,
         // without materializing the per-step matrices.
         let y = self.net.infer_windows(inputs, self.window, &mut ws.lstm);
         out.extend_from_slice(y.as_slice());
-    }
-
-    fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-        match precision {
-            Precision::F32Fast => self.refresh_mirror(),
-            Precision::F64 => self.mirror = None,
-        }
-    }
-
-    fn precision(&self) -> Precision {
-        self.precision
     }
 
     fn method_name(&self) -> &'static str {
@@ -259,72 +197,5 @@ mod tests {
     fn predict_empty_is_empty() {
         let fc = LstmForecaster::new(6, TrainConfig::default());
         assert!(fc.predict(&[]).is_empty());
-    }
-
-    fn fitted_pair() -> (LstmForecaster, SupervisedSet) {
-        let trace: Vec<f64> = (0..600)
-            .map(|t| 40.0 + 30.0 * (t as f64 / 19.0).sin())
-            .collect();
-        let set = build_windows(&trace, 80.0, 8, 1, 0).strided(2);
-        let cfg = TrainConfig {
-            max_epochs: 4,
-            ..TrainConfig::with_seed(7)
-        };
-        let mut fc = LstmForecaster::with_hidden(set.feature_dim(), 12, cfg);
-        let _ = fc.fit(&set);
-        (fc, set)
-    }
-
-    #[test]
-    fn f32_mode_tracks_f64_and_is_deterministic() {
-        let (mut fc, set) = fitted_pair();
-        let y64 = fc.predict(&set.inputs);
-        fc.set_precision(Precision::F32Fast);
-        assert_eq!(fc.precision(), Precision::F32Fast);
-        let y32 = fc.predict(&set.inputs);
-        let y32b = fc.predict(&set.inputs);
-        assert_eq!(
-            y32.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            y32b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-        for (a, b) in y32.iter().zip(&y64) {
-            assert!((a - b).abs() < 1e-3, "f32 drifted too far: {a} vs {b}");
-        }
-        // Back to f64 restores the exact master bits.
-        fc.set_precision(Precision::F64);
-        let y64b = fc.predict(&set.inputs);
-        assert_eq!(
-            y64.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            y64b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn f32_predict_into_matches_predict_bitwise() {
-        let (mut fc, set) = fitted_pair();
-        fc.set_precision(Precision::F32Fast);
-        let oracle = fc.predict(&set.inputs);
-        let flat = Matrix::from_fn(set.len(), set.feature_dim(), |r, c| set.inputs[r][c]);
-        let mut ws = PredictWorkspace::default();
-        let mut out = Vec::new();
-        fc.predict_into(&flat, &mut ws, &mut out);
-        assert_eq!(
-            oracle.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-            out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn import_layer_refreshes_f32_mirror() {
-        let (mut fc, set) = fitted_pair();
-        fc.set_precision(Precision::F32Fast);
-        let before = fc.predict(&set.inputs);
-        let layer0: Vec<f64> = fc.export_layer(0).iter().map(|v| v + 0.05).collect();
-        fc.import_layer(0, &layer0);
-        let after = fc.predict(&set.inputs);
-        assert!(
-            before.iter().zip(&after).any(|(a, b)| (a - b).abs() > 1e-9),
-            "mirror must follow imported weights"
-        );
     }
 }

@@ -87,17 +87,6 @@ impl Dense {
         self.w.len() + self.b.len()
     }
 
-    /// Flat weight values (`in_dim x out_dim` row-major), for the f32
-    /// inference mirror's re-quantization.
-    pub(crate) fn weight_slice(&self) -> &[f64] {
-        self.w.as_slice()
-    }
-
-    /// Bias values, for the f32 inference mirror's re-quantization.
-    pub(crate) fn bias_slice(&self) -> &[f64] {
-        &self.b
-    }
-
     /// Forward pass over a `batch x in_dim` matrix, caching for backward.
     pub fn forward(&mut self, x: &Matrix) -> Matrix {
         assert_eq!(

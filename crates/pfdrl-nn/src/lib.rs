@@ -38,13 +38,11 @@
 //! ```
 
 pub mod activation;
-pub mod fastmath;
 pub mod gradcheck;
 pub mod init;
 pub mod layer;
 pub mod loss;
 pub mod lstm;
-pub mod lstm_f32;
 pub mod matrix;
 pub mod mlp;
 pub mod optimizer;
@@ -54,7 +52,6 @@ pub use activation::Activation;
 pub use init::Init;
 pub use layer::Dense;
 pub use lstm::{Lstm, LstmScratch};
-pub use lstm_f32::{F32Lstm, F32LstmScratch};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
 pub use params::{average_params, weighted_average_params, Layered};

@@ -687,41 +687,6 @@ impl Lstm {
     pub fn param_tensor_count(&self) -> usize {
         10
     }
-
-    /// Re-quantizes the f64 master weights into the f32 inference
-    /// mirror. Derived state only: the mirror is rebuilt from the
-    /// master's exact bits after every train/merge, so the f64 weights
-    /// remain the single source of truth for snapshots and federation.
-    /// Buffers in `m` are reused (clear + refill), so steady-state
-    /// re-quantization allocates nothing.
-    ///
-    /// # Panics
-    /// Panics if the head activation is not `Identity` (the mirror's
-    /// head path is a plain affine map).
-    pub fn quantize_f32_into(&self, m: &mut crate::lstm_f32::F32Lstm) {
-        assert_eq!(
-            self.head.activation(),
-            Activation::Identity,
-            "F32Lstm mirror supports identity heads only"
-        );
-        m.in_dim = self.in_dim;
-        m.hidden = self.hidden;
-        m.out_dim = self.head.out_dim();
-        fn narrow(dst: &mut Vec<f32>, src: &[f64]) {
-            dst.clear();
-            dst.extend(src.iter().map(|&v| v as f32));
-        }
-        narrow(&mut m.wi, self.wi.as_slice());
-        narrow(&mut m.wf, self.wf.as_slice());
-        narrow(&mut m.wo, self.wo.as_slice());
-        narrow(&mut m.wg, self.wg.as_slice());
-        narrow(&mut m.bi, &self.bi);
-        narrow(&mut m.bf, &self.bf);
-        narrow(&mut m.bo, &self.bo);
-        narrow(&mut m.bg, &self.bg);
-        narrow(&mut m.hw, self.head.weight_slice());
-        narrow(&mut m.hb, self.head.bias_slice());
-    }
 }
 
 impl Layered for Lstm {

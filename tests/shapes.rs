@@ -54,7 +54,6 @@ fn shape_config(seed: u64) -> SimConfig {
         aggregation: pfdrl::fl::AggregationMode::PerHome,
         sensor_fault: pfdrl::data::SensorFaultConfig::default(),
         supervision: pfdrl::core::SupervisionPolicy::default(),
-        precision: pfdrl::core::Precision::F64,
         compression: pfdrl::fl::PayloadCodec::Raw,
     }
 }
