@@ -386,8 +386,12 @@ pub struct HomeTally {
     pub loss_sum: f64,
     pub loss_steps: u64,
     pub nonfinite_losses: u32,
-    /// The kernel's episode state double buffer (`s_t`, `s_{t+1}`).
-    states: [Vec<f64>; 2],
+    /// The kernel's scratch: the states of one Q batch, one row per
+    /// minute, and their Q-values.
+    states: Matrix,
+    q: Matrix,
+    /// The state after the batch's last minute.
+    next: Vec<f64>,
 }
 
 impl HomeTally {
@@ -1194,6 +1198,25 @@ fn run_segment(
     }
 }
 
+/// Most minutes one Q batch of [`run_device_span`] covers: a span that
+/// does not train has no gradient step to end its batches.
+const MAX_Q_BATCH: usize = 64;
+
+/// Minutes the next Q batch covers from the current one: through the
+/// first minute at which a gradient step can run, since the weights
+/// change only there, and never more than one training cadence, so a
+/// batch's buffers stay at their steady size. A step runs at the
+/// batch's `r`-th minute only once `r + 1` stores have warmed the agent
+/// and `steps_since_train + r + 1` has reached `train_every`.
+fn q_batch_rows(cfg: &SimConfig, agent: &DqnAgent, train: bool, steps_since_train: u64) -> usize {
+    if !train {
+        return MAX_Q_BATCH;
+    }
+    let to_cadence = (cfg.train_every as u64).saturating_sub(steps_since_train) as usize;
+    let cadence = cfg.train_every.clamp(1, MAX_Q_BATCH);
+    agent.warmup_remaining().max(to_cadence).clamp(1, cadence)
+}
+
 /// The EMS's device-minute loop (§3.3.1), the one both the batch day
 /// and the serve loop run: walks device `device` over the minutes of
 /// `minutes` that can be decided (from `state_window` on). Per minute it
@@ -1204,6 +1227,14 @@ fn run_segment(
 /// (terminal on the day's last minute), and takes a gradient step when
 /// `train` is set, `steps_since_train` has reached `cfg.train_every`
 /// and the agent is warm.
+///
+/// The states are exogenous (forecast, readings and real modes), so
+/// the kernel encodes every minute up to the next possible gradient
+/// step at once (at most one cadence of minutes, or 64 when the span
+/// does not train) and takes their Q-values in one inference
+/// ([`DqnAgent::q_batch`]); each minute then acts from its row
+/// ([`DqnAgent::act_with_q`]) with the ε draw `act` would make, which
+/// gives `act`'s actions bit for bit.
 ///
 /// A span may stop anywhere: the next span re-encodes its first state
 /// from the same series, so cutting a day into spans, with the cadence
@@ -1235,35 +1266,54 @@ pub fn run_device_span(
         loss_sum,
         loss_steps,
         nonfinite_losses,
-        states: [cur, next],
+        states,
+        q,
+        next,
     } = tally;
     let account = &mut accounts[device];
-    day.state_into(window, first, cur);
-    for t in first..minutes.end {
-        let action = agent.act(cur);
-        let before = *account;
-        let reward = day.settle(t, action, account);
-        let hour = t / 60;
-        saved[hour] += account.standby_saved_kwh - before.standby_saved_kwh;
-        standby[hour] += account.standby_total_kwh - before.standby_total_kwh;
-        decided(t, action, reward);
-        let done = t + 1 == day.watts.len();
-        if !done {
-            day.state_into(window, t + 1, next);
+    day.state_into(window, first, next);
+    let mut t0 = first;
+    while t0 < minutes.end {
+        let rows = q_batch_rows(cfg, agent, train, *steps_since_train).min(minutes.end - t0);
+        states.resize(rows, next.len());
+        states.row_mut(0).copy_from_slice(next);
+        for r in 1..rows {
+            day.state_row_into(window, t0 + r, states.row_mut(r));
         }
-        agent.remember_step(cur, action.index(), reward, (!done).then_some(&next[..]));
-        *steps_since_train += 1;
-        if train && *steps_since_train >= cfg.train_every as u64 && agent.ready() {
-            let loss = agent.train_step();
-            if loss.is_finite() {
-                *loss_sum += loss;
-                *loss_steps += 1;
+        let batch_q = agent.q_batch(states);
+        q.resize(batch_q.rows(), batch_q.cols());
+        q.as_mut_slice().copy_from_slice(batch_q.as_slice());
+        for (r, t) in (t0..t0 + rows).enumerate() {
+            let action = agent.act_with_q(q.row(r));
+            let before = *account;
+            let reward = day.settle(t, action, account);
+            let hour = t / 60;
+            saved[hour] += account.standby_saved_kwh - before.standby_saved_kwh;
+            standby[hour] += account.standby_total_kwh - before.standby_total_kwh;
+            decided(t, action, reward);
+            let next_state = if t + 1 == day.watts.len() {
+                None
+            } else if r + 1 < rows {
+                Some(states.row(r + 1))
             } else {
-                *nonfinite_losses += 1;
+                day.state_into(window, t + 1, next);
+                Some(&next[..])
+            };
+            agent.remember_step(states.row(r), action.index(), reward, next_state);
+            *steps_since_train += 1;
+            if train && *steps_since_train >= cfg.train_every as u64 && agent.ready() {
+                debug_assert_eq!(r + 1, rows, "a gradient step inside a Q batch");
+                let loss = agent.train_step();
+                if loss.is_finite() {
+                    *loss_sum += loss;
+                    *loss_steps += 1;
+                } else {
+                    *nonfinite_losses += 1;
+                }
+                *steps_since_train = 0;
             }
-            *steps_since_train = 0;
         }
-        std::mem::swap(cur, next);
+        t0 += rows;
     }
 }
 
@@ -1274,6 +1324,39 @@ mod tests {
 
     fn tiny_run(method: EmsMethod) -> EmsPhase {
         crate::runner::run_method(&SimConfig::tiny(3), method).ems
+    }
+
+    #[test]
+    fn q_batches_end_at_the_first_possible_gradient_step() {
+        // Replays the kernel's train condition store by store from every
+        // warm-up depth and cadence phase: a batch must end at the first
+        // minute that can train, or at one cadence of minutes.
+        let cfg = SimConfig::tiny(1);
+        let threshold = cfg.dqn.warmup.max(cfg.dqn.batch);
+        let state = vec![0.5; 4];
+        let mut agent = DqnAgent::new(state.len(), cfg.dqn.clone());
+        for stored in 0..threshold + 3 {
+            for train_every in [1, 2, 5, 8] {
+                let cfg = SimConfig {
+                    train_every,
+                    ..cfg.clone()
+                };
+                for since in 0..train_every as u64 + 2 {
+                    let first_step = (1..)
+                        .find(|&n| {
+                            stored + n >= threshold && since + n as u64 >= train_every as u64
+                        })
+                        .unwrap();
+                    assert_eq!(
+                        q_batch_rows(&cfg, &agent, true, since),
+                        first_step.min(train_every),
+                        "{stored} stored, every {train_every}, {since} since the last step"
+                    );
+                }
+                assert_eq!(q_batch_rows(&cfg, &agent, false, 0), MAX_Q_BATCH);
+            }
+            agent.remember_step(&state, 0, 0.0, Some(&state));
+        }
     }
 
     #[test]

@@ -151,27 +151,45 @@ impl DqnAgent {
         self.qnet.infer_one(state)
     }
 
+    /// Q-values of every row of `states` in one inference through the
+    /// online network's workspace, one output row per state. Row `r` is
+    /// bit-identical to [`DqnAgent::q_values`] of row `r`: the kernels
+    /// sum every output row on its own. Weights change only in
+    /// [`DqnAgent::train_step`] (and federation imports), so rows taken
+    /// before it stay valid for [`DqnAgent::act_with_q`] until then.
+    pub fn q_batch(&mut self, states: &Matrix) -> &Matrix {
+        self.qnet.infer_ws(states)
+    }
+
     /// Greedy action.
     pub fn act_greedy(&self, state: &[f64]) -> Mode {
-        let q = self.q_values(state);
-        let mut best = 0;
-        for i in 1..3 {
-            if q[i] > q[best] {
-                best = i;
-            }
-        }
-        Mode::from_index(best)
+        Mode::from_index(argmax(&self.q_values(state)))
     }
 
     /// ε-greedy action; advances the exploration schedule.
     pub fn act(&mut self, state: &[f64]) -> Mode {
+        match self.explore() {
+            Some(action) => action,
+            None => self.act_greedy_ws(state),
+        }
+    }
+
+    /// [`DqnAgent::act`] for a state whose Q-values `q` the caller
+    /// already holds (a row of [`DqnAgent::q_batch`]): the same ε draw,
+    /// then the same argmax, so actions, RNG stream and schedule match
+    /// `act` bit for bit.
+    pub fn act_with_q(&mut self, q: &[f64]) -> Mode {
+        self.explore()
+            .unwrap_or_else(|| Mode::from_index(argmax(q)))
+    }
+
+    /// The ε-greedy rule's draw, for every act path: advances the
+    /// exploration schedule and returns a uniformly random action with
+    /// probability ε, or `None` for the greedy one.
+    fn explore(&mut self) -> Option<Mode> {
         let eps = self.cfg.epsilon.value(self.env_steps);
         self.env_steps += 1;
-        if self.rng.gen::<f64>() < eps {
-            Mode::from_index(self.rng.gen_range(0..3))
-        } else {
-            self.act_greedy_ws(state)
-        }
+        (self.rng.gen::<f64>() < eps).then(|| Mode::from_index(self.rng.gen_range(0..3)))
     }
 
     /// Allocation-free greedy action: inference runs through the
@@ -181,14 +199,7 @@ impl DqnAgent {
         let DqnAgent { qnet, scratch, .. } = self;
         scratch.one_state.resize(1, state.len());
         scratch.one_state.as_mut_slice().copy_from_slice(state);
-        let q = qnet.infer_ws(&scratch.one_state).as_slice();
-        let mut best = 0;
-        for i in 1..3 {
-            if q[i] > q[best] {
-                best = i;
-            }
-        }
-        Mode::from_index(best)
+        Mode::from_index(argmax(qnet.infer_ws(&scratch.one_state).as_slice()))
     }
 
     /// Records a transition and, once warm, performs one gradient step.
@@ -233,7 +244,16 @@ impl DqnAgent {
 
     /// Whether enough experience is buffered to start learning.
     pub fn ready(&self) -> bool {
-        self.replay.len() >= self.cfg.warmup.max(self.cfg.batch)
+        self.warmup_remaining() == 0
+    }
+
+    /// Transitions still to store before [`DqnAgent::ready`] holds; 0
+    /// once it does.
+    pub fn warmup_remaining(&self) -> usize {
+        self.cfg
+            .warmup
+            .max(self.cfg.batch)
+            .saturating_sub(self.replay.len())
     }
 
     /// One minibatch TD update: `y = r + κ max_a' Q_target(s', a')`,
@@ -288,16 +308,7 @@ impl DqnAgent {
                 Some(_) => {
                     let row = next_q.row(r);
                     let bootstrap = match &next_q_online {
-                        Some(online) => {
-                            let orow = online.row(r);
-                            let mut best = 0;
-                            for i in 1..3 {
-                                if orow[i] > orow[best] {
-                                    best = i;
-                                }
-                            }
-                            row[best]
-                        }
+                        Some(online) => row[argmax(online.row(r))],
                         None => row.iter().copied().fold(f64::MIN, f64::max),
                     };
                     t.reward + cfg.gamma * bootstrap
@@ -455,6 +466,18 @@ impl DqnAgent {
     }
 }
 
+/// Index of the largest of the three Q-values in `q`, the lowest index
+/// on ties.
+fn argmax(q: &[f64]) -> usize {
+    let mut best = 0;
+    for i in 1..3 {
+        if q[i] > q[best] {
+            best = i;
+        }
+    }
+    best
+}
+
 /// Serializable snapshot of one agent, captured with
 /// [`DqnAgent::export_state`].
 #[derive(Debug, Clone, PartialEq)]
@@ -537,6 +560,53 @@ mod tests {
         let a = agent.act_greedy(&s);
         let best = q.iter().copied().fold(f64::MIN, f64::max);
         assert_eq!(q[a.index()], best);
+    }
+
+    #[test]
+    fn batched_greedy_acts_match_act_bitwise() {
+        // ε falls from 1.0 to 0.0 over the first 40 of 64 acts: the draw
+        // `gen::<f64>() < ε` always explores at the start and never at
+        // the end, so both branches run.
+        let cfg = DqnConfig {
+            epsilon: EpsilonSchedule {
+                start: 1.0,
+                end: 0.0,
+                decay_steps: 40,
+            },
+            ..tiny_cfg(21)
+        };
+        let mut one = DqnAgent::new(4, cfg.clone());
+        let mut batched = DqnAgent::new(4, cfg);
+        let mut rng = StdRng::seed_from_u64(22);
+        for _ in 0..4 {
+            // Half-zero states, like the EMS's one-hots.
+            let states = Matrix::from_fn(16, 4, |_, _| {
+                if rng.gen_bool(0.5) {
+                    0.0
+                } else {
+                    rng.gen::<f64>()
+                }
+            });
+            let q = batched.q_batch(&states).clone();
+            for r in 0..16 {
+                let action = one.act(states.row(r));
+                assert_eq!(batched.act_with_q(q.row(r)), action, "row {r}");
+                let t = Transition {
+                    state: states.row(r).to_vec(),
+                    action: action.index(),
+                    reward: rng.gen::<f64>() - 0.5,
+                    next_state: Some(states.row((r + 1) % 16).to_vec()),
+                };
+                one.remember(t.clone());
+                batched.remember(t);
+            }
+            // Weights move between batches, as at the kernel's cadence.
+            if one.ready() {
+                assert_eq!(one.train_step().to_bits(), batched.train_step().to_bits());
+            }
+        }
+        assert_eq!(one.grad_steps(), 4);
+        assert_eq!(one.export_state(), batched.export_state());
     }
 
     #[test]

@@ -66,22 +66,37 @@ impl DaySeries<'_> {
     /// readings for `[t-state_window, t)`, one-hot predicted mode at
     /// `t`, one-hot real mode at `t-1`.
     pub fn state_into(&self, state_window: usize, t: usize, s: &mut Vec<f64>) {
+        s.resize(EnvConfig { state_window }.state_dim(), 0.0);
+        self.state_row_into(state_window, t, s);
+    }
+
+    /// [`DaySeries::state_into`] into a slice of exactly
+    /// [`EnvConfig::state_dim`] values, such as one row of a batch of
+    /// states.
+    ///
+    /// # Panics
+    /// Panics if `s` has another length.
+    pub fn state_row_into(&self, state_window: usize, t: usize, s: &mut [f64]) {
+        assert_eq!(
+            s.len(),
+            EnvConfig { state_window }.state_dim(),
+            "state row width"
+        );
         let scale = self.spec.on_watts;
-        s.clear();
-        s.reserve(EnvConfig { state_window }.state_dim());
-        for p in &self.pred[(t + 1 - state_window)..=t] {
-            s.push(p / scale);
+        let (pred, rest) = s.split_at_mut(state_window);
+        let (watts, one_hots) = rest.split_at_mut(state_window);
+        for (o, p) in pred.iter_mut().zip(&self.pred[(t + 1 - state_window)..=t]) {
+            *o = p / scale;
         }
-        for w in &self.watts[(t - state_window)..t] {
-            s.push(w / scale);
+        for (o, w) in watts.iter_mut().zip(&self.watts[(t - state_window)..t]) {
+            *o = w / scale;
         }
         let pred_mode = classify(self.spec, self.pred[t]);
         let prev_real_mode = self.modes[t - 1];
-        for m in Mode::ALL {
-            s.push(if m == pred_mode { 1.0 } else { 0.0 });
-        }
-        for m in Mode::ALL {
-            s.push(if m == prev_real_mode { 1.0 } else { 0.0 });
+        let (pred_hot, real_hot) = one_hots.split_at_mut(Mode::ALL.len());
+        for ((p, r), m) in pred_hot.iter_mut().zip(real_hot).zip(Mode::ALL) {
+            *p = if m == pred_mode { 1.0 } else { 0.0 };
+            *r = if m == prev_real_mode { 1.0 } else { 0.0 };
         }
     }
 

@@ -96,6 +96,29 @@ impl SvrRegressor {
         );
         out
     }
+
+    /// [`SvrRegressor::transform`] of every input, one row each, from
+    /// one batched projection: each projection row is the sum
+    /// `transform` takes for that input alone, so every row is
+    /// bit-identical to it.
+    fn features(&self, inputs: &[Vec<f64>]) -> Matrix {
+        let (dim, d) = (self.in_dim, self.cfg.n_features);
+        let norm = (2.0 / d as f64).sqrt();
+        let mut x = Matrix::zeros(inputs.len(), dim);
+        for (r, input) in inputs.iter().enumerate() {
+            x.row_mut(r).copy_from_slice(input);
+        }
+        let proj = x.matmul(&self.omega);
+        let mut z = Matrix::zeros(inputs.len(), dim + d);
+        for (r, input) in inputs.iter().enumerate() {
+            let (raw, rff) = z.row_mut(r).split_at_mut(dim);
+            raw.copy_from_slice(input);
+            for ((o, p), b) in rff.iter_mut().zip(proj.row(r)).zip(&self.phases) {
+                *o = norm * (p + b).cos();
+            }
+        }
+        z
+    }
 }
 
 /// The linear model on a feature vector: bias, then `w . z`.
@@ -133,7 +156,7 @@ impl Forecaster for SvrRegressor {
 
     fn fit_budget(&mut self, set: &SupervisedSet, max_epochs: usize) -> FitReport {
         // Precompute the (fixed) feature map once per fit.
-        let features: Vec<Vec<f64>> = set.inputs.iter().map(|x| self.transform(x)).collect();
+        let features = self.features(&set.inputs);
         let SvrRegressor { w, cfg, .. } = self;
         let dim = w.len();
         let mut grad = vec![0.0; dim];
@@ -141,7 +164,7 @@ impl Forecaster for SvrRegressor {
             grad.fill(0.0);
             let mut batch_loss = 0.0;
             for &i in chunk {
-                let z = &features[i];
+                let z = features.row(i);
                 let err = predict_features(w, z) - set.targets[i];
                 let excess = err.abs() - cfg.epsilon;
                 if excess > 0.0 {
@@ -263,6 +286,23 @@ mod tests {
         assert_eq!(&z1[..6], &x[..]);
         let bound = (2.0 / 128.0_f64).sqrt() + 1e-12;
         assert!(z1[6..].iter().all(|v| v.abs() <= bound));
+    }
+
+    #[test]
+    fn batched_features_match_transform_bitwise() {
+        let svr = SvrRegressor::new(6, svr_cfg(4));
+        let inputs: Vec<Vec<f64>> = (0..9)
+            .map(|r| {
+                (0..6)
+                    .map(|c| ((r * 7 + c * 3) % 11) as f64 / 5.0 - 1.0)
+                    .collect()
+            })
+            .collect();
+        let z = svr.features(&inputs);
+        for (r, x) in inputs.iter().enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(z.row(r)), bits(&svr.transform(x)), "row {r}");
+        }
     }
 
     #[test]

@@ -6,6 +6,34 @@ use crate::matrix::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+/// Matches `$act` once and runs `$body` in every arm with `$c` bound to
+/// that arm's activation as a `const`, so each arm's loop calls a
+/// compile-time-known [`Activation::apply`] /
+/// [`Activation::derivative_from_output`] and vectorizes, instead of
+/// re-matching the activation per element.
+macro_rules! per_activation {
+    ($act:expr, $c:ident => $body:expr) => {
+        match $act {
+            Activation::Identity => {
+                const $c: Activation = Activation::Identity;
+                $body
+            }
+            Activation::Relu => {
+                const $c: Activation = Activation::Relu;
+                $body
+            }
+            Activation::Sigmoid => {
+                const $c: Activation = Activation::Sigmoid;
+                $body
+            }
+            Activation::Tanh => {
+                const $c: Activation = Activation::Tanh;
+                $body
+            }
+        }
+    };
+}
+
 /// Reusable scratch owned by a [`Dense`] layer: the forward
 /// pre-activation, the backward `dPre`, gradient temporaries, and a
 /// cached transpose of the weight matrix (`w_t`), which is refreshed
@@ -114,7 +142,7 @@ impl Dense {
     pub fn infer_into(&self, x: &Matrix, out: &mut Matrix) {
         assert_eq!(x.cols(), self.in_dim(), "Dense::infer input width mismatch");
         x.matmul_into(&self.w, out);
-        out.add_row_broadcast_map(&self.b, |v| self.act.apply(v));
+        per_activation!(self.act, ACT => out.add_row_broadcast_map(&self.b, |v| ACT.apply(v)));
     }
 
     /// Allocation-free training forward pass: the pre-activation is kept
@@ -134,14 +162,20 @@ impl Dense {
         // Bias add and activation in one traversal: the pre-activation
         // sum is rounded once before `act` either way, so this is
         // bit-identical to broadcasting the bias then mapping.
-        for r in 0..ws.pre.rows() {
-            let prow = ws.pre.row_mut(r);
-            let orow = out.row_mut(r);
-            for ((p, o), bv) in prow.iter_mut().zip(orow.iter_mut()).zip(b.iter()) {
-                *p += bv;
-                *o = act.apply(*p);
+        let width = b.len().max(1);
+        let rows = ws
+            .pre
+            .as_mut_slice()
+            .chunks_exact_mut(width)
+            .zip(out.as_mut_slice().chunks_exact_mut(width));
+        per_activation!(*act, ACT => {
+            for (prow, orow) in rows {
+                for ((p, o), bv) in prow.iter_mut().zip(orow.iter_mut()).zip(b.iter()) {
+                    *p += bv;
+                    *o = ACT.apply(*p);
+                }
             }
-        }
+        });
     }
 
     /// Allocation-free backward pass paired with [`Dense::forward_into`]:
@@ -178,15 +212,17 @@ impl Dense {
         );
         // dPre = dOut ⊙ act'(output)
         ws.dpre.resize(dout.rows(), dout.cols());
-        for ((d, &dov), &ov) in ws
+        let terms = ws
             .dpre
             .as_mut_slice()
             .iter_mut()
             .zip(dout.as_slice())
-            .zip(output.as_slice())
-        {
-            *d = dov * act.derivative_from_output(ov);
-        }
+            .zip(output.as_slice());
+        per_activation!(*act, ACT => {
+            for ((d, &dov), &ov) in terms {
+                *d = dov * ACT.derivative_from_output(ov);
+            }
+        });
         // Accumulate gradients: gW += Xᵀ dPre, gb += colsum(dPre).
         input.t_matmul_into(&ws.dpre, &mut ws.gw_tmp);
         gw.add_assign(&ws.gw_tmp);

@@ -7,9 +7,10 @@
 //! that write into a caller-owned buffer. At every output width the
 //! `_into` kernels hold output rows in const-width register accumulators
 //! across the whole reduction, but keep the per-element `k`-accumulation
-//! order (and the `a == 0.0` skip) of the original scalar `ikj` loops, so
-//! results are **bit-identical** to the retained `*_reference` oracles — a
-//! hard requirement, since checkpoint resume is verified bit-for-bit.
+//! order of the original scalar `ikj` loops, and their `a == 0.0` skip
+//! wherever dropping it could move a bit (see [`Matrix::matmul_into`]),
+//! so results are **bit-identical** to the retained `*_reference` oracles
+//! — a hard requirement, since checkpoint resume is verified bit-for-bit.
 
 use serde::{Deserialize, Serialize};
 
@@ -112,15 +113,15 @@ impl<const SKIP: bool> AccKernel for MatMul<'_, SKIP> {
 }
 
 /// `Aᵀ(k x m) * B(m x N)`: output row `ck` sums `a[r][ck] * b[r]` over
-/// ascending rows `r`, skipping `a == 0.0`. `A` and `B` are re-streamed
-/// once per output row pair; at the layer sizes here both stay
-/// L1-resident.
-struct TMatMul<'a> {
+/// ascending rows `r`, skipping `a == 0.0` iff `SKIP`. `A` and `B` are
+/// re-streamed once per output row pair; at the layer sizes here both
+/// stay L1-resident.
+struct TMatMul<'a, const SKIP: bool> {
     a: &'a [f64],
     k: usize,
 }
 
-impl AccKernel for TMatMul<'_> {
+impl<const SKIP: bool> AccKernel for TMatMul<'_, SKIP> {
     fn run<'b, 'o, const N: usize>(
         &self,
         b_rows: impl Iterator<Item = &'b [f64; N]> + Clone,
@@ -130,15 +131,22 @@ impl AccKernel for TMatMul<'_> {
         let pairs = if N <= 27 { self.k / 2 } else { 0 };
         for ck in (0..2 * pairs).step_by(2) {
             let terms = a_rows.clone().map(|r| (r[ck], r[ck + 1]));
-            let (acc0, acc1) = acc_pair::<N, true>(terms.zip(b_rows.clone()));
+            let (acc0, acc1) = acc_pair::<N, SKIP>(terms.zip(b_rows.clone()));
             *out_rows.next().expect("output row") = acc0;
             *out_rows.next().expect("output row") = acc1;
         }
         for (ck, out_row) in (2 * pairs..).zip(out_rows) {
             let terms = a_rows.clone().map(|r| r[ck]);
-            *out_row = acc_row::<N, true>(terms.zip(b_rows.clone()));
+            *out_row = acc_row::<N, SKIP>(terms.zip(b_rows.clone()));
         }
     }
+}
+
+/// Whether every element of `xs` is finite. The fold has no early exit,
+/// so it vectorizes; `iter().all` stops at the first miss and stays
+/// scalar.
+fn all_finite(xs: &[f64]) -> bool {
+    xs.iter().fold(true, |all, v| all & v.is_finite())
 }
 
 /// Runs `kern` over an `n`-wide right operand `b` and output `out`, both
@@ -370,10 +378,19 @@ impl Matrix {
     /// exactly once: roughly half the memory traffic of a row-streaming
     /// SAXPY loop, which reloads and restores the output row for every
     /// `a[i][k]`. Each output column is an independent `k`-sum in
-    /// ascending `k` order with the reference loop's `a == 0.0` skip, and
-    /// an accumulator starting from `0.0` is indistinguishable from a
-    /// zero-filled output row, so every output bit matches the
-    /// reference.
+    /// ascending `k` order, and an accumulator starting from `0.0` is
+    /// indistinguishable from a zero-filled output row.
+    ///
+    /// The reference loop skips `a == 0.0` terms. The kernel keeps that
+    /// skip only when `rhs` holds a ±∞ or NaN (one scan per call
+    /// decides): against a finite `b`, the skipped term `±0.0 * b` is a
+    /// signed zero, and adding a signed zero changes no bit of a sum
+    /// that starts at `+0.0`. Such a sum is never `-0.0`, since under
+    /// round-to-nearest `x + y` is `-0.0` only when both are, and `+0.0`
+    /// or any nonzero value plus `±0.0` is itself. Only a non-finite `b`
+    /// turns the term into a NaN (`0 · ∞`). Without the skip, the ReLU
+    /// zeros and one-hot states that fill the DQN's left operands cost a
+    /// multiply-add instead of a mispredicted branch.
     pub fn matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.cols, rhs.rows,
@@ -389,8 +406,12 @@ impl Matrix {
             out.fill_zero();
             return;
         }
-        let kern = MatMul::<true> { a: &self.data, k };
-        run_acc_kernel(&kern, &rhs.data, n, &mut out.data);
+        let a = &self.data;
+        if all_finite(&rhs.data) {
+            run_acc_kernel(&MatMul::<false> { a, k }, &rhs.data, n, &mut out.data);
+        } else {
+            run_acc_kernel(&MatMul::<true> { a, k }, &rhs.data, n, &mut out.data);
+        }
     }
 
     /// Non-allocating `selfᵀ * rhs` into `out`. Bit-identical to
@@ -398,8 +419,9 @@ impl Matrix {
     ///
     /// Each output row (one per column of `self`) accumulates in a
     /// const-width register tile over the shared row dimension; the
-    /// summation order per output element (ascending row index, skipping
-    /// `a == 0.0`) is exactly the reference loop's.
+    /// summation order per output element (ascending row index) is
+    /// exactly the reference loop's, and its `a == 0.0` skip is kept
+    /// only when `rhs` holds a ±∞ or NaN, as in [`Matrix::matmul_into`].
     pub fn t_matmul_into(&self, rhs: &Matrix, out: &mut Matrix) {
         assert_eq!(
             self.rows, rhs.rows,
@@ -415,7 +437,12 @@ impl Matrix {
             out.fill_zero();
             return;
         }
-        run_acc_kernel(&TMatMul { a: &self.data, k }, &rhs.data, n, &mut out.data);
+        let a = &self.data;
+        if all_finite(&rhs.data) {
+            run_acc_kernel(&TMatMul::<false> { a, k }, &rhs.data, n, &mut out.data);
+        } else {
+            run_acc_kernel(&TMatMul::<true> { a, k }, &rhs.data, n, &mut out.data);
+        }
     }
 
     /// Non-allocating `self * rhsᵀ` into `out`. Bit-identical to

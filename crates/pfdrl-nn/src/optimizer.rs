@@ -82,7 +82,9 @@ impl Adam {
     /// order [`Adam::step`] would see (e.g.
     /// `Mlp::for_each_param_grad`). The per-element update is the same
     /// expression sequence as `step`, so the resulting weights are
-    /// bit-identical; [`AdamState`] layout is unchanged.
+    /// bit-identical; [`AdamState`] layout is unchanged. The one
+    /// difference is exact: once `1 − β₁ᵗ` rounds to 1.0 (t ≳ 355 at
+    /// β₁ = 0.9), `m / bc1` is an identity and is skipped.
     ///
     /// # Panics
     /// Panics if `tensor_count` or any tensor size disagrees with the
@@ -114,7 +116,14 @@ impl Adam {
             v,
             ..
         } = self;
-        let (lr, beta1, beta2, eps) = (*lr, *beta1, *beta2, *eps);
+        let update = Update {
+            lr: *lr,
+            beta1: *beta1,
+            beta2: *beta2,
+            eps: *eps,
+            bc1,
+            bc2,
+        };
         for_each(&mut |i, w, g| {
             let (m, v) = (&mut m[i], &mut v[i]);
             if m.is_empty() && !w.is_empty() {
@@ -122,19 +131,53 @@ impl Adam {
                 v.resize(w.len(), 0.0);
             }
             assert_eq!(w.len(), m.len(), "Adam: tensor changed size");
-            for (((w, g), m), v) in w
-                .iter_mut()
-                .zip(g.iter())
-                .zip(m.iter_mut())
-                .zip(v.iter_mut())
-            {
-                *m = beta1 * *m + (1.0 - beta1) * g;
-                *v = beta2 * *v + (1.0 - beta2) * g * g;
-                let mhat = *m / bc1;
-                let vhat = *v / bc2;
-                *w -= lr * mhat / (vhat.sqrt() + eps);
+            if bc1 == 1.0 {
+                update.apply::<true>(w, g, m, v);
+            } else {
+                update.apply::<false>(w, g, m, v);
             }
         });
+    }
+}
+
+/// One step's constants for [`Adam::step_fused`].
+#[derive(Clone, Copy)]
+struct Update {
+    lr: f64,
+    beta1: f64,
+    beta2: f64,
+    eps: f64,
+    bc1: f64,
+    bc2: f64,
+}
+
+impl Update {
+    /// Updates one tensor with [`Adam::step`]'s expression sequence.
+    /// `UNIT_BC1` (for `bc1 == 1.0` only) drops `m / bc1`, an exact
+    /// identity there, leaving `v / bc2`, the square root and the update
+    /// division as the step's divider work.
+    #[inline(always)]
+    fn apply<const UNIT_BC1: bool>(self, w: &mut [f64], g: &[f64], m: &mut [f64], v: &mut [f64]) {
+        let Update {
+            lr,
+            beta1,
+            beta2,
+            eps,
+            bc1,
+            bc2,
+        } = self;
+        for (((w, g), m), v) in w
+            .iter_mut()
+            .zip(g.iter())
+            .zip(m.iter_mut())
+            .zip(v.iter_mut())
+        {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let mhat = if UNIT_BC1 { *m } else { *m / bc1 };
+            let vhat = *v / bc2;
+            *w -= lr * mhat / (vhat.sqrt() + eps);
+        }
     }
 }
 

@@ -2,10 +2,10 @@
 //! naive reference kernels — *bitwise*, via `f64::to_bits`, not within
 //! a tolerance. The optimized `_into` kernels claim the exact same
 //! floating-point accumulation order as the `*_reference` loops; any
-//! reassociation (or a dropped/added zero-skip) shows up here as a flipped
-//! bit. Shapes deliberately include dimensions that are not multiples of
-//! the accumulator widths, and payloads include NaN, ±0.0, infinities
-//! and subnormals.
+//! reassociation (or a zero-skip dropped where a non-finite operand
+//! makes it matter) shows up here as a flipped bit. Shapes deliberately
+//! include dimensions that are not multiples of the accumulator widths,
+//! and payloads include NaN, ±0.0, infinities and subnormals.
 //!
 //! One deliberate carve-out: when *both* sides produce a NaN at the same
 //! element, the NaN payload bits are not compared. IEEE 754 leaves NaN
@@ -17,7 +17,7 @@
 //! bit-identical checkpoint-resume guarantee actually needs (a run that
 //! hits NaN has already diverged and is not resumable).
 
-use pfdrl_nn::optimizer::Adam;
+use pfdrl_nn::optimizer::{Adam, AdamState};
 use pfdrl_nn::{Activation, Layered, Matrix, Mlp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -80,6 +80,43 @@ impl Gen {
 
     fn summand_matrix(&mut self, rows: usize, cols: usize, len: usize) -> Matrix {
         Matrix::from_fn(rows, cols, |_, _| self.summand(len))
+    }
+
+    /// [`Gen::summand`] with about half the draws replaced by `0.0`:
+    /// the zero density of ReLU outputs and one-hot states, the left
+    /// operands of the DQN's products.
+    fn sparse_matrix(&mut self, rows: usize, cols: usize, len: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| {
+            if self.below(2) == 0 {
+                0.0
+            } else {
+                self.summand(len)
+            }
+        })
+    }
+
+    /// [`Gen::value`] without NaN and infinities; zeros, -0.0 and
+    /// subnormals keep their rate.
+    fn finite(&mut self) -> f64 {
+        loop {
+            let v = self.value();
+            if v.is_finite() {
+                return v;
+            }
+        }
+    }
+
+    fn finite_matrix(&mut self, rows: usize, cols: usize) -> Matrix {
+        Matrix::from_fn(rows, cols, |_, _| self.finite())
+    }
+
+    /// Overwrites one element of a non-empty `m` with ±∞ or NaN.
+    fn plant_non_finite(&mut self, m: &mut Matrix) {
+        if m.is_empty() {
+            return;
+        }
+        let i = self.below(m.len() as u64) as usize;
+        m.as_mut_slice()[i] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][self.below(3) as usize];
     }
 }
 
@@ -149,6 +186,11 @@ fn assert_training_paths_match(dims: &[usize], batch: usize, steps: usize, seed:
 /// the empty dimension. The three largest `m x k` pairs are left out to
 /// keep the debug-profile run short; every `m` and every `k` still
 /// meets every width.
+///
+/// `matmul_into` and `t_matmul_into` run each shape twice over
+/// half-zero left operands: against an all-finite right operand (±0.0
+/// and subnormals kept), which drops the reference's zero-skip, and
+/// against the same with one planted ±∞ or NaN, which keeps it.
 #[test]
 fn every_kernel_width_matches_reference_bitwise() {
     let g = &mut Gen(0x5EED_1D75);
@@ -159,17 +201,26 @@ fn every_kernel_width_matches_reference_bitwise() {
                 if m * k > 720 {
                     continue;
                 }
-                let a = g.summand_matrix(m, k, k);
-                let b = g.summand_matrix(k, n, k);
-                a.matmul_into(&b, &mut out);
-                let what = format!("matmul_into {m}x{k} * {k}x{n}");
-                assert_bits_eq(&out, &a.matmul_reference(&b), &what);
+                for planted in [false, true] {
+                    let arm = if planted { "skip" } else { "finite" };
+                    let a = g.sparse_matrix(m, k, k);
+                    let mut b = g.finite_matrix(k, n);
+                    if planted {
+                        g.plant_non_finite(&mut b);
+                    }
+                    a.matmul_into(&b, &mut out);
+                    let what = format!("matmul_into {m}x{k} * {k}x{n} ({arm} arm)");
+                    assert_bits_eq(&out, &a.matmul_reference(&b), &what);
 
-                let a = g.summand_matrix(m, k, m);
-                let b = g.summand_matrix(m, n, m);
-                a.t_matmul_into(&b, &mut out);
-                let what = format!("t_matmul_into ({m}x{k})ᵀ * {m}x{n}");
-                assert_bits_eq(&out, &a.t_matmul_reference(&b), &what);
+                    let a = g.sparse_matrix(m, k, m);
+                    let mut b = g.finite_matrix(m, n);
+                    if planted {
+                        g.plant_non_finite(&mut b);
+                    }
+                    a.t_matmul_into(&b, &mut out);
+                    let what = format!("t_matmul_into ({m}x{k})ᵀ * {m}x{n} ({arm} arm)");
+                    assert_bits_eq(&out, &a.t_matmul_reference(&b), &what);
+                }
 
                 let a = g.summand_matrix(m, k, k);
                 let b = g.summand_matrix(n, k, k);
@@ -178,6 +229,39 @@ fn every_kernel_width_matches_reference_bitwise() {
                 assert_bits_eq(&out, &a.matmul_t_reference(&b), &what);
             }
         }
+    }
+}
+
+/// Sums whose every product is -0.0 (`-0.0` or `-1e-200` times `+0.0`
+/// or `1e-200`: all finite, so the kernels drop the zero-skip) come out
+/// +0.0, as the reference's do: a sum starting at +0.0 never becomes
+/// -0.0 under round-to-nearest.
+#[test]
+fn all_negative_zero_products_sum_to_positive_zero() {
+    for (m, k, n) in [
+        (1, 1, 1),
+        (2, 5, 12),
+        (17, 14, 24),
+        (3, 27, 100),
+        (4, 9, 130),
+    ] {
+        let a = Matrix::from_fn(m, k, |r, c| if (r + c) % 2 == 0 { -0.0 } else { -1e-200 });
+        let b = Matrix::from_fn(k, n, |r, c| if (r * 3 + c) % 2 == 0 { 0.0 } else { 1e-200 });
+        for (r, c) in (0..m).flat_map(|r| (0..k).map(move |c| (r, c))) {
+            for bv in b.row(c) {
+                assert_eq!((a.get(r, c) * bv).to_bits(), (-0.0f64).to_bits());
+            }
+        }
+        let mut out = Matrix::default();
+        a.matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &a.matmul_reference(&b), "matmul_into");
+        let at = a.transpose();
+        at.t_matmul_into(&b, &mut out);
+        assert_bits_eq(&out, &at.t_matmul_reference(&b), "t_matmul_into");
+        assert!(
+            out.as_slice().iter().all(|v| v.to_bits() == 0),
+            "{m}x{k}x{n}: every sum must be +0.0"
+        );
     }
 }
 
@@ -259,11 +343,15 @@ proptest! {
     /// `Adam::step_fused` applies the exact per-element update of the
     /// pair-based `Adam::step`, bit for bit, across multiple steps
     /// (so the first-moment history and bias correction agree too).
+    /// Half the cases resume both from one imported state at t = 340
+    /// and step past t ≈ 355, where `1 − β₁ᵗ` rounds to 1.0 and
+    /// `step_fused` stops dividing by it.
     #[test]
     fn adam_step_fused_matches_step_bitwise(
         seed in 0u64..u64::MAX,
         tensors in 1usize..5,
         steps in 1usize..5,
+        late in 0u64..2,
     ) {
         let g = &mut Gen(seed);
         let lens: Vec<usize> = (0..tensors).map(|_| 1 + g.below(9) as usize).collect();
@@ -272,6 +360,22 @@ proptest! {
         let mut w_b = w_a.clone();
         let mut opt_a = Adam::new(1e-2);
         let mut opt_b = Adam::new(1e-2);
+        let mut steps = steps;
+        if late == 1 {
+            let mut moments = |f: fn(f64) -> f64| -> Vec<Vec<f64>> {
+                lens.iter().map(|&l| (0..l).map(|_| f(g.finite())).collect()).collect()
+            };
+            let state = AdamState {
+                t: 340,
+                m: moments(|x| x),
+                v: moments(f64::abs),
+            };
+            opt_a.import_state(state.clone()).unwrap();
+            opt_b.import_state(state).unwrap();
+            steps += 36;
+            let bc1 = |t: u64| 1.0 - 0.9f64.powi(t as i32);
+            prop_assert!(bc1(341) < 1.0 && bc1(340 + steps as u64) == 1.0);
+        }
         for _ in 0..steps {
             let grads: Vec<Vec<f64>> =
                 lens.iter().map(|&l| (0..l).map(|_| g.value()).collect()).collect();
