@@ -31,6 +31,11 @@ const FAULTY_PFDRL_HASH: u64 = 0xee3d_834e_c171_7857;
 const CHAOS_FRL_HASH: u64 = 0x0cc8_d621_91bd_b880;
 /// [`faulty_config`] federating through two round-robin shards.
 const FAULTY_HIER_PFDRL_HASH: u64 = 0x3693_b4fb_ca3d_2509;
+/// `SimConfig::tiny(42)` federating through two round-robin shards with
+/// no fault plan, and the EMS shard traffic of that run.
+const HIER_PFDRL_HASH: u64 = 0x30f9_1924_77ed_667a;
+const HIER_PFDRL_MESSAGES: u64 = 96;
+const HIER_PFDRL_BYTES: u64 = 241_664;
 /// Every line of the serve decision log, newline-terminated.
 const SERVE_LOG_HASH: u64 = 0x052d_7e01_3c49_47cd;
 const SERVE_LOG_LINES: usize = 17_244;
@@ -186,6 +191,39 @@ fn fault_paths_match_pinned_hashes() {
     assert_eq!(
         hash, FAULTY_HIER_PFDRL_HASH,
         "faulty hierarchical PFDRL hash {hash:#018x}"
+    );
+}
+
+/// The fault-free twin of the hierarchical pin above: every home-round
+/// of every shard takes the shared-sum fast path.
+#[test]
+fn fault_free_hierarchical_run_matches_pinned_hash() {
+    let mut cfg = SimConfig::tiny(42);
+    cfg.aggregation = AggregationMode::Hierarchical {
+        shards: 2,
+        assignment: ShardAssignment::RoundRobin,
+    };
+    let (hash, state) = faulty_run(&cfg, EmsMethod::Pfdrl);
+    let hier = state.hier.as_ref().expect("hierarchical engine");
+    let (fast, fallback) = hier.export_state().shards.iter().fold((0, 0), |(f, b), s| {
+        (
+            f + s.counters.fast_path_homes,
+            b + s.counters.fallback_homes,
+        )
+    });
+    assert!(
+        fast > 0 && fallback == 0,
+        "fast {fast}, fallback {fallback}"
+    );
+    let stats = hier.total_stats();
+    assert_eq!(
+        (stats.messages, stats.bytes),
+        (HIER_PFDRL_MESSAGES, HIER_PFDRL_BYTES),
+        "hierarchical PFDRL traffic {stats:?}"
+    );
+    assert_eq!(
+        hash, HIER_PFDRL_HASH,
+        "hierarchical PFDRL hash {hash:#018x}"
     );
 }
 
