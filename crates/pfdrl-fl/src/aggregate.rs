@@ -227,17 +227,17 @@ fn validate_update<'a, M: Layered + ?Sized>(
 /// Core validated merge over an explicit layer range: each layer that
 /// received at least one valid contribution becomes the mean of the
 /// local parameters and those contributions (Algorithm 1's
-/// `W ← Σ W_n / N` over what arrived).
-fn merge_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
+/// `W ← Σ W_n / N` over what arrived), summed in `updates` order.
+pub(crate) fn merge_layers<'a, M: Layered + ?Sized>(
     model: &mut M,
-    updates: &[U],
+    updates: impl IntoIterator<Item = &'a ModelUpdate>,
     layer_range: std::ops::Range<usize>,
     alpha: Option<usize>,
 ) -> MergeReport {
     let mut report = MergeReport::default();
     let mut per_layer: Vec<Vec<&[f64]>> = (0..model.layer_count()).map(|_| Vec::new()).collect();
     for update in updates {
-        match validate_update(model, update.borrow(), alpha, &mut report.rejections) {
+        match validate_update(model, update, alpha, &mut report.rejections) {
             Some(accepted) if !accepted.is_empty() => {
                 report.accepted_updates += 1;
                 for (layer, params) in accepted {
@@ -280,7 +280,12 @@ pub fn merge_updates<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     updates: &[U],
 ) -> MergeReport {
     let layer_count = model.layer_count();
-    merge_layers(model, updates, 0..layer_count, None)
+    merge_layers(
+        model,
+        updates.iter().map(Borrow::borrow),
+        0..layer_count,
+        None,
+    )
 }
 
 /// Validated merge over only the base layers `0..alpha`, rejecting any
@@ -291,7 +296,12 @@ pub(crate) fn merge_base_layers<M: Layered + ?Sized, U: Borrow<ModelUpdate>>(
     updates: &[U],
     alpha: usize,
 ) -> MergeReport {
-    merge_layers(model, updates, 0..alpha, Some(alpha))
+    merge_layers(
+        model,
+        updates.iter().map(Borrow::borrow),
+        0..alpha,
+        Some(alpha),
+    )
 }
 
 #[cfg(test)]

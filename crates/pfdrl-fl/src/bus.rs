@@ -13,8 +13,15 @@
 //! `Arc<ModelUpdate>`: a broadcast to N−1 peers shares one payload
 //! instead of cloning it, and a clean delivery is pointer-identical to
 //! the payload the caller passed to [`BroadcastBus::broadcast_all`]
-//! (the hierarchical shared-sum fast path uses that identity to prove a
-//! mailbox saw the full fault-free round).
+//! (in a per-pair round, the hierarchical shared-sum fast path uses
+//! that identity to prove a mailbox saw the full round).
+//!
+//! A bus with no fault plan, no closed mailbox and nothing queued can
+//! only deliver everything, so the round engine skips the mailboxes
+//! there: the bus accounts the complete round's counters, one delta
+//! per sender, and each home reads its deliveries in place from the
+//! round's payloads, in sender order. The N(N−1) handles that
+//! `broadcast_all` would queue are never built.
 //!
 //! A bus built with [`BroadcastBus::with_faults`] routes every delivery
 //! through a [`FaultInjector`]: churned-out or lossy deliveries are
@@ -278,6 +285,46 @@ impl BroadcastBus {
         }
     }
 
+    /// A bus is clean when it has no fault plan, no closed mailbox and
+    /// nothing queued: a broadcast can then only deliver every payload
+    /// to every other residence.
+    pub(crate) fn is_clean(&self) -> bool {
+        self.faults.is_none()
+            && self
+                .mailboxes
+                .iter()
+                .all(|m| !m.closed && m.queue.is_empty())
+    }
+
+    /// The complete round of a clean bus: when [`Self::is_clean`],
+    /// accounts `updates` exactly as [`broadcast_all`](Self::broadcast_all)
+    /// plus the drains would (one delta per sender, folded in slice
+    /// order) and returns true without queueing a handle. The caller
+    /// then reads each residence's deliveries from `updates` itself:
+    /// every update but its own, in slice order. Any other bus is left
+    /// untouched and returns false.
+    ///
+    /// # Panics
+    /// Panics if the bus is clean and any `update.sender` is out of
+    /// range.
+    pub(crate) fn account_complete(&mut self, updates: &[Arc<ModelUpdate>]) -> bool {
+        if !self.is_clean() {
+            return false;
+        }
+        let n = self.len();
+        let peers = n as u64 - 1;
+        for u in updates {
+            assert!(u.sender < n, "sender {} out of range", u.sender);
+            self.stats.add(&BusStats {
+                messages: peers,
+                bytes: peers * self.codec.wire_update_bytes(u) as u64,
+                logical_bytes: peers * u.byte_size() as u64,
+                ..BusStats::default()
+            });
+        }
+        true
+    }
+
     /// Drains all pending updates addressed to residence `id`,
     /// including any straggling deliveries whose delay has elapsed.
     ///
@@ -491,6 +538,63 @@ mod tests {
                 "clean delivery must alias the sent payload"
             );
         }
+    }
+
+    #[test]
+    fn complete_round_accounts_what_per_pair_delivery_counts() {
+        let codecs = [
+            PayloadCodec::Raw,
+            PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            },
+        ];
+        for codec in codecs {
+            let bus =
+                || BroadcastBus::with_codec(4, LatencyModel::lan(), &FaultConfig::default(), codec);
+            let arcs: Vec<Arc<ModelUpdate>> = (0..4).map(|s| Arc::new(update(s, 8 + s))).collect();
+            let mut pair = bus();
+            pair.broadcast_all(&arcs);
+            for id in 0..4 {
+                pair.drain(id);
+            }
+            let mut clean = bus();
+            assert!(clean.account_complete(&arcs), "{codec:?}");
+            assert_eq!(clean.stats(), pair.stats(), "{codec:?}");
+            assert_eq!(clean.export_state(), pair.export_state(), "{codec:?}");
+            assert_eq!(
+                clean.simulated_seconds().to_bits(),
+                pair.simulated_seconds().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn only_a_clean_bus_accounts_a_complete_round() {
+        let arcs: Vec<Arc<ModelUpdate>> = (0..3).map(|s| Arc::new(update(s, 4))).collect();
+        let lossy = FaultConfig {
+            loss_rate: 0.1,
+            ..FaultConfig::default()
+        };
+        let mut faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &lossy);
+        let mut closed = BroadcastBus::new(3, LatencyModel::lan());
+        closed.disconnect(1);
+        let mut queued = BroadcastBus::new(3, LatencyModel::lan());
+        queued.broadcast(update(0, 4));
+        let queued_stats = queued.stats();
+        for (bus, what) in [
+            (&mut faulty, "fault plan"),
+            (&mut closed, "closed mailbox"),
+            (&mut queued, "queued mail"),
+        ] {
+            let before = bus.export_state();
+            assert!(!bus.account_complete(&arcs), "{what}");
+            assert_eq!(bus.export_state(), before, "{what} must stay untouched");
+        }
+        // Draining the queue makes the bus clean again.
+        queued.drain(1);
+        queued.drain(2);
+        assert!(queued.account_complete(&arcs));
+        assert_eq!(queued.stats().messages, queued_stats.messages + 6);
     }
 
     #[test]

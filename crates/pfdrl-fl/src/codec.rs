@@ -109,15 +109,6 @@ impl PayloadCodec {
         }
     }
 
-    /// Whether every decoded parameter is guaranteed finite regardless
-    /// of input. True for [`PayloadCodec::QuantizedI8`] (non-finite
-    /// inputs quantize to 0 and the capped scale keeps every quant
-    /// finite), letting the fast path skip its O(N·params) payload
-    /// finiteness scan.
-    pub fn guarantees_finite(&self) -> bool {
-        matches!(self, PayloadCodec::QuantizedI8 { .. })
-    }
-
     /// Accounting bytes of one encoded layer of `len` parameters
     /// (layer header included).
     pub fn wire_layer_bytes(&self, len: usize) -> usize {
@@ -618,11 +609,6 @@ mod tests {
             .label(),
             "q8"
         );
-        assert!(PayloadCodec::QuantizedI8 {
-            per_layer_scale: true
-        }
-        .guarantees_finite());
-        assert!(!PayloadCodec::Raw.guarantees_finite());
     }
 
     #[test]

@@ -10,18 +10,25 @@
 //! sequential oracle) while
 //!
 //! * filling export buffers from a reusing [`UpdatePool`],
-//! * broadcasting `Arc`-shared payloads (in home order — mailbox arrival
-//!   order feeds the merge float-sum order, so it must stay fixed),
+//! * broadcasting `Arc`-shared payloads (in home order — arrival order
+//!   feeds the merge float-sum order, so it must stay fixed),
+//! * reading a complete round in place: on a clean bus (no fault plan,
+//!   no closed mailbox, nothing queued) the bus only accounts the round,
+//!   and each home's deliveries are the round's payloads minus its own,
+//!   in sender order — no mailbox handle is queued, drained or dropped,
 //! * merging every home in parallel once the column holds at least
 //!   `2 × MERGE_MIN_HOMES` homes (each home's merge is independent once
 //!   the bus has delivered).
 //!
+//! Any other bus delivers pair by pair through the mailboxes, which
+//! stays the oracle for the complete round.
+//!
 //! Export, drain and the fast path's payload checks and tree sum stay
-//! sequential: measured one thread wide against two on a 2-vCPU host
-//! (paper-shape DQN columns of 16 to 669 homes), none of them came out
-//! faster in parallel, because a thread spawn costs about 40 µs there and
-//! each is a short memory-bound pass. The merge paid from 64 homes on
-//! (per-home 0.54×, shared sum 0.90× at 669 homes).
+//! sequential within a column: measured one thread wide against two on
+//! a 2-vCPU host (paper-shape DQN columns of 16 to 669 homes), none of
+//! them came out faster in parallel, because a thread spawn costs about
+//! 40 µs there and each is a short memory-bound pass. The merge paid
+//! from 64 homes on (per-home 0.54×, shared sum 0.90× at 669 homes).
 //!
 //! The engine is the column stage of both topologies: the `PerHome`
 //! default runs [`DflRound::run`] on one fleet bus, and every shard of a
@@ -29,7 +36,7 @@
 //! phase, then falls back to this module's per-home merge for any home
 //! the hierarchy's O(N) shared-sum fast path cannot take.
 
-use crate::aggregate::{fill_update, merge_base_layers, merge_updates, snapshot_update};
+use crate::aggregate::{fill_update, merge_layers, merge_updates, snapshot_update};
 use crate::bus::BroadcastBus;
 use crate::codec::ModelUpdate;
 use crate::personalization::LayerSplit;
@@ -145,8 +152,13 @@ pub struct DflRound {
     bufs: Vec<ModelUpdate>,
     /// This round's broadcast payloads, in sender order.
     sent: Vec<Arc<ModelUpdate>>,
-    /// Per-home drain buffers (arrival order, keyed by model id).
+    /// Per-home drain buffers of a per-pair round (arrival order, keyed
+    /// by model id).
     received: Vec<Vec<Arc<ModelUpdate>>>,
+    /// Whether this round was complete: the bus was clean, so every
+    /// home received `sent` minus its own payload and `received` is
+    /// unused.
+    complete: bool,
 }
 
 impl DflRound {
@@ -165,10 +177,32 @@ impl DflRound {
         &self.sent
     }
 
-    /// Each home's deliveries this round, in arrival order (same
-    /// validity as [`Self::sent`]).
+    /// Whether this round was complete (same validity as
+    /// [`Self::sent`]): every home received every other payload.
+    pub(crate) fn is_complete(&self) -> bool {
+        self.complete
+    }
+
+    /// Each home's drained deliveries in a per-pair round, in arrival
+    /// order (same validity as [`Self::sent`]; empty in a complete
+    /// round).
     pub(crate) fn received(&self) -> &[Vec<Arc<ModelUpdate>>] {
         &self.received
+    }
+
+    /// Home `home`'s deliveries this round, in arrival order: read in
+    /// place from [`Self::sent`] in a complete round, from its drain
+    /// otherwise (same validity as [`Self::sent`]).
+    pub(crate) fn deliveries(&self, home: usize) -> impl Iterator<Item = &ModelUpdate> {
+        let (sent, received): (&[Arc<ModelUpdate>], &[Arc<ModelUpdate>]) = if self.complete {
+            (&self.sent, &[])
+        } else {
+            (&[], &self.received[home])
+        };
+        sent.iter()
+            .filter(move |u| u.sender != home)
+            .chain(received)
+            .map(|u| &**u)
     }
 
     /// Runs one broadcast-merge round over `models` (one model per
@@ -191,16 +225,18 @@ impl DflRound {
             assert_eq!(mask.len(), n, "participation mask does not match fleet");
         }
         self.exchange(models, bus, p);
+        let round = &*self;
         models
             .par_iter_mut()
-            .zip(self.received.par_iter())
+            .enumerate()
             .with_min_len(MERGE_MIN_HOMES)
-            .for_each(|(model, received)| merge_received(&mut **model, received, p));
+            .for_each(|(home, model)| merge_received(&mut **model, round.deliveries(home), p));
         self.release();
     }
 
-    /// Phase 1 of a round: export pooled buffers, broadcast in home
-    /// order and drain every mailbox.
+    /// Phase 1 of a round: export pooled buffers, then broadcast in home
+    /// order. A clean bus only accounts the complete round; any other
+    /// bus delivers pair by pair and every mailbox is drained.
     pub(crate) fn exchange<M: Layered + Send + Sync + ?Sized>(
         &mut self,
         models: &mut [&mut M],
@@ -255,15 +291,17 @@ impl DflRound {
                 self.pool.put(buf);
             }
         }
-        bus.broadcast_all(&self.sent);
-
-        // Drain: per-home keyed drains.
-        self.received.truncate(n);
-        while self.received.len() < n {
-            self.received.push(Vec::new());
-        }
-        for (home, buf) in self.received.iter_mut().enumerate() {
-            bus.drain_model_into(home, model_id, buf);
+        self.complete = bus.account_complete(&self.sent);
+        if !self.complete {
+            bus.broadcast_all(&self.sent);
+            // Drain: per-home keyed drains.
+            self.received.truncate(n);
+            while self.received.len() < n {
+                self.received.push(Vec::new());
+            }
+            for (home, buf) in self.received.iter_mut().enumerate() {
+                bus.drain_model_into(home, model_id, buf);
+            }
         }
 
         // Payload bytes staged for this round (one copy per sender),
@@ -296,17 +334,16 @@ impl DflRound {
 }
 
 /// The per-home merge: `model` averaged with every update it received
-/// this round (base layers `0..alpha` only when `p.alpha` is set).
-/// Invalid updates are rejected inside the validated merge.
-pub(crate) fn merge_received<M: Layered + ?Sized>(
+/// this round, in arrival order (base layers `0..alpha` only when
+/// `p.alpha` is set). Invalid updates are rejected inside the validated
+/// merge.
+pub(crate) fn merge_received<'a, M: Layered + ?Sized>(
     model: &mut M,
-    received: &[Arc<ModelUpdate>],
+    received: impl IntoIterator<Item = &'a ModelUpdate>,
     p: &RoundParams<'_>,
 ) {
-    let _ = match p.alpha {
-        Some(a) => merge_base_layers(model, received, a),
-        None => merge_updates(model, received),
-    };
+    let end = p.alpha.unwrap_or(model.layer_count());
+    let _ = merge_layers(model, received, 0..end, p.alpha);
 }
 
 /// The retained sequential reference: exactly the seed's per-home round
@@ -414,6 +451,39 @@ mod tests {
             }
             assert_eq!(bits(&a), bits(&b), "alpha={alpha:?}");
             assert_eq!(bus_a.stats(), bus_b.stats());
+        }
+    }
+
+    #[test]
+    fn stale_mail_forces_per_pair_delivery_with_identical_bits() {
+        // A stale update of another model id leaves the bus unclean, so
+        // each round delivers pair by pair; the keyed drain discards the
+        // stale update and every home merges what a complete round reads
+        // in place, in the same order.
+        for alpha in [None, Some(2)] {
+            let run = |stale: bool| {
+                let mut models = fleet(5, 19);
+                let mut bus = BroadcastBus::new(5, LatencyModel::lan());
+                let mut engine = DflRound::new();
+                for round in 0..2 {
+                    if stale {
+                        bus.broadcast(snapshot_update(&models[0], 0, round, 7));
+                    }
+                    let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+                    let p = RoundParams {
+                        round,
+                        model_id: 0,
+                        alpha,
+                        participants: None,
+                    };
+                    engine.run(&mut col, &mut bus, &p);
+                    assert_eq!(engine.pool().in_flight(), 0);
+                }
+                (bits(&models), bus.stats().messages)
+            };
+            let (clean, per_pair) = (run(false), run(true));
+            assert_eq!(clean.0, per_pair.0, "alpha={alpha:?}");
+            assert_eq!(clean.1 + 2 * 4, per_pair.1, "alpha={alpha:?}");
         }
     }
 

@@ -12,14 +12,27 @@
 //! and the N−1 updates it received. In a complete, fault-free round
 //! that mean is `(local_i + (S − u_i)) / N` with `S = Σ_j u_j`: one sum
 //! per round instead of one per home, O(N·params) instead of
-//! O(N²·params). A home is eligible only when its shard mailbox
-//! provably saw the complete round: exactly `n_k − 1` updates, each
+//! O(N²·params). A home is eligible only when its shard provably
+//! delivered it the complete round. A clean shard bus (no fault plan,
+//! no closed mailbox, nothing queued) can only deliver everything, so
+//! its complete round marks every home eligible. In a per-pair round a
+//! home's mailbox must hold exactly `n_k − 1` updates, each
 //! pointer-identical to this round's broadcast payloads, in sender
 //! order. Any deviation (loss, churn, straggling, corruption —
 //! stragglers surface old Arcs, corruption re-wraps new ones) falls that
 //! home back to the exact per-home merge of what its neighborhood
 //! delivered. An invalid broadcast payload anywhere or a withheld upload
 //! demotes the whole fleet to the fallback.
+//!
+//! **Summing while hot.** Each shard takes its partial sum S_k in the
+//! exchange phase, right after export, while its payloads are still in
+//! cache; the top level only combines the partials. Payload shapes are
+//! checked first, because the sum zips and would truncate a mismatch.
+//! Under round-to-nearest a NaN or ±∞ term makes any float sum
+//! non-finite, so a finite S_k proves every payload of the shard
+//! finite. The exact per-payload scan runs only when S_k is not finite:
+//! a poisoned payload fails it, while finite payloads whose sum
+//! overflows pass it and stay valid.
 //!
 //! Determinism rules for the two-level reduction tree:
 //!
@@ -295,27 +308,46 @@ struct Shard {
 }
 
 impl Shard {
-    /// Marks each home eligible whose mailbox saw exactly this round's
-    /// payloads in sender order. Returns false, marking nobody, when a
-    /// broadcast payload is malformed: shaped unlike the others or —
-    /// unless the codec guarantees finite values — non-finite.
-    fn mark_eligible(&mut self, codec: PayloadCodec) -> bool {
-        let (sent, received) = (self.engine.sent(), self.engine.received());
-        // Codecs that map every parameter to a finite value (int8
-        // quantization) make the O(N·params) finiteness scan
-        // redundant — shape validation suffices.
-        let check_finite = !codec.guarantees_finite();
-        let payloads_ok = sent.iter().all(|u| {
+    /// Sums this round's payloads (layers `0..layers`) into the
+    /// shard's partial S_k while they are still in cache, and marks
+    /// each home eligible whose deliveries were exactly the other
+    /// payloads in sender order. Returns `None`, marking nobody, when
+    /// a payload is malformed: shaped unlike the others, or
+    /// non-finite.
+    fn sum_and_mark_eligible(&mut self, layers: usize) -> Option<Vec<Vec<f64>>> {
+        let sent = self.engine.sent();
+        // `tree_sum` zips, so a mis-shaped payload would silently
+        // truncate the sum: shapes are checked first.
+        let same_shape = |u: &ModelUpdate| {
             u.layers.len() == sent[0].layers.len()
-                && u.layers.iter().zip(sent[0].layers.iter()).all(|(a, b)| {
-                    a.params.len() == b.params.len()
-                        && (!check_finite || a.params.iter().all(|x| x.is_finite()))
-                })
-        });
-        if payloads_ok {
-            // A one-home shard is trivially complete — its mailbox
-            // correctly saw zero peers — so a singleton shard still
-            // joins the global sum.
+                && u.layers
+                    .iter()
+                    .zip(&sent[0].layers)
+                    .all(|(a, b)| a.params.len() == b.params.len())
+        };
+        if !sent.iter().all(|u| same_shape(u)) {
+            return None;
+        }
+        let partial = tree_sum(sent, layers);
+        // Under round-to-nearest a NaN or ±∞ term makes any sum
+        // non-finite, so a finite S_k proves every payload finite. A
+        // non-finite S_k may still be an overflow of finite payloads,
+        // which stay valid: only then are the payloads scanned.
+        let finite = |v: &[f64]| v.iter().all(|x| x.is_finite());
+        if !partial.iter().all(|l| finite(l))
+            && !sent
+                .iter()
+                .all(|u| u.layers.iter().all(|l| finite(&l.params)))
+        {
+            return None;
+        }
+        if self.engine.is_complete() {
+            // Every home received every other payload; a one-home
+            // shard correctly saw zero peers, so a singleton shard
+            // still joins the global sum.
+            self.eligible.fill(true);
+        } else {
+            let received = self.engine.received();
             let n = received.len();
             for (home, ok) in self.eligible.iter_mut().enumerate() {
                 let r = &received[home];
@@ -325,7 +357,7 @@ impl Shard {
                         .all(|(u, j)| Arc::ptr_eq(u, &sent[j]));
             }
         }
-        payloads_ok
+        Some(partial)
     }
 }
 
@@ -474,10 +506,11 @@ impl HierarchicalRound {
             }
         }
 
-        // Phase 1, shards in parallel: export → broadcast → drain →
-        // eligibility. A shard touches only its own engine, bus and
-        // column, and the outcomes fold below in shard order.
-        let exchanges: Vec<_> = shards
+        // Phase 1, shards in parallel: export → broadcast (→ drain, in a
+        // per-pair round) → partial sum S_k and eligibility. A shard
+        // touches only its own engine, bus and column, and the outcomes
+        // fold below in shard order.
+        let mut exchanges: Vec<_> = shards
             .par_iter_mut()
             .zip(cols.par_iter_mut())
             .map(|(shard, col)| {
@@ -488,10 +521,14 @@ impl HierarchicalRound {
                 let ex = shard.engine.exchange(col, &mut shard.bus, &shard_params);
                 shard.eligible.clear();
                 shard.eligible.resize(col.len(), false);
-                (ex, probe && shard.mark_eligible(codec))
+                let partial = if probe {
+                    shard.sum_and_mark_eligible(ex.layer_end)
+                } else {
+                    None
+                };
+                (ex, partial)
             })
             .collect();
-        let layer_end = exchanges[0].0.layer_end;
         let mut round_peak = 0u64;
         for (shard, (ex, _)) in shards.iter_mut().zip(&exchanges) {
             round_peak = round_peak.max(ex.payload_bytes);
@@ -502,7 +539,7 @@ impl HierarchicalRound {
 
         // S includes every shard's broadcast payloads, so one invalid
         // payload anywhere demotes the whole fleet to the fallback.
-        if !exchanges.iter().all(|&(_, ok)| ok) {
+        if !exchanges.iter().all(|(_, partial)| partial.is_some()) {
             for shard in shards.iter_mut() {
                 shard.eligible.fill(false);
             }
@@ -512,16 +549,15 @@ impl HierarchicalRound {
             .map(|s| s.eligible.iter().filter(|&&e| e).count())
             .sum();
 
-        // Top level: per-shard partial sums (shards in parallel, each
-        // with the data-sized leaf tree), then the fixed-midpoint tree
-        // over shard order. With one shard this is a move of S_0 — no
-        // re-association — so the flat topology sums as one tree over
-        // the fleet.
+        // Top level: the fixed-midpoint tree over the phase-1 partial
+        // sums, in shard order. With one shard this is a move of S_0 —
+        // no re-association — so the flat topology sums as one tree
+        // over the fleet.
         let mut global: Vec<Vec<f64>> = Vec::new();
         if fast_total > 0 {
-            let mut partials: Vec<Vec<Vec<f64>>> = shards
-                .par_iter()
-                .map(|s| tree_sum(s.engine.sent(), layer_end))
+            let mut partials: Vec<Vec<Vec<f64>>> = exchanges
+                .iter_mut()
+                .map(|(_, partial)| partial.take().expect("every shard probed"))
                 .collect();
             global = combine_partials(&mut partials);
             // Each aggregator ships S_k up and the root ships S back
@@ -557,7 +593,8 @@ impl HierarchicalRound {
                     ..
                 } = shard;
                 scratch.resize_with(col.len(), Vec::new);
-                let (sent, received) = (engine.sent(), engine.received());
+                let round = &*engine;
+                let sent = round.sent();
                 col.par_iter_mut()
                     .zip(scratch.par_iter_mut())
                     .enumerate()
@@ -565,7 +602,7 @@ impl HierarchicalRound {
                     .for_each(|(home, (model, scratch))| {
                         let model: &mut M = model;
                         if !eligible[home] {
-                            merge_received(model, &received[home], p);
+                            merge_received(model, round.deliveries(home), p);
                             return;
                         }
                         let own = &sent[home];
@@ -1005,5 +1042,179 @@ mod tests {
                 assert_eq!(bits(&models), bits(&slow));
             }
         }
+    }
+
+    #[test]
+    fn complete_rounds_match_per_pair_rounds_bit_for_bit() {
+        // Run 1 federates over clean shard buses. Run 2 first gives
+        // every shard bus one stale update of another model id, which
+        // forces per-pair delivery; the model-keyed drain discards it.
+        // Every shard holds at least two homes, so the stale update
+        // queues mail on every bus.
+        use crate::codec::LayerUpdate;
+        let n = 9;
+        let plan = ShardPlan::round_robin(n, 3);
+        let mut mask = vec![true; n];
+        mask[4] = false;
+        let codecs = [
+            PayloadCodec::Raw,
+            PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            },
+        ];
+        for codec in codecs {
+            for alpha in [None, Some(2)] {
+                for participants in [None, Some(&mask[..])] {
+                    let run = |stale: bool| {
+                        let mut models = fleet(n, 23);
+                        let mut engine = HierarchicalRound::with_codec(
+                            plan.clone(),
+                            LatencyModel::lan(),
+                            &FaultConfig::default(),
+                            codec,
+                        );
+                        let mut stale_stats = BusStats::default();
+                        let mut outcomes = Vec::new();
+                        for round in 0..2 {
+                            if stale {
+                                for shard in &mut engine.shards {
+                                    let update = ModelUpdate {
+                                        sender: 0,
+                                        round,
+                                        model_id: 99,
+                                        layers: vec![LayerUpdate {
+                                            index: 0,
+                                            params: vec![1.0; 4],
+                                        }],
+                                    };
+                                    let before = shard.bus.stats();
+                                    shard.bus.broadcast(update);
+                                    let after = shard.bus.stats();
+                                    stale_stats.messages += after.messages - before.messages;
+                                    stale_stats.bytes += after.bytes - before.bytes;
+                                    stale_stats.logical_bytes +=
+                                        after.logical_bytes - before.logical_bytes;
+                                    assert!(!shard.bus.is_clean());
+                                }
+                            }
+                            let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
+                            outcomes
+                                .push(engine.run(&mut col, &params(round, alpha, participants)));
+                        }
+                        (
+                            bits(&models),
+                            outcomes,
+                            engine.export_state(),
+                            engine.total_stats(),
+                            stale_stats,
+                        )
+                    };
+                    let what = format!("{codec:?} alpha {alpha:?} mask {}", participants.is_some());
+                    let (clean, mut per_pair) = (run(false), run(true));
+                    assert_eq!(clean.0, per_pair.0, "{what}: model bits");
+                    assert_eq!(clean.1, per_pair.1, "{what}: outcomes");
+                    assert!(per_pair.4.messages > 0, "{what}");
+                    let mut expected = clean.3;
+                    expected.add(&per_pair.4);
+                    assert_eq!(expected, per_pair.3, "{what}: traffic");
+                    // Counters, peaks, aggregator links and the (empty)
+                    // mailboxes match; the bus stats differ only by the
+                    // stale broadcasts checked above.
+                    for (a, b) in clean.2.shards.iter().zip(per_pair.2.shards.iter_mut()) {
+                        b.bus.stats = a.bus.stats;
+                    }
+                    assert_eq!(clean.2, per_pair.2, "{what}: engine state");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_non_finite_payload_demotes_every_shard() {
+        // Home 4's payload carries a NaN or +∞ (Raw keeps it): S would
+        // be poisoned, so every home of every shard falls back to the
+        // per-home merge of its own shard, exactly as a per-home round
+        // on that shard's bus merges.
+        let n = 9;
+        let plan = ShardPlan::round_robin(n, 3);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let poisoned = || {
+                let mut models = fleet(n, 41);
+                let mut layer = models[4].export_layer(0);
+                layer[3] = bad;
+                models[4].import_layer(0, &layer);
+                models
+            };
+            let mut models = poisoned();
+            let mut engine =
+                HierarchicalRound::new(plan.clone(), LatencyModel::lan(), &FaultConfig::default());
+            let out = run_hier(&mut models, &mut engine, 1, None);
+            assert_eq!((out.fast_path_homes, out.fallback_homes), (0, n), "{bad}");
+
+            let mut oracle = poisoned();
+            let mut slots: Vec<Option<&mut Mlp>> = oracle.iter_mut().map(Some).collect();
+            for members in plan.members() {
+                let mut col: Vec<&mut Mlp> =
+                    members.iter().map(|&h| slots[h].take().unwrap()).collect();
+                let mut bus = BroadcastBus::new(col.len(), LatencyModel::lan());
+                DflRound::new().run(&mut col, &mut bus, &params(0, None, None));
+            }
+            assert_eq!(bits(&models), bits(&oracle), "{bad}");
+        }
+    }
+
+    #[test]
+    fn finite_payloads_whose_sum_overflows_stay_eligible() {
+        // Homes 0 and 2 share shard 0 and both carry ±f64::MAX, so S_0
+        // overflows to ±∞ although every payload is finite. The payloads
+        // stay valid and every home takes the fast path (merging the
+        // infinite S), under Raw and under int8 quantization alike.
+        let n = 6;
+        let codecs = [
+            PayloadCodec::Raw,
+            PayloadCodec::QuantizedI8 {
+                per_layer_scale: true,
+            },
+        ];
+        for codec in codecs {
+            for big in [f64::MAX, -f64::MAX] {
+                let mut models = fleet(n, 43);
+                for home in [0, 2] {
+                    let mut layer = models[home].export_layer(0);
+                    layer[0] = big;
+                    models[home].import_layer(0, &layer);
+                }
+                let mut engine = HierarchicalRound::with_codec(
+                    ShardPlan::round_robin(n, 2),
+                    LatencyModel::lan(),
+                    &FaultConfig::default(),
+                    codec,
+                );
+                let out = run_hier(&mut models, &mut engine, 1, None);
+                assert_eq!(out.fast_path_homes, n, "{codec:?} {big}");
+                for m in &models {
+                    let x = m.export_layer(0)[0];
+                    assert!(x.is_infinite() && x.signum() == big.signum(), "{x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_home_shard_joins_the_global_sum() {
+        // Home 3 is alone in its shard: its mailbox correctly saw no
+        // peer, so it merges with S, and S carries its payload to
+        // every other home.
+        let plan = ShardPlan::from_members(vec![vec![0, 1, 2], vec![3]]);
+        let mut fast = fleet(4, 47);
+        let mut engine = HierarchicalRound::new(plan, LatencyModel::lan(), &FaultConfig::default());
+        let out = run_hier(&mut fast, &mut engine, 1, None);
+        assert_eq!(out.fast_path_homes, 4);
+        assert_eq!(engine.shards[1].counters.fast_path_homes, 1);
+
+        let mut slow = fleet(4, 47);
+        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
+        run_per_home(&mut slow, &mut bus, 1, None);
+        assert_close(&fast, &slow, "singleton shard");
     }
 }

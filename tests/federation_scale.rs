@@ -85,14 +85,18 @@ proptest! {
     /// The parallel engine in `PerHome` mode is byte-identical to the
     /// sequential reference under arbitrary chaos: loss, corruption,
     /// stragglers (whose parked updates cross round boundaries), churn,
-    /// full or base-layer (`alpha`) exchange.
+    /// full or base-layer (`alpha`) exchange. A third of the cases run
+    /// fault-free, where the engine reads complete rounds in place and
+    /// the reference still delivers pair by pair.
     #[test]
     fn per_home_engine_matches_sequential_reference_under_chaos(
         seed in 0u64..10_000,
         n in 2usize..7,
         chaos in 0.0f64..0.6,
+        clean_pick in 0usize..3,
         alpha_pick in 0usize..2,
     ) {
+        let chaos = if clean_pick == 0 { 0.0 } else { chaos };
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
 
@@ -158,14 +162,17 @@ proptest! {
     /// sequential reference's traffic on the same plan, round after
     /// round (one shard bus decides every delivery as the fleet bus
     /// does, and the synthetic aggregator uplink is only charged when
-    /// K > 1).
+    /// K > 1). A third of the cases run fault-free, where the shard bus
+    /// accounts complete rounds without queueing a handle.
     #[test]
     fn single_shard_hierarchical_traffic_matches_the_reference_under_chaos(
         seed in 0u64..10_000,
         n in 2usize..10,
         chaos in 0.0f64..0.6,
+        clean_pick in 0usize..3,
         alpha_pick in 0usize..2,
     ) {
+        let chaos = if clean_pick == 0 { 0.0 } else { chaos };
         let fault = FaultConfig::chaos(seed, chaos);
         let alpha = if alpha_pick == 1 { Some(2) } else { None };
         let mut reference = fleet(n, seed ^ 0xF1A7);
