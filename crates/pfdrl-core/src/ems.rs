@@ -986,7 +986,7 @@ impl EmsState {
                 .collect(),
             transport: TransportState {
                 bus: self.bus.export_state(),
-                cloud: self.cloud.export_state(),
+                cloud: self.cloud.stats(),
             },
             metrics: MetricsState {
                 total: self.total,
@@ -1055,7 +1055,7 @@ impl EmsState {
         bus.restore_state(&snap.transport.bus)
             .map_err(|e| StoreError::State(format!("bus: {e}")))?;
         let mut cloud = CloudRound::new(LatencyModel::cloud(), &cfg.fault, cfg.compression);
-        cloud.restore_state(&snap.transport.cloud);
+        cloud.restore_stats(snap.transport.cloud);
 
         // SHARD is present exactly when the config runs hierarchically;
         // the saved assignment must match the plan the config rebuilds.

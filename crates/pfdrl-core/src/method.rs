@@ -68,17 +68,6 @@ impl EmsMethod {
     pub fn personalized(self) -> bool {
         matches!(self, EmsMethod::Local | EmsMethod::Pfdrl)
     }
-
-    /// Whether raw training data is uploaded to a cloud service
-    /// (only the Cloud baseline pools data centrally).
-    pub fn uploads_raw_data(self) -> bool {
-        matches!(self, EmsMethod::Cloud)
-    }
-
-    /// Whether any cloud service is involved at all.
-    pub fn uses_cloud(self) -> bool {
-        matches!(self, EmsMethod::Cloud | EmsMethod::Fl | EmsMethod::Frl)
-    }
 }
 
 impl std::fmt::Display for EmsMethod {
@@ -109,13 +98,6 @@ mod tests {
             assert_eq!(m.small_batch_training(), small, "{m} small batch");
             assert_eq!(m.shares_ems(), sharing, "{m} sharing EMS");
             assert_eq!(m.personalized(), pers, "{m} personalization");
-        }
-    }
-
-    #[test]
-    fn only_cloud_uploads_raw_data() {
-        for m in EmsMethod::ALL {
-            assert_eq!(m.uploads_raw_data(), m == EmsMethod::Cloud);
         }
     }
 

@@ -2,15 +2,14 @@
 //! reproduce the uninterrupted run bit for bit — including under an
 //! active deterministic fault plan with parked straggler queues in
 //! flight at the checkpoint boundary — and must go on writing the
-//! uninterrupted run's snapshots byte for byte. A snapshot written by
-//! the previous format version must still resume to the same result.
+//! uninterrupted run's snapshots byte for byte.
 
 use pfdrl_core::{
     run_method, run_method_resumable, run_method_resume_from, train_forecasters, CheckpointPolicy,
-    EmsMethod, EmsState, ForecastPhase, MethodRun, RunResult, SimConfig,
+    EmsMethod, EmsState, RunResult, SimConfig,
 };
 use pfdrl_fl::FaultConfig;
-use pfdrl_store::{CheckpointStore, RunSnapshot, StoreError};
+use pfdrl_store::{CheckpointStore, StoreError};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -179,45 +178,6 @@ fn resumed_runs_write_the_original_snapshots_byte_for_byte() {
     cfg.fault = FaultConfig::chaos(53, 0.5);
     cfg.fault.straggler_rate = 0.8;
     exercise_resumed_snapshots(&cfg, EmsMethod::Pfdrl, "snapshots-hier-chaos");
-}
-
-#[test]
-fn v2_ems_fixture_resumes_to_the_uninterrupted_result() {
-    // The fixture's run, as crates/pfdrl-store/tests/fixtures/README.md
-    // generates it: a version 2 snapshot taken after the first
-    // evaluation day.
-    let mut cfg = SimConfig::tiny(7);
-    cfg.n_residences = 2;
-    cfg.dqn.replay_capacity = 64;
-    cfg.dqn.hidden_width = 6;
-    let method = EmsMethod::Pfdrl;
-    let reference = run_method(&cfg, method).result();
-
-    let bytes = include_bytes!("../../pfdrl-store/tests/fixtures/ems_tiny_v2.pfds");
-    assert_eq!(u32::from_le_bytes(bytes[4..8].try_into().unwrap()), 2);
-    let snap = RunSnapshot::decode(bytes).unwrap();
-    assert_eq!(snap.meta.next_day, cfg.eval_start_day + 1);
-    assert!(snap
-        .agents
-        .iter()
-        .flatten()
-        .all(|a| a.replay.len() == cfg.dqn.replay_capacity));
-    // Restored without the config-fingerprint check, so that a config
-    // field added later cannot strand the fixture.
-    let forecast = ForecastPhase::from_state(&cfg, &snap.forecast).unwrap();
-    let mut state = EmsState::from_snapshot(&cfg, &snap).unwrap();
-    while !state.done(&cfg) {
-        state.advance_day(&cfg, method, &forecast);
-    }
-    let resumed = MethodRun {
-        method: method.name().to_string(),
-        forecast_train_wall_s: forecast.train_wall_s,
-        forecast_comm_s: forecast.comm_s,
-        forecast_bytes: forecast.comm_bytes,
-        forecast_logical_bytes: forecast.comm_logical_bytes,
-        ems: state.into_phase(&cfg, 0.0),
-    };
-    assert_bit_identical(&reference, &resumed.result(), "v2 EMS fixture");
 }
 
 #[test]

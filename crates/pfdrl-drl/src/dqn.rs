@@ -346,11 +346,6 @@ impl DqnAgent {
         l
     }
 
-    /// Copies the online network into the target network.
-    pub fn sync_target(&mut self) {
-        self.target.copy_params_from(&self.qnet);
-    }
-
     /// Number of gradient steps taken so far.
     pub fn grad_steps(&self) -> u64 {
         self.grad_steps
@@ -820,15 +815,9 @@ mod tests {
         // A one-transition ring of the given state width and action.
         let capacity = agent.config().replay_capacity;
         let ring = |state_width: usize, action: usize| {
-            let t = Transition {
-                state: vec![0.0; state_width],
-                action,
-                reward: 0.0,
-                next_state: None,
-            };
-            ReplayBuffer::from_transitions(capacity, &[t], 1)
-                .unwrap()
-                .export_state()
+            let mut rb = ReplayBuffer::new(capacity);
+            rb.push(&vec![0.0; state_width], action, 0.0, None);
+            rb.export_state()
         };
         let mut bad_transition = agent.export_state();
         bad_transition.replay = ring(5, 0);

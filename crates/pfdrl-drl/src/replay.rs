@@ -35,8 +35,7 @@
 //! table indexed by the previous transition's slot, and that slot is
 //! marked spilled. The table (`C × d`) is allocated on the first spill,
 //! so it stays empty on chained input; unchained input — arbitrary
-//! `(s, a, r, s')` pushes, or a snapshot whose transitions do not
-//! chain — still round-trips exactly.
+//! `(s, a, r, s')` pushes — still reads back exactly.
 //!
 //! Slot order, the write cursor and the sampling draws are those of a
 //! plain `Vec<Transition>` ring, so training is independent of how rows
@@ -48,18 +47,15 @@
 //! block, the slot records and the side table — into a [`ReplayState`],
 //! and [`ReplayBuffer::from_state`] validates such a state and copies it
 //! back, so a restored ring is the same ring, dead rows included, and
-//! keeps evolving exactly as the original would. Rings from the older
-//! per-transition snapshot format go through
-//! [`ReplayBuffer::from_transitions`] instead, which pushes the
-//! transitions oldest first and yields a logically equal ring.
+//! keeps evolving exactly as the original would.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One transition `(s, a, r, s')`; `next_state == None` marks a terminal
-/// step. The owned form of a transition, used by snapshots and by
-/// callers that build transitions one at a time.
+/// step. The owned form of a transition, for callers that build
+/// transitions one at a time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Transition {
     pub state: Vec<f64>,
@@ -298,71 +294,6 @@ impl ReplayBuffer {
         })
     }
 
-    /// Rebuilds a ring from owned transitions in storage order (not age
-    /// order) and the slot the ring overwrites next, restoring the exact
-    /// slot order and eviction order. Transitions are pushed oldest
-    /// first, so consecutive ones chain wherever their states do and the
-    /// newest transition's next state is pending again. This reads rings
-    /// of the per-transition snapshot format; the result is logically
-    /// equal to the ring that was captured, though its rows may be laid
-    /// out differently.
-    ///
-    /// # Errors
-    /// Rejects rings that violate the ring invariants (zero or
-    /// oversized capacity, overfull, a write cursor outside the
-    /// occupied region) or that the flat ring cannot hold (an empty
-    /// state, states or next states of differing widths, an action above
-    /// `u16::MAX`).
-    pub fn from_transitions(
-        capacity: usize,
-        transitions: &[Transition],
-        write: usize,
-    ) -> Result<Self, ReplayError> {
-        check_cursors(capacity, transitions.len(), write)?;
-        let len = transitions.len();
-        let dim = transitions.first().map_or(0, |t| t.state.len());
-        for (index, t) in transitions.iter().enumerate() {
-            if t.state.is_empty() {
-                return Err(ReplayError::EmptyState { index });
-            }
-            if t.state.len() != dim {
-                return Err(ReplayError::StateWidth {
-                    index,
-                    len: t.state.len(),
-                    dim,
-                });
-            }
-            if let Some(ns) = t.next_state.as_ref().filter(|ns| ns.len() != dim) {
-                return Err(ReplayError::NextStateWidth {
-                    index,
-                    len: ns.len(),
-                    dim,
-                });
-            }
-            if t.action > u16::MAX as usize {
-                return Err(ReplayError::Action {
-                    index,
-                    action: t.action,
-                });
-            }
-        }
-        // A full ring's oldest transition sits at `write`.
-        let oldest = if len == capacity { write } else { 0 };
-        let mut rb = ReplayBuffer::new(capacity);
-        for k in 0..len {
-            let t = &transitions[(oldest + k) % capacity];
-            rb.push(&t.state, t.action, t.reward, t.next_state.as_deref());
-        }
-        // The pushes filled slots `0..len` oldest first; turn them (and
-        // their spilled rows) so the oldest sits at `oldest` again.
-        rb.slots.rotate_right(oldest);
-        if !rb.spill.is_empty() {
-            rb.spill.rotate_right(oldest * rb.dim);
-        }
-        rb.write = write;
-        Ok(rb)
-    }
-
     #[inline]
     fn row(&self, r: usize) -> &[f64] {
         &self.rows[r * self.dim..(r + 1) * self.dim]
@@ -406,32 +337,7 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-/// Checks the invariants every ring of `capacity` slots with `len`
-/// of them filled keeps, whatever its storage.
-fn check_cursors(capacity: usize, len: usize, write: usize) -> Result<(), ReplayError> {
-    if capacity == 0 || capacity >= u32::MAX as usize {
-        return Err(ReplayError::Capacity { capacity });
-    }
-    if len > capacity {
-        return Err(ReplayError::Overfull { len, capacity });
-    }
-    let valid_write = if len < capacity {
-        write == len
-    } else {
-        write < capacity
-    };
-    if !valid_write {
-        return Err(ReplayError::WriteCursor {
-            write,
-            len,
-            capacity,
-        });
-    }
-    Ok(())
-}
-
-/// Why a [`ReplayState`] or a list of transitions cannot be restored
-/// into a [`ReplayBuffer`].
+/// Why a [`ReplayState`] cannot be restored into a [`ReplayBuffer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplayError {
     /// Zero, or too large for the ring's `u32` row index.
@@ -445,22 +351,6 @@ pub enum ReplayError {
         len: usize,
         capacity: usize,
     },
-    /// Transition `index` has a zero-length state.
-    EmptyState { index: usize },
-    /// Transition `index`'s state is `len` wide; transition 0's is `dim`.
-    StateWidth {
-        index: usize,
-        len: usize,
-        dim: usize,
-    },
-    /// Transition `index`'s next state is `len` wide; its state is `dim`.
-    NextStateWidth {
-        index: usize,
-        len: usize,
-        dim: usize,
-    },
-    /// Transition `index`'s action does not fit the 16-bit slot field.
-    Action { index: usize, action: usize },
     /// A ring holds states exactly when it has a width: `dim` must be 0
     /// for an empty ring and positive otherwise.
     Width { dim: usize, len: usize },
@@ -499,22 +389,6 @@ impl fmt::Display for ReplayError {
             } => write!(
                 f,
                 "replay state: write cursor {write} inconsistent with {len} of {capacity} slots filled"
-            ),
-            ReplayError::EmptyState { index } => {
-                write!(f, "replay state: transition {index} has an empty state")
-            }
-            ReplayError::StateWidth { index, len, dim } => write!(
-                f,
-                "replay state: transition {index} has a {len}-wide state, expected {dim}"
-            ),
-            ReplayError::NextStateWidth { index, len, dim } => write!(
-                f,
-                "replay state: transition {index} has a {len}-wide next state, expected {dim}"
-            ),
-            ReplayError::Action { index, action } => write!(
-                f,
-                "replay state: transition {index} has action {action}, above {}",
-                u16::MAX
             ),
             ReplayError::Width { dim, len } => write!(
                 f,
@@ -587,8 +461,25 @@ impl ReplayState {
     /// # Errors
     /// The first violated rule, as a typed [`ReplayError`].
     pub fn validate(&self) -> Result<(), ReplayError> {
-        let (capacity, dim, len) = (self.capacity, self.dim, self.len());
-        check_cursors(capacity, len, self.write)?;
+        let (capacity, dim, len, write) = (self.capacity, self.dim, self.len(), self.write);
+        if capacity == 0 || capacity >= u32::MAX as usize {
+            return Err(ReplayError::Capacity { capacity });
+        }
+        if len > capacity {
+            return Err(ReplayError::Overfull { len, capacity });
+        }
+        let valid_write = if len < capacity {
+            write == len
+        } else {
+            write < capacity
+        };
+        if !valid_write {
+            return Err(ReplayError::WriteCursor {
+                write,
+                len,
+                capacity,
+            });
+        }
         if (dim == 0) != (len == 0) {
             return Err(ReplayError::Width { dim, len });
         }
@@ -619,7 +510,7 @@ impl ReplayState {
         let expected = match len {
             0 => 0,
             _ => {
-                let newest = (self.write + capacity - 1) % capacity;
+                let newest = (write + capacity - 1) % capacity;
                 (self.slots[newest].row as usize + 1) % rows
             }
         };
@@ -712,77 +603,6 @@ mod tests {
         restored.push(&[5.0], 1, 1.0, Some(&[6.0]));
         assert!(restored.spill.is_empty(), "the resumed episode chains");
         assert_eq!(restored.export_state(), rb.export_state());
-    }
-
-    fn restore(transitions: &[Transition]) -> Result<ReplayBuffer, ReplayError> {
-        ReplayBuffer::from_transitions(4, transitions, transitions.len())
-    }
-
-    #[test]
-    fn from_transitions_rejects_mixed_state_widths() {
-        let mut wide = t(1.0);
-        wide.state = vec![1.0, 2.0];
-        assert_eq!(
-            restore(&[t(0.0), wide]).unwrap_err(),
-            ReplayError::StateWidth {
-                index: 1,
-                len: 2,
-                dim: 1
-            }
-        );
-    }
-
-    #[test]
-    fn from_transitions_rejects_an_empty_state() {
-        let mut empty = t(1.0);
-        empty.state.clear();
-        assert_eq!(
-            restore(&[empty]).unwrap_err(),
-            ReplayError::EmptyState { index: 0 }
-        );
-    }
-
-    #[test]
-    fn from_transitions_rejects_a_next_state_of_another_width() {
-        let mut ragged = t(1.0);
-        ragged.next_state = Some(vec![0.0; 3]);
-        assert_eq!(
-            restore(&[t(0.0), ragged]).unwrap_err(),
-            ReplayError::NextStateWidth {
-                index: 1,
-                len: 3,
-                dim: 1
-            }
-        );
-    }
-
-    #[test]
-    fn from_transitions_rejects_an_action_wider_than_the_slot() {
-        let mut wide = t(1.0);
-        wide.action = 1 << 16;
-        assert_eq!(
-            restore(&[wide]).unwrap_err(),
-            ReplayError::Action {
-                index: 0,
-                action: 1 << 16
-            }
-        );
-    }
-
-    #[test]
-    fn from_transitions_rejects_broken_ring_invariants() {
-        assert_eq!(
-            ReplayBuffer::from_transitions(0, &[t(0.0)], 1).unwrap_err(),
-            ReplayError::Capacity { capacity: 0 }
-        );
-        assert!(matches!(
-            ReplayBuffer::from_transitions(4, &vec![t(0.0); 5], 0).unwrap_err(),
-            ReplayError::Overfull { len: 5, .. }
-        ));
-        assert!(matches!(
-            ReplayBuffer::from_transitions(4, &[t(0.0)], 0).unwrap_err(),
-            ReplayError::WriteCursor { write: 0, .. }
-        ));
     }
 
     /// A ring of capacity 3 over 2-wide states that has wrapped and

@@ -16,12 +16,12 @@
 //! (in a per-pair round, the hierarchical shared-sum fast path uses
 //! that identity to prove a mailbox saw the full round).
 //!
-//! A bus with no fault plan, no closed mailbox and nothing queued can
-//! only deliver everything, so the round engine skips the mailboxes
-//! there: the bus accounts the complete round's counters, one delta
-//! per sender, and each home reads its deliveries in place from the
-//! round's payloads, in sender order. The N(N−1) handles that
-//! `broadcast_all` would queue are never built.
+//! A bus with no fault plan and nothing queued can only deliver
+//! everything, so the round engine skips the mailboxes there: the bus
+//! accounts the complete round's counters, one delta per sender, and
+//! each home reads its deliveries in place from the round's payloads,
+//! in sender order. The N(N−1) handles that `broadcast_all` would
+//! queue are never built.
 //!
 //! A bus built with [`BroadcastBus::with_faults`] routes every delivery
 //! through a [`FaultInjector`]: churned-out or lossy deliveries are
@@ -82,8 +82,6 @@ pub struct BusStats {
     pub dropped_offline: u64,
     /// Deliveries dropped by simulated message loss.
     pub dropped_loss: u64,
-    /// Deliveries dropped because the receiver end was disconnected.
-    pub dropped_disconnected: u64,
     /// Deliveries that arrived with a corrupted payload.
     pub corrupted: u64,
     /// Deliveries parked by straggler delay (arrive a drain cycle late).
@@ -95,7 +93,7 @@ pub struct BusStats {
 impl BusStats {
     /// Total deliveries that never reached a mailbox, for any reason.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped_offline + self.dropped_loss + self.dropped_disconnected
+        self.dropped_offline + self.dropped_loss
     }
 
     /// Adds every counter of `d` into `self` (the float sum in the
@@ -106,25 +104,16 @@ impl BusStats {
         self.logical_bytes += d.logical_bytes;
         self.dropped_offline += d.dropped_offline;
         self.dropped_loss += d.dropped_loss;
-        self.dropped_disconnected += d.dropped_disconnected;
         self.corrupted += d.corrupted;
         self.delayed += d.delayed;
         self.delay_seconds += d.delay_seconds;
     }
 }
 
-/// One residence's inbox. `closed` models a hub whose receiving end
-/// died: deliveries to it count as `dropped_disconnected` instead of
-/// panicking.
-#[derive(Default)]
-struct Mailbox {
-    queue: Vec<Arc<ModelUpdate>>,
-    closed: bool,
-}
-
 /// A broadcast bus connecting `n` residences.
 pub struct BroadcastBus {
-    mailboxes: Vec<Mailbox>,
+    /// One inbox per residence, in delivery order.
+    mailboxes: Vec<Vec<Arc<ModelUpdate>>>,
     stats: BusStats,
     latency: LatencyModel,
     faults: Option<FaultInjector>,
@@ -165,7 +154,7 @@ impl BroadcastBus {
     ) -> Self {
         assert!(n > 0, "bus needs at least one participant");
         BroadcastBus {
-            mailboxes: (0..n).map(|_| Mailbox::default()).collect(),
+            mailboxes: vec![Vec::new(); n],
             stats: BusStats::default(),
             latency,
             faults: faults
@@ -248,11 +237,6 @@ impl BroadcastBus {
                         delta.dropped_offline += 1
                     }
                     Delivery::Drop(DropReason::Loss) => delta.dropped_loss += 1,
-                    // A dropped receiver is a fault, not a crash: count
-                    // the failed delivery and move on.
-                    Delivery::Corrupt(_) | Delivery::Deliver if mailbox.closed => {
-                        delta.dropped_disconnected += 1
-                    }
                     Delivery::Corrupt(kind) => {
                         let plan = faults.as_ref().expect("corrupt without injector").plan();
                         let damaged = plan.corrupt(arc, receiver as u64, kind);
@@ -260,7 +244,7 @@ impl BroadcastBus {
                         delta.messages += 1;
                         delta.bytes += codec.wire_update_bytes(&damaged) as u64;
                         delta.logical_bytes += damaged.byte_size() as u64;
-                        mailbox.queue.push(Arc::new(damaged));
+                        mailbox.push(Arc::new(damaged));
                     }
                     Delivery::Delay { extra_latency_mult } => {
                         let injector = faults.as_mut().expect("delay without injector");
@@ -272,7 +256,7 @@ impl BroadcastBus {
                         delta.delay_seconds += extra_latency_mult * latency.seconds(1, wire);
                     }
                     Delivery::Deliver => {
-                        mailbox.queue.push(Arc::clone(arc));
+                        mailbox.push(Arc::clone(arc));
                         delta.messages += 1;
                         delta.bytes += wire;
                         delta.logical_bytes += logical;
@@ -285,15 +269,11 @@ impl BroadcastBus {
         }
     }
 
-    /// A bus is clean when it has no fault plan, no closed mailbox and
-    /// nothing queued: a broadcast can then only deliver every payload
-    /// to every other residence.
+    /// A bus is clean when it has no fault plan and nothing queued: a
+    /// broadcast can then only deliver every payload to every other
+    /// residence.
     pub(crate) fn is_clean(&self) -> bool {
-        self.faults.is_none()
-            && self
-                .mailboxes
-                .iter()
-                .all(|m| !m.closed && m.queue.is_empty())
+        self.faults.is_none() && self.mailboxes.iter().all(Vec::is_empty)
     }
 
     /// The complete round of a clean bus: when [`Self::is_clean`],
@@ -341,7 +321,7 @@ impl BroadcastBus {
     /// this cycle. One drain advances the straggler clock one cycle.
     pub fn drain_into(&mut self, id: usize, out: &mut Vec<Arc<ModelUpdate>>) {
         out.clear();
-        out.append(&mut self.mailboxes[id].queue);
+        out.append(&mut self.mailboxes[id]);
         if let Some(inj) = &mut self.faults {
             inj.take_ready(id, out);
         }
@@ -352,13 +332,6 @@ impl BroadcastBus {
     pub fn drain_model_into(&mut self, id: usize, model_id: u64, out: &mut Vec<Arc<ModelUpdate>>) {
         self.drain_into(id, out);
         out.retain(|u| u.model_id == model_id);
-    }
-
-    /// Closes residence `id`'s mailbox: subsequent deliveries to it are
-    /// counted as `dropped_disconnected`. Models a hub process that died
-    /// without unregistering (robustness tests use this).
-    pub fn disconnect(&mut self, id: usize) {
-        self.mailboxes[id].closed = true;
     }
 
     /// Traffic so far.
@@ -372,11 +345,6 @@ impl BroadcastBus {
         self.latency.seconds(self.stats.messages, self.stats.bytes) + self.stats.delay_seconds
     }
 
-    /// Resets traffic statistics (not mailboxes).
-    pub fn reset_stats(&mut self) {
-        self.stats = BusStats::default();
-    }
-
     /// Captures the complete bus state — statistics, undrained mailbox
     /// contents, and any parked straggler queues — without disturbing
     /// it.
@@ -384,7 +352,7 @@ impl BroadcastBus {
         let mailboxes = self
             .mailboxes
             .iter()
-            .map(|m| m.queue.iter().map(|u| (**u).clone()).collect())
+            .map(|m| m.iter().map(|u| (**u).clone()).collect())
             .collect();
         let (parked_ready, parked_staged) = match &self.faults {
             Some(inj) => inj.export_parked(),
@@ -402,9 +370,8 @@ impl BroadcastBus {
     /// a freshly built bus of the same shape.
     ///
     /// # Errors
-    /// Rejects states whose participant count does not match, that
-    /// target a disconnected mailbox, or that carry parked stragglers
-    /// when this bus has no fault injector.
+    /// Rejects states whose participant count does not match or that
+    /// carry parked stragglers when this bus has no fault injector.
     pub fn restore_state(&mut self, state: &BusState) -> Result<(), String> {
         let n = self.len();
         if state.mailboxes.len() != n {
@@ -414,12 +381,7 @@ impl BroadcastBus {
             ));
         }
         for (mailbox, contents) in self.mailboxes.iter_mut().zip(&state.mailboxes) {
-            if mailbox.closed && !contents.is_empty() {
-                return Err("bus mailbox disconnected".to_string());
-            }
-            mailbox
-                .queue
-                .extend(contents.iter().map(|u| Arc::new(u.clone())));
+            mailbox.extend(contents.iter().map(|u| Arc::new(u.clone())));
         }
         match &mut self.faults {
             Some(inj) => {
@@ -576,16 +538,10 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &lossy);
-        let mut closed = BroadcastBus::new(3, LatencyModel::lan());
-        closed.disconnect(1);
         let mut queued = BroadcastBus::new(3, LatencyModel::lan());
         queued.broadcast(update(0, 4));
         let queued_stats = queued.stats();
-        for (bus, what) in [
-            (&mut faulty, "fault plan"),
-            (&mut closed, "closed mailbox"),
-            (&mut queued, "queued mail"),
-        ] {
+        for (bus, what) in [(&mut faulty, "fault plan"), (&mut queued, "queued mail")] {
             let before = bus.export_state();
             assert!(!bus.account_complete(&arcs), "{what}");
             assert_eq!(bus.export_state(), before, "{what} must stay untouched");
@@ -616,14 +572,6 @@ mod tests {
         // The non-matching update was discarded, not left queued —
         // exactly the historical clone-then-filter semantics.
         assert!(bus.drain(1).is_empty());
-    }
-
-    #[test]
-    fn reset_stats_zeroes_counters() {
-        let mut bus = BroadcastBus::new(2, LatencyModel::lan());
-        bus.broadcast(update(0, 4));
-        bus.reset_stats();
-        assert_eq!(bus.stats(), BusStats::default());
     }
 
     #[test]
@@ -812,28 +760,5 @@ mod tests {
             (bus.stats(), bus.simulated_seconds().to_bits(), mailboxes)
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn batched_broadcast_respects_disconnected_receivers() {
-        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
-        bus.disconnect(2);
-        let arcs: Vec<Arc<ModelUpdate>> = (0..3).map(|s| Arc::new(update(s, 4))).collect();
-        bus.broadcast_all(&arcs);
-        let s = bus.stats();
-        assert_eq!(s.messages, 4); // 3 senders x 2 peers - 2 to the dead box
-        assert_eq!(s.dropped_disconnected, 2);
-        assert!(bus.drain(2).is_empty());
-    }
-
-    #[test]
-    fn disconnected_receiver_counts_as_drop_not_panic() {
-        let mut bus = BroadcastBus::new(2, LatencyModel::lan());
-        bus.disconnect(1);
-        bus.broadcast(update(0, 4));
-        let s = bus.stats();
-        assert_eq!(s.messages, 0);
-        assert_eq!(s.dropped_disconnected, 1);
-        assert!(bus.drain(1).is_empty());
     }
 }

@@ -56,20 +56,6 @@ pub struct CloudStats {
     pub delay_seconds: f64,
 }
 
-/// Serializable snapshot of a [`CloudRound`], for checkpointing. The
-/// engine writes `global: None` and no `pending` uploads; both fields
-/// remain so snapshots written before the server stopped keeping a
-/// model between rounds still decode, and restoring ignores them.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct CloudState {
-    /// Traffic counters (the latency model is linear in these).
-    pub stats: CloudStats,
-    /// A server-side global model (older snapshots only; unused).
-    pub global: Option<Vec<Vec<f64>>>,
-    /// Uploads awaiting aggregation (older snapshots only; unused).
-    pub pending: Vec<ModelUpdate>,
-}
-
 /// The cloud column engine: one server round per [`CloudRound::run`].
 /// Reusable across rounds and model columns; it keeps its upload
 /// buffers and the mean between rounds only as scratch.
@@ -257,9 +243,17 @@ impl CloudRound {
         true
     }
 
-    /// Traffic so far.
+    /// Traffic so far: the engine's only cross-round state, which is
+    /// what a checkpoint captures.
     pub fn stats(&self) -> CloudStats {
         self.stats
+    }
+
+    /// Restores counters captured with [`CloudRound::stats`] (the
+    /// latency model is linear in them, so simulated seconds resume
+    /// exactly).
+    pub fn restore_stats(&mut self, stats: CloudStats) {
+        self.stats = stats;
     }
 
     /// Simulated communication seconds spent on all traffic so far,
@@ -269,22 +263,6 @@ impl CloudRound {
         self.latency
             .seconds(s.uploads + s.downloads, s.upload_bytes + s.download_bytes)
             + s.delay_seconds
-    }
-
-    /// Captures the engine's cross-round state (its counters) for
-    /// checkpointing.
-    pub fn export_state(&self) -> CloudState {
-        CloudState {
-            stats: self.stats,
-            ..CloudState::default()
-        }
-    }
-
-    /// Restores state captured with [`CloudRound::export_state`]. A
-    /// global model or pending uploads in an older snapshot are
-    /// ignored: a round never reads either.
-    pub fn restore_state(&mut self, state: &CloudState) {
-        self.stats = state.stats;
     }
 }
 
@@ -357,7 +335,6 @@ mod tests {
         let s = cloud.stats();
         assert_eq!((s.uploads, s.downloads), (3, 3));
         assert!(s.upload_bytes > 0 && s.download_bytes > 0);
-        assert_eq!(cloud.export_state().global, None);
     }
 
     #[test]
@@ -558,22 +535,5 @@ mod tests {
         let s = cloud.stats();
         assert_eq!(s.delayed, 1);
         assert!((s.delay_seconds - STRAGGLER_DELAY).abs() < 1e-12);
-    }
-
-    #[test]
-    fn restore_keeps_counters_and_ignores_an_old_global() {
-        let mut cloud = fault_free();
-        run(&mut cloud, &mut [toy(1.0), toy(3.0)]);
-        let mut state = cloud.export_state();
-        assert!(state.global.is_none() && state.pending.is_empty());
-        state.global = Some(vec![vec![50.0; 8], vec![50.0; 2]]);
-        let mut restored = fault_free();
-        restored.restore_state(&state);
-        assert_eq!(restored.stats(), cloud.stats());
-        // A failed round after the restore keeps local models; the old
-        // global is never served.
-        let mut models = vec![toy(f64::NAN), toy(f64::NAN)];
-        assert_eq!(run_at(&mut restored, &mut models, 1, None), 0);
-        assert!(models.iter().all(|m| m.0[0][0].is_nan()));
     }
 }

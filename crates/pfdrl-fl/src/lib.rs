@@ -62,7 +62,7 @@ pub mod shard;
 
 pub use aggregate::{merge_updates, snapshot_update, AggregateError, AggregationMode, MergeReport};
 pub use bus::{BroadcastBus, BusState, BusStats, LatencyModel};
-pub use cloud::{CloudRound, CloudState, CloudStats};
+pub use cloud::{CloudRound, CloudStats};
 pub use codec::{
     CodecError, LayerUpdate, ModelUpdate, PayloadCodec, CODEC_VERSION, CODEC_VERSION_MAX,
     CODEC_VERSION_Q8,

@@ -13,9 +13,9 @@
 //! * broadcasting `Arc`-shared payloads (in home order — arrival order
 //!   feeds the merge float-sum order, so it must stay fixed),
 //! * reading a complete round in place: on a clean bus (no fault plan,
-//!   no closed mailbox, nothing queued) the bus only accounts the round,
-//!   and each home's deliveries are the round's payloads minus its own,
-//!   in sender order — no mailbox handle is queued, drained or dropped,
+//!   nothing queued) the bus only accounts the round, and each home's
+//!   deliveries are the round's payloads minus its own, in sender
+//!   order — no mailbox handle is queued, drained or dropped,
 //! * merging every home in parallel once the column holds at least
 //!   `2 × MERGE_MIN_HOMES` homes (each home's merge is independent once
 //!   the bus has delivered).

@@ -14,8 +14,8 @@
 //! per round instead of one per home, O(N·params) instead of
 //! O(N²·params). A home is eligible only when its shard provably
 //! delivered it the complete round. A clean shard bus (no fault plan,
-//! no closed mailbox, nothing queued) can only deliver everything, so
-//! its complete round marks every home eligible. In a per-pair round a
+//! nothing queued) can only deliver everything, so its complete round
+//! marks every home eligible. In a per-pair round a
 //! home's mailbox must hold exactly `n_k − 1` updates, each
 //! pointer-identical to this round's broadcast payloads, in sender
 //! order. Any deviation (loss, churn, straggling, corruption —

@@ -54,4 +54,4 @@ pub use layer::Dense;
 pub use lstm::{Lstm, LstmScratch};
 pub use matrix::Matrix;
 pub use mlp::Mlp;
-pub use params::{average_params, weighted_average_params, Layered};
+pub use params::{average_params, Layered};

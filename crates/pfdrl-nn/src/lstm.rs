@@ -151,10 +151,6 @@ impl Lstm {
         self.in_dim
     }
 
-    pub fn hidden_dim(&self) -> usize {
-        self.hidden
-    }
-
     pub fn out_dim(&self) -> usize {
         self.head.out_dim()
     }

@@ -326,12 +326,6 @@ impl Matrix {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Iterator over immutable row slices (bounds-check-free).
-    #[inline]
-    pub fn rows_iter(&self) -> std::slice::ChunksExact<'_, f64> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Reshapes to `rows x cols` in place, reusing the existing
     /// allocation whenever capacity allows. Element values after the
     /// call are unspecified — callers must overwrite them.

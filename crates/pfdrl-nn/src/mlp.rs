@@ -70,15 +70,6 @@ impl Mlp {
         }
     }
 
-    /// The paper's Q-network: 8 hidden ReLU layers of 100 neurons and a
-    /// linear 3-unit output (one Q-value per device mode).
-    pub fn paper_qnet(state_dim: usize, rng: &mut impl Rng) -> Self {
-        let mut dims = vec![state_dim];
-        dims.extend(std::iter::repeat_n(100, 8));
-        dims.push(3);
-        Mlp::new(&dims, Activation::Relu, Activation::Identity, rng)
-    }
-
     pub fn in_dim(&self) -> usize {
         self.layers[0].in_dim()
     }
@@ -305,17 +296,6 @@ mod tests {
         assert_eq!((y.rows(), y.cols()), (5, 2));
         assert_eq!(net.in_dim(), 4);
         assert_eq!(net.out_dim(), 2);
-    }
-
-    #[test]
-    fn paper_qnet_architecture() {
-        let net = Mlp::paper_qnet(8, &mut StdRng::seed_from_u64(1));
-        assert_eq!(net.layer_count(), 9); // 8 hidden + output
-        assert_eq!(net.in_dim(), 8);
-        assert_eq!(net.out_dim(), 3);
-        // 8*100 + 100 for first layer, 100*100+100 for middle, 100*3+3 out.
-        let expected = (8 * 100 + 100) + 7 * (100 * 100 + 100) + (100 * 3 + 3);
-        assert_eq!(net.param_count(), expected);
     }
 
     #[test]

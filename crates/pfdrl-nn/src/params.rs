@@ -80,35 +80,6 @@ pub fn average_params(snapshots: &[Vec<f64>]) -> Vec<f64> {
     out
 }
 
-/// Weighted average of parameter snapshots, weights normalized internally.
-///
-/// # Panics
-/// Panics on empty input, mismatched lengths, or non-positive total weight.
-pub fn weighted_average_params(snapshots: &[(f64, Vec<f64>)]) -> Vec<f64> {
-    assert!(
-        !snapshots.is_empty(),
-        "weighted_average_params: no snapshots"
-    );
-    let len = snapshots[0].1.len();
-    assert!(
-        snapshots.iter().all(|(_, s)| s.len() == len),
-        "weighted_average_params: inconsistent snapshot lengths"
-    );
-    let total: f64 = snapshots.iter().map(|(w, _)| w).sum();
-    assert!(
-        total > 0.0,
-        "weighted_average_params: non-positive total weight"
-    );
-    let mut out = vec![0.0; len];
-    for (w, s) in snapshots {
-        let w = w / total;
-        for (o, v) in out.iter_mut().zip(s.iter()) {
-            *o += w * v;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,24 +106,5 @@ mod tests {
     #[should_panic(expected = "inconsistent")]
     fn average_rejects_ragged() {
         let _ = average_params(&[vec![1.0], vec![1.0, 2.0]]);
-    }
-
-    #[test]
-    fn weighted_average_respects_weights() {
-        let s = vec![(1.0, vec![0.0]), (3.0, vec![4.0])];
-        assert_eq!(weighted_average_params(&s), vec![3.0]);
-    }
-
-    #[test]
-    fn weighted_average_with_equal_weights_matches_plain() {
-        let plain = vec![vec![1.0, 5.0], vec![3.0, 7.0]];
-        let weighted: Vec<(f64, Vec<f64>)> = plain.iter().map(|s| (2.5, s.clone())).collect();
-        assert_eq!(average_params(&plain), weighted_average_params(&weighted));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-positive")]
-    fn weighted_average_rejects_zero_weight_total() {
-        let _ = weighted_average_params(&[(0.0, vec![1.0])]);
     }
 }

@@ -80,8 +80,7 @@ impl fmt::Display for StoreError {
             StoreError::UnsupportedVersion { found } => {
                 write!(
                     f,
-                    "unsupported snapshot format version {found} (this build reads v{} to v{})",
-                    crate::snapshot::MIN_READ_VERSION,
+                    "unsupported snapshot format version {found} (this build reads v{})",
                     crate::snapshot::FORMAT_VERSION
                 )
             }

@@ -27,8 +27,8 @@
 //! * [`CheckpointStore`] writes atomically and durably (temp file,
 //!   fsync, rename, directory fsync) so neither a crash nor a power
 //!   loss mid-write leaves a short file under a snapshot name;
-//! * every format version from [`MIN_READ_VERSION`] to
-//!   [`FORMAT_VERSION`] is read, each pinned by a committed fixture.
+//! * exactly one format version, [`FORMAT_VERSION`], is written and
+//!   read, and a committed fixture pins the encoder's bytes.
 //!
 //! ## Example
 //!
@@ -51,7 +51,6 @@ pub use error::StoreError;
 pub use snapshot::{
     ForecastState, HealthState, HomeHealthRecord, MetricsState, RunSnapshot, ServeDeviceState,
     ServeHomeState, ServeState, SnapshotMeta, TransportState, FORMAT_VERSION, MAGIC,
-    MIN_READ_VERSION,
 };
 pub use store::{CheckpointStore, SNAPSHOT_EXT};
 pub use tensor::{TensorId, TensorPool};

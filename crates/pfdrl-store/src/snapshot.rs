@@ -45,18 +45,22 @@
 //! ring are bulk copies, and the decoder checks every ring invariant
 //! ([`ReplayState::validate`]) before a ring can be restored.
 //!
-//! Version 2 files still load: their rings hold one pooled state id,
-//! action, reward and optional next-state id per transition, and are
-//! converted through [`ReplayBuffer::from_transitions`] into rings that
-//! are logically equal to the captured ones. Every file is written as
-//! version 3.
+//! ## Reserved slots
+//!
+//! Three slots of version 3 carry no field any more: a bus counter
+//! (after `dropped_loss`, in `TRANSPORT` and in every `SHARD` bus) and,
+//! at the end of `TRANSPORT`, a cloud model flag and a cloud upload
+//! count. The encoder writes zero in each, as every earlier build whose
+//! snapshots can still resume did, and the decoder rejects any other
+//! value as [`StoreError::Malformed`]. So the layout, and the bytes of
+//! every snapshot, stay those of the builds before the fields went.
 
 use pfdrl_drl::replay::{Next, Slot};
-use pfdrl_drl::{DqnState, ReplayBuffer, ReplayState, Transition};
+use pfdrl_drl::{DqnState, ReplayState};
 use pfdrl_env::account::EnergyAccount;
 use pfdrl_fl::{
-    BusState, BusStats, CloudState, CloudStats, HierShardState, HierState, LayerUpdate,
-    ModelUpdate, ShardCounters,
+    BusState, BusStats, CloudStats, HierShardState, HierState, LayerUpdate, ModelUpdate,
+    ShardCounters,
 };
 use pfdrl_nn::optimizer::AdamState;
 
@@ -69,13 +73,11 @@ use crate::wire::{Reader, Writer};
 
 /// First four bytes of every snapshot file.
 pub const MAGIC: [u8; 4] = *b"PFDS";
-/// Format version this build writes. Version 2 added the logical
-/// (pre-compression) byte counters to the bus, cloud, shard and
-/// forecast stats; version 3 writes each replay ring inline as one
+/// The one format version this build writes and reads. Version 2 added
+/// the logical (pre-compression) byte counters to the bus, cloud, shard
+/// and forecast stats; version 3 writes each replay ring inline as one
 /// block instead of one pooled tensor pair per transition.
 pub const FORMAT_VERSION: u32 = 3;
-/// Oldest format version this build still reads.
-pub const MIN_READ_VERSION: u32 = 2;
 
 /// Bytes of one replay slot record: reward bits, row, action and next
 /// kind.
@@ -157,18 +159,17 @@ pub struct ForecastState {
     pub weights: Vec<Vec<Vec<Vec<f64>>>>,
 }
 
-/// Federation transport at the capture point. Mailboxes and pending
-/// uploads are empty at day boundaries, but captured anyway so the
-/// format does not depend on that scheduling invariant; the parked
-/// straggler queues are *not* empty under an active fault plan and
-/// must survive for bit-identical resume.
+/// Federation transport at the capture point. Mailboxes are empty at
+/// day boundaries, but captured anyway so the format does not depend
+/// on that scheduling invariant; the parked straggler queues are *not*
+/// empty under an active fault plan and must survive for bit-identical
+/// resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportState {
     /// LAN broadcast bus: stats, mailboxes, parked queues.
     pub bus: BusState,
-    /// Cloud server: stats. Written with no global model and no
-    /// pending uploads; older snapshots that carry them still decode.
-    pub cloud: CloudState,
+    /// Cloud server counters, its only cross-round state.
+    pub cloud: CloudStats,
 }
 
 /// Metric accumulators over the completed evaluation days.
@@ -431,21 +432,13 @@ fn dqn_len(s: &DqnState) -> usize {
     ids(&s.qnet) + ids(&s.target) + 8 + ids(&s.opt.m) + ids(&s.opt.v) + ring_len(&s.replay) + 48
 }
 
-fn decode_dqn(
-    r: &mut Reader<'_>,
-    pool: &TensorPool,
-    version: u32,
-    v2_budget: &mut usize,
-) -> Result<DqnState, StoreError> {
+fn decode_dqn(r: &mut Reader<'_>, pool: &TensorPool) -> Result<DqnState, StoreError> {
     let qnet = decode_layer_ids(r, pool)?;
     let target = decode_layer_ids(r, pool)?;
     let t = r.u64()?;
     let m = decode_layer_ids(r, pool)?;
     let v = decode_layer_ids(r, pool)?;
-    let replay = match version {
-        2 => decode_ring_v2(r, pool, v2_budget)?,
-        _ => decode_ring(r)?,
-    };
+    let replay = decode_ring(r)?;
     let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
     let env_steps = r.u64()?;
     let grad_steps = r.u64()?;
@@ -487,8 +480,9 @@ fn ring_len(s: &ReplayState) -> usize {
 }
 
 /// Reads a ring written by [`encode_ring`] and validates it before it
-/// can reach a [`ReplayBuffer`]. Every block is backed by bytes of the
-/// section, so the allocations are bounded by the input.
+/// can reach a [`ReplayBuffer`](pfdrl_drl::ReplayBuffer). Every block
+/// is backed by bytes of the section, so the allocations are bounded by
+/// the input.
 fn decode_ring(r: &mut Reader<'_>) -> Result<ReplayState, StoreError> {
     let capacity = r.usize()?;
     let dim = r.usize()?;
@@ -532,49 +526,13 @@ fn decode_ring(r: &mut Reader<'_>) -> Result<ReplayState, StoreError> {
     Ok(state)
 }
 
-/// Reads a version 2 ring — one pooled state id, action, reward and
-/// optional next-state id per transition — and converts it through
-/// [`ReplayBuffer::from_transitions`]. A v2 ring's capacity is not
-/// backed by bytes, so the conversion draws its worst-case row block
-/// and side table from `budget`, in values.
-fn decode_ring_v2(
-    r: &mut Reader<'_>,
-    pool: &TensorPool,
-    budget: &mut usize,
-) -> Result<ReplayState, StoreError> {
-    let capacity = r.usize()?;
-    let write = r.usize()?;
-    let n = r.count(25)?; // min bytes per transition: id + action + reward + flag
-    let mut transitions = Vec::with_capacity(n);
-    for _ in 0..n {
-        let state = pool.get(r.u64()?)?.clone();
-        let action = r.usize()?;
-        let reward = r.f64()?;
-        let next_state = if r.bool()? {
-            Some(pool.get(r.u64()?)?.clone())
-        } else {
-            None
-        };
-        transitions.push(Transition {
-            state,
-            action,
-            reward,
-            next_state,
-        });
+/// Checks a reserved slot (see the module docs): zero, or `context`'s
+/// [`StoreError::Malformed`].
+fn reserved(value: u64, context: &'static str) -> Result<(), StoreError> {
+    match value {
+        0 => Ok(()),
+        _ => Err(StoreError::Malformed { context }),
     }
-    let dim = transitions.first().map_or(0, |t| t.state.len());
-    let need = capacity
-        .checked_mul(2)
-        .and_then(|c| c.checked_add(1))
-        .and_then(|c| c.checked_mul(dim))
-        .filter(|&need| need <= *budget)
-        .ok_or(StoreError::Malformed {
-            context: "v2 replay capacity",
-        })?;
-    *budget -= need;
-    ReplayBuffer::from_transitions(capacity, &transitions, write)
-        .map(|rb| rb.export_state())
-        .map_err(StoreError::Replay)
 }
 
 fn encode_bus_stats(w: &mut Writer, s: &BusStats) {
@@ -583,20 +541,25 @@ fn encode_bus_stats(w: &mut Writer, s: &BusStats) {
     w.put_u64(s.logical_bytes);
     w.put_u64(s.dropped_offline);
     w.put_u64(s.dropped_loss);
-    w.put_u64(s.dropped_disconnected);
+    w.put_u64(0); // reserved bus counter
     w.put_u64(s.corrupted);
     w.put_u64(s.delayed);
     w.put_f64(s.delay_seconds);
 }
 
 fn decode_bus_stats(r: &mut Reader<'_>) -> Result<BusStats, StoreError> {
+    let messages = r.u64()?;
+    let bytes = r.u64()?;
+    let logical_bytes = r.u64()?;
+    let dropped_offline = r.u64()?;
+    let dropped_loss = r.u64()?;
+    reserved(r.u64()?, "reserved bus counter")?;
     Ok(BusStats {
-        messages: r.u64()?,
-        bytes: r.u64()?,
-        logical_bytes: r.u64()?,
-        dropped_offline: r.u64()?,
-        dropped_loss: r.u64()?,
-        dropped_disconnected: r.u64()?,
+        messages,
+        bytes,
+        logical_bytes,
+        dropped_offline,
+        dropped_loss,
         corrupted: r.u64()?,
         delayed: r.u64()?,
         delay_seconds: r.f64()?,
@@ -718,18 +681,9 @@ impl RunSnapshot {
         encode_update_queues(&mut transport, &mut pool, &self.transport.bus.mailboxes);
         encode_update_queues(&mut transport, &mut pool, &self.transport.bus.parked_ready);
         encode_update_queues(&mut transport, &mut pool, &self.transport.bus.parked_staged);
-        encode_cloud_stats(&mut transport, &self.transport.cloud.stats);
-        match &self.transport.cloud.global {
-            Some(layers) => {
-                transport.put_bool(true);
-                encode_layer_ids(&mut transport, &mut pool, layers);
-            }
-            None => transport.put_bool(false),
-        }
-        transport.put_usize(self.transport.cloud.pending.len());
-        for u in &self.transport.cloud.pending {
-            encode_update(&mut transport, &mut pool, u);
-        }
+        encode_cloud_stats(&mut transport, &self.transport.cloud);
+        transport.put_u8(0); // reserved cloud model flag
+        transport.put_u64(0); // reserved cloud upload count
 
         let mut metrics = Writer::new();
         encode_account(&mut metrics, &self.metrics.total);
@@ -833,21 +787,22 @@ impl RunSnapshot {
         sections
     }
 
-    /// Parse and validate a `PFDS` byte stream of any version from
-    /// [`MIN_READ_VERSION`] to [`FORMAT_VERSION`].
+    /// Parse and validate a `PFDS` byte stream of version
+    /// [`FORMAT_VERSION`].
     ///
-    /// Rejects: wrong magic, unknown version, truncation anywhere,
+    /// Rejects: wrong magic, any other version, truncation anywhere,
     /// CRC mismatches, unknown, duplicate or missing sections, dangling
-    /// tensor references, replay rings that break a ring invariant and
-    /// structurally malformed payloads — each as a distinct
-    /// [`StoreError`]. Never panics on arbitrary input.
+    /// tensor references, replay rings that break a ring invariant,
+    /// nonzero reserved slots and structurally malformed payloads —
+    /// each as a distinct [`StoreError`]. Never panics on arbitrary
+    /// input.
     pub fn decode(bytes: &[u8]) -> Result<Self, StoreError> {
         let mut r = Reader::new(bytes, "file header");
         if r.take(4)? != MAGIC {
             return Err(StoreError::BadMagic);
         }
         let version = r.u32()?;
-        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(StoreError::UnsupportedVersion { found: version });
         }
         let n_sections = r.u32()?;
@@ -926,9 +881,6 @@ impl RunSnapshot {
             weights,
         };
 
-        // Converted v2 rings may hold at most 8 values (64 bytes) per
-        // byte of the file.
-        let mut v2_budget = bytes.len().saturating_mul(8);
         let mut ar = Reader::new(find(section::AGENTS)?, "agents section");
         let n_homes = ar.count(8)?;
         let mut agents = Vec::with_capacity(n_homes);
@@ -936,7 +888,7 @@ impl RunSnapshot {
             let n_devices = ar.count(8)?;
             let mut home = Vec::with_capacity(n_devices);
             for _ in 0..n_devices {
-                home.push(decode_dqn(&mut ar, &pool, version, &mut v2_budget)?);
+                home.push(decode_dqn(&mut ar, &pool)?);
             }
             agents.push(home);
         }
@@ -947,17 +899,9 @@ impl RunSnapshot {
         let mailboxes = decode_update_queues(&mut tp, &pool)?;
         let parked_ready = decode_update_queues(&mut tp, &pool)?;
         let parked_staged = decode_update_queues(&mut tp, &pool)?;
-        let cloud_stats = decode_cloud_stats(&mut tp)?;
-        let global = if tp.bool()? {
-            Some(decode_layer_ids(&mut tp, &pool)?)
-        } else {
-            None
-        };
-        let n_pending = tp.count(32)?;
-        let mut pending = Vec::with_capacity(n_pending);
-        for _ in 0..n_pending {
-            pending.push(decode_update(&mut tp, &pool)?);
-        }
+        let cloud = decode_cloud_stats(&mut tp)?;
+        reserved(tp.u8()?.into(), "reserved cloud model flag")?;
+        reserved(tp.u64()?, "reserved cloud upload count")?;
         tp.expect_end()?;
         let transport = TransportState {
             bus: BusState {
@@ -966,11 +910,7 @@ impl RunSnapshot {
                 parked_ready,
                 parked_staged,
             },
-            cloud: CloudState {
-                stats: cloud_stats,
-                global,
-                pending,
-            },
+            cloud,
         };
 
         let mut me = Reader::new(find(section::METRICS)?, "metrics section");
@@ -1163,15 +1103,22 @@ impl RunSnapshot {
 #[cfg(test)]
 pub(crate) mod test_fixtures {
     use super::*;
+    use pfdrl_drl::ReplayBuffer;
 
     /// A small but fully populated snapshot exercising every section,
-    /// including deliberately shared tensors, NaN payloads, parked
-    /// straggler queues and a pending cloud upload.
+    /// including deliberately shared tensors, NaN payloads and parked
+    /// straggler queues.
     pub fn sample_snapshot() -> RunSnapshot {
         let nan = f64::from_bits(0x7FF8_0000_0000_002A);
         let base = vec![1.0, -0.0, nan, 3.5];
         let personal_a = vec![0.25, 0.5];
         let personal_b = vec![-0.25, 0.75];
+
+        // One chained transition, then a terminal one.
+        let mut ring = ReplayBuffer::new(8);
+        ring.push(&[0.1, 0.2], 1, -1.0, Some(&[0.3, 0.4]));
+        ring.push(&[0.3, 0.4], 0, 2.0, None);
+        let replay = ring.export_state();
 
         let dqn = |personal: &Vec<f64>, seed: u64| DqnState {
             qnet: vec![base.clone(), personal.clone()],
@@ -1181,26 +1128,7 @@ pub(crate) mod test_fixtures {
                 m: vec![vec![0.0; 4], vec![0.0; 2]],
                 v: vec![vec![0.0; 4], vec![0.0; 2]],
             },
-            replay: ReplayBuffer::from_transitions(
-                8,
-                &[
-                    Transition {
-                        state: vec![0.1, 0.2],
-                        action: 1,
-                        reward: -1.0,
-                        next_state: Some(vec![0.3, 0.4]),
-                    },
-                    Transition {
-                        state: vec![0.3, 0.4],
-                        action: 0,
-                        reward: 2.0,
-                        next_state: None,
-                    },
-                ],
-                2,
-            )
-            .unwrap()
-            .export_state(),
+            replay: replay.clone(),
             rng: [seed, seed ^ 7, seed.rotate_left(13), 1],
             env_steps: 10 * seed,
             grad_steps: 3 * seed,
@@ -1247,16 +1175,12 @@ pub(crate) mod test_fixtures {
                     parked_ready: vec![vec![update(1, 10)], vec![]],
                     parked_staged: vec![vec![], vec![update(0, 12)]],
                 },
-                cloud: CloudState {
-                    stats: CloudStats {
-                        uploads: 4,
-                        upload_bytes: 2048,
-                        empty_rounds: 1,
-                        delay_seconds: 0.1,
-                        ..Default::default()
-                    },
-                    global: Some(vec![base.clone(), personal_a.clone()]),
-                    pending: vec![update(1, 12)],
+                cloud: CloudStats {
+                    uploads: 4,
+                    upload_bytes: 2048,
+                    empty_rounds: 1,
+                    delay_seconds: 0.1,
+                    ..Default::default()
                 },
             },
             metrics: MetricsState {
@@ -1452,9 +1376,9 @@ mod tests {
     #[test]
     fn dedup_collapses_shared_tensors() {
         // The sample shares its base layer across 2 homes × (qnet +
-        // target + forecast) + bus traffic + cloud global. The stored
-        // tensor pool must hold far fewer parameters than the tensors
-        // referenced across the snapshot.
+        // target + forecast) + bus traffic. The stored tensor pool must
+        // hold far fewer parameters than the tensors referenced across
+        // the snapshot.
         let snap = sample_snapshot();
         let bytes = snap.encode();
 
@@ -1496,7 +1420,9 @@ mod tests {
         wrong_magic[0] = b'X';
         assert_eq!(RunSnapshot::decode(&wrong_magic), Err(StoreError::BadMagic));
 
-        for found in [0, 1, FORMAT_VERSION + 1, 99] {
+        // Version 2 is a real format, but its files predate the last
+        // config-fingerprint change, so none can resume.
+        for found in [0, 1, 2, FORMAT_VERSION + 1, 99] {
             let mut other = bytes.clone();
             other[4..8].copy_from_slice(&found.to_le_bytes());
             assert_eq!(
@@ -1712,53 +1638,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_sample_fixture_decodes_to_the_sample() {
-        // Written by the last version 2 encoder (see tests/fixtures/README.md).
-        let v2 = sample_fixture(2).expect("sample_v2.pfds");
-        assert_eq!(u32::from_le_bytes(v2[4..8].try_into().unwrap()), 2);
-        let back = RunSnapshot::decode(&v2).unwrap();
-        // Its rings convert to the rings the sample builds from the same
-        // transitions, so the logical content re-encodes identically.
-        assert_eq!(back.encode(), sample_snapshot().encode());
-        assert_eq!(back.agents[1][0].replay.len(), 2);
-    }
-
-    #[test]
-    fn v2_ring_capacity_is_checked_before_conversion() {
-        // A v2 ring's capacity is not backed by bytes, so a claim the
-        // file cannot justify is refused before any ring is allocated.
-        let v2 = sample_fixture(2).expect("sample_v2.pfds");
-        // Home and device counts, then four lists of two tensor ids and
-        // the Adam step.
-        let capacity_at = 16 + 4 * 24 + 8;
-        for (capacity, expected) in [
-            (
-                1u64 << 31,
-                StoreError::Malformed {
-                    context: "v2 replay capacity",
-                },
-            ),
-            (
-                0,
-                StoreError::Replay(pfdrl_drl::ReplayError::Capacity { capacity: 0 }),
-            ),
-        ] {
-            let (header, mut sections) = split_sections(&v2);
-            let agents = &mut sections
-                .iter_mut()
-                .find(|(k, _)| *k == section::AGENTS)
-                .unwrap()
-                .1;
-            assert_eq!(agents[capacity_at..capacity_at + 8], 8u64.to_le_bytes());
-            agents[capacity_at..capacity_at + 8].copy_from_slice(&capacity.to_le_bytes());
-            assert_eq!(
-                RunSnapshot::decode(&join_sections(&header, &sections)),
-                Err(expected)
-            );
-        }
-    }
-
-    #[test]
     fn current_sample_fixture_pins_the_encoder() {
         // A format change that forgets to bump FORMAT_VERSION fails here.
         let fixture = sample_fixture(FORMAT_VERSION).expect("fixture of the current version");
@@ -1770,7 +1649,7 @@ mod tests {
         // Probe the decoder itself, not a constant: any version it does
         // not turn away as unsupported must be pinned by a committed
         // fixture that decodes to the sample, so a format bump cannot
-        // silently drop old reads.
+        // silently keep or drop old reads.
         let current = sample_snapshot().encode();
         let mut readable = Vec::new();
         for version in (0..=FORMAT_VERSION + 8).chain([u32::MAX]) {
@@ -1790,10 +1669,67 @@ mod tests {
             let back = RunSnapshot::decode(&fixture).unwrap();
             assert_eq!(back.encode(), current, "fixture v{version}");
         }
-        assert_eq!(
-            readable,
-            (MIN_READ_VERSION..=FORMAT_VERSION).collect::<Vec<_>>()
-        );
+        assert_eq!(readable, [FORMAT_VERSION]);
+    }
+
+    #[test]
+    fn nonzero_reserved_slots_are_malformed() {
+        use super::test_fixtures::sample_hier_snapshot;
+
+        // Byte offset of the reserved bus counter in an encoded bus
+        // stats record: after messages, bytes, logical bytes and the
+        // two drop counters.
+        const BUS_SLOT: usize = 5 * 8;
+        let hier = sample_hier_snapshot();
+        let bytes = hier.encode();
+        let (_, sections) = split_sections(&bytes);
+        let transport_len = sections
+            .iter()
+            .find(|&&(k, _)| k == section::TRANSPORT)
+            .unwrap()
+            .1
+            .len();
+        // SHARD: the home assignment, four aggregate counters, the shard
+        // count and the first shard's four counters come before its bus.
+        let homes = hier.shard.as_ref().unwrap().home_shard.len();
+        let shard_bus = 8 + 4 * homes + 4 * 8 + 8 + 4 * 8;
+        let cases = [
+            (section::TRANSPORT, BUS_SLOT, 8, "reserved bus counter"),
+            (
+                section::SHARD,
+                shard_bus + BUS_SLOT,
+                8,
+                "reserved bus counter",
+            ),
+            (
+                section::TRANSPORT,
+                transport_len - 9,
+                1,
+                "reserved cloud model flag",
+            ),
+            (
+                section::TRANSPORT,
+                transport_len - 8,
+                8,
+                "reserved cloud upload count",
+            ),
+        ];
+        for (kind, at, width, context) in cases {
+            let (header, mut sections) = split_sections(&bytes);
+            let payload = &mut sections.iter_mut().find(|(k, _)| *k == kind).unwrap().1;
+            assert!(
+                payload[at..at + width].iter().all(|&b| b == 0),
+                "{context}: the slot is written as zero"
+            );
+            payload[at] = 1;
+            // `join_sections` recomputes the CRC, so the slot check
+            // itself has to catch the value.
+            assert_eq!(
+                RunSnapshot::decode(&join_sections(&header, &sections)),
+                Err(StoreError::Malformed { context }),
+                "section {kind}, byte {at}"
+            );
+        }
     }
 
     /// Reparse `bytes` keeping only sections passing `keep`.

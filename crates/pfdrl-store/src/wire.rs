@@ -57,11 +57,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    /// Boolean as one byte (0 or 1).
-    pub fn put_bool(&mut self, v: bool) {
-        self.buf.push(v as u8);
-    }
-
     /// Little-endian u16.
     pub fn put_u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -150,15 +145,6 @@ impl<'a> Reader<'a> {
         Ok(self.take(1)?[0])
     }
 
-    /// Boolean; any byte other than 0/1 is malformed.
-    pub fn bool(&mut self) -> Result<bool, StoreError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(StoreError::Malformed { context: self.ctx }),
-        }
-    }
-
     /// Little-endian u16.
     pub fn u16(&mut self) -> Result<u16, StoreError> {
         let b = self.take(2)?;
@@ -229,8 +215,6 @@ mod tests {
     fn round_trips_every_primitive_bit_exactly() {
         let mut w = Writer::new();
         w.put_u8(0xAB);
-        w.put_bool(true);
-        w.put_bool(false);
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX);
@@ -242,8 +226,6 @@ mod tests {
 
         let mut r = Reader::new(&bytes, "test");
         assert_eq!(r.u8().unwrap(), 0xAB);
-        assert!(r.bool().unwrap());
-        assert!(!r.bool().unwrap());
         assert_eq!(r.u16().unwrap(), 0xBEEF);
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX);
@@ -283,10 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn invalid_bool_and_utf8_are_malformed() {
-        let mut r = Reader::new(&[2], "b");
-        assert_eq!(r.bool(), Err(StoreError::Malformed { context: "b" }));
-
+    fn invalid_utf8_is_malformed() {
         let mut w = Writer::new();
         w.put_usize(2);
         w.put_bytes(&[0xFF, 0xFE]);
