@@ -4,7 +4,7 @@
 //! trace generation, streaming featurization, batched LSTM forecasting,
 //! every DRL act/train step and the federation rounds — allocates a
 //! small, minutes-independent amount: replay-ring bookkeeping and
-//! federation `Arc` control blocks, not per-minute feature rows.
+//! federation merge scratch, not per-minute feature rows.
 //!
 //! Before the streaming pipeline a steady day allocated ~180k times /
 //! ~1.27 GB at the full-scale canary config (`bench_ems_config()`, as
@@ -49,10 +49,9 @@ fn steady_state_day_allocations_are_bounded() {
 
     // Hostile-telemetry rider: the corrupt-and-impute repair runs fully
     // in place on the day-trace buffers, the health fold mutates
-    // pre-sized vectors, and a withheld upload returns its staged
-    // buffer to the pool instead of allocating an `Arc`. So a steady
-    // day with active imputation must not allocate more than the clean
-    // day measured above.
+    // pre-sized vectors, and a withheld upload exports nothing. So a
+    // steady day with active imputation must not allocate more than
+    // the clean day measured above.
     let mut storm_cfg = cfg.clone();
     storm_cfg.sensor_fault = SensorFaultConfig::storm(0xFA11, 0.8);
     let storm_forecast = train_forecasters(&storm_cfg, EmsMethod::Pfdrl);

@@ -367,11 +367,11 @@ fn train_dfl_lan(
             .collect()
     };
     let mut engine = DflRound::new();
-    // One engine round per device: pooled exports, broadcasts in home
-    // order (so each bus sees the exact event sequence of the
-    // sequential reference), then per-home merges on the device's bus —
-    // or, under Hierarchical, the shard buses and the O(N) shared sum
-    // for every home whose round was fault-free. Corrupted updates are
+    // One engine round per device: exports in home order, delivered in
+    // one call on the device's bus (so each bus sees the exact event
+    // sequence of the sequential reference), then per-home merges — or,
+    // under Hierarchical, the shard buses and the O(N) shared sum for
+    // every home whose round was fault-free. Corrupted updates are
     // rejected inside the validated merge.
     federated_rounds(cfg, sets, models, |col, p| match hier.as_mut() {
         Some(h) => {

@@ -61,8 +61,9 @@ pub fn snapshot_update<M: Layered + ?Sized>(
 }
 
 /// Fills `out` with layers `range` exported from `model`, reusing the
-/// layer and parameter buffers already allocated in `out`. The pooled
-/// equivalent of [`snapshot_update`] / [`crate::LayerSplit::base_update`]:
+/// layer and parameter buffers already allocated in `out`. The
+/// buffer-reusing equivalent of [`snapshot_update`] /
+/// [`crate::LayerSplit::base_update`]:
 /// on the federation hot path it performs zero heap allocations once the
 /// buffers have warmed up.
 pub(crate) fn fill_update<M: Layered + ?Sized>(
@@ -171,15 +172,18 @@ impl MergeReport {
     }
 }
 
-/// Validates `update` against `model`, returning its accepted layers as
-/// `(layer index, parameters)`. `alpha` bounds the permitted layer
-/// indices (personalization guard); `None` permits all layers.
+/// Validates `update` against `model` and pushes each accepted layer's
+/// parameters onto `per_layer[layer index]`, in the update's layer
+/// order; returns whether any layer was accepted. `alpha` bounds the
+/// permitted layer indices (personalization guard); `None` permits all
+/// layers.
 fn validate_update<'a, M: Layered + ?Sized>(
     model: &M,
     update: &'a ModelUpdate,
     alpha: Option<usize>,
+    per_layer: &mut [Vec<&'a [f64]>],
     rejections: &mut Vec<AggregateError>,
-) -> Option<Vec<(usize, &'a [f64])>> {
+) -> bool {
     // Privacy guard first: a leaked personalization layer poisons the
     // whole update (the peer is misbehaving or mis-configured).
     if let Some(alpha) = alpha {
@@ -189,10 +193,10 @@ fn validate_update<'a, M: Layered + ?Sized>(
                 layer: lu.index,
                 alpha,
             });
-            return None;
+            return false;
         }
     }
-    let mut accepted = Vec::with_capacity(update.layers.len());
+    let mut accepted = false;
     for lu in &update.layers {
         if lu.index >= model.layer_count() {
             rejections.push(AggregateError::LayerOutOfRange {
@@ -219,9 +223,10 @@ fn validate_update<'a, M: Layered + ?Sized>(
             });
             continue;
         }
-        accepted.push((lu.index, &lu.params[..]));
+        per_layer[lu.index].push(&lu.params);
+        accepted = true;
     }
-    Some(accepted)
+    accepted
 }
 
 /// Core validated merge over an explicit layer range: each layer that
@@ -237,14 +242,8 @@ pub(crate) fn merge_layers<'a, M: Layered + ?Sized>(
     let mut report = MergeReport::default();
     let mut per_layer: Vec<Vec<&[f64]>> = (0..model.layer_count()).map(|_| Vec::new()).collect();
     for update in updates {
-        match validate_update(model, update, alpha, &mut report.rejections) {
-            Some(accepted) if !accepted.is_empty() => {
-                report.accepted_updates += 1;
-                for (layer, params) in accepted {
-                    per_layer[layer].push(params);
-                }
-            }
-            _ => {}
+        if validate_update(model, update, alpha, &mut per_layer, &mut report.rejections) {
+            report.accepted_updates += 1;
         }
     }
     // One accumulator buffer reused across every merged layer; each pass

@@ -1,37 +1,36 @@
 //! In-process broadcast bus between residences.
 //!
 //! Replaces the paper's LAN broadcast between smart-home hubs: each
-//! residence gets a mailbox, and every broadcast is delivered to all
-//! other residences. The bus keeps byte/message statistics and converts
-//! them into simulated communication time via a [`LatencyModel`], which
-//! is how the time-overhead comparison of Figure 14 is reproduced
-//! without real network hardware.
+//! round, every residence's update is delivered to every other
+//! residence. The bus keeps byte/message statistics and converts them
+//! into simulated communication time via a [`LatencyModel`], which is
+//! how the time-overhead comparison of Figure 14 is reproduced without
+//! real network hardware.
 //!
-//! The bus is plain owned state: every method that delivers, drains or
-//! restores takes `&mut self`, and nothing is shared across threads
-//! (each hierarchical shard owns its own bus). Updates travel as
-//! `Arc<ModelUpdate>`: a broadcast to N−1 peers shares one payload
-//! instead of cloning it, and a clean delivery is pointer-identical to
-//! the payload the caller passed to [`BroadcastBus::broadcast_all`]
-//! (in a per-pair round, the hierarchical shared-sum fast path uses
-//! that identity to prove a mailbox saw the full round).
-//!
-//! A bus with no fault plan and nothing queued can only deliver
-//! everything, so the round engine skips the mailboxes there: the bus
-//! accounts the complete round's counters, one delta per sender, and
-//! each home reads its deliveries in place from the round's payloads,
-//! in sender order. The N(N−1) handles that `broadcast_all` would
-//! queue are never built.
+//! A round is one call over the caller's own payloads: one update per
+//! sender, in sender order. [`BroadcastBus::deliver`] delivers it pair
+//! by pair and fills one inbox per residence. An intact delivery is the
+//! [`Mail::Sent`] index of its payload in the caller's slice, so no
+//! payload is copied per receiver; a corrupted copy or a straggler from
+//! an earlier round is an owned [`Mail::Owned`] update. A bus without a
+//! fault plan can only deliver everything, so the round engine skips
+//! the inboxes there: the bus accounts the complete round's counters,
+//! one delta per sender, and each home reads its deliveries in place
+//! from the round's payloads, in sender order.
 //!
 //! A bus built with [`BroadcastBus::with_faults`] routes every delivery
-//! through a [`FaultInjector`]: churned-out or lossy deliveries are
-//! dropped (and counted per reason), straggling ones are parked until
-//! the next drain and pay a latency penalty, and corrupted ones arrive
-//! damaged for the aggregation layer to reject.
+//! through its [`FaultPlan`]: churned-out or lossy deliveries are
+//! dropped (and counted per reason), straggling ones are parked as owned
+//! copies until the bus's next delivery and pay a latency penalty, and
+//! corrupted ones arrive damaged for the aggregation layer to reject.
+//! Parked stragglers are the only mail a bus holds between calls.
+//!
+//! The bus is plain owned state: every method that delivers or restores
+//! takes `&mut self`, and nothing is shared across threads (each
+//! hierarchical shard owns its own bus).
 
 use crate::codec::{ModelUpdate, PayloadCodec};
-use crate::fault::{Delivery, DropReason, FaultConfig, FaultInjector};
-use std::sync::Arc;
+use crate::fault::{Delivery, DropReason, FaultConfig, FaultPlan};
 
 /// Simple linear latency model: `per_message + bytes * per_byte`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -84,14 +83,14 @@ pub struct BusStats {
     pub dropped_loss: u64,
     /// Deliveries that arrived with a corrupted payload.
     pub corrupted: u64,
-    /// Deliveries parked by straggler delay (arrive a drain cycle late).
+    /// Deliveries parked by straggler delay (arrive one round late).
     pub delayed: u64,
     /// Extra simulated seconds paid by straggling deliveries.
     pub delay_seconds: f64,
 }
 
 impl BusStats {
-    /// Total deliveries that never reached a mailbox, for any reason.
+    /// Total deliveries that never reached an inbox, for any reason.
     pub fn dropped_total(&self) -> u64 {
         self.dropped_offline + self.dropped_loss
     }
@@ -110,13 +109,33 @@ impl BusStats {
     }
 }
 
+/// One entry of a residence's inbox, filled by
+/// [`BroadcastBus::deliver`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Mail {
+    /// The payload at this index of the delivered slice, intact.
+    Sent(usize),
+    /// A payload the bus hands over: a corrupted copy of this round's
+    /// payload, or a straggler parked at an earlier delivery.
+    Owned(ModelUpdate),
+}
+
+impl Mail {
+    /// The delivered update; `sent` is the slice the round delivered.
+    pub fn get<'a>(&'a self, sent: &'a [ModelUpdate]) -> &'a ModelUpdate {
+        match self {
+            Mail::Sent(slot) => &sent[*slot],
+            Mail::Owned(update) => update,
+        }
+    }
+}
+
 /// A broadcast bus connecting `n` residences.
 pub struct BroadcastBus {
-    /// One inbox per residence, in delivery order.
-    mailboxes: Vec<Vec<Arc<ModelUpdate>>>,
-    stats: BusStats,
+    /// Counters and parked stragglers: everything that outlives a call.
+    state: BusState,
     latency: LatencyModel,
-    faults: Option<FaultInjector>,
+    faults: Option<FaultPlan>,
     codec: PayloadCodec,
 }
 
@@ -154,12 +173,13 @@ impl BroadcastBus {
     ) -> Self {
         assert!(n > 0, "bus needs at least one participant");
         BroadcastBus {
-            mailboxes: vec![Vec::new(); n],
-            stats: BusStats::default(),
+            state: BusState {
+                stats: BusStats::default(),
+                parked_ready: vec![Vec::new(); n],
+                parked_staged: vec![Vec::new(); n],
+            },
             latency,
-            faults: faults
-                .is_active()
-                .then(|| FaultInjector::new(faults.plan(), n)),
+            faults: faults.is_active().then(|| faults.plan()),
             codec,
         }
     }
@@ -171,84 +191,84 @@ impl BroadcastBus {
 
     /// Number of participants.
     pub fn len(&self) -> usize {
-        self.mailboxes.len()
+        self.state.parked_ready.len()
     }
 
     pub fn is_empty(&self) -> bool {
         false // a bus always has >= 1 participant (checked at creation)
     }
 
-    /// Broadcasts `update` from its sender to every *other* residence:
-    /// [`broadcast_all`](Self::broadcast_all) of one update.
+    /// Delivers one round pair by pair: each of `updates` (one per
+    /// sender, in sender order) to every residence but its sender.
+    /// Under a fault plan each delivery is independently dropped,
+    /// delayed, corrupted, or delivered; the outcome for each `(sender,
+    /// receiver, round, model_id)` tuple is a pure hash of the fault
+    /// seed.
     ///
-    /// # Panics
-    /// Panics if `update.sender` is out of range.
-    pub fn broadcast(&mut self, update: ModelUpdate) {
-        self.broadcast_all(&[Arc::new(update)]);
-    }
-
-    /// Broadcasts one update per sender, each to every residence but
-    /// its sender. Under an active fault plan each point-to-point
-    /// delivery is independently dropped, delayed, corrupted, or
-    /// delivered; the outcome for each `(sender, receiver, round,
-    /// model_id)` tuple is a pure hash of the fault seed. Clean
-    /// deliveries alias the caller's `Arc` — no payload clone per
-    /// receiver.
-    ///
-    /// Each receiver's deliveries arrive in slice order, and each
-    /// sender's counter delta — `delay_seconds` included — is folded
-    /// into the totals in slice order, so the result is bit-identical
-    /// to broadcasting the updates one at a time.
+    /// `inboxes` is resized to one per residence and each is refilled
+    /// in arrival order: this round's deliveries in slice order, then
+    /// the stragglers parked at the bus's previous delivery. Only mail
+    /// of `model_id` is kept; a straggler of another model surfaces
+    /// here and is discarded, not left queued. Each sender's counter
+    /// delta, `delay_seconds` included, is folded into the totals in
+    /// slice order.
     ///
     /// # Panics
     /// Panics if any `update.sender` is out of range.
-    pub fn broadcast_all(&mut self, updates: &[Arc<ModelUpdate>]) {
+    pub fn deliver(
+        &mut self,
+        updates: &[ModelUpdate],
+        model_id: u64,
+        inboxes: &mut Vec<Vec<Mail>>,
+    ) {
         let n = self.len();
         let codec = self.codec;
         let sizes: Vec<(u64, u64)> = updates
             .iter()
-            .map(|arc| {
-                assert!(arc.sender < n, "sender {} out of range", arc.sender);
-                (codec.wire_update_bytes(arc) as u64, arc.byte_size() as u64)
+            .map(|u| {
+                assert!(u.sender < n, "sender {} out of range", u.sender);
+                (codec.wire_update_bytes(u) as u64, u.byte_size() as u64)
             })
             .collect();
         let mut deltas = vec![BusStats::default(); updates.len()];
+        inboxes.resize_with(n, Vec::new);
         let Self {
-            mailboxes,
+            state,
             faults,
             latency,
             ..
         } = self;
-        for (receiver, mailbox) in mailboxes.iter_mut().enumerate() {
-            for ((arc, &(wire, logical)), delta) in
-                updates.iter().zip(&sizes).zip(deltas.iter_mut())
+        for (receiver, inbox) in inboxes.iter_mut().enumerate() {
+            inbox.clear();
+            for (slot, ((u, &(wire, logical)), delta)) in
+                updates.iter().zip(&sizes).zip(&mut deltas).enumerate()
             {
-                if arc.sender == receiver {
+                if u.sender == receiver {
                     continue;
                 }
                 let fate = match faults {
-                    Some(inj) => inj
-                        .plan()
-                        .delivery(arc.sender, receiver, arc.round, arc.model_id),
+                    Some(plan) => plan.delivery(u.sender, receiver, u.round, u.model_id),
                     None => Delivery::Deliver,
                 };
+                let keep = u.model_id == model_id;
                 match fate {
                     Delivery::Drop(DropReason::SenderOffline | DropReason::ReceiverOffline) => {
                         delta.dropped_offline += 1
                     }
                     Delivery::Drop(DropReason::Loss) => delta.dropped_loss += 1,
                     Delivery::Corrupt(kind) => {
-                        let plan = faults.as_ref().expect("corrupt without injector").plan();
-                        let damaged = plan.corrupt(arc, receiver as u64, kind);
+                        let plan = faults.as_ref().expect("corrupt without a fault plan");
+                        let damaged = plan.corrupt(u, receiver as u64, kind);
                         delta.corrupted += 1;
                         delta.messages += 1;
                         delta.bytes += codec.wire_update_bytes(&damaged) as u64;
                         delta.logical_bytes += damaged.byte_size() as u64;
-                        mailbox.push(Arc::new(damaged));
+                        if keep {
+                            inbox.push(Mail::Owned(damaged));
+                        }
                     }
                     Delivery::Delay { extra_latency_mult } => {
-                        let injector = faults.as_mut().expect("delay without injector");
-                        injector.park(receiver, Arc::clone(arc));
+                        state.parked_staged[receiver].push(u.clone());
                         delta.delayed += 1;
                         delta.messages += 1;
                         delta.bytes += wire;
@@ -256,46 +276,51 @@ impl BroadcastBus {
                         delta.delay_seconds += extra_latency_mult * latency.seconds(1, wire);
                     }
                     Delivery::Deliver => {
-                        mailbox.push(Arc::clone(arc));
+                        if keep {
+                            inbox.push(Mail::Sent(slot));
+                        }
                         delta.messages += 1;
                         delta.bytes += wire;
                         delta.logical_bytes += logical;
                     }
                 }
             }
+            // The stragglers parked at the previous delivery surface;
+            // this delivery's move up to surface at the next one.
+            let ready = &mut state.parked_ready[receiver];
+            inbox.extend(
+                ready
+                    .drain(..)
+                    .filter(|u| u.model_id == model_id)
+                    .map(Mail::Owned),
+            );
+            std::mem::swap(ready, &mut state.parked_staged[receiver]);
         }
         for delta in &deltas {
-            self.stats.add(delta);
+            state.stats.add(delta);
         }
     }
 
-    /// A bus is clean when it has no fault plan and nothing queued: a
-    /// broadcast can then only deliver every payload to every other
-    /// residence.
-    pub(crate) fn is_clean(&self) -> bool {
-        self.faults.is_none() && self.mailboxes.iter().all(Vec::is_empty)
-    }
-
-    /// The complete round of a clean bus: when [`Self::is_clean`],
-    /// accounts `updates` exactly as [`broadcast_all`](Self::broadcast_all)
-    /// plus the drains would (one delta per sender, folded in slice
-    /// order) and returns true without queueing a handle. The caller
-    /// then reads each residence's deliveries from `updates` itself:
-    /// every update but its own, in slice order. Any other bus is left
-    /// untouched and returns false.
+    /// The complete round of a bus without a fault plan: accounts
+    /// `updates` exactly as [`deliver`](Self::deliver) would (one delta
+    /// per sender, folded in slice order) and returns true without
+    /// filling an inbox. The caller then reads each residence's
+    /// deliveries from `updates` itself: every update but its own, in
+    /// slice order. A bus with a fault plan is left untouched and
+    /// returns false.
     ///
     /// # Panics
-    /// Panics if the bus is clean and any `update.sender` is out of
-    /// range.
-    pub(crate) fn account_complete(&mut self, updates: &[Arc<ModelUpdate>]) -> bool {
-        if !self.is_clean() {
+    /// Panics if the bus has no fault plan and any `update.sender` is
+    /// out of range.
+    pub(crate) fn account_complete(&mut self, updates: &[ModelUpdate]) -> bool {
+        if self.faults.is_some() {
             return false;
         }
         let n = self.len();
         let peers = n as u64 - 1;
         for u in updates {
             assert!(u.sender < n, "sender {} out of range", u.sender);
-            self.stats.add(&BusStats {
+            self.state.stats.add(&BusStats {
                 messages: peers,
                 bytes: peers * self.codec.wire_update_bytes(u) as u64,
                 logical_bytes: peers * u.byte_size() as u64,
@@ -305,99 +330,46 @@ impl BroadcastBus {
         true
     }
 
-    /// Drains all pending updates addressed to residence `id`,
-    /// including any straggling deliveries whose delay has elapsed.
-    ///
-    /// # Panics
-    /// Panics if `id` is out of range.
-    pub fn drain(&mut self, id: usize) -> Vec<Arc<ModelUpdate>> {
-        let mut out = Vec::new();
-        self.drain_into(id, &mut out);
-        out
-    }
-
-    /// [`drain`](Self::drain) into a reusable buffer (cleared first):
-    /// the mailbox in arrival order, then the stragglers that surface
-    /// this cycle. One drain advances the straggler clock one cycle.
-    pub fn drain_into(&mut self, id: usize, out: &mut Vec<Arc<ModelUpdate>>) {
-        out.clear();
-        out.append(&mut self.mailboxes[id]);
-        if let Some(inj) = &mut self.faults {
-            inj.take_ready(id, out);
-        }
-    }
-
-    /// [`drain_into`](Self::drain_into) keeping only updates whose
-    /// `model_id` matches; the rest are *discarded*, not left queued.
-    pub fn drain_model_into(&mut self, id: usize, model_id: u64, out: &mut Vec<Arc<ModelUpdate>>) {
-        self.drain_into(id, out);
-        out.retain(|u| u.model_id == model_id);
-    }
-
     /// Traffic so far.
     pub fn stats(&self) -> BusStats {
-        self.stats
+        self.state.stats
     }
 
     /// Simulated communication time spent so far, seconds, including
     /// straggler delay penalties.
     pub fn simulated_seconds(&self) -> f64 {
-        self.latency.seconds(self.stats.messages, self.stats.bytes) + self.stats.delay_seconds
+        let s = &self.state.stats;
+        self.latency.seconds(s.messages, s.bytes) + s.delay_seconds
     }
 
-    /// Captures the complete bus state — statistics, undrained mailbox
-    /// contents, and any parked straggler queues — without disturbing
-    /// it.
+    /// Captures the complete bus state (statistics and any parked
+    /// straggler queues) without disturbing it.
     pub fn export_state(&self) -> BusState {
-        let mailboxes = self
-            .mailboxes
-            .iter()
-            .map(|m| m.iter().map(|u| (**u).clone()).collect())
-            .collect();
-        let (parked_ready, parked_staged) = match &self.faults {
-            Some(inj) => inj.export_parked(),
-            None => (vec![Vec::new(); self.len()], vec![Vec::new(); self.len()]),
-        };
-        BusState {
-            stats: self.stats,
-            mailboxes,
-            parked_ready,
-            parked_staged,
-        }
+        self.state.clone()
     }
 
     /// Restores state captured with [`BroadcastBus::export_state`] into
     /// a freshly built bus of the same shape.
     ///
     /// # Errors
-    /// Rejects states whose participant count does not match or that
-    /// carry parked stragglers when this bus has no fault injector.
+    /// Rejects states whose parked queues are not one per participant,
+    /// or that carry parked stragglers when this bus has no fault plan.
     pub fn restore_state(&mut self, state: &BusState) -> Result<(), String> {
         let n = self.len();
-        if state.mailboxes.len() != n {
+        if state.parked_ready.len() != n || state.parked_staged.len() != n {
             return Err(format!(
-                "bus state has {} mailboxes, bus has {n}",
-                state.mailboxes.len()
+                "bus state has parked queues for {}/{} receivers, bus has {n}",
+                state.parked_ready.len(),
+                state.parked_staged.len()
             ));
         }
-        for (mailbox, contents) in self.mailboxes.iter_mut().zip(&state.mailboxes) {
-            mailbox.extend(contents.iter().map(|u| Arc::new(u.clone())));
+        let parked = state.parked_ready.iter().chain(&state.parked_staged);
+        if self.faults.is_none() && parked.flatten().next().is_some() {
+            return Err(
+                "bus state carries parked stragglers but this bus has no fault plan".into(),
+            );
         }
-        match &mut self.faults {
-            Some(inj) => {
-                inj.restore_parked(state.parked_ready.clone(), state.parked_staged.clone())?
-            }
-            None => {
-                let parked = state.parked_ready.iter().chain(&state.parked_staged);
-                if parked.flatten().next().is_some() {
-                    return Err(
-                        "bus state carries parked stragglers but this bus has no fault injector"
-                            .into(),
-                    );
-                }
-            }
-        }
-        self.stats = state.stats;
+        self.state = state.clone();
         Ok(())
     }
 }
@@ -408,11 +380,9 @@ pub struct BusState {
     /// Traffic counters (the latency model is linear in these, so
     /// restoring them reproduces final simulated-seconds exactly).
     pub stats: BusStats,
-    /// Undrained mailbox contents per receiver, in delivery order.
-    pub mailboxes: Vec<Vec<ModelUpdate>>,
-    /// Parked stragglers surfacing on the next drain, per receiver.
+    /// Parked stragglers surfacing at the next delivery, per receiver.
     pub parked_ready: Vec<Vec<ModelUpdate>>,
-    /// Parked stragglers surfacing one drain later, per receiver.
+    /// Parked stragglers surfacing one delivery later, per receiver.
     pub parked_staged: Vec<Vec<ModelUpdate>>,
 }
 
@@ -438,15 +408,24 @@ mod tests {
         }
     }
 
+    /// One round of model 0 on `bus`; returns the inboxes.
+    fn deliver(bus: &mut BroadcastBus, updates: &[ModelUpdate]) -> Vec<Vec<Mail>> {
+        let mut inboxes = Vec::new();
+        bus.deliver(updates, 0, &mut inboxes);
+        inboxes
+    }
+
     #[test]
-    fn broadcast_reaches_everyone_but_sender() {
+    fn delivery_reaches_everyone_but_sender() {
         let mut bus = BroadcastBus::new(3, LatencyModel::lan());
-        bus.broadcast(update(0, 4));
-        assert!(bus.drain(0).is_empty());
-        assert_eq!(bus.drain(1).len(), 1);
-        assert_eq!(bus.drain(2).len(), 1);
-        // Draining again yields nothing.
-        assert!(bus.drain(1).is_empty());
+        let mut inboxes = vec![vec![Mail::Sent(9)]; 5];
+        bus.deliver(&[update(0, 4)], 0, &mut inboxes);
+        // One inbox per residence, each refilled: intact deliveries
+        // index the delivered slice.
+        assert_eq!(inboxes, [vec![], vec![Mail::Sent(0)], vec![Mail::Sent(0)]]);
+        // A round with nothing sent leaves every inbox empty.
+        bus.deliver(&[], 0, &mut inboxes);
+        assert!(inboxes.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -454,7 +433,7 @@ mod tests {
         let mut bus = BroadcastBus::new(4, LatencyModel::lan());
         let u = update(1, 10);
         let size = u.byte_size() as u64;
-        bus.broadcast(u);
+        deliver(&mut bus, &[u]);
         let s = bus.stats();
         assert_eq!(s.messages, 3);
         assert_eq!(s.bytes, 3 * size);
@@ -463,7 +442,7 @@ mod tests {
     #[test]
     fn single_participant_broadcast_is_free() {
         let mut bus = BroadcastBus::new(1, LatencyModel::lan());
-        bus.broadcast(update(0, 10));
+        deliver(&mut bus, &[update(0, 10)]);
         assert_eq!(bus.stats(), BusStats::default());
     }
 
@@ -474,7 +453,7 @@ mod tests {
             per_byte_s: 0.0,
         };
         let mut bus = BroadcastBus::new(3, latency);
-        bus.broadcast(update(0, 1));
+        deliver(&mut bus, &[update(0, 1)]);
         assert!((bus.simulated_seconds() - 2.0).abs() < 1e-12);
     }
 
@@ -488,21 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_deliveries_alias_the_sent_payload() {
-        let mut bus = BroadcastBus::new(3, LatencyModel::lan());
-        let sent = Arc::new(update(0, 4));
-        bus.broadcast_all(&[Arc::clone(&sent)]);
-        for id in 1..3 {
-            let got = bus.drain(id);
-            assert_eq!(got.len(), 1);
-            assert!(
-                Arc::ptr_eq(&got[0], &sent),
-                "clean delivery must alias the sent payload"
-            );
-        }
-    }
-
-    #[test]
     fn complete_round_accounts_what_per_pair_delivery_counts() {
         let codecs = [
             PayloadCodec::Raw,
@@ -513,14 +477,11 @@ mod tests {
         for codec in codecs {
             let bus =
                 || BroadcastBus::with_codec(4, LatencyModel::lan(), &FaultConfig::default(), codec);
-            let arcs: Vec<Arc<ModelUpdate>> = (0..4).map(|s| Arc::new(update(s, 8 + s))).collect();
+            let updates: Vec<ModelUpdate> = (0..4).map(|s| update(s, 8 + s)).collect();
             let mut pair = bus();
-            pair.broadcast_all(&arcs);
-            for id in 0..4 {
-                pair.drain(id);
-            }
+            deliver(&mut pair, &updates);
             let mut clean = bus();
-            assert!(clean.account_complete(&arcs), "{codec:?}");
+            assert!(clean.account_complete(&updates), "{codec:?}");
             assert_eq!(clean.stats(), pair.stats(), "{codec:?}");
             assert_eq!(clean.export_state(), pair.export_state(), "{codec:?}");
             assert_eq!(
@@ -531,57 +492,60 @@ mod tests {
     }
 
     #[test]
-    fn only_a_clean_bus_accounts_a_complete_round() {
-        let arcs: Vec<Arc<ModelUpdate>> = (0..3).map(|s| Arc::new(update(s, 4))).collect();
+    fn only_a_bus_without_a_fault_plan_accounts_a_complete_round() {
+        let updates: Vec<ModelUpdate> = (0..3).map(|s| update(s, 4)).collect();
         let lossy = FaultConfig {
             loss_rate: 0.1,
             ..FaultConfig::default()
         };
         let mut faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &lossy);
-        let mut queued = BroadcastBus::new(3, LatencyModel::lan());
-        queued.broadcast(update(0, 4));
-        let queued_stats = queued.stats();
-        for (bus, what) in [(&mut faulty, "fault plan"), (&mut queued, "queued mail")] {
-            let before = bus.export_state();
-            assert!(!bus.account_complete(&arcs), "{what}");
-            assert_eq!(bus.export_state(), before, "{what} must stay untouched");
-        }
-        // Draining the queue makes the bus clean again.
-        queued.drain(1);
-        queued.drain(2);
-        assert!(queued.account_complete(&arcs));
-        assert_eq!(queued.stats().messages, queued_stats.messages + 6);
+        let before = faulty.export_state();
+        assert!(!faulty.account_complete(&updates));
+        assert_eq!(faulty.export_state(), before, "must stay untouched");
     }
 
     #[test]
-    fn keyed_drain_keeps_matching_and_discards_the_rest() {
+    fn delivery_keeps_the_rounds_model_and_discards_the_rest() {
+        let with_model = |model_id| ModelUpdate {
+            model_id,
+            ..update(0, 4)
+        };
+        let sent = [with_model(7), with_model(3), with_model(7)];
+        let mut inboxes = Vec::new();
         let mut bus = BroadcastBus::new(2, LatencyModel::lan());
-        let mut a = update(0, 4);
-        a.model_id = 7;
-        let mut b = update(0, 4);
-        b.model_id = 3;
-        let mut c = update(0, 4);
-        c.model_id = 7;
-        bus.broadcast(a);
-        bus.broadcast(b);
-        bus.broadcast(c);
-        let mut out = Vec::new();
-        bus.drain_model_into(1, 7, &mut out);
-        assert_eq!(out.len(), 2);
-        assert!(out.iter().all(|u| u.model_id == 7));
-        // The non-matching update was discarded, not left queued —
-        // exactly the historical clone-then-filter semantics.
-        assert!(bus.drain(1).is_empty());
+        bus.deliver(&sent, 7, &mut inboxes);
+        assert_eq!(inboxes[1], [Mail::Sent(0), Mail::Sent(2)]);
+        assert_eq!(bus.stats().messages, 3, "filtered mail still travelled");
+
+        // Stragglers surface at the next delivery, whatever its model:
+        // those of another model are discarded, not left queued.
+        let cfg = FaultConfig {
+            straggler_rate: 1.0,
+            ..FaultConfig::default()
+        };
+        let mut bus = BroadcastBus::with_faults(2, LatencyModel::lan(), &cfg);
+        bus.deliver(&sent, 7, &mut inboxes);
+        assert!(inboxes[1].is_empty());
+        bus.deliver(&[], 3, &mut inboxes);
+        assert_eq!(inboxes[1], [Mail::Owned(with_model(3))]);
+        bus.deliver(&[], 7, &mut inboxes);
+        assert!(inboxes[1].is_empty());
+        let state = bus.export_state();
+        assert!(state
+            .parked_ready
+            .iter()
+            .chain(&state.parked_staged)
+            .all(Vec::is_empty));
     }
 
     #[test]
     fn inactive_fault_config_changes_nothing() {
         let mut plain = BroadcastBus::new(3, LatencyModel::lan());
         let mut faulty = BroadcastBus::with_faults(3, LatencyModel::lan(), &FaultConfig::default());
-        plain.broadcast(update(0, 4));
-        faulty.broadcast(update(0, 4));
+        let a = deliver(&mut plain, &[update(0, 4)]);
+        let b = deliver(&mut faulty, &[update(0, 4)]);
         assert_eq!(plain.stats(), faulty.stats());
-        assert_eq!(faulty.drain(1).len(), 1);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -591,14 +555,12 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &cfg);
-        bus.broadcast(update(0, 8));
+        let inboxes = deliver(&mut bus, &[update(0, 8)]);
         let s = bus.stats();
         assert_eq!(s.messages, 0);
         assert_eq!(s.bytes, 0);
         assert_eq!(s.dropped_loss, 3);
-        for id in 1..4 {
-            assert!(bus.drain(id).is_empty());
-        }
+        assert!(inboxes.iter().all(Vec::is_empty));
     }
 
     #[test]
@@ -610,19 +572,20 @@ mod tests {
         };
         let run = || {
             let mut bus = BroadcastBus::with_faults(5, LatencyModel::lan(), &cfg);
+            let mut per_inbox = Vec::new();
             for round in 0..20u64 {
-                for sender in 0..5 {
-                    bus.broadcast(update_round(sender, 4, round));
-                }
+                let updates: Vec<ModelUpdate> = (0..5)
+                    .map(|sender| update_round(sender, 4, round))
+                    .collect();
+                per_inbox.push(deliver(&mut bus, &updates));
             }
-            let per_mailbox: Vec<usize> = (0..5).map(|id| bus.drain(id).len()).collect();
-            (bus.stats(), per_mailbox)
+            (bus.stats(), per_inbox)
         };
         assert_eq!(run(), run());
     }
 
     #[test]
-    fn stragglers_arrive_one_drain_late_and_pay_latency() {
+    fn stragglers_arrive_one_round_late_and_pay_latency() {
         let cfg = FaultConfig {
             straggler_rate: 1.0,
             ..FaultConfig::default()
@@ -632,17 +595,52 @@ mod tests {
             per_byte_s: 0.0,
         };
         let mut bus = BroadcastBus::with_faults(2, latency, &cfg);
-        bus.broadcast(update(0, 4));
-        // First drain: still parked.
-        assert!(bus.drain(1).is_empty());
-        // Second drain: surfaces.
-        assert_eq!(bus.drain(1).len(), 1);
+        let sent = update(0, 4);
+        // This round: parked, as an owned copy.
+        assert!(deliver(&mut bus, std::slice::from_ref(&sent))[1].is_empty());
+        assert_eq!(
+            bus.export_state().parked_ready[1],
+            std::slice::from_ref(&sent)
+        );
+        // Next round: surfaces.
+        assert_eq!(deliver(&mut bus, &[])[1], [Mail::Owned(sent)]);
+        // The round after: gone.
+        assert!(deliver(&mut bus, &[])[1].is_empty());
         let s = bus.stats();
         assert_eq!(s.delayed, 1);
         assert_eq!(s.messages, 1);
         // 1 message * 1 s nominal + the straggler penalty on that
         // delivery.
         assert!((bus.simulated_seconds() - (1.0 + STRAGGLER_DELAY)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn restored_stragglers_keep_their_queue_position() {
+        let cfg = FaultConfig {
+            straggler_rate: f64::MIN_POSITIVE,
+            ..FaultConfig::default()
+        };
+        let state = BusState {
+            stats: BusStats::default(),
+            parked_ready: vec![vec![], vec![update_round(0, 4, 1)]],
+            parked_staged: vec![vec![update_round(1, 4, 2)], vec![]],
+        };
+        let mut bus = BroadcastBus::with_faults(2, LatencyModel::lan(), &cfg);
+        bus.restore_state(&state).unwrap();
+        assert_eq!(bus.export_state(), state);
+        let first = deliver(&mut bus, &[]);
+        assert_eq!(first[1], [Mail::Owned(update_round(0, 4, 1))]);
+        assert!(first[0].is_empty());
+        assert_eq!(
+            deliver(&mut bus, &[])[0],
+            [Mail::Owned(update_round(1, 4, 2))]
+        );
+
+        // Parked mail needs a fault plan, and one queue per receiver.
+        let mut plain = BroadcastBus::new(2, LatencyModel::lan());
+        assert!(plain.restore_state(&state).is_err());
+        let mut wide = BroadcastBus::with_faults(3, LatencyModel::lan(), &cfg);
+        assert!(wide.restore_state(&state).is_err());
     }
 
     #[test]
@@ -653,10 +651,10 @@ mod tests {
         };
         let mut bus = BroadcastBus::with_faults(2, LatencyModel::lan(), &cfg);
         let clean = update(0, 8);
-        bus.broadcast(clean.clone());
-        let got = bus.drain(1);
-        assert_eq!(got.len(), 1);
-        let damaged = &got[0];
+        let inboxes = deliver(&mut bus, std::slice::from_ref(&clean));
+        let [Mail::Owned(damaged)] = &inboxes[1][..] else {
+            panic!("expected one owned, damaged copy: {:?}", inboxes[1]);
+        };
         let truncated = damaged.layers[0].params.len() < clean.layers[0].params.len();
         let has_nan = damaged.layers[0].params.iter().any(|p| p.is_nan());
         assert!(truncated || has_nan, "payload must be damaged");
@@ -670,7 +668,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let mut bus = BroadcastBus::with_faults(3, LatencyModel::lan(), &cfg);
-        bus.broadcast(update(0, 4));
+        deliver(&mut bus, &[update(0, 4)]);
         let s = bus.stats();
         assert_eq!(s.messages, 0);
         assert_eq!(s.dropped_offline, 2);
@@ -680,7 +678,7 @@ mod tests {
     fn raw_codec_reports_equal_wire_and_logical_bytes() {
         let mut bus = BroadcastBus::new(3, LatencyModel::lan());
         assert!(bus.codec().is_raw());
-        bus.broadcast(update(0, 10));
+        deliver(&mut bus, &[update(0, 10)]);
         let s = bus.stats();
         assert_eq!(s.bytes, s.logical_bytes);
         assert_ne!(s.bytes, 0);
@@ -688,7 +686,6 @@ mod tests {
 
     #[test]
     fn compressed_codec_shrinks_wire_but_not_logical_bytes() {
-        use crate::codec::PayloadCodec;
         let codec = PayloadCodec::QuantizedI8 {
             per_layer_scale: true,
         };
@@ -698,67 +695,12 @@ mod tests {
         let logical = u.byte_size() as u64;
         let wire = codec.wire_update_bytes(&u) as u64;
         assert!(wire < logical);
-        bus.broadcast(u);
+        deliver(&mut bus, &[u]);
         let s = bus.stats();
         assert_eq!(s.bytes, 2 * wire);
         assert_eq!(s.logical_bytes, 2 * logical);
         // Simulated latency is paid on wire bytes.
         let expected = bus.latency.seconds(2, 2 * wire);
         assert!((bus.simulated_seconds() - expected).abs() < 1e-15);
-    }
-
-    #[test]
-    fn batched_broadcast_is_bitwise_identical_to_sequential() {
-        // Same fault plan, same senders: broadcast_all must reproduce
-        // one broadcast per sender exactly — mailbox contents, arrival
-        // order, every counter, and the delay_seconds float bits.
-        let cfg = FaultConfig {
-            seed: 1234,
-            loss_rate: 0.2,
-            corrupt_rate: 0.15,
-            straggler_rate: 0.25,
-            ..FaultConfig::default()
-        };
-        let n = 7;
-        let run = |batched: bool| {
-            let mut bus = BroadcastBus::with_faults(n, LatencyModel::lan(), &cfg);
-            for round in 0..6u64 {
-                let arcs: Vec<Arc<ModelUpdate>> = (0..n)
-                    .map(|s| Arc::new(update_round(s, 16 + s, round)))
-                    .collect();
-                if batched {
-                    bus.broadcast_all(&arcs);
-                } else {
-                    for arc in arcs {
-                        bus.broadcast(Arc::unwrap_or_clone(arc));
-                    }
-                }
-            }
-            // Compare parameter *bits*: corrupted payloads carry NaNs,
-            // which derived f64 PartialEq would treat as never equal.
-            type UpdateBits = (usize, u64, u64, Vec<(usize, Vec<u64>)>);
-            let mailboxes: Vec<Vec<UpdateBits>> = (0..n)
-                .map(|id| {
-                    bus.drain(id)
-                        .iter()
-                        .map(|u| {
-                            (
-                                u.sender,
-                                u.round,
-                                u.model_id,
-                                u.layers
-                                    .iter()
-                                    .map(|l| {
-                                        (l.index, l.params.iter().map(|p| p.to_bits()).collect())
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect()
-                })
-                .collect();
-            (bus.stats(), bus.simulated_seconds().to_bits(), mailboxes)
-        };
-        assert_eq!(run(false), run(true));
     }
 }

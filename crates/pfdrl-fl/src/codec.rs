@@ -18,9 +18,9 @@ pub struct LayerUpdate {
 
 /// A broadcast model update.
 ///
-/// An empty (default) update is a valid pool buffer: the round engine's
-/// [`crate::round::UpdatePool`] hands these out and the fill helpers
-/// overwrite every field, reusing the layer/parameter allocations.
+/// An empty (default) update is a valid export buffer: the round
+/// engines keep these across rounds and the fill helpers overwrite
+/// every field, reusing the layer/parameter allocations.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct ModelUpdate {
     /// Sending residence id.

@@ -13,17 +13,19 @@
 //! * **churn** — a residence goes offline for whole windows of
 //!   `OFFLINE_ROUNDS` (2) federation rounds (neither sends nor receives);
 //! * **loss** — an individual point-to-point delivery vanishes;
-//! * **stragglers** — a delivery arrives one drain cycle late and pays
-//!   `STRAGGLER_DELAY` (4) times the nominal latency on top (fed into the
-//!   [`LatencyModel`] accounting);
+//! * **stragglers** — a delivery arrives one round late (at its bus's
+//!   next delivery) and pays `STRAGGLER_DELAY` (4) times the nominal
+//!   latency on top (fed into the [`LatencyModel`] accounting);
 //! * **corruption** — a delivered payload is damaged: NaN-injected
 //!   parameters or a truncated layer.
+//!
+//! The plan only decides; the bus that consults it
+//! ([`BroadcastBus`](crate::BroadcastBus)) parks stragglers itself.
 //!
 //! [`LatencyModel`]: crate::bus::LatencyModel
 
 use crate::codec::ModelUpdate;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Length of one churn window, in federation rounds: a residence drawn
 /// offline sits out this many consecutive rounds.
@@ -51,7 +53,7 @@ pub struct FaultConfig {
     #[serde(default)]
     pub loss_rate: f64,
     /// Per-delivery probability that a message straggles (arrives one
-    /// drain cycle late, paying `STRAGGLER_DELAY` (4) times the nominal
+    /// round late, paying `STRAGGLER_DELAY` (4) times the nominal
     /// latency on top).
     #[serde(default)]
     pub straggler_rate: f64,
@@ -141,8 +143,8 @@ pub enum CorruptKind {
 pub enum Delivery {
     Deliver,
     Drop(DropReason),
-    /// Deliver one drain cycle late, paying `extra_latency_mult` times
-    /// the nominal per-delivery latency on top.
+    /// Deliver one round late, paying `extra_latency_mult` times the
+    /// nominal per-delivery latency on top.
     Delay {
         extra_latency_mult: f64,
     },
@@ -296,89 +298,6 @@ impl FaultPlan {
             }
         }
         damaged
-    }
-}
-
-/// Per-receiver mailbox for straggling deliveries: a message parked in
-/// `staged` becomes visible only after the *next* drain, which is what
-/// makes stragglers one full cycle stale by the time they merge.
-#[derive(Default)]
-struct Parked {
-    ready: Vec<Arc<ModelUpdate>>,
-    staged: Vec<Arc<ModelUpdate>>,
-}
-
-/// Stateful companion of [`FaultPlan`] used by the bus: holds the plan
-/// plus the parked straggler queues.
-pub struct FaultInjector {
-    plan: FaultPlan,
-    parked: Vec<Parked>,
-}
-
-impl FaultInjector {
-    pub fn new(plan: FaultPlan, n_receivers: usize) -> Self {
-        FaultInjector {
-            plan,
-            parked: (0..n_receivers).map(|_| Parked::default()).collect(),
-        }
-    }
-
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
-    /// Parks a straggling delivery for `receiver`; it will surface on
-    /// the drain after next.
-    pub fn park(&mut self, receiver: usize, update: Arc<ModelUpdate>) {
-        self.parked[receiver].staged.push(update);
-    }
-
-    /// Appends the deliveries parked for `receiver` whose delay has
-    /// elapsed to `out` and advances the queue one cycle (staged ->
-    /// ready).
-    pub fn take_ready(&mut self, receiver: usize, out: &mut Vec<Arc<ModelUpdate>>) {
-        let slot = &mut self.parked[receiver];
-        out.append(&mut slot.ready);
-        std::mem::swap(&mut slot.ready, &mut slot.staged);
-    }
-
-    /// Captures the parked straggler queues — the fault plan's replay
-    /// cursor — as `(ready, staged)` per receiver, in delivery order.
-    pub fn export_parked(&self) -> (Vec<Vec<ModelUpdate>>, Vec<Vec<ModelUpdate>>) {
-        let copy = |q: &[Arc<ModelUpdate>]| q.iter().map(|u| (**u).clone()).collect();
-        self.parked
-            .iter()
-            .map(|slot| (copy(&slot.ready), copy(&slot.staged)))
-            .unzip()
-    }
-
-    /// Restores queues captured with [`FaultInjector::export_parked`],
-    /// placing each message back in its exact queue position (a message
-    /// restored into `ready` surfaces on the next drain; one in
-    /// `staged` a drain later — unlike [`FaultInjector::park`], which
-    /// always stages).
-    ///
-    /// # Errors
-    /// Rejects captures taken from an injector with a different number
-    /// of receivers.
-    pub fn restore_parked(
-        &mut self,
-        ready: Vec<Vec<ModelUpdate>>,
-        staged: Vec<Vec<ModelUpdate>>,
-    ) -> Result<(), String> {
-        if ready.len() != self.parked.len() || staged.len() != self.parked.len() {
-            return Err(format!(
-                "parked queues for {}/{} receivers, injector has {}",
-                ready.len(),
-                staged.len(),
-                self.parked.len()
-            ));
-        }
-        for (slot, (r, s)) in self.parked.iter_mut().zip(ready.into_iter().zip(staged)) {
-            slot.ready = r.into_iter().map(Arc::new).collect();
-            slot.staged = s.into_iter().map(Arc::new).collect();
-        }
-        Ok(())
     }
 }
 
@@ -540,23 +459,6 @@ mod tests {
         let a = plan.corrupt(&u, 4, CorruptKind::Truncate);
         let b = plan.corrupt(&u, 4, CorruptKind::Truncate);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn parked_messages_surface_one_cycle_late() {
-        let mut injector = FaultInjector::new(FaultConfig::default().plan(), 2);
-        injector.park(1, Arc::new(update(0, 0)));
-        let mut out = Vec::new();
-        // Cycle 1: the staged message is not yet visible.
-        injector.take_ready(1, &mut out);
-        assert!(out.is_empty());
-        // Cycle 2: now it surfaces.
-        injector.take_ready(1, &mut out);
-        assert_eq!(out.len(), 1);
-        // Cycle 3: gone.
-        out.clear();
-        injector.take_ready(1, &mut out);
-        assert!(out.is_empty());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! The federated-learning substrate of PFDRL:
 //!
 //! * [`BroadcastBus`] — the decentralized LAN broadcast between
-//!   residences (owned mailboxes of `Arc`-shared payloads, with byte
-//!   and simulated-latency accounting);
-//! * [`DflRound`] — the federation round engine: pooled zero-copy
-//!   update exchange and per-home merges (parallel on large columns)
-//!   bit-identical to the sequential reference;
+//!   residences: one delivery call per round over the caller's
+//!   payloads, with byte and simulated-latency accounting;
+//! * [`DflRound`] — the federation round engine: reused export
+//!   buffers, deliveries read in place, and per-home merges (parallel
+//!   on large columns) bit-identical to the sequential reference;
 //! * [`HierarchicalRound`] — neighborhood shards over that engine and
 //!   the O(N) shared-sum fast path (one shard is the flat topology);
 //! * [`CloudRound`] — the centralized parameter server of the Cloud, FL
@@ -33,17 +33,22 @@
 //! let mut m0 = Mlp::new(&[4, 8, 1], Activation::Relu, Activation::Identity, &mut rng);
 //! let mut m1 = Mlp::new(&[4, 8, 1], Activation::Relu, Activation::Identity, &mut rng);
 //!
+//! // One round: each residence's update, in sender order, delivered
+//! // to every other residence's inbox.
+//! let sent = [
+//!     aggregate::snapshot_update(&m0, 0, 1, 0),
+//!     aggregate::snapshot_update(&m1, 1, 1, 0),
+//! ];
 //! let mut bus = BroadcastBus::new(2, LatencyModel::lan());
-//! bus.broadcast(aggregate::snapshot_update(&m0, 0, 1, 0));
-//! bus.broadcast(aggregate::snapshot_update(&m1, 1, 1, 0));
+//! let mut inboxes = Vec::new();
+//! bus.deliver(&sent, 0, &mut inboxes);
 //!
 //! // Each residence merges what it received with its own model. The
 //! // merge validates every layer and reports rejections instead of
 //! // panicking; with clean traffic the report is empty.
-//! for (id, model) in [(0, &mut m0), (1, &mut m1)] {
-//!     let updates = bus.drain(id);
-//!     let refs: Vec<&_> = updates.iter().map(|u| u.as_ref()).collect();
-//!     let report = aggregate::merge_updates(model, &refs);
+//! for (inbox, model) in inboxes.iter().zip([&mut m0, &mut m1]) {
+//!     let received: Vec<_> = inbox.iter().map(|mail| mail.get(&sent)).collect();
+//!     let report = aggregate::merge_updates(model, &received);
 //!     assert!(report.is_clean());
 //! }
 //! // Both models now hold the same averaged parameters.
@@ -61,15 +66,15 @@ pub mod scheduler;
 pub mod shard;
 
 pub use aggregate::{merge_updates, snapshot_update, AggregateError, AggregationMode, MergeReport};
-pub use bus::{BroadcastBus, BusState, BusStats, LatencyModel};
+pub use bus::{BroadcastBus, BusState, BusStats, LatencyModel, Mail};
 pub use cloud::{CloudRound, CloudStats};
 pub use codec::{
     CodecError, LayerUpdate, ModelUpdate, PayloadCodec, CODEC_VERSION, CODEC_VERSION_MAX,
     CODEC_VERSION_Q8,
 };
-pub use fault::{CorruptKind, Delivery, DropReason, FaultConfig, FaultInjector, FaultPlan};
+pub use fault::{CorruptKind, Delivery, DropReason, FaultConfig, FaultPlan};
 pub use personalization::LayerSplit;
-pub use round::{dfl_round_reference, DflRound, RoundParams, UpdatePool};
+pub use round::{dfl_round_reference, DflRound, RoundParams};
 pub use scheduler::MinuteSchedule;
 pub use shard::{
     HierShardState, HierState, HierarchicalRound, RoundOutcome, ShardAssignment, ShardCounters,

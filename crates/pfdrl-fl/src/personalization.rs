@@ -59,7 +59,7 @@ impl LayerSplit {
         out
     }
 
-    /// [`base_update`](Self::base_update) into a pooled buffer: reuses
+    /// [`base_update`](Self::base_update) into an existing buffer: reuses
     /// the layer and parameter allocations already in `out` (sender,
     /// round and model id are left as the caller set them).
     pub fn base_update_into<M: Layered + ?Sized>(&self, model: &M, out: &mut ModelUpdate) {

@@ -1,5 +1,5 @@
 //! The decentralized-FedAvg round engine: one broadcast-merge round over
-//! a column of homogeneous models, with pooled update buffers and a
+//! a column of homogeneous models, with reused export buffers and a
 //! per-home merge that runs in parallel across homes on large columns.
 //!
 //! The seed implementation of a DFL round was O(N²·params) and fully
@@ -9,26 +9,27 @@
 //! bit-for-bit (pinned against [`dfl_round_reference`], the retained
 //! sequential oracle) while
 //!
-//! * filling export buffers from a reusing [`UpdatePool`],
-//! * broadcasting `Arc`-shared payloads (in home order — arrival order
-//!   feeds the merge float-sum order, so it must stay fixed),
-//! * reading a complete round in place: on a clean bus (no fault plan,
-//!   nothing queued) the bus only accounts the round, and each home's
-//!   deliveries are the round's payloads minus its own, in sender
-//!   order — no mailbox handle is queued, drained or dropped,
+//! * exporting into buffers the engine keeps across rounds, one per
+//!   sender, in home order (arrival order feeds the merge float-sum
+//!   order, so it must stay fixed),
+//! * delivering the round in one bus call over those buffers: a bus
+//!   without a fault plan only accounts the complete round, and each
+//!   home's deliveries are the round's payloads minus its own, read in
+//!   place in sender order; a bus with a fault plan delivers pair by
+//!   pair into per-home inboxes of payload indices and owned copies,
 //! * merging every home in parallel once the column holds at least
 //!   `2 × MERGE_MIN_HOMES` homes (each home's merge is independent once
 //!   the bus has delivered).
 //!
-//! Any other bus delivers pair by pair through the mailboxes, which
-//! stays the oracle for the complete round.
+//! Pair-by-pair delivery stays the oracle for the complete round.
 //!
-//! Export, drain and the fast path's payload checks and tree sum stay
-//! sequential within a column: measured one thread wide against two on
-//! a 2-vCPU host (paper-shape DQN columns of 16 to 669 homes), none of
-//! them came out faster in parallel, because a thread spawn costs about
-//! 40 µs there and each is a short memory-bound pass. The merge paid
-//! from 64 homes on (per-home 0.54×, shared sum 0.90× at 669 homes).
+//! Export, delivery and the fast path's payload checks and tree sum
+//! stay sequential within a column: measured one thread wide against
+//! two on a 2-vCPU host (paper-shape DQN columns of 16 to 669 homes),
+//! none of them came out faster in parallel, because a thread spawn
+//! costs about 40 µs there and each is a short memory-bound pass. The
+//! merge paid from 64 homes on (per-home 0.54×, shared sum 0.90× at 669
+//! homes).
 //!
 //! The engine is the column stage of both topologies: the `PerHome`
 //! default runs [`DflRound::run`] on one fleet bus, and every shard of a
@@ -37,72 +38,11 @@
 //! the hierarchy's O(N) shared-sum fast path cannot take.
 
 use crate::aggregate::{fill_update, merge_layers, merge_updates, snapshot_update};
-use crate::bus::BroadcastBus;
+use crate::bus::{BroadcastBus, Mail};
 use crate::codec::ModelUpdate;
 use crate::personalization::LayerSplit;
 use pfdrl_nn::Layered;
 use rayon::prelude::*;
-use std::sync::Arc;
-
-/// Reuses `ModelUpdate` buffers across federation rounds so the export
-/// phase stops allocating fresh tensors per home per round. Buffers
-/// come back once every holder (mailboxes, merge loops) has dropped its
-/// handle; payloads still parked in a straggler queue simply stay
-/// in flight until they surface.
-#[derive(Default)]
-pub struct UpdatePool {
-    free: Vec<ModelUpdate>,
-    inflight: Vec<Arc<ModelUpdate>>,
-}
-
-impl UpdatePool {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hands out a buffer, recycled when available.
-    fn take(&mut self) -> ModelUpdate {
-        self.free.pop().unwrap_or_default()
-    }
-
-    /// Returns an unshared buffer directly to the pool.
-    fn put(&mut self, update: ModelUpdate) {
-        self.free.push(update);
-    }
-
-    /// Takes ownership of a round's sent payloads and reclaims every
-    /// one nothing else still references (layer/param capacity kept).
-    fn reclaim(&mut self, sent: &mut Vec<Arc<ModelUpdate>>) {
-        self.inflight.append(sent);
-        let mut i = 0;
-        while i < self.inflight.len() {
-            if Arc::strong_count(&self.inflight[i]) == 1 {
-                let arc = self.inflight.swap_remove(i);
-                match Arc::try_unwrap(arc) {
-                    Ok(update) => self.free.push(update),
-                    Err(arc) => {
-                        // Raced with a late reader; try again next round.
-                        self.inflight.push(arc);
-                        i += 1;
-                    }
-                }
-            } else {
-                i += 1;
-            }
-        }
-    }
-
-    /// Buffers ready for reuse.
-    pub fn free_buffers(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Payloads still referenced outside the pool (parked stragglers,
-    /// undrained mailboxes).
-    pub fn in_flight(&self) -> usize {
-        self.inflight.len()
-    }
-}
 
 /// Inputs of one federation round over one model column (or, for
 /// [`HierarchicalRound::run`](crate::HierarchicalRound::run), over the
@@ -111,15 +51,16 @@ pub struct RoundParams<'a> {
     /// Federation round clock, stamped on every payload and keyed into
     /// the fault plan's decisions.
     pub round: u64,
-    /// Model id stamped on broadcasts and used to key the drains.
+    /// Model id stamped on broadcasts; a delivery keeps only this
+    /// model's mail.
     pub model_id: u64,
     /// `Some(alpha)`: broadcast/merge only the first `alpha` base layers
     /// (PFDRL layer split). `None`: full-model DFL.
     pub alpha: Option<usize>,
     /// Per-home upload participation mask (`None` = everyone). A
     /// non-participating (quarantined) home broadcasts nothing but
-    /// still drains and merges what it receives, so it keeps learning
-    /// from healthy peers without contaminating them. Any withheld
+    /// still receives and merges, so it keeps learning from healthy
+    /// peers without contaminating them. Any withheld
     /// home disables the hierarchical fast path for the round — the
     /// broadcast set is no longer the full fleet, which is exactly the
     /// condition the per-home fallback exists for.
@@ -132,8 +73,9 @@ pub struct RoundParams<'a> {
 pub(crate) struct Exchange {
     /// Layers staged and broadcast this round (alpha-resolved).
     pub layer_end: usize,
-    /// Bytes of payloads broadcast this round (one Arc-shared copy per
-    /// sender — the column's resident federation footprint).
+    /// Bytes of payloads broadcast this round (one copy per sender,
+    /// which every receiver reads — the column's resident federation
+    /// footprint).
     pub payload_bytes: u64,
 }
 
@@ -142,22 +84,20 @@ pub(crate) struct Exchange {
 /// the merge it saves.
 pub(crate) const MERGE_MIN_HOMES: usize = 32;
 
-/// The reusable round engine. Holds the buffer pool and per-home drain
-/// buffers, so steady-state rounds allocate almost nothing (one `Arc`
-/// control block per broadcast is the floor).
+/// The reusable round engine. Holds the export buffers and per-home
+/// inboxes, so steady-state rounds allocate almost nothing.
 #[derive(Default)]
 pub struct DflRound {
-    pool: UpdatePool,
-    /// Export staging, one buffer per home, before Arc-wrapping.
-    bufs: Vec<ModelUpdate>,
-    /// This round's broadcast payloads, in sender order.
-    sent: Vec<Arc<ModelUpdate>>,
-    /// Per-home drain buffers of a per-pair round (arrival order, keyed
+    /// Export buffers, reused across rounds: the first `sent` hold this
+    /// round's payloads, in sender order.
+    updates: Vec<ModelUpdate>,
+    sent: usize,
+    /// Per-home inboxes of a pair-by-pair round (arrival order, keyed
     /// by model id).
-    received: Vec<Vec<Arc<ModelUpdate>>>,
-    /// Whether this round was complete: the bus was clean, so every
-    /// home received `sent` minus its own payload and `received` is
-    /// unused.
+    inboxes: Vec<Vec<Mail>>,
+    /// Whether this round was complete: the bus has no fault plan, so
+    /// every home received the sent payloads minus its own and
+    /// `inboxes` is unused.
     complete: bool,
 }
 
@@ -166,15 +106,10 @@ impl DflRound {
         Self::default()
     }
 
-    /// The engine's buffer pool (observability / tests).
-    pub fn pool(&self) -> &UpdatePool {
-        &self.pool
-    }
-
-    /// This round's broadcast payloads, in sender order (valid between
-    /// [`Self::exchange`] and [`Self::release`]).
-    pub(crate) fn sent(&self) -> &[Arc<ModelUpdate>] {
-        &self.sent
+    /// This round's broadcast payloads, in sender order (valid from
+    /// [`Self::exchange`] to the next round).
+    pub(crate) fn sent(&self) -> &[ModelUpdate] {
+        &self.updates[..self.sent]
     }
 
     /// Whether this round was complete (same validity as
@@ -183,26 +118,26 @@ impl DflRound {
         self.complete
     }
 
-    /// Each home's drained deliveries in a per-pair round, in arrival
-    /// order (same validity as [`Self::sent`]; empty in a complete
-    /// round).
-    pub(crate) fn received(&self) -> &[Vec<Arc<ModelUpdate>>] {
-        &self.received
+    /// Each home's inbox in a pair-by-pair round, in arrival order
+    /// (same validity as [`Self::sent`]; stale in a complete round).
+    pub(crate) fn inboxes(&self) -> &[Vec<Mail>] {
+        &self.inboxes
     }
 
     /// Home `home`'s deliveries this round, in arrival order: read in
-    /// place from [`Self::sent`] in a complete round, from its drain
+    /// place from [`Self::sent`] in a complete round, through its inbox
     /// otherwise (same validity as [`Self::sent`]).
     pub(crate) fn deliveries(&self, home: usize) -> impl Iterator<Item = &ModelUpdate> {
-        let (sent, received): (&[Arc<ModelUpdate>], &[Arc<ModelUpdate>]) = if self.complete {
-            (&self.sent, &[])
+        let sent = self.sent();
+        let (complete, inbox): (&[ModelUpdate], &[Mail]) = if self.complete {
+            (sent, &[])
         } else {
-            (&[], &self.received[home])
+            (&[], &self.inboxes[home])
         };
-        sent.iter()
+        complete
+            .iter()
             .filter(move |u| u.sender != home)
-            .chain(received)
-            .map(|u| &**u)
+            .chain(inbox.iter().map(move |m| m.get(sent)))
     }
 
     /// Runs one broadcast-merge round over `models` (one model per
@@ -231,84 +166,63 @@ impl DflRound {
             .enumerate()
             .with_min_len(MERGE_MIN_HOMES)
             .for_each(|(home, model)| merge_received(&mut **model, round.deliveries(home), p));
-        self.release();
     }
 
-    /// Phase 1 of a round: export pooled buffers, then broadcast in home
-    /// order. A clean bus only accounts the complete round; any other
-    /// bus delivers pair by pair and every mailbox is drained.
+    /// Phase 1 of a round: export every participating home into the
+    /// reused buffers, in home order, then deliver them in one bus call.
+    /// A bus without a fault plan only accounts the complete round; any
+    /// other bus delivers pair by pair into the per-home inboxes.
     pub(crate) fn exchange<M: Layered + Send + Sync + ?Sized>(
         &mut self,
         models: &mut [&mut M],
         bus: &mut BroadcastBus,
         p: &RoundParams<'_>,
     ) -> Exchange {
-        let n = models.len();
         let total_layers = models[0].layer_count();
         let layer_end = match p.alpha {
             Some(a) => LayerSplit::new(a, total_layers).alpha,
             None => total_layers,
         };
 
-        // Export: fill pooled buffers.
-        while self.bufs.len() < n {
-            self.bufs.push(self.pool.take());
-        }
-        while self.bufs.len() > n {
-            let extra = self.bufs.pop().expect("len checked");
-            self.pool.put(extra);
-        }
-        let (round, model_id) = (p.round, p.model_id);
+        // Export. Withheld (quarantined) homes upload nothing, so they
+        // take no buffer.
         let codec = bus.codec();
-        let participants = p.participants;
-        self.bufs
-            .iter_mut()
-            .zip(models.iter())
-            .enumerate()
-            .for_each(|(home, (buf, model))| {
-                buf.sender = home;
-                buf.round = round;
-                buf.model_id = model_id;
-                fill_update(&**model, 0..layer_end, buf);
-                // Lossy uplink compression happens at export: peers
-                // receive exactly the values the wire would carry
-                // (fast path and per-home fallback see identical
-                // payloads), while the local model stays raw.
-                if !codec.is_raw() && participants.is_none_or(|m| m[home]) {
-                    codec.transform(buf);
-                }
-            });
-
-        // Broadcast the round as one batched pass; deliveries land in
-        // home order per receiver, the arrival order the merge float
-        // sum relies on. Withheld (quarantined) homes upload nothing;
-        // their staged buffer goes straight back to the pool.
-        self.sent.clear();
-        for (home, buf) in self.bufs.drain(..).enumerate() {
-            if p.participants.is_none_or(|m| m[home]) {
-                self.sent.push(Arc::new(buf));
-            } else {
-                self.pool.put(buf);
+        let mut sent = 0;
+        for (home, model) in models.iter().enumerate() {
+            if p.participants.is_some_and(|m| !m[home]) {
+                continue;
             }
+            if self.updates.len() == sent {
+                self.updates.push(ModelUpdate::default());
+            }
+            let buf = &mut self.updates[sent];
+            buf.sender = home;
+            buf.round = p.round;
+            buf.model_id = p.model_id;
+            fill_update(&**model, 0..layer_end, buf);
+            // Lossy uplink compression happens at export: peers
+            // receive exactly the values the wire would carry (fast
+            // path and per-home fallback see identical payloads),
+            // while the local model stays raw.
+            if !codec.is_raw() {
+                codec.transform(buf);
+            }
+            sent += 1;
         }
-        self.complete = bus.account_complete(&self.sent);
+        self.sent = sent;
+
+        // Deliver in sender order, the arrival order the merge float
+        // sum relies on.
+        let updates = &self.updates[..sent];
+        self.complete = bus.account_complete(updates);
         if !self.complete {
-            bus.broadcast_all(&self.sent);
-            // Drain: per-home keyed drains.
-            self.received.truncate(n);
-            while self.received.len() < n {
-                self.received.push(Vec::new());
-            }
-            for (home, buf) in self.received.iter_mut().enumerate() {
-                bus.drain_model_into(home, model_id, buf);
-            }
+            bus.deliver(updates, p.model_id, &mut self.inboxes);
         }
 
         // Payload bytes staged for this round (one copy per sender),
         // measured at the codec's wire size so `peak_shard_bytes`
         // reflects real uplink cost. Exactly 8 B/param under `Raw`.
-        let payload_bytes: u64 = self
-            .sent
+        let payload_bytes: u64 = updates
             .iter()
             .map(|u| {
                 u.layers
@@ -321,15 +235,6 @@ impl DflRound {
             layer_end,
             payload_bytes,
         }
-    }
-
-    /// Ends a round: releases the round's payload handles so the pool
-    /// can reclaim them.
-    pub(crate) fn release(&mut self) {
-        for buf in self.received.iter_mut() {
-            buf.clear();
-        }
-        self.pool.reclaim(&mut self.sent);
     }
 }
 
@@ -347,10 +252,10 @@ pub(crate) fn merge_received<'a, M: Layered + ?Sized>(
 }
 
 /// The retained sequential reference: exactly the seed's per-home round
-/// — allocate a fresh update per home, broadcast, drain everything,
-/// filter by model id, merge one home after another. Property tests pin
-/// [`DflRound::run`] byte-identical to this under adversarial fault
-/// plans.
+/// — allocate a fresh update per home, deliver them pair by pair (also
+/// on a bus without a fault plan), keep the round's model id, merge one
+/// home after another. Property tests pin [`DflRound::run`]
+/// byte-identical to this under adversarial fault plans.
 pub fn dfl_round_reference<M: Layered + ?Sized>(
     models: &mut [&mut M],
     bus: &mut BroadcastBus,
@@ -358,22 +263,20 @@ pub fn dfl_round_reference<M: Layered + ?Sized>(
     model_id: u64,
     alpha: Option<usize>,
 ) {
-    for (home, model) in models.iter().enumerate() {
-        let update = match alpha {
+    let updates: Vec<ModelUpdate> = models
+        .iter()
+        .enumerate()
+        .map(|(home, model)| match alpha {
             Some(a) => {
                 LayerSplit::new(a, model.layer_count()).base_update(&**model, home, round, model_id)
             }
             None => snapshot_update(&**model, home, round, model_id),
-        };
-        bus.broadcast(update);
-    }
-    for (home, model) in models.iter_mut().enumerate() {
-        let updates = bus.drain(home);
-        let refs: Vec<&ModelUpdate> = updates
-            .iter()
-            .map(|u| u.as_ref())
-            .filter(|u| u.model_id == model_id)
-            .collect();
+        })
+        .collect();
+    let mut inboxes = Vec::new();
+    bus.deliver(&updates, model_id, &mut inboxes);
+    for (model, inbox) in models.iter_mut().zip(&inboxes) {
+        let refs: Vec<&ModelUpdate> = inbox.iter().map(|m| m.get(&updates)).collect();
         match alpha {
             Some(a) => {
                 let split = LayerSplit::new(a, model.layer_count());
@@ -390,6 +293,7 @@ pub fn dfl_round_reference<M: Layered + ?Sized>(
 mod tests {
     use super::*;
     use crate::bus::LatencyModel;
+    use crate::fault::FaultConfig;
     use pfdrl_nn::{Activation, Mlp};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -455,20 +359,21 @@ mod tests {
     }
 
     #[test]
-    fn stale_mail_forces_per_pair_delivery_with_identical_bits() {
-        // A stale update of another model id leaves the bus unclean, so
-        // each round delivers pair by pair; the keyed drain discards the
-        // stale update and every home merges what a complete round reads
-        // in place, in the same order.
+    fn idle_fault_plan_forces_per_pair_delivery_with_identical_bits() {
+        // A fault plan whose one nonzero rate is f64::MIN_POSITIVE never
+        // fires at this size, but any plan makes the bus deliver pair by
+        // pair: every home merges through its inbox exactly what a
+        // complete round reads in place, in the same order.
+        let idle = FaultConfig {
+            straggler_rate: f64::MIN_POSITIVE,
+            ..FaultConfig::default()
+        };
         for alpha in [None, Some(2)] {
-            let run = |stale: bool| {
+            let run = |faults: &FaultConfig| {
                 let mut models = fleet(5, 19);
-                let mut bus = BroadcastBus::new(5, LatencyModel::lan());
+                let mut bus = BroadcastBus::with_faults(5, LatencyModel::lan(), faults);
                 let mut engine = DflRound::new();
                 for round in 0..2 {
-                    if stale {
-                        bus.broadcast(snapshot_update(&models[0], 0, round, 7));
-                    }
                     let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
                     let p = RoundParams {
                         round,
@@ -477,37 +382,14 @@ mod tests {
                         participants: None,
                     };
                     engine.run(&mut col, &mut bus, &p);
-                    assert_eq!(engine.pool().in_flight(), 0);
+                    assert_eq!(engine.is_complete(), !faults.is_active());
                 }
-                (bits(&models), bus.stats().messages)
+                (bits(&models), bus.stats(), bus.export_state())
             };
-            let (clean, per_pair) = (run(false), run(true));
-            assert_eq!(clean.0, per_pair.0, "alpha={alpha:?}");
-            assert_eq!(clean.1 + 2 * 4, per_pair.1, "alpha={alpha:?}");
-        }
-    }
-
-    #[test]
-    fn pool_reclaims_buffers_between_rounds() {
-        let mut models = fleet(4, 2);
-        let mut bus = BroadcastBus::new(4, LatencyModel::lan());
-        let mut engine = DflRound::new();
-        for round in 0..3 {
-            let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
-            engine.run(
-                &mut col,
-                &mut bus,
-                &RoundParams {
-                    round,
-                    model_id: 0,
-                    alpha: None,
-                    participants: None,
-                },
-            );
-            // Fault-free: every payload is drained and dropped within
-            // the round, so all buffers return to the pool.
-            assert_eq!(engine.pool().free_buffers(), 4, "round {round}");
-            assert_eq!(engine.pool().in_flight(), 0, "round {round}");
+            let (complete, per_pair) = (run(&FaultConfig::default()), run(&idle));
+            let s = per_pair.1;
+            assert_eq!((s.dropped_total(), s.delayed, s.corrupted), (0, 0, 0));
+            assert_eq!(complete, per_pair, "alpha={alpha:?}");
         }
     }
 
@@ -542,21 +424,20 @@ mod tests {
         // reproduce every participant bit-for-bit.
         let mut oracle = fleet(n, 13);
         let mut bus_o = BroadcastBus::new(n, LatencyModel::lan());
-        for (home, model) in oracle.iter().enumerate() {
-            if mask[home] {
-                bus_o.broadcast(snapshot_update(model, home, 0, 0));
-            }
-        }
-        for (home, model) in oracle.iter_mut().enumerate() {
-            let updates = bus_o.drain(home);
-            let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
+        let sent: Vec<ModelUpdate> = oracle
+            .iter()
+            .enumerate()
+            .filter(|&(home, _)| mask[home])
+            .map(|(home, model)| snapshot_update(model, home, 0, 0))
+            .collect();
+        let mut inboxes = Vec::new();
+        bus_o.deliver(&sent, 0, &mut inboxes);
+        for (model, inbox) in oracle.iter_mut().zip(&inboxes) {
+            let refs: Vec<&ModelUpdate> = inbox.iter().map(|m| m.get(&sent)).collect();
             let _ = merge_updates(model, &refs);
         }
         assert_eq!(bits(&models), bits(&oracle));
-
-        // All buffers return to the pool, including the withheld one.
-        assert_eq!(engine.pool().free_buffers(), n);
-        assert_eq!(engine.pool().in_flight(), 0);
+        assert_eq!(bus.stats(), bus_o.stats());
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //! that mean is `(local_i + (S − u_i)) / N` with `S = Σ_j u_j`: one sum
 //! per round instead of one per home, O(N·params) instead of
 //! O(N²·params). A home is eligible only when its shard provably
-//! delivered it the complete round. A clean shard bus (no fault plan,
-//! nothing queued) can only deliver everything, so its complete round
-//! marks every home eligible. In a per-pair round a
-//! home's mailbox must hold exactly `n_k − 1` updates, each
-//! pointer-identical to this round's broadcast payloads, in sender
-//! order. Any deviation (loss, churn, straggling, corruption —
-//! stragglers surface old Arcs, corruption re-wraps new ones) falls that
-//! home back to the exact per-home merge of what its neighborhood
-//! delivered. An invalid broadcast payload anywhere or a withheld upload
-//! demotes the whole fleet to the fallback.
+//! delivered it the complete round. A shard bus without a fault plan
+//! can only deliver everything, so its complete round marks every home
+//! eligible. In a pair-by-pair round a home's inbox must be exactly the
+//! intact payload slots `0..n_k` minus its own, in order. Any deviation
+//! (loss, churn, straggling, corruption — a straggler or a corrupted
+//! copy arrives as an owned update, never as a slot) falls that home
+//! back to the exact per-home merge of what its neighborhood delivered.
+//! An invalid broadcast payload anywhere or a withheld upload demotes
+//! the whole fleet to the fallback.
 //!
 //! **Summing while hot.** Each shard takes its partial sum S_k in the
 //! exchange phase, right after export, while its payloads are still in
@@ -52,14 +51,13 @@
 //! by construction (S_k = n_k · mean_k), and an eligible home merges
 //! `(local + (S − u_i)) / N` with the fleet-global N.
 
-use crate::bus::{BroadcastBus, BusState, BusStats, LatencyModel};
+use crate::bus::{BroadcastBus, BusState, BusStats, LatencyModel, Mail};
 use crate::codec::{ModelUpdate, PayloadCodec};
 use crate::fault::FaultConfig;
 use crate::round::{merge_received, DflRound, RoundParams, MERGE_MIN_HOMES};
 use pfdrl_nn::Layered;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// How homes are assigned to neighborhood shards. Both modes are pure
 /// functions of (fleet size, shard count, per-home keys) — no RNG — so
@@ -220,7 +218,7 @@ pub struct ShardCounters {
     /// Home-rounds merged via the shard-local per-home fallback.
     pub fallback_homes: u64,
     /// Largest payload-resident bytes any single round staged in this
-    /// shard (one Arc-shared copy per sender).
+    /// shard (one copy per sender).
     pub peak_payload_bytes: u64,
 }
 
@@ -229,7 +227,7 @@ pub struct ShardCounters {
 pub struct HierShardState {
     /// Counter snapshot.
     pub counters: ShardCounters,
-    /// The shard bus: stats, undrained mailboxes, parked stragglers.
+    /// The shard bus: stats and parked stragglers.
     pub bus: BusState,
 }
 
@@ -267,7 +265,7 @@ const TREE_LEAF: usize = 16;
 
 /// Fixed-midpoint tree sum of layers `0..layers` across `updates`: the
 /// shape depends only on the update count.
-fn tree_sum(updates: &[Arc<ModelUpdate>], layers: usize) -> Vec<Vec<f64>> {
+fn tree_sum(updates: &[ModelUpdate], layers: usize) -> Vec<Vec<f64>> {
     if updates.len() <= TREE_LEAF {
         let mut acc: Vec<Vec<f64>> = (0..layers)
             .map(|l| updates[0].layers[l].params.clone())
@@ -313,7 +311,8 @@ impl Shard {
     /// each home eligible whose deliveries were exactly the other
     /// payloads in sender order. Returns `None`, marking nobody, when
     /// a payload is malformed: shaped unlike the others, or
-    /// non-finite.
+    /// non-finite. Only called on a full round, so payload slot `j` is
+    /// home `j`'s.
     fn sum_and_mark_eligible(&mut self, layers: usize) -> Option<Vec<Vec<f64>>> {
         let sent = self.engine.sent();
         // `tree_sum` zips, so a mis-shaped payload would silently
@@ -325,7 +324,7 @@ impl Shard {
                     .zip(&sent[0].layers)
                     .all(|(a, b)| a.params.len() == b.params.len())
         };
-        if !sent.iter().all(|u| same_shape(u)) {
+        if !sent.iter().all(same_shape) {
             return None;
         }
         let partial = tree_sum(sent, layers);
@@ -347,14 +346,17 @@ impl Shard {
             // still joins the global sum.
             self.eligible.fill(true);
         } else {
-            let received = self.engine.received();
-            let n = received.len();
-            for (home, ok) in self.eligible.iter_mut().enumerate() {
-                let r = &received[home];
-                *ok = r.len() == n - 1
-                    && r.iter()
+            let n = sent.len();
+            for (ok, (home, inbox)) in self
+                .eligible
+                .iter_mut()
+                .zip(self.engine.inboxes().iter().enumerate())
+            {
+                *ok = inbox.len() == n - 1
+                    && inbox
+                        .iter()
                         .zip((0..n).filter(|&j| j != home))
-                        .all(|(u, j)| Arc::ptr_eq(u, &sent[j]));
+                        .all(|(m, j)| *m == Mail::Sent(j));
             }
         }
         Some(partial)
@@ -363,7 +365,7 @@ impl Shard {
 
 /// The two-level round engine: one [`DflRound`] + [`BroadcastBus`] per
 /// shard, plus the top-level combine. Reusable across rounds and model
-/// columns (drains are keyed by model id).
+/// columns (deliveries are keyed by model id).
 pub struct HierarchicalRound {
     plan: ShardPlan,
     shards: Vec<Shard>,
@@ -506,10 +508,9 @@ impl HierarchicalRound {
             }
         }
 
-        // Phase 1, shards in parallel: export → broadcast (→ drain, in a
-        // per-pair round) → partial sum S_k and eligibility. A shard
-        // touches only its own engine, bus and column, and the outcomes
-        // fold below in shard order.
+        // Phase 1, shards in parallel: export → deliver → partial sum
+        // S_k and eligibility. A shard touches only its own engine, bus
+        // and column, and the outcomes fold below in shard order.
         let mut exchanges: Vec<_> = shards
             .par_iter_mut()
             .zip(cols.par_iter_mut())
@@ -615,7 +616,6 @@ impl HierarchicalRound {
                             model.import_layer(l, scratch);
                         }
                     });
-                engine.release();
             });
 
         let mut outcome = RoundOutcome::default();
@@ -1046,14 +1046,18 @@ mod tests {
 
     #[test]
     fn complete_rounds_match_per_pair_rounds_bit_for_bit() {
-        // Run 1 federates over clean shard buses. Run 2 first gives
-        // every shard bus one stale update of another model id, which
-        // forces per-pair delivery; the model-keyed drain discards it.
-        // Every shard holds at least two homes, so the stale update
-        // queues mail on every bus.
-        use crate::codec::LayerUpdate;
+        // Run 1 federates over shard buses without a fault plan, so
+        // every round is complete. Run 2 gives every shard bus a plan
+        // whose one nonzero rate is f64::MIN_POSITIVE: it never fires at
+        // this size, but it makes every shard deliver pair by pair, and
+        // the inbox walk must mark exactly the homes the complete round
+        // marks.
         let n = 9;
         let plan = ShardPlan::round_robin(n, 3);
+        let idle = FaultConfig {
+            loss_rate: f64::MIN_POSITIVE,
+            ..FaultConfig::default()
+        };
         let mut mask = vec![true; n];
         mask[4] = false;
         let codecs = [
@@ -1065,65 +1069,38 @@ mod tests {
         for codec in codecs {
             for alpha in [None, Some(2)] {
                 for participants in [None, Some(&mask[..])] {
-                    let run = |stale: bool| {
+                    let run = |faults: &FaultConfig| {
                         let mut models = fleet(n, 23);
                         let mut engine = HierarchicalRound::with_codec(
                             plan.clone(),
                             LatencyModel::lan(),
-                            &FaultConfig::default(),
+                            faults,
                             codec,
                         );
-                        let mut stale_stats = BusStats::default();
                         let mut outcomes = Vec::new();
                         for round in 0..2 {
-                            if stale {
-                                for shard in &mut engine.shards {
-                                    let update = ModelUpdate {
-                                        sender: 0,
-                                        round,
-                                        model_id: 99,
-                                        layers: vec![LayerUpdate {
-                                            index: 0,
-                                            params: vec![1.0; 4],
-                                        }],
-                                    };
-                                    let before = shard.bus.stats();
-                                    shard.bus.broadcast(update);
-                                    let after = shard.bus.stats();
-                                    stale_stats.messages += after.messages - before.messages;
-                                    stale_stats.bytes += after.bytes - before.bytes;
-                                    stale_stats.logical_bytes +=
-                                        after.logical_bytes - before.logical_bytes;
-                                    assert!(!shard.bus.is_clean());
-                                }
-                            }
                             let mut col: Vec<&mut Mlp> = models.iter_mut().collect();
                             outcomes
                                 .push(engine.run(&mut col, &params(round, alpha, participants)));
+                            for shard in &engine.shards {
+                                assert_eq!(shard.engine.is_complete(), !faults.is_active());
+                            }
                         }
                         (
                             bits(&models),
                             outcomes,
                             engine.export_state(),
                             engine.total_stats(),
-                            stale_stats,
                         )
                     };
                     let what = format!("{codec:?} alpha {alpha:?} mask {}", participants.is_some());
-                    let (clean, mut per_pair) = (run(false), run(true));
-                    assert_eq!(clean.0, per_pair.0, "{what}: model bits");
-                    assert_eq!(clean.1, per_pair.1, "{what}: outcomes");
-                    assert!(per_pair.4.messages > 0, "{what}");
-                    let mut expected = clean.3;
-                    expected.add(&per_pair.4);
-                    assert_eq!(expected, per_pair.3, "{what}: traffic");
-                    // Counters, peaks, aggregator links and the (empty)
-                    // mailboxes match; the bus stats differ only by the
-                    // stale broadcasts checked above.
-                    for (a, b) in clean.2.shards.iter().zip(per_pair.2.shards.iter_mut()) {
-                        b.bus.stats = a.bus.stats;
-                    }
-                    assert_eq!(clean.2, per_pair.2, "{what}: engine state");
+                    let (complete, per_pair) = (run(&FaultConfig::default()), run(&idle));
+                    let s = per_pair.3;
+                    assert_eq!((s.dropped_total(), s.delayed, s.corrupted), (0, 0, 0));
+                    assert_eq!(complete.0, per_pair.0, "{what}: model bits");
+                    assert_eq!(complete.1, per_pair.1, "{what}: outcomes");
+                    assert_eq!(complete.2, per_pair.2, "{what}: engine state");
+                    assert_eq!(complete.3, per_pair.3, "{what}: traffic");
                 }
             }
         }
@@ -1202,8 +1179,8 @@ mod tests {
 
     #[test]
     fn one_home_shard_joins_the_global_sum() {
-        // Home 3 is alone in its shard: its mailbox correctly saw no
-        // peer, so it merges with S, and S carries its payload to
+        // Home 3 is alone in its shard: its round correctly delivered
+        // no peer, so it merges with S, and S carries its payload to
         // every other home.
         let plan = ShardPlan::from_members(vec![vec![0, 1, 2], vec![3]]);
         let mut fast = fleet(4, 47);

@@ -47,13 +47,16 @@
 //!
 //! ## Reserved slots
 //!
-//! Three slots of version 3 carry no field any more: a bus counter
-//! (after `dropped_loss`, in `TRANSPORT` and in every `SHARD` bus) and,
-//! at the end of `TRANSPORT`, a cloud model flag and a cloud upload
-//! count. The encoder writes zero in each, as every earlier build whose
-//! snapshots can still resume did, and the decoder rejects any other
-//! value as [`StoreError::Malformed`]. So the layout, and the bytes of
-//! every snapshot, stay those of the builds before the fields went.
+//! Four slots of version 3 carry no field any more: in `TRANSPORT` and
+//! in every `SHARD` bus, a bus counter (after `dropped_loss`) and the
+//! mailbox queues (after the bus counters), and, at the end of
+//! `TRANSPORT`, a cloud model flag and a cloud upload count. The
+//! encoder writes each as every earlier build whose snapshots can still
+//! resume did: zero, and for the mailboxes the receiver count followed
+//! by that many zero lengths. The decoder rejects any other value as
+//! [`StoreError::Malformed`] naming the slot. So the layout, and the
+//! bytes of every snapshot, stay those of the builds before the fields
+//! went.
 
 use pfdrl_drl::replay::{Next, Slot};
 use pfdrl_drl::{DqnState, ReplayState};
@@ -93,7 +96,7 @@ pub mod section {
     pub const FORECAST: u32 = 3;
     /// Per-residence, per-device DQN agent states.
     pub const AGENTS: u32 = 4;
-    /// Bus + cloud state: stats, mailboxes, parked stragglers.
+    /// Bus + cloud state: stats and parked stragglers.
     pub const TRANSPORT: u32 = 5;
     /// Metric accumulators over completed evaluation days.
     pub const METRICS: u32 = 6;
@@ -159,14 +162,12 @@ pub struct ForecastState {
     pub weights: Vec<Vec<Vec<Vec<f64>>>>,
 }
 
-/// Federation transport at the capture point. Mailboxes are empty at
-/// day boundaries, but captured anyway so the format does not depend
-/// on that scheduling invariant; the parked straggler queues are *not*
-/// empty under an active fault plan and must survive for bit-identical
-/// resume.
+/// Federation transport at the capture point. The parked straggler
+/// queues are not empty under an active fault plan and must survive
+/// for bit-identical resume.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransportState {
-    /// LAN broadcast bus: stats, mailboxes, parked queues.
+    /// LAN broadcast bus: stats and parked queues.
     pub bus: BusState,
     /// Cloud server counters, its only cross-round state.
     pub cloud: CloudStats,
@@ -535,6 +536,39 @@ fn reserved(value: u64, context: &'static str) -> Result<(), StoreError> {
     }
 }
 
+/// A bus record, in `TRANSPORT` and in every `SHARD` bus: the
+/// counters, the reserved mailbox slot (the receiver count, then a zero
+/// length per receiver) and the parked-ready and parked-staged queues.
+fn encode_bus(w: &mut Writer, pool: &mut TensorPool, bus: &BusState) {
+    encode_bus_stats(w, &bus.stats);
+    w.put_usize(bus.parked_ready.len());
+    for _ in &bus.parked_ready {
+        w.put_usize(0);
+    }
+    encode_update_queues(w, pool, &bus.parked_ready);
+    encode_update_queues(w, pool, &bus.parked_staged);
+}
+
+fn decode_bus(r: &mut Reader<'_>, pool: &TensorPool) -> Result<BusState, StoreError> {
+    let stats = decode_bus_stats(r)?;
+    let receivers = r.count(8)?;
+    for _ in 0..receivers {
+        reserved(r.u64()?, "reserved mailbox slot")?;
+    }
+    let parked_ready = decode_update_queues(r, pool)?;
+    let parked_staged = decode_update_queues(r, pool)?;
+    if parked_ready.len() != receivers || parked_staged.len() != receivers {
+        return Err(StoreError::Malformed {
+            context: "reserved mailbox slot",
+        });
+    }
+    Ok(BusState {
+        stats,
+        parked_ready,
+        parked_staged,
+    })
+}
+
 fn encode_bus_stats(w: &mut Writer, s: &BusStats) {
     w.put_u64(s.messages);
     w.put_u64(s.bytes);
@@ -677,10 +711,7 @@ impl RunSnapshot {
         debug_assert_eq!(agents.len(), agents_len);
 
         let mut transport = Writer::new();
-        encode_bus_stats(&mut transport, &self.transport.bus.stats);
-        encode_update_queues(&mut transport, &mut pool, &self.transport.bus.mailboxes);
-        encode_update_queues(&mut transport, &mut pool, &self.transport.bus.parked_ready);
-        encode_update_queues(&mut transport, &mut pool, &self.transport.bus.parked_staged);
+        encode_bus(&mut transport, &mut pool, &self.transport.bus);
         encode_cloud_stats(&mut transport, &self.transport.cloud);
         transport.put_u8(0); // reserved cloud model flag
         transport.put_u64(0); // reserved cloud upload count
@@ -714,10 +745,7 @@ impl RunSnapshot {
                 shard.put_u64(sh.counters.fast_path_homes);
                 shard.put_u64(sh.counters.fallback_homes);
                 shard.put_u64(sh.counters.peak_payload_bytes);
-                encode_bus_stats(&mut shard, &sh.bus.stats);
-                encode_update_queues(&mut shard, &mut pool, &sh.bus.mailboxes);
-                encode_update_queues(&mut shard, &mut pool, &sh.bus.parked_ready);
-                encode_update_queues(&mut shard, &mut pool, &sh.bus.parked_staged);
+                encode_bus(&mut shard, &mut pool, &sh.bus);
             }
             shard.into_bytes()
         });
@@ -895,23 +923,12 @@ impl RunSnapshot {
         ar.expect_end()?;
 
         let mut tp = Reader::new(find(section::TRANSPORT)?, "transport section");
-        let bus_stats = decode_bus_stats(&mut tp)?;
-        let mailboxes = decode_update_queues(&mut tp, &pool)?;
-        let parked_ready = decode_update_queues(&mut tp, &pool)?;
-        let parked_staged = decode_update_queues(&mut tp, &pool)?;
+        let bus = decode_bus(&mut tp, &pool)?;
         let cloud = decode_cloud_stats(&mut tp)?;
         reserved(tp.u8()?.into(), "reserved cloud model flag")?;
         reserved(tp.u64()?, "reserved cloud upload count")?;
         tp.expect_end()?;
-        let transport = TransportState {
-            bus: BusState {
-                stats: bus_stats,
-                mailboxes,
-                parked_ready,
-                parked_staged,
-            },
-            cloud,
-        };
+        let transport = TransportState { bus, cloud };
 
         let mut me = Reader::new(find(section::METRICS)?, "metrics section");
         let total = decode_account(&mut me)?;
@@ -1061,19 +1078,8 @@ impl RunSnapshot {
                         fallback_homes: shr.u64()?,
                         peak_payload_bytes: shr.u64()?,
                     };
-                    let stats = decode_bus_stats(&mut shr)?;
-                    let mailboxes = decode_update_queues(&mut shr, &pool)?;
-                    let parked_ready = decode_update_queues(&mut shr, &pool)?;
-                    let parked_staged = decode_update_queues(&mut shr, &pool)?;
-                    shards.push(HierShardState {
-                        counters,
-                        bus: BusState {
-                            stats,
-                            mailboxes,
-                            parked_ready,
-                            parked_staged,
-                        },
-                    });
+                    let bus = decode_bus(&mut shr, &pool)?;
+                    shards.push(HierShardState { counters, bus });
                 }
                 shr.expect_end()?;
                 Some(HierState {
@@ -1171,7 +1177,6 @@ pub(crate) mod test_fixtures {
                         delay_seconds: 0.75,
                         ..Default::default()
                     },
-                    mailboxes: vec![vec![], vec![update(0, 11)]],
                     parked_ready: vec![vec![update(1, 10)], vec![]],
                     parked_staged: vec![vec![], vec![update(0, 12)]],
                 },
@@ -1322,9 +1327,8 @@ pub(crate) mod test_fixtures {
                             dropped_loss: 1,
                             ..Default::default()
                         },
-                        mailboxes: vec![vec![], vec![update(0, 3)]],
                         parked_ready: vec![vec![update(1, 2)], vec![]],
-                        parked_staged: vec![vec![], vec![]],
+                        parked_staged: vec![vec![], vec![update(0, 3)]],
                     },
                 },
                 HierShardState {
@@ -1342,7 +1346,6 @@ pub(crate) mod test_fixtures {
                             delay_seconds: 0.25,
                             ..Default::default()
                         },
-                        mailboxes: vec![vec![]],
                         parked_ready: vec![vec![]],
                         parked_staged: vec![vec![update(0, 4)]],
                     },
@@ -1553,7 +1556,7 @@ mod tests {
         assert_eq!(s.shards[0].counters.fallback_homes, 2);
         assert_eq!(s.shards[0].bus.parked_ready[0].len(), 1);
         assert_eq!(s.shards[1].bus.parked_staged[0][0].model_id, 3);
-        assert!(s.shards[0].bus.mailboxes[1][0].layers[0].params[2].is_nan());
+        assert!(s.shards[0].bus.parked_staged[1][0].layers[0].params[2].is_nan());
         assert_eq!(back.encode(), hier_bytes);
 
         // Stripping the section decodes as a flat snapshot whose
@@ -1677,9 +1680,11 @@ mod tests {
         use super::test_fixtures::sample_hier_snapshot;
 
         // Byte offset of the reserved bus counter in an encoded bus
-        // stats record: after messages, bytes, logical bytes and the
-        // two drop counters.
+        // record: after messages, bytes, logical bytes and the two drop
+        // counters. The mailbox slot follows the nine counters and the
+        // receiver count; this is its first receiver's length.
         const BUS_SLOT: usize = 5 * 8;
+        const MAILBOX_SLOT: usize = 9 * 8 + 8;
         let hier = sample_hier_snapshot();
         let bytes = hier.encode();
         let (_, sections) = split_sections(&bytes);
@@ -1700,6 +1705,13 @@ mod tests {
                 shard_bus + BUS_SLOT,
                 8,
                 "reserved bus counter",
+            ),
+            (section::TRANSPORT, MAILBOX_SLOT, 8, "reserved mailbox slot"),
+            (
+                section::SHARD,
+                shard_bus + MAILBOX_SLOT,
+                8,
+                "reserved mailbox slot",
             ),
             (
                 section::TRANSPORT,
@@ -1728,6 +1740,23 @@ mod tests {
                 RunSnapshot::decode(&join_sections(&header, &sections)),
                 Err(StoreError::Malformed { context }),
                 "section {kind}, byte {at}"
+            );
+        }
+
+        // The mailbox slot's receiver count must be the parked queues'.
+        let mut uneven = hier.clone();
+        uneven.transport.bus.parked_staged.push(Vec::new());
+        let mut uneven_shard = hier;
+        uneven_shard.shard.as_mut().unwrap().shards[1]
+            .bus
+            .parked_ready
+            .push(Vec::new());
+        for snap in [uneven, uneven_shard] {
+            assert_eq!(
+                RunSnapshot::decode(&snap.encode()),
+                Err(StoreError::Malformed {
+                    context: "reserved mailbox slot"
+                })
             );
         }
     }

@@ -172,9 +172,6 @@ fn build_snapshot(seed: u64, n_homes: usize, n_devices: usize, shared_agents: bo
                     delayed: g.next(),
                     delay_seconds: g.chaos_f64(),
                 },
-                mailboxes: (0..n_homes)
-                    .map(|_| (0..g.below(3)).map(|_| update(g, n_layers)).collect())
-                    .collect(),
                 parked_ready: (0..n_homes)
                     .map(|_| (0..g.below(2)).map(|_| update(g, n_layers)).collect())
                     .collect(),
@@ -298,9 +295,6 @@ fn build_snapshot(seed: u64, n_homes: usize, n_devices: usize, shared_agents: bo
                                     delayed: g.next(),
                                     delay_seconds: g.chaos_f64(),
                                 },
-                                mailboxes: (0..pop)
-                                    .map(|_| (0..g.below(2)).map(|_| update(g, n_layers)).collect())
-                                    .collect(),
                                 parked_ready: (0..pop)
                                     .map(|_| (0..g.below(2)).map(|_| update(g, n_layers)).collect())
                                     .collect(),

@@ -155,19 +155,24 @@ fn transports_never_panic_on_hostile_traffic() {
     let mut rng = StdRng::seed_from_u64(7);
     let chaos = FaultConfig::chaos(3, 0.5);
     let mut bus = BroadcastBus::with_faults(4, LatencyModel::lan(), &chaos);
-    for _ in 0..300 {
-        bus.broadcast(hostile_update(&mut rng, 4));
-    }
-    for id in 0..4 {
-        let updates = bus.drain(id);
-        let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
-        let mut model = Toy::new();
-        let _ = aggregate::merge_updates(&mut model, &refs);
-        for layer in &model.layers {
-            assert!(layer.iter().all(|p| p.is_finite()));
+    let mut inboxes = Vec::new();
+    let mut models = vec![Toy::new(); 4];
+    for _ in 0..200 {
+        // Up to three hostile updates a round, of whatever senders and
+        // models; the round keeps one model's mail, stragglers included.
+        let sent: Vec<ModelUpdate> = (0..rng.gen_range(0..4usize))
+            .map(|_| hostile_update(&mut rng, 4))
+            .collect();
+        bus.deliver(&sent, rng.gen_range(0..4u64), &mut inboxes);
+        for (model, inbox) in models.iter_mut().zip(&inboxes) {
+            let refs: Vec<&ModelUpdate> = inbox.iter().map(|mail| mail.get(&sent)).collect();
+            let _ = aggregate::merge_updates(model, &refs);
+            for layer in &model.layers {
+                assert!(layer.iter().all(|p| p.is_finite()));
+            }
         }
     }
-    // Counters observed something (50% chaos over 300 hostile sends).
+    // Counters observed something (50% chaos over ~300 hostile sends).
     let s = bus.stats();
     assert!(s.dropped_total() + s.corrupted + s.delayed > 0);
 

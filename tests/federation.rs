@@ -31,6 +31,32 @@ fn trained_forecasters(n: usize) -> Vec<Box<dyn Forecaster>> {
         .collect()
 }
 
+/// One fault-free LAN round of `sent` (one update per home, in home
+/// order): calls `merge(home, received)` with what each home received,
+/// in arrival order.
+fn deliver(sent: &[ModelUpdate], mut merge: impl FnMut(usize, &[&ModelUpdate])) {
+    let mut bus = BroadcastBus::new(sent.len(), LatencyModel::lan());
+    let mut inboxes = Vec::new();
+    bus.deliver(sent, 0, &mut inboxes);
+    for (home, inbox) in inboxes.iter().enumerate() {
+        let received: Vec<&ModelUpdate> = inbox.iter().map(|mail| mail.get(sent)).collect();
+        merge(home, &received);
+    }
+}
+
+/// A full-model LAN round: every home merges its own model with what
+/// it received.
+fn lan_round(models: &mut [Box<dyn Forecaster>]) {
+    let sent: Vec<ModelUpdate> = models
+        .iter()
+        .enumerate()
+        .map(|(i, m)| aggregate::snapshot_update(m.as_ref(), i, 0, 0))
+        .collect();
+    deliver(&sent, |home, received| {
+        aggregate::merge_updates(models[home].as_mut(), received);
+    });
+}
+
 #[test]
 fn lan_fedavg_equals_cloud_fedavg() {
     // The decentralized broadcast (Algorithm 1) and the centralized
@@ -58,16 +84,8 @@ fn lan_fedavg_equals_cloud_fedavg() {
     let global = cloud_models[0].export_all();
 
     // LAN path: every home merges own + received.
-    let mut bus = BroadcastBus::new(3, LatencyModel::lan());
     let mut lan_models = trained_forecasters(3);
-    for (i, m) in lan_models.iter().enumerate() {
-        bus.broadcast(aggregate::snapshot_update(m.as_ref(), i, 0, 0));
-    }
-    for (i, m) in lan_models.iter_mut().enumerate() {
-        let updates = bus.drain(i);
-        let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
-        aggregate::merge_updates(m.as_mut(), &refs);
-    }
+    lan_round(&mut lan_models);
 
     for (layer, g) in global.iter().enumerate() {
         for m in &lan_models {
@@ -94,16 +112,14 @@ fn alpha_split_keeps_personal_layers_distinct_across_homes() {
         .collect();
     let alpha = 4;
     let split = LayerSplit::for_model(alpha, &agents[0]);
-    let mut bus = BroadcastBus::new(3, LatencyModel::lan());
-
-    for (i, a) in agents.iter().enumerate() {
-        bus.broadcast(split.base_update(a, i, 0, 0));
-    }
-    for (i, a) in agents.iter_mut().enumerate() {
-        let updates = bus.drain(i);
-        let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
-        split.merge_base(a, &refs);
-    }
+    let sent: Vec<ModelUpdate> = agents
+        .iter()
+        .enumerate()
+        .map(|(i, a)| split.base_update(a, i, 0, 0))
+        .collect();
+    deliver(&sent, |home, received| {
+        split.merge_base(&mut agents[home], received);
+    });
 
     // Base layers identical everywhere...
     for layer in 0..alpha {
@@ -154,15 +170,7 @@ fn repeated_rounds_shrink_model_disagreement() {
     let before = spread(&models);
     assert!(before > 0.0, "independently trained models should differ");
 
-    let mut bus = BroadcastBus::new(4, LatencyModel::lan());
-    for (i, m) in models.iter().enumerate() {
-        bus.broadcast(aggregate::snapshot_update(m.as_ref(), i, 0, 0));
-    }
-    for (i, m) in models.iter_mut().enumerate() {
-        let updates = bus.drain(i);
-        let refs: Vec<&ModelUpdate> = updates.iter().map(|u| u.as_ref()).collect();
-        aggregate::merge_updates(m.as_mut(), &refs);
-    }
+    lan_round(&mut models);
     let after = spread(&models);
     assert!(
         after < 1e-9,
