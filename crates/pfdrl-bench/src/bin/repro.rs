@@ -21,7 +21,6 @@ use pfdrl_core::{
     run_method_resumable, run_method_resume_from, train_forecasters, EmsMethod, ResumableRun,
     RunResult, SimConfig,
 };
-use pfdrl_data::SensorFaultConfig;
 use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec, ShardAssignment};
 use pfdrl_serve::{
     generate_stream, NdjsonSink, NdjsonSource, ServeConfig, ServeEngine, ServeReport,
@@ -733,7 +732,7 @@ const CANARIES: [Canary; 9] = [
     Canary {
         label: "storm:0.5",
         method: EmsMethod::Pfdrl,
-        apply: |c| c.sensor_fault = SensorFaultConfig::storm(c.sensor_fault.seed, 0.5),
+        apply: |c| c.sensor_fault.severity = 0.5,
         threads: 0,
         expect: Expect::Pinned(
             [0.39606929304969885, 0.8000332742645503],

@@ -57,7 +57,6 @@ pub fn repro_config(seed: u64) -> SimConfig {
         checkpoint: pfdrl_core::CheckpointPolicy::default(),
         aggregation: pfdrl_fl::AggregationMode::PerHome,
         sensor_fault: pfdrl_data::SensorFaultConfig::default(),
-        supervision: pfdrl_core::SupervisionPolicy::default(),
         compression: pfdrl_fl::PayloadCodec::Raw,
     }
 }

@@ -53,7 +53,10 @@ fn steady_state_day_allocations_are_bounded() {
     // steady day with active imputation must not allocate more than
     // the clean day measured above.
     let mut storm_cfg = cfg.clone();
-    storm_cfg.sensor_fault = SensorFaultConfig::storm(0xFA11, 0.8);
+    storm_cfg.sensor_fault = SensorFaultConfig {
+        seed: 0xFA11,
+        severity: 0.8,
+    };
     let storm_forecast = train_forecasters(&storm_cfg, EmsMethod::Pfdrl);
     let mut storm_state = EmsState::fresh(&storm_cfg);
     for _ in 0..2 {

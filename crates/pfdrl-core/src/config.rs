@@ -7,37 +7,6 @@ use pfdrl_fl::{AggregationMode, FaultConfig, PayloadCodec};
 use pfdrl_forecast::{ForecastMethod, TrainConfig};
 use serde::{Deserialize, Serialize};
 
-/// Training-divergence supervision: a windowed loss-explosion detector
-/// plus automatic rollback to the last good checkpoint. Disabled by
-/// default (`explode_factor == 0`), in which case the runner behaves
-/// exactly as before.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SupervisionPolicy {
-    /// A completed day diverges when its fleet mean train loss is
-    /// non-finite or exceeds this factor × the mean loss of the three
-    /// completed days before it. `0.0` disables supervision entirely.
-    #[serde(default)]
-    pub explode_factor: f64,
-}
-
-impl SupervisionPolicy {
-    /// Whether the divergence supervisor is on.
-    pub fn is_active(&self) -> bool {
-        self.explode_factor > 0.0
-    }
-
-    /// Validates knob sanity.
-    ///
-    /// # Panics
-    /// Panics with a descriptive message on an invalid policy.
-    pub fn validate(&self) {
-        assert!(
-            self.explode_factor.is_finite() && self.explode_factor >= 0.0,
-            "explode_factor must be finite and non-negative"
-        );
-    }
-}
-
 /// Durable-checkpoint policy for crash-recoverable runs.
 ///
 /// Disabled by default (`dir: None`), in which case runs behave exactly
@@ -143,15 +112,12 @@ pub struct SimConfig {
     #[serde(default)]
     pub aggregation: AggregationMode,
     /// Seeded sensor-fault injection into per-home minute streams
-    /// (dropouts, stuck-at, spikes, NaN/negative watts, clock skew).
-    /// Defaults to inactive — every reading passes through untouched
-    /// and runs stay bit-identical to fault-free builds.
+    /// (dropouts, stuck-at, spikes, NaN/negative watts, clock skew) at
+    /// one severity. Defaults to inactive — every reading passes
+    /// through untouched and runs stay bit-identical to fault-free
+    /// builds.
     #[serde(default)]
     pub sensor_fault: SensorFaultConfig,
-    /// Training-divergence supervision + checkpoint rollback. Off by
-    /// default.
-    #[serde(default)]
-    pub supervision: SupervisionPolicy,
     /// Federation payload codec. The default `Raw` ships full f64
     /// parameters and is the bitwise-pinned path; `QuantizedI8`
     /// compresses every uplink (LAN broadcast, hierarchical shard
@@ -186,7 +152,6 @@ impl Default for SimConfig {
             checkpoint: CheckpointPolicy::default(),
             aggregation: AggregationMode::PerHome,
             sensor_fault: SensorFaultConfig::default(),
-            supervision: SupervisionPolicy::default(),
             compression: PayloadCodec::Raw,
         }
     }
@@ -248,7 +213,6 @@ impl SimConfig {
             checkpoint: CheckpointPolicy::default(),
             aggregation: AggregationMode::PerHome,
             sensor_fault: SensorFaultConfig::default(),
-            supervision: SupervisionPolicy::default(),
             compression: PayloadCodec::Raw,
         }
     }
@@ -268,7 +232,6 @@ impl SimConfig {
         GeneratorConfig {
             seed: self.seed,
             devices: self.devices.clone(),
-            ..Default::default()
         }
     }
 
@@ -312,7 +275,6 @@ impl SimConfig {
         }
         self.fault.validate();
         self.sensor_fault.validate();
-        self.supervision.validate();
     }
 
     /// Estimated bytes of one home's LAN federation payload: the α
@@ -494,36 +456,22 @@ mod tests {
     }
 
     #[test]
-    fn hostile_telemetry_knobs_default_inert_and_are_hashed() {
+    fn sensor_faults_default_inert_and_are_hashed() {
         let base = SimConfig::tiny(5);
         assert!(!base.sensor_fault.is_active());
-        assert!(!base.supervision.is_active());
 
         // Corrupted streams change the world the agents see.
         let mut faulty = base.clone();
-        faulty.sensor_fault = SensorFaultConfig::storm(1, 0.1);
+        faulty.sensor_fault.severity = 0.1;
+        assert!(faulty.sensor_fault.is_active());
         assert_ne!(base.run_hash(), faulty.run_hash());
-
-        // Supervision changes training trajectories (rollbacks).
-        let mut supervised = base.clone();
-        supervised.supervision.explode_factor = 10.0;
-        assert!(supervised.supervision.is_active());
-        assert_ne!(base.run_hash(), supervised.run_hash());
     }
 
     #[test]
-    #[should_panic(expected = "probability")]
-    fn out_of_range_sensor_rate_rejected() {
+    #[should_panic(expected = "severity")]
+    fn out_of_range_sensor_severity_rejected() {
         let mut cfg = SimConfig::tiny(0);
-        cfg.sensor_fault.dropout_rate = 1.5;
-        cfg.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "explode_factor")]
-    fn negative_explode_factor_rejected() {
-        let mut cfg = SimConfig::tiny(0);
-        cfg.supervision.explode_factor = -1.0;
+        cfg.sensor_fault.severity = 1.5;
         cfg.validate();
     }
 

@@ -78,10 +78,6 @@ const QUARANTINE_AFTER_DAYS: u32 = 2;
 /// federation uploads.
 const READMIT_AFTER_DAYS: u32 = 2;
 
-/// Completed days before the current one that the divergence
-/// supervisor baselines its loss on.
-const SUPERVISION_WINDOW_DAYS: usize = 3;
-
 /// Per-home telemetry health machine: Healthy → Degraded on a dirty
 /// day, Degraded → Quarantined after `QUARANTINE_AFTER_DAYS` (2)
 /// consecutive dirty days, Quarantined → Healthy again only after
@@ -187,13 +183,10 @@ pub struct EmsPhase {
     /// Home-days spent quarantined (withheld from uploads).
     #[serde(default)]
     pub quarantined_home_days: u64,
-    /// Divergence-supervisor rollbacks to the last good checkpoint.
-    #[serde(default)]
-    pub rollbacks: u64,
-    /// Per-eval-day fleet mean train loss (supervision input). Only
-    /// populated when sensor faults or supervision are active — it is
-    /// not part of the snapshot otherwise, so exposing it would break
-    /// resumed-vs-uninterrupted equality on plain runs.
+    /// Per-eval-day fleet mean train loss, NaN for a day with a
+    /// non-finite batch loss. Only populated when sensor faults are
+    /// active — it is not part of the snapshot otherwise, so exposing
+    /// it would break resumed-vs-uninterrupted equality on plain runs.
     #[serde(default)]
     pub daily_mean_loss: Vec<f64>,
 }
@@ -481,12 +474,8 @@ pub struct EmsState {
     pub health_transitions: u64,
     /// Home-days spent quarantined.
     pub quarantined_home_days: u64,
-    /// Rollbacks the divergence supervisor performed (owned here so it
-    /// rides the snapshot; incremented by the resumable runner).
-    pub rollbacks: u64,
     /// Per-completed-day fleet mean train loss; NaN marks a day that
-    /// produced any non-finite batch loss. The supervision detector is
-    /// a pure function of this history.
+    /// produced any non-finite batch loss.
     pub daily_mean_loss: Vec<f64>,
     /// Reusable upload-participation mask (transient scratch; rebuilt
     /// from `health` every day, never snapshotted).
@@ -529,7 +518,6 @@ impl EmsState {
             imputed_minutes: 0,
             health_transitions: 0,
             quarantined_home_days: 0,
-            rollbacks: 0,
             daily_mean_loss: Vec::with_capacity(cfg.eval_days as usize),
             participants: Vec::with_capacity(n),
         }
@@ -582,30 +570,6 @@ impl EmsState {
     /// federation at each boundary, and closes the day into the
     /// accumulators.
     pub fn advance_day(&mut self, cfg: &SimConfig, method: EmsMethod, forecast: &ForecastPhase) {
-        self.advance_day_with(cfg, method, forecast, true);
-    }
-
-    /// [`EmsState::advance_day`] with training suppressed: agents act
-    /// (greedily exploring as usual, consuming the same action RNG) but
-    /// take no gradient steps. The divergence supervisor re-runs a
-    /// rolled-back day through this, so the replacement day cannot
-    /// re-diverge and the recovery is deterministic.
-    pub fn advance_day_frozen(
-        &mut self,
-        cfg: &SimConfig,
-        method: EmsMethod,
-        forecast: &ForecastPhase,
-    ) {
-        self.advance_day_with(cfg, method, forecast, false);
-    }
-
-    fn advance_day_with(
-        &mut self,
-        cfg: &SimConfig,
-        method: EmsMethod,
-        forecast: &ForecastPhase,
-        train: bool,
-    ) {
         let day = self.next_day;
         let gen = TraceGenerator::new(cfg.generator());
         let n = cfg.n_residences;
@@ -694,7 +658,7 @@ impl EmsState {
             ws.homes
                 .par_iter_mut()
                 .zip(self.agents.par_iter_mut())
-                .for_each(|(hw, agents)| run_segment(cfg, hw, agents, seg_start..seg_end, train));
+                .for_each(|(hw, agents)| run_segment(cfg, hw, agents, seg_start..seg_end));
             self.fold_hours(ws.homes.iter().map(|hw| &hw.tally));
 
             // Federation at the boundary (if the day is not over early).
@@ -740,8 +704,8 @@ impl EmsState {
     /// merges every device account into the day's account and, over the
     /// last third of the evaluation days, the home's late account;
     /// pushes the day's saved fraction, saved kWh per client and fleet
-    /// mean train loss (NaN if any batch loss was non-finite, so the
-    /// divergence supervisor sees it); and moves `next_day` on.
+    /// mean train loss (NaN if any batch loss was non-finite); and
+    /// moves `next_day` on.
     pub fn close_day<'a>(
         &mut self,
         cfg: &SimConfig,
@@ -775,40 +739,6 @@ impl EmsState {
             loss_sum / loss_steps as f64
         });
         self.next_day = day + 1;
-    }
-
-    /// Whether the just-completed day diverged under the configured
-    /// supervision policy: its fleet mean loss is non-finite, or it
-    /// exceeds `explode_factor` × the mean over the trailing
-    /// `SUPERVISION_WINDOW_DAYS` (3) days. A pure function of
-    /// snapshotted state, so a resumed run reaches the exact same
-    /// verdicts as the uninterrupted one.
-    pub fn last_day_diverged(&self, cfg: &SimConfig) -> bool {
-        let sup = &cfg.supervision;
-        if !sup.is_active() {
-            return false;
-        }
-        let losses = &self.daily_mean_loss;
-        let Some(&cur) = losses.last() else {
-            return false;
-        };
-        if !cur.is_finite() {
-            return true;
-        }
-        // Baseline on the finite, nonzero window entries (zero means a
-        // day without gradient steps — warmup or a frozen re-run — and
-        // carries no loss-scale information).
-        let n = losses.len() - 1;
-        let window = &losses[n.saturating_sub(SUPERVISION_WINDOW_DAYS)..n];
-        let mut sum = 0.0f64;
-        let mut count = 0u32;
-        for &v in window {
-            if v.is_finite() && v > 0.0 {
-                sum += v;
-                count += 1;
-            }
-        }
-        count > 0 && cur > sup.explode_factor * (sum / count as f64)
     }
 
     /// Folds the accumulated state into the phase result.
@@ -862,7 +792,6 @@ impl EmsState {
             imputed_minutes: self.imputed_minutes,
             health_transitions: self.health_transitions,
             quarantined_home_days: self.quarantined_home_days,
-            rollbacks: self.rollbacks,
             // Only expose the loss history when it is also snapshotted
             // (see the field doc on `EmsPhase::daily_mean_loss`).
             daily_mean_loss: if Self::health_active(cfg) {
@@ -873,16 +802,17 @@ impl EmsState {
         }
     }
 
-    /// Whether any hostile-telemetry feature is on — and with it the
-    /// snapshot's optional HEALTH section.
+    /// Whether sensor faults are on — and with them the snapshot's
+    /// optional HEALTH section.
     fn health_active(cfg: &SimConfig) -> bool {
-        cfg.sensor_fault.is_active() || cfg.supervision.is_active()
+        cfg.sensor_fault.is_active()
     }
 
-    /// Exports the health machines + supervision counters as a snapshot
-    /// HEALTH section. [`EmsState::to_snapshot`] emits this only when a
-    /// hostile-telemetry feature is configured; the serve loop always
-    /// runs the health machine and fills the section unconditionally.
+    /// Exports the health machines, their counters and the daily loss
+    /// history as a snapshot HEALTH section. [`EmsState::to_snapshot`]
+    /// emits this only when sensor faults are configured; the serve
+    /// loop always runs the health machine and fills the section
+    /// unconditionally.
     pub fn export_health(&self) -> HealthSection {
         HealthSection {
             per_home: self
@@ -901,7 +831,6 @@ impl EmsState {
             imputed_minutes: self.imputed_minutes,
             health_transitions: self.health_transitions,
             quarantined_home_days: self.quarantined_home_days,
-            rollbacks: self.rollbacks,
             daily_mean_loss: self.daily_mean_loss.clone(),
         }
     }
@@ -1082,14 +1011,13 @@ impl EmsState {
         let mut hourly_standby = [0.0f64; 24];
         hourly_standby.copy_from_slice(&m.hourly_standby);
 
-        // HEALTH is present whenever a hostile-telemetry feature is
-        // active (serve writes it always); the restored state must match
+        // HEALTH is present whenever sensor faults are active (serve
+        // writes it always); the restored state must match
         // what the uninterrupted run carries at this day boundary.
         let mut health = vec![HomeHealth::default(); n];
         let mut imputed_minutes = 0;
         let mut health_transitions = 0;
         let mut quarantined_home_days = 0;
-        let mut rollbacks = 0;
         let mut daily_mean_loss = Vec::with_capacity(cfg.eval_days as usize);
         if let Some(h) = &snap.health {
             if h.per_home.len() != n || h.daily_mean_loss.len() != completed {
@@ -1116,7 +1044,6 @@ impl EmsState {
             imputed_minutes = h.imputed_minutes;
             health_transitions = h.health_transitions;
             quarantined_home_days = h.quarantined_home_days;
-            rollbacks = h.rollbacks;
             daily_mean_loss.extend_from_slice(&h.daily_mean_loss);
         } else if Self::health_active(cfg) {
             return Err(StoreError::State(
@@ -1144,7 +1071,6 @@ impl EmsState {
             imputed_minutes,
             health_transitions,
             quarantined_home_days,
-            rollbacks,
             daily_mean_loss,
             participants: Vec::with_capacity(n),
         })
@@ -1160,7 +1086,6 @@ fn run_segment(
     hw: &mut HomeWorkspace,
     agents: &mut [DqnAgent],
     minutes: Range<usize>,
-    train: bool,
 ) {
     let HomeWorkspace {
         hh: Some(hh),
@@ -1189,7 +1114,7 @@ fn run_segment(
             &mut agents[device],
             day,
             minutes.clone(),
-            train,
+            true,
             &mut steps_since_train,
             tally,
             device,

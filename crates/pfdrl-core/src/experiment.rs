@@ -493,9 +493,9 @@ pub fn degradation_sweep(base: &SimConfig, rates: &[(f64, f64)]) -> DegradationR
 }
 
 /// One row of the sensor-fault severity sweep: PFDRL under a
-/// [`SensorFaultConfig::storm`] of the given severity.
+/// [`SensorFaultConfig`] of the given severity.
 ///
-/// [`SensorFaultConfig::storm`]: pfdrl_data::SensorFaultConfig::storm
+/// [`SensorFaultConfig`]: pfdrl_data::SensorFaultConfig
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SensorFaultRow {
     pub severity: f64,
@@ -524,21 +524,18 @@ pub struct SensorFaultResult {
 /// and quarantine activity plus standby-energy savings against the
 /// fault-free baseline. The fault seed is taken from `base.sensor_fault`
 /// and stays fixed, so rows differ only in fault intensity, not fault
-/// pattern; health thresholds come from `base.health` unchanged.
+/// pattern; only the severity varies.
 ///
 /// Like [`degradation_sweep`], rows are independent simulations run in
 /// parallel and the result is byte-identical across runs and thread
-/// widths. A severity-0.0 storm has every rate at zero, so that row
+/// widths. Severity 0.0 turns every fault class off, so that row
 /// collapses to the fault-free configuration and must land on the
 /// baseline numbers exactly — the regression canary the CI sweep pins.
 pub fn sensor_fault_sweep(base: &SimConfig, severities: &[f64]) -> SensorFaultResult {
     use rayon::prelude::*;
 
     let mut clean = base.clone();
-    clean.sensor_fault = pfdrl_data::SensorFaultConfig {
-        seed: base.sensor_fault.seed,
-        ..Default::default()
-    };
+    clean.sensor_fault.severity = 0.0;
     let baseline_run = run_method(&clean, EmsMethod::Pfdrl);
     let baseline_saved_fraction = baseline_run.converged_saved_fraction();
 
@@ -546,8 +543,7 @@ pub fn sensor_fault_sweep(base: &SimConfig, severities: &[f64]) -> SensorFaultRe
         .par_iter()
         .map(|&severity| {
             let mut cfg = base.clone();
-            cfg.sensor_fault =
-                pfdrl_data::SensorFaultConfig::storm(base.sensor_fault.seed, severity);
+            cfg.sensor_fault.severity = severity;
             let run = run_method(&cfg, EmsMethod::Pfdrl);
             let saved_fraction = run.converged_saved_fraction();
             SensorFaultRow {

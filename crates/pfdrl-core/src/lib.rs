@@ -35,7 +35,7 @@ pub mod forecast;
 pub mod method;
 pub mod runner;
 
-pub use config::{CheckpointPolicy, SimConfig, SupervisionPolicy};
+pub use config::{CheckpointPolicy, SimConfig};
 pub use ems::{
     predict_day_into, predict_span_into, run_device_span, DrlFederation, EmsPhase, EmsState,
     HealthState, HomeHealth, HomeTally, PredictDayWorkspace,

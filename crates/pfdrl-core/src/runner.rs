@@ -121,9 +121,8 @@ pub struct ResumableRun {
     pub resumed_from_day: Option<u64>,
 }
 
-/// Runs one method end to end, under the divergence supervisor and
-/// writing no snapshots: the same run as [`run_method_resumable`]
-/// without a checkpoint directory.
+/// Runs one method end to end, writing no snapshots: the same run as
+/// [`run_method_resumable`] without a checkpoint directory.
 pub fn run_method(cfg: &SimConfig, method: EmsMethod) -> MethodRun {
     run_method_with_forecast(cfg, method).0
 }
@@ -183,10 +182,10 @@ fn open_store(cfg: &SimConfig) -> Result<Option<CheckpointStore>, StoreError> {
 }
 
 /// The execution loop behind every runner: trains the forecasters (or
-/// restores them and the EMS from `snap`), then runs the EMS days under
-/// the divergence supervisor, saving to `store` at the configured
-/// cadence. The EMS clock starts once the forecasters are in hand, so
-/// `ems.train_wall_s` never counts forecast training.
+/// restores them and the EMS from `snap`), then runs the EMS days,
+/// saving to `store` at the configured cadence. The EMS clock starts
+/// once the forecasters are in hand, so `ems.train_wall_s` never counts
+/// forecast training.
 fn drive(
     cfg: &SimConfig,
     method: EmsMethod,
@@ -214,60 +213,28 @@ fn drive(
     };
 
     let started = Instant::now();
-    let supervised = cfg.supervision.is_active();
     // Snapshots carry the forecast state; a run that writes none skips
     // exporting it.
-    let snapshots = store.is_some() || supervised;
     let (mut state, resumed_from_day, forecast_state) = match snap {
         Some(snap) => (
             EmsState::from_snapshot(cfg, &snap)?,
             Some(snap.meta.next_day),
-            snapshots.then_some(snap.forecast),
+            store.is_some().then_some(snap.forecast),
         ),
         None => (
             EmsState::fresh(cfg),
             None,
-            snapshots.then(|| forecast.export_state()),
+            store.is_some().then(|| forecast.export_state()),
         ),
     };
-    let snapshot = |state: &EmsState| {
-        let forecast = forecast_state
-            .clone()
-            .expect("exported when snapshots are written");
-        state.to_snapshot(cfg, method, forecast)
-    };
-
-    // Divergence supervision keeps the last known-good snapshot in
-    // memory (seeded with the day-zero / resume state so a rollback
-    // target always exists) and, when a day's fleet mean loss explodes,
-    // rewinds to it and re-runs the day with training frozen. The
-    // frozen re-run takes no gradient steps, so it cannot re-diverge.
-    // `rollbacks` rides the snapshot's health section, so a resumed run
-    // replays the exact same verdicts and recovery count.
-    let mut last_good = supervised.then(|| snapshot(&state));
 
     let every = cfg.checkpoint.every_days.max(1);
     while !state.done(cfg) {
         state.advance_day(cfg, method, &forecast);
-        if supervised && state.last_day_diverged(cfg) {
-            let rolled_back = state.rollbacks + 1;
-            let good = last_good.as_ref().expect("supervision seeds last_good");
-            state = EmsState::from_snapshot(cfg, good)?;
-            state.rollbacks = rolled_back;
-            state.advance_day_frozen(cfg, method, &forecast);
-        }
-        if let Some(good) = last_good.as_mut() {
-            *good = snapshot(&state);
-        }
         let completed = state.next_day - cfg.eval_start_day;
-        if let Some(store) = store {
+        if let (Some(store), Some(forecast)) = (store, &forecast_state) {
             if completed.is_multiple_of(every) || state.done(cfg) {
-                // `last_good` was refreshed from the current state just
-                // above, so reuse it rather than snapshotting twice.
-                match last_good.as_ref() {
-                    Some(good) => store.save(good)?,
-                    None => store.save(&snapshot(&state))?,
-                };
+                store.save(&state.to_snapshot(cfg, method, forecast.clone()))?;
             }
         }
         // Crash-simulation hook: die exactly as SIGKILL would, after
@@ -309,20 +276,6 @@ mod tests {
             let f = run.converged_saved_fraction();
             assert!((0.0..=1.0).contains(&f), "{method} fraction {f}");
         }
-    }
-
-    #[test]
-    fn run_method_runs_the_divergence_supervisor() {
-        // A microscopic explode factor flags any day whose loss rose,
-        // so the supervisor must roll back, in both runners alike.
-        let mut cfg = SimConfig::tiny(13);
-        cfg.eval_days = 4;
-        cfg.supervision.explode_factor = 1e-12;
-        let batch = run_method(&cfg, EmsMethod::Pfdrl);
-        let resumable = run_method_resumable(&cfg, EmsMethod::Pfdrl).unwrap().run;
-        assert!(batch.ems.rollbacks > 0, "the supervisor never rolled back");
-        assert_eq!(batch.ems.rollbacks, resumable.ems.rollbacks);
-        assert_eq!(batch.result(), resumable.result());
     }
 
     #[test]

@@ -44,7 +44,6 @@ pub mod price;
 pub mod rng;
 pub mod schedule;
 pub mod sensor_fault;
-pub mod stats;
 pub mod trace;
 
 pub use archetype::Archetype;

@@ -8,7 +8,9 @@
 //! it to a regenerated trace (e.g. after a crash-resume) reproduces the
 //! exact corrupted stream of the uninterrupted run.
 //!
-//! Fault classes, applied in a fixed order per device-day:
+//! One severity in `[0, 1]` scales every fault class; the plan derives
+//! the six rates from it. Fault classes, applied in a fixed order per
+//! device-day:
 //!
 //! 1. **Clock skew** — the whole day window is rotated by a few minutes
 //!    (meter clock drift). Values stay plausible; only forecast
@@ -26,8 +28,8 @@
 //! the last good reading (persistence substitution), in place, with no
 //! allocation and no reachable panic on arbitrary input. Stuck-at and
 //! clock-skew faults produce *plausible* values and deliberately pass
-//! through — they are the silent faults the training-divergence
-//! supervision upstream exists to catch.
+//! through: they reach the forecasters and the agents as wrong but
+//! finite readings, and the health machine does not count them as dirt.
 
 use crate::rng::mix_seed;
 use serde::{Deserialize, Serialize};
@@ -49,34 +51,23 @@ const MAX_SKEW_MINUTES: usize = 15;
 /// synthetic fleet.
 pub const WATT_CEILING: f64 = 20_000.0;
 
-/// Configuration of the seeded sensor-fault plan. The default is inert
-/// (all rates zero): with it, every stream passes through untouched and
-/// the simulation is bit-identical to a build without this module.
+/// Configuration of the seeded sensor-fault plan: a seed and one
+/// severity. The default (severity 0) is inert: every stream passes
+/// through untouched and the simulation is bit-identical to a build
+/// without this module.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SensorFaultConfig {
     /// Seed of the fault plan — independent of the world seed so the
     /// same neighbourhood can be replayed under different fault draws.
     #[serde(default = "default_sensor_seed")]
     pub seed: u64,
-    /// Probability per (home, device, day) of a dropout gap.
+    /// Storm severity in `[0, 1]`, the axis of the severity sweep. Per
+    /// (home, device, day) the plan draws a dropout gap with
+    /// probability `severity` and a stuck-at window and a clock skew
+    /// with `severity / 2` each; per minute, a NaN, negative or spike
+    /// reading with `0.02`, `0.01` and `0.02` × `severity`.
     #[serde(default)]
-    pub dropout_rate: f64,
-    /// Probability per (home, device, day) of a stuck-at window.
-    #[serde(default)]
-    pub stuck_rate: f64,
-    /// Probability per (home, device, day) of a clock-skewed window.
-    #[serde(default)]
-    pub clock_skew_rate: f64,
-    /// Per-minute probability of a NaN reading.
-    #[serde(default)]
-    pub nan_rate: f64,
-    /// Per-minute probability of a negative reading.
-    #[serde(default)]
-    pub negative_rate: f64,
-    /// Per-minute probability of a spike reading (always above
-    /// [`WATT_CEILING`]).
-    #[serde(default)]
-    pub spike_rate: f64,
+    pub severity: f64,
 }
 
 fn default_sensor_seed() -> u64 {
@@ -87,12 +78,7 @@ impl Default for SensorFaultConfig {
     fn default() -> Self {
         SensorFaultConfig {
             seed: default_sensor_seed(),
-            dropout_rate: 0.0,
-            stuck_rate: 0.0,
-            clock_skew_rate: 0.0,
-            nan_rate: 0.0,
-            negative_rate: 0.0,
-            spike_rate: 0.0,
+            severity: 0.0,
         }
     }
 }
@@ -100,19 +86,25 @@ impl Default for SensorFaultConfig {
 impl SensorFaultConfig {
     /// Whether any fault class can fire.
     pub fn is_active(&self) -> bool {
-        self.dropout_rate > 0.0
-            || self.stuck_rate > 0.0
-            || self.clock_skew_rate > 0.0
-            || self.nan_rate > 0.0
-            || self.negative_rate > 0.0
-            || self.spike_rate > 0.0
+        self.severity > 0.0
     }
 
-    /// A hostile-telemetry preset: every fault class scaled by one
-    /// `severity` knob in `[0, 1]` (the axis of the severity sweep).
-    pub fn storm(seed: u64, severity: f64) -> Self {
-        SensorFaultConfig {
-            seed,
+    /// Panics on a severity outside `[0, 1]` (same contract as
+    /// `SimConfig::validate`).
+    pub fn validate(&self) {
+        assert!(
+            (0.0..=1.0).contains(&self.severity),
+            "sensor fault severity must be in [0, 1], got {}",
+            self.severity
+        );
+    }
+
+    /// Freezes the config into a plan (validating it).
+    pub fn plan(&self) -> SensorFaultPlan {
+        self.validate();
+        let severity = self.severity;
+        SensorFaultPlan {
+            seed: self.seed,
             dropout_rate: severity,
             stuck_rate: 0.5 * severity,
             clock_skew_rate: 0.5 * severity,
@@ -121,38 +113,27 @@ impl SensorFaultConfig {
             spike_rate: 0.02 * severity,
         }
     }
-
-    /// Panics on out-of-range knobs (same contract as
-    /// `SimConfig::validate`).
-    pub fn validate(&self) {
-        for (name, rate) in [
-            ("dropout_rate", self.dropout_rate),
-            ("stuck_rate", self.stuck_rate),
-            ("clock_skew_rate", self.clock_skew_rate),
-            ("nan_rate", self.nan_rate),
-            ("negative_rate", self.negative_rate),
-            ("spike_rate", self.spike_rate),
-        ] {
-            assert!(
-                (0.0..=1.0).contains(&rate),
-                "sensor fault {name} must be a probability, got {rate}"
-            );
-        }
-    }
-
-    /// Freezes the config into a plan (validating it).
-    pub fn plan(&self) -> SensorFaultPlan {
-        self.validate();
-        SensorFaultPlan { cfg: *self }
-    }
 }
 
-/// The frozen, copyable fault plan. All methods are pure functions of
-/// the plan and their arguments — no interior state, nothing to
-/// snapshot.
+/// The frozen, copyable fault plan: the seed and the six per-class
+/// rates. All methods are pure functions of the plan and their
+/// arguments — no interior state, nothing to snapshot.
 #[derive(Debug, Clone, Copy)]
 pub struct SensorFaultPlan {
-    cfg: SensorFaultConfig,
+    seed: u64,
+    /// Probability per (home, device, day) of a dropout gap.
+    dropout_rate: f64,
+    /// Probability per (home, device, day) of a stuck-at window.
+    stuck_rate: f64,
+    /// Probability per (home, device, day) of a clock-skewed window.
+    clock_skew_rate: f64,
+    /// Per-minute probability of a NaN reading.
+    nan_rate: f64,
+    /// Per-minute probability of a negative reading.
+    negative_rate: f64,
+    /// Per-minute probability of a spike reading (always above
+    /// [`WATT_CEILING`]).
+    spike_rate: f64,
 }
 
 /// Maps a hash to a uniform draw in `[0, 1)`.
@@ -164,12 +145,17 @@ fn unit(h: u64) -> f64 {
 impl SensorFaultPlan {
     /// Whether any fault class can fire.
     pub fn is_active(&self) -> bool {
-        self.cfg.is_active()
+        self.dropout_rate > 0.0
+            || self.stuck_rate > 0.0
+            || self.clock_skew_rate > 0.0
+            || self.nan_rate > 0.0
+            || self.negative_rate > 0.0
+            || self.spike_rate > 0.0
     }
 
     #[inline]
     fn hash(&self, salt: u64, home: u64, device: u64, day: u64, minute: u64) -> u64 {
-        mix_seed(&[self.cfg.seed, salt, home, device, day, minute])
+        mix_seed(&[self.seed, salt, home, device, day, minute])
     }
 
     /// Corrupts one device-day of minute readings in place, returning
@@ -181,14 +167,13 @@ impl SensorFaultPlan {
         if !self.is_active() || watts.is_empty() {
             return 0;
         }
-        let cfg = &self.cfg;
         let len = watts.len();
         let mut touched = 0u32;
 
         // Clock skew: rotate the whole window by 1..=MAX_SKEW_MINUTES
         // minutes, direction from the hash's low bit.
         let h = self.hash(SALT_SKEW, home, device, day, 0);
-        if unit(h) < cfg.clock_skew_rate {
+        if unit(h) < self.clock_skew_rate {
             let k = 1 + (h >> 7) as usize % MAX_SKEW_MINUTES.min(len - 1).max(1);
             if h & 1 == 0 {
                 watts.rotate_left(k);
@@ -200,7 +185,7 @@ impl SensorFaultPlan {
 
         // Dropout gap: a contiguous NaN run (sensor offline).
         let h = self.hash(SALT_GAP, home, device, day, 0);
-        if unit(h) < cfg.dropout_rate {
+        if unit(h) < self.dropout_rate {
             let start = (h >> 7) as usize % len;
             let gap = 1 + (h >> 33) as usize % MAX_GAP_MINUTES;
             for w in watts.iter_mut().skip(start).take(gap) {
@@ -211,7 +196,7 @@ impl SensorFaultPlan {
 
         // Stuck-at window: the reading at the window start repeats.
         let h = self.hash(SALT_STUCK, home, device, day, 0);
-        if unit(h) < cfg.stuck_rate {
+        if unit(h) < self.stuck_rate {
             let start = (h >> 7) as usize % len;
             let run = 1 + (h >> 33) as usize % MAX_GAP_MINUTES;
             let held = watts[start];
@@ -222,14 +207,14 @@ impl SensorFaultPlan {
         }
 
         // Independent per-minute spot faults.
-        let spot = cfg.nan_rate + cfg.negative_rate + cfg.spike_rate;
+        let spot = self.nan_rate + self.negative_rate + self.spike_rate;
         if spot > 0.0 {
             for (m, w) in watts.iter_mut().enumerate() {
                 let r = unit(self.hash(SALT_MINUTE, home, device, day, m as u64));
-                if r < cfg.nan_rate {
+                if r < self.nan_rate {
                     *w = f64::NAN;
                     touched += 1;
-                } else if r < cfg.nan_rate + cfg.negative_rate {
+                } else if r < self.nan_rate + self.negative_rate {
                     *w = -(w.abs() + 1.0);
                     touched += 1;
                 } else if r < spot {
@@ -269,6 +254,17 @@ mod tests {
     use super::*;
     use crate::schedule::MINUTES_PER_DAY;
 
+    fn plan(seed: u64, severity: f64) -> SensorFaultPlan {
+        SensorFaultConfig { seed, severity }.plan()
+    }
+
+    /// A plan with every fault class off but the ones `set` turns on.
+    fn plan_with(seed: u64, set: impl FnOnce(&mut SensorFaultPlan)) -> SensorFaultPlan {
+        let mut plan = plan(seed, 0.0);
+        set(&mut plan);
+        plan
+    }
+
     fn clean_day(seed: u64) -> Vec<f64> {
         (0..MINUTES_PER_DAY)
             .map(|m| ((mix_seed(&[seed, m as u64]) >> 11) % 1000) as f64 / 10.0)
@@ -287,7 +283,7 @@ mod tests {
 
     #[test]
     fn corruption_is_deterministic_and_order_free() {
-        let plan = SensorFaultConfig::storm(7, 0.8).plan();
+        let plan = plan(7, 0.8);
         let corrupt = |home: u64, device: u64, day: u64| {
             let mut w = clean_day(3);
             plan.corrupt_day(home, device, day, &mut w);
@@ -310,12 +306,8 @@ mod tests {
     fn different_seeds_disagree() {
         let mut a = clean_day(9);
         let mut b = a.clone();
-        SensorFaultConfig::storm(1, 0.9)
-            .plan()
-            .corrupt_day(0, 0, 0, &mut a);
-        SensorFaultConfig::storm(2, 0.9)
-            .plan()
-            .corrupt_day(0, 0, 0, &mut b);
+        plan(1, 0.9).corrupt_day(0, 0, 0, &mut a);
+        plan(2, 0.9).corrupt_day(0, 0, 0, &mut b);
         assert_ne!(
             a.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             b.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
@@ -324,12 +316,7 @@ mod tests {
 
     #[test]
     fn spot_rates_are_roughly_respected() {
-        let cfg = SensorFaultConfig {
-            seed: 11,
-            nan_rate: 0.3,
-            ..SensorFaultConfig::default()
-        };
-        let plan = cfg.plan();
+        let plan = plan_with(11, |p| p.nan_rate = 0.3);
         let mut bad = 0usize;
         let mut total = 0usize;
         for day in 0..20u64 {
@@ -344,25 +331,21 @@ mod tests {
 
     #[test]
     fn skew_is_a_permutation() {
-        let cfg = SensorFaultConfig {
-            seed: 5,
-            clock_skew_rate: 1.0,
-            ..SensorFaultConfig::default()
-        };
+        let plan = plan_with(5, |p| p.clock_skew_rate = 1.0);
         let mut w = clean_day(21);
         let mut sorted_before: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
         sorted_before.sort_unstable();
-        cfg.plan().corrupt_day(3, 1, 2, &mut w);
+        plan.corrupt_day(3, 1, 2, &mut w);
         let mut sorted_after: Vec<u64> = w.iter().map(|v| v.to_bits()).collect();
         sorted_after.sort_unstable();
         assert_eq!(sorted_before, sorted_after);
     }
 
     #[test]
-    #[should_panic(expected = "probability")]
-    fn out_of_range_rate_rejected() {
+    #[should_panic(expected = "severity")]
+    fn out_of_range_severity_rejected() {
         SensorFaultConfig {
-            nan_rate: 1.5,
+            severity: 1.5,
             ..SensorFaultConfig::default()
         }
         .validate();
@@ -396,7 +379,7 @@ mod tests {
 
     #[test]
     fn corrupt_then_impute_is_always_finite() {
-        let plan = SensorFaultConfig::storm(99, 1.0).plan();
+        let plan = plan(99, 1.0);
         for day in 0..10u64 {
             let mut w = clean_day(day);
             plan.corrupt_day(1, 0, day, &mut w);

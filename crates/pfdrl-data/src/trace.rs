@@ -40,11 +40,6 @@ pub fn hvac_seasonal_factor(month: usize) -> f64 {
 pub struct GeneratorConfig {
     /// Global seed; everything else derives from it deterministically.
     pub seed: u64,
-    /// Relative per-home jitter applied to device power levels and usage
-    /// statistics (the non-IID knob).
-    pub spec_jitter: f64,
-    /// Multiplicative meter-noise fraction on watt readings.
-    pub noise_frac: f64,
     /// Device types installed in every home.
     pub devices: Vec<DeviceType>,
 }
@@ -53,8 +48,6 @@ impl Default for GeneratorConfig {
     fn default() -> Self {
         GeneratorConfig {
             seed: 0,
-            spec_jitter: 0.25,
-            noise_frac: 0.03,
             devices: DeviceType::ALL.to_vec(),
         }
     }
@@ -108,6 +101,12 @@ impl DayTrace {
     }
 }
 
+/// Relative per-home jitter applied to device power levels and usage
+/// statistics (the non-IID spread between homes).
+const SPEC_JITTER: f64 = 0.25;
+/// Multiplicative meter-noise fraction on watt readings.
+const NOISE_FRAC: f64 = 0.03;
+
 /// Deterministic lazy generator for a synthetic neighbourhood.
 #[derive(Debug, Clone)]
 pub struct TraceGenerator {
@@ -142,7 +141,7 @@ impl TraceGenerator {
             .iter()
             .map(|d| {
                 d.nominal_spec()
-                    .jittered(self.config.seed, house, self.config.spec_jitter)
+                    .jittered(self.config.seed, house, SPEC_JITTER)
             })
             .collect();
         HouseholdSpec {
@@ -200,13 +199,7 @@ impl TraceGenerator {
             &mut rng,
             &mut out.modes,
         );
-        modes_to_watts_into(
-            &spec,
-            &out.modes,
-            self.config.noise_frac,
-            &mut rng,
-            &mut out.watts,
-        );
+        modes_to_watts_into(&spec, &out.modes, NOISE_FRAC, &mut rng, &mut out.watts);
     }
 
     /// Generates the watt readings for several consecutive days,

@@ -1,12 +1,78 @@
 //! Integration tests for the upgraded trace generator: target
-//! transforms, anchored routines, session durations, and scheduled
-//! standby activity.
+//! transforms, anchored routines, session durations, scheduled standby
+//! activity, and the neighbourhood-level premises the paper rests on.
 
 use pfdrl_data::dataset::{build_windows_transformed, TargetTransform};
 use pfdrl_data::schedule::{event_duration, standard_normal};
-use pfdrl_data::{Archetype, DeviceType, GeneratorConfig, Mode, TraceGenerator, MINUTES_PER_DAY};
+use pfdrl_data::{
+    Archetype, DayTrace, DeviceType, GeneratorConfig, Mode, TraceGenerator, MINUTES_PER_DAY,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::ops::Range;
+
+/// Every device-day of `homes` × the full 12-device catalog × `days`
+/// at seed 12.
+fn neighbourhood(homes: Range<u64>, days: Range<u64>) -> Vec<DayTrace> {
+    let gen = TraceGenerator::new(GeneratorConfig::with_seed(12));
+    let mut traces = Vec::new();
+    for home in homes {
+        for device in 0..gen.devices_per_home() {
+            for day in days.clone() {
+                traces.push(gen.day_trace(home, device, day));
+            }
+        }
+    }
+    traces
+}
+
+#[test]
+fn standby_share_matches_the_papers_premise() {
+    // The paper motivates PFDRL with standby at ~10% of residential
+    // use; the generator should land in a 3-25% band over the full
+    // 12-device catalog.
+    let traces = neighbourhood(0..4, 0..3);
+    let total: f64 = traces.iter().map(DayTrace::total_kwh).sum();
+    let standby: f64 = traces.iter().map(DayTrace::standby_kwh).sum();
+    let share = standby / total;
+    assert!(
+        (0.03..0.25).contains(&share),
+        "standby energy share {share:.3} outside plausible band"
+    );
+}
+
+#[test]
+fn duty_cycle_is_sane() {
+    let traces = neighbourhood(0..3, 0..2);
+    let minutes: usize = traces.iter().map(|t| t.modes.len()).sum();
+    let on = traces
+        .iter()
+        .flat_map(|t| &t.modes)
+        .filter(|&&m| m == Mode::On)
+        .count();
+    let duty = on as f64 / minutes as f64;
+    assert!(duty > 0.01 && duty < 0.6, "duty cycle {duty:.3}");
+}
+
+#[test]
+fn tv_draws_more_in_the_evening_than_at_night() {
+    // TV of an office worker: evening hours draw more than 3-5 AM.
+    let gen = TraceGenerator::new(GeneratorConfig::with_seed(12));
+    let mut hourly = [0.0f64; 24];
+    for day in 0..40 {
+        for (m, w) in gen.day_trace(0, 0, day).watts.iter().enumerate() {
+            hourly[m / 60] += w;
+        }
+    }
+    // Every hour holds the same number of minutes, so the sums compare
+    // as the mean draws do.
+    let evening = hourly[19] + hourly[20];
+    let night = hourly[3] + hourly[4];
+    assert!(
+        evening > night,
+        "no diurnal structure: evening {evening:.1} W vs night {night:.1} W (40-day sums)"
+    );
+}
 
 #[test]
 fn log_transform_round_trips() {

@@ -330,8 +330,8 @@ impl DqnAgent {
         // Non-finite loss guard: a NaN/Inf loss means the gradient is
         // garbage — applying it would poison the weights, the Adam
         // moments and (through federation) every peer. Skip the
-        // optimizer step and the target sync, report the loss to the
-        // caller's supervisor, and leave the weights untouched. The
+        // optimizer step and the target sync, return the loss for the
+        // caller to count, and leave the weights untouched. The
         // batch's RNG draws are already consumed, so skipping keeps the
         // agent's stream position deterministic either way.
         if !l.is_finite() {

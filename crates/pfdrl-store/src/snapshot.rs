@@ -47,13 +47,14 @@
 //!
 //! ## Reserved slots
 //!
-//! Four slots of version 3 carry no field any more: in `TRANSPORT` and
+//! Five slots of version 3 carry no field any more: in `TRANSPORT` and
 //! in every `SHARD` bus, a bus counter (after `dropped_loss`) and the
-//! mailbox queues (after the bus counters), and, at the end of
-//! `TRANSPORT`, a cloud model flag and a cloud upload count. The
-//! encoder writes each as every earlier build whose snapshots can still
-//! resume did: zero, and for the mailboxes the receiver count followed
-//! by that many zero lengths. The decoder rejects any other value as
+//! mailbox queues (after the bus counters); at the end of `TRANSPORT`,
+//! a cloud model flag and a cloud upload count; and in `HEALTH`, a
+//! rollback count (after `quarantined_home_days`). The encoder writes
+//! each as every earlier build whose snapshots can still resume did:
+//! zero, and for the mailboxes the receiver count followed by that
+//! many zero lengths. The decoder rejects any other value as
 //! [`StoreError::Malformed`] naming the slot. So the layout, and the
 //! bytes of every snapshot, stay those of the builds before the fields
 //! went.
@@ -100,10 +101,11 @@ pub mod section {
     pub const TRANSPORT: u32 = 5;
     /// Metric accumulators over completed evaluation days.
     pub const METRICS: u32 = 6;
-    /// Per-home telemetry health machines + supervision history.
-    /// Optional: only present when sensor-fault injection or training
-    /// supervision is active, so fault-free snapshots stay byte-
-    /// identical to the pre-health format.
+    /// Per-home telemetry health machines, their counters and the
+    /// daily fleet mean train loss. Optional: only present when
+    /// sensor-fault injection is active (and in every serve snapshot),
+    /// so fault-free snapshots stay byte-identical to the pre-health
+    /// format.
     pub const HEALTH: u32 = 7;
     /// Mid-day service-loop state: stream cursor, shed/backpressure
     /// counters and per-device live buffers. Optional: only written by
@@ -201,9 +203,9 @@ pub struct HomeHealthRecord {
     pub clean_days: u32,
 }
 
-/// Telemetry-health and training-supervision state (section `HEALTH`).
+/// Telemetry-health state (section `HEALTH`).
 ///
-/// Absent from snapshots of fault-free, unsupervised runs — decoding
+/// Absent from snapshots of fault-free runs — decoding
 /// a snapshot without this section yields `None`, which keeps every
 /// pre-health snapshot readable and every fault-free snapshot byte-
 /// identical to the earlier format.
@@ -217,11 +219,9 @@ pub struct HealthState {
     pub health_transitions: u64,
     /// Home-days spent quarantined.
     pub quarantined_home_days: u64,
-    /// Checkpoint rollbacks triggered by the divergence supervisor.
-    pub rollbacks: u64,
-    /// Per-completed-day fleet mean train loss (supervision input; a
-    /// pure function of this history decides rollbacks, so resume
-    /// replays the exact same decisions).
+    /// Per-completed-day fleet mean train loss, NaN for a day with a
+    /// non-finite batch loss, so a resumed run reports the
+    /// uninterrupted run's history.
     pub daily_mean_loss: Vec<f64>,
 }
 
@@ -307,7 +307,7 @@ pub struct RunSnapshot {
     pub transport: TransportState,
     /// Metric accumulators.
     pub metrics: MetricsState,
-    /// Telemetry health + supervision state; `None` when inactive.
+    /// Telemetry health state; `None` when inactive.
     pub health: Option<HealthState>,
     /// Service-loop state; `None` for batch snapshots.
     pub serve: Option<ServeState>,
@@ -772,7 +772,7 @@ impl RunSnapshot {
             health.put_u64(h.imputed_minutes);
             health.put_u64(h.health_transitions);
             health.put_u64(h.quarantined_home_days);
-            health.put_u64(h.rollbacks);
+            health.put_u64(0); // reserved rollback count
             health.put_f64s(&h.daily_mean_loss);
             sections.push((section::HEALTH, health.into_bytes()));
         }
@@ -975,7 +975,7 @@ impl RunSnapshot {
                 let imputed_minutes = hr.u64()?;
                 let health_transitions = hr.u64()?;
                 let quarantined_home_days = hr.u64()?;
-                let rollbacks = hr.u64()?;
+                reserved(hr.u64()?, "reserved rollback count")?;
                 let daily_mean_loss = hr.f64s()?;
                 hr.expect_end()?;
                 Some(HealthState {
@@ -983,7 +983,6 @@ impl RunSnapshot {
                     imputed_minutes,
                     health_transitions,
                     quarantined_home_days,
-                    rollbacks,
                     daily_mean_loss,
                 })
             }
@@ -1228,7 +1227,6 @@ pub(crate) mod test_fixtures {
                 imputed_minutes: 480,
                 health_transitions: 2,
                 quarantined_home_days: 2,
-                rollbacks: 1,
                 daily_mean_loss: vec![0.5, 0.45, f64::NAN, 0.0],
             }),
             serve: None,
@@ -1513,7 +1511,6 @@ mod tests {
         let h = again.health.as_ref().unwrap();
         assert_eq!(h.per_home[1].state, 2);
         assert_eq!(h.per_home[1].dirty_days, 3);
-        assert_eq!(h.rollbacks, 1);
         assert!(h.daily_mean_loss[2].is_nan());
 
         // An out-of-range state byte is malformed, not a panic.
@@ -1698,6 +1695,10 @@ mod tests {
         // count and the first shard's four counters come before its bus.
         let homes = hier.shard.as_ref().unwrap().home_shard.len();
         let shard_bus = 8 + 4 * homes + 4 * 8 + 8 + 4 * 8;
+        // HEALTH: the record count, one 9-byte record per home and three
+        // counters come before the rollback slot.
+        let health_homes = hier.health.as_ref().unwrap().per_home.len();
+        let rollback_slot = 8 + 9 * health_homes + 3 * 8;
         let cases = [
             (section::TRANSPORT, BUS_SLOT, 8, "reserved bus counter"),
             (
@@ -1725,6 +1726,7 @@ mod tests {
                 8,
                 "reserved cloud upload count",
             ),
+            (section::HEALTH, rollback_slot, 8, "reserved rollback count"),
         ];
         for (kind, at, width, context) in cases {
             let (header, mut sections) = split_sections(&bytes);

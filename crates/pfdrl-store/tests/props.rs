@@ -217,7 +217,6 @@ fn build_snapshot(seed: u64, n_homes: usize, n_devices: usize, shared_agents: bo
                 imputed_minutes: g.next(),
                 health_transitions: g.next(),
                 quarantined_home_days: g.next(),
-                rollbacks: g.next(),
                 daily_mean_loss: g.vec_f64(eval_days),
             })
         },

@@ -16,6 +16,14 @@
 #     uninterrupted log byte for byte.
 # Exits non-zero on any mismatch. Everything else it writes lives in
 # one temporary directory, removed on exit.
+#
+# A resume needs the same config fingerprint (`SimConfig::run_hash`,
+# pinned in tests/pinned_outputs.rs) at both builds. A <rev> from
+# before the last change to the config's serialized shape therefore
+# fails on `ConfigMismatch`, by design: its snapshots still decode, but
+# a resume never blends two configs. The last such change deleted
+# `SimConfig::supervision` and made `SensorFaultConfig` a seed and one
+# severity.
 set -euo pipefail
 
 if [ $# -ne 1 ]; then

@@ -2,11 +2,15 @@
 //! commits: the batch run that `repro run --quick` computes and the
 //! serve decision log over the committed CI fixture. It also pins the
 //! forecast phase of every forecasting backend under every training
-//! architecture, and the batch run under the fault plans that drive
+//! architecture, the batch run under the fault plans that drive
 //! stragglers, rejected payloads, per-home fallbacks and failed cloud
-//! rounds. Each is folded into an FNV-1a-64 hash over exact bit
-//! patterns, so a refactor that claims to move no bit can be checked
-//! against the literals below instead of against a second checkout.
+//! rounds, and the batch run under a sensor-fault storm that drives
+//! imputation and quarantine. Each is folded into an FNV-1a-64 hash
+//! over exact bit patterns, so a refactor that claims to move no bit
+//! can be checked against the literals below instead of against a
+//! second checkout. The config fingerprint is pinned too: it changes
+//! exactly when the config's serialized shape does, and a changed
+//! fingerprint is what stops older snapshots from resuming.
 //!
 //! Floats are hashed by `to_bits()`, not through JSON: the JSON writer
 //! prints NaN and both infinities as `null`, so it would hide a change
@@ -17,6 +21,7 @@ use pfdrl_core::{
     evaluate_forecast, run_method, train_forecasters, AggregationMode, EmsMethod, EmsState,
     RunResult, SimConfig,
 };
+use pfdrl_data::SensorFaultConfig;
 use pfdrl_fl::{FaultConfig, ShardAssignment};
 use pfdrl_forecast::ForecastMethod::{self, Bp, Lr, Lstm, Svm};
 use pfdrl_serve::{NdjsonSource, ServeConfig, ServeEngine, VecSink};
@@ -36,6 +41,13 @@ const FAULTY_HIER_PFDRL_HASH: u64 = 0x3693_b4fb_ca3d_2509;
 const HIER_PFDRL_HASH: u64 = 0x30f9_1924_77ed_667a;
 const HIER_PFDRL_MESSAGES: u64 = 96;
 const HIER_PFDRL_BYTES: u64 = 241_664;
+/// PFDRL on `SimConfig::tiny(11)` over 4 evaluation days under a
+/// severity-0.8 sensor storm (fault seed `0xBADCAB`), and that run's
+/// imputed minutes, health transitions and quarantined home-days.
+const STORM_PFDRL_HASH: u64 = 0x4b37_26f2_a17b_1c6a;
+const STORM_HEALTH_COUNTERS: [u64; 3] = [2317, 6, 9];
+/// `SimConfig::tiny(42).run_hash()`.
+const TINY_RUN_HASH: u64 = 0x1f06_faf8_0acc_3a7e;
 /// Every line of the serve decision log, newline-terminated.
 const SERVE_LOG_HASH: u64 = 0x052d_7e01_3c49_47cd;
 const SERVE_LOG_LINES: usize = 17_244;
@@ -225,6 +237,34 @@ fn fault_free_hierarchical_run_matches_pinned_hash() {
         hash, HIER_PFDRL_HASH,
         "hierarchical PFDRL hash {hash:#018x}"
     );
+}
+
+/// Forward-fill imputation, the health machines and quarantined
+/// uploads; the storm quarantines homes on some days.
+#[test]
+fn sensor_storm_run_matches_pinned_hash() {
+    let mut cfg = SimConfig::tiny(11);
+    cfg.sensor_fault = SensorFaultConfig {
+        seed: 0xBADCAB,
+        severity: 0.8,
+    };
+    cfg.eval_days = 4;
+    let run = run_method(&cfg, EmsMethod::Pfdrl);
+    let hash = hash_result(&run.result());
+    let ems = &run.ems;
+    let counters = [
+        ems.imputed_minutes,
+        ems.health_transitions,
+        ems.quarantined_home_days,
+    ];
+    assert_eq!(counters, STORM_HEALTH_COUNTERS, "storm health counters");
+    assert_eq!(hash, STORM_PFDRL_HASH, "storm PFDRL hash {hash:#018x}");
+}
+
+#[test]
+fn config_fingerprint_matches_pinned_hash() {
+    let hash = SimConfig::tiny(42).run_hash();
+    assert_eq!(hash, TINY_RUN_HASH, "tiny run hash {hash:#018x}");
 }
 
 #[test]

@@ -283,7 +283,10 @@ fn serve_snapshot_without_health_section_is_rejected() {
 fn quarantined_homes_are_shed_from_inference() {
     let mut cfg = SimConfig::tiny(13);
     cfg.eval_days = 4;
-    cfg.sensor_fault = pfdrl_data::SensorFaultConfig::storm(13, 0.9);
+    cfg.sensor_fault = pfdrl_data::SensorFaultConfig {
+        seed: 13,
+        severity: 0.9,
+    };
     cfg.validate();
     let lines = stream_for(&cfg); // corruption applied pre-emission
     let (log, report) = run_serve(&cfg, ServeConfig::default(), lines, None);

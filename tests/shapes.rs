@@ -53,7 +53,6 @@ fn shape_config(seed: u64) -> SimConfig {
         checkpoint: pfdrl::core::CheckpointPolicy::default(),
         aggregation: pfdrl::fl::AggregationMode::PerHome,
         sensor_fault: pfdrl::data::SensorFaultConfig::default(),
-        supervision: pfdrl::core::SupervisionPolicy::default(),
         compression: pfdrl::fl::PayloadCodec::Raw,
     }
 }
